@@ -24,17 +24,12 @@ from .maps import (
     _skeleton,
 )
 
-_LAMBDA1 = {}
-
-
 def edge_algebra(cm):
-    """R |x E of a crossed module (its algebra of 1-simplices)."""
-    key = id(cm)
-    hit = _LAMBDA1.get(key)
-    if hit is None or hit[0] is not cm:
-        hit = (cm, semidirect(cm.R, cm.E, cm.act))
-        _LAMBDA1[key] = hit
-    return hit[1]
+    """R |x E of a crossed module (its algebra of 1-simplices), built once
+    and kept on the module."""
+    if cm._edge is None:
+        cm._edge = semidirect(cm.R, cm.E, cm.act)
+    return cm._edge
 
 
 class CMDerivation:

@@ -47,6 +47,7 @@ class PreCrossedModule:
         self.d = d
         self.act = act
         self.certificates = {}
+        self._edge = None  # R |x E, built by cm_homotopy.edge_algebra
 
     @property
     def ring(self):
@@ -208,6 +209,7 @@ class TwoCrossedModule:
         self.free_basis = tuple(free_basis) if free_basis is not None else None
         self.certificates = {}
         self._prime = None
+        self._towers = {}  # Policy -> SimplexTower, filled by simplex.get_tower
 
     @property
     def ring(self):

@@ -12,13 +12,21 @@ For a table action of a free algebra, monomials act by iterated generator
 action and A2 on generator pairs makes that well defined; A1 for monomials
 then follows by induction, and is additionally covered by the sampled
 tuples.
+
+Formula-defined maps and actions are evaluated on basis keys only.  A
+``LinearMap`` with the "substitution" or "function" rule and a
+``FunctionAction`` compute the image of each basis key (monomial, or key
+pair for an action) once, keep it in a per-object memo, and extend
+(bi)linearly to general elements.  So a formula closure must be linear
+(bilinear for an action): it is only ever called on basis elements, and
+the memo grows with the keys seen.
 """
 
 import itertools
 import random
 from dataclasses import dataclass
 
-from .algebra import FiniteAlgebra, FreeAlgebra, SemidirectAlgebra
+from .algebra import Element, FiniteAlgebra, FreeAlgebra, SemidirectAlgebra
 from .errors import (
     A1Violation,
     A2Violation,
@@ -50,12 +58,6 @@ class Certificate:
     max_degree: int = None
     samples: int = None
     seed: int = None
-
-    def merge(self, other):
-        if other is None or (self.exhaustive and other.exhaustive):
-            return self
-        weaker = self if not self.exhaustive else other
-        return weaker
 
     def to_json(self):
         if self.exhaustive:
@@ -126,14 +128,34 @@ def law_tuples(algebras, policy=DEFAULT_POLICY, rng=None):
 # Linear maps
 
 
-class LinearMap:
-    """A kappa-linear map between algebras.
+def _combination(alg, terms):
+    """The element sum(c * img) of alg over (scalar, image) pairs."""
+    ring = alg.ring
+    acc = {}
+    for c, img in terms:
+        for k, v in img.coeffs.items():
+            s = ring.add(acc.get(k, ring.zero), ring.mul(c, v))
+            if ring.is_zero(s):
+                acc.pop(k, None)
+            else:
+                acc[k] = s
+    return Element(alg, acc)
 
-    Evaluation rules:
-      "table"        images of the (finite) source basis, extended linearly;
-      "substitution" images of free generators, extended as an algebra map
-                     (each monomial goes to the product of its images);
-      "function"     pointwise-defined (e.g. sums/composites, the w-map).
+
+class LinearMap:
+    """A kappa-linear map between algebras, extended linearly from the
+    images of basis keys.
+
+    Evaluation rules for the image of one key:
+      "table"        looked up in ``images`` (finite source basis);
+      "substitution" ``images`` holds the free generators' images, and a
+                     monomial g1...gk goes to the product of its images;
+      "function"     ``fn`` applied to the basis element (sums/composites,
+                     derivations, faces and degeneracies).
+
+    ``fn`` must be linear: it is called on basis elements only, once per
+    key.  Substitution and function images are memoised per key, so the
+    memo grows with the keys seen.
     """
 
     def __init__(self, source, target, rule, images=None, fn=None, note=""):
@@ -144,27 +166,31 @@ class LinearMap:
         self.fn = fn
         self.note = note
         self.multiplicative = None  # Certificate once certified
+        self._memo = {}  # basis key -> image (substitution and function rules)
+
+    def _image(self, key):
+        if self.rule == "table":
+            return self.images.get(key)
+        img = self._memo.get(key)
+        if img is None:
+            if self.rule == "substitution":
+                img = self.images[key[0]]
+                for g in key[1:]:
+                    img = img * self.images[g]
+            else:
+                img = self.fn(self.source.basis_element(key))
+            self.target.owns(img)
+            self._memo[key] = img
+        return img
 
     def __call__(self, u):
         self.source.owns(u)
-        if self.rule == "function":
-            out = self.fn(u)
-            self.target.owns(out)
-            return out
-        out = self.target.zero()
-        if self.rule == "table":
-            for key, c in u.coeffs.items():
-                img = self.images.get(key)
-                if img is not None:
-                    out = out + img.scale(c)
-            return out
-        # substitution: monomial g1...gk -> image(g1) * ... * image(gk)
+        terms = []
         for key, c in u.coeffs.items():
-            acc = self.images[key[0]]
-            for g in key[1:]:
-                acc = acc * self.images[g]
-            out = out + acc.scale(c)
-        return out
+            img = self._image(key)
+            if img is not None:
+                terms.append((c, img))
+        return _combination(self.target, terms)
 
     def __repr__(self):
         tag = self.note or self.rule
@@ -305,20 +331,14 @@ class TableAction(Action):
         self.table = table  # actor label -> {acted key -> Element}
 
     def _act_label(self, label, m):
-        row = self.table.get(label)
-        if not row:
-            return self.acted.zero()
-        out = self.acted.zero()
-        for key, c in m.coeffs.items():
-            img = row.get(key)
-            if img is not None:
-                out = out + img.scale(c)
-        return out
+        row = self.table.get(label, {})
+        terms = [(c, row[key]) for key, c in m.coeffs.items() if key in row]
+        return _combination(self.acted, terms)
 
     def __call__(self, r, m):
         self.acting.owns(r)
         self.acted.owns(m)
-        out = self.acted.zero()
+        terms = []
         for key, c in r.coeffs.items():
             if isinstance(self.acting, FreeAlgebra):
                 cur = m
@@ -326,8 +346,8 @@ class TableAction(Action):
                     cur = self._act_label(g, cur)
             else:
                 cur = self._act_label(key, m)
-            out = out + cur.scale(c)
-        return out
+            terms.append((c, cur))
+        return _combination(self.acted, terms)
 
     def same(self, other):
         return (
@@ -354,6 +374,11 @@ def _tables_equal(t1, t2):
 class FunctionAction(Action):
     """Formula-defined action (the derived and simplex-level actions).
 
+    ``fn`` must be bilinear: it is called on pairs of basis elements only,
+    once per key pair, and general elements act by bilinear extension.
+    The images are memoised per key pair, so the memo grows with the
+    pairs seen.
+
     ``origin`` is the structure the formula closes over; two formula
     actions count as the same action when they share the note and the
     origin object (identity), never merely by shape."""
@@ -363,13 +388,25 @@ class FunctionAction(Action):
         self.fn = fn
         self.note = note
         self.origin = origin
+        self._memo = {}  # (acting key, acted key) -> image
+
+    def _image(self, k1, k2):
+        img = self._memo.get((k1, k2))
+        if img is None:
+            img = self.fn(self.acting.basis_element(k1), self.acted.basis_element(k2))
+            self.acted.owns(img)
+            self._memo[(k1, k2)] = img
+        return img
 
     def __call__(self, r, m):
         self.acting.owns(r)
         self.acted.owns(m)
-        out = self.fn(r, m)
-        self.acted.owns(out)
-        return out
+        mul = self.acted.ring.mul
+        return _combination(self.acted, [
+            (mul(c1, c2), self._image(k1, k2))
+            for k1, c1 in r.coeffs.items()
+            for k2, c2 in m.coeffs.items()
+        ])
 
     def same(self, other):
         if self is other:
@@ -463,14 +500,13 @@ class BilinearMap:
     def __call__(self, u, v):
         self.left.owns(u)
         self.right.owns(v)
-        ring = self.target.ring
-        out = self.target.zero()
-        for k1, c1 in u.coeffs.items():
-            for k2, c2 in v.coeffs.items():
-                img = self.table.get((k1, k2))
-                if img is not None:
-                    out = out + img.scale(ring.mul(c1, c2))
-        return out
+        mul = self.target.ring.mul
+        return _combination(self.target, [
+            (mul(c1, c2), self.table[(k1, k2)])
+            for k1, c1 in u.coeffs.items()
+            for k2, c2 in v.coeffs.items()
+            if (k1, k2) in self.table
+        ])
 
     def same(self, other):
         return (

@@ -27,20 +27,12 @@ from .maps import (
 from .cm_homotopy import make_cm_derivation
 
 
-def random_scalar(ring, rng):
-    return ring.random(rng)
-
-
 def _random_element(alg, rng, density=0.6):
     coeffs = {}
     for k in alg.basis_keys():
         if rng.random() < density:
-            coeffs[k] = ring_random(alg.ring, rng)
+            coeffs[k] = alg.ring.random(rng)
     return alg.element(coeffs)
-
-
-def ring_random(ring, rng):
-    return ring.random(rng)
 
 
 def random_finite_algebra(ring, rng, max_dim=2):
@@ -68,7 +60,7 @@ def random_finite_algebra(ring, rng, max_dim=2):
                 row = {}
                 for k in range(dim):
                     if rng.random() < 0.4:
-                        row[labels[k]] = ring_random(ring, rng)
+                        row[labels[k]] = ring.random(rng)
                 if row:
                     table[(labels[i], labels[j])] = row
                     table[(labels[j], labels[i])] = row
@@ -123,8 +115,8 @@ def _square_family_precrossed(ring, rng):
     """
     R = make_finite_algebra(["p"], {}, ring)
     E = make_finite_algebra(["a", "b"], {("a", "a"): {"b": 1}}, ring)
-    v = ring_random(ring, rng)
-    c = ring.one if rng.random() < 0.5 else ring_random(ring, rng)
+    v = ring.random(rng)
+    c = ring.one if rng.random() < 0.5 else ring.random(rng)
     act_table = {"p": {"a": E.element({"b": v})}}
     act = make_action(R, E, act_table)
     d = algebra_morphism(E, R, images={"a": R.element({"p": c}), "b": R.zero()})

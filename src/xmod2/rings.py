@@ -188,12 +188,6 @@ def ring_from_spec(spec):
     raise ParseError("bad ring spec %r" % (spec,))
 
 
-def ring_to_spec(ring):
-    if isinstance(ring, Rational):
-        return "Q"
-    return {"prime": ring.p}
-
-
 # ---------------------------------------------------------------------------
 # Exact linear algebra (dense, desk scale).  Vectors and matrices are plain
 # lists of ring scalars.

@@ -311,16 +311,13 @@ def build_tower(A, policy=DEFAULT_POLICY):
     return tower
 
 
-_TOWERS = {}
-
-
 def get_tower(A, policy=DEFAULT_POLICY):
-    """Build (or reuse) the certified tower over A."""
-    key = (id(A), policy)
-    tower = _TOWERS.get(key)
-    if tower is None or tower.base is not A:
-        tower = build_tower(A, policy)
-        _TOWERS[key] = tower
+    """Build (or reuse) the certified tower over A.
+
+    Towers are kept on A, one per policy, so they are released with A."""
+    tower = A._towers.get(policy)
+    if tower is None:
+        tower = A._towers[policy] = build_tower(A, policy)
     return tower
 
 

@@ -1,15 +1,18 @@
+import gc
 import random
+import weakref
 
 import pytest
 
 from xmod2 import fixtures
 from xmod2.errors import IndexOutOfRange
-from xmod2.maps import LinearMap, Policy
+from xmod2.maps import LinearMap, Policy, random_element
 from xmod2.randgen import random_two_crossed
 from xmod2.rings import PrimeField
 from xmod2.simplex import (
     build_tower,
     check_simplicial_identities,
+    get_tower,
     simplicial_identity_list,
     with_face,
 )
@@ -238,3 +241,38 @@ def test_towers_are_per_module():
     )
     with pytest.raises(OwnerMismatch):
         T2.face(2, 0, foreign)
+
+
+TOWER_ACTIONS = ("bullet", "star", "one_e", "one_r", "one", "two_e", "two_l", "two", "dagger")
+
+
+def test_memoised_maps_agree_with_their_closures():
+    """Actions, faces and degeneracies evaluate their closures on basis keys
+    only and extend (bi)linearly; on general elements the result must still
+    equal the closure's own value."""
+    rng = random.Random(31)
+    structures = [fixtures.fixture(name) for name in ("F0", "F2", "F3")]
+    structures += [random_two_crossed(PrimeField(5), rng, max_dim=2, policy=POL) for _ in range(3)]
+    for A in structures:
+        T = build_tower(A, POL)
+        for name in TOWER_ACTIONS:
+            act = T.actions[name]
+            for _ in range(4):
+                r = random_element(act.acting, rng, max_degree=3)
+                m = random_element(act.acted, rng, max_degree=3)
+                assert act(r, m) == act.fn(r, m), (A, name)
+        for f in list(T.faces.values()) + list(T.degeneracies.values()):
+            for _ in range(4):
+                u = random_element(f.source, rng, max_degree=3)
+                assert f(u) == f.fn(u), (A, f.note)
+
+
+def test_towers_are_kept_on_their_structure():
+    A = random_two_crossed(PrimeField(5), random.Random(8), max_dim=2, policy=POL)
+    T = get_tower(A, POL)
+    assert get_tower(A, POL) is T
+    assert get_tower(A, Policy(samples=5, seed=1)) is not T
+    structure, tower = weakref.ref(A), weakref.ref(T)
+    del A, T
+    gc.collect()
+    assert structure() is None and tower() is None
