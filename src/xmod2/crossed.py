@@ -10,6 +10,8 @@ Validation is exhaustive on finite bases; when R is free it runs on
 generators plus sampled monomials and stamps the certificate.
 """
 
+from functools import partial
+
 from .algebra import FiniteAlgebra, FreeAlgebra
 from .errors import (
     AxiomViolation,
@@ -30,9 +32,8 @@ from .maps import (
     TableAction,
     algebra_morphism,
     certify_action,
-    law_tuples,
+    check_law,
     morphisms_equal,
-    sampled_certificate,
     zero_action,
 )
 from .rings import nullspace, solve_in_span
@@ -74,14 +75,9 @@ def _check_precrossed_shape(E, R, d, act):
 def make_precrossed(E, R, d, act, policy=DEFAULT_POLICY):
     _check_precrossed_shape(E, R, d, act)
     pcm = PreCrossedModule(E, R, d, act)
-    rng = policy.rng()
-    tuples, exhaustive = law_tuples([R, E], policy, rng)
-    for r, e in tuples:
-        lhs = d(act(r, e))
-        rhs = r * d(e)
-        if lhs != rhs:
-            raise XM1Violation((r, e), lhs, rhs)
-    pcm.certificates["XM1"] = EXHAUSTIVE if exhaustive else sampled_certificate(policy)
+    pcm.certificates["XM1"] = check_law(
+        [R, E], lambda r, e: d(act(r, e)), lambda r, e: r * d(e), XM1Violation, policy, policy.rng()
+    )
     return pcm
 
 
@@ -89,14 +85,9 @@ def make_crossed(E, R, d, act, policy=DEFAULT_POLICY):
     pcm = make_precrossed(E, R, d, act, policy)
     cm = CrossedModule(E, R, d, act)
     cm.certificates.update(pcm.certificates)
-    rng = policy.rng()
-    tuples, exhaustive = law_tuples([E, E], policy, rng)
-    for e, e2 in tuples:
-        lhs = act(d(e), e2)
-        rhs = e * e2
-        if lhs != rhs:
-            raise XM2Violation((e, e2), lhs, rhs)
-    cm.certificates["XM2"] = EXHAUSTIVE if exhaustive else sampled_certificate(policy)
+    cm.certificates["XM2"] = check_law(
+        [E, E], lambda e, e2: act(d(e), e2), lambda e, e2: e * e2, XM2Violation, policy, policy.rng()
+    )
     return cm
 
 
@@ -164,18 +155,11 @@ def make_cm_morphism(src, tgt, f0, f1, policy=DEFAULT_POLICY):
     if not (f1.source.compatible(src.E) and f1.target.compatible(tgt.E)):
         raise BadShape("f1 endpoints do not match")
     rng = policy.rng()
-    tuples, _ = law_tuples([src.E], policy, rng)
-    for (e,) in tuples:
-        lhs = f0(src.d(e))
-        rhs = tgt.d(f1(e))
-        if lhs != rhs:
-            raise SquareViolation((e,), lhs, rhs)
-    tuples, _ = law_tuples([src.R, src.E], policy, rng)
-    for r, e in tuples:
-        lhs = f1(src.act(r, e))
-        rhs = tgt.act(f0(r), f1(e))
-        if lhs != rhs:
-            raise EquivarianceViolation((r, e), lhs, rhs)
+    check_law([src.E], lambda e: f0(src.d(e)), lambda e: tgt.d(f1(e)), SquareViolation, policy, rng)
+    check_law(
+        [src.R, src.E], lambda r, e: f1(src.act(r, e)), lambda r, e: tgt.act(f0(r), f1(e)),
+        EquivarianceViolation, policy, rng,
+    )
     return CrossedMorphism(src, tgt, f0, f1)
 
 
@@ -238,12 +222,6 @@ class TwoCrossedModule:
             and self.R.compatible(other.R)
         )
 
-    def level_one(self):
-        """The underlying pre-crossed module E -> R."""
-        pcm = PreCrossedModule(self.E, self.R, self.d1, self.act_e)
-        pcm.certificates["XM1"] = self.certificates.get("d1-equivariance")
-        return pcm
-
     def __repr__(self):
         return "TwoCrossedModule<%r -> %r -> %r>" % (self.L, self.E, self.R)
 
@@ -281,90 +259,54 @@ def make_two_crossed(L, E, R, d2, d1, act_e, act_l, lift, free_basis=None, polic
             raise CompositeNonzero((l,), value, R.zero())
     certs["d1.d2=0"] = EXHAUSTIVE
 
-    def run(name, algebras, check):
-        tuples, exhaustive = law_tuples(algebras, policy, rng)
-        for tup in tuples:
-            check(*tup)
-        certs[name] = EXHAUSTIVE if exhaustive else sampled_certificate(policy)
+    def run(name, algebras, lhs, rhs, error):
+        certs[name] = check_law(algebras, lhs, rhs, error, policy, rng)
 
-    def d2_equivariant(r, l):
-        lhs = d2(act_l(r, l))
-        rhs = act_e(r, d2(l))
-        if lhs != rhs:
-            raise EquivarianceViolation((r, l), lhs, rhs, msg="d2 does not preserve the action")
-
-    def d1_equivariant(r, e):
-        lhs = d1(act_e(r, e))
-        rhs = r * d1(e)
-        if lhs != rhs:
-            raise XM1Violation((r, e), lhs, rhs)
-
-    run("d2-equivariance", [R, L], d2_equivariant)
-    run("d1-equivariance", [R, E], d1_equivariant)
+    run(
+        "d2-equivariance", [R, L], lambda r, l: d2(act_l(r, l)), lambda r, l: act_e(r, d2(l)),
+        partial(EquivarianceViolation, msg="d2 does not preserve the action"),
+    )
+    run("d1-equivariance", [R, E], lambda r, e: d1(act_e(r, e)), lambda r, e: r * d1(e), XM1Violation)
 
     prime = A.act_prime
-
-    def ax1(e, e2):
-        lhs = d2(lift(e, e2))
-        rhs = e * e2 - act_e(d1(e2), e)
-        if lhs != rhs:
-            raise AxiomViolation("2XM1", (e, e2), lhs, rhs)
-
-    def ax2(l, l2):
-        lhs = lift(d2(l), d2(l2))
-        rhs = l * l2
-        if lhs != rhs:
-            raise AxiomViolation("2XM2", (l, l2), lhs, rhs)
-
-    def ax3(e, e2, e3):
-        lhs = lift(e, e2 * e3)
-        rhs = lift(e * e2, e3) + act_l(d1(e3), lift(e, e2))
-        if lhs != rhs:
-            raise AxiomViolation("2XM3", (e, e2, e3), lhs, rhs)
-
-    def ax4(l, e):
-        lhs = lift(d2(l), e)
-        rhs = prime(e, l) - act_l(d1(e), l)
-        if lhs != rhs:
-            raise AxiomViolation("2XM4", (l, e), lhs, rhs)
-
-    def ax5(e, l):
-        lhs = lift(e, d2(l))
-        rhs = prime(e, l)
-        if lhs != rhs:
-            raise AxiomViolation("2XM5", (e, l), lhs, rhs)
-
-    def ax6(r, e, e2):
-        lhs = act_l(r, lift(e, e2))
-        mid = lift(act_e(r, e), e2)
-        rhs = lift(e, act_e(r, e2))
-        if lhs != mid or lhs != rhs:
-            raise AxiomViolation("2XM6", (r, e, e2), lhs, (mid, rhs))
-
-    run("2XM1", [E, E], ax1)
-    run("2XM2", [L, L], ax2)
-    run("2XM3", [E, E, E], ax3)
-    run("2XM4", [L, E], ax4)
-    run("2XM5", [E, L], ax5)
-    run("2XM6", [R, E, E], ax6)
+    run(
+        "2XM1", [E, E], lambda e, e2: d2(lift(e, e2)), lambda e, e2: e * e2 - act_e(d1(e2), e),
+        partial(AxiomViolation, "2XM1"),
+    )
+    run(
+        "2XM2", [L, L], lambda l, l2: lift(d2(l), d2(l2)), lambda l, l2: l * l2,
+        partial(AxiomViolation, "2XM2"),
+    )
+    run(
+        "2XM3", [E, E, E], lambda e, e2, e3: lift(e, e2 * e3),
+        lambda e, e2, e3: lift(e * e2, e3) + act_l(d1(e3), lift(e, e2)),
+        partial(AxiomViolation, "2XM3"),
+    )
+    run(
+        "2XM4", [L, E], lambda l, e: lift(d2(l), e), lambda l, e: prime(e, l) - act_l(d1(e), l),
+        partial(AxiomViolation, "2XM4"),
+    )
+    run(
+        "2XM5", [E, L], lambda e, l: lift(e, d2(l)), lambda e, l: prime(e, l),
+        partial(AxiomViolation, "2XM5"),
+    )
+    # 2XM6 equates three values: r > {e (x) e'} with both {r>e (x) e'} and {e (x) r>e'}
+    run(
+        "2XM6", [R, E, E], lambda r, e, e2: (act_l(r, lift(e, e2)),) * 2,
+        lambda r, e, e2: (lift(act_e(r, e), e2), lift(e, act_e(r, e2))),
+        lambda w, lhs, rhs: AxiomViolation("2XM6", w, lhs[0], rhs),
+    )
 
     # derived crossed module (L -> E, >')
     certs["derived-action"] = certify_action(prime, policy)
-
-    def derived_xm1(e, l):
-        lhs = d2(prime(e, l))
-        rhs = e * d2(l)
-        if lhs != rhs:
-            raise XM1Violation((e, l), lhs, rhs, msg="derived crossed module")
-
-    def derived_xm2(l, l2):
-        lhs = prime(d2(l), l2)
-        rhs = l * l2
-        if lhs != rhs:
-            raise XM2Violation((l, l2), lhs, rhs, msg="derived crossed module")
-
-    run("derived-XM1", [E, L], derived_xm1)
-    run("derived-XM2", [L, L], derived_xm2)
+    run(
+        "derived-XM1", [E, L], lambda e, l: d2(prime(e, l)), lambda e, l: e * d2(l),
+        partial(XM1Violation, msg="derived crossed module"),
+    )
+    run(
+        "derived-XM2", [L, L], lambda l, l2: prime(d2(l), l2), lambda l, l2: l * l2,
+        partial(XM2Violation, msg="derived crossed module"),
+    )
     return A
 
 
@@ -471,39 +413,26 @@ def make_2cm_morphism(src, tgt, f0, f1, f2, policy=DEFAULT_POLICY):
         if not (f.source.compatible(dom) and f.target.compatible(cod)):
             raise BadShape("%s endpoints do not match" % name)
     rng = policy.rng()
-
-    tuples, _ = law_tuples([src.E], policy, rng)
-    for (e,) in tuples:
-        lhs = f0(src.d1(e))
-        rhs = tgt.d1(f1(e))
-        if lhs != rhs:
-            raise SquareViolation((e,), lhs, rhs, msg="f0.d1 != d1'.f1")
-    tuples, _ = law_tuples([src.L], policy, rng)
-    for (l,) in tuples:
-        lhs = f1(src.d2(l))
-        rhs = tgt.d2(f2(l))
-        if lhs != rhs:
-            raise SquareViolation((l,), lhs, rhs, msg="f1.d2 != d2'.f2")
-
-    tuples, _ = law_tuples([src.R, src.E], policy, rng)
-    for r, e in tuples:
-        lhs = f1(src.act_e(r, e))
-        rhs = tgt.act_e(f0(r), f1(e))
-        if lhs != rhs:
-            raise EquivarianceViolation((r, e), lhs, rhs, msg="f1")
-    tuples, _ = law_tuples([src.R, src.L], policy, rng)
-    for r, l in tuples:
-        lhs = f2(src.act_l(r, l))
-        rhs = tgt.act_l(f0(r), f2(l))
-        if lhs != rhs:
-            raise EquivarianceViolation((r, l), lhs, rhs, msg="f2")
-
-    tuples, _ = law_tuples([src.E, src.E], policy, rng)
-    for e, e2 in tuples:
-        lhs = f2(src.lift(e, e2))
-        rhs = tgt.lift(f1(e), f1(e2))
-        if lhs != rhs:
-            raise LiftingViolation((e, e2), lhs, rhs)
+    check_law(
+        [src.E], lambda e: f0(src.d1(e)), lambda e: tgt.d1(f1(e)),
+        partial(SquareViolation, msg="f0.d1 != d1'.f1"), policy, rng,
+    )
+    check_law(
+        [src.L], lambda l: f1(src.d2(l)), lambda l: tgt.d2(f2(l)),
+        partial(SquareViolation, msg="f1.d2 != d2'.f2"), policy, rng,
+    )
+    check_law(
+        [src.R, src.E], lambda r, e: f1(src.act_e(r, e)), lambda r, e: tgt.act_e(f0(r), f1(e)),
+        partial(EquivarianceViolation, msg="f1"), policy, rng,
+    )
+    check_law(
+        [src.R, src.L], lambda r, l: f2(src.act_l(r, l)), lambda r, l: tgt.act_l(f0(r), f2(l)),
+        partial(EquivarianceViolation, msg="f2"), policy, rng,
+    )
+    check_law(
+        [src.E, src.E], lambda e, e2: f2(src.lift(e, e2)), lambda e, e2: tgt.lift(f1(e), f1(e2)),
+        LiftingViolation, policy, rng,
+    )
     return TwoCrossedMorphism(src, tgt, f0, f1, f2)
 
 

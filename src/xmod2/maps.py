@@ -1,12 +1,16 @@
 """Linear maps, algebra morphisms, actions, bilinear maps, and validators.
 
 Laws (A1/A2, multiplicativity, commutativity/associativity of a semidirect
-product) are multilinear, so checking them on a spanning set is exact.  The
-check policy is therefore:
+product, the crossed and 2-crossed module axioms, the morphism squares and
+the derivation law) are multilinear, so checking them on a spanning set is
+exact.  The check policy is therefore:
 
 * every algebra in sight finite-dimensional -> exhaustive on basis tuples;
 * a free polynomial algebra involved -> generator-anchored tuples plus N
   random tuples of degree <= D, stamped into a certificate (D, N, seed).
+
+``check_law`` applies this policy to one law and returns its certificate:
+it is the one place where the kind of certificate a law earns is decided.
 
 For a table action of a free algebra, monomials act by iterated generator
 action and A2 on generator pairs makes that well defined; A1 for monomials
@@ -73,10 +77,6 @@ class Certificate:
 EXHAUSTIVE = Certificate(True)
 
 
-def sampled_certificate(policy):
-    return Certificate(False, policy.max_degree, policy.samples, policy.seed)
-
-
 def random_element(alg, rng, max_degree=4):
     if isinstance(alg, FiniteAlgebra):
         return alg.element({k: alg.ring.random(rng) for k in alg.labels})
@@ -122,6 +122,30 @@ def law_tuples(algebras, policy=DEFAULT_POLICY, rng=None):
     for _ in range(policy.samples):
         tuples.append(tuple(random_element(a, rng, policy.max_degree) for a in algebras))
     return tuples, False
+
+
+def check_law(algebras, lhs, rhs, error, policy, rng=None):
+    """Check the multilinear law lhs(*t) == rhs(*t) on law_tuples(algebras).
+
+    Raises ``error(t, lhs(*t), rhs(*t))`` at the first failing tuple t.
+    Otherwise returns the certificate the check earned: EXHAUSTIVE when
+    the tuples span every argument, else the policy's (D, N, seed).  A
+    caller checking several laws under one policy passes its shared rng.
+    """
+    tuples, exhaustive = law_tuples(algebras, policy, rng)
+    for t in tuples:
+        left = lhs(*t)
+        right = rhs(*t)
+        if left != right:
+            raise error(t, left, right)
+    if exhaustive:
+        return EXHAUSTIVE
+    return Certificate(False, policy.max_degree, policy.samples, policy.seed)
+
+
+def _weakest(*certs):
+    """The weakest of the certificates of several laws checked together."""
+    return next((c for c in certs if not c.exhaustive), EXHAUSTIVE)
 
 
 # ---------------------------------------------------------------------------
@@ -226,31 +250,17 @@ def identity_map(alg):
     return f
 
 
-def map_add(f, g):
-    if f.source is not g.source and not f.source.compatible(g.source):
-        raise BadShape("map sum with different sources")
-    return LinearMap(f.source, f.target, "function", fn=lambda u: f(u) + g(u), note="sum")
-
-
-def map_neg(f):
-    return LinearMap(f.source, f.target, "function", fn=lambda u: -f(u), note="neg")
-
-
 def map_compose(f, g):
     """f after g."""
     return LinearMap(g.source, f.target, "function", fn=lambda u: f(g(u)), note="composite")
 
 
 def certify_multiplicative(f, policy=DEFAULT_POLICY, rng=None):
-    tuples, exhaustive = law_tuples([f.source, f.source], policy, rng)
-    for u, v in tuples:
-        lhs = f(u * v)
-        rhs = f(u) * f(v)
-        if lhs != rhs:
-            raise MorphismViolation((u, v), lhs, rhs)
-    cert = EXHAUSTIVE if exhaustive else sampled_certificate(policy)
-    f.multiplicative = cert
-    return cert
+    f.multiplicative = check_law(
+        [f.source, f.source], lambda u, v: f(u * v), lambda u, v: f(u) * f(v),
+        MorphismViolation, policy, rng,
+    )
+    return f.multiplicative
 
 
 def algebra_morphism(source, target, images=None, fn=None, policy=DEFAULT_POLICY, note=""):
@@ -430,21 +440,16 @@ def certify_action(action, policy=DEFAULT_POLICY, rng=None):
     """
     rng = rng or policy.rng()
     R, M = action.acting, action.acted
-    tuples, ex1 = law_tuples([R, M, M], policy, rng)
-    for r, m1, m2 in tuples:
-        lhs = action(r, m1 * m2)
-        rhs = action(r, m1) * m2
-        if lhs != rhs:
-            raise A1Violation((r, m1, m2), lhs, rhs)
-    tuples, ex2 = law_tuples([R, R, M], policy, rng)
-    for r1, r2, m in tuples:
-        lhs = action(r1 * r2, m)
-        rhs = action(r1, action(r2, m))
-        if lhs != rhs:
-            raise A2Violation((r1, r2, m), lhs, rhs)
-    cert = EXHAUSTIVE if (ex1 and ex2) else sampled_certificate(policy)
-    action.certificate = cert
-    return cert
+    a1 = check_law(
+        [R, M, M], lambda r, m1, m2: action(r, m1 * m2), lambda r, m1, m2: action(r, m1) * m2,
+        A1Violation, policy, rng,
+    )
+    a2 = check_law(
+        [R, R, M], lambda r1, r2, m: action(r1 * r2, m), lambda r1, r2, m: action(r1, action(r2, m)),
+        A2Violation, policy, rng,
+    )
+    action.certificate = _weakest(a1, a2)
+    return action.certificate
 
 
 def make_action(acting, acted, table, policy=DEFAULT_POLICY):
@@ -533,15 +538,14 @@ def certify_algebra(alg, policy=DEFAULT_POLICY, rng=None):
     finite algebras.
     """
     rng = rng or policy.rng()
-    tuples, ex1 = law_tuples([alg, alg], policy, rng)
-    for u, v in tuples:
-        if u * v != v * u:
-            raise NonCommutative((u, v), u * v, v * u)
-    tuples, ex2 = law_tuples([alg, alg, alg], policy, rng)
-    for u, v, w in tuples:
-        if (u * v) * w != u * (v * w):
-            raise NonAssociative((u, v, w), (u * v) * w, u * (v * w))
-    return EXHAUSTIVE if (ex1 and ex2) else sampled_certificate(policy)
+    commutative = check_law(
+        [alg, alg], lambda u, v: u * v, lambda u, v: v * u, NonCommutative, policy, rng
+    )
+    associative = check_law(
+        [alg, alg, alg], lambda u, v, w: (u * v) * w, lambda u, v, w: u * (v * w),
+        NonAssociative, policy, rng,
+    )
+    return _weakest(commutative, associative)
 
 
 def semidirect(left, right, action, policy=DEFAULT_POLICY, certify=True):

@@ -184,7 +184,10 @@ def ring_from_spec(spec):
     if spec == "Q" or spec == "rational":
         return QQ
     if isinstance(spec, dict) and set(spec) == {"prime"}:
-        return PrimeField(spec["prime"])
+        try:
+            return PrimeField(spec["prime"])
+        except BadShape as exc:
+            raise ParseError("bad ring spec %r: %s" % (spec, exc))
     raise ParseError("bad ring spec %r" % (spec,))
 
 

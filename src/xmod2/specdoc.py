@@ -42,6 +42,7 @@ from .algebra import FiniteAlgebra, FreeAlgebra, make_finite_algebra, make_free_
 from .cm_homotopy import make_cm_derivation
 from .crossed import (
     ideal_inclusion_cm,
+    identity_2cm_morphism,
     kernel_two_crossed,
     make_cm_morphism,
     make_crossed,
@@ -88,6 +89,14 @@ class SpecDocument:
         if name in self.crossed:
             return self.crossed[name]
         raise UnresolvedReference(name, "module")
+
+
+def _shaped(value, kind, where):
+    """value, if it is a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(value, kind):
+        shape = "an object" if kind is dict else "a list"
+        raise ParseError("%s must be %s, got %r" % (where, shape, value))
+    return value
 
 
 def _parse_key(alg, key):
@@ -170,17 +179,21 @@ class _Loader:
         return self._resolve("algebras", name, self._build_algebra, self.doc.algebras)
 
     def _build_algebra(self, name, spec):
-        kind = spec.get("type")
+        where = "algebra %r" % name
+        kind = _shaped(spec, dict, where).get("type")
         if kind == "finite":
+            products = where + " products"
             constants = {}
-            for k1, row in spec.get("products", {}).items():
-                for k2, elem in row.items():
+            for k1, row in _shaped(spec.get("products", {}), dict, products).items():
+                for k2, elem in _shaped(row, dict, products).items():
                     constants[(k1, k2)] = {
-                        k: self.doc.ring.parse(str(c)) for k, c in elem.items()
+                        k: self.doc.ring.parse(str(c)) for k, c in _shaped(elem, dict, products).items()
                     }
-            return make_finite_algebra(spec["basis"], constants, self.doc.ring)
+            basis = _shaped(spec["basis"], list, where + " basis")
+            return make_finite_algebra(basis, constants, self.doc.ring)
         if kind == "free":
-            return make_free_algebra(spec["generators"], self.doc.ring)
+            generators = _shaped(spec["generators"], list, where + " generators")
+            return make_free_algebra(generators, self.doc.ring)
         if kind == "semidirect":
             left = self.algebra(spec["acting"])
             right = self.algebra(spec["acted"])
@@ -244,6 +257,9 @@ class _Loader:
     def _build_two_crossed(self, name, spec):
         if "kernel_of" in spec:
             return kernel_two_crossed(self.precrossed_module(spec["kernel_of"]), self.policy)
+        free_basis = spec.get("free_basis")
+        if free_basis is not None:
+            _shaped(free_basis, list, "two_crossed %r free_basis" % name)
         L = self.algebra(spec["L"])
         E = self.algebra(spec["E"])
         R = self.algebra(spec["R"])
@@ -263,7 +279,7 @@ class _Loader:
             act_e=self.action(spec["action_e"]),
             act_l=self.action(spec["action_l"]),
             lift=BilinearMap(E, E, L, table),
-            free_basis=spec.get("free_basis"),
+            free_basis=free_basis,
             policy=self.policy,
         )
 
@@ -279,31 +295,21 @@ class _Loader:
                 if src is not tgt:
                     raise ParseError("map %r: identity needs source == target" % name)
                 return make_cm_morphism(src, tgt, identity_map(src.R), identity_map(src.E), self.policy)
-            f0 = algebra_morphism(
-                src.R, tgt.R, images=_parse_linmap_images(src.R, tgt.R, spec.get("f0"), name), policy=self.policy
-            )
-            f1 = algebra_morphism(
-                src.E, tgt.E, images=_parse_linmap_images(src.E, tgt.E, spec.get("f1"), name), policy=self.policy
-            )
-            return make_cm_morphism(src, tgt, f0, f1, self.policy)
-        src = self.two_crossed_module(spec["source"])
-        tgt = self.two_crossed_module(spec["target"])
-        if spec.get("identity"):
-            if src is not tgt:
-                raise ParseError("map %r: identity needs source == target" % name)
-            from .crossed import identity_2cm_morphism
-
-            return identity_2cm_morphism(src)
-        f0 = algebra_morphism(
-            src.R, tgt.R, images=_parse_linmap_images(src.R, tgt.R, spec.get("f0"), name), policy=self.policy
-        )
-        f1 = algebra_morphism(
-            src.E, tgt.E, images=_parse_linmap_images(src.E, tgt.E, spec.get("f1"), name), policy=self.policy
-        )
-        f2 = algebra_morphism(
-            src.L, tgt.L, images=_parse_linmap_images(src.L, tgt.L, spec.get("f2"), name), policy=self.policy
-        )
-        return make_2cm_morphism(src, tgt, f0, f1, f2, self.policy)
+            components, make = (("f0", "R"), ("f1", "E")), make_cm_morphism
+        else:
+            src = self.two_crossed_module(spec["source"])
+            tgt = self.two_crossed_module(spec["target"])
+            if spec.get("identity"):
+                if src is not tgt:
+                    raise ParseError("map %r: identity needs source == target" % name)
+                return identity_2cm_morphism(src)
+            components, make = (("f0", "R"), ("f1", "E"), ("f2", "L")), make_2cm_morphism
+        maps = []
+        for component, level in components:
+            dom, cod = getattr(src, level), getattr(tgt, level)
+            images = _parse_linmap_images(dom, cod, spec.get(component), name)
+            maps.append(algebra_morphism(dom, cod, images=images, policy=self.policy))
+        return make(src, tgt, *maps, self.policy)
 
     def derivation(self, name):
         return self._resolve("derivations", name, self._build_derivation, self.doc.derivations)

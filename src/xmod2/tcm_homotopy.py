@@ -28,6 +28,9 @@ Everything here refuses to run without a recorded free basis
 equivalence relation, and silently computing would be wrong.
 """
 
+from functools import partial
+
+from .cm_homotopy import check_derivation_law, derivation_map
 from .crossed import make_2cm_morphism
 from .errors import (
     CompositionMismatch,
@@ -38,12 +41,10 @@ from .errors import (
 from .maps import (
     DEFAULT_POLICY,
     EXHAUSTIVE,
-    LinearMap,
     algebra_morphism,
     law_tuples,
     linear_map,
     maps_agree,
-    sampled_certificate,
     _skeleton,
 )
 from .simplex import get_tower
@@ -77,24 +78,8 @@ def _complete_s_images(A, B, images):
 
 
 def _s_map(f, images, policy=DEFAULT_POLICY):
-    """Realize s from its images: through phi = (f0, s): R -> R' |x E'
-    when R is free, as a basis table otherwise."""
-    A, B = f.src, f.tgt
-    if A.R.is_finite():
-        return linear_map(A.R, B.E, images)
-    lam1 = get_tower(B, policy).levels[1]
-    phi = algebra_morphism(
-        A.R,
-        lam1,
-        images={b: lam1.pair(f.f0(A.R.basis_element((b,))), images[b]) for b in A.R.generators},
-        policy=policy,
-        note="phi",
-    )
-
-    def fn(r):
-        return lam1.split(phi(r))[1]
-
-    return LinearMap(A.R, B.E, "function", fn=fn, note="derivation")
+    """s from its images, through R' |x E' = Lambda1 of the target's tower."""
+    return derivation_map(f, images, lambda: get_tower(f.tgt, policy).levels[1])
 
 
 class QuadraticDerivation:
@@ -148,18 +133,14 @@ def make_quadratic_derivation(f, s_images, t_images, policy=DEFAULT_POLICY):
     tmap = linear_map(A.E, B.L, t_norm)
 
     act_e, act_l, lift, prime = B.act_e, B.act_l, B.lift, B.act_prime
-    d1p, d2p = B.d1, B.d2
+    d1p = B.d1
     f0, f1, f2 = f.f0, f.f1, f.f2
     rng = policy.rng()
     certs = {}
 
-    tuples, exhaustive = law_tuples([A.R, A.R], policy, rng)
-    for r, r2 in tuples:
-        lhs = smap(r * r2)
-        rhs = act_e(f0(r), smap(r2)) + act_e(f0(r2), smap(r)) + smap(r) * smap(r2)
-        if lhs != rhs:
-            raise QDLawViolation("s-law", (r, r2), lhs, rhs)
-    certs["s-law"] = EXHAUSTIVE if exhaustive else sampled_certificate(policy)
+    certs["s-law"] = check_derivation_law(
+        A.R, f0, act_e, smap, partial(QDLawViolation, "s-law"), policy, rng
+    )
 
     def sd1(e):
         return smap(A.d1(e))
@@ -180,7 +161,7 @@ def make_quadratic_derivation(f, s_images, t_images, policy=DEFAULT_POLICY):
                 raise QDLawViolation("t-product", (e, e2), lhs, rhs)
     certs["t-product"] = EXHAUSTIVE
 
-    tuples, exhaustive = law_tuples([A.R], policy, rng)
+    tuples, _ = law_tuples([A.R], policy, rng)
     for (r,) in tuples:
         for e in A.E.basis_elements():
             lhs = tmap(A.act_e(r, e))
@@ -193,7 +174,8 @@ def make_quadratic_derivation(f, s_images, t_images, policy=DEFAULT_POLICY):
             )
             if lhs != rhs:
                 raise QDLawViolation("t-action", (r, e), lhs, rhs)
-    certs["t-action"] = EXHAUSTIVE if exhaustive else sampled_certificate(policy)
+    # law_tuples([R]) is exhaustive exactly when the s-law's [R, R] is
+    certs["t-action"] = certs["s-law"]
 
     # consequences of the laws on boundaries of L (sanity tripwires)
     for l in A.L.basis_elements():
@@ -278,9 +260,7 @@ def extend_derivation(f, s_star, policy=DEFAULT_POLICY):
     A, B = f.src, f.tgt
     _require_free(A)
     images, _ = _complete_s_images(A, B, s_star)
-    smap = _s_map(f, images, policy)
-    smap.images = images
-    return smap
+    return _s_map(f, images, policy)
 
 
 def box_plus_s(h1, h2, policy=DEFAULT_POLICY):

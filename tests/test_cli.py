@@ -3,6 +3,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from xmod2 import cli
+
 HERE = os.path.dirname(__file__)
 ROOT = os.path.join(HERE, os.pardir)
 FIXTURES = os.path.join(ROOT, "fixtures.json")
@@ -106,3 +110,31 @@ def test_env_seed_fallback(tmp_path):
     run_cli("groupoid", "cm", FIXTURES, "--source", "F1", "--target", "F1",
             "--samples", "3", "--seed", "9", "--json", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+_FREE_LINE_WITH_STRING_BASIS = {
+    "ring": "Q",
+    "algebras": {"X": {"type": "free", "generators": ["x"]},
+                 "Z": {"type": "finite", "basis": [], "products": {}}},
+    "actions": {"zero": {"acting": "X", "acted": "Z", "zero": True}},
+    "two_crossed": {"D": {"L": "Z", "E": "Z", "R": "X", "d2": {}, "d1": {},
+                          "action_e": "zero", "action_l": "zero", "lifting": {},
+                          "free_basis": "x"}},
+}
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({"ring": "Q", "algebras": {"N": {"type": "finite", "basis": 5, "products": {}}}}, "algebra 'N'"),
+    ({"ring": "Q", "algebras": {"N": {"type": "finite", "basis": ["u"], "products": []}}}, "algebra 'N'"),
+    ({"ring": "Q", "algebras": {"N": None}}, "algebra 'N'"),
+    (_FREE_LINE_WITH_STRING_BASIS, "two_crossed 'D'"),
+    ({"ring": {"prime": 4}, "algebras": {"N": {"type": "finite", "basis": ["u"], "products": {}}}},
+     "ring spec {'prime': 4}"),
+], ids=["basis-not-a-list", "products-a-list", "algebra-spec-null", "free-basis-a-string",
+        "prime-not-prime"])
+def test_malformed_document_is_parse_error(tmp_path, capsys, doc, named):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and named in err

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -97,6 +98,30 @@ def test_corrupted_f2_variants_fail_with_ids_and_witnesses():
             for u in err.value.witness
         )
         assert got == witness_labels, name
+
+
+# sha256 of "<error class>: <message>" for each corrupted F2 variant, as
+# raised before the law checks moved behind maps.check_law
+CORRUPTED_F2_ERROR_DIGESTS = {
+    "lift-dropped": "b0078652965b47439f023ba54d06698e6a25e7aa1ce8d432352350a8e0f4849d",
+    "lift-extra-term": "003b8fceaa5bf68e60b375efa3a5a4c9c512d8648527947ae9be06d50d46149e",
+    "L-product-nonnilpotent": "7b1c2850ee0db8f4bf7c09554df7e205b6b31fa6aa9da6e9889cf94423bafd0b",
+    "d2-misses-kernel": "8a48f0d1cd55a0329e37fd0d2e529bd3dcea4febc59f395df720789119c12c9c",
+    "action-breaks-peiffer": "9ec93717b3ea48b1620b303719aa132b3293fdb4888184bb93a633718fbe2cb3",
+    "d1-not-multiplicative": "373a4fda493f22a5c43d82c484da6a8cb769627cde8ed0ce31f4a10432dcae52",
+    "level-one-not-peiffer": "0a9dc7df95785af56b9a2d5fa61333878a42782af9819721ef3adb8168b99147",
+    "asymmetric-table": "ca04935928f8746cd3b70728917823be2f72783ac440e61d8dbb7e5ac04bf99d",
+}
+
+
+def test_corrupted_f2_error_texts_are_pinned():
+    seen = {}
+    for name, thunk, exc, _, _ in fixtures.corrupted_f2_variants():
+        with pytest.raises(exc) as err:
+            thunk()
+        text = "%s: %s" % (type(err.value).__name__, err.value)
+        seen[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert seen == CORRUPTED_F2_ERROR_DIGESTS
 
 
 def test_free_basis_must_present_r():
@@ -207,9 +232,3 @@ def test_composition_of_2cm_morphisms_is_valid():
     )
     comp = compose_2cm_morphisms(f, endo)  # re-certified on construction
     assert comp.f0(F3.R.monomial("x")) == 2 * F2.R.basis_element("p")
-
-
-def test_level_one_view():
-    F2 = fixtures.square_two_crossed()
-    P = F2.level_one()
-    assert P.E is F2.E and P.R is F2.R

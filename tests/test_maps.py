@@ -6,19 +6,21 @@ from xmod2.errors import (
     A2Violation,
     BadShape,
     MorphismViolation,
+    NonCommutative,
     OwnerMismatch,
 )
 from xmod2.maps import (
+    EXHAUSTIVE,
     BilinearMap,
     Policy,
     algebra_morphism,
     certify_action,
+    check_law,
     identity_map,
+    law_tuples,
     linear_map,
     make_action,
-    map_add,
     map_compose,
-    map_neg,
     morphisms_equal,
     zero_action,
     zero_map,
@@ -72,10 +74,8 @@ def test_linear_map_guards():
 def test_map_algebra_helpers():
     R = make_finite_algebra(["x", "x2"], {("x", "x"): {"x2": 1}}, QQ)
     f = identity_map(R)
-    g = map_neg(f)
-    s = map_add(f, g)
+    g = linear_map(R, R, {k: -R.basis_element(k) for k in R.labels})
     u = R.element({"x": 3})
-    assert s(u).is_zero()
     c = map_compose(f, g)
     assert c(u) == -u
     z = zero_map(R, R)
@@ -149,3 +149,25 @@ def test_certify_action_reduced_conditions_for_semidirect_actor():
     act = FunctionAction(lam1, L, lambda r, m: L.zero(), note="zero-like", origin=lam1)
     cert = certify_action(act)
     assert cert.exhaustive
+
+
+def test_check_law_certificates_and_first_failing_witness():
+    R = make_finite_algebra(["x", "x2"], {("x", "x"): {"x2": 1}}, QQ)
+    P = make_free_algebra(["y", "z"], QQ)
+    pol = Policy(samples=7, max_degree=3, seed=11)
+
+    def commutes(alg):
+        return check_law([alg, alg], lambda u, v: u * v, lambda u, v: v * u, NonCommutative, pol)
+
+    assert commutes(R) is EXHAUSTIVE
+    cert = commutes(P)
+    assert not cert.exhaustive
+    assert (cert.max_degree, cert.samples, cert.seed) == (3, 7, 11)
+
+    # u * v == 0 fails first on the first basis pair with a nonzero product
+    tuples, _ = law_tuples([R, R], pol)
+    first = next(t for t in tuples if not (t[0] * t[1]).is_zero())
+    with pytest.raises(MorphismViolation) as err:
+        check_law([R, R], lambda u, v: u * v, lambda u, v: R.zero(), MorphismViolation, pol)
+    assert err.value.witness == first == (R.basis_element("x"), R.basis_element("x"))
+    assert err.value.lhs == R.basis_element("x2") and err.value.rhs.is_zero()
