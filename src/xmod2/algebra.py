@@ -301,6 +301,7 @@ class SemidirectAlgebra(Algebra):
         self.left = left
         self.right = right
         self.action = action
+        self.certificate = None  # commutativity/associativity, set by maps.certify_algebra
         self._mulcache = {}  # basis-key products recur heavily in law checks
 
     def check_key(self, key):

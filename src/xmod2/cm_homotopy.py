@@ -28,12 +28,14 @@ from .maps import (
 )
 
 
-def edge_algebra(cm):
-    """R |x E of a crossed module (its algebra of 1-simplices), built once
-    and kept on the module."""
-    if cm._edge is None:
-        cm._edge = semidirect(cm.R, cm.E, cm.act)
-    return cm._edge
+def edge_algebra(cm, policy=DEFAULT_POLICY):
+    """R |x E of a crossed module (its algebra of 1-simplices), certified
+    under ``policy``.  Kept on the module, one per policy, so its stored
+    certificate is the caller's."""
+    edge = cm._edges.get(policy)
+    if edge is None:
+        edge = cm._edges[policy] = semidirect(cm.R, cm.E, cm.act, policy)
+    return edge
 
 
 class CMDerivation:
@@ -107,7 +109,7 @@ def make_cm_derivation(f, images, policy=DEFAULT_POLICY):
     if not src.R.is_finite():
         for b in src.R.generators:
             norm.setdefault(b, tgt.E.zero())
-    smap = derivation_map(f, norm, lambda: edge_algebra(tgt))
+    smap = derivation_map(f, norm, lambda: edge_algebra(tgt, policy))
     cert = check_derivation_law(src.R, f.f0, tgt.act, smap, DerivationLawViolation, policy, policy.rng())
     return CMDerivation(f, norm, smap, cert)
 

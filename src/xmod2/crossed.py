@@ -48,7 +48,7 @@ class PreCrossedModule:
         self.d = d
         self.act = act
         self.certificates = {}
-        self._edge = None  # R |x E, built by cm_homotopy.edge_algebra
+        self._edges = {}  # Policy -> R |x E, filled by cm_homotopy.edge_algebra
 
     @property
     def ring(self):

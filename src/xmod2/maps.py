@@ -11,6 +11,9 @@ exact.  The check policy is therefore:
 
 ``check_law`` applies this policy to one law and returns its certificate:
 it is the one place where the kind of certificate a law earns is decided.
+A finite semidirect product of proved parts under an action proved on a
+basis is commutative and associative by the semidirect lemma, so
+``certify_algebra`` stamps it EXHAUSTIVE without a law check.
 
 For a table action of a free algebra, monomials act by iterated generator
 action and A2 on generator pairs makes that well defined; A1 for monomials
@@ -531,12 +534,40 @@ def zero_bilinear(left, right, target):
 # Semidirect products, certified
 
 
-def certify_algebra(alg, policy=DEFAULT_POLICY, rng=None):
-    """Commutativity on sampled pairs and associativity on sampled triples.
+def _proved(alg):
+    """Whether alg's commutativity and associativity are already proved: a
+    FiniteAlgebra's table is certified by make_finite_algebra, a semidirect
+    product by its stored exhaustive certificate."""
+    if isinstance(alg, FiniteAlgebra):
+        return True
+    return isinstance(alg, SemidirectAlgebra) and _is_proof(alg.certificate)
 
-    A regression guard for product-formula transcription; exhaustive on
-    finite algebras.
+
+def _is_proof(cert):
+    return cert is not None and cert.exhaustive
+
+
+def certify_algebra(alg, policy=DEFAULT_POLICY, rng=None):
+    """Certify commutativity and associativity; stored as alg.certificate.
+
+    The semidirect lemma: if R and M are commutative and associative and
+    the action is bilinear with A1 and A2, then R |x M is commutative and
+    associative.  So a finite semidirect product of proved parts under an
+    action with an exhaustive certificate is EXHAUSTIVE without drawing
+    any tuples.  Every other algebra (a free part, an action not proved on
+    a basis, a part whose certificate is missing or sampled) is checked on
+    pairs and triples of law_tuples: exhaustive on finite algebras, else
+    sampled.
     """
+    if (
+        isinstance(alg, SemidirectAlgebra)
+        and alg.is_finite()
+        and _proved(alg.left)
+        and _proved(alg.right)
+        and _is_proof(alg.action.certificate)
+    ):
+        alg.certificate = EXHAUSTIVE
+        return alg.certificate
     rng = rng or policy.rng()
     commutative = check_law(
         [alg, alg], lambda u, v: u * v, lambda u, v: v * u, NonCommutative, policy, rng
@@ -545,12 +576,13 @@ def certify_algebra(alg, policy=DEFAULT_POLICY, rng=None):
         [alg, alg, alg], lambda u, v, w: (u * v) * w, lambda u, v, w: u * (v * w),
         NonAssociative, policy, rng,
     )
-    return _weakest(commutative, associative)
+    alg.certificate = _weakest(commutative, associative)
+    return alg.certificate
 
 
-def semidirect(left, right, action, policy=DEFAULT_POLICY, certify=True):
-    """R |x E with the convention (r,e)(r',e') = (rr', r>e' + r'>e + ee')."""
+def semidirect(left, right, action, policy=DEFAULT_POLICY):
+    """R |x E with the convention (r,e)(r',e') = (rr', r>e' + r'>e + ee'),
+    certified by certify_algebra."""
     alg = SemidirectAlgebra(left, right, action)  # raises ActionMismatch
-    if certify:
-        certify_algebra(alg, policy)
+    certify_algebra(alg, policy)
     return alg

@@ -10,8 +10,16 @@ products
 
 together with the auxiliary actions >*, >1e, >1r, >1, >2e, >2l, >2 that
 assemble >t.  Each auxiliary action is materialized as a first-class
-Action and certified independently (A1/A2), so every construction lemma
-is a unit-testable object.  Faces and degeneracies are certified algebra
+Action, so every construction lemma is a unit-testable object, and >1, >2
+and >t are built from the very component objects kept in the tower.
+A1/A2 are certified for >., >* and >t.  On a basis key of the Lam1 side
+of Lam2, >t restricts to >1 (and on R or E keys further to >1r or >1e);
+on a key of the E |x L side it restricts to >2 (to >2e or >2l).  Products
+of such keys stay on their side, so the basis tuples of >t's exhaustive
+check contain every A1/A2 basis tuple of the six components, which then
+carry >t's certificate.  Over a free R the components are certified on
+their own.  Each semidirect product is certified by the semidirect lemma
+(``maps.certify_algebra``).  Faces and degeneracies are certified algebra
 morphisms; tuples are ordered (r, e, e', l) and (r, e, e', l, e'', l', l'')
 and every face/degeneracy formula is transcribed against that order.
 """
@@ -71,16 +79,14 @@ def action_one_r(A, el, ell):
     return FunctionAction(A.R, ell, fn, note="one_r", origin=A)
 
 
-def action_one(A, lam1, el, ell):
+def action_one(A, lam1, one_e, one_r):
     """(r,e) >1 x = r >1r x + e >1e x."""
-    one_e = action_one_e(A, el, ell)
-    one_r = action_one_r(A, el, ell)
 
     def fn(actor, actee):
         r, e = lam1.split(actor)
         return one_r(r, actee) + one_e(e, actee)
 
-    return FunctionAction(lam1, ell, fn, note="one", origin=A)
+    return FunctionAction(lam1, one_e.acted, fn, note="one", origin=A)
 
 
 def action_two_e(A, el, ell):
@@ -106,29 +112,25 @@ def action_two_l(A, el, ell):
     return FunctionAction(A.L, ell, fn, note="two_l", origin=A)
 
 
-def action_two(A, el, ell):
+def action_two(A, el, two_e, two_l):
     """(e,l'') >2 (e',l,l') =
     (ee', e>'l + e'>'l'' + l''l, d1(e)>l' - {d2(l)+e' (x) d2(l'')+e})."""
-    two_e = action_two_e(A, el, ell)
-    two_l = action_two_l(A, el, ell)
 
     def fn(actor, actee):
         e, l3 = el.split(actor)
         return two_e(e, actee) + two_l(l3, actee)
 
-    return FunctionAction(el, ell, fn, note="two", origin=A)
+    return FunctionAction(el, two_e.acted, fn, note="two", origin=A)
 
 
-def action_dagger(A, lam1, lam2, el, ell):
+def action_dagger(A, lam2, one, two):
     """(r,e,0,0) >t = (r,e) >1 and (0,0,e,l'') >t = (e,l'') >2."""
-    one = action_one(A, lam1, el, ell)
-    two = action_two(A, el, ell)
 
     def fn(actor, actee):
         a, m = lam2.split(actor)
         return one(a, actee) + two(m, actee)
 
-    return FunctionAction(lam2, ell, fn, note="dagger", origin=A)
+    return FunctionAction(lam2, one.acted, fn, note="dagger", origin=A)
 
 
 def _split_ell(el, ell, u):
@@ -195,6 +197,28 @@ class SimplexTower:
         return "(%s)" % ", ".join(str(p) for p in parts)
 
 
+def _certify_dagger(dagger, components, policy):
+    """Certify >t and, through it, its six components.
+
+    An exhaustive certificate of >t is one for every component (see the
+    module docstring); otherwise each component is certified on its own.
+    When >t fails, the components are certified in the order given, so a
+    broken component raises its own error, with its own witness, and >t's
+    error is raised only if none of them fails.
+    """
+    try:
+        certify_action(dagger, policy)
+    except Exception:  # always re-raised: a component's error, else this one
+        for act in components.values():
+            certify_action(act, policy)
+        raise
+    for act in components.values():
+        if dagger.certificate.exhaustive:
+            act.certificate = dagger.certificate
+        else:
+            certify_action(act, policy)
+
+
 def build_tower(A, policy=DEFAULT_POLICY):
     """Construct Lam0..Lam3 over A with every action, multiplication,
     face and degeneracy certified."""
@@ -215,20 +239,18 @@ def build_tower(A, policy=DEFAULT_POLICY):
     actions["star"] = star
     ell = semidirect(el, L, star, policy)
 
-    for name, builder in (
-        ("one_e", lambda: action_one_e(A, el, ell)),
-        ("one_r", lambda: action_one_r(A, el, ell)),
-        ("one", lambda: action_one(A, lam1, el, ell)),
-        ("two_e", lambda: action_two_e(A, el, ell)),
-        ("two_l", lambda: action_two_l(A, el, ell)),
-        ("two", lambda: action_two(A, el, ell)),
-    ):
-        act = builder()
-        certify_action(act, policy)
-        actions[name] = act
-
-    dagger = action_dagger(A, lam1, lam2, el, ell)
-    certify_action(dagger, policy)
+    one_e = action_one_e(A, el, ell)
+    one_r = action_one_r(A, el, ell)
+    two_e = action_two_e(A, el, ell)
+    two_l = action_two_l(A, el, ell)
+    one = action_one(A, lam1, one_e, one_r)
+    two = action_two(A, el, two_e, two_l)
+    components = {
+        "one_e": one_e, "one_r": one_r, "one": one, "two_e": two_e, "two_l": two_l, "two": two,
+    }
+    dagger = action_dagger(A, lam2, one, two)
+    _certify_dagger(dagger, components, policy)
+    actions.update(components)
     actions["dagger"] = dagger
     lam3 = semidirect(lam2, ell, dagger, policy)
 

@@ -161,9 +161,11 @@ class _Loader:
         tag = (section, name)
         if tag in self._building:
             raise UnresolvedReference(name, "cyclic " + section)
+        # an entry is named as its section, singular: "algebra 'N'", "map 'f'"
+        spec = _shaped(block[name], dict, "%s %r" % (section.rstrip("s"), name))
         self._building.add(tag)
         try:
-            value = builder(name, block[name])
+            value = builder(name, spec)
         except (XmodError, KeyError) as exc:
             if isinstance(exc, (ParseError, UnresolvedReference, ValidationError)):
                 raise
@@ -180,7 +182,7 @@ class _Loader:
 
     def _build_algebra(self, name, spec):
         where = "algebra %r" % name
-        kind = _shaped(spec, dict, where).get("type")
+        kind = spec.get("type")
         if kind == "finite":
             products = where + " products"
             constants = {}
@@ -241,8 +243,10 @@ class _Loader:
 
     def _build_crossed(self, name, spec):
         if "ideal" in spec:
-            R = self.algebra(spec["ideal"]["R"])
-            return ideal_inclusion_cm(R, spec["ideal"]["labels"], self.policy)
+            where = "crossed %r ideal" % name
+            ideal = _shaped(spec["ideal"], dict, where)
+            R = self.algebra(ideal["R"])
+            return ideal_inclusion_cm(R, _shaped(ideal["labels"], list, where + " labels"), self.policy)
         E = self.algebra(spec["E"])
         R = self.algebra(spec["R"])
         act = self.action(spec["action"])

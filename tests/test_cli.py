@@ -138,3 +138,16 @@ def test_malformed_document_is_parse_error(tmp_path, capsys, doc, named):
     assert cli.main(["validate", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("parse error: ") and named in err
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({"ring": "Q", "actions": {"a": None}}, "action 'a'"),
+    ({"ring": "Q", "algebras": {"N": {"type": "finite", "basis": ["u"], "products": {}}},
+      "crossed": {"C": {"ideal": {"R": "N", "labels": 3}}}}, "crossed 'C' ideal labels"),
+], ids=["action-spec-null", "ideal-labels-not-a-list"])
+def test_malformed_section_entry_is_parse_error(tmp_path, capsys, doc, named):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and named in err

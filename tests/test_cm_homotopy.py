@@ -3,18 +3,19 @@ import random
 import pytest
 
 from xmod2 import fixtures
-from xmod2.algebra import make_finite_algebra
+from xmod2.algebra import make_finite_algebra, make_free_algebra
 from xmod2.cm_homotopy import (
     apply_cm_homotopy,
     cm_groupoid_check,
     concat_cm,
+    edge_algebra,
     invert_cm,
     make_cm_derivation,
     zero_cm_derivation,
 )
-from xmod2.crossed import identity_cm_morphism, ideal_inclusion_cm, make_cm_morphism
+from xmod2.crossed import identity_cm_morphism, ideal_inclusion_cm, make_cm_morphism, make_crossed
 from xmod2.errors import CompositionMismatch, DerivationLawViolation
-from xmod2.maps import algebra_morphism
+from xmod2.maps import Certificate, Policy, algebra_morphism, zero_action
 from xmod2.randgen import random_cm_derivation, random_cm_morphism
 from xmod2.rings import QQ
 
@@ -155,3 +156,20 @@ def test_random_generators_produce_valid_objects():
     f2 = random_cm_morphism(cm, cm, rng2)
     d2 = random_cm_derivation(f2, rng2)
     assert f.equal(f2) and d.equal(d2)
+
+
+def test_edge_algebra_is_certified_under_the_callers_policy():
+    """Over a free R the derivation is realized through R |x E, which is kept
+    on the target per policy and carries the caller's certificate."""
+    R = make_free_algebra(["x"], QQ)
+    E = make_finite_algebra(["a"], {}, QQ)
+    cm = make_crossed(E, R, algebra_morphism(E, R, images={"a": R.zero()}), zero_action(R, E))
+    f = identity_cm_morphism(cm)
+    pol = Policy(samples=6, max_degree=2, seed=13)
+    s = make_cm_derivation(f, {"x": E.basis_element("a")}, pol)
+    assert s(R.monomial("x", "x")).is_zero()
+    assert list(cm._edges) == [pol]
+    edge = edge_algebra(cm, pol)
+    assert edge is cm._edges[pol]
+    assert edge.certificate == Certificate(False, 2, 6, 13)
+    assert edge_algebra(cm).certificate == Certificate(False, 4, 100, 0)

@@ -12,6 +12,7 @@ from xmod2.errors import (
 from xmod2.maps import (
     EXHAUSTIVE,
     BilinearMap,
+    Certificate,
     Policy,
     algebra_morphism,
     certify_action,
@@ -171,3 +172,46 @@ def test_check_law_certificates_and_first_failing_witness():
         check_law([R, R], lambda u, v: u * v, lambda u, v: R.zero(), MorphismViolation, pol)
     assert err.value.witness == first == (R.basis_element("x"), R.basis_element("x"))
     assert err.value.lhs == R.basis_element("x2") and err.value.rhs.is_zero()
+
+
+def test_certify_algebra_proves_finite_semidirect_products_by_the_lemma(monkeypatch):
+    """R |x M of proved parts under an action with an exhaustive certificate
+    is EXHAUSTIVE with no law tuples drawn; an action whose certificate is
+    None, a part not yet certified, or a free part still goes through the
+    law check."""
+    from xmod2 import maps
+    from xmod2.algebra import SemidirectAlgebra
+    from xmod2.maps import TableAction, certify_algebra, semidirect
+
+    R, E = f2_carriers()
+    act = make_action(R, E, {})
+    P = make_free_algebra(["y"], QQ)
+    pol = Policy(samples=5, max_degree=2, seed=4)
+    real = maps.law_tuples
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(maps, "law_tuples", counting)
+
+    lam1 = semidirect(R, E, act)
+    assert lam1.certificate is EXHAUSTIVE
+    outer = semidirect(lam1, E, zero_action(lam1, E))
+    assert certify_algebra(outer) is EXHAUSTIVE and outer.certificate is EXHAUSTIVE
+    assert calls == []
+
+    bare = SemidirectAlgebra(R, E, act)
+    assert bare.certificate is None
+    assert certify_algebra(SemidirectAlgebra(bare, E, zero_action(bare, E))) is EXHAUSTIVE
+    assert len(calls) == 2  # commutativity and associativity
+
+    unproved = TableAction(R, E, {})
+    assert unproved.certificate is None
+    assert semidirect(R, E, unproved).certificate is EXHAUSTIVE
+    assert len(calls) == 4
+
+    mixed = semidirect(P, E, zero_action(P, E), pol)
+    assert mixed.certificate == Certificate(False, 2, 5, 4)
+    assert len(calls) == 6

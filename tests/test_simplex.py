@@ -4,9 +4,10 @@ import weakref
 
 import pytest
 
-from xmod2 import fixtures
-from xmod2.errors import IndexOutOfRange
-from xmod2.maps import LinearMap, Policy, random_element
+from xmod2 import fixtures, maps, simplex
+from xmod2.algebra import SemidirectAlgebra
+from xmod2.errors import IndexOutOfRange, MorphismViolation
+from xmod2.maps import LinearMap, Policy, certify_action, random_element
 from xmod2.randgen import random_two_crossed
 from xmod2.rings import PrimeField
 from xmod2.simplex import (
@@ -276,3 +277,113 @@ def test_towers_are_kept_on_their_structure():
     del A, T
     gc.collect()
     assert structure() is None and tower() is None
+
+
+def test_composite_actions_are_built_from_the_stored_components():
+    """>1, >2 and >t evaluate the very component objects kept in the tower,
+    so certifying >t certifies what T.actions holds."""
+    T = f2_tower()
+    components = ("one_e", "one_r", "one", "two_e", "two_l", "two")
+    for name in components + ("dagger",):
+        T.actions[name]._memo.clear()
+    dagger = T.actions["dagger"]
+    for x in dagger.acting.basis_elements():
+        for m in dagger.acted.basis_elements():
+            dagger(x, m)
+    for name in components:
+        assert T.actions[name]._memo, name
+        assert T.actions[name].certificate is dagger.certificate, name
+
+
+# Each component of >t, as a one-term mutant: x > m gains c(x) m, where c(x)
+# is the coefficient of x on the first basis key.  F2's R-actions are zero
+# and its lifting is symmetric, so the single-term drops of the formulas
+# leave A1/A2 of a component alone intact on F2 (the face checks reject
+# them); this term breaks A2 of every component, since every actor algebra
+# of F2 is nilpotent.
+COMPONENT_ARGS = {
+    "one_e": lambda T: (T.el, T.ell),
+    "one_r": lambda T: (T.el, T.ell),
+    "one": lambda T: (T.levels[1], T.actions["one_e"], T.actions["one_r"]),
+    "two_e": lambda T: (T.el, T.ell),
+    "two_l": lambda T: (T.el, T.ell),
+    "two": lambda T: (T.el, T.actions["two_e"], T.actions["two_l"]),
+}
+
+
+def _with_identity_term(builder):
+    def mutant(A, *args):
+        act = builder(A, *args)
+        fn, first, zero = act.fn, act.acting.basis_keys()[0], act.acting.ring.zero
+        act.fn = lambda x, m: fn(x, m) + m.scale(x.coeffs.get(first, zero))
+        return act
+
+    return mutant
+
+
+@pytest.mark.parametrize("name", list(COMPONENT_ARGS))
+def test_component_mutant_raises_its_own_error_from_build_tower(monkeypatch, name):
+    """>t's check holds every component's law instances; when it fails,
+    build_tower raises what certifying the broken component alone raises."""
+    F2 = fixtures.square_two_crossed()
+    T = build_tower(F2, POL)
+    builder = _with_identity_term(getattr(simplex, "action_" + name))
+    alone = builder(F2, *COMPONENT_ARGS[name](T))
+    real = T.actions[name]
+    assert any(
+        alone(x, m) != real(x, m)
+        for x in real.acting.basis_elements()
+        for m in real.acted.basis_elements()
+    )
+    with pytest.raises(Exception) as expected:
+        certify_action(alone, POL)
+    monkeypatch.setattr(simplex, "action_" + name, builder)
+    with pytest.raises(Exception) as got:
+        build_tower(F2, POL)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("variant", ["zero", "double", "one-sided"])
+def test_semidirect_mixed_product_mutant_rejected_by_the_faces(monkeypatch, variant):
+    """The semidirect products are certified by the lemma, not by a law
+    check; a wrong mixed product r > e is still caught, by the
+    multiplicativity checks of the faces and degeneracies."""
+    real = SemidirectAlgebra.key_mul
+
+    def key_mul(alg, k1, k2):
+        out = real(alg, k1, k2)
+        if k1[0] == k2[0]:
+            return out
+        if variant == "zero" or (variant == "one-sided" and k1[0] == 1):
+            return alg.zero()
+        if variant == "double":
+            return out + out
+        return out
+
+    F2 = fixtures.square_two_crossed()
+    monkeypatch.setattr(SemidirectAlgebra, "key_mul", key_mul)
+    with pytest.raises(MorphismViolation):
+        build_tower(F2, POL)
+
+
+def test_work_count_of_one_tower_build(monkeypatch):
+    """The law tuples one finite tower build evaluates.  Before the
+    semidirect lemma it was 43 calls and 2,767 tuples: 10 calls and 1,504
+    tuples re-proved commutativity and associativity of the five
+    semidirect products, and 12 calls and 304 tuples certified the six
+    components of >t, whose instances >t's own basis check contains.  A
+    change that checks less must edit this pin and say why."""
+    F2 = fixtures.square_two_crossed()
+    real = maps.law_tuples
+    seen = [0, 0]
+
+    def counting(*args, **kwargs):
+        tuples, exhaustive = real(*args, **kwargs)
+        seen[0] += 1
+        seen[1] += len(tuples)
+        return tuples, exhaustive
+
+    monkeypatch.setattr(maps, "law_tuples", counting)
+    build_tower(F2, Policy(10, 4, 0))
+    assert seen == [21, 959]
