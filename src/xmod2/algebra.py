@@ -196,6 +196,7 @@ class FiniteAlgebra(Algebra):
         self.labels = tuple(labels)
         self._labelset = set(self.labels)
         self._table = table  # (label, label) -> dict(label -> scalar), both orders present
+        self._draws = {}  # sampled law tuples, kept by maps.law_tuples
 
     def check_key(self, key):
         if key not in self._labelset:
@@ -230,6 +231,7 @@ class FreeAlgebra(Algebra):
         self.ring = ring
         self.generators = tuple(generators)
         self._genset = set(self.generators)
+        self._draws = {}  # sampled law tuples, kept by maps.law_tuples
 
     def check_key(self, key):
         if not isinstance(key, tuple) or not key:
@@ -303,6 +305,7 @@ class SemidirectAlgebra(Algebra):
         self.action = action
         self.certificate = None  # commutativity/associativity, set by maps.certify_algebra
         self._mulcache = {}  # basis-key products recur heavily in law checks
+        self._draws = {}  # sampled law tuples, kept by maps.law_tuples
 
     def check_key(self, key):
         if not (isinstance(key, tuple) and len(key) == 2 and key[0] in (0, 1)):

@@ -15,6 +15,18 @@ A finite semidirect product of proved parts under an action proved on a
 basis is commutative and associative by the semidirect lemma, so
 ``certify_algebra`` stamps it EXHAUSTIVE without a law check.
 
+Sampled tuples are drawn once.  Every check site takes a fresh
+``Policy.rng()``, a ``Draws`` stream, and only ``law_tuples`` draws from
+it.  So the sampled tuples of one call are a function of the policy, the
+non-finite algebra lists drawn earlier on the same stream (its *path*)
+and the current list.  ``law_tuples`` keeps them under that key on the
+first algebra of the list, the way a 2-crossed module keeps its towers,
+and a later site that walks the same path gets them back without drawing:
+exactly the tuples, in exactly the order, that a plain
+``Random(policy.seed)`` would give.  Keys hold the algebras themselves,
+never their ids, so two structures never share an entry, and the memo
+goes with its structure.
+
 For a table action of a free algebra, monomials act by iterated generator
 action and A2 on generator pairs makes that well defined; A1 for monomials
 then follows by induction, and is additionally covered by the sampled
@@ -53,7 +65,12 @@ class Policy:
     seed: int = 0
 
     def rng(self):
-        return random.Random(self.seed)
+        """A fresh stream of sampled law tuples for one check site.
+
+        Only law_tuples draws from it, so what it yields is a function of
+        this policy, its path and the algebras of each call.
+        """
+        return Draws(self)
 
 
 DEFAULT_POLICY = Policy()
@@ -111,19 +128,63 @@ def _skeleton(alg):
     raise BadShape("cannot span %r" % (alg,))
 
 
+def _sample(algebras, policy, rng):
+    return tuple(
+        tuple(random_element(a, rng, policy.max_degree) for a in algebras)
+        for _ in range(policy.samples)
+    )
+
+
+class Draws:
+    """The sampled law tuples of one check site, as a stream of draws from
+    ``Random(policy.seed)``.
+
+    ``path`` holds the non-finite algebra lists drawn so far, and ``_random``
+    has made the draws of the first ``_drawn`` of them.  A list found in
+    the memo costs no draw, so the generator falls behind; it catches up on
+    the next list that is not.
+    """
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.path = ()
+        self._random = random.Random(policy.seed)
+        self._drawn = 0
+
+    def sampled(self, algebras):
+        memo = algebras[0]._draws
+        key = (self.policy, self.path, algebras)
+        tuples = memo.get(key)
+        if tuples is None:
+            for behind in self.path[self._drawn:]:
+                _sample(behind, self.policy, self._random)
+            tuples = memo[key] = _sample(algebras, self.policy, self._random)
+            self._drawn = len(self.path) + 1
+        self.path += (algebras,)
+        return tuples
+
+
 def law_tuples(algebras, policy=DEFAULT_POLICY, rng=None):
     """Tuples on which to test a multilinear law over the given algebras.
 
     Returns (tuples, exhaustive).  Exhaustive means the full cartesian
     product of bases was produced and the law check is a proof.
+
+    Otherwise the skeleton tuples are followed by policy.samples random
+    tuples.  With rng a ``Draws`` stream of this policy (the default is a
+    fresh one), they are a function of (policy, rng.path, algebras), kept
+    on algebras[0] and drawn only the first time.  A plain
+    ``random.Random`` is drawn from directly.
     """
     if all(a.is_finite() for a in algebras):
         tuples = list(itertools.product(*[a.basis_elements() for a in algebras]))
         return tuples, True
     rng = rng or policy.rng()
     tuples = list(itertools.product(*[_skeleton(a) for a in algebras]))
-    for _ in range(policy.samples):
-        tuples.append(tuple(random_element(a, rng, policy.max_degree) for a in algebras))
+    if isinstance(rng, Draws):
+        tuples.extend(rng.sampled(tuple(algebras)))
+    else:
+        tuples.extend(_sample(algebras, policy, rng))
     return tuples, False
 
 
@@ -133,7 +194,8 @@ def check_law(algebras, lhs, rhs, error, policy, rng=None):
     Raises ``error(t, lhs(*t), rhs(*t))`` at the first failing tuple t.
     Otherwise returns the certificate the check earned: EXHAUSTIVE when
     the tuples span every argument, else the policy's (D, N, seed).  A
-    caller checking several laws under one policy passes its shared rng.
+    caller checking several laws under one policy passes the one
+    ``policy.rng()`` stream of its site.
     """
     tuples, exhaustive = law_tuples(algebras, policy, rng)
     for t in tuples:

@@ -28,6 +28,14 @@ from .cm_homotopy import make_cm_derivation
 
 
 def _random_element(alg, rng, density=0.6):
+    """A finite-dimensional element: each basis key kept with probability
+    density.
+
+    This is the generators' sampler, distinct from maps.random_element
+    (by degree, for law tuples).  The two draw differently from an rng, so
+    merging them would change every generated structure and the pinned
+    selftest digests; they stay apart until a change re-pins anyway.
+    """
     coeffs = {}
     for k in alg.basis_keys():
         if rng.random() < density:

@@ -117,9 +117,13 @@ def _parse_element(alg, data, where):
     return alg.element(coeffs)
 
 
-def _parse_linmap_images(source, target, data, where):
+def _parse_linmap_images(source, target, spec, field, entry):
+    """The linear map spec[field] of a document entry as {source key:
+    element of target}; an absent or null field is the zero map."""
+    where = "%s %s" % (entry, field)
+    data = spec.get(field)
     images = {}
-    for key, elem in (data or {}).items():
+    for key, elem in ({} if data is None else _shaped(data, dict, where)).items():
         if isinstance(source, FreeAlgebra):
             mono = source.parse_monomial(key)
             if len(mono) != 1:
@@ -211,18 +215,19 @@ class _Loader:
         acted = self.algebra(spec["acted"])
         if spec.get("zero"):
             return zero_action(acting, acted)
+        where = "action %r" % name
         table = {}
-        for actor, row in spec.get("table", {}).items():
+        for actor, row in _shaped(spec.get("table", {}), dict, where + " table").items():
             if isinstance(acting, FreeAlgebra):
                 mono = acting.parse_monomial(actor)
                 if len(mono) != 1:
-                    raise ParseError("action %r: table rows only on generators" % name)
+                    raise ParseError("%s: table rows only on generators" % where)
                 akey = mono[0]
             else:
                 akey = _parse_key(acting, actor)
             table[akey] = {
-                _parse_key(acted, k): _parse_element(acted, elem, "action %r" % name)
-                for k, elem in row.items()
+                _parse_key(acted, k): _parse_element(acted, elem, where)
+                for k, elem in _shaped(row, dict, "%s table row %r" % (where, actor)).items()
             }
         return make_action(acting, acted, table, self.policy)
 
@@ -234,7 +239,8 @@ class _Loader:
         R = self.algebra(spec["R"])
         act = self.action(spec["action"])
         d = algebra_morphism(
-            E, R, images=_parse_linmap_images(E, R, spec.get("map"), name), policy=self.policy
+            E, R, images=_parse_linmap_images(E, R, spec, "map", "precrossed %r" % name),
+            policy=self.policy,
         )
         return make_precrossed(E, R, d, act, self.policy)
 
@@ -251,7 +257,8 @@ class _Loader:
         R = self.algebra(spec["R"])
         act = self.action(spec["action"])
         d = algebra_morphism(
-            E, R, images=_parse_linmap_images(E, R, spec.get("map"), name), policy=self.policy
+            E, R, images=_parse_linmap_images(E, R, spec, "map", "crossed %r" % name),
+            policy=self.policy,
         )
         return make_crossed(E, R, d, act, self.policy)
 
@@ -261,21 +268,23 @@ class _Loader:
     def _build_two_crossed(self, name, spec):
         if "kernel_of" in spec:
             return kernel_two_crossed(self.precrossed_module(spec["kernel_of"]), self.policy)
+        entry = "two_crossed %r" % name
         free_basis = spec.get("free_basis")
         if free_basis is not None:
-            _shaped(free_basis, list, "two_crossed %r free_basis" % name)
+            _shaped(free_basis, list, entry + " free_basis")
         L = self.algebra(spec["L"])
         E = self.algebra(spec["E"])
         R = self.algebra(spec["R"])
         d2 = algebra_morphism(
-            L, E, images=_parse_linmap_images(L, E, spec.get("d2"), name), policy=self.policy
+            L, E, images=_parse_linmap_images(L, E, spec, "d2", entry), policy=self.policy
         )
         d1 = algebra_morphism(
-            E, R, images=_parse_linmap_images(E, R, spec.get("d1"), name), policy=self.policy
+            E, R, images=_parse_linmap_images(E, R, spec, "d1", entry), policy=self.policy
         )
+        lifting = entry + " lifting"
         table = {}
-        for k1, row in spec.get("lifting", {}).items():
-            for k2, elem in row.items():
+        for k1, row in _shaped(spec.get("lifting", {}), dict, lifting).items():
+            for k2, elem in _shaped(row, dict, "%s row %r" % (lifting, k1)).items():
                 value = _parse_element(L, elem, "lifting of %r" % name)
                 table[(_parse_key(E, k1), _parse_key(E, k2))] = value
         return make_two_crossed(
@@ -311,7 +320,7 @@ class _Loader:
         maps = []
         for component, level in components:
             dom, cod = getattr(src, level), getattr(tgt, level)
-            images = _parse_linmap_images(dom, cod, spec.get(component), name)
+            images = _parse_linmap_images(dom, cod, spec, component, "map %r" % name)
             maps.append(algebra_morphism(dom, cod, images=images, policy=self.policy))
         return make(src, tgt, *maps, self.policy)
 
@@ -320,7 +329,7 @@ class _Loader:
 
     def _build_derivation(self, name, spec):
         f = self.module_map(spec["base"])
-        images = _parse_linmap_images(f.src.R, f.tgt.E, spec.get("s"), name)
+        images = _parse_linmap_images(f.src.R, f.tgt.E, spec, "s", "derivation %r" % name)
         return make_cm_derivation(f, images, self.policy)
 
     def quadratic_derivation(self, name):
@@ -330,8 +339,9 @@ class _Loader:
 
     def _build_quadratic(self, name, spec):
         f = self.module_map(spec["base"])
-        s_images = _parse_linmap_images(f.src.R, f.tgt.E, spec.get("s"), name)
-        t_images = _parse_linmap_images(f.src.E, f.tgt.L, spec.get("t"), name)
+        entry = "quadratic_derivation %r" % name
+        s_images = _parse_linmap_images(f.src.R, f.tgt.E, spec, "s", entry)
+        t_images = _parse_linmap_images(f.src.E, f.tgt.L, spec, "t", entry)
         return make_quadratic_derivation(f, s_images, t_images, self.policy)
 
     def load_all(self):

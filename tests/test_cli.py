@@ -151,3 +151,65 @@ def test_malformed_section_entry_is_parse_error(tmp_path, capsys, doc, named):
     assert cli.main(["validate", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("parse error: ") and named in err
+
+
+_N = {"type": "finite", "basis": ["u"], "products": {}}
+_ZERO_N = {"acting": "N", "acted": "N", "zero": True}
+
+
+def _two_crossed_doc(**fields):
+    """A document whose 2-crossed module D is N -> N -> N with zero maps,
+    actions and lifting, with the given fields of D replaced."""
+    spec = {"L": "N", "E": "N", "R": "N", "d2": {}, "d1": {},
+            "action_e": "zero", "action_l": "zero", "lifting": {}}
+    spec.update(fields)
+    return {"ring": "Q", "algebras": {"N": _N}, "actions": {"zero": _ZERO_N},
+            "two_crossed": {"D": spec}}
+
+
+def _map_doc(**images):
+    doc = _two_crossed_doc()
+    doc["maps"] = {"f": {"source": "D", "target": "D", "f0": {}, "f1": {}, "f2": {}, **images}}
+    return doc
+
+
+def _quadratic_doc(**images):
+    doc = _map_doc()
+    doc["quadratic_derivations"] = {"q": {"base": "f", **images}}
+    return doc
+
+
+def _module_doc(section, linmap):
+    return {"ring": "Q", "algebras": {"N": _N}, "actions": {"zero": _ZERO_N},
+            section: {"P": {"E": "N", "R": "N", "map": linmap, "action": "zero"}}}
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({"ring": "Q", "algebras": {"N": _N},
+      "actions": {"a": {"acting": "N", "acted": "N", "table": []}}}, "action 'a' table"),
+    ({"ring": "Q", "algebras": {"N": _N},
+      "actions": {"a": {"acting": "N", "acted": "N", "table": {"u": 3}}}}, "action 'a' table row 'u'"),
+    (_two_crossed_doc(lifting=[]), "two_crossed 'D' lifting"),
+    (_two_crossed_doc(lifting={"u": 3}), "two_crossed 'D' lifting row 'u'"),
+    (_module_doc("precrossed", []), "precrossed 'P' map"),
+    (_module_doc("crossed", [{"u": "1"}]), "crossed 'P' map"),
+    (_two_crossed_doc(d2=[{"u": "1"}]), "two_crossed 'D' d2"),
+    (_two_crossed_doc(d1=[{"u": "1"}]), "two_crossed 'D' d1"),
+    (_map_doc(f0=[{"u": "1"}]), "map 'f' f0"),
+    (_map_doc(f1=[{"u": "1"}]), "map 'f' f1"),
+    (_map_doc(f2=[{"u": "1"}]), "map 'f' f2"),
+    ({"ring": "Q", "algebras": {"N": _N},
+      "crossed": {"C": {"ideal": {"R": "N", "labels": ["u"]}}},
+      "maps": {"i": {"kind": "crossed", "source": "C", "target": "C", "identity": True}},
+      "derivations": {"d": {"base": "i", "s": [{"u": "1"}]}}}, "derivation 'd' s"),
+    (_quadratic_doc(s=[{"u": "1"}]), "quadratic_derivation 'q' s"),
+    (_quadratic_doc(t=[{"u": "1"}]), "quadratic_derivation 'q' t"),
+], ids=["table-a-list", "table-row-not-an-object", "lifting-a-list", "lifting-row-not-an-object",
+        "map-empty-list", "map-a-list", "d2-a-list", "d1-a-list", "f0-a-list", "f1-a-list",
+        "f2-a-list", "s-a-list", "quadratic-s-a-list", "quadratic-t-a-list"])
+def test_malformed_table_or_linear_map_is_parse_error(tmp_path, capsys, doc, named):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and named in err

@@ -1,3 +1,7 @@
+import gc
+import random
+import weakref
+
 import pytest
 
 from xmod2.algebra import make_finite_algebra, make_free_algebra
@@ -26,7 +30,7 @@ from xmod2.maps import (
     zero_action,
     zero_map,
 )
-from xmod2.rings import QQ
+from xmod2.rings import QQ, PrimeField
 
 
 def f2_carriers():
@@ -215,3 +219,57 @@ def test_certify_algebra_proves_finite_semidirect_products_by_the_lemma(monkeypa
     mixed = semidirect(P, E, zero_action(P, E), pol)
     assert mixed.certificate == Certificate(False, 2, 5, 4)
     assert len(calls) == 6
+
+
+def _plain_draws(policy, lists):
+    """What a site that draws lists in order from one Random(policy.seed) gets."""
+    rng = random.Random(policy.seed)
+    return [law_tuples(algebras, policy, rng)[0] for algebras in lists]
+
+
+def test_sampled_tuples_are_drawn_once_and_exactly():
+    """Sampled tuples are a function of (policy, path, algebras): a second
+    site that walks the same path gets them without drawing, a site that
+    then leaves the path draws exactly what one plain generator would, and
+    no other policy or structure sees an entry."""
+    R = make_free_algebra(["x", "y"], QQ)
+    _, E = f2_carriers()
+    pol = Policy(samples=6, max_degree=3, seed=5)
+    first = [[R, R], [R], [R]]
+    second = [[R, R], [E], [R], [R], [R, E]]  # [E] is finite: it draws nothing
+
+    def site(policy, lists):
+        rng = policy.rng()
+        return [law_tuples(algebras, policy, rng)[0] for algebras in lists]
+
+    for _ in range(2):
+        drawn = site(pol, first)
+        assert drawn == _plain_draws(pol, first)
+        again = site(pol, second)
+        assert again == _plain_draws(pol, second)
+        for old, new in zip(drawn, again[:1] + again[2:]):
+            assert all(a is b for a, b in zip(old[-pol.samples:], new[-pol.samples:]))
+    assert len(R._draws) == 4 and not E._draws
+
+    other = Policy(samples=6, max_degree=3, seed=6)
+    assert site(other, second) == _plain_draws(other, second) != again
+    assert len(R._draws) == 8
+
+    twin = make_free_algebra(["x", "y"], QQ)
+    tuples = site(pol, [[twin, twin], [twin], [twin]])
+    assert all(u.algebra is twin for t in tuples for sample in t for u in sample)
+    assert len(twin._draws) == 3 and len(R._draws) == 8
+
+
+def test_sampled_tuples_are_kept_on_their_structure():
+    from xmod2.randgen import random_free_two_crossed
+
+    pol = Policy(samples=4, seed=1)
+    D = random_free_two_crossed(PrimeField(5), random.Random(2), policy=pol)
+    assert D.R._draws
+    tuples, _ = law_tuples([D.R, D.R], pol)
+    assert law_tuples([D.R, D.R], pol)[0] == tuples
+    structure, free = weakref.ref(D), weakref.ref(D.R)
+    del D, tuples
+    gc.collect()
+    assert structure() is None and free() is None

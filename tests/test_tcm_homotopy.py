@@ -337,3 +337,41 @@ def test_groupoid_check_fixture_pairs():
     F0 = fixtures.zero_two_crossed()
     entries = tcm_groupoid_check(F3, F0, samples=2, seed=1, policy=POL)
     assert all(ok for _, ok, _ in entries)
+
+
+def test_second_quadratic_derivation_draws_no_sampled_tuple(monkeypatch):
+    """On a free domain the second check of the same f-derivation evaluates
+    the same law tuples as the first; it only does not draw them again.
+    No check is skipped: the law_tuples calls and their sizes are equal."""
+    from xmod2 import maps, tcm_homotopy
+
+    F5 = PrimeField(5)
+    rng = random.Random(5)
+    built = Policy(samples=3, seed=9)
+    D = random_free_two_crossed(F5, rng, max_dim=2, policy=built)
+    B = random_two_crossed(F5, rng, max_dim=2, policy=built)
+    f = random_2cm_morphism(D, B, rng, policy=built)
+    qd = random_quadratic_derivation(f, rng, policy=built)
+    get_tower(B, POL)  # kept per policy: built before counting, all exhaustive
+
+    real_tuples, real_element = maps.law_tuples, maps.random_element
+    sizes, draws = [], [0]
+
+    def law_tuples(*args, **kwargs):
+        tuples, exhaustive = real_tuples(*args, **kwargs)
+        sizes[-1].append(len(tuples))
+        return tuples, exhaustive
+
+    def random_element(*args, **kwargs):
+        draws[-1] += 1
+        return real_element(*args, **kwargs)
+
+    monkeypatch.setattr(maps, "law_tuples", law_tuples)
+    monkeypatch.setattr(tcm_homotopy, "law_tuples", law_tuples)
+    monkeypatch.setattr(maps, "random_element", random_element)
+    for _ in range(2):
+        sizes.append([])
+        draws.append(0)
+        make_quadratic_derivation(f, qd.s_images, qd.t_images, POL)
+    assert draws[1] > 0 and draws[2] == 0
+    assert sizes[0] == sizes[1] == [1 + POL.samples] * 3  # s-law, t-action, on boundaries
