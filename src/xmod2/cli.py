@@ -15,6 +15,7 @@ The seed falls back to the XMOD2_SEED environment variable, then 0.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -42,7 +43,10 @@ def _default_seed():
         return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and the seed's environment fallback is read per call."""
     parser = argparse.ArgumentParser(
         prog="xmod2",
         description="Exact verification of crossed and 2-crossed module structure, "

@@ -13,6 +13,18 @@ homotopies.
 The s-half of a quadratic derivation of 2-crossed module maps is exactly
 such an f0-derivation into E' -> R', so ``check_derivation_law`` and
 ``derivation_map`` are the one derivation path of both homotopy layers.
+
+Each derivation is certified once.  ``make_cm_derivation`` certifies
+every call and keeps its result on f, keyed by the policy and the
+normalized images (``image_key``).  ``zero_cm_derivation`` and
+``concat_cm`` return the kept derivation when their images match a key,
+and certify only on a miss; ``invert_cm`` and randgen always certify.
+Reuse is exact: a certification is a pure function of (f, images,
+policy), because its sampled tuples come from a fresh ``policy.rng()``
+and s is fixed by its images, so a hit returns the object a
+re-certification would rebuild, with the same certificate.  A composite
+with wrong images matches no key and is certified, and rejected, as
+before.
 """
 
 from .errors import CompositionMismatch, DerivationLawViolation, XmodError
@@ -50,7 +62,7 @@ class CMDerivation:
         self.images = images
         self.smap = smap
         self.certificate = certificate
-        self._target = None
+        self._targets = {}  # Policy -> CrossedMorphism, filled by target
 
     def __call__(self, r):
         return self.smap(r)
@@ -60,12 +72,16 @@ class CMDerivation:
         return self.f
 
     def target(self, policy=DEFAULT_POLICY):
-        if self._target is None:
-            self._target = _cm_target(self, policy)
-        return self._target
+        """The target map, certified under ``policy`` and kept per policy."""
+        g = self._targets.get(policy)
+        if g is None:
+            g = self._targets[policy] = _cm_target(self, policy)
+        return g
 
     def equal(self, other):
-        return self.f.equal(other.f) and maps_agree(self.smap, other.smap, _skeleton(self.f.src.R))
+        return self is other or (
+            self.f.equal(other.f) and maps_agree(self.smap, other.smap, _skeleton(self.f.src.R))
+        )
 
 
 def derivation_map(f, images, edge):
@@ -91,27 +107,51 @@ def derivation_map(f, images, edge):
 def check_derivation_law(R, f0, act, s, error, policy, rng):
     """Check s(rr') = f0(r) > s(r') + f0(r') > s(r) + s(r)s(r') on law
     tuples of R x R; returns the certificate or raises error(witness, lhs, rhs)."""
-    return check_law(
-        [R, R],
-        lambda r, r2: s(r * r2),
-        lambda r, r2: act(f0(r), s(r2)) + act(f0(r2), s(r)) + s(r) * s(r2),
-        error, policy, rng,
-    )
+
+    def rhs(r, r2):
+        sr, sr2 = s(r), s(r2)
+        return act(f0(r), sr2) + act(f0(r2), sr) + sr * sr2
+
+    return check_law([R, R], lambda r, r2: s(r * r2), rhs, error, policy, rng)
+
+
+def image_key(images):
+    """An image table as a hashable value: each key with its coefficients."""
+    return frozenset((key, frozenset(value.coeffs.items())) for key, value in images.items())
+
+
+def _normalize(f, images):
+    """The images of s, owned by E' and, over a free R, completed by zero
+    on the generators."""
+    norm = {}
+    for key, value in images.items():
+        f.tgt.E.owns(value)
+        norm[key] = value
+    if not f.src.R.is_finite():
+        for b in f.src.R.generators:
+            norm.setdefault(b, f.tgt.E.zero())
+    return norm
 
 
 def make_cm_derivation(f, images, policy=DEFAULT_POLICY):
-    """Certify the derivation law for s given by basis/generator images."""
+    """Certify the derivation law for s given by basis/generator images.
+
+    Every call certifies; the first derivation certified for these images
+    under ``policy`` is kept on f for ``_derivation``."""
     src, tgt = f.src, f.tgt
-    norm = {}
-    for key, value in images.items():
-        tgt.E.owns(value)
-        norm[key] = value
-    if not src.R.is_finite():
-        for b in src.R.generators:
-            norm.setdefault(b, tgt.E.zero())
+    norm = _normalize(f, images)
     smap = derivation_map(f, norm, lambda: edge_algebra(tgt, policy))
     cert = check_derivation_law(src.R, f.f0, tgt.act, smap, DerivationLawViolation, policy, policy.rng())
-    return CMDerivation(f, norm, smap, cert)
+    d = CMDerivation(f, norm, smap, cert)
+    f._homotopies.setdefault((policy, image_key(norm)), d)
+    return d
+
+
+def _derivation(f, images, policy):
+    """The derivation kept on f for these images under ``policy``, or a
+    newly certified one."""
+    kept = f._homotopies.get((policy, image_key(_normalize(f, images))))
+    return kept if kept is not None else make_cm_derivation(f, images, policy)
 
 
 class CMHomotopy:
@@ -155,14 +195,14 @@ def concat_cm(d, d2, policy=DEFAULT_POLICY):
     images = dict(d.images)
     for k, v in d2.images.items():
         images[k] = images[k] + v if k in images else v
-    out = make_cm_derivation(d.f, images, policy)
+    out = _derivation(d.f, images, policy)
     if not out.target(policy).equal(d2.target(policy)):
         raise XmodError("concatenation target mismatch (transcription bug)")
     return out
 
 
 def zero_cm_derivation(f, policy=DEFAULT_POLICY):
-    return make_cm_derivation(f, {}, policy)
+    return _derivation(f, {}, policy)
 
 
 def cm_groupoid_check(A, B, samples=25, seed=0, policy=DEFAULT_POLICY):

@@ -136,9 +136,10 @@ class CrossedMorphism:
         self.tgt = tgt
         self.f0 = f0
         self.f1 = f1
+        self._homotopies = {}  # key -> CMDerivation, filled by make_cm_derivation
 
     def equal(self, other):
-        return (
+        return self is other or (
             self.src.compatible(other.src)
             and self.tgt.compatible(other.tgt)
             and morphisms_equal(self.f0, other.f0)
@@ -388,9 +389,10 @@ class TwoCrossedMorphism:
         self.f0 = f0
         self.f1 = f1
         self.f2 = f2
+        self._homotopies = {}  # key -> QuadraticDerivation, filled by make_quadratic_derivation
 
     def equal(self, other):
-        return (
+        return self is other or (
             self.src.compatible(other.src)
             and self.tgt.compatible(other.tgt)
             and morphisms_equal(self.f0, other.f0)

@@ -26,11 +26,27 @@ b -> (f0(b), s(b), s'(b), 0, s''(b), 0, 0) into the algebra of
 Everything here refuses to run without a recorded free basis
 (FreeBasisRequired): without freeness the homotopy relation is not an
 equivalence relation, and silently computing would be wrong.
+
+Each homotopy is certified once.  ``make_quadratic_derivation`` certifies
+every call and keeps its result on f, keyed by the policy and the
+normalized data: the completed s-images, the declared monomial values and
+the nonzero t-images.  ``zero_quadratic`` and ``concat_2cm`` go through
+``_quadratic``, which normalizes the same way and returns the kept
+derivation when the key matches, certifying only on a miss; so the
+groupoid's zeros, its units (0 [+] h = h [+] 0 = h), its inverse laws
+(h [+] hbar = 0) and both bracketings of a triple come back as the
+object already certified.  ``invert_2cm`` and randgen always certify.
+Reuse is exact: a certification is a pure function of (f, images,
+policy).  Its sampled tuples come from a fresh ``policy.rng()``, s and t
+are fixed by their images, and a hit needs equal images over the same f
+object, so a hit returns the object a re-certification would rebuild,
+with the same certificates.  A composite with wrong data matches no key
+and is certified, and rejected, as before.
 """
 
 from functools import partial
 
-from .cm_homotopy import check_derivation_law, derivation_map
+from .cm_homotopy import check_derivation_law, derivation_map, image_key
 from .crossed import make_2cm_morphism
 from .errors import (
     CompositionMismatch,
@@ -77,6 +93,26 @@ def _complete_s_images(A, B, images):
     return out, declared
 
 
+def _normalize(f, s_images, t_images):
+    """The inputs of a quadratic derivation, checked and normalized: the
+    completed s-images, the declared monomial values of s, and t on the
+    checked E-keys with its zero images left out (a zero image and a
+    missing one give the same t)."""
+    A, B = f.src, f.tgt
+    s_images, declared = _complete_s_images(A, B, s_images)
+    t_norm = {}
+    for key, value in t_images.items():
+        B.L.owns(value)
+        key = A.E.check_key(key)
+        if not value.is_zero():
+            t_norm[key] = value
+    return s_images, declared, t_norm
+
+
+def _key(policy, s_images, declared, t_norm):
+    return policy, image_key(s_images), image_key(declared), image_key(t_norm)
+
+
 def _s_map(f, images, policy=DEFAULT_POLICY):
     """s from its images, through R' |x E' = Lambda1 of the target's tower."""
     return derivation_map(f, images, lambda: get_tower(f.tgt, policy).levels[1])
@@ -92,19 +128,21 @@ class QuadraticDerivation:
         self.t_images = t_images
         self.t = tmap
         self.certificates = certificates
-        self._target = None
+        self._targets = {}  # Policy -> TwoCrossedMorphism, filled by target
 
     @property
     def source(self):
         return self.f
 
     def target(self, policy=DEFAULT_POLICY):
-        if self._target is None:
-            self._target = _qd_target(self, policy)
-        return self._target
+        """The target map, certified under ``policy`` and kept per policy."""
+        g = self._targets.get(policy)
+        if g is None:
+            g = self._targets[policy] = _qd_target(self, policy)
+        return g
 
     def equal(self, other):
-        return (
+        return self is other or (
             self.f.equal(other.f)
             and maps_agree(self.s, other.s, _skeleton(self.f.src.R))
             and maps_agree(self.t, other.t, self.f.src.E.basis_elements())
@@ -117,19 +155,17 @@ def make_quadratic_derivation(f, s_images, t_images, policy=DEFAULT_POLICY):
     s is given on the free basis B (free domain) or the R-basis; t on the
     E-basis.  Failures raise QDLawViolation with the law id and witness.
     The two derived consequences on boundaries of L are spot-checked as
-    transcription tripwires.
+    transcription tripwires.  Every call certifies; the first derivation
+    certified for this data under ``policy`` is kept on f for
+    ``_quadratic``.
     """
     A, B = f.src, f.tgt
-    s_images, declared = _complete_s_images(A, B, s_images)
+    s_images, declared, t_norm = _normalize(f, s_images, t_images)
     smap = _s_map(f, s_images, policy)
     for mono, value in declared.items():
         forced = smap(A.R.basis_element(mono))
         if forced != value:
             raise QDLawViolation("s-law", (A.R.basis_element(mono),), value, forced)
-    t_norm = {}
-    for key, value in t_images.items():
-        B.L.owns(value)
-        t_norm[A.E.check_key(key)] = value
     tmap = linear_map(A.E, B.L, t_norm)
 
     act_e, act_l, lift, prime = B.act_e, B.act_l, B.lift, B.act_prime
@@ -142,64 +178,71 @@ def make_quadratic_derivation(f, s_images, t_images, policy=DEFAULT_POLICY):
         A.R, f0, act_e, smap, partial(QDLawViolation, "s-law"), policy, rng
     )
 
-    def sd1(e):
-        return smap(A.d1(e))
-
-    for e in A.E.basis_elements():
-        for e2 in A.E.basis_elements():
+    # each subterm once: f1(e), t(e), s(d1 e) per E-basis e
+    ebasis = [(e, f1(e), tmap(e), smap(A.d1(e))) for e in A.E.basis_elements()]
+    for e, f1e, te, se in ebasis:
+        for e2, f1e2, te2, se2 in ebasis:
             lhs = tmap(e * e2)
             rhs = (
-                lift(sd1(e), f1(e2))
-                + lift(sd1(e2), f1(e))
-                + prime(f1(e), tmap(e2))
-                + prime(f1(e2), tmap(e))
-                + prime(sd1(e), tmap(e2))
-                + prime(sd1(e2), tmap(e))
-                + tmap(e) * tmap(e2)
+                lift(se, f1e2)
+                + lift(se2, f1e)
+                + prime(f1e, te2)
+                + prime(f1e2, te)
+                + prime(se, te2)
+                + prime(se2, te)
+                + te * te2
             )
             if lhs != rhs:
                 raise QDLawViolation("t-product", (e, e2), lhs, rhs)
     certs["t-product"] = EXHAUSTIVE
 
     tuples, _ = law_tuples([A.R], policy, rng)
-    for (r,) in tuples:
-        for e in A.E.basis_elements():
+    for (r,) in tuples if ebasis else ():
+        sr, f0r = smap(r), f0(r)
+        d1sr = d1p(sr)
+        for e, f1e, te, se in ebasis:
             lhs = tmap(A.act_e(r, e))
-            rhs = (
-                act_l(f0(r), tmap(e))
-                + act_l(d1p(smap(r)), tmap(e))
-                + lift(smap(r), f1(e))
-                - lift(f1(e), smap(r))
-                - lift(sd1(e), smap(r))
-            )
+            rhs = act_l(f0r, te) + act_l(d1sr, te) + lift(sr, f1e) - lift(f1e, sr) - lift(se, sr)
             if lhs != rhs:
                 raise QDLawViolation("t-action", (r, e), lhs, rhs)
     # law_tuples([R]) is exhaustive exactly when the s-law's [R, R] is
     certs["t-action"] = certs["s-law"]
 
-    # consequences of the laws on boundaries of L (sanity tripwires)
+    # consequences of the laws on boundaries of L (sanity tripwires);
+    # d2(l), f2(l) and t(d2 l) once per L-basis l
+    lbasis = []
     for l in A.L.basis_elements():
-        for l2 in A.L.basis_elements():
-            lhs = tmap(A.d2(l) * A.d2(l2))
-            td = tmap(A.d2(l))
-            td2 = tmap(A.d2(l2))
-            rhs = f2(l) * td2 + f2(l2) * td + td * td2
+        dl = A.d2(l)
+        lbasis.append((l, dl, f2(l), tmap(dl)))
+    for l, dl, f2l, td in lbasis:
+        for l2, dl2, f2l2, td2 in lbasis:
+            lhs = tmap(dl * dl2)
+            rhs = f2l * td2 + f2l2 * td + td * td2
             if lhs != rhs:
                 raise QDLawViolation("t-product-on-boundaries", (l, l2), lhs, rhs)
     tuples, _ = law_tuples([A.R], policy, rng)
-    for (r,) in tuples:
-        for l in A.L.basis_elements():
-            lhs = tmap(A.act_e(r, A.d2(l)))
-            td = tmap(A.d2(l))
-            rhs = act_l(f0(r), td) + act_l(d1p(smap(r)), f2(l)) + act_l(d1p(smap(r)), td)
+    for (r,) in tuples if lbasis else ():
+        f0r, d1sr = f0(r), d1p(smap(r))
+        for l, dl, f2l, td in lbasis:
+            lhs = tmap(A.act_e(r, dl))
+            rhs = act_l(f0r, td) + act_l(d1sr, f2l) + act_l(d1sr, td)
             if lhs != rhs:
                 raise QDLawViolation("t-action-on-boundaries", (r, l), lhs, rhs)
 
-    return QuadraticDerivation(f, s_images, smap, t_norm, tmap, certs)
+    qd = QuadraticDerivation(f, s_images, smap, t_norm, tmap, certs)
+    f._homotopies.setdefault(_key(policy, s_images, declared, t_norm), qd)
+    return qd
+
+
+def _quadratic(f, s_images, t_images, policy):
+    """The quadratic derivation kept on f for this data under ``policy``,
+    or a newly certified one."""
+    kept = f._homotopies.get(_key(policy, *_normalize(f, s_images, t_images)))
+    return kept if kept is not None else make_quadratic_derivation(f, s_images, t_images, policy)
 
 
 def zero_quadratic(f, policy=DEFAULT_POLICY):
-    return make_quadratic_derivation(f, {}, {}, policy)
+    return _quadratic(f, {}, {}, policy)
 
 
 class TCMHomotopy:
@@ -337,7 +380,7 @@ def concat_2cm(h1, h2, policy=DEFAULT_POLICY):
     _require_free(A)
     s_images = {b: qd1.s_images[b] + qd2.s_images[b] for b in A.free_basis}
     t_images = {k: box_plus_t(qd1, qd2, A.E.basis_element(k), policy) for k in A.E.basis_keys()}
-    qd = make_quadratic_derivation(qd1.f, s_images, t_images, policy)
+    qd = _quadratic(qd1.f, s_images, t_images, policy)
     out = apply_2cm_homotopy(qd, policy)
     if not out.target.equal(qd2.target(policy)):
         raise XmodError("concatenation target mismatch (transcription bug)")

@@ -213,3 +213,29 @@ def test_malformed_table_or_linear_map_is_parse_error(tmp_path, capsys, doc, nam
     assert cli.main(["validate", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("parse error: ") and named in err
+
+
+def test_in_process_calls_each_see_only_their_own_arguments(tmp_path, monkeypatch, capsys):
+    """The parser is built once per process; every call of main still
+    parses its own arguments, with the defaults of its own subcommand."""
+    monkeypatch.delenv("XMOD2_SEED", raising=False)
+    seen = []
+    real_policy = cli._policy
+
+    def policy(args):
+        seen.append(dict(vars(args)))
+        return real_policy(args)
+
+    monkeypatch.setattr(cli, "_policy", policy)
+    out = tmp_path / "groupoid.json"
+    assert cli.main(["groupoid", "cm", FIXTURES, "--source", "F1", "--target", "F1",
+                     "--samples", "3", "--seed", "9", "--json", str(out)]) == 0
+    assert cli.main(["simplicial", FIXTURES, "--module", "F2", "--max-degree", "2"]) == 0
+    assert seen == [
+        {"command": "groupoid", "flavor": "cm", "file": FIXTURES, "source": "F1", "target": "F1",
+         "json": str(out), "samples": 3, "max_degree": 4, "seed": 9},
+        {"command": "simplicial", "file": FIXTURES, "module": "F2", "json": None,
+         "samples": 100, "max_degree": 2, "seed": None},
+    ]
+    assert json.loads(out.read_text())["params"]["seed"] == 9
+    assert cli.build_parser() is cli.build_parser()

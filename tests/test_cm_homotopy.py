@@ -173,3 +173,52 @@ def test_edge_algebra_is_certified_under_the_callers_policy():
     assert edge is cm._edges[pol]
     assert edge.certificate == Certificate(False, 2, 6, 13)
     assert edge_algebra(cm).certificate == Certificate(False, 4, 100, 0)
+
+
+def _free_line_cm():
+    R = make_free_algebra(["x"], QQ)
+    E = make_finite_algebra(["a"], {}, QQ)
+    cm = make_crossed(E, R, algebra_morphism(E, R, images={"a": R.zero()}), zero_action(R, E))
+    return cm, identity_cm_morphism(cm)
+
+
+def test_target_is_kept_per_policy():
+    """Each policy gets its own target, certified under that policy."""
+    cm, f = _free_line_cm()
+    d = make_cm_derivation(f, {"x": cm.E.basis_element("a")})
+    first, second = Policy(samples=3, seed=1), Policy(samples=7, seed=2)
+    g1, g2 = d.target(first), d.target(second)
+    assert g1 is not g2 and g1.equal(g2)
+    assert d.target(first) is g1 and d.target(second) is g2
+    assert g1.f0.multiplicative == Certificate(False, first.max_degree, 3, 1)
+    assert g2.f0.multiplicative == Certificate(False, second.max_degree, 7, 2)
+
+
+def test_groupoid_returns_the_derivations_already_certified(monkeypatch):
+    """Zeros, units and both bracketings come back as the derivations
+    certified out of their base map; make_cm_derivation certifies every
+    call."""
+    from xmod2 import maps
+
+    cm = fixtures.ideal_crossed()
+    rng = random.Random(4)
+    f = random_cm_morphism(cm, cm, rng)
+    d1 = random_cm_derivation(f, rng)
+    d2 = random_cm_derivation(d1.target(), rng)
+    d3 = random_cm_derivation(d2.target(), rng)
+    zf = zero_cm_derivation(f)
+    assert zero_cm_derivation(f) is zf
+    assert concat_cm(zf, d1) is d1
+    assert concat_cm(d1, zero_cm_derivation(d1.target())) is d1
+    left = concat_cm(concat_cm(d1, d2), d3)
+    assert concat_cm(d1, concat_cm(d2, d3)) is left
+
+    calls = []
+    real_tuples = maps.law_tuples
+    monkeypatch.setattr(
+        maps, "law_tuples", lambda *args, **kwargs: calls.append(args[0]) or real_tuples(*args, **kwargs)
+    )
+    again = make_cm_derivation(f, d1.images)
+    assert again is not d1 and len(calls) == 1 and again.certificate == d1.certificate
+    other = Policy(samples=3, seed=9)
+    assert concat_cm(zero_cm_derivation(f, other), d1, other) is not d1

@@ -1,11 +1,13 @@
+import gc
 import random
+import weakref
 
 import pytest
 
 from xmod2 import fixtures
 from xmod2.crossed import identity_2cm_morphism, zero_2cm_morphism
-from xmod2.errors import CompositionMismatch, FreeBasisRequired, QDLawViolation
-from xmod2.maps import Policy, random_element
+from xmod2.errors import CompositionMismatch, FreeBasisRequired, QDLawViolation, XmodError
+from xmod2.maps import Certificate, Policy, random_element
 from xmod2.randgen import (
     random_2cm_morphism,
     random_free_two_crossed,
@@ -375,3 +377,129 @@ def test_second_quadratic_derivation_draws_no_sampled_tuple(monkeypatch):
         make_quadratic_derivation(f, qd.s_images, qd.t_images, POL)
     assert draws[1] > 0 and draws[2] == 0
     assert sizes[0] == sizes[1] == [1 + POL.samples] * 3  # s-law, t-action, on boundaries
+
+
+def test_target_is_kept_per_policy():
+    """Each policy gets its own target, certified under that policy."""
+    _, _, f, h1, _, _ = worked()
+    qd = make_quadratic_derivation(f, h1.s_images, {}, POL)
+    first, second = Policy(samples=3, seed=1), Policy(samples=7, seed=2)
+    g1, g2 = qd.target(first), qd.target(second)
+    assert g1 is not g2 and g1.equal(g2)
+    assert qd.target(first) is g1 and qd.target(second) is g2
+    assert g1.f0.multiplicative == Certificate(False, first.max_degree, 3, 1)
+    assert g2.f0.multiplicative == Certificate(False, second.max_degree, 7, 2)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_groupoid_returns_the_homotopies_already_certified(seed):
+    """Units, inverse laws and both bracketings of a triple come back as
+    the objects certified out of their base map, carrying the certificates
+    a re-certification would give."""
+    F3, F2 = fixtures.free_line_two_crossed(), fixtures.square_two_crossed()
+    rng = random.Random(seed)
+    f = random_2cm_morphism(F3, F2, rng, policy=POL)
+    h1 = apply_2cm_homotopy(random_quadratic_derivation(f, rng, policy=POL), POL)
+    h2 = apply_2cm_homotopy(random_quadratic_derivation(h1.target, rng, policy=POL), POL)
+    h3 = apply_2cm_homotopy(random_quadratic_derivation(h2.target, rng, policy=POL), POL)
+    zf = zero_quadratic(f, POL)
+    assert zero_quadratic(f, POL) is zf
+    assert concat_2cm(zf, h1, POL).qd is h1.qd
+    assert concat_2cm(h1, zero_quadratic(h1.target, POL), POL).qd is h1.qd
+    hinv = invert_2cm(h1, POL)
+    assert concat_2cm(h1, hinv, POL).qd is zf
+    assert concat_2cm(hinv, h1, POL).qd is zero_quadratic(h1.target, POL)
+    c12, c23 = concat_2cm(h1, h2, POL), concat_2cm(h2, h3, POL)
+    assert concat_2cm(h1, c23, POL).qd is concat_2cm(c12, h3, POL).qd
+    fresh = make_quadratic_derivation(f, h1.s_images, h1.qd.t_images, POL)
+    assert fresh is not h1.qd and fresh.certificates == h1.qd.certificates
+
+
+def _free_domain_instance(seed):
+    """A free F5 domain with dim E = 2 into a target with dim L = 2, and a
+    quadratic derivation with nonzero t (seed 5)."""
+    F5 = PrimeField(5)
+    rng = random.Random(seed)
+    D = random_free_two_crossed(F5, rng, max_dim=2, policy=POL)
+    B = random_two_crossed(F5, rng, max_dim=2, policy=POL)
+    f = random_2cm_morphism(D, B, rng, policy=POL)
+    return D, B, f, random_quadratic_derivation(f, rng, policy=POL)
+
+
+def test_changed_data_or_policy_misses_the_memo_and_certifies_in_full(monkeypatch):
+    from xmod2 import maps, tcm_homotopy
+
+    D, B, f, qd = _free_domain_instance(5)
+    assert D.E.dim() == 2 and B.L.dim() == 2 and qd.t_images
+    other = Policy(samples=3, seed=9)
+    get_tower(B, other)  # kept per policy: built before counting
+    changed = dict(qd.t_images)
+    changed["u0"] = changed["u0"] + B.L.basis_element("k1")  # one coefficient
+
+    real_tuples = maps.law_tuples
+    calls = []
+
+    def law_tuples(*args, **kwargs):
+        calls.append(args[0])
+        return real_tuples(*args, **kwargs)
+
+    monkeypatch.setattr(maps, "law_tuples", law_tuples)
+    monkeypatch.setattr(tcm_homotopy, "law_tuples", law_tuples)
+    assert tcm_homotopy._quadratic(f, qd.s_images, qd.t_images, POL) is qd
+    assert calls == []
+    for t_images, policy in ((changed, POL), (qd.t_images, other)):
+        out = tcm_homotopy._quadratic(f, qd.s_images, t_images, policy)
+        assert out is not qd and len(calls) == 3  # s-law, t-action, on boundaries
+        assert out.certificates["s-law"].samples == policy.samples
+        assert tcm_homotopy._quadratic(f, qd.s_images, t_images, policy) is out
+        assert len(calls) == 3
+        calls.clear()
+
+
+def test_wrong_composite_is_certified_not_taken_from_the_memo(monkeypatch):
+    """t [+] t' off by a nonzero element of L' (a wrong w-term) gives
+    composites that share their s with a kept homotopy but not their t.
+    Each is certified and rejected; the memo never answers for it."""
+    from xmod2 import tcm_homotopy
+
+    _, B, f, qd = _free_domain_instance(5)
+    h1 = apply_2cm_homotopy(qd, POL)
+    zf = apply_2cm_homotopy(zero_quadratic(f, POL), POL)
+    hinv = invert_2cm(h1, POL)
+    c = B.L.basis_element("k0")
+    real = tcm_homotopy.w_map
+    monkeypatch.setattr(tcm_homotopy, "w_map", lambda *args, **kwargs: real(*args, **kwargs) + c)
+    for left, right in ((zf, h1), (h1, hinv)):
+        with pytest.raises(XmodError):
+            concat_2cm(left, right, POL)
+
+
+@pytest.mark.parametrize("name", ["_pair_w", "w_map"])
+def test_wrong_w_term_stops_or_fails_the_groupoid_check(monkeypatch, name):
+    """The same nonzero term added to w where it builds tbar (_pair_w) or
+    t [+] t' (w_map): the groupoid check raises or reports a failed law."""
+    from xmod2 import tcm_homotopy
+
+    D, B, _, _ = _free_domain_instance(5)
+    c = B.L.basis_element("k0")
+    real = getattr(tcm_homotopy, name)
+    monkeypatch.setattr(tcm_homotopy, name, lambda *args, **kwargs: real(*args, **kwargs) + c)
+    try:
+        entries = tcm_groupoid_check(D, B, samples=1, seed=3, policy=POL)
+    except XmodError:
+        return
+    assert not all(ok for _, ok, _ in entries)
+
+
+def test_kept_homotopies_are_freed_with_their_base_map():
+    """A kept homotopy refers to its base map and the map keeps it: a cycle
+    that the collector frees with the map."""
+    f, h1 = worked()[2:4]
+    kept = weakref.ref(zero_quadratic(f, POL))
+    zf = apply_2cm_homotopy(kept(), POL)
+    concat_2cm(h1, invert_2cm(h1, POL), POL)
+    concat_2cm(zf, h1, POL)
+    base = weakref.ref(f)
+    del f, h1, zf
+    gc.collect()
+    assert base() is None and kept() is None
