@@ -188,17 +188,11 @@ def _cmd_homotopy(args, policy):
     items = [h for _, h in flavors]
 
     if args.op == "apply":
+        apply = apply_cm_homotopy if kind == "cm" else apply_2cm_homotopy
         for name, item in zip(names, items):
-            if kind == "cm":
-                hom = apply_cm_homotopy(item, policy)
-                g0, g1 = hom.target.f0, hom.target.f1
-                for r in _sample_points(item.f.src.R):
-                    report.add("value/%s/g0(%s)" % (name, r), "target", True, witness=str(g0(r)))
-            else:
-                hom = apply_2cm_homotopy(item, policy)
-                for r in _sample_points(item.f.src.R):
-                    report.add("value/%s/g0(%s)" % (name, r), "target", True,
-                               witness=str(hom.target.f0(r)))
+            g0 = apply(item, policy).target.f0
+            for r in _sample_points(item.f.src.R):
+                report.add("value/%s/g0(%s)" % (name, r), "target", True, witness=str(g0(r)))
             report.add("homotopy/%s/target-valid" % name, "target", True)
         return report
 

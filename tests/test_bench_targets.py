@@ -1,0 +1,27 @@
+"""Every name the benchmark's tracer wraps resolves in xmod2, so removing
+or renaming a traced function fails here and not only in a traced run."""
+
+import importlib
+import importlib.util
+import os
+
+HERE = os.path.dirname(__file__)
+TRACER = os.path.join(HERE, os.pardir, "verdictbench", "tracer.py")
+
+
+def _targets():
+    spec = importlib.util.spec_from_file_location("verdictbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.TARGETS
+
+
+def test_every_traced_name_resolves():
+    missing = []
+    for module_name, attribute, _, _, _ in _targets():
+        owner = importlib.import_module("xmod2." + module_name)
+        for part in attribute.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append("%s.%s" % (module_name, attribute))
+    assert missing == []

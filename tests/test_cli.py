@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -44,6 +45,29 @@ def test_assoc_reports_w_change():
     out = run_cli("homotopy", "assoc", FIXTURES, "--names", "h1,h2,h3")
     assert out.returncode == 0
     assert "w-change(x^2)" in out.stdout
+
+
+# sha256 of ``xmod2 homotopy OP fixtures.json --names NAMES --samples 10
+# --seed 0 --json``: the composition, inversion and w-change outputs
+# byte for byte, for the 2-crossed h1..h3 and the crossed d1.
+_HOMOTOPY_DIGESTS = {
+    ("apply", "h1"): "b4f1f019fc78822364f32c49353f3d5cb440382f337652c926c1c7aa2acf1f73",
+    ("compose", "h1,h2"): "44535e7af9e37485fc58943fca205ee7f599358b6f1c578774ec96a7a9d9bfe1",
+    ("invert", "h1"): "36d8ae3c6beed19ecd722badf770ab1a74f429eecbedd34d112eaf9e7990f1de",
+    ("assoc", "h1,h2,h3"): "c03e44ab9da83d41c9c96977ec424f8231ace984b0203bf6ac0d491750bbe0ef",
+    ("apply", "d1"): "cfe623b8ed6da5644b0d0b3466cf1a8b5ad5341e4aebef9b746a9fd13d3416a5",
+    ("invert", "d1"): "e935926c3bab3df399da47e68a570e8723e4a645e6d1a176fd090c2193945302",
+}
+
+
+@pytest.mark.parametrize("op, names", list(_HOMOTOPY_DIGESTS),
+                         ids=["-".join(case) for case in _HOMOTOPY_DIGESTS])
+def test_homotopy_json_is_pinned(tmp_path, capsys, op, names):
+    out = tmp_path / "out.json"
+    argv = ["homotopy", op, FIXTURES, "--names", names,
+            "--samples", "10", "--seed", "0", "--json", str(out)]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _HOMOTOPY_DIGESTS[op, names]
 
 
 def test_groupoid_tcm_without_free_basis_fails_with_exit_1():

@@ -246,6 +246,38 @@ def test_w_change_worked_and_random():
         assert ok, (r, lhs, rhs)
 
 
+def _f3_triple(seed):
+    """A composable triple over the free line F3: the worked one over Q
+    (seed None) or a random one into a random F5 target."""
+    if seed is None:
+        F3, _, _, h1, h2, h3 = worked()
+        return F3, (h1, h2, h3), random.Random(0)
+    F5 = PrimeField(5)
+    rng = random.Random(seed)
+    D = fixtures.free_line_two_crossed(F5)
+    f = random_2cm_morphism(D, random_two_crossed(F5, rng, max_dim=2, policy=POL), rng, policy=POL)
+    hs = []
+    for _ in range(3):
+        hs.append(apply_2cm_homotopy(random_quadratic_derivation(f, rng, policy=POL), POL))
+        f = hs[-1].target
+    return D, tuple(hs), rng
+
+
+@pytest.mark.parametrize("seed", [None, 41, 42, 43])
+def test_w_read_agrees_with_the_triangle_and_tetrahedron(seed):
+    """w_map reads w without the triangle tripwire; at each point it is the
+    L'-component of the checked X, and the w-change lhs w12 + w12_3 is
+    read off the checked Z (components 3 + 5 + 6)."""
+    D, (h1, h2, h3), rng = _f3_triple(seed)
+    T = get_tower(h1.qd.f.tgt, POL)
+    x = D.R.monomial("x")
+    for r in (x, x * x, x * x * x, random_element(D.R, rng, 4)):
+        assert w_map(h1, h2, r, POL) == T.split2(x_map(h1, h2, r, POL))[3]
+        z = T.split3(z_map(h1, h2, h3, r, POL))
+        ok, lhs, _ = check_w_change(h1, h2, h3, r, POL)
+        assert ok and lhs == z[3] + z[5] + z[6]
+
+
 def test_box_plus_t_identities_on_domain_with_nonzero_e():
     F5 = PrimeField(5)
     rng = random.Random(12)
@@ -424,6 +456,29 @@ def _free_domain_instance(seed):
     B = random_two_crossed(F5, rng, max_dim=2, policy=POL)
     f = random_2cm_morphism(D, B, rng, policy=POL)
     return D, B, f, random_quadratic_derivation(f, rng, policy=POL)
+
+
+def test_concat_reads_w_once_per_key_and_runs_no_triangle_tripwire(monkeypatch):
+    """t [+] t' reads w through w_map once per E-basis key; the composite's
+    s-images are summed directly, with no extension and no x_map."""
+    from xmod2 import tcm_homotopy
+
+    D, _, _, qd = _free_domain_instance(5)
+    h1 = apply_2cm_homotopy(qd, POL)
+    h2 = apply_2cm_homotopy(random_quadratic_derivation(h1.target, random.Random(6), policy=POL), POL)
+    calls = {}
+    for name in ("x_map", "extend_derivation", "box_plus_s", "w_map"):
+        real = getattr(tcm_homotopy, name)
+        calls[name] = 0
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(tcm_homotopy, name, counted)
+    concat_2cm(h1, h2, POL)
+    assert D.E.dim() == 2
+    assert calls == {"x_map": 0, "extend_derivation": 0, "box_plus_s": 0, "w_map": 2}
 
 
 def test_changed_data_or_policy_misses_the_memo_and_certifies_in_full(monkeypatch):
