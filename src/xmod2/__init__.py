@@ -10,7 +10,6 @@ from .algebra import (
     SemidirectAlgebra,
     make_finite_algebra,
     make_free_algebra,
-    split_pair,
     zero_algebra,
 )
 from .cm_homotopy import (

@@ -439,11 +439,3 @@ def make_free_algebra(generators, ring):
 def zero_algebra(ring):
     """The zero algebra, as a finite algebra with empty basis."""
     return FiniteAlgebra(ring, (), {})
-
-
-def split_pair(u):
-    """Split an element of a semidirect algebra into its two components."""
-    alg = u.algebra
-    if not isinstance(alg, SemidirectAlgebra):
-        raise OwnerMismatch("split_pair on non-semidirect element %r" % (u,))
-    return alg.split(u)

@@ -43,6 +43,21 @@ def _default_seed():
         return 0
 
 
+def _int_at_least(low):
+    """An argparse type: an int no smaller than ``low``.  Certificates
+    stamp --samples and --max-degree as what was drawn, but a negative
+    count draws nothing and ``maps.random_element`` draws degree >= 1."""
+
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built once per process: parsing leaves it
@@ -57,8 +72,8 @@ def build_parser():
     def common(p, with_policy=True):
         p.add_argument("--json", metavar="PATH", help="also write the canonical JSON report")
         if with_policy:
-            p.add_argument("--samples", type=int, default=100)
-            p.add_argument("--max-degree", type=int, default=4)
+            p.add_argument("--samples", type=_int_at_least(0), default=100)
+            p.add_argument("--max-degree", type=_int_at_least(1), default=4)
             p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("validate", help="validate every structure in a file")

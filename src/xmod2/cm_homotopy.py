@@ -85,7 +85,7 @@ class CMDerivation:
 
 
 def derivation_map(f, images, edge):
-    """Realize an f0-derivation s: R -> E' from its images, which it keeps.
+    """Realize an f0-derivation s: R -> E' from its images.
 
     A finite R gives a basis table.  A free R gives the algebra map
     r -> (f0(r), s(r)) into R' |x E' = edge(), fixed by the generator
@@ -99,9 +99,7 @@ def derivation_map(f, images, edge):
     phi = algebra_morphism(
         R, lam1, images={b: lam1.pair(f.f0(R.basis_element((b,))), images[b]) for b in R.generators}
     )
-    return LinearMap(
-        R, target, "function", images=images, fn=lambda r: lam1.split(phi(r))[1], note="derivation"
-    )
+    return LinearMap(R, target, "function", fn=lambda r: lam1.split(phi(r))[1], note="derivation")
 
 
 def check_derivation_law(R, f0, act, s, error, policy, rng):

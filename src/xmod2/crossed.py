@@ -448,14 +448,3 @@ def zero_2cm_morphism(A, B, policy=DEFAULT_POLICY):
     from .maps import zero_map
 
     return make_2cm_morphism(A, B, zero_map(A.R, B.R), zero_map(A.E, B.E), zero_map(A.L, B.L), policy)
-
-
-def compose_2cm_morphisms(g, f, policy=DEFAULT_POLICY):
-    """g after f; the composite is re-certified (closure check)."""
-    from .maps import map_compose
-
-    if not f.tgt.compatible(g.src):
-        raise BadShape("non-composable 2-crossed morphisms")
-    return make_2cm_morphism(
-        f.src, g.tgt, map_compose(g.f0, f.f0), map_compose(g.f1, f.f1), map_compose(g.f2, f.f2), policy
-    )

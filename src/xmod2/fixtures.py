@@ -83,16 +83,6 @@ def square_two_crossed(ring=QQ):
 
 
 @cache
-def square_level_one(ring=QQ):
-    """The pre-crossed module E' -> R' underlying F2 (fails XM2 at (a, a))."""
-    from .crossed import make_precrossed
-
-    R, E, _ = _square_algebras(ring)
-    d1 = algebra_morphism(E, R, images={"a": R.basis_element("p"), "b": R.zero()})
-    return make_precrossed(E, R, d1, zero_action(R, E))
-
-
-@cache
 def free_line_two_crossed(ring=QQ):
     """F3: 0 -> 0 -> polynomial algebra on {x}, free basis recorded."""
     R = make_free_algebra(["x"], ring)

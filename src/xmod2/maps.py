@@ -315,11 +315,6 @@ def identity_map(alg):
     return f
 
 
-def map_compose(f, g):
-    """f after g."""
-    return LinearMap(g.source, f.target, "function", fn=lambda u: f(g(u)), note="composite")
-
-
 def certify_multiplicative(f, policy=DEFAULT_POLICY, rng=None):
     f.multiplicative = check_law(
         [f.source, f.source], lambda u, v: f(u * v), lambda u, v: f(u) * f(v),

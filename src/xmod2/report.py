@@ -40,10 +40,11 @@ class Report:
             certificate = certificate.to_json()
         self.checks.append(Check(name, tag, status, witness, certificate))
 
-    def extend(self, prefix, entries, tag_from_name=True):
-        """Absorb (name, ok, witness) triples from a checker."""
+    def extend(self, prefix, entries):
+        """Absorb (name, ok, witness) triples from a checker; each tag is
+        the last segment of its name."""
         for name, ok, witness in entries:
-            tag = name.rsplit("/", 1)[-1] if tag_from_name else name
+            tag = name.rsplit("/", 1)[-1]
             self.add("%s/%s" % (prefix, name) if prefix else name, tag, ok, witness)
 
     @property

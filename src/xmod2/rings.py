@@ -55,7 +55,7 @@ class Ring:
     def is_zero(self, a):
         return a == self.zero
 
-    def random(self, rng, small=True):
+    def random(self, rng):
         raise NotImplementedError
 
     def __repr__(self):
@@ -99,10 +99,8 @@ class Rational(Ring):
             raise ZeroDivisionError("inverse of zero")
         return 1 / a
 
-    def random(self, rng, small=True):
-        if small:
-            return Fraction(rng.randint(-3, 3))
-        return Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+    def random(self, rng):
+        return Fraction(rng.randint(-3, 3))
 
     def __eq__(self, other):
         return isinstance(other, Rational)
@@ -166,8 +164,8 @@ class PrimeField(Ring):
             raise ZeroDivisionError("inverse of zero mod %d" % self.p)
         return pow(a, -1, self.p)
 
-    def random(self, rng, small=True):
-        return rng.randrange(self.p if not small else min(self.p, 5))
+    def random(self, rng):
+        return rng.randrange(min(self.p, 5))
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

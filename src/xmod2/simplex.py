@@ -19,9 +19,13 @@ of such keys stay on their side, so the basis tuples of >t's exhaustive
 check contain every A1/A2 basis tuple of the six components, which then
 carry >t's certificate.  Over a free R the components are certified on
 their own.  Each semidirect product is certified by the semidirect lemma
-(``maps.certify_algebra``).  Faces and degeneracies are certified algebra
-morphisms; tuples are ordered (r, e, e', l) and (r, e, e', l, e'', l', l'')
-and every face/degeneracy formula is transcribed against that order.
+(``maps.certify_algebra``).
+
+The faces and degeneracies are written once, as the two tables
+``_face_formulas`` and ``_degeneracy_formulas``: (n, i) maps to a formula on
+the component tuples of Lam_n, (r,), (r, e), (r, e, e', l) and
+(r, e, e', l, e'', l', l''), in that order.  ``build_tower`` wraps every entry
+the same way, as a certified algebra morphism between the packed levels.
 """
 
 from .errors import IndexOutOfRange
@@ -223,7 +227,6 @@ def build_tower(A, policy=DEFAULT_POLICY):
     """Construct Lam0..Lam3 over A with every action, multiplication,
     face and degeneracy certified."""
     R, E, L = A.R, A.E, A.L
-    bd1, bd2 = A.d1, A.d2
 
     el = semidirect(E, L, A.act_prime, policy)
     lam1 = semidirect(R, E, A.act_e, policy)
@@ -256,81 +259,55 @@ def build_tower(A, policy=DEFAULT_POLICY):
 
     levels = (R, lam1, lam2, lam3)
     tower = SimplexTower(A, levels, el, ell, {}, {}, actions)
-
-    def face1_0(u):
-        r, _ = lam1.split(u)
-        return r
-
-    def face1_1(u):
-        r, e = lam1.split(u)
-        return r + bd1(e)
-
-    def face2(i):
-        def fn(u):
-            r, e, e2, l = tower.split2(u)
-            if i == 0:
-                return lam1.pair(r, e)
-            if i == 1:
-                return lam1.pair(r, e + e2)
-            return lam1.pair(r + bd1(e), e2 + bd2(l))
-
-        return fn
-
-    def face3(i):
-        def fn(u):
-            r, e, e2, l, e3, l2, l3 = tower.split3(u)
-            if i == 0:
-                return tower.simplex2(r, e, e2, l)
-            if i == 1:
-                return tower.simplex2(r, e, e2 + e3, l + l2)
-            if i == 2:
-                return tower.simplex2(r, e + e2, e3, l2 + l3)
-            return tower.simplex2(r + bd1(e), e2 + bd2(l), e3 + bd2(l2), l3)
-
-        return fn
-
-    faces = {
-        (1, 0): algebra_morphism(lam1, R, fn=face1_0, policy=policy, note="d0@1"),
-        (1, 1): algebra_morphism(lam1, R, fn=face1_1, policy=policy, note="d1@1"),
-    }
-    for i in range(3):
-        faces[(2, i)] = algebra_morphism(lam2, lam1, fn=face2(i), policy=policy, note="d%d@2" % i)
-    for i in range(4):
-        faces[(3, i)] = algebra_morphism(lam3, lam2, fn=face3(i), policy=policy, note="d%d@3" % i)
-
-    def degen0(u):
-        return lam1.pair(u, E.zero())
-
-    def degen1(i):
-        def fn(u):
-            r, e = lam1.split(u)
-            if i == 0:
-                return tower.simplex2(r, e, E.zero(), L.zero())
-            return tower.simplex2(r, E.zero(), e, L.zero())
-
-        return fn
-
-    def degen2(i):
-        def fn(u):
-            r, e, e2, l = tower.split2(u)
-            zE, zL = E.zero(), L.zero()
-            if i == 0:
-                return tower.simplex3(r, e, e2, l, zE, zL, zL)
-            if i == 1:
-                return tower.simplex3(r, e, zE, zL, e2, l, zL)
-            return tower.simplex3(r, zE, e, zL, e2, zL, l)
-
-        return fn
-
-    degens = {(0, 0): algebra_morphism(R, lam1, fn=degen0, policy=policy, note="s0@0")}
-    for i in range(2):
-        degens[(1, i)] = algebra_morphism(lam1, lam2, fn=degen1(i), policy=policy, note="s%d@1" % i)
-    for i in range(3):
-        degens[(2, i)] = algebra_morphism(lam2, lam3, fn=degen2(i), policy=policy, note="s%d@2" % i)
-
-    tower.faces.update(faces)
-    tower.degeneracies.update(degens)
+    codecs = (
+        (lambda u: (u,), lambda r: r),
+        (lam1.split, lam1.pair),
+        (tower.split2, tower.simplex2),
+        (tower.split3, tower.simplex3),
+    )
+    for store, formulas, step, tag in (
+        (tower.faces, _face_formulas(A), -1, "d"),
+        (tower.degeneracies, _degeneracy_formulas(A), 1, "s"),
+    ):
+        for (n, i), formula in formulas.items():
+            fn = _on_levels(codecs[n][0], formula, codecs[n + step][1])
+            store[(n, i)] = algebra_morphism(
+                levels[n], levels[n + step], fn=fn, policy=policy, note="%s%d@%d" % (tag, i, n)
+            )
     return tower
+
+
+def _on_levels(split, formula, pack):
+    return lambda u: pack(*formula(*split(u)))
+
+
+def _face_formulas(A):
+    """d_i : Lam_n -> Lam_{n-1} on components, keyed by (n, i)."""
+    d1, d2 = A.d1, A.d2
+    return {
+        (1, 0): lambda r, e: (r,),
+        (1, 1): lambda r, e: (r + d1(e),),
+        (2, 0): lambda r, e, e2, l: (r, e),
+        (2, 1): lambda r, e, e2, l: (r, e + e2),
+        (2, 2): lambda r, e, e2, l: (r + d1(e), e2 + d2(l)),
+        (3, 0): lambda r, e, e2, l, e3, l2, l3: (r, e, e2, l),
+        (3, 1): lambda r, e, e2, l, e3, l2, l3: (r, e, e2 + e3, l + l2),
+        (3, 2): lambda r, e, e2, l, e3, l2, l3: (r, e + e2, e3, l2 + l3),
+        (3, 3): lambda r, e, e2, l, e3, l2, l3: (r + d1(e), e2 + d2(l), e3 + d2(l2), l3),
+    }
+
+
+def _degeneracy_formulas(A):
+    """s_i : Lam_n -> Lam_{n+1} on components, keyed by (n, i)."""
+    zE, zL = A.E.zero(), A.L.zero()
+    return {
+        (0, 0): lambda r: (r, zE),
+        (1, 0): lambda r, e: (r, e, zE, zL),
+        (1, 1): lambda r, e: (r, zE, e, zL),
+        (2, 0): lambda r, e, e2, l: (r, e, e2, l, zE, zL, zL),
+        (2, 1): lambda r, e, e2, l: (r, e, zE, zL, e2, l, zL),
+        (2, 2): lambda r, e, e2, l: (r, zE, e, zL, e2, zL, l),
+    }
 
 
 def get_tower(A, policy=DEFAULT_POLICY):

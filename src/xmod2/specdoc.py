@@ -363,9 +363,9 @@ class _Loader:
 def load_spec(path_or_dict, policy=DEFAULT_POLICY):
     """Load and fully validate a structure document.
 
-    Raises ParseError (syntax, with line/col for JSON errors),
-    UnresolvedReference, or ValidationError (named structure, law,
-    witness).  On success every named structure has been constructed and
+    Raises ParseError (bytes that are not UTF-8, or JSON syntax with
+    line/col), UnresolvedReference, or ValidationError (named structure,
+    law, witness).  On success every named structure has been constructed and
     certified in dependency order.
     """
     if isinstance(path_or_dict, dict):
@@ -374,8 +374,8 @@ def load_spec(path_or_dict, policy=DEFAULT_POLICY):
         try:
             with open(path_or_dict, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError:
-            raise
+        except UnicodeDecodeError as exc:
+            raise ParseError("document is not UTF-8: %s" % exc)
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:

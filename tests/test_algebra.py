@@ -5,7 +5,6 @@ import pytest
 from xmod2.algebra import (
     make_finite_algebra,
     make_free_algebra,
-    split_pair,
     zero_algebra,
 )
 from xmod2.errors import (
@@ -113,7 +112,7 @@ def test_semidirect_worked_product():
     u = lam1.pair(R.basis_element("x"), E.basis_element("x2"))
     v = lam1.pair(R.basis_element("x"), E.zero())
     assert u * v == lam1.pair(R.basis_element("x2"), E.zero())
-    left, right = split_pair(u * v)
+    left, right = lam1.split(u * v)
     assert left == R.basis_element("x2") and right.is_zero()
 
 

@@ -11,10 +11,12 @@ from xmod2 import cli
 HERE = os.path.dirname(__file__)
 ROOT = os.path.join(HERE, os.pardir)
 FIXTURES = os.path.join(ROOT, "fixtures.json")
+SRC = os.path.abspath(os.path.join(ROOT, "src"))
 
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -70,6 +72,30 @@ def test_homotopy_json_is_pinned(tmp_path, capsys, op, names):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _HOMOTOPY_DIGESTS[op, names]
 
 
+# sha256 of ``xmod2 simplicial fixtures.json --module M --samples 10 --seed S
+# --json``: every identity, action, face and degeneracy entry of the tower.
+_SIMPLICIAL_DIGESTS = {
+    ("F0", "0"): "f9eda2f3232789513558a5cdcbff2a59a9ccbc1d6864982bdfb51342c827e272",
+    ("F2", "0"): "1c092013ebb3432a4454cd5f7b26fa3180d7a070c13e0ba9740dfe8ef4a1d7c4",
+    ("F3", "0"): "62b4339f4a90cdace2996ab606a3514e6c99f3811ca4eb3811fa891fb2e8090b",
+    ("K2", "0"): "77bbb8d05890f1eca89b2fa3fcc539c1fe2890e900ff59f193a7a0dc860ef066",
+    ("F0", "7"): "a1a1fc4ebdf0953b7d52cd88e9e5ae1fef26fc4058bc2ad9280969abdb91c30f",
+    ("F2", "7"): "0da23a614fd5afa8a21a4ddb6c9f51a1bd0c9d6a4c2eb08eb4b509ba3d933a32",
+    ("F3", "7"): "f5367839bedb81bc7f056f90cdb488ba769c7d160f75d0030ef8addd7430f9b3",
+    ("K2", "7"): "3acbc24b7113eb6fdf4bccd3d9da423843226fce26c4786d3e8bdb22b50d6521",
+}
+
+
+@pytest.mark.parametrize("module, seed", list(_SIMPLICIAL_DIGESTS),
+                         ids=["-".join(case) for case in _SIMPLICIAL_DIGESTS])
+def test_simplicial_json_is_pinned(tmp_path, capsys, module, seed):
+    out = tmp_path / "out.json"
+    argv = ["simplicial", FIXTURES, "--module", module,
+            "--samples", "10", "--seed", seed, "--json", str(out)]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _SIMPLICIAL_DIGESTS[module, seed]
+
+
 def test_groupoid_tcm_without_free_basis_fails_with_exit_1():
     out = run_cli("groupoid", "tcm", FIXTURES, "--source", "F2", "--target", "F2")
     assert out.returncode == 1
@@ -103,6 +129,29 @@ def test_parse_error_exit_3(tmp_path):
     out = run_cli("validate", str(bad))
     assert out.returncode == 3
     assert "parse error" in out.stderr
+
+
+def test_non_utf8_document_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps({"ring": "Q"}).encode("utf-16-le"))
+    assert cli.main(["validate", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "UTF-8" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--samples", "-1"), ("--max-degree", "0")])
+def test_policy_flag_below_its_floor_is_usage_error(capsys, flag, value):
+    """A certificate stamps the sample count and degree bound it was
+    drawn with; a value that draws nothing or cannot be drawn is refused."""
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["simplicial", FIXTURES, "--module", "F0", flag, value])
+    assert stop.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
+def test_policy_flag_floors_are_accepted():
+    args = cli.build_parser().parse_args(["selftest", "--samples", "0", "--max-degree", "1"])
+    assert (args.samples, args.max_degree) == (0, 1)
 
 
 def test_unresolved_reference_exit_1(tmp_path):

@@ -6,7 +6,6 @@ import pytest
 from xmod2 import fixtures
 from xmod2.algebra import make_finite_algebra, make_free_algebra
 from xmod2.crossed import (
-    compose_2cm_morphisms,
     ideal_inclusion_cm,
     identity_2cm_morphism,
     kernel_two_crossed,
@@ -22,13 +21,30 @@ from xmod2.errors import (
     XM1Violation,
     XM2Violation,
 )
-from xmod2.maps import algebra_morphism, make_action, zero_action, zero_bilinear
+from xmod2.maps import LinearMap, algebra_morphism, make_action, zero_action, zero_bilinear
 from xmod2.randgen import random_precrossed
 from xmod2.rings import PrimeField, QQ
 
 
+def square_level_one():
+    """The pre-crossed module E' -> R' underlying F2 (fails XM2 at (a, a))."""
+    R = make_finite_algebra(["p"], {}, QQ)
+    E = make_finite_algebra(["a", "b"], {("a", "a"): {"b": 1}}, QQ)
+    d1 = algebra_morphism(E, R, images={"a": R.basis_element("p"), "b": R.zero()})
+    return make_precrossed(E, R, d1, zero_action(R, E))
+
+
+def compose_2cm_morphisms(g, f):
+    """g after f; make_2cm_morphism re-certifies the composite (closure check)."""
+
+    def after(a, b):
+        return LinearMap(b.source, a.target, "function", fn=lambda u: a(b(u)))
+
+    return make_2cm_morphism(f.src, g.tgt, after(g.f0, f.f0), after(g.f1, f.f1), after(g.f2, f.f2))
+
+
 def test_square_level_one_is_precrossed_but_not_crossed():
-    P = fixtures.square_level_one()
+    P = square_level_one()
     assert P.certificates["XM1"].exhaustive
     with pytest.raises(XM2Violation) as err:
         make_crossed(P.E, P.R, P.d, P.act)
@@ -142,7 +158,7 @@ def test_free_basis_must_present_r():
 
 
 def test_kernel_of_square_level_one_reproduces_f2():
-    P = fixtures.square_level_one()
+    P = square_level_one()
     K = kernel_two_crossed(P)
     assert K.L.labels == ("k0",)
     k0 = K.L.basis_element("k0")

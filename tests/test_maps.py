@@ -17,6 +17,7 @@ from xmod2.maps import (
     EXHAUSTIVE,
     BilinearMap,
     Certificate,
+    LinearMap,
     Policy,
     algebra_morphism,
     certify_action,
@@ -25,7 +26,6 @@ from xmod2.maps import (
     law_tuples,
     linear_map,
     make_action,
-    map_compose,
     morphisms_equal,
     zero_action,
     zero_map,
@@ -74,6 +74,11 @@ def test_linear_map_guards():
         linear_map(R, R, {"nope": R.zero()})
     with pytest.raises(OwnerMismatch):
         linear_map(R, R, {"x": P.monomial("y")})
+
+
+def map_compose(f, g):
+    """f after g."""
+    return LinearMap(g.source, f.target, "function", fn=lambda u: f(g(u)))
 
 
 def test_map_algebra_helpers():

@@ -387,3 +387,43 @@ def test_work_count_of_one_tower_build(monkeypatch):
     monkeypatch.setattr(maps, "law_tuples", counting)
     build_tower(F2, Policy(10, 4, 0))
     assert seen == [21, 959]
+
+
+# One wrong term in one entry of a formula table, on components
+# (r, e, e', l, e'', l', l'').
+FORMULA_MUTANTS = {
+    "d3@3-without-d2(l')": ("_face_formulas", (3, 3), lambda A: (
+        lambda r, e, e2, l, e3, l2, l3: (r + A.d1(e), e2 + A.d2(l), e3, l3))),
+    "d3@2-without-l''": ("_face_formulas", (3, 2), lambda A: (
+        lambda r, e, e2, l, e3, l2, l3: (r, e + e2, e3, l2))),
+    "d3@1-without-l'": ("_face_formulas", (3, 1), lambda A: (
+        lambda r, e, e2, l, e3, l2, l3: (r, e, e2 + e3, l))),
+    "d2@2-without-d2(l)": ("_face_formulas", (2, 2), lambda A: (
+        lambda r, e, e2, l: (r + A.d1(e), e2))),
+    "d1@1-without-d1(e)": ("_face_formulas", (1, 1), lambda A: lambda r, e: (r,)),
+    "s1@1-with-e-twice": ("_degeneracy_formulas", (1, 1), lambda A: (
+        lambda r, e: (r, e, e, A.L.zero()))),
+    "s2@2-without-l": ("_degeneracy_formulas", (2, 2), lambda A: (
+        lambda r, e, e2, l: (r, A.E.zero(), e, A.L.zero(), e2, A.L.zero(), A.L.zero()))),
+}
+
+
+@pytest.mark.parametrize("table, key, mutant", list(FORMULA_MUTANTS.values()),
+                         ids=list(FORMULA_MUTANTS))
+def test_formula_table_mutant_is_rejected(monkeypatch, table, key, mutant):
+    """Every face and degeneracy is built from its entry in a formula
+    table, so a wrong entry reaches the tower, where it is rejected on F2:
+    by its multiplicativity check in build_tower, or by the identities."""
+    real = getattr(simplex, table)
+
+    def patched(A):
+        formulas = real(A)
+        formulas[key] = mutant(A)
+        return formulas
+
+    monkeypatch.setattr(simplex, table, patched)
+    try:
+        T = build_tower(fixtures.square_two_crossed(), POL)
+    except MorphismViolation:
+        return
+    assert not all(ok for _, ok, _ in check_simplicial_identities(T, POL))
