@@ -13,6 +13,12 @@ Three representations:
 Elements are sparse scalar maps over basis labels / monomials / tagged
 component keys, kept in canonical normal form, so equality is structural.
 All values are immutable after construction and every operation is pure.
+
+An element's ``coeffs`` dict may be shared: a product of two basis keys is
+the ``key_mul`` value itself (a structure-table row, or a semidirect
+product's memoised entry), and a map or action evaluated on basis keys
+returns its memoised image.  So nothing may mutate the ``coeffs`` of an
+element it did not just build.
 """
 
 from .errors import (
@@ -94,8 +100,21 @@ class Element:
         return "<%s>" % self.algebra.element_str(self)
 
 
+def unit_key(u):
+    """The key of u when u is one basis key with coefficient one, else None.
+
+    The tuples of an exhaustive law check are tuples of such values, so the
+    element operations take a direct path on them."""
+    if len(u.coeffs) == 1:
+        (key, c), = u.coeffs.items()
+        if c == u.algebra.ring.one:
+            return key
+    return None
+
+
 class Algebra:
     ring = None
+    _basis = None  # basis elements, built by basis_elements on first use
 
     # -- elements ----------------------------------------------------------
 
@@ -136,6 +155,9 @@ class Algebra:
         raise NotImplementedError
 
     def multiply(self, u, v):
+        k1, k2 = unit_key(u), unit_key(v)
+        if k1 is not None and k2 is not None:
+            return self.key_mul(k1, k2)
         ring = self.ring
         acc = {}
         for k1, c1 in u.coeffs.items():
@@ -163,7 +185,10 @@ class Algebra:
         raise BadShape("%r has no finite basis" % (self,))
 
     def basis_elements(self):
-        return [self.basis_element(k) for k in self.basis_keys()]
+        """A fresh list of the basis elements, which are built once."""
+        if self._basis is None:
+            self._basis = [self.basis_element(k) for k in self.basis_keys()]
+        return list(self._basis)
 
     def compatible(self, other):
         raise NotImplementedError
@@ -204,7 +229,7 @@ class FiniteAlgebra(Algebra):
         return key
 
     def key_mul(self, k1, k2):
-        return Element(self, dict(self._table.get((k1, k2), {})))
+        return Element(self, self._table.get((k1, k2), {}))
 
     def dim(self):
         return len(self.labels)
@@ -342,7 +367,12 @@ class SemidirectAlgebra(Algebra):
         return Element(self, {(1, k): c for k, c in u.coeffs.items()})
 
     def pair(self, u, v):
-        return self.embed_left(u) + self.embed_right(v)
+        self.left.owns(u)
+        self.right.owns(v)
+        coeffs = {(0, k): c for k, c in u.coeffs.items()}
+        for k, c in v.coeffs.items():
+            coeffs[(1, k)] = c
+        return Element(self, coeffs)
 
     def split(self, w):
         """Inverse of pair: the (left, right) components of an element."""

@@ -37,10 +37,13 @@ from .tcm_homotopy import (
 
 
 def _default_seed():
+    """XMOD2_SEED, else 0; a malformed value is a usage error (exit 2),
+    like a malformed --seed, never a silent seed 0."""
+    text = os.environ.get("XMOD2_SEED", "0")
     try:
-        return int(os.environ.get("XMOD2_SEED", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        build_parser().error("XMOD2_SEED: invalid int value: %r" % text)
 
 
 def _int_at_least(low):

@@ -39,13 +39,21 @@ pair for an action) once, keep it in a per-object memo, and extend
 (bi)linearly to general elements.  So a formula closure must be linear
 (bilinear for an action): it is only ever called on basis elements, and
 the memo grows with the keys seen.
+
+The tuples of an exhaustive law check are basis elements, so evaluation
+takes a direct path on a single basis key with coefficient one
+(``algebra.unit_key``): a ``LinearMap`` returns the key's memoised or
+table image, re-tagged to its target but not copied (a table key with no
+image gives the target's zero), and a ``FunctionAction`` returns the key
+pair's memoised image.  Those images share their ``coeffs`` with the memo,
+which is why elements are never mutated.
 """
 
 import itertools
 import random
 from dataclasses import dataclass
 
-from .algebra import Element, FiniteAlgebra, FreeAlgebra, SemidirectAlgebra
+from .algebra import Element, FiniteAlgebra, FreeAlgebra, SemidirectAlgebra, unit_key
 from .errors import (
     A1Violation,
     A2Violation,
@@ -217,6 +225,11 @@ def _weakest(*certs):
 # Linear maps
 
 
+def _as_element_of(alg, img):
+    """img re-tagged to alg, a compatible algebra, sharing its coeffs."""
+    return img if img.algebra is alg else Element(alg, img.coeffs)
+
+
 def _combination(alg, terms):
     """The element sum(c * img) of alg over (scalar, image) pairs."""
     ring = alg.ring
@@ -274,6 +287,10 @@ class LinearMap:
 
     def __call__(self, u):
         self.source.owns(u)
+        key = unit_key(u)
+        if key is not None:
+            img = self._image(key)
+            return self.target.zero() if img is None else _as_element_of(self.target, img)
         terms = []
         for key, c in u.coeffs.items():
             img = self._image(key)
@@ -471,6 +488,9 @@ class FunctionAction(Action):
     def __call__(self, r, m):
         self.acting.owns(r)
         self.acted.owns(m)
+        k1, k2 = unit_key(r), unit_key(m)
+        if k1 is not None and k2 is not None:
+            return _as_element_of(self.acted, self._image(k1, k2))
         mul = self.acted.ring.mul
         return _combination(self.acted, [
             (mul(c1, c2), self._image(k1, k2))

@@ -364,7 +364,12 @@ def x_map(h1, h2, r, policy=DEFAULT_POLICY):
 
 def _pair_w(f, images1, images2, r, policy=DEFAULT_POLICY):
     """w for a raw pair of basis-image tables over the base f: the
-    L'-component of X(r), the one place w is read."""
+    L'-component of X(r), the one place w is read.  w is linear, so w(0) =
+    0 without building X; concatenation and inversion read w at d1(e),
+    which is 0 on every domain the groupoid accepts."""
+    _require_free(f.src)
+    if f.src.R.owns(r).is_zero():
+        return f.tgt.L.zero()
     tower, X = _triangle_map(f, images1, images2, policy)
     return tower.split2(X(r))[3]
 

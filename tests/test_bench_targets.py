@@ -25,3 +25,18 @@ def test_every_traced_name_resolves():
         if not callable(owner):
             missing.append("%s.%s" % (module_name, attribute))
     assert missing == []
+
+
+def test_semidirect_key_mul_fills_the_cache_the_tracer_reads():
+    """The tracer's key_mul hit counter reads ``alg._mulcache`` by key pair."""
+    from xmod2 import fixtures
+    from xmod2.maps import Policy
+    from xmod2.simplex import build_tower
+
+    lam2 = build_tower(fixtures.square_two_crossed(), Policy(10, 4, 0)).levels[2]
+    assert isinstance(lam2._mulcache, dict) and lam2._mulcache
+    lam2._mulcache.clear()
+    keys = lam2.basis_keys()
+    product = lam2.key_mul(keys[0], keys[-1])
+    assert list(lam2._mulcache) == [(keys[0], keys[-1])]
+    assert lam2._mulcache[keys[0], keys[-1]] is product

@@ -185,6 +185,15 @@ def test_env_seed_fallback(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_malformed_env_seed_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("XMOD2_SEED", "abc")
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["groupoid", "cm", FIXTURES, "--source", "F1", "--target", "F1",
+                  "--samples", "2"])
+    assert stop.value.code == 2
+    assert "XMOD2_SEED" in capsys.readouterr().err
+
+
 _FREE_LINE_WITH_STRING_BASIS = {
     "ring": "Q",
     "algebras": {"X": {"type": "free", "generators": ["x"]},

@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from xmod2.algebra import make_finite_algebra, make_free_algebra
+from xmod2.algebra import FreeAlgebra, make_finite_algebra, make_free_algebra
 from xmod2.errors import (
     A1Violation,
     A2Violation,
@@ -17,6 +17,7 @@ from xmod2.maps import (
     EXHAUSTIVE,
     BilinearMap,
     Certificate,
+    FunctionAction,
     LinearMap,
     Policy,
     algebra_morphism,
@@ -29,8 +30,11 @@ from xmod2.maps import (
     morphisms_equal,
     zero_action,
     zero_map,
+    _combination,
+    _skeleton,
 )
 from xmod2.rings import QQ, PrimeField
+from xmod2.simplex import get_tower
 
 
 def f2_carriers():
@@ -278,3 +282,80 @@ def test_sampled_tuples_are_kept_on_their_structure():
     del D, tuples
     gc.collect()
     assert structure() is None and free() is None
+
+
+def _probes(alg):
+    """Unit basis (or generator) elements, scaled ones and two-term sums."""
+    units = _skeleton(alg)
+    ring = alg.ring
+    scaled = [u.scale(ring.coerce(3)) for u in units] + [-u for u in units]
+    sums = [u + v.scale(ring.coerce(2)) for u, v in zip(units, units[1:])]
+    return units + scaled + sums + [alg.zero()]
+
+
+def _twice_agrees(op, reference):
+    """op() twice equals the term-by-term reference, and the first result's
+    coefficients are untouched by the second call."""
+    first = op()
+    kept = dict(first.coeffs)
+    second = op()
+    assert first.algebra is reference.algebra and second.algebra is reference.algebra
+    assert first.coeffs == kept == second.coeffs == reference.coeffs
+
+
+def _direct_path_structures():
+    from xmod2 import fixtures
+    from xmod2.randgen import random_two_crossed
+
+    pol = Policy(samples=4, seed=0)
+    rng = random.Random(12)
+    structures = [fixtures.square_two_crossed(), fixtures.free_line_two_crossed()]
+    structures += [random_two_crossed(PrimeField(5), rng, policy=pol) for _ in range(3)]
+    return [(A, get_tower(A, pol)) for A in structures]
+
+
+def test_direct_basis_paths_agree_with_the_general_sum():
+    """multiply, every LinearMap rule and FunctionAction take a direct path
+    on a single basis key with coefficient one; on units, scaled units and
+    two-term sums each must give the sum computed term by term."""
+    seen_rules = set()
+    partial_tables = 0
+    for A, T in _direct_path_structures():
+        algebras = [A.R, A.E, A.L] + list(T.levels)
+        for alg in algebras:
+            ring = alg.ring
+            probes = _probes(alg)
+            for u in probes:
+                for v in probes:
+                    _twice_agrees(lambda: alg.multiply(u, v), _combination(alg, [
+                        (ring.mul(c1, c2), alg.key_mul(k1, k2))
+                        for k1, c1 in u.coeffs.items() for k2, c2 in v.coeffs.items()
+                    ]))
+        maps_ = [A.d1, A.d2] + list(T.faces.values()) + list(T.degeneracies.values())
+        for alg in algebras:
+            if alg.is_finite() and alg.dim() >= 2:  # a table with a key left out
+                k0, k1 = alg.basis_keys()[:2]
+                maps_.append(linear_map(alg, alg, {k0: alg.basis_element(k1).scale(2)}))
+                partial_tables += 1
+                break
+        if isinstance(A.R, FreeAlgebra):
+            x = A.R.generator_elements()[0]
+            maps_.append(algebra_morphism(A.R, A.R, images={g: x + (x * x).scale(2)
+                                                             for g in A.R.generators}))
+        for f in maps_:
+            seen_rules.add(f.rule)
+            for u in _probes(f.source):
+                images = [(c, f._image(k)) for k, c in u.coeffs.items()]
+                _twice_agrees(lambda: f(u), _combination(
+                    f.target, [(c, img) for c, img in images if img is not None]))
+        for act in T.actions.values():
+            if not isinstance(act, FunctionAction):
+                continue
+            mul = act.acted.ring.mul
+            for r in _probes(act.acting):
+                for m in _probes(act.acted):
+                    _twice_agrees(lambda: act(r, m), _combination(act.acted, [
+                        (mul(c1, c2), act._image(k1, k2))
+                        for k1, c1 in r.coeffs.items() for k2, c2 in m.coeffs.items()
+                    ]))
+    assert seen_rules == {"table", "substitution", "function"} and partial_tables == 4

@@ -1,11 +1,14 @@
 import gc
+import os
 import random
+import sys
 import weakref
 
 import pytest
 
 from xmod2 import fixtures, maps, simplex
-from xmod2.algebra import SemidirectAlgebra
+from xmod2.algebra import SemidirectAlgebra, make_finite_algebra
+from xmod2.crossed import kernel_two_crossed, make_precrossed
 from xmod2.errors import IndexOutOfRange, MorphismViolation
 from xmod2.maps import LinearMap, Policy, certify_action, random_element
 from xmod2.randgen import random_two_crossed
@@ -17,8 +20,10 @@ from xmod2.simplex import (
     simplicial_identity_list,
     with_face,
 )
+from xmod2.specdoc import load_spec
 
 POL = Policy(samples=30, seed=5)
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures.json")
 
 
 def f2_tower():
@@ -387,6 +392,52 @@ def test_work_count_of_one_tower_build(monkeypatch):
     monkeypatch.setattr(maps, "law_tuples", counting)
     build_tower(F2, Policy(10, 4, 0))
     assert seen == [21, 959]
+
+
+def _truncated_kernel(n, ring, pol):
+    """The kernel 2-crossed module of E -> R with E = <u0..u(n-1);
+    ui uj = u(i+j+1)>, R = <r> with r^2 = 0, d = 0: L = E."""
+    labels = ["u%d" % i for i in range(n)]
+    E = make_finite_algebra(labels, {
+        (labels[i], labels[j]): {labels[i + j + 1]: 1}
+        for i in range(n) for j in range(n) if i + j + 1 < n
+    }, ring)
+    R = make_finite_algebra(["r"], {}, ring)
+    d = maps.algebra_morphism(E, R, images={k: R.zero() for k in labels}, policy=pol)
+    return kernel_two_crossed(make_precrossed(E, R, d, maps.zero_action(R, E), pol), pol)
+
+
+def test_work_count_of_build_and_identities(monkeypatch):
+    """[calls, tuples] of law_tuples in build_tower plus
+    check_simplicial_identities, wherever xmod2 calls it, on F2, K2 and the
+    n = 3 truncated kernel at Policy(10, 4, 0).  A speed-up must not come
+    from checking less: a change that checks less must edit this pin and
+    say why."""
+    pol = Policy(10, 4, 0)
+    structures = {
+        "F2": fixtures.square_two_crossed(),
+        "K2": load_spec(FIXTURES, pol).two_crossed["K2"],
+        "T3": _truncated_kernel(3, PrimeField(5), pol),
+    }
+    real = maps.law_tuples
+    seen = [0, 0]
+
+    def counting(*args, **kwargs):
+        tuples, exhaustive = real(*args, **kwargs)
+        seen[0] += 1
+        seen[1] += len(tuples)
+        return tuples, exhaustive
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("xmod2") and getattr(module, "law_tuples", None) is real:
+            monkeypatch.setattr(module, "law_tuples", counting)
+    counts = {}
+    for name, A in structures.items():
+        seen[:] = [0, 0]
+        T = build_tower(A, pol)
+        assert all(ok for _, ok, _ in check_simplicial_identities(T, pol))
+        counts[name] = list(seen)
+    assert counts == {"F2": [54, 1139], "K2": [54, 1139], "T3": [54, 4524]}
 
 
 # One wrong term in one entry of a formula table, on components

@@ -359,6 +359,9 @@ def test_free_basis_guardrails():
         box_plus_s(h, h, POL)
     with pytest.raises(FreeBasisRequired):
         x_map(h, h, F2.R.basis_element("p"), POL)
+    for r in (F2.R.zero(), F2.R.basis_element("p")):  # also at r = 0, where w needs no X
+        with pytest.raises(FreeBasisRequired):
+            w_map(h, h, r, POL)
     with pytest.raises(FreeBasisRequired):
         tcm_groupoid_check(F2, F2, samples=1, seed=0, policy=POL)
 
