@@ -14,8 +14,6 @@ from .algebra import (
 )
 from .cm_homotopy import (
     CMDerivation,
-    CMHomotopy,
-    apply_cm_homotopy,
     cm_groupoid_check,
     concat_cm,
     invert_cm,

@@ -19,7 +19,7 @@ import functools
 import os
 import sys
 
-from .cm_homotopy import apply_cm_homotopy, cm_groupoid_check, concat_cm, invert_cm
+from .cm_homotopy import cm_groupoid_check, concat_cm, invert_cm
 from .errors import FreeBasisRequired, ParseError, UnresolvedReference, ValidationError, XmodError
 from .maps import Policy
 from .report import Report, canonical_json
@@ -206,9 +206,8 @@ def _cmd_homotopy(args, policy):
     items = [h for _, h in flavors]
 
     if args.op == "apply":
-        apply = apply_cm_homotopy if kind == "cm" else apply_2cm_homotopy
         for name, item in zip(names, items):
-            g0 = apply(item, policy).target.f0
+            g0 = item.target(policy).f0
             for r in _sample_points(item.f.src.R):
                 report.add("value/%s/g0(%s)" % (name, r), "target", True, witness=str(g0(r)))
             report.add("homotopy/%s/target-valid" % name, "target", True)

@@ -152,15 +152,6 @@ def _derivation(f, images, policy):
     return kept if kept is not None else make_cm_derivation(f, images, policy)
 
 
-class CMHomotopy:
-    """A derivation together with its computed, certified target."""
-
-    def __init__(self, derivation, source, target):
-        self.derivation = derivation
-        self.source = source
-        self.target = target
-
-
 def _cm_target(d, policy=DEFAULT_POLICY):
     from .crossed import make_cm_morphism
 
@@ -169,11 +160,6 @@ def _cm_target(d, policy=DEFAULT_POLICY):
     g0 = algebra_morphism(src.R, tgt.R, fn=lambda r: f.f0(r) + tgt.d(s(r)), policy=policy, note="g0")
     g1 = algebra_morphism(src.E, tgt.E, fn=lambda e: f.f1(e) + s(src.d(e)), policy=policy, note="g1")
     return make_cm_morphism(src, tgt, g0, g1, policy)
-
-
-def apply_cm_homotopy(d, policy=DEFAULT_POLICY):
-    """Target of the homotopy: certified as a crossed module morphism."""
-    return CMHomotopy(d, d.f, d.target(policy))
 
 
 def invert_cm(d, policy=DEFAULT_POLICY):

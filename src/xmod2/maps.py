@@ -332,10 +332,10 @@ def identity_map(alg):
     return f
 
 
-def certify_multiplicative(f, policy=DEFAULT_POLICY, rng=None):
+def certify_multiplicative(f, policy=DEFAULT_POLICY):
     f.multiplicative = check_law(
         [f.source, f.source], lambda u, v: f(u * v), lambda u, v: f(u) * f(v),
-        MorphismViolation, policy, rng,
+        MorphismViolation, policy,
     )
     return f.multiplicative
 
@@ -511,14 +511,14 @@ class FunctionAction(Action):
         )
 
 
-def certify_action(action, policy=DEFAULT_POLICY, rng=None):
+def certify_action(action, policy=DEFAULT_POLICY):
     """Certify A1 and A2; raises with a witness triple on failure.
 
     A1 and A2 are trilinear, so basis tuples prove them in the finite case;
     when the acting algebra is a semidirect product the split basis tuples
     are exactly the reduced conditions for actions of semidirect products.
     """
-    rng = rng or policy.rng()
+    rng = policy.rng()
     R, M = action.acting, action.acted
     a1 = check_law(
         [R, M, M], lambda r, m1, m2: action(r, m1 * m2), lambda r, m1, m2: action(r, m1) * m2,
@@ -624,7 +624,7 @@ def _is_proof(cert):
     return cert is not None and cert.exhaustive
 
 
-def certify_algebra(alg, policy=DEFAULT_POLICY, rng=None):
+def certify_algebra(alg, policy=DEFAULT_POLICY):
     """Certify commutativity and associativity; stored as alg.certificate.
 
     The semidirect lemma: if R and M are commutative and associative and
@@ -645,7 +645,7 @@ def certify_algebra(alg, policy=DEFAULT_POLICY, rng=None):
     ):
         alg.certificate = EXHAUSTIVE
         return alg.certificate
-    rng = rng or policy.rng()
+    rng = policy.rng()
     commutative = check_law(
         [alg, alg], lambda u, v: u * v, lambda u, v: v * u, NonCommutative, policy, rng
     )

@@ -21,12 +21,21 @@ carry >t's certificate.  Over a free R the components are certified on
 their own.  Each semidirect product is certified by the semidirect lemma
 (``maps.certify_algebra``).
 
-The faces and degeneracies are written once, as the two tables
-``_face_formulas`` and ``_degeneracy_formulas``: (n, i) maps to a formula on
+The tower is transcribed once, as three tables of formulas on components:
+``_face_formulas`` and ``_degeneracy_formulas`` key (n, i) to a formula on
 the component tuples of Lam_n, (r,), (r, e), (r, e, e', l) and
-(r, e, e', l, e'', l', l''), in that order.  ``build_tower`` wraps every entry
-the same way, as a certified algebra morphism between the packed levels.
+(r, e, e', l, e'', l', l''), in that order; ``_action_formulas`` keys each
+leaf action >., >*, >1e, >1r, >2e, >2l by its note to a formula from the
+actor's components followed by the acted components to the acted
+components.  Every level, and E |x L and (E |x L) |x L, has one ``Codec``
+(element <-> components) built from the levels alone, and
+``build_tower`` wraps every entry through the codecs of its ends: the faces
+and degeneracies as certified algebra morphisms, the leaf actions as
+certified actions.  The composites >1 = >1r + >1e, >2 = >2e + >2l and
+>t = >1 + >2 are sums of the stored components (``_sum_action``).
 """
+
+from collections import namedtuple
 
 from .errors import IndexOutOfRange
 from .maps import (
@@ -39,120 +48,49 @@ from .maps import (
 )
 
 
-def action_bullet(A, lam1, el):
-    """(r,e) >. (e',l) = (ee' + r>e', d1(e)>l + r>l - {e' (x) e})."""
-
-    def fn(actor, actee):
-        r, e = lam1.split(actor)
-        e2, l = el.split(actee)
-        first = e * e2 + A.act_e(r, e2)
-        second = A.act_l(A.d1(e), l) + A.act_l(r, l) - A.lift(e2, e)
-        return el.pair(first, second)
-
-    return FunctionAction(lam1, el, fn, note="bullet", origin=A)
+# An element of ``level`` and its components: ``split(u)`` is the tuple,
+# ``pack(*components)`` the element, and ``arity`` the tuple's length.
+Codec = namedtuple("Codec", "level split pack arity")
 
 
-def action_star(A, el):
-    """(e,l) >* l' = e >' l' + ll'."""
-
-    def fn(actor, actee):
-        e, l = el.split(actor)
-        return A.act_prime(e, actee) + l * actee
-
-    return FunctionAction(el, A.L, fn, note="star", origin=A)
+def _atom(alg):
+    return Codec(alg, lambda u: (u,), lambda u: u, 1)
 
 
-def action_one_e(A, el, ell):
-    """e >1e (e',l,l') = (ee', d1(e)>l - {e' (x) e}, d1(e)>l')."""
+def _codec(alg, left, right):
+    """The codec of alg = X |x Y from the codecs of X and Y: an element
+    splits into the components of its X part followed by those of its Y part."""
+    if left.arity == right.arity == 1:  # two atoms: alg's own split and pair
+        return Codec(alg, alg.split, alg.pair, 2)
+    _, lsplit, lpack, n = left
+    _, rsplit, rpack, m = right
 
-    def fn(e, actee):
-        (e2, l), l2 = _split_ell(el, ell, actee)
-        de = A.d1(e)
-        return ell.pair(el.pair(e * e2, A.act_l(de, l) - A.lift(e2, e)), A.act_l(de, l2))
+    def split(u):
+        a, b = alg.split(u)
+        return lsplit(a) + rsplit(b)
 
-    return FunctionAction(A.E, ell, fn, note="one_e", origin=A)
+    def pack(*c):
+        return alg.pair(lpack(*c[:n]), rpack(*c[n:]))
 
-
-def action_one_r(A, el, ell):
-    """r >1r (e',l,l') = (r>e', r>l, r>l')."""
-
-    def fn(r, actee):
-        (e2, l), l2 = _split_ell(el, ell, actee)
-        return ell.pair(el.pair(A.act_e(r, e2), A.act_l(r, l)), A.act_l(r, l2))
-
-    return FunctionAction(A.R, ell, fn, note="one_r", origin=A)
-
-
-def action_one(A, lam1, one_e, one_r):
-    """(r,e) >1 x = r >1r x + e >1e x."""
-
-    def fn(actor, actee):
-        r, e = lam1.split(actor)
-        return one_r(r, actee) + one_e(e, actee)
-
-    return FunctionAction(lam1, one_e.acted, fn, note="one", origin=A)
-
-
-def action_two_e(A, el, ell):
-    """e >2e (e',l,l') = (ee', e>'l, d1(e)>l' - {d2(l)+e' (x) e})."""
-
-    def fn(e, actee):
-        (e2, l), l2 = _split_ell(el, ell, actee)
-        third = A.act_l(A.d1(e), l2) - A.lift(A.d2(l) + e2, e)
-        return ell.pair(el.pair(e * e2, A.act_prime(e, l)), third)
-
-    return FunctionAction(A.E, ell, fn, note="two_e", origin=A)
-
-
-def action_two_l(A, el, ell):
-    """k >2l (e',l,l') = (0, e'>'k + kl, -{d2(l)+e' (x) d2(k)})."""
-
-    def fn(k, actee):
-        (e2, l), _ = _split_ell(el, ell, actee)
-        second = A.act_prime(e2, k) + k * l
-        third = -A.lift(A.d2(l) + e2, A.d2(k))
-        return ell.pair(el.pair(A.E.zero(), second), third)
-
-    return FunctionAction(A.L, ell, fn, note="two_l", origin=A)
-
-
-def action_two(A, el, two_e, two_l):
-    """(e,l'') >2 (e',l,l') =
-    (ee', e>'l + e'>'l'' + l''l, d1(e)>l' - {d2(l)+e' (x) d2(l'')+e})."""
-
-    def fn(actor, actee):
-        e, l3 = el.split(actor)
-        return two_e(e, actee) + two_l(l3, actee)
-
-    return FunctionAction(el, two_e.acted, fn, note="two", origin=A)
-
-
-def action_dagger(A, lam2, one, two):
-    """(r,e,0,0) >t = (r,e) >1 and (0,0,e,l'') >t = (e,l'') >2."""
-
-    def fn(actor, actee):
-        a, m = lam2.split(actor)
-        return one(a, actee) + two(m, actee)
-
-    return FunctionAction(lam2, one.acted, fn, note="dagger", origin=A)
-
-
-def _split_ell(el, ell, u):
-    pair, l2 = ell.split(u)
-    return el.split(pair), l2
+    return Codec(alg, split, pack, n + m)
 
 
 class SimplexTower:
     """Levels Lam0..Lam3 with certified faces, degeneracies, and actions.
 
     faces[(n, i)] : Lam_n -> Lam_{n-1};  degeneracies[(n, i)] : Lam_n -> Lam_{n+1}.
+    codecs[n] is the Codec of Lam_n; split2/simplex2 and split3/simplex3
+    are the split and pack of Lam2 and Lam3.
     """
 
-    def __init__(self, base, levels, el, ell, faces, degeneracies, actions):
+    def __init__(self, base, codecs, faces, degeneracies, actions):
         self.base = base
-        self.levels = levels
-        self.el = el
-        self.ell = ell
+        self.codecs = codecs
+        self.levels = tuple(c.level for c in codecs)
+        self.el = self.levels[2].right
+        self.ell = self.levels[3].right
+        self.split2, self.simplex2 = codecs[2].split, codecs[2].pack
+        self.split3, self.simplex3 = codecs[3].split, codecs[3].pack
         self.faces = faces
         self.degeneracies = degeneracies
         self.actions = actions
@@ -167,38 +105,11 @@ class SimplexTower:
             raise IndexOutOfRange("no degeneracy s%d at level %d" % (i, n))
         return self.degeneracies[(n, i)](u)
 
-    # tuple packing ---------------------------------------------------
-
-    def simplex2(self, r, e, e2, l):
-        lam1, lam2 = self.levels[1], self.levels[2]
-        return lam2.pair(lam1.pair(r, e), self.el.pair(e2, l))
-
-    def split2(self, u):
-        a, m = self.levels[2].split(u)
-        r, e = self.levels[1].split(a)
-        e2, l = self.el.split(m)
-        return r, e, e2, l
-
-    def simplex3(self, r, e, e2, l, e3, l2, l3):
-        lam3 = self.levels[3]
-        return lam3.pair(self.simplex2(r, e, e2, l), self.ell.pair(self.el.pair(e3, l2), l3))
-
-    def split3(self, u):
-        q, m = self.levels[3].split(u)
-        (e3, l2), l3 = _split_ell(self.el, self.ell, m)
-        return self.split2(q) + (e3, l2, l3)
-
     def tuple_str(self, u):
-        alg = u.algebra
-        if alg.compatible(self.levels[2]):
-            parts = self.split2(u)
-        elif alg.compatible(self.levels[3]):
-            parts = self.split3(u)
-        elif alg.compatible(self.levels[1]):
-            parts = self.levels[1].split(u)
-        else:
-            return str(u)
-        return "(%s)" % ", ".join(str(p) for p in parts)
+        for level, split, _, _ in self.codecs[1:]:
+            if u.algebra.compatible(level):
+                return "(%s)" % ", ".join(str(p) for p in split(u))
+        return str(u)
 
 
 def _certify_dagger(dagger, components, policy):
@@ -223,62 +134,101 @@ def _certify_dagger(dagger, components, policy):
             certify_action(act, policy)
 
 
+def _sum_action(A, acting, left, right, note):
+    """(x, y) > m = x >left m + y >right m, for acting = X |x Y and two
+    stored actions of X and Y on the same algebra."""
+
+    def fn(actor, actee):
+        x, y = acting.split(actor)
+        return left(x, actee) + right(y, actee)
+
+    return FunctionAction(acting, left.acted, fn, note=note, origin=A)
+
+
 def build_tower(A, policy=DEFAULT_POLICY):
     """Construct Lam0..Lam3 over A with every action, multiplication,
     face and degeneracy certified."""
-    R, E, L = A.R, A.E, A.L
+    R, E, L = _atom(A.R), _atom(A.E), _atom(A.L)
+    formulas = _action_formulas(A)
 
-    el = semidirect(E, L, A.act_prime, policy)
-    lam1 = semidirect(R, E, A.act_e, policy)
+    def leaf(note, actor, acted):
+        split = lambda x, m: actor.split(x) + acted.split(m)
+        fn = _on_levels(split, formulas[note], acted.pack)
+        return FunctionAction(actor.level, acted.level, fn, note=note, origin=A)
+
+    el = _codec(semidirect(A.E, A.L, A.act_prime, policy), E, L)
+    lam1 = _codec(semidirect(A.R, A.E, A.act_e, policy), R, E)
 
     actions = {"prime": A.act_prime}
-    bullet = action_bullet(A, lam1, el)
+    bullet = actions["bullet"] = leaf("bullet", lam1, el)
     certify_action(bullet, policy)
-    actions["bullet"] = bullet
-    lam2 = semidirect(lam1, el, bullet, policy)
+    lam2 = _codec(semidirect(lam1.level, el.level, bullet, policy), lam1, el)
 
-    star = action_star(A, el)
+    star = actions["star"] = leaf("star", el, L)
     certify_action(star, policy)
-    actions["star"] = star
-    ell = semidirect(el, L, star, policy)
+    ell = _codec(semidirect(el.level, A.L, star, policy), el, L)
 
-    one_e = action_one_e(A, el, ell)
-    one_r = action_one_r(A, el, ell)
-    two_e = action_two_e(A, el, ell)
-    two_l = action_two_l(A, el, ell)
-    one = action_one(A, lam1, one_e, one_r)
-    two = action_two(A, el, two_e, two_l)
+    one_e, one_r = leaf("one_e", E, ell), leaf("one_r", R, ell)
+    two_e, two_l = leaf("two_e", E, ell), leaf("two_l", L, ell)
     components = {
-        "one_e": one_e, "one_r": one_r, "one": one, "two_e": two_e, "two_l": two_l, "two": two,
+        "one_e": one_e,
+        "one_r": one_r,
+        "one": _sum_action(A, lam1.level, one_r, one_e, "one"),
+        "two_e": two_e,
+        "two_l": two_l,
+        "two": _sum_action(A, el.level, two_e, two_l, "two"),
     }
-    dagger = action_dagger(A, lam2, one, two)
+    dagger = _sum_action(A, lam2.level, components["one"], components["two"], "dagger")
     _certify_dagger(dagger, components, policy)
     actions.update(components)
     actions["dagger"] = dagger
-    lam3 = semidirect(lam2, ell, dagger, policy)
+    lam3 = _codec(semidirect(lam2.level, ell.level, dagger, policy), lam2, ell)
 
-    levels = (R, lam1, lam2, lam3)
-    tower = SimplexTower(A, levels, el, ell, {}, {}, actions)
-    codecs = (
-        (lambda u: (u,), lambda r: r),
-        (lam1.split, lam1.pair),
-        (tower.split2, tower.simplex2),
-        (tower.split3, tower.simplex3),
-    )
-    for store, formulas, step, tag in (
+    codecs = (R, lam1, lam2, lam3)
+    tower = SimplexTower(A, codecs, {}, {}, actions)
+    for store, table, step, tag in (
         (tower.faces, _face_formulas(A), -1, "d"),
         (tower.degeneracies, _degeneracy_formulas(A), 1, "s"),
     ):
-        for (n, i), formula in formulas.items():
-            fn = _on_levels(codecs[n][0], formula, codecs[n + step][1])
+        for (n, i), formula in table.items():
+            (source, split, _, _), (target, _, pack, _) = codecs[n], codecs[n + step]
             store[(n, i)] = algebra_morphism(
-                levels[n], levels[n + step], fn=fn, policy=policy, note="%s%d@%d" % (tag, i, n)
+                source, target, fn=_on_levels(split, formula, pack), policy=policy,
+                note="%s%d@%d" % (tag, i, n),
             )
     return tower
 
 
 def _on_levels(split, formula, pack):
-    return lambda u: pack(*formula(*split(u)))
+    return lambda *u: pack(*formula(*split(*u)))
+
+
+def _action_formulas(A):
+    """The leaf actions on components, keyed by note: the actor's
+    components, then the acted components, map to the acted components.
+    The actors are Lam1 (r, e), E |x L (e, l''), E (e), R (r) and L (k); the
+    acted algebras E |x L (e', l), L (l') and (E |x L) |x L (e', l, l')."""
+    d1, d2, lift = A.d1, A.d2, A.lift
+    act_e, act_l, act_prime = A.act_e, A.act_l, A.act_prime
+    zE = A.E.zero()
+    return {
+        # (r, e) >. (e', l) = (ee' + r>e', d1(e)>l + r>l - {e' (x) e})
+        "bullet": lambda r, e, e2, l: (
+            e * e2 + act_e(r, e2), act_l(d1(e), l) + act_l(r, l) - lift(e2, e)),
+        # (e, l'') >* l' = e >' l' + l''l'
+        "star": lambda e, l3, l2: (act_prime(e, l2) + l3 * l2,),
+        # e >1e (e', l, l') = (ee', d1(e)>l - {e' (x) e}, d1(e)>l')
+        "one_e": lambda e, e2, l, l2: (
+            e * e2, act_l(d1(e), l) - lift(e2, e), act_l(d1(e), l2)),
+        # r >1r (e', l, l') = (r>e', r>l, r>l')
+        "one_r": lambda r, e2, l, l2: (act_e(r, e2), act_l(r, l), act_l(r, l2)),
+        # e >2e (e', l, l') = (ee', e>'l, d1(e)>l' - {d2(l)+e' (x) e})
+        "two_e": lambda e, e2, l, l2: (
+            e * e2, act_prime(e, l), act_l(d1(e), l2) - lift(d2(l) + e2, e)),
+        # k >2l (e', l, l') = (0, e'>'k + kl, -{d2(l)+e' (x) d2(k)})
+        "two_l": lambda k, e2, l, l2: (
+            zE, act_prime(e2, k) + k * l, -lift(d2(l) + e2, d2(k))),
+    }
 
 
 def _face_formulas(A):
@@ -344,10 +294,10 @@ def simplicial_identity_list():
     return out
 
 
-def check_simplicial_identities(T, policy=DEFAULT_POLICY, rng=None):
+def check_simplicial_identities(T, policy=DEFAULT_POLICY):
     """Verify every listed identity pointwise; returns report entries
     (name, ok, witness string or None)."""
-    rng = rng or policy.rng()
+    rng = policy.rng()
     entries = []
 
     def probe(n):
@@ -388,4 +338,4 @@ def with_face(T, n, i, linmap):
     """A copy of the tower with one face replaced (mutation testing)."""
     faces = dict(T.faces)
     faces[(n, i)] = linmap
-    return SimplexTower(T.base, T.levels, T.el, T.ell, faces, dict(T.degeneracies), T.actions)
+    return SimplexTower(T.base, T.codecs, faces, dict(T.degeneracies), T.actions)

@@ -31,8 +31,9 @@ Schema (all scalars are strings, e.g. "3/4" or "2 mod 5"; elements are
       "quadratic_derivations":  {NAME: {"base": NAME, "s": linmap, "t": linmap}}
     }
 
-References resolve by name in dependency order; a dangling or cyclic
-reference raises UnresolvedReference, a failed law raises
+References resolve by name in dependency order; a reference or a label
+that is not a string raises ParseError naming its entry, a dangling or
+cyclic reference raises UnresolvedReference, a failed law raises
 ValidationError(structure, cause) with the witness preserved.
 """
 
@@ -99,6 +100,19 @@ def _shaped(value, kind, where):
     return value
 
 
+def _names(value, where):
+    """value, if it is a JSON array of strings (basis labels, generators)."""
+    for name in _shaped(value, list, where):
+        if not isinstance(name, str):
+            raise ParseError("%s: %r is not a name" % (where, name))
+    return value
+
+
+def _entry(section, name):
+    """An entry is named as its section, singular: "algebra 'N'", "map 'f'"."""
+    return "%s %r" % (section.rstrip("s"), name)
+
+
 def _parse_key(alg, key):
     if isinstance(alg, FreeAlgebra):
         return alg.parse_monomial(key)
@@ -148,7 +162,7 @@ class _Loader:
         self.data = data
         self.policy = policy
         self.doc = SpecDocument(ring_from_spec(data.get("ring", "Q")))
-        self._building = set()
+        self._building = []  # (section, name) of the entries being built, innermost last
 
     def _section(self, section):
         block = self.data.get(section, {})
@@ -157,6 +171,9 @@ class _Loader:
         return block
 
     def _resolve(self, section, name, builder, store):
+        if not isinstance(name, str):
+            where = _entry(*self._building[-1]) if self._building else "section %r" % section
+            raise ParseError("%s: reference %r is not a name" % (where, name))
         if name in store:
             return store[name]
         block = self._section(section)
@@ -165,9 +182,8 @@ class _Loader:
         tag = (section, name)
         if tag in self._building:
             raise UnresolvedReference(name, "cyclic " + section)
-        # an entry is named as its section, singular: "algebra 'N'", "map 'f'"
-        spec = _shaped(block[name], dict, "%s %r" % (section.rstrip("s"), name))
-        self._building.add(tag)
+        spec = _shaped(block[name], dict, _entry(section, name))
+        self._building.append(tag)
         try:
             value = builder(name, spec)
         except (XmodError, KeyError) as exc:
@@ -175,7 +191,7 @@ class _Loader:
                 raise
             raise ValidationError("%s %r" % (section, name), exc)
         finally:
-            self._building.discard(tag)
+            self._building.pop()
         store[name] = value
         return value
 
@@ -195,10 +211,10 @@ class _Loader:
                     constants[(k1, k2)] = {
                         k: self.doc.ring.parse(str(c)) for k, c in _shaped(elem, dict, products).items()
                     }
-            basis = _shaped(spec["basis"], list, where + " basis")
+            basis = _names(spec["basis"], where + " basis")
             return make_finite_algebra(basis, constants, self.doc.ring)
         if kind == "free":
-            generators = _shaped(spec["generators"], list, where + " generators")
+            generators = _names(spec["generators"], where + " generators")
             return make_free_algebra(generators, self.doc.ring)
         if kind == "semidirect":
             left = self.algebra(spec["acting"])
@@ -252,7 +268,7 @@ class _Loader:
             where = "crossed %r ideal" % name
             ideal = _shaped(spec["ideal"], dict, where)
             R = self.algebra(ideal["R"])
-            return ideal_inclusion_cm(R, _shaped(ideal["labels"], list, where + " labels"), self.policy)
+            return ideal_inclusion_cm(R, _names(ideal["labels"], where + " labels"), self.policy)
         E = self.algebra(spec["E"])
         R = self.algebra(spec["R"])
         act = self.action(spec["action"])

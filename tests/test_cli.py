@@ -297,6 +297,27 @@ def test_malformed_table_or_linear_map_is_parse_error(tmp_path, capsys, doc, nam
     assert err.startswith("parse error: ") and named in err
 
 
+
+@pytest.mark.parametrize("doc, named", [
+    ({"ring": "Q", "algebras": {"N": {"type": "finite", "basis": [["u"]], "products": {}}}},
+     "algebra 'N' basis"),
+    ({"ring": "Q", "algebras": {"X": {"type": "free", "generators": [["x"]]}}},
+     "algebra 'X' generators"),
+    ({"ring": "Q", "algebras": {"N": _N},
+      "crossed": {"C": {"ideal": {"R": "N", "labels": [["u"]]}}}}, "crossed 'C' ideal labels"),
+    ({"ring": "Q", "algebras": {"N": _N},
+      "actions": {"a": {"acting": ["N"], "acted": "N", "zero": True}}}, "action 'a'"),
+    ({**_two_crossed_doc(), "maps": {"f": {"source": {"a": 1}, "target": "D"}}}, "map 'f'"),
+], ids=["basis-label-a-list", "generator-a-list", "ideal-label-a-list", "acting-a-list",
+        "map-source-an-object"])
+def test_name_that_is_not_a_string_is_parse_error(tmp_path, capsys, doc, named):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("parse error: ") and named in err
+
 def test_in_process_calls_each_see_only_their_own_arguments(tmp_path, monkeypatch, capsys):
     """The parser is built once per process; every call of main still
     parses its own arguments, with the defaults of its own subcommand."""

@@ -5,7 +5,6 @@ import pytest
 from xmod2 import fixtures
 from xmod2.algebra import make_finite_algebra, make_free_algebra
 from xmod2.cm_homotopy import (
-    apply_cm_homotopy,
     cm_groupoid_check,
     concat_cm,
     edge_algebra,
@@ -54,8 +53,7 @@ def test_apply_homotopy_target_values():
     cm, f = f1_setup()
     E, R = cm.E, cm.R
     s = make_cm_derivation(f, {"x": E.basis_element("x2")})
-    hom = apply_cm_homotopy(s)
-    g = hom.target
+    g = s.target()
     x, x2 = R.basis_element("x"), R.basis_element("x2")
     assert g.f0(x) == x + x2
     assert g.f0(x2) == x2

@@ -1,3 +1,4 @@
+import functools
 import gc
 import os
 import random
@@ -9,7 +10,7 @@ import pytest
 from xmod2 import fixtures, maps, simplex
 from xmod2.algebra import SemidirectAlgebra, make_finite_algebra
 from xmod2.crossed import kernel_two_crossed, make_precrossed
-from xmod2.errors import IndexOutOfRange, MorphismViolation
+from xmod2.errors import IndexOutOfRange, MorphismViolation, XmodError
 from xmod2.maps import LinearMap, Policy, certify_action, random_element
 from xmod2.randgen import random_two_crossed
 from xmod2.rings import PrimeField
@@ -284,6 +285,17 @@ def test_towers_are_kept_on_their_structure():
     assert structure() is None and tower() is None
 
 
+def test_a_dropped_tower_is_freed_without_the_collector():
+    """Nothing in a tower refers back to it: the faces, degeneracies and
+    actions close over the levels' codecs, not over the tower."""
+    gc.disable()
+    try:
+        tower = weakref.ref(f2_tower())
+        assert tower() is None
+    finally:
+        gc.enable()
+
+
 def test_composite_actions_are_built_from_the_stored_components():
     """>1, >2 and >t evaluate the very component objects kept in the tower,
     so certifying >t certifies what T.actions holds."""
@@ -305,36 +317,30 @@ def test_composite_actions_are_built_from_the_stored_components():
 # and its lifting is symmetric, so the single-term drops of the formulas
 # leave A1/A2 of a component alone intact on F2 (the face checks reject
 # them); this term breaks A2 of every component, since every actor algebra
-# of F2 is nilpotent.
-COMPONENT_ARGS = {
-    "one_e": lambda T: (T.el, T.ell),
-    "one_r": lambda T: (T.el, T.ell),
-    "one": lambda T: (T.levels[1], T.actions["one_e"], T.actions["one_r"]),
-    "two_e": lambda T: (T.el, T.ell),
-    "two_l": lambda T: (T.el, T.ell),
-    "two": lambda T: (T.el, T.actions["two_e"], T.actions["two_l"]),
-}
+# of F2 is nilpotent.  A leaf gains it in its entry of the action table,
+# on components (its actor is R, E or L); a composite in ``_sum_action``.
+COMPONENTS = ("one_e", "one_r", "one", "two_e", "two_l", "two")
 
 
-def _with_identity_term(builder):
-    def mutant(A, *args):
-        act = builder(A, *args)
-        fn, first, zero = act.fn, act.acting.basis_keys()[0], act.acting.ring.zero
-        act.fn = lambda x, m: fn(x, m) + m.scale(x.coeffs.get(first, zero))
-        return act
-
-    return mutant
+def _coefficient(acting):
+    first, zero = acting.basis_keys()[0], acting.ring.zero
+    return lambda x: x.coeffs.get(first, zero)
 
 
-@pytest.mark.parametrize("name", list(COMPONENT_ARGS))
+def _with_identity_term(act):
+    fn, c = act.fn, _coefficient(act.acting)
+    act.fn = lambda x, m: fn(x, m) + m.scale(c(x))
+    return act
+
+
+@pytest.mark.parametrize("name", COMPONENTS)
 def test_component_mutant_raises_its_own_error_from_build_tower(monkeypatch, name):
     """>t's check holds every component's law instances; when it fails,
     build_tower raises what certifying the broken component alone raises."""
     F2 = fixtures.square_two_crossed()
     T = build_tower(F2, POL)
-    builder = _with_identity_term(getattr(simplex, "action_" + name))
-    alone = builder(F2, *COMPONENT_ARGS[name](T))
     real = T.actions[name]
+    alone = _with_identity_term(maps.FunctionAction(real.acting, real.acted, real.fn))
     assert any(
         alone(x, m) != real(x, m)
         for x in real.acting.basis_elements()
@@ -342,7 +348,25 @@ def test_component_mutant_raises_its_own_error_from_build_tower(monkeypatch, nam
     )
     with pytest.raises(Exception) as expected:
         certify_action(alone, POL)
-    monkeypatch.setattr(simplex, "action_" + name, builder)
+    if name in ("one", "two"):
+        real_sum = simplex._sum_action
+
+        def sum_action(A, acting, left, right, note):
+            act = real_sum(A, acting, left, right, note)
+            return _with_identity_term(act) if note == name else act
+
+        monkeypatch.setattr(simplex, "_sum_action", sum_action)
+    else:
+        real_table, c = simplex._action_formulas, _coefficient(real.acting)
+
+        def action_formulas(A):
+            formulas = real_table(A)
+            formula = formulas[name]
+            formulas[name] = lambda x, *m: tuple(
+                v + w.scale(c(x)) for v, w in zip(formula(x, *m), m))
+            return formulas
+
+        monkeypatch.setattr(simplex, "_action_formulas", action_formulas)
     with pytest.raises(Exception) as got:
         build_tower(F2, POL)
     assert type(got.value) is type(expected.value)
@@ -440,8 +464,9 @@ def test_work_count_of_build_and_identities(monkeypatch):
     assert counts == {"F2": [54, 1139], "K2": [54, 1139], "T3": [54, 4524]}
 
 
-# One wrong term in one entry of a formula table, on components
-# (r, e, e', l, e'', l', l'').
+# One wrong term in one entry of a formula table.  The faces and
+# degeneracies take the components (r, e, e', l, e'', l', l'') of their
+# level; a leaf action takes its actor's components, then the acted ones.
 FORMULA_MUTANTS = {
     "d3@3-without-d2(l')": ("_face_formulas", (3, 3), lambda A: (
         lambda r, e, e2, l, e3, l2, l3: (r + A.d1(e), e2 + A.d2(l), e3, l3))),
@@ -456,15 +481,121 @@ FORMULA_MUTANTS = {
         lambda r, e: (r, e, e, A.L.zero()))),
     "s2@2-without-l": ("_degeneracy_formulas", (2, 2), lambda A: (
         lambda r, e, e2, l: (r, A.E.zero(), e, A.L.zero(), e2, A.L.zero(), A.L.zero()))),
+    # (r, e) >. (e', l) = (ee' + r>e', d1(e)>l + r>l - {e' (x) e})
+    "bullet-without-ee'": ("_action_formulas", "bullet", lambda A: lambda r, e, e2, l: (
+        A.act_e(r, e2), A.act_l(A.d1(e), l) + A.act_l(r, l) - A.lift(e2, e))),
+    "bullet-without-r>e'": ("_action_formulas", "bullet", lambda A: lambda r, e, e2, l: (
+        e * e2, A.act_l(A.d1(e), l) + A.act_l(r, l) - A.lift(e2, e))),
+    "bullet-without-d1(e)>l": ("_action_formulas", "bullet", lambda A: lambda r, e, e2, l: (
+        e * e2 + A.act_e(r, e2), A.act_l(r, l) - A.lift(e2, e))),
+    "bullet-without-r>l": ("_action_formulas", "bullet", lambda A: lambda r, e, e2, l: (
+        e * e2 + A.act_e(r, e2), A.act_l(A.d1(e), l) - A.lift(e2, e))),
+    "bullet-without-lift": ("_action_formulas", "bullet", lambda A: lambda r, e, e2, l: (
+        e * e2 + A.act_e(r, e2), A.act_l(A.d1(e), l) + A.act_l(r, l))),
+    "bullet-lift-swapped": ("_action_formulas", "bullet", lambda A: lambda r, e, e2, l: (
+        e * e2 + A.act_e(r, e2), A.act_l(A.d1(e), l) + A.act_l(r, l) - A.lift(e, e2))),
+    # (e, l'') >* l' = e >' l' + l''l'
+    "star-without-e>'l'": ("_action_formulas", "star", lambda A: lambda e, l3, l2: (
+        l3 * l2,)),
+    "star-without-l''l'": ("_action_formulas", "star", lambda A: lambda e, l3, l2: (
+        A.act_prime(e, l2),)),
+    # e >1e (e', l, l') = (ee', d1(e)>l - {e' (x) e}, d1(e)>l')
+    "one_e-without-ee'": ("_action_formulas", "one_e", lambda A: lambda e, e2, l, l2: (
+        A.E.zero(), A.act_l(A.d1(e), l) - A.lift(e2, e), A.act_l(A.d1(e), l2))),
+    "one_e-without-d1(e)>l": ("_action_formulas", "one_e", lambda A: lambda e, e2, l, l2: (
+        e * e2, -A.lift(e2, e), A.act_l(A.d1(e), l2))),
+    "one_e-without-lift": ("_action_formulas", "one_e", lambda A: lambda e, e2, l, l2: (
+        e * e2, A.act_l(A.d1(e), l), A.act_l(A.d1(e), l2))),
+    "one_e-without-d1(e)>l'": ("_action_formulas", "one_e", lambda A: lambda e, e2, l, l2: (
+        e * e2, A.act_l(A.d1(e), l) - A.lift(e2, e), A.L.zero())),
+    "one_e-lift-swapped": ("_action_formulas", "one_e", lambda A: lambda e, e2, l, l2: (
+        e * e2, A.act_l(A.d1(e), l) - A.lift(e, e2), A.act_l(A.d1(e), l2))),
+    # r >1r (e', l, l') = (r>e', r>l, r>l')
+    "one_r-without-r>e'": ("_action_formulas", "one_r", lambda A: lambda r, e2, l, l2: (
+        A.E.zero(), A.act_l(r, l), A.act_l(r, l2))),
+    "one_r-without-r>l": ("_action_formulas", "one_r", lambda A: lambda r, e2, l, l2: (
+        A.act_e(r, e2), A.L.zero(), A.act_l(r, l2))),
+    "one_r-without-r>l'": ("_action_formulas", "one_r", lambda A: lambda r, e2, l, l2: (
+        A.act_e(r, e2), A.act_l(r, l), A.L.zero())),
+    # e >2e (e', l, l') = (ee', e>'l, d1(e)>l' - {d2(l)+e' (x) e})
+    "two_e-without-ee'": ("_action_formulas", "two_e", lambda A: lambda e, e2, l, l2: (
+        A.E.zero(), A.act_prime(e, l), A.act_l(A.d1(e), l2) - A.lift(A.d2(l) + e2, e))),
+    "two_e-without-e>'l": ("_action_formulas", "two_e", lambda A: lambda e, e2, l, l2: (
+        e * e2, A.L.zero(), A.act_l(A.d1(e), l2) - A.lift(A.d2(l) + e2, e))),
+    "two_e-without-d1(e)>l'": ("_action_formulas", "two_e", lambda A: lambda e, e2, l, l2: (
+        e * e2, A.act_prime(e, l), -A.lift(A.d2(l) + e2, e))),
+    "two_e-without-{d2(l)(x)e}": ("_action_formulas", "two_e", lambda A: lambda e, e2, l, l2: (
+        e * e2, A.act_prime(e, l), A.act_l(A.d1(e), l2) - A.lift(e2, e))),
+    "two_e-without-{e'(x)e}": ("_action_formulas", "two_e", lambda A: lambda e, e2, l, l2: (
+        e * e2, A.act_prime(e, l), A.act_l(A.d1(e), l2) - A.lift(A.d2(l), e))),
+    "two_e-lift-swapped": ("_action_formulas", "two_e", lambda A: lambda e, e2, l, l2: (
+        e * e2, A.act_prime(e, l), A.act_l(A.d1(e), l2) - A.lift(e, A.d2(l) + e2))),
+    # k >2l (e', l, l') = (0, e'>'k + kl, -{d2(l)+e' (x) d2(k)})
+    "two_l-without-e'>'k": ("_action_formulas", "two_l", lambda A: lambda k, e2, l, l2: (
+        A.E.zero(), k * l, -A.lift(A.d2(l) + e2, A.d2(k)))),
+    "two_l-without-kl": ("_action_formulas", "two_l", lambda A: lambda k, e2, l, l2: (
+        A.E.zero(), A.act_prime(e2, k), -A.lift(A.d2(l) + e2, A.d2(k)))),
+    "two_l-without-{d2(l)(x)d2(k)}": ("_action_formulas", "two_l", lambda A: (
+        lambda k, e2, l, l2: (A.E.zero(), A.act_prime(e2, k) + k * l, -A.lift(e2, A.d2(k))))),
+    "two_l-without-{e'(x)d2(k)}": ("_action_formulas", "two_l", lambda A: (
+        lambda k, e2, l, l2: (A.E.zero(), A.act_prime(e2, k) + k * l, -A.lift(A.d2(l), A.d2(k))))),
+    "two_l-lift-swapped": ("_action_formulas", "two_l", lambda A: lambda k, e2, l, l2: (
+        A.E.zero(), A.act_prime(e2, k) + k * l, -A.lift(A.d2(k), A.d2(l) + e2))),
+}
+
+# Mutants that equal the real entry on every input below.  Each is an
+# expected failure, strict, so an input that rejects it turns it into a
+# failure that must be acted on (drop the mark).
+_NO_R_ON_L = "R > L is zero on F2, T3 and the square kernel"
+_SYMMETRIC = "every input below has a symmetric lifting, {e (x) e'} = {e' (x) e}"
+FORMULA_SURVIVORS = {
+    "bullet-without-d1(e)>l": _NO_R_ON_L,
+    "bullet-without-r>l": _NO_R_ON_L,
+    "one_e-without-d1(e)>l": _NO_R_ON_L,
+    "one_e-without-d1(e)>l'": _NO_R_ON_L,
+    "one_r-without-r>l": _NO_R_ON_L,
+    "one_r-without-r>l'": _NO_R_ON_L,
+    "two_e-without-d1(e)>l'": _NO_R_ON_L,
+    "bullet-lift-swapped": _SYMMETRIC,
+    "one_e-lift-swapped": _SYMMETRIC,
+    "two_e-lift-swapped": _SYMMETRIC,
+    "two_l-lift-swapped": _SYMMETRIC,
 }
 
 
-@pytest.mark.parametrize("table, key, mutant", list(FORMULA_MUTANTS.values()),
-                         ids=list(FORMULA_MUTANTS))
+def _square_kernel(c, v, ring, pol):
+    """Kernel 2-crossed module of E = <a, b; a^2 = b> -> R = <p; p^2 = 0>,
+    d(a) = c p, p > a = v b."""
+    R = make_finite_algebra(["p"], {}, ring)
+    E = make_finite_algebra(["a", "b"], {("a", "a"): {"b": 1}}, ring)
+    act = maps.make_action(R, E, {"p": {"a": E.element({"b": v})}}, pol)
+    d = maps.algebra_morphism(E, R, images={"a": R.element({"p": c}), "b": R.zero()}, policy=pol)
+    return kernel_two_crossed(make_precrossed(E, R, d, act, pol), pol)
+
+
+@functools.cache
+def _mutant_inputs():
+    F5 = PrimeField(5)
+    return (
+        fixtures.square_two_crossed(),
+        _truncated_kernel(3, F5, POL),
+        _square_kernel(1, 2, F5, POL),
+    )
+
+
+@pytest.mark.parametrize("table, key, mutant", [
+    pytest.param(*entry, id=name, marks=(
+        [pytest.mark.xfail(strict=True, reason=FORMULA_SURVIVORS[name])]
+        if name in FORMULA_SURVIVORS else []))
+    for name, entry in FORMULA_MUTANTS.items()
+])
 def test_formula_table_mutant_is_rejected(monkeypatch, table, key, mutant):
-    """Every face and degeneracy is built from its entry in a formula
-    table, so a wrong entry reaches the tower, where it is rejected on F2:
-    by its multiplicativity check in build_tower, or by the identities."""
+    """Every face, degeneracy and leaf action is built from its entry in a
+    formula table, so a wrong entry reaches the tower, where it is rejected
+    on F2, on the n = 3 truncated kernel over F5 or on the square kernel
+    with d(a) = p, p > a = 2b over F5: build_tower raises (a face or
+    degeneracy is not multiplicative, an action breaks A1 or A2), or a
+    simplicial identity fails."""
     real = getattr(simplex, table)
 
     def patched(A):
@@ -472,9 +603,13 @@ def test_formula_table_mutant_is_rejected(monkeypatch, table, key, mutant):
         formulas[key] = mutant(A)
         return formulas
 
+    structures = _mutant_inputs()
     monkeypatch.setattr(simplex, table, patched)
-    try:
-        T = build_tower(fixtures.square_two_crossed(), POL)
-    except MorphismViolation:
-        return
-    assert not all(ok for _, ok, _ in check_simplicial_identities(T, POL))
+    for A in structures:
+        try:
+            T = build_tower(A, POL)
+        except XmodError:
+            return
+        if not all(ok for _, ok, _ in check_simplicial_identities(T, POL)):
+            return
+    pytest.fail("the mutant passed on every input")
