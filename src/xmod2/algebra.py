@@ -14,11 +14,18 @@ Elements are sparse scalar maps over basis labels / monomials / tagged
 component keys, kept in canonical normal form, so equality is structural.
 All values are immutable after construction and every operation is pure.
 
+The sums of products, maps and actions are computed by two kernels on
+coefficient dicts: ``combine`` (a linear combination of dicts) and
+``Algebra.product`` (``key_mul`` extended bilinearly).  Element operations,
+maps, actions and the exhaustive law checks of ``maps`` all go through
+them, so the arithmetic has one implementation.
+
 An element's ``coeffs`` dict may be shared: a product of two basis keys is
 the ``key_mul`` value itself (a structure-table row, or a semidirect
-product's memoised entry), and a map or action evaluated on basis keys
-returns its memoised image.  So nothing may mutate the ``coeffs`` of an
-element it did not just build.
+product's memoised entry), a map or action evaluated on basis keys returns
+its memoised image, and a combination of one dict with coefficient one is
+that dict.  So nothing may mutate the ``coeffs`` of an element it did not
+just build.
 """
 
 from .errors import (
@@ -103,13 +110,34 @@ class Element:
 def unit_key(u):
     """The key of u when u is one basis key with coefficient one, else None.
 
-    The tuples of an exhaustive law check are tuples of such values, so the
-    element operations take a direct path on them."""
+    Formula closures are called on basis elements, and the skeleton tuples
+    of a law check and the probes of the simplicial identities are basis
+    elements, so the element operations take a direct path on them."""
     if len(u.coeffs) == 1:
         (key, c), = u.coeffs.items()
         if c == u.algebra.ring.one:
             return key
     return None
+
+
+def combine(ring, terms):
+    """The normalised coefficient dict of sum(c * coeffs) over a list of
+    (scalar, coeffs) terms.
+
+    One term whose scalar is ``ring.one`` itself is its own dict.  The test
+    is by identity because it is cheap; an equal scalar that is another
+    object takes the sum, which gives an equal dict."""
+    if len(terms) == 1 and terms[0][0] is ring.one:
+        return terms[0][1]
+    acc = {}
+    for c, coeffs in terms:
+        for k, v in coeffs.items():
+            s = ring.add(acc.get(k, ring.zero), ring.mul(c, v))
+            if ring.is_zero(s):
+                acc.pop(k, None)
+            else:
+                acc[k] = s
+    return acc
 
 
 class Algebra:
@@ -154,22 +182,19 @@ class Algebra:
     def key_mul(self, k1, k2):
         raise NotImplementedError
 
+    def product(self, a, b):
+        """The normalised coefficient dict of the product of coefficient dicts
+        a and b: key_mul extended bilinearly."""
+        mul, key_mul = self.ring.mul, self.key_mul
+        return combine(self.ring, [
+            (mul(c1, c2), key_mul(k1, k2).coeffs) for k1, c1 in a.items() for k2, c2 in b.items()
+        ])
+
     def multiply(self, u, v):
         k1, k2 = unit_key(u), unit_key(v)
         if k1 is not None and k2 is not None:
             return self.key_mul(k1, k2)
-        ring = self.ring
-        acc = {}
-        for k1, c1 in u.coeffs.items():
-            for k2, c2 in v.coeffs.items():
-                c = ring.mul(c1, c2)
-                for k, cv in self.key_mul(k1, k2).coeffs.items():
-                    s = ring.add(acc.get(k, ring.zero), ring.mul(c, cv))
-                    if ring.is_zero(s):
-                        acc.pop(k, None)
-                    else:
-                        acc[k] = s
-        return Element(self, acc)
+        return Element(self, self.product(u.coeffs, v.coeffs))
 
     # -- shape -------------------------------------------------------------
 

@@ -40,20 +40,32 @@ pair for an action) once, keep it in a per-object memo, and extend
 (bilinear for an action): it is only ever called on basis elements, and
 the memo grows with the keys seen.
 
-The tuples of an exhaustive law check are basis elements, so evaluation
-takes a direct path on a single basis key with coefficient one
-(``algebra.unit_key``): a ``LinearMap`` returns the key's memoised or
-table image, re-tagged to its target but not copied (a table key with no
-image gives the target's zero), and a ``FunctionAction`` returns the key
-pair's memoised image.  Those images share their ``coeffs`` with the memo,
-which is why elements are never mutated.
+Exhaustive checks of A1, A2 and multiplicativity run on coefficient dicts.
+``certify_action`` and ``certify_multiplicative`` hand ``check_law`` a
+kernel that decides each basis tuple with the two dict kernels of
+``algebra`` (``combine`` and ``Algebra.product``).  Products come from the
+algebra's own ``key_mul``, and images from ``_key_image``: a map's memoised
+or table image of a key, an action's memo entry or table row for a key
+pair.  The tuples still come from one ``law_tuples`` call and are decided
+in its order.  At the first tuple whose two sides differ, the witness
+comes from the element path: ``check_law`` evaluates lhs and rhs on that
+tuple of elements, so a failure raises exactly the error an element check
+raises.  Sampled checks (a free algebra in the law) evaluate every tuple
+on elements.
+
+On elements, evaluation takes a direct path on a single basis key with
+coefficient one (``algebra.unit_key``): a ``LinearMap`` returns the key's
+memoised or table image, re-tagged to its target but not copied (a table
+key with no image gives the target's zero), and a ``FunctionAction``
+returns the key pair's memoised image.  Those images share their ``coeffs``
+with the memo, which is why elements are never mutated.
 """
 
 import itertools
 import random
 from dataclasses import dataclass
 
-from .algebra import Element, FiniteAlgebra, FreeAlgebra, SemidirectAlgebra, unit_key
+from .algebra import Element, FiniteAlgebra, FreeAlgebra, SemidirectAlgebra, combine, unit_key
 from .errors import (
     A1Violation,
     A2Violation,
@@ -196,7 +208,7 @@ def law_tuples(algebras, policy=DEFAULT_POLICY, rng=None):
     return tuples, False
 
 
-def check_law(algebras, lhs, rhs, error, policy, rng=None):
+def check_law(algebras, lhs, rhs, error, policy, rng=None, on_keys=None):
     """Check the multilinear law lhs(*t) == rhs(*t) on law_tuples(algebras).
 
     Raises ``error(t, lhs(*t), rhs(*t))`` at the first failing tuple t.
@@ -204,8 +216,27 @@ def check_law(algebras, lhs, rhs, error, policy, rng=None):
     the tuples span every argument, else the policy's (D, N, seed).  A
     caller checking several laws under one policy passes the one
     ``policy.rng()`` stream of its site.
+
+    ``on_keys`` decides the law on basis keys: given the basis key lists
+    of the algebras, it returns the positions (one per algebra) of the
+    first failing key tuple in ``itertools.product`` order, or None.  An
+    exhaustive check uses it and evaluates lhs and rhs at that tuple only.
     """
     tuples, exhaustive = law_tuples(algebras, policy, rng)
+    if exhaustive and on_keys is not None:
+        # Keys taken from the basis elements, not from basis_keys(), which
+        # builds new tuples for a semidirect product: the memo and cache
+        # entries made here then hold the very key objects that later
+        # lookups pass, and those compare by identity, not by value.
+        keys = [[unit_key(u) for u in a.basis_elements()] for a in algebras]
+        positions = on_keys(*keys)
+        if positions is not None:
+            index = 0
+            for pos, ks in zip(positions, keys):
+                index = index * len(ks) + pos
+            t = tuples[index]
+            raise error(t, lhs(*t), rhs(*t))
+        return EXHAUSTIVE
     for t in tuples:
         left = lhs(*t)
         right = rhs(*t)
@@ -230,18 +261,7 @@ def _as_element_of(alg, img):
     return img if img.algebra is alg else Element(alg, img.coeffs)
 
 
-def _combination(alg, terms):
-    """The element sum(c * img) of alg over (scalar, image) pairs."""
-    ring = alg.ring
-    acc = {}
-    for c, img in terms:
-        for k, v in img.coeffs.items():
-            s = ring.add(acc.get(k, ring.zero), ring.mul(c, v))
-            if ring.is_zero(s):
-                acc.pop(k, None)
-            else:
-                acc[k] = s
-    return Element(alg, acc)
+_EMPTY = {}  # the image of a key with none; read by the key kernels only, never mutated
 
 
 class LinearMap:
@@ -275,15 +295,20 @@ class LinearMap:
             return self.images.get(key)
         img = self._memo.get(key)
         if img is None:
-            if self.rule == "substitution":
-                img = self.images[key[0]]
-                for g in key[1:]:
-                    img = img * self.images[g]
+            if self.rule == "substitution":  # g1...gk = (g1...g(k-1)) gk, prefix memoised
+                img = self.images[key[-1]]
+                if len(key) > 1:
+                    img = self._image(key[:-1]) * img
             else:
                 img = self.fn(self.source.basis_element(key))
             self.target.owns(img)
             self._memo[key] = img
         return img
+
+    def _key_image(self, key):
+        """The coefficient dict of the image of one basis key."""
+        img = self._image(key)
+        return _EMPTY if img is None else img.coeffs
 
     def __call__(self, u):
         self.source.owns(u)
@@ -295,8 +320,8 @@ class LinearMap:
         for key, c in u.coeffs.items():
             img = self._image(key)
             if img is not None:
-                terms.append((c, img))
-        return _combination(self.target, terms)
+                terms.append((c, img.coeffs))
+        return Element(self.target, combine(self.target.ring, terms))
 
     def __repr__(self):
         tag = self.note or self.rule
@@ -333,9 +358,22 @@ def identity_map(alg):
 
 
 def certify_multiplicative(f, policy=DEFAULT_POLICY):
+    source_mul, target_product = f.source.key_mul, f.target.product
+    ring, image = f.target.ring, f._key_image
+
+    def on_keys(keys, _):  # f(k1k2) = f(k1)f(k2)
+        for i, k1 in enumerate(keys):
+            for j, k2 in enumerate(keys):
+                product = source_mul(k1, k2).coeffs
+                left = product and combine(ring, [(c, image(k)) for k, c in product.items()])
+                a, b = image(k1), image(k2)
+                if left != (a and b and target_product(a, b)):
+                    return i, j
+        return None
+
     f.multiplicative = check_law(
         [f.source, f.source], lambda u, v: f(u * v), lambda u, v: f(u) * f(v),
-        MorphismViolation, policy,
+        MorphismViolation, policy, on_keys=on_keys,
     )
     return f.multiplicative
 
@@ -395,6 +433,11 @@ class Action:
     def __call__(self, r, m):
         raise NotImplementedError
 
+    def _key_image(self, k1, k2):
+        """The coefficient dict of k1 > k2 for basis keys of a finite acting
+        algebra and of the acted algebra."""
+        raise NotImplementedError
+
     def same(self, other):
         return self is other
 
@@ -404,6 +447,9 @@ class ZeroAction(Action):
         self.acting.owns(r)
         self.acted.owns(m)
         return self.acted.zero()
+
+    def _key_image(self, k1, k2):
+        return _EMPTY
 
     def same(self, other):
         return isinstance(other, ZeroAction) and other.acting.compatible(self.acting) and other.acted.compatible(self.acted)
@@ -419,8 +465,8 @@ class TableAction(Action):
 
     def _act_label(self, label, m):
         row = self.table.get(label, {})
-        terms = [(c, row[key]) for key, c in m.coeffs.items() if key in row]
-        return _combination(self.acted, terms)
+        terms = [(c, row[key].coeffs) for key, c in m.coeffs.items() if key in row]
+        return Element(self.acted, combine(self.acted.ring, terms))
 
     def __call__(self, r, m):
         self.acting.owns(r)
@@ -433,8 +479,12 @@ class TableAction(Action):
                     cur = self._act_label(g, cur)
             else:
                 cur = self._act_label(key, m)
-            terms.append((c, cur))
-        return _combination(self.acted, terms)
+            terms.append((c, cur.coeffs))
+        return Element(self.acted, combine(self.acted.ring, terms))
+
+    def _key_image(self, k1, k2):
+        img = self.table.get(k1, _EMPTY).get(k2)
+        return _EMPTY if img is None else img.coeffs
 
     def same(self, other):
         return (
@@ -485,6 +535,10 @@ class FunctionAction(Action):
             self._memo[(k1, k2)] = img
         return img
 
+    def _key_image(self, k1, k2):
+        img = self._memo.get((k1, k2))
+        return (self._image(k1, k2) if img is None else img).coeffs
+
     def __call__(self, r, m):
         self.acting.owns(r)
         self.acted.owns(m)
@@ -492,11 +546,11 @@ class FunctionAction(Action):
         if k1 is not None and k2 is not None:
             return _as_element_of(self.acted, self._image(k1, k2))
         mul = self.acted.ring.mul
-        return _combination(self.acted, [
-            (mul(c1, c2), self._image(k1, k2))
+        return Element(self.acted, combine(self.acted.ring, [
+            (mul(c1, c2), self._image(k1, k2).coeffs)
             for k1, c1 in r.coeffs.items()
             for k2, c2 in m.coeffs.items()
-        ])
+        ]))
 
     def same(self, other):
         if self is other:
@@ -520,13 +574,39 @@ def certify_action(action, policy=DEFAULT_POLICY):
     """
     rng = policy.rng()
     R, M = action.acting, action.acted
+    ring, image, key_mul = M.ring, action._key_image, M.key_mul
+
+    def a1_on_keys(rkeys, mkeys, _):  # r > m1m2 = (r > m1)m2
+        for i, r in enumerate(rkeys):
+            for j, m1 in enumerate(mkeys):
+                acted = image(r, m1)
+                for l, m2 in enumerate(mkeys):
+                    product = key_mul(m1, m2).coeffs
+                    left = product and combine(ring, [(c, image(r, k)) for k, c in product.items()])
+                    right = acted and combine(ring, [(c, key_mul(k, m2).coeffs) for k, c in acted.items()])
+                    if left != right:
+                        return i, j, l
+        return None
+
+    def a2_on_keys(rkeys, _, mkeys):  # r1r2 > m = r1 > (r2 > m)
+        for i, r1 in enumerate(rkeys):
+            for j, r2 in enumerate(rkeys):
+                product = R.key_mul(r1, r2).coeffs
+                for l, m in enumerate(mkeys):
+                    acted = image(r2, m)
+                    left = product and combine(ring, [(c, image(k, m)) for k, c in product.items()])
+                    right = acted and combine(ring, [(c, image(r1, k)) for k, c in acted.items()])
+                    if left != right:
+                        return i, j, l
+        return None
+
     a1 = check_law(
         [R, M, M], lambda r, m1, m2: action(r, m1 * m2), lambda r, m1, m2: action(r, m1) * m2,
-        A1Violation, policy, rng,
+        A1Violation, policy, rng, on_keys=a1_on_keys,
     )
     a2 = check_law(
         [R, R, M], lambda r1, r2, m: action(r1 * r2, m), lambda r1, r2, m: action(r1, action(r2, m)),
-        A2Violation, policy, rng,
+        A2Violation, policy, rng, on_keys=a2_on_keys,
     )
     action.certificate = _weakest(a1, a2)
     return action.certificate
@@ -586,12 +666,12 @@ class BilinearMap:
         self.left.owns(u)
         self.right.owns(v)
         mul = self.target.ring.mul
-        return _combination(self.target, [
-            (mul(c1, c2), self.table[(k1, k2)])
+        return Element(self.target, combine(self.target.ring, [
+            (mul(c1, c2), self.table[(k1, k2)].coeffs)
             for k1, c1 in u.coeffs.items()
             for k2, c2 in v.coeffs.items()
             if (k1, k2) in self.table
-        ])
+        ]))
 
     def same(self, other):
         return (

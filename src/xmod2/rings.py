@@ -77,6 +77,8 @@ class Rational(Ring):
         raise BadShape("cannot coerce %r into Q" % (value,))
 
     def parse(self, text):
+        if "e" in text or "E" in text:  # Fraction would build 10**exponent
+            raise ParseError("bad rational scalar %r: exponent notation is not accepted" % (text,))
         try:
             return Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -111,7 +113,7 @@ class Rational(Ring):
 
 class PrimeField(Ring):
     def __init__(self, p):
-        if not isinstance(p, int) or not _is_prime(p) or p > MAX_PRIME:
+        if not isinstance(p, int) or p > MAX_PRIME or not _is_prime(p):
             raise BadShape("modulus must be a prime <= 2^31, got %r" % (p,))
         self.p = p
         self.name = "F%d" % p

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -220,6 +221,24 @@ def test_malformed_document_is_parse_error(tmp_path, capsys, doc, named):
     assert cli.main(["validate", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("parse error: ") and named in err
+
+
+def test_huge_prime_modulus_is_rejected_within_a_second(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"ring": {"prime": 2305843009213693951}}))
+    start = time.perf_counter()
+    assert cli.main(["validate", str(path)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("parse error: ")
+
+
+def test_exponent_notation_scalar_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"ring": "Q", "algebras": {"N": {
+        "type": "finite", "basis": ["u"], "products": {"u": {"u": {"u": "1e999999999"}}}}}}))
+    assert cli.main(["validate", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "'1e999999999'" in err
 
 
 @pytest.mark.parametrize("doc, named", [

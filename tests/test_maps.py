@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from xmod2.algebra import FreeAlgebra, make_finite_algebra, make_free_algebra
+from xmod2.algebra import Element, FreeAlgebra, make_finite_algebra, make_free_algebra
 from xmod2.errors import (
     A1Violation,
     A2Violation,
@@ -20,6 +20,7 @@ from xmod2.maps import (
     FunctionAction,
     LinearMap,
     Policy,
+    TableAction,
     algebra_morphism,
     certify_action,
     check_law,
@@ -30,7 +31,6 @@ from xmod2.maps import (
     morphisms_equal,
     zero_action,
     zero_map,
-    _combination,
     _skeleton,
 )
 from xmod2.rings import QQ, PrimeField
@@ -124,6 +124,44 @@ def test_action_a2_violation():
     E = make_finite_algebra(["a"], {}, QQ)
     with pytest.raises(A2Violation):
         make_action(R, E, {"q": {"a": E.basis_element("a")}})
+
+
+def _element_path_error(R, M, table, law):
+    """The error the element path of check_law raises for one law of the
+    table action R > M, built without certifying it."""
+    act = TableAction(R, M, table)
+    if law == "A1":
+        algebras, lhs, rhs, error = [R, M, M], lambda r, m1, m2: act(r, m1 * m2), lambda r, m1, m2: act(r, m1) * m2, A1Violation
+    else:
+        algebras, lhs, rhs, error = [R, R, M], lambda r1, r2, m: act(r1 * r2, m), lambda r1, r2, m: act(r1, act(r2, m)), A2Violation
+    with pytest.raises(error) as info:
+        check_law(algebras, lhs, rhs, error, Policy())
+    return info.value
+
+
+@pytest.mark.parametrize("rbasis, mbasis, mproducts, law, witness", [
+    # dim R < dim M: (q, q, a) is position 9 of 12 tuples over [R, R, M]
+    (["p", "q"], ["a", "b", "c"], {}, "A2", ("q", "q", "a")),
+    # dim R > dim M: position 4 of 9; a position counted in dim M reads (p, s, a)
+    (["p", "q", "s"], ["a"], {}, "A2", ("q", "q", "a")),
+    # A1 over [R, M, M] with dim R != dim M: q > aa = 0 but (q > a)a = b
+    (["p", "q"], ["a", "b", "c"], {("a", "a"): {"b": 1}}, "A1", ("q", "a", "a")),
+])
+def test_key_path_witness_when_dims_differ(rbasis, mbasis, mproducts, law, witness):
+    # zero products on R and q > a = a only
+    R = make_finite_algebra(rbasis, {}, QQ)
+    M = make_finite_algebra(mbasis, mproducts, QQ)
+    table = {"q": {"a": M.basis_element("a")}}
+    error = A1Violation if law == "A1" else A2Violation
+    with pytest.raises(error) as info:
+        make_action(R, M, table)
+    got = info.value
+    assert tuple(str(u) for u in got.witness) == witness
+    assert got.lhs != got.rhs
+    expected = _element_path_error(R, M, table, law)
+    assert type(got) is type(expected)
+    assert [u.coeffs for u in got.witness] == [u.coeffs for u in expected.witness]
+    assert (got.lhs, got.rhs) == (expected.lhs, expected.rhs)
 
 
 def test_free_acting_table_action_certificates():
@@ -293,6 +331,15 @@ def _probes(alg):
     return units + scaled + sums + [alg.zero()]
 
 
+def _sum(alg, terms):
+    """sum(c * coeffs) over (scalar, coeffs) terms, one term at a time with
+    Element's own + and scale."""
+    out = alg.zero()
+    for c, coeffs in terms:
+        out = out + Element(alg, coeffs).scale(c)
+    return out
+
+
 def _twice_agrees(op, reference):
     """op() twice equals the term-by-term reference, and the first result's
     coefficients are untouched by the second call."""
@@ -327,8 +374,8 @@ def test_direct_basis_paths_agree_with_the_general_sum():
             probes = _probes(alg)
             for u in probes:
                 for v in probes:
-                    _twice_agrees(lambda: alg.multiply(u, v), _combination(alg, [
-                        (ring.mul(c1, c2), alg.key_mul(k1, k2))
+                    _twice_agrees(lambda: alg.multiply(u, v), _sum(alg, [
+                        (ring.mul(c1, c2), alg.key_mul(k1, k2).coeffs)
                         for k1, c1 in u.coeffs.items() for k2, c2 in v.coeffs.items()
                     ]))
         maps_ = [A.d1, A.d2] + list(T.faces.values()) + list(T.degeneracies.values())
@@ -346,16 +393,16 @@ def test_direct_basis_paths_agree_with_the_general_sum():
             seen_rules.add(f.rule)
             for u in _probes(f.source):
                 images = [(c, f._image(k)) for k, c in u.coeffs.items()]
-                _twice_agrees(lambda: f(u), _combination(
-                    f.target, [(c, img) for c, img in images if img is not None]))
+                _twice_agrees(lambda: f(u), _sum(
+                    f.target, [(c, img.coeffs) for c, img in images if img is not None]))
         for act in T.actions.values():
             if not isinstance(act, FunctionAction):
                 continue
             mul = act.acted.ring.mul
             for r in _probes(act.acting):
                 for m in _probes(act.acted):
-                    _twice_agrees(lambda: act(r, m), _combination(act.acted, [
-                        (mul(c1, c2), act._image(k1, k2))
+                    _twice_agrees(lambda: act(r, m), _sum(act.acted, [
+                        (mul(c1, c2), act._image(k1, k2).coeffs)
                         for k1, c1 in r.coeffs.items() for k2, c2 in m.coeffs.items()
                     ]))
     assert seen_rules == {"table", "substitution", "function"} and partial_tables == 4

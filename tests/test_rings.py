@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,14 @@ def test_rational_parse_lowest_terms():
     assert v.denominator > 0 and v == Fraction(-2, 3)
     with pytest.raises(ParseError):
         QQ.parse("1/0")
+
+
+@pytest.mark.parametrize("text", ["1e999999999", "1E3", "2.5e-1", "-1e0"])
+def test_rational_parse_rejects_exponent_notation(text):
+    """Fraction would expand the exponent: "1e999999999" is about 415 MB."""
+    with pytest.raises(ParseError) as err:
+        QQ.parse(text)
+    assert repr(text) in str(err.value)
 
 
 def test_rational_ops_exact():
@@ -41,6 +50,15 @@ def test_prime_field_rejects_wrong_modulus():
         PrimeField(4)
     with pytest.raises(BadShape):
         PrimeField(2**31 + 11)
+
+
+def test_prime_field_bound_is_tested_before_primality():
+    """Trial division of a Mersenne prime near 2^61 would take minutes."""
+    start = time.perf_counter()
+    for p in (2**61 - 1, 2**40 + 15):
+        with pytest.raises(BadShape):
+            PrimeField(p)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_ring_spec_round_trip():

@@ -10,7 +10,7 @@ import pytest
 from xmod2 import fixtures, maps, simplex
 from xmod2.algebra import SemidirectAlgebra, make_finite_algebra
 from xmod2.crossed import kernel_two_crossed, make_precrossed
-from xmod2.errors import IndexOutOfRange, MorphismViolation, XmodError
+from xmod2.errors import A1Violation, IndexOutOfRange, MorphismViolation, XmodError
 from xmod2.maps import LinearMap, Policy, certify_action, random_element
 from xmod2.randgen import random_two_crossed
 from xmod2.rings import PrimeField
@@ -348,6 +348,16 @@ def test_component_mutant_raises_its_own_error_from_build_tower(monkeypatch, nam
     )
     with pytest.raises(Exception) as expected:
         certify_action(alone, POL)
+    _patch_component(monkeypatch, name, real.acting)
+    with pytest.raises(Exception) as got:
+        build_tower(F2, POL)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
+def _patch_component(monkeypatch, name, acting):
+    """Give the component `name` of >t, acting from `acting`, the identity
+    term in the tower's construction."""
     if name in ("one", "two"):
         real_sum = simplex._sum_action
 
@@ -357,7 +367,7 @@ def test_component_mutant_raises_its_own_error_from_build_tower(monkeypatch, nam
 
         monkeypatch.setattr(simplex, "_sum_action", sum_action)
     else:
-        real_table, c = simplex._action_formulas, _coefficient(real.acting)
+        real_table, c = simplex._action_formulas, _coefficient(acting)
 
         def action_formulas(A):
             formulas = real_table(A)
@@ -367,10 +377,6 @@ def test_component_mutant_raises_its_own_error_from_build_tower(monkeypatch, nam
             return formulas
 
         monkeypatch.setattr(simplex, "_action_formulas", action_formulas)
-    with pytest.raises(Exception) as got:
-        build_tower(F2, POL)
-    assert type(got.value) is type(expected.value)
-    assert str(got.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("variant", ["zero", "double", "one-sided"])
@@ -404,6 +410,14 @@ def test_work_count_of_one_tower_build(monkeypatch):
     components of >t, whose instances >t's own basis check contains.  A
     change that checks less must edit this pin and say why."""
     F2 = fixtures.square_two_crossed()
+    seen = _count_law_tuples(monkeypatch)
+    build_tower(F2, Policy(10, 4, 0))
+    assert seen == [21, 959]
+
+
+def _count_law_tuples(monkeypatch):
+    """[calls, tuples] of law_tuples wherever xmod2 calls it, as a list
+    that fills while the patch lasts."""
     real = maps.law_tuples
     seen = [0, 0]
 
@@ -413,9 +427,10 @@ def test_work_count_of_one_tower_build(monkeypatch):
         seen[1] += len(tuples)
         return tuples, exhaustive
 
-    monkeypatch.setattr(maps, "law_tuples", counting)
-    build_tower(F2, Policy(10, 4, 0))
-    assert seen == [21, 959]
+    for name, module in list(sys.modules.items()):
+        if name.startswith("xmod2") and getattr(module, "law_tuples", None) is real:
+            monkeypatch.setattr(module, "law_tuples", counting)
+    return seen
 
 
 def _truncated_kernel(n, ring, pol):
@@ -443,18 +458,7 @@ def test_work_count_of_build_and_identities(monkeypatch):
         "K2": load_spec(FIXTURES, pol).two_crossed["K2"],
         "T3": _truncated_kernel(3, PrimeField(5), pol),
     }
-    real = maps.law_tuples
-    seen = [0, 0]
-
-    def counting(*args, **kwargs):
-        tuples, exhaustive = real(*args, **kwargs)
-        seen[0] += 1
-        seen[1] += len(tuples)
-        return tuples, exhaustive
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("xmod2") and getattr(module, "law_tuples", None) is real:
-            monkeypatch.setattr(module, "law_tuples", counting)
+    seen = _count_law_tuples(monkeypatch)
     counts = {}
     for name, A in structures.items():
         seen[:] = [0, 0]
@@ -596,15 +600,8 @@ def test_formula_table_mutant_is_rejected(monkeypatch, table, key, mutant):
     with d(a) = p, p > a = 2b over F5: build_tower raises (a face or
     degeneracy is not multiplicative, an action breaks A1 or A2), or a
     simplicial identity fails."""
-    real = getattr(simplex, table)
-
-    def patched(A):
-        formulas = real(A)
-        formulas[key] = mutant(A)
-        return formulas
-
     structures = _mutant_inputs()
-    monkeypatch.setattr(simplex, table, patched)
+    _patch_formula(monkeypatch, table, key, mutant)
     for A in structures:
         try:
             T = build_tower(A, POL)
@@ -613,3 +610,101 @@ def test_formula_table_mutant_is_rejected(monkeypatch, table, key, mutant):
         if not all(ok for _, ok, _ in check_simplicial_identities(T, POL)):
             return
     pytest.fail("the mutant passed on every input")
+
+
+def _patch_formula(monkeypatch, table, key, mutant):
+    real = getattr(simplex, table)
+
+    def patched(A):
+        formulas = real(A)
+        formulas[key] = mutant(A)
+        return formulas
+
+    monkeypatch.setattr(simplex, table, patched)
+
+
+def _element_path(monkeypatch):
+    """Make every law check evaluate its tuples on elements."""
+    real = maps.check_law
+    monkeypatch.setattr(maps, "check_law", lambda *args, on_keys=None, **kwargs: real(*args, **kwargs))
+
+
+def _build_outcome(A):
+    """None, or the error build_tower raises: its type, message, witness
+    tuple and both sides, as text."""
+    try:
+        build_tower(A, POL)
+    except XmodError as exc:
+        witness = getattr(exc, "witness", None)
+        return (type(exc), str(exc), witness and [str(u) for u in witness],
+                str(getattr(exc, "lhs", None)), str(getattr(exc, "rhs", None)))
+    return None
+
+
+def _agreement_structures():
+    F5 = PrimeField(5)
+    rng = random.Random(2024)
+    return [
+        fixtures.zero_two_crossed(),
+        fixtures.square_two_crossed(),
+        load_spec(FIXTURES, POL).two_crossed["K2"],
+        _truncated_kernel(3, F5, POL),
+        _square_kernel(1, 2, F5, POL),
+    ] + [random_two_crossed(F5, rng, policy=POL) for _ in range(5)]
+
+
+def test_key_path_certifies_what_the_element_path_certifies(monkeypatch):
+    """Every finite action, face and degeneracy of the towers gets the same
+    certificate from its basis-key check as from check_law on elements."""
+    checked = 0
+    for A in _agreement_structures():
+        T = build_tower(A, POL)
+        laws = [(certify_action, act) for act in T.actions.values()
+                if act.acting.is_finite() and act.acted.is_finite()]
+        laws += [(maps.certify_multiplicative, f)
+                 for f in list(T.faces.values()) + list(T.degeneracies.values())]
+        by_keys = [certify(x, POL) for certify, x in laws]
+        with monkeypatch.context() as patch:
+            _element_path(patch)
+            on_elements = [certify(x, POL) for certify, x in laws]
+        assert by_keys == on_elements == [maps.EXHAUSTIVE] * len(laws)
+        checked += len(laws)
+    assert checked == 10 * (10 + 15)
+
+
+@pytest.mark.parametrize("table, key, mutant", [
+    pytest.param(*entry, id=name) for name, entry in FORMULA_MUTANTS.items()
+])
+def test_formula_mutant_raises_what_the_element_path_raises(monkeypatch, table, key, mutant):
+    """A mutant fails at the same first tuple on basis keys as on elements:
+    the error's type, witness and both sides are the element check's."""
+    _patch_formula(monkeypatch, table, key, mutant)
+    by_keys = [_build_outcome(A) for A in _mutant_inputs()]
+    _element_path(monkeypatch)
+    assert by_keys == [_build_outcome(A) for A in _mutant_inputs()]
+
+
+@pytest.mark.parametrize("name", COMPONENTS)
+def test_component_mutant_raises_what_the_element_path_raises(monkeypatch, name):
+    F2 = fixtures.square_two_crossed()
+    _patch_component(monkeypatch, name, build_tower(F2, POL).actions[name].acting)
+    by_keys = _build_outcome(F2)
+    assert by_keys is not None
+    _element_path(monkeypatch)
+    assert by_keys == _build_outcome(F2)
+
+
+# [calls, tuples] of law_tuples up to the error, measured on the element
+# path: a failing basis-key check finds its witness without a second
+# law_tuples call.
+@pytest.mark.parametrize("name, structure, error, counts", [
+    ("star-without-l''l'", 1, A1Violation, [6, 1455]),  # A1 of >* on T3
+    ("d2@2-without-d2(l)", 0, MorphismViolation, [11, 432]),  # d2 at level 2 on F2
+])
+def test_work_count_of_a_rejected_build(monkeypatch, name, structure, error, counts):
+    _patch_formula(monkeypatch, *FORMULA_MUTANTS[name])
+    A = _mutant_inputs()[structure]
+    seen = _count_law_tuples(monkeypatch)
+    with pytest.raises(error):
+        build_tower(A, POL)
+    assert seen == counts
