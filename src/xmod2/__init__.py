@@ -60,7 +60,6 @@ from .simplex import (
 from .specdoc import SpecDocument, load_spec
 from .tcm_homotopy import (
     QuadraticDerivation,
-    TCMHomotopy,
     apply_2cm_homotopy,
     box_plus_s,
     box_plus_t,

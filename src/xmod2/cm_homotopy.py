@@ -24,9 +24,14 @@ policy), because its sampled tuples come from a fresh ``policy.rng()``
 and s is fixed by its images, so a hit returns the object a
 re-certification would rebuild, with the same certificate.  A composite
 with wrong images matches no key and is certified, and rejected, as
-before.
+before.  A derivation carries the policy it was certified under, and its
+``target`` is certified under that policy too, so a kept derivation, and
+its kept target, only ever answer for the policy they were keyed by.
 """
 
+from functools import cached_property
+
+from .crossed import make_cm_morphism
 from .errors import CompositionMismatch, DerivationLawViolation, XmodError
 from .maps import (
     DEFAULT_POLICY,
@@ -51,32 +56,27 @@ def edge_algebra(cm, policy=DEFAULT_POLICY):
 
 
 class CMDerivation:
-    """An f0-derivation s: R -> E' over a crossed module morphism f.
+    """An f0-derivation s: R -> E' over a crossed module morphism f, with
+    its law certified under ``policy``.
 
     ``images`` records s on the R-basis (finite R) or on the free
     generators (free R, where s is evaluated through the algebra map
-    r -> (f0(r), s(r)) into R' |x E')."""
+    r -> (f0(r), s(r)) into R' |x E').  ``target`` is the target map,
+    certified under the same policy when first read and then kept."""
 
-    def __init__(self, f, images, smap, certificate):
+    def __init__(self, f, images, smap, certificate, policy):
         self.f = f
         self.images = images
         self.smap = smap
         self.certificate = certificate
-        self._targets = {}  # Policy -> CrossedMorphism, filled by target
+        self.policy = policy
 
     def __call__(self, r):
         return self.smap(r)
 
-    @property
-    def source(self):
-        return self.f
-
-    def target(self, policy=DEFAULT_POLICY):
-        """The target map, certified under ``policy`` and kept per policy."""
-        g = self._targets.get(policy)
-        if g is None:
-            g = self._targets[policy] = _cm_target(self, policy)
-        return g
+    @cached_property
+    def target(self):
+        return _cm_target(self)
 
     def equal(self, other):
         return self is other or (
@@ -140,7 +140,7 @@ def make_cm_derivation(f, images, policy=DEFAULT_POLICY):
     norm = _normalize(f, images)
     smap = derivation_map(f, norm, lambda: edge_algebra(tgt, policy))
     cert = check_derivation_law(src.R, f.f0, tgt.act, smap, DerivationLawViolation, policy, policy.rng())
-    d = CMDerivation(f, norm, smap, cert)
+    d = CMDerivation(f, norm, smap, cert, policy)
     f._homotopies.setdefault((policy, image_key(norm)), d)
     return d
 
@@ -152,10 +152,8 @@ def _derivation(f, images, policy):
     return kept if kept is not None else make_cm_derivation(f, images, policy)
 
 
-def _cm_target(d, policy=DEFAULT_POLICY):
-    from .crossed import make_cm_morphism
-
-    f, s = d.f, d.smap
+def _cm_target(d):
+    f, s, policy = d.f, d.smap, d.policy
     src, tgt = f.src, f.tgt
     g0 = algebra_morphism(src.R, tgt.R, fn=lambda r: f.f0(r) + tgt.d(s(r)), policy=policy, note="g0")
     g1 = algebra_morphism(src.E, tgt.E, fn=lambda e: f.f1(e) + s(src.d(e)), policy=policy, note="g1")
@@ -163,24 +161,25 @@ def _cm_target(d, policy=DEFAULT_POLICY):
 
 
 def invert_cm(d, policy=DEFAULT_POLICY):
-    """The derivation -s over g, connecting g back to f."""
-    g = d.target(policy)
+    """The derivation -s over g, connecting g back to f; certified under
+    ``policy``."""
     images = {k: -v for k, v in d.images.items()}
-    inv = make_cm_derivation(g, images, policy)
-    if not inv.target(policy).equal(d.f):
+    inv = make_cm_derivation(d.target, images, policy)
+    if not inv.target.equal(d.f):
         raise XmodError("inverse derivation does not recover the source map")
     return inv
 
 
 def concat_cm(d, d2, policy=DEFAULT_POLICY):
-    """Pointwise sum s + s', connecting f to h; requires target(d) = source(d2)."""
-    if not d.target(policy).equal(d2.f):
+    """Pointwise sum s + s', connecting f to h, certified under ``policy``;
+    requires target(d) = source(d2)."""
+    if not d.target.equal(d2.f):
         raise CompositionMismatch("intermediate morphisms differ")
     images = dict(d.images)
     for k, v in d2.images.items():
         images[k] = images[k] + v if k in images else v
     out = _derivation(d.f, images, policy)
-    if not out.target(policy).equal(d2.target(policy)):
+    if not out.target.equal(d2.target):
         raise XmodError("concatenation target mismatch (transcription bug)")
     return out
 
@@ -209,17 +208,16 @@ def cm_groupoid_check(A, B, samples=25, seed=0, policy=DEFAULT_POLICY):
 
     span = _skeleton(A.R)
     for i in range(samples):
-        f = random_cm_morphism(A, B, rng)
-        d1 = random_cm_derivation(f, rng)
-        g = d1.target(policy)
-        d2 = random_cm_derivation(g, rng)
-        h = d2.target(policy)
-        d3 = random_cm_derivation(h, rng)
+        f = random_cm_morphism(A, B, rng, policy=policy)
+        d1 = random_cm_derivation(f, rng, policy=policy)
+        g = d1.target
+        d2 = random_cm_derivation(g, rng, policy=policy)
+        d3 = random_cm_derivation(d2.target, rng, policy=policy)
 
-        note("cm/%02d/target-valid" % i, True)  # construction certifies
+        note("cm/%02d/target-valid" % i, True)  # each target is certified when read
 
         zf = zero_cm_derivation(f, policy)
-        note("cm/%02d/reflexive-zero" % i, zf.target(policy).equal(f))
+        note("cm/%02d/reflexive-zero" % i, zf.target.equal(f))
         left = concat_cm(zf, d1, policy)
         right = concat_cm(d1, zero_cm_derivation(g, policy), policy)
         note("cm/%02d/identity-left" % i, left.equal(d1))
@@ -230,10 +228,10 @@ def cm_groupoid_check(A, B, samples=25, seed=0, policy=DEFAULT_POLICY):
         note("cm/%02d/inverse-right" % i, all(both(r).is_zero() for r in span))
         both = concat_cm(inv, d1, policy)
         note("cm/%02d/inverse-left" % i, all(both(r).is_zero() for r in span))
-        note("cm/%02d/symmetric" % i, inv.target(policy).equal(f))
+        note("cm/%02d/symmetric" % i, inv.target.equal(f))
 
         assoc_l = concat_cm(concat_cm(d1, d2, policy), d3, policy)
         assoc_r = concat_cm(d1, concat_cm(d2, d3, policy), policy)
         note("cm/%02d/associative" % i, assoc_l.equal(assoc_r))
-        note("cm/%02d/transitive" % i, assoc_l.target(policy).equal(d3.target(policy)))
+        note("cm/%02d/transitive" % i, assoc_l.target.equal(d3.target))
     return entries

@@ -12,7 +12,7 @@ generators plus sampled monomials and stamps the certificate.
 
 from functools import partial
 
-from .algebra import FiniteAlgebra, FreeAlgebra
+from .algebra import FiniteAlgebra, FreeAlgebra, make_finite_algebra
 from .errors import (
     AxiomViolation,
     BadShape,
@@ -33,8 +33,11 @@ from .maps import (
     algebra_morphism,
     certify_action,
     check_law,
+    identity_map,
+    make_action,
     morphisms_equal,
     zero_action,
+    zero_map,
 )
 from .rings import nullspace, solve_in_span
 
@@ -108,7 +111,6 @@ def ideal_inclusion_cm(R, ideal_labels, policy=DEFAULT_POLICY):
             escaped = [k for k in prod.coeffs if k not in labelset]
             if escaped:
                 raise NotAnIdeal((r, e), "product %s*%s leaves the span" % (r, e))
-    from .algebra import make_finite_algebra
 
     table = {}
     for i in ideal_labels:
@@ -121,7 +123,6 @@ def ideal_inclusion_cm(R, ideal_labels, policy=DEFAULT_POLICY):
     act_table = {}
     for r in R.labels:
         act_table[r] = {e: E.element(dict(R.key_mul(r, e).coeffs)) for e in ideal_labels}
-    from .maps import make_action
 
     act = make_action(R, E, act_table, policy)
     return make_crossed(E, R, d, act, policy)
@@ -165,8 +166,6 @@ def make_cm_morphism(src, tgt, f0, f1, policy=DEFAULT_POLICY):
 
 
 def identity_cm_morphism(cm):
-    from .maps import identity_map
-
     return CrossedMorphism(cm, cm, identity_map(cm.R), identity_map(cm.E))
 
 
@@ -343,8 +342,6 @@ def kernel_two_crossed(P, policy=DEFAULT_POLICY):
             raise XmodError("%s left the kernel: %s" % (context, u))
         return {labels[i]: c for i, c in enumerate(coeffs) if not ring.is_zero(c)}
 
-    from .algebra import make_finite_algebra
-
     table = {}
     for i, vi in enumerate(vectors):
         for j, vj in enumerate(vectors):
@@ -361,7 +358,6 @@ def kernel_two_crossed(P, policy=DEFAULT_POLICY):
             labels[i]: L.element(in_kernel_coords(act(r, vectors[i]), "acted kernel element"))
             for i in range(len(labels))
         }
-    from .maps import make_action
 
     act_l = make_action(R, L, act_l_table, policy) if labels else zero_action(R, L)
 
@@ -439,12 +435,8 @@ def make_2cm_morphism(src, tgt, f0, f1, f2, policy=DEFAULT_POLICY):
 
 
 def identity_2cm_morphism(A):
-    from .maps import identity_map
-
     return TwoCrossedMorphism(A, A, identity_map(A.R), identity_map(A.E), identity_map(A.L))
 
 
 def zero_2cm_morphism(A, B, policy=DEFAULT_POLICY):
-    from .maps import zero_map
-
     return make_2cm_morphism(A, B, zero_map(A.R, B.R), zero_map(A.E, B.E), zero_map(A.L, B.L), policy)

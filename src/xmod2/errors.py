@@ -120,7 +120,10 @@ class QDLawViolation(LawViolation):
 
     Equation ids: "s-law" (the derivation law for s), "t-product"
     (the expansion of t on a product of E-elements), "t-action"
-    (the expansion of t on an acted E-element).
+    (the expansion of t on an acted E-element), and two consequences of
+    these on boundaries d2(l) of L, checked as transcription tripwires:
+    "t-product-on-boundaries" (t on d2(l) d2(l')) and
+    "t-action-on-boundaries" (t on r > d2(l)).
     """
 
     def __init__(self, equation, witness, lhs=None, rhs=None):

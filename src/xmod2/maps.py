@@ -673,15 +673,6 @@ class BilinearMap:
             if (k1, k2) in self.table
         ]))
 
-    def same(self, other):
-        return (
-            isinstance(other, BilinearMap)
-            and other.left.compatible(self.left)
-            and other.right.compatible(self.right)
-            and other.target.compatible(self.target)
-            and other.table == self.table
-        )
-
 
 def zero_bilinear(left, right, target):
     return BilinearMap(left, right, target, {})

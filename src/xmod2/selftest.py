@@ -20,7 +20,6 @@ from .report import Report
 from .rings import QQ, PrimeField
 from .simplex import build_tower, check_simplicial_identities, get_tower, with_face
 from .tcm_homotopy import (
-    apply_2cm_homotopy,
     box_plus_s,
     check_w_change,
     concat_2cm,
@@ -46,9 +45,9 @@ def worked_homotopies(ring=QQ, policy=Policy()):
         f1=algebra_morphism(F3.E, F2.E, images={}, policy=policy),
         f2=algebra_morphism(F3.L, F2.L, images={}, policy=policy),
     )
-    h1 = apply_2cm_homotopy(make_quadratic_derivation(f, {"x": a}, {}, policy), policy)
-    h2 = apply_2cm_homotopy(make_quadratic_derivation(h1.target, {"x": a}, {}, policy), policy)
-    h3 = apply_2cm_homotopy(make_quadratic_derivation(h2.target, {"x": a}, {}, policy), policy)
+    h1 = make_quadratic_derivation(f, {"x": a}, {}, policy)
+    h2 = make_quadratic_derivation(h1.target, {"x": a}, {}, policy)
+    h3 = make_quadratic_derivation(h2.target, {"x": a}, {}, policy)
     return F3, F2, f, h1, h2, h3
 
 
@@ -189,17 +188,9 @@ def _associativity_suite(report, seed, policy, triples=100):
         from .randgen import random_2cm_morphism, _random_element
 
         f = random_2cm_morphism(F3, B, rng, policy=policy)
-        h1 = apply_2cm_homotopy(
-            make_quadratic_derivation(f, {"x": _random_element(B.E, rng)}, {}, policy), policy
-        )
-        h2 = apply_2cm_homotopy(
-            make_quadratic_derivation(h1.target, {"x": _random_element(B.E, rng)}, {}, policy),
-            policy,
-        )
-        h3 = apply_2cm_homotopy(
-            make_quadratic_derivation(h2.target, {"x": _random_element(B.E, rng)}, {}, policy),
-            policy,
-        )
+        h1 = make_quadratic_derivation(f, {"x": _random_element(B.E, rng)}, {}, policy)
+        h2 = make_quadratic_derivation(h1.target, {"x": _random_element(B.E, rng)}, {}, policy)
+        h3 = make_quadratic_derivation(h2.target, {"x": _random_element(B.E, rng)}, {}, policy)
         r = random_element(F3.R, rng, policy.max_degree)
         ok, lhs, rhs = check_w_change(h1, h2, h3, r, policy)
         if not ok:
@@ -222,8 +213,7 @@ def _guardrail_suite(report, policy):
     from .crossed import identity_2cm_morphism
 
     ident = identity_2cm_morphism(F2)
-    qd = make_quadratic_derivation(ident, {}, {}, policy)
-    h = apply_2cm_homotopy(qd, policy)
+    h = make_quadratic_derivation(ident, {}, {}, policy)
     try:
         concat_2cm(h, h, policy)
     except FreeBasisRequired:

@@ -31,10 +31,12 @@ Schema (all scalars are strings, e.g. "3/4" or "2 mod 5"; elements are
       "quadratic_derivations":  {NAME: {"base": NAME, "s": linmap, "t": linmap}}
     }
 
-References resolve by name in dependency order; a reference or a label
-that is not a string raises ParseError naming its entry, a dangling or
-cyclic reference raises UnresolvedReference, a failed law raises
-ValidationError(structure, cause) with the witness preserved.
+References resolve by name in dependency order.  A missing required
+field, a reference or a label that is not a string, an unknown label,
+monomial or map kind, and a scalar that is not a JSON string or number
+raise ParseError naming the entry; a dangling or cyclic reference raises
+UnresolvedReference; a failed law raises ValidationError(structure,
+cause) with the witness preserved.
 """
 
 import json
@@ -113,13 +115,41 @@ def _entry(section, name):
     return "%s %r" % (section.rstrip("s"), name)
 
 
-def _parse_key(alg, key):
-    if isinstance(alg, FreeAlgebra):
-        return alg.parse_monomial(key)
+def _required(spec, field, where):
+    """spec[field] of a document entry; a missing field is a ParseError."""
+    if field not in spec:
+        raise ParseError("%s: missing required field %r" % (where, field))
+    return spec[field]
+
+
+def _parse_key(alg, key, where):
+    """A basis label of a finite algebra, or a monomial like "x^2*y" of a
+    free one."""
     try:
+        if isinstance(alg, FreeAlgebra):
+            return alg.parse_monomial(key)
         return alg.check_key(key)
     except BadShape as exc:
-        raise ParseError(str(exc))
+        raise ParseError("%s: %s" % (where, exc))
+
+
+def _generator_key(alg, key, where):
+    """The key a table or a linear map is given on: a basis label, or on a
+    free algebra a single generator."""
+    parsed = _parse_key(alg, key, where)
+    if not isinstance(alg, FreeAlgebra):
+        return parsed
+    if len(parsed) != 1:
+        raise ParseError("%s: %r is not a single generator" % (where, key))
+    return parsed[0]
+
+
+def _parse_scalar(ring, value, where):
+    """A scalar given as a JSON string or number; bool is an int subclass
+    and is refused by name."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ParseError("%s: scalar %r is not a string or a number" % (where, value))
+    return ring.parse(str(value))
 
 
 def _parse_element(alg, data, where):
@@ -127,7 +157,7 @@ def _parse_element(alg, data, where):
         raise ParseError("%s: element must be an object, got %r" % (where, data))
     coeffs = {}
     for key, scalar in data.items():
-        coeffs[_parse_key(alg, key)] = alg.ring.parse(str(scalar))
+        coeffs[_parse_key(alg, key, where)] = _parse_scalar(alg.ring, scalar, where)
     return alg.element(coeffs)
 
 
@@ -138,14 +168,7 @@ def _parse_linmap_images(source, target, spec, field, entry):
     data = spec.get(field)
     images = {}
     for key, elem in ({} if data is None else _shaped(data, dict, where)).items():
-        if isinstance(source, FreeAlgebra):
-            mono = source.parse_monomial(key)
-            if len(mono) != 1:
-                raise ParseError("%s: images only on generators, got %r" % (where, key))
-            skey = mono[0]
-        else:
-            skey = _parse_key(source, key)
-        images[skey] = _parse_element(target, elem, where)
+        images[_generator_key(source, key, where)] = _parse_element(target, elem, where)
     if isinstance(source, FiniteAlgebra):
         for label in source.labels:
             images.setdefault(label, target.zero())
@@ -186,7 +209,7 @@ class _Loader:
         self._building.append(tag)
         try:
             value = builder(name, spec)
-        except (XmodError, KeyError) as exc:
+        except XmodError as exc:
             if isinstance(exc, (ParseError, UnresolvedReference, ValidationError)):
                 raise
             raise ValidationError("%s %r" % (section, name), exc)
@@ -209,17 +232,18 @@ class _Loader:
             for k1, row in _shaped(spec.get("products", {}), dict, products).items():
                 for k2, elem in _shaped(row, dict, products).items():
                     constants[(k1, k2)] = {
-                        k: self.doc.ring.parse(str(c)) for k, c in _shaped(elem, dict, products).items()
+                        k: _parse_scalar(self.doc.ring, c, products)
+                        for k, c in _shaped(elem, dict, products).items()
                     }
-            basis = _names(spec["basis"], where + " basis")
+            basis = _names(_required(spec, "basis", where), where + " basis")
             return make_finite_algebra(basis, constants, self.doc.ring)
         if kind == "free":
-            generators = _names(spec["generators"], where + " generators")
+            generators = _names(_required(spec, "generators", where), where + " generators")
             return make_free_algebra(generators, self.doc.ring)
         if kind == "semidirect":
-            left = self.algebra(spec["acting"])
-            right = self.algebra(spec["acted"])
-            action = self.action(spec["action"])
+            left = self.algebra(_required(spec, "acting", where))
+            right = self.algebra(_required(spec, "acted", where))
+            action = self.action(_required(spec, "action", where))
             return semidirect(left, right, action, self.policy)
         raise ParseError("algebra %r: unknown type %r" % (name, kind))
 
@@ -227,22 +251,15 @@ class _Loader:
         return self._resolve("actions", name, self._build_action, self.doc.actions)
 
     def _build_action(self, name, spec):
-        acting = self.algebra(spec["acting"])
-        acted = self.algebra(spec["acted"])
+        where = "action %r" % name
+        acting = self.algebra(_required(spec, "acting", where))
+        acted = self.algebra(_required(spec, "acted", where))
         if spec.get("zero"):
             return zero_action(acting, acted)
-        where = "action %r" % name
         table = {}
         for actor, row in _shaped(spec.get("table", {}), dict, where + " table").items():
-            if isinstance(acting, FreeAlgebra):
-                mono = acting.parse_monomial(actor)
-                if len(mono) != 1:
-                    raise ParseError("%s: table rows only on generators" % where)
-                akey = mono[0]
-            else:
-                akey = _parse_key(acting, actor)
-            table[akey] = {
-                _parse_key(acted, k): _parse_element(acted, elem, where)
+            table[_generator_key(acting, actor, where + " table")] = {
+                _parse_key(acted, k, where): _parse_element(acted, elem, where)
                 for k, elem in _shaped(row, dict, "%s table row %r" % (where, actor)).items()
             }
         return make_action(acting, acted, table, self.policy)
@@ -250,33 +267,27 @@ class _Loader:
     def precrossed_module(self, name):
         return self._resolve("precrossed", name, self._build_precrossed, self.doc.precrossed)
 
-    def _build_precrossed(self, name, spec):
-        E = self.algebra(spec["E"])
-        R = self.algebra(spec["R"])
-        act = self.action(spec["action"])
+    def _build_precrossed(self, name, spec, section="precrossed", make=make_precrossed):
+        where = _entry(section, name)
+        E = self.algebra(_required(spec, "E", where))
+        R = self.algebra(_required(spec, "R", where))
+        act = self.action(_required(spec, "action", where))
         d = algebra_morphism(
-            E, R, images=_parse_linmap_images(E, R, spec, "map", "precrossed %r" % name),
-            policy=self.policy,
+            E, R, images=_parse_linmap_images(E, R, spec, "map", where), policy=self.policy
         )
-        return make_precrossed(E, R, d, act, self.policy)
+        return make(E, R, d, act, self.policy)
 
     def crossed_module(self, name):
         return self._resolve("crossed", name, self._build_crossed, self.doc.crossed)
 
     def _build_crossed(self, name, spec):
-        if "ideal" in spec:
-            where = "crossed %r ideal" % name
-            ideal = _shaped(spec["ideal"], dict, where)
-            R = self.algebra(ideal["R"])
-            return ideal_inclusion_cm(R, _names(ideal["labels"], where + " labels"), self.policy)
-        E = self.algebra(spec["E"])
-        R = self.algebra(spec["R"])
-        act = self.action(spec["action"])
-        d = algebra_morphism(
-            E, R, images=_parse_linmap_images(E, R, spec, "map", "crossed %r" % name),
-            policy=self.policy,
-        )
-        return make_crossed(E, R, d, act, self.policy)
+        if "ideal" not in spec:
+            return self._build_precrossed(name, spec, "crossed", make_crossed)
+        where = "crossed %r ideal" % name
+        ideal = _shaped(spec["ideal"], dict, where)
+        R = self.algebra(_required(ideal, "R", where))
+        labels = _names(_required(ideal, "labels", where), where + " labels")
+        return ideal_inclusion_cm(R, labels, self.policy)
 
     def two_crossed_module(self, name):
         return self._resolve("two_crossed", name, self._build_two_crossed, self.doc.two_crossed)
@@ -288,9 +299,9 @@ class _Loader:
         free_basis = spec.get("free_basis")
         if free_basis is not None:
             _shaped(free_basis, list, entry + " free_basis")
-        L = self.algebra(spec["L"])
-        E = self.algebra(spec["E"])
-        R = self.algebra(spec["R"])
+        L = self.algebra(_required(spec, "L", entry))
+        E = self.algebra(_required(spec, "E", entry))
+        R = self.algebra(_required(spec, "R", entry))
         d2 = algebra_morphism(
             L, E, images=_parse_linmap_images(L, E, spec, "d2", entry), policy=self.policy
         )
@@ -302,11 +313,11 @@ class _Loader:
         for k1, row in _shaped(spec.get("lifting", {}), dict, lifting).items():
             for k2, elem in _shaped(row, dict, "%s row %r" % (lifting, k1)).items():
                 value = _parse_element(L, elem, "lifting of %r" % name)
-                table[(_parse_key(E, k1), _parse_key(E, k2))] = value
+                table[(_parse_key(E, k1, lifting), _parse_key(E, k2, lifting))] = value
         return make_two_crossed(
             L, E, R, d2, d1,
-            act_e=self.action(spec["action_e"]),
-            act_l=self.action(spec["action_l"]),
+            act_e=self.action(_required(spec, "action_e", entry)),
+            act_l=self.action(_required(spec, "action_l", entry)),
             lift=BilinearMap(E, E, L, table),
             free_basis=free_basis,
             policy=self.policy,
@@ -316,27 +327,30 @@ class _Loader:
         return self._resolve("maps", name, self._build_map, self.doc.maps)
 
     def _build_map(self, name, spec):
+        where = "map %r" % name
         kind = spec.get("kind", "two_crossed")
+        if kind not in ("crossed", "two_crossed"):
+            raise ParseError("%s: unknown kind %r" % (where, kind))
         if kind == "crossed":
-            src = self.crossed_module(spec["source"])
-            tgt = self.crossed_module(spec["target"])
+            src = self.crossed_module(_required(spec, "source", where))
+            tgt = self.crossed_module(_required(spec, "target", where))
             if spec.get("identity"):
                 if src is not tgt:
-                    raise ParseError("map %r: identity needs source == target" % name)
+                    raise ParseError("%s: identity needs source == target" % where)
                 return make_cm_morphism(src, tgt, identity_map(src.R), identity_map(src.E), self.policy)
             components, make = (("f0", "R"), ("f1", "E")), make_cm_morphism
         else:
-            src = self.two_crossed_module(spec["source"])
-            tgt = self.two_crossed_module(spec["target"])
+            src = self.two_crossed_module(_required(spec, "source", where))
+            tgt = self.two_crossed_module(_required(spec, "target", where))
             if spec.get("identity"):
                 if src is not tgt:
-                    raise ParseError("map %r: identity needs source == target" % name)
+                    raise ParseError("%s: identity needs source == target" % where)
                 return identity_2cm_morphism(src)
             components, make = (("f0", "R"), ("f1", "E"), ("f2", "L")), make_2cm_morphism
         maps = []
         for component, level in components:
             dom, cod = getattr(src, level), getattr(tgt, level)
-            images = _parse_linmap_images(dom, cod, spec, component, "map %r" % name)
+            images = _parse_linmap_images(dom, cod, spec, component, where)
             maps.append(algebra_morphism(dom, cod, images=images, policy=self.policy))
         return make(src, tgt, *maps, self.policy)
 
@@ -344,8 +358,9 @@ class _Loader:
         return self._resolve("derivations", name, self._build_derivation, self.doc.derivations)
 
     def _build_derivation(self, name, spec):
-        f = self.module_map(spec["base"])
-        images = _parse_linmap_images(f.src.R, f.tgt.E, spec, "s", "derivation %r" % name)
+        where = "derivation %r" % name
+        f = self.module_map(_required(spec, "base", where))
+        images = _parse_linmap_images(f.src.R, f.tgt.E, spec, "s", where)
         return make_cm_derivation(f, images, self.policy)
 
     def quadratic_derivation(self, name):
@@ -354,8 +369,8 @@ class _Loader:
         )
 
     def _build_quadratic(self, name, spec):
-        f = self.module_map(spec["base"])
         entry = "quadratic_derivation %r" % name
+        f = self.module_map(_required(spec, "base", entry))
         s_images = _parse_linmap_images(f.src.R, f.tgt.E, spec, "s", entry)
         t_images = _parse_linmap_images(f.src.E, f.tgt.L, spec, "t", entry)
         return make_quadratic_derivation(f, s_images, t_images, self.policy)

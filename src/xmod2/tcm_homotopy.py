@@ -35,24 +35,33 @@ Everything here refuses to run without a recorded free basis
 (FreeBasisRequired): without freeness the homotopy relation is not an
 equivalence relation, and silently computing would be wrong.
 
+A homotopy is one object, a ``QuadraticDerivation``: its data, the
+policy its laws were certified under, and its ``target``, the map g
+certified under that same policy when first read and then kept.  The
+operations here take derivations, and ``concat_2cm`` and ``invert_2cm``
+return one, certified under the policy they are given.
+
 Each homotopy is certified once.  ``make_quadratic_derivation`` certifies
 every call and keeps its result on f, keyed by the policy and the
 normalized data: the completed s-images, the declared monomial values and
-the nonzero t-images.  ``zero_quadratic`` and ``concat_2cm`` go through
-``_quadratic``, which normalizes the same way and returns the kept
-derivation when the key matches, certifying only on a miss; so the
+the nonzero t-images.  ``zero_quadratic``, ``concat_2cm`` and
+``apply_2cm_homotopy`` (for a derivation certified under another policy)
+go through ``_quadratic``, which normalizes the same way and returns the
+kept derivation when the key matches, certifying only on a miss; so the
 groupoid's zeros, its units (0 [+] h = h [+] 0 = h), its inverse laws
 (h [+] hbar = 0) and both bracketings of a triple come back as the
-object already certified.  ``invert_2cm`` and randgen always certify.
-Reuse is exact: a certification is a pure function of (f, images,
-policy).  Its sampled tuples come from a fresh ``policy.rng()``, s and t
-are fixed by their images, and a hit needs equal images over the same f
-object, so a hit returns the object a re-certification would rebuild,
-with the same certificates.  A composite with wrong data matches no key
-and is certified, and rejected, as before.
+object already certified, with its target.  ``invert_2cm`` and randgen
+always certify.  Reuse is exact: a certification is a pure function of
+(f, images, policy).  Its sampled tuples come from a fresh
+``policy.rng()``, s and t are fixed by their images, and a hit needs
+equal images over the same f object and an equal policy, so a hit
+returns the object a re-certification would rebuild, with the same
+certificates, and its kept target is certified under the policy asked
+for.  A composite with wrong data matches no key and is certified, and
+rejected, as before.
 """
 
-from functools import partial
+from functools import cached_property, partial
 
 from .cm_homotopy import check_derivation_law, derivation_map, image_key
 from .crossed import make_2cm_morphism
@@ -127,27 +136,22 @@ def _s_map(f, images, policy=DEFAULT_POLICY):
 
 
 class QuadraticDerivation:
-    """A pair (s, t) over a 2-crossed morphism f, with certified laws."""
+    """A pair (s, t) over a 2-crossed morphism f, with its laws certified
+    under ``policy``.  ``target`` is the target map, certified under the
+    same policy when first read and then kept."""
 
-    def __init__(self, f, s_images, smap, t_images, tmap, certificates):
+    def __init__(self, f, s_images, smap, t_images, tmap, certificates, policy):
         self.f = f
         self.s_images = s_images
         self.s = smap
         self.t_images = t_images
         self.t = tmap
         self.certificates = certificates
-        self._targets = {}  # Policy -> TwoCrossedMorphism, filled by target
+        self.policy = policy
 
-    @property
-    def source(self):
-        return self.f
-
-    def target(self, policy=DEFAULT_POLICY):
-        """The target map, certified under ``policy`` and kept per policy."""
-        g = self._targets.get(policy)
-        if g is None:
-            g = self._targets[policy] = _qd_target(self, policy)
-        return g
+    @cached_property
+    def target(self):
+        return _qd_target(self)
 
     def equal(self, other):
         return self is other or (
@@ -237,7 +241,7 @@ def make_quadratic_derivation(f, s_images, t_images, policy=DEFAULT_POLICY):
             if lhs != rhs:
                 raise QDLawViolation("t-action-on-boundaries", (r, l), lhs, rhs)
 
-    qd = QuadraticDerivation(f, s_images, smap, t_norm, tmap, certs)
+    qd = QuadraticDerivation(f, s_images, smap, t_norm, tmap, certs, policy)
     f._homotopies.setdefault(_key(policy, s_images, declared, t_norm), qd)
     return qd
 
@@ -253,29 +257,8 @@ def zero_quadratic(f, policy=DEFAULT_POLICY):
     return _quadratic(f, {}, {}, policy)
 
 
-class TCMHomotopy:
-    """A quadratic derivation with its computed, certified target."""
-
-    def __init__(self, qd, source, target):
-        self.qd = qd
-        self.source = source
-        self.target = target
-
-    @property
-    def s(self):
-        return self.qd.s
-
-    @property
-    def t(self):
-        return self.qd.t
-
-    @property
-    def s_images(self):
-        return self.qd.s_images
-
-
-def _qd_target(qd, policy=DEFAULT_POLICY):
-    f = qd.f
+def _qd_target(qd):
+    f, policy = qd.f, qd.policy
     A, B = f.src, f.tgt
     s, t = qd.s, qd.t
     g0 = algebra_morphism(A.R, B.R, fn=lambda r: f.f0(r) + B.d1(s(r)), policy=policy, note="g0")
@@ -287,16 +270,16 @@ def _qd_target(qd, policy=DEFAULT_POLICY):
 
 
 def apply_2cm_homotopy(qd, policy=DEFAULT_POLICY):
-    """Compute the target morphism and certify it fully."""
-    return TCMHomotopy(qd, qd.f, qd.target(policy))
+    """The data of qd certified under ``policy``, with its target map
+    certified: qd itself when it was certified under ``policy``."""
+    if qd.policy != policy:
+        qd = _quadratic(qd.f, qd.s_images, qd.t_images, policy)
+    qd.target  # certified here, not at its first later read
+    return qd
 
 
-def _as_qd(h):
-    return h.qd if isinstance(h, TCMHomotopy) else h
-
-
-def _check_composable(qd1, qd2, policy=DEFAULT_POLICY):
-    if not qd1.target(policy).equal(qd2.f):
+def _check_composable(h1, h2):
+    if not h1.target.equal(h2.f):
         raise CompositionMismatch(
             "target of the first homotopy differs from the base of the second"
         )
@@ -314,16 +297,15 @@ def extend_derivation(f, s_star, policy=DEFAULT_POLICY):
     return _s_map(f, images, policy)
 
 
-def _sum_images(qd1, qd2):
+def _sum_images(h1, h2):
     """(s + s')|B, the generator images of s [+] s'."""
-    return {b: qd1.s_images[b] + qd2.s_images[b] for b in _require_free(qd1.f.src)}
+    return {b: h1.s_images[b] + h2.s_images[b] for b in _require_free(h1.f.src)}
 
 
 def box_plus_s(h1, h2, policy=DEFAULT_POLICY):
     """s [+] s': the f0-derivation extending (s + s')|B."""
-    qd1, qd2 = _as_qd(h1), _as_qd(h2)
-    _check_composable(qd1, qd2, policy)
-    return extend_derivation(qd1.f, _sum_images(qd1, qd2), policy)
+    _check_composable(h1, h2)
+    return extend_derivation(h1.f, _sum_images(h1, h2), policy)
 
 
 def _triangle_map(f, images1, images2, policy=DEFAULT_POLICY):
@@ -345,19 +327,18 @@ def x_map(h1, h2, r, policy=DEFAULT_POLICY):
     The component form (f0(r), s(r), s'(r) - d2'(w(r)), w(r)) is
     cross-checked against the independently computed s(r) and
     (s [+] s')(r) through the faces d0 and d1."""
-    qd1, qd2 = _as_qd(h1), _as_qd(h2)
-    _check_composable(qd1, qd2, policy)
-    f = qd1.f
-    tower, X = _triangle_map(f, qd1.s_images, qd2.s_images, policy)
+    _check_composable(h1, h2)
+    f = h1.f
+    tower, X = _triangle_map(f, h1.s_images, h2.s_images, policy)
     value = X(r)
     c0, c1, c2, c3 = tower.split2(value)
-    s1r = qd1.s(r)
+    s1r = h1.s(r)
     if c0 != f.f0(r) or c1 != s1r:
         raise XmodError("triangle map components disagree with f0/s (transcription bug)")
-    box_r = extend_derivation(f, _sum_images(qd1, qd2), policy)(r)
+    box_r = extend_derivation(f, _sum_images(h1, h2), policy)(r)
     if box_r != c1 + c2:
         raise XmodError("triangle map d1-face disagrees with s [+] s'")
-    if box_r != s1r + qd2.s(r) - f.tgt.d2(c3):
+    if box_r != s1r + h2.s(r) - f.tgt.d2(c3):
         raise XmodError("w-correction identity fails (transcription bug)")
     return value
 
@@ -376,64 +357,57 @@ def _pair_w(f, images1, images2, r, policy=DEFAULT_POLICY):
 
 def w_map(h1, h2, r, policy=DEFAULT_POLICY):
     """w^(s,s')(r): the L'-component of X^(s,s')(r); vanishes on B."""
-    qd1, qd2 = _as_qd(h1), _as_qd(h2)
-    _check_composable(qd1, qd2, policy)
-    return _pair_w(qd1.f, qd1.s_images, qd2.s_images, r, policy)
+    _check_composable(h1, h2)
+    return _pair_w(h1.f, h1.s_images, h2.s_images, r, policy)
 
 
 def box_plus_t(h1, h2, e, policy=DEFAULT_POLICY):
     """(t [+] t')(e) = t(e) + t'(e) + w^(s,s')(d1(e)); composability is
     checked by w_map."""
-    qd1, qd2 = _as_qd(h1), _as_qd(h2)
-    w = w_map(qd1, qd2, qd1.f.src.d1(e), policy)
-    return qd1.t(e) + qd2.t(e) + w
+    w = w_map(h1, h2, h1.f.src.d1(e), policy)
+    return h1.t(e) + h2.t(e) + w
 
 
 def concat_2cm(h1, h2, policy=DEFAULT_POLICY):
-    """(s [+] s', t [+] t'): certified as a quadratic derivation from the
-    source of the first to the target of the second."""
-    qd1, qd2 = _as_qd(h1), _as_qd(h2)
-    _check_composable(qd1, qd2, policy)
-    A = qd1.f.src
-    s_images = _sum_images(qd1, qd2)
-    t_images = {k: box_plus_t(qd1, qd2, A.E.basis_element(k), policy) for k in A.E.basis_keys()}
-    qd = _quadratic(qd1.f, s_images, t_images, policy)
-    out = apply_2cm_homotopy(qd, policy)
-    if not out.target.equal(qd2.target(policy)):
+    """(s [+] s', t [+] t'): certified under ``policy`` as a quadratic
+    derivation from the source of the first to the target of the second."""
+    _check_composable(h1, h2)
+    A = h1.f.src
+    s_images = _sum_images(h1, h2)
+    t_images = {k: box_plus_t(h1, h2, A.E.basis_element(k), policy) for k in A.E.basis_keys()}
+    out = _quadratic(h1.f, s_images, t_images, policy)
+    if not out.target.equal(h2.target):
         raise XmodError("concatenation target mismatch (transcription bug)")
     return out
 
 
 def invert_2cm(h, policy=DEFAULT_POLICY):
-    """The groupoid inverse: sbar extends -s|B as a g0-derivation and
-    tbar = -t - w^(s,sbar) o d1; both concatenations are the zero
-    homotopy, exactly."""
-    qd = _as_qd(h)
-    A = qd.f.src
-    sbar_images = {b: -qd.s_images[b] for b in _require_free(A)}
-    g = qd.target(policy)
+    """The groupoid inverse, certified under ``policy``: sbar extends
+    -s|B as a g0-derivation and tbar = -t - w^(s,sbar) o d1; both
+    concatenations are the zero homotopy, exactly."""
+    A = h.f.src
+    sbar_images = {b: -h.s_images[b] for b in _require_free(A)}
     tbar_images = {}
     for k in A.E.basis_keys():
         e = A.E.basis_element(k)
-        w = _pair_w(qd.f, qd.s_images, sbar_images, A.d1(e), policy)
-        tbar_images[k] = -qd.t(e) - w
-    qdbar = make_quadratic_derivation(g, sbar_images, tbar_images, policy)
-    out = apply_2cm_homotopy(qdbar, policy)
-    if not out.target.equal(qd.f):
+        w = _pair_w(h.f, h.s_images, sbar_images, A.d1(e), policy)
+        tbar_images[k] = -h.t(e) - w
+    out = make_quadratic_derivation(h.target, sbar_images, tbar_images, policy)
+    if not out.target.equal(h.f):
         raise XmodError("inverse does not recover the source map (transcription bug)")
     return out
 
 
-def _triple_w(qd1, qd2, qd3, r, policy):
+def _triple_w(h1, h2, h3, r, policy):
     """For a composable triple at r: the images of s' [+] s'', and
     w^(s,s'), w^(s',s''), w^(s[+]s',s'')."""
-    _check_composable(qd1, qd2, policy)
-    _check_composable(qd2, qd3, policy)
-    f = qd1.f
-    w12 = _pair_w(f, qd1.s_images, qd2.s_images, r, policy)
-    w23 = _pair_w(qd2.f, qd2.s_images, qd3.s_images, r, policy)
-    w12_3 = _pair_w(f, _sum_images(qd1, qd2), qd3.s_images, r, policy)
-    return _sum_images(qd2, qd3), w12, w23, w12_3
+    _check_composable(h1, h2)
+    _check_composable(h2, h3)
+    f = h1.f
+    w12 = _pair_w(f, h1.s_images, h2.s_images, r, policy)
+    w23 = _pair_w(h2.f, h2.s_images, h3.s_images, r, policy)
+    w12_3 = _pair_w(f, _sum_images(h1, h2), h3.s_images, r, policy)
+    return _sum_images(h2, h3), w12, w23, w12_3
 
 
 def z_map(h1, h2, h3, r, policy=DEFAULT_POLICY):
@@ -447,26 +421,25 @@ def z_map(h1, h2, h3, r, policy=DEFAULT_POLICY):
 
     and that the d1-face is X^(s, s'[+]s'') (the back face of the
     tetrahedron)."""
-    qd1, qd2, qd3 = _as_qd(h1), _as_qd(h2), _as_qd(h3)
-    box23, w12, w23, w12_3 = _triple_w(qd1, qd2, qd3, r, policy)
-    f = qd1.f
+    box23, w12, w23, w12_3 = _triple_w(h1, h2, h3, r, policy)
+    f = h1.f
     A, B = f.src, f.tgt
-    tower, back = _triangle_map(f, qd1.s_images, box23, policy)
+    tower, back = _triangle_map(f, h1.s_images, box23, policy)
     zL = B.L.zero()
     lam = {}
     for b in A.free_basis:
         rb = A.R.basis_element((b,))
         lam[b] = tower.simplex3(
-            f.f0(rb), qd1.s_images[b], qd2.s_images[b], zL, qd3.s_images[b], zL, zL
+            f.f0(rb), h1.s_images[b], h2.s_images[b], zL, h3.s_images[b], zL, zL
         )
     Z = algebra_morphism(A.R, tower.levels[3], images=lam, policy=policy, note="Z")
     value = Z(r)
     expected = (
         f.f0(r),
-        qd1.s(r),
-        qd2.s(r) - B.d2(w12),
+        h1.s(r),
+        h2.s(r) - B.d2(w12),
         w12,
-        qd3.s(r) - B.d2(w12_3),
+        h3.s(r) - B.d2(w12_3),
         w12_3 - w23,
         w23,
     )
@@ -482,10 +455,9 @@ def z_map(h1, h2, h3, r, policy=DEFAULT_POLICY):
 def check_w_change(h1, h2, h3, r, policy=DEFAULT_POLICY):
     """Exact check of w^(s,s')(r) + w^(s[+]s',s'')(r)
     = w^(s,s'[+]s'')(r) + w^(s',s'')(r); returns (ok, lhs, rhs)."""
-    qd1 = _as_qd(h1)
-    box23, w12, w23, w12_3 = _triple_w(qd1, _as_qd(h2), _as_qd(h3), r, policy)
+    box23, w12, w23, w12_3 = _triple_w(h1, h2, h3, r, policy)
     lhs = w12 + w12_3
-    rhs = _pair_w(qd1.f, qd1.s_images, box23, r, policy) + w23
+    rhs = _pair_w(h1.f, h1.s_images, box23, r, policy) + w23
     return lhs == rhs, lhs, rhs
 
 
@@ -508,18 +480,18 @@ def tcm_groupoid_check(A, B, samples=25, seed=0, policy=DEFAULT_POLICY):
     ebasis = A.E.basis_elements()
     for i in range(samples):
         f = random_2cm_morphism(A, B, rng, policy=policy)
-        h1 = apply_2cm_homotopy(random_quadratic_derivation(f, rng, policy=policy), policy)
-        h2 = apply_2cm_homotopy(random_quadratic_derivation(h1.target, rng, policy=policy), policy)
-        h3 = apply_2cm_homotopy(random_quadratic_derivation(h2.target, rng, policy=policy), policy)
+        h1 = random_quadratic_derivation(f, rng, policy=policy)
+        h2 = random_quadratic_derivation(h1.target, rng, policy=policy)
+        h3 = random_quadratic_derivation(h2.target, rng, policy=policy)
 
-        note("tcm/%02d/targets-valid" % i, True)  # construction certifies
+        note("tcm/%02d/targets-valid" % i, True)  # each target is certified when read
 
-        zf = apply_2cm_homotopy(zero_quadratic(f, policy), policy)
+        zf = zero_quadratic(f, policy)
         note("tcm/%02d/reflexive-zero" % i, zf.target.equal(f))
         left = concat_2cm(zf, h1, policy)
-        right = concat_2cm(h1, apply_2cm_homotopy(zero_quadratic(h1.target, policy), policy), policy)
-        note("tcm/%02d/identity-left" % i, left.qd.equal(h1.qd))
-        note("tcm/%02d/identity-right" % i, right.qd.equal(h1.qd))
+        right = concat_2cm(h1, zero_quadratic(h1.target, policy), policy)
+        note("tcm/%02d/identity-left" % i, left.equal(h1))
+        note("tcm/%02d/identity-right" % i, right.equal(h1))
 
         hinv = invert_2cm(h1, policy)
         note("tcm/%02d/symmetric" % i, hinv.target.equal(f))
@@ -527,14 +499,14 @@ def tcm_groupoid_check(A, B, samples=25, seed=0, policy=DEFAULT_POLICY):
         round2 = concat_2cm(hinv, h1, policy)
         z1 = zero_quadratic(f, policy)
         z2 = zero_quadratic(h1.target, policy)
-        note("tcm/%02d/inverse-right" % i, round1.qd.equal(z1))
-        note("tcm/%02d/inverse-left" % i, round2.qd.equal(z2))
+        note("tcm/%02d/inverse-right" % i, round1.equal(z1))
+        note("tcm/%02d/inverse-left" % i, round2.equal(z2))
 
         c12 = concat_2cm(h1, h2, policy)
         c23 = concat_2cm(h2, h3, policy)
         assoc_l = concat_2cm(c12, h3, policy)
         assoc_r = concat_2cm(h1, c23, policy)
-        note("tcm/%02d/s-associative" % i, assoc_l.qd.equal(assoc_r.qd))
+        note("tcm/%02d/s-associative" % i, assoc_l.equal(assoc_r))
         t_ok = all(
             box_plus_t(c12, h3, e, policy) == box_plus_t(h1, c23, e, policy) for e in ebasis
         )

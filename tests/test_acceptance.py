@@ -189,8 +189,8 @@ def test_criterion_6_inverse_laws():
         assert w_map(h1, hinv, x2, pol) == 2 * bh
         box = box_plus_s(h1, hinv, pol)
         assert box(x).is_zero() and box(x2).is_zero() and box(x3).is_zero()
-        assert concat_2cm(h1, hinv, pol).qd.equal(zero_quadratic(f, pol))
-        assert concat_2cm(hinv, h1, pol).qd.equal(zero_quadratic(h1.target, pol))
+        assert concat_2cm(h1, hinv, pol).equal(zero_quadratic(f, pol))
+        assert concat_2cm(hinv, h1, pol).equal(zero_quadratic(h1.target, pol))
 
         # tbar bookkeeping on a domain with E != 0 over F5, exactly
         rng = random.Random(6)
@@ -247,7 +247,7 @@ def test_criterion_7_associativity():
             for key in D.E.basis_keys():
                 e = D.E.basis_element(key)
                 assert box_plus_t(c12, k3, e, pol) == box_plus_t(k1, c23, e, pol)
-            assert concat_2cm(c12, k3, pol).qd.equal(concat_2cm(k1, c23, pol).qd)
+            assert concat_2cm(c12, k3, pol).equal(concat_2cm(k1, c23, pol))
 
 
 def test_criterion_8_guardrails_and_deterministic_selftest():

@@ -241,11 +241,29 @@ def test_exponent_notation_scalar_is_parse_error(tmp_path, capsys):
     assert err.startswith("parse error: ") and "'1e999999999'" in err
 
 
+_FREE_X = {"type": "free", "generators": ["x"]}
+_N_AND_X = {"N": {"type": "finite", "basis": ["u"], "products": {}}, "X": _FREE_X}
+
+
 @pytest.mark.parametrize("doc, named", [
     ({"ring": "Q", "actions": {"a": None}}, "action 'a'"),
     ({"ring": "Q", "algebras": {"N": {"type": "finite", "basis": ["u"], "products": {}}},
       "crossed": {"C": {"ideal": {"R": "N", "labels": 3}}}}, "crossed 'C' ideal labels"),
-], ids=["action-spec-null", "ideal-labels-not-a-list"])
+    ({"ring": "Q", "algebras": {"X": _FREE_X},
+      "actions": {"a": {"acting": "X", "acted": "X", "table": {"y": {}}}}}, "action 'a' table"),
+    ({"ring": "Q", "algebras": {"X": _FREE_X},
+      "actions": {"a": {"acting": "X", "acted": "X", "table": {"x": {"y": {"x": "1"}}}}}},
+     "action 'a'"),
+    ({"ring": "Q", "algebras": _N_AND_X,
+      "actions": {"zero": {"acting": "X", "acted": "N", "zero": True}},
+      "precrossed": {"P": {"E": "N", "R": "X", "map": {"u": {"y": "1"}}, "action": "zero"}}},
+     "precrossed 'P' map"),
+    ({"ring": "Q", "algebras": {"N": {"type": "finite", "basis": ["u"], "products": {}}},
+      "crossed": {"C": {"ideal": {"R": "N", "labels": ["u"]}}},
+      "maps": {"i": {"kind": "crosed", "source": "C", "target": "C", "identity": True}}},
+     "map 'i': unknown kind 'crosed'"),
+], ids=["action-spec-null", "ideal-labels-not-a-list", "unknown-generator-table-row",
+        "unknown-generator-in-element", "unknown-generator-in-map", "map-kind-typo"])
 def test_malformed_section_entry_is_parse_error(tmp_path, capsys, doc, named):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -336,6 +354,54 @@ def test_name_that_is_not_a_string_is_parse_error(tmp_path, capsys, doc, named):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("parse error: ") and named in err
+
+@pytest.mark.parametrize("doc, named", [
+    ({"ring": "Q", "algebras": {"N": {"type": "finite", "products": {}}}},
+     "algebra 'N': missing required field 'basis'"),
+    ({"ring": "Q", "algebras": {"X": {"type": "free"}}},
+     "algebra 'X': missing required field 'generators'"),
+    ({"ring": "Q", "algebras": {"N": _N, "S": {"type": "semidirect", "acting": "N", "acted": "N"}},
+      "actions": {"zero": _ZERO_N}}, "algebra 'S': missing required field 'action'"),
+    ({"ring": "Q", "algebras": {"N": _N}, "actions": {"a": {"acted": "N", "zero": True}}},
+     "action 'a': missing required field 'acting'"),
+    ({**_module_doc("precrossed", {}), "precrossed": {"P": {"R": "N", "action": "zero"}}},
+     "precrossed 'P': missing required field 'E'"),
+    ({**_module_doc("crossed", {}), "crossed": {"P": {"E": "N", "R": "N"}}},
+     "crossed 'P': missing required field 'action'"),
+    ({"ring": "Q", "algebras": {"N": _N}, "crossed": {"C": {"ideal": {"labels": ["u"]}}}},
+     "crossed 'C' ideal: missing required field 'R'"),
+    ({**_two_crossed_doc(), "two_crossed": {"D": {"L": "N", "E": "N", "R": "N",
+                                                   "action_e": "zero"}}},
+     "two_crossed 'D': missing required field 'action_l'"),
+    ({**_two_crossed_doc(), "maps": {"f": {"target": "D"}}},
+     "map 'f': missing required field 'source'"),
+    ({**_quadratic_doc(), "quadratic_derivations": {"q": {"s": {}}}},
+     "quadratic_derivation 'q': missing required field 'base'"),
+], ids=["finite-basis", "free-generators", "semidirect-action", "action-acting", "precrossed-E",
+        "crossed-action", "ideal-R", "two-crossed-action-l", "map-source", "quadratic-base"])
+def test_missing_required_field_is_parse_error(tmp_path, capsys, doc, named):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and named in err
+
+
+@pytest.mark.parametrize("scalar", [True, False, None, ["1"], {"u": "1"}],
+                         ids=["true", "false", "null", "list", "object"])
+@pytest.mark.parametrize("where", ["products", "element"])
+def test_scalar_that_is_not_a_string_or_number_is_parse_error(tmp_path, capsys, scalar, where):
+    if where == "products":
+        doc = {"ring": "Q", "algebras": {"N": {"type": "finite", "basis": ["u"],
+                                               "products": {"u": {"u": {"u": scalar}}}}}}
+    else:
+        doc = _map_doc(f0={"u": {"u": scalar}})
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "is not a string or a number" in err
+
 
 def test_in_process_calls_each_see_only_their_own_arguments(tmp_path, monkeypatch, capsys):
     """The parser is built once per process; every call of main still

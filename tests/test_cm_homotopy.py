@@ -37,7 +37,7 @@ def test_derivation_accepted_and_law_checked_by_hand():
 def test_zero_derivation_connects_f_to_f():
     cm, f = f1_setup()
     z = zero_cm_derivation(f)
-    assert z.target().equal(f)
+    assert z.target.equal(f)
 
 
 def test_derivation_law_violation_witnessed():
@@ -53,7 +53,7 @@ def test_apply_homotopy_target_values():
     cm, f = f1_setup()
     E, R = cm.E, cm.R
     s = make_cm_derivation(f, {"x": E.basis_element("x2")})
-    g = s.target()
+    g = s.target
     x, x2 = R.basis_element("x"), R.basis_element("x2")
     assert g.f0(x) == x + x2
     assert g.f0(x2) == x2
@@ -68,8 +68,8 @@ def test_invert_round_trip_exact():
     s = make_cm_derivation(f, {"x": E.basis_element("x2")})
     sbar = invert_cm(s)
     assert sbar(cm.R.basis_element("x")) == -E.basis_element("x2")
-    assert sbar.f.equal(s.target())
-    assert sbar.target().equal(f)
+    assert sbar.f.equal(s.target)
+    assert sbar.target.equal(f)
     both = concat_cm(s, sbar)
     assert all(both(r).is_zero() for r in cm.R.basis_elements())
 
@@ -81,7 +81,7 @@ def test_concat_requires_composability():
     s2 = make_cm_derivation(f, {"x": 2 * E.basis_element("x2")})
     with pytest.raises(CompositionMismatch):
         concat_cm(s, s2)  # target of s is not f
-    g = s.target()
+    g = s.target
     s3 = make_cm_derivation(make_cm_morphism(cm, cm, g.f0, g.f1), {"x": -E.basis_element("x2")})
     out = concat_cm(s, s3)
     assert all(out(r).is_zero() for r in cm.R.basis_elements())
@@ -103,7 +103,7 @@ def test_cross_term_in_derivation_law_is_load_bearing():
     assert err.value.witness[0] == R.basis_element("x")
     # over g (g0(x) = 2x) the law gives s'(x^2) = 2*(2x)*x + x^2 = 5x^2,
     # and the sum must satisfy (s+s')(x^2) = 2*x*(2x) + (2x)^2 = 8x^2
-    g = good.target()
+    g = good.target
     s2 = make_cm_derivation(g, {"x": x_e, "x2": 5 * x2_e})
     out = concat_cm(good, s2)
     assert out(R.basis_element("x2")) == 8 * x2_e
@@ -138,7 +138,7 @@ def test_zero_boundary_target_leaves_f0_fixed():
     f1 = algebra_morphism(cm.E, E0, images={"x2": E0.zero()})
     f = make_cm_morphism(cm, zero_cm, f0, f1)
     s = make_cm_derivation(f, {"x": E0.basis_element("e0")})
-    g = s.target()
+    g = s.target
     for r in cm.R.basis_elements():
         assert g.f0(r) == f.f0(r)
 
@@ -148,7 +148,7 @@ def test_random_generators_produce_valid_objects():
     rng = random.Random(17)
     f = random_cm_morphism(cm, cm, rng)
     d = random_cm_derivation(f, rng)
-    assert d.target() is not None
+    assert d.target is not None
     # determinism given the seed
     rng2 = random.Random(17)
     f2 = random_cm_morphism(cm, cm, rng2)
@@ -180,16 +180,40 @@ def _free_line_cm():
     return cm, identity_cm_morphism(cm)
 
 
-def test_target_is_kept_per_policy():
-    """Each policy gets its own target, certified under that policy."""
+def test_target_is_certified_under_the_derivations_own_policy():
+    """A derivation keeps the policy it was certified under, and its target
+    carries that policy's certificates."""
     cm, f = _free_line_cm()
-    d = make_cm_derivation(f, {"x": cm.E.basis_element("a")})
     first, second = Policy(samples=3, seed=1), Policy(samples=7, seed=2)
-    g1, g2 = d.target(first), d.target(second)
-    assert g1 is not g2 and g1.equal(g2)
-    assert d.target(first) is g1 and d.target(second) is g2
-    assert g1.f0.multiplicative == Certificate(False, first.max_degree, 3, 1)
-    assert g2.f0.multiplicative == Certificate(False, second.max_degree, 7, 2)
+    d = make_cm_derivation(f, {"x": cm.E.basis_element("a")}, first)
+    assert d.policy == first and d.target is d.target
+    assert d.target.f0.multiplicative == Certificate(False, first.max_degree, 3, 1)
+    other = make_cm_derivation(f, d.images, second)
+    assert other.policy == second and other.target is not d.target
+    assert other.target.equal(d.target)
+    assert other.target.f0.multiplicative == Certificate(False, second.max_degree, 7, 2)
+
+
+def test_groupoid_check_certifies_only_under_its_policy(monkeypatch):
+    """Every morphism and derivation the check draws or builds is
+    certified under the policy it was given."""
+    from xmod2 import cm_homotopy, randgen
+
+    cm = fixtures.ideal_crossed()
+    pol = Policy(samples=10, seed=4)
+    seen = []
+    for module, name in ((randgen, "make_cm_morphism"), (randgen, "make_cm_derivation"),
+                         (cm_homotopy, "make_cm_morphism"), (cm_homotopy, "make_cm_derivation")):
+        real = getattr(module, name)
+
+        def recording(*args, _real=real):
+            seen.append(args[-1])
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, recording)
+    entries = cm_groupoid_check(cm, cm, samples=2, seed=5, policy=pol)
+    assert entries and all(ok for _, ok, _ in entries)
+    assert seen and set(seen) == {pol}
 
 
 def test_groupoid_returns_the_derivations_already_certified(monkeypatch):
@@ -202,12 +226,12 @@ def test_groupoid_returns_the_derivations_already_certified(monkeypatch):
     rng = random.Random(4)
     f = random_cm_morphism(cm, cm, rng)
     d1 = random_cm_derivation(f, rng)
-    d2 = random_cm_derivation(d1.target(), rng)
-    d3 = random_cm_derivation(d2.target(), rng)
+    d2 = random_cm_derivation(d1.target, rng)
+    d3 = random_cm_derivation(d2.target, rng)
     zf = zero_cm_derivation(f)
     assert zero_cm_derivation(f) is zf
     assert concat_cm(zf, d1) is d1
-    assert concat_cm(d1, zero_cm_derivation(d1.target())) is d1
+    assert concat_cm(d1, zero_cm_derivation(d1.target)) is d1
     left = concat_cm(concat_cm(d1, d2), d3)
     assert concat_cm(d1, concat_cm(d2, d3)) is left
 

@@ -42,7 +42,7 @@ def worked(ring=QQ):
 
 def test_quadratic_derivation_accepted_and_vacuous_t_laws():
     F3, F2, f, h1, _, _ = worked()
-    qd = h1.qd
+    qd = h1
     assert qd.certificates["s-law"].samples == POL.samples
     assert qd.certificates["t-product"].exhaustive  # vacuous: E = 0
     x = F3.R.monomial("x")
@@ -52,7 +52,7 @@ def test_quadratic_derivation_accepted_and_vacuous_t_laws():
 def test_zero_pair_connects_f_to_f():
     F3, F2, f, _, _, _ = worked()
     z = zero_quadratic(f, POL)
-    assert z.target(POL).equal(f)
+    assert z.target.equal(f)
 
 
 def test_overdeclared_s_value_rejected():
@@ -153,11 +153,11 @@ def test_concat_values_and_unit():
     F3, F2, f, h1, h2, _ = worked()
     x, x2 = F3.R.monomial("x"), F3.R.monomial("x", "x")
     out = concat_2cm(h1, h2, POL)
-    assert out.qd.s(x2) == 4 * F2.E.basis_element("b")
+    assert out.s(x2) == 4 * F2.E.basis_element("b")
     assert out.target.f0(x) == 3 * F2.R.basis_element("p")
     z_at_g = apply_2cm_homotopy(zero_quadratic(h1.target, POL), POL)
     unit = concat_2cm(h1, z_at_g, POL)
-    assert unit.qd.equal(h1.qd)
+    assert unit.equal(h1)
     with pytest.raises(CompositionMismatch):
         concat_2cm(h1, h1, POL)  # target of h1 is not its own base
 
@@ -177,12 +177,12 @@ def test_invert_values_and_round_trip():
     # (s [+] sbar)(x^2) = b + b - d2(2bh) = 0, via the explicit pieces
     assert (h1.s(x2) + hinv.s(x2) - F2.d2(w_map(h1, hinv, x2, POL))).is_zero()
     rt = concat_2cm(h1, hinv, POL)
-    assert rt.target.equal(f) and rt.qd.equal(zero_quadratic(f, POL))
+    assert rt.target.equal(f) and rt.equal(zero_quadratic(f, POL))
     rt2 = concat_2cm(hinv, h1, POL)
     assert rt2.target.equal(h1.target)
-    assert rt2.qd.equal(zero_quadratic(h1.target, POL))
+    assert rt2.equal(zero_quadratic(h1.target, POL))
     zz = invert_2cm(apply_2cm_homotopy(zero_quadratic(f, POL), POL), POL)
-    assert zz.qd.equal(zero_quadratic(f, POL))
+    assert zz.equal(zero_quadratic(f, POL))
 
 
 def test_w_symmetry_with_inverse():
@@ -269,7 +269,7 @@ def test_w_read_agrees_with_the_triangle_and_tetrahedron(seed):
     L'-component of the checked X, and the w-change lhs w12 + w12_3 is
     read off the checked Z (components 3 + 5 + 6)."""
     D, (h1, h2, h3), rng = _f3_triple(seed)
-    T = get_tower(h1.qd.f.tgt, POL)
+    T = get_tower(h1.f.tgt, POL)
     x = D.R.monomial("x")
     for r in (x, x * x, x * x * x, random_element(D.R, rng, 4)):
         assert w_map(h1, h2, r, POL) == T.split2(x_map(h1, h2, r, POL))[3]
@@ -343,7 +343,7 @@ def test_t_associativity_pointwise_on_e_basis():
             assert box_plus_t(c12, h3, e, POL) == box_plus_t(h1, c23, e, POL)
         left = concat_2cm(c12, h3, POL)
         right = concat_2cm(h1, c23, POL)
-        assert left.qd.equal(right.qd)
+        assert left.equal(right)
 
 
 def test_free_basis_guardrails():
@@ -414,16 +414,22 @@ def test_second_quadratic_derivation_draws_no_sampled_tuple(monkeypatch):
     assert sizes[0] == sizes[1] == [1 + POL.samples] * 3  # s-law, t-action, on boundaries
 
 
-def test_target_is_kept_per_policy():
-    """Each policy gets its own target, certified under that policy."""
+def test_target_is_certified_under_the_derivations_own_policy():
+    """A derivation keeps the policy it was certified under, and its target
+    carries that policy's certificates.  apply_2cm_homotopy under another
+    policy returns the same data certified under that policy."""
     _, _, f, h1, _, _ = worked()
-    qd = make_quadratic_derivation(f, h1.s_images, {}, POL)
     first, second = Policy(samples=3, seed=1), Policy(samples=7, seed=2)
-    g1, g2 = qd.target(first), qd.target(second)
-    assert g1 is not g2 and g1.equal(g2)
-    assert qd.target(first) is g1 and qd.target(second) is g2
-    assert g1.f0.multiplicative == Certificate(False, first.max_degree, 3, 1)
-    assert g2.f0.multiplicative == Certificate(False, second.max_degree, 7, 2)
+    qd = make_quadratic_derivation(f, h1.s_images, {}, first)
+    assert qd.policy == first and qd.target is qd.target
+    assert qd.target.f0.multiplicative == Certificate(False, first.max_degree, 3, 1)
+    assert apply_2cm_homotopy(qd, first) is qd
+    other = apply_2cm_homotopy(qd, second)
+    assert other is not qd and other.policy == second and other.equal(qd)
+    assert other.certificates["s-law"] == Certificate(False, second.max_degree, 7, 2)
+    assert other.target is not qd.target and other.target.equal(qd.target)
+    assert other.target.f0.multiplicative == Certificate(False, second.max_degree, 7, 2)
+    assert apply_2cm_homotopy(qd, second) is other
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -439,15 +445,15 @@ def test_groupoid_returns_the_homotopies_already_certified(seed):
     h3 = apply_2cm_homotopy(random_quadratic_derivation(h2.target, rng, policy=POL), POL)
     zf = zero_quadratic(f, POL)
     assert zero_quadratic(f, POL) is zf
-    assert concat_2cm(zf, h1, POL).qd is h1.qd
-    assert concat_2cm(h1, zero_quadratic(h1.target, POL), POL).qd is h1.qd
+    assert concat_2cm(zf, h1, POL) is h1
+    assert concat_2cm(h1, zero_quadratic(h1.target, POL), POL) is h1
     hinv = invert_2cm(h1, POL)
-    assert concat_2cm(h1, hinv, POL).qd is zf
-    assert concat_2cm(hinv, h1, POL).qd is zero_quadratic(h1.target, POL)
+    assert concat_2cm(h1, hinv, POL) is zf
+    assert concat_2cm(hinv, h1, POL) is zero_quadratic(h1.target, POL)
     c12, c23 = concat_2cm(h1, h2, POL), concat_2cm(h2, h3, POL)
-    assert concat_2cm(h1, c23, POL).qd is concat_2cm(c12, h3, POL).qd
-    fresh = make_quadratic_derivation(f, h1.s_images, h1.qd.t_images, POL)
-    assert fresh is not h1.qd and fresh.certificates == h1.qd.certificates
+    assert concat_2cm(h1, c23, POL) is concat_2cm(c12, h3, POL)
+    fresh = make_quadratic_derivation(f, h1.s_images, h1.t_images, POL)
+    assert fresh is not h1 and fresh.certificates == h1.certificates
 
 
 def _free_domain_instance(seed):
