@@ -26,7 +26,6 @@ from .report import Report, canonical_json
 from .simplex import build_tower, check_simplicial_identities
 from .specdoc import load_spec
 from .tcm_homotopy import (
-    box_plus_s,
     box_plus_t,
     check_w_change,
     concat_2cm,
@@ -221,8 +220,7 @@ def _cmd_homotopy(args, policy):
             for r in _sample_points(a.f.src.R):
                 report.add("value/(s+s')(%s)" % r, "concat", True, witness=str(out(r)))
         else:
-            concat_2cm(a, b, policy)  # certifies the composite
-            box = box_plus_s(a, b, policy)
+            box = concat_2cm(a, b, policy).s
             for r in _sample_points(a.f.src.R):
                 report.add("value/(s[+]s')(%s)" % r, "box-plus", True, witness=str(box(r)))
             for k in a.f.src.E.basis_keys():

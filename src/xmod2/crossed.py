@@ -193,7 +193,7 @@ class TwoCrossedModule:
         self.free_basis = tuple(free_basis) if free_basis is not None else None
         self.certificates = {}
         self._prime = None
-        self._towers = {}  # Policy -> SimplexTower, filled by simplex.get_tower
+        self._towers = {}  # Policy -> SimplexTower, whole or its lower stage: simplex.get_tower
 
     @property
     def ring(self):

@@ -53,7 +53,7 @@ class Ring:
         return self.add(a, self.neg(b))
 
     def is_zero(self, a):
-        return a == self.zero
+        return not a  # Fraction(0) and the canonical int 0 are the only falsy scalars
 
     def random(self, rng):
         raise NotImplementedError

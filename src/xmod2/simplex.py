@@ -33,6 +33,17 @@ components.  Every level, and E |x L and (E |x L) |x L, has one ``Codec``
 and degeneracies as certified algebra morphisms, the leaf actions as
 certified actions.  The composites >1 = >1r + >1e, >2 = >2e + >2l and
 >t = >1 + >2 are sums of the stored components (``_sum_action``).
+
+A tower is built in two stages.  The lower stage is Lam0, Lam1, E |x L,
+>., Lam2 and the faces and degeneracies between them; the upper stage is
+>*, (E |x L) |x L, >t with its six components, Lam3, the faces d0..d3 of
+Lam3 and the degeneracies s0..s2 of Lam2.  ``build_tower`` (the
+``xmod2 simplicial`` command, the selftest) builds both at once;
+``get_tower`` keeps one tower per structure and policy and builds what
+its caller asks for.  A quadratic derivation's s (through Lam1) and the
+triangle map X with its w (into Lam2) ask for the lower stage only;
+w-change and the tetrahedron Z ask for the whole tower, which completes a
+kept lower stage in place, certifying nothing twice.
 """
 
 from collections import namedtuple
@@ -76,21 +87,28 @@ def _codec(alg, left, right):
 
 
 class SimplexTower:
-    """Levels Lam0..Lam3 with certified faces, degeneracies, and actions.
+    """Levels Lam0..Lam_top with certified faces, degeneracies, and actions.
 
-    faces[(n, i)] : Lam_n -> Lam_{n-1};  degeneracies[(n, i)] : Lam_n -> Lam_{n+1}.
-    codecs[n] is the Codec of Lam_n; split2/simplex2 and split3/simplex3
-    are the split and pack of Lam2 and Lam3.
+    top is 3 for the whole tower and 2 for its lower stage (see
+    ``build_tower``).  faces[(n, i)] : Lam_n -> Lam_{n-1};
+    degeneracies[(n, i)] : Lam_n -> Lam_{n+1}.  codecs[n] is the Codec of
+    Lam_n; split2/simplex2 and, at top 3, split3/simplex3 are the split
+    and pack of Lam2 and Lam3.
     """
 
     def __init__(self, base, codecs, faces, degeneracies, actions):
         self.base = base
+        self._set(codecs, faces, degeneracies, actions)
+
+    def _set(self, codecs, faces, degeneracies, actions):
         self.codecs = codecs
+        self.top = len(codecs) - 1
         self.levels = tuple(c.level for c in codecs)
         self.el = self.levels[2].right
-        self.ell = self.levels[3].right
         self.split2, self.simplex2 = codecs[2].split, codecs[2].pack
-        self.split3, self.simplex3 = codecs[3].split, codecs[3].pack
+        if self.top == 3:
+            self.ell = self.levels[3].right
+            self.split3, self.simplex3 = codecs[3].split, codecs[3].pack
         self.faces = faces
         self.degeneracies = degeneracies
         self.actions = actions
@@ -145,31 +163,78 @@ def _sum_action(A, acting, left, right, note):
     return FunctionAction(acting, left.acted, fn, note=note, origin=A)
 
 
-def build_tower(A, policy=DEFAULT_POLICY):
-    """Construct Lam0..Lam3 over A with every action, multiplication,
-    face and degeneracy certified."""
+def build_tower(A, policy=DEFAULT_POLICY, top=3, lower=None):
+    """Construct Lam0..Lam_top over A with every action, multiplication,
+    face and degeneracy between those levels certified.
+
+    top=3 is the whole tower.  top=2 is its lower stage: Lam0, Lam1,
+    E |x L, >., Lam2 and the faces and degeneracies between them, all that
+    s, X and w read.  ``lower``, a lower stage over A certified under
+    ``policy``, is completed in place: its levels, their product caches
+    and the memo of >. are kept, and only the upper stage (>*,
+    (E |x L) |x L, >t and its components, Lam3 and the maps to and from
+    it) is built and certified.  A failure leaves ``lower`` as it was.
+    From scratch, every level and action is certified before the faces and
+    degeneracies, each table in its own order.
+    """
+    if lower is None:
+        actions, faces, degeneracies = {"prime": A.act_prime}, {}, {}
+        codecs = _lower_stage(A, actions, policy)
+    else:
+        codecs, actions = lower.codecs, dict(lower.actions)
+        faces, degeneracies = dict(lower.faces), dict(lower.degeneracies)
+    if top == 3 and len(codecs) == 3:
+        codecs += (_upper_stage(A, codecs, actions, policy),)
+    for store, table, step, tag in (
+        (faces, _face_formulas(A), -1, "d"),
+        (degeneracies, _degeneracy_formulas(A), 1, "s"),
+    ):
+        for (n, i), formula in table.items():
+            if (n, i) in store or max(n, n + step) >= len(codecs):
+                continue
+            (source, split, _, _), (target, _, pack, _) = codecs[n], codecs[n + step]
+            store[(n, i)] = algebra_morphism(
+                source, target, fn=_on_levels(split, formula, pack), policy=policy,
+                note="%s%d@%d" % (tag, i, n),
+            )
+    if lower is None:
+        return SimplexTower(A, codecs, faces, degeneracies, actions)
+    lower._set(codecs, faces, degeneracies, actions)
+    return lower
+
+
+def _leaf(A, formulas, note, actor, acted):
+    split = lambda x, m: actor.split(x) + acted.split(m)
+    fn = _on_levels(split, formulas[note], acted.pack)
+    return FunctionAction(actor.level, acted.level, fn, note=note, origin=A)
+
+
+def _lower_stage(A, actions, policy):
+    """The codecs of Lam0, Lam1 and Lam2, certifying E |x L, Lam1, >. and
+    Lam2 in that order; >. goes into ``actions``."""
     R, E, L = _atom(A.R), _atom(A.E), _atom(A.L)
-    formulas = _action_formulas(A)
-
-    def leaf(note, actor, acted):
-        split = lambda x, m: actor.split(x) + acted.split(m)
-        fn = _on_levels(split, formulas[note], acted.pack)
-        return FunctionAction(actor.level, acted.level, fn, note=note, origin=A)
-
     el = _codec(semidirect(A.E, A.L, A.act_prime, policy), E, L)
     lam1 = _codec(semidirect(A.R, A.E, A.act_e, policy), R, E)
-
-    actions = {"prime": A.act_prime}
-    bullet = actions["bullet"] = leaf("bullet", lam1, el)
+    bullet = actions["bullet"] = _leaf(A, _action_formulas(A), "bullet", lam1, el)
     certify_action(bullet, policy)
-    lam2 = _codec(semidirect(lam1.level, el.level, bullet, policy), lam1, el)
+    return R, lam1, _codec(semidirect(lam1.level, el.level, bullet, policy), lam1, el)
 
-    star = actions["star"] = leaf("star", el, L)
+
+def _upper_stage(A, codecs, actions, policy):
+    """The codec of Lam3 over the lower stage's codecs, certifying >*,
+    (E |x L) |x L, >t with its components and Lam3 in that order; they go
+    into ``actions``."""
+    R, lam1, lam2 = codecs
+    E, L = _atom(A.E), _atom(A.L)
+    el = _codec(lam2.level.right, E, L)
+    formulas = _action_formulas(A)
+
+    star = actions["star"] = _leaf(A, formulas, "star", el, L)
     certify_action(star, policy)
     ell = _codec(semidirect(el.level, A.L, star, policy), el, L)
 
-    one_e, one_r = leaf("one_e", E, ell), leaf("one_r", R, ell)
-    two_e, two_l = leaf("two_e", E, ell), leaf("two_l", L, ell)
+    one_e, one_r = _leaf(A, formulas, "one_e", E, ell), _leaf(A, formulas, "one_r", R, ell)
+    two_e, two_l = _leaf(A, formulas, "two_e", E, ell), _leaf(A, formulas, "two_l", L, ell)
     components = {
         "one_e": one_e,
         "one_r": one_r,
@@ -182,21 +247,7 @@ def build_tower(A, policy=DEFAULT_POLICY):
     _certify_dagger(dagger, components, policy)
     actions.update(components)
     actions["dagger"] = dagger
-    lam3 = _codec(semidirect(lam2.level, ell.level, dagger, policy), lam2, ell)
-
-    codecs = (R, lam1, lam2, lam3)
-    tower = SimplexTower(A, codecs, {}, {}, actions)
-    for store, table, step, tag in (
-        (tower.faces, _face_formulas(A), -1, "d"),
-        (tower.degeneracies, _degeneracy_formulas(A), 1, "s"),
-    ):
-        for (n, i), formula in table.items():
-            (source, split, _, _), (target, _, pack, _) = codecs[n], codecs[n + step]
-            store[(n, i)] = algebra_morphism(
-                source, target, fn=_on_levels(split, formula, pack), policy=policy,
-                note="%s%d@%d" % (tag, i, n),
-            )
-    return tower
+    return _codec(semidirect(lam2.level, ell.level, dagger, policy), lam2, ell)
 
 
 def _on_levels(split, formula, pack):
@@ -260,13 +311,18 @@ def _degeneracy_formulas(A):
     }
 
 
-def get_tower(A, policy=DEFAULT_POLICY):
-    """Build (or reuse) the certified tower over A.
+def get_tower(A, policy=DEFAULT_POLICY, top=3):
+    """Build (or reuse) the certified tower over A, up to at least Lam_top.
 
-    Towers are kept on A, one per policy, so they are released with A."""
+    Towers are kept on A, one per policy, so they are released with A.
+    top=3, the default, gives the whole tower, completing a kept lower
+    stage in place through ``build_tower``.  top=2 gives the kept tower, or
+    else builds the lower stage: ``tcm_homotopy._s_map`` (s goes through
+    Lam1) and ``tcm_homotopy._triangle_map`` (X and w live in Lam2) ask for
+    it, so a quadratic derivation certifies no action of Lam3."""
     tower = A._towers.get(policy)
-    if tower is None:
-        tower = A._towers[policy] = build_tower(A, policy)
+    if tower is None or tower.top < top:
+        tower = A._towers[policy] = build_tower(A, policy, top, tower)
     return tower
 
 

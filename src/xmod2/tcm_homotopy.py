@@ -23,7 +23,10 @@ rests on the w-change identity, which the tetrahedron map Z (extending
 b -> (f0(b), s(b), s'(b), 0, s''(b), 0, 0) into the algebra of
 3-simplices) proves and z_map re-verifies pointwise.  Only tests reach
 z_map; it stays because the planned proof of w-change from B is built
-on the four faces of Z.
+on the four faces of Z.  Only Z lives in Lam3: s, X and w read the lower
+stage of the target's tower (up to Lam2), and its upper stage, Lam3 with
+the actions behind it, is certified when check_w_change or z_map first
+asks for it.
 
 w is read only in ``_pair_w``, and ``x_map`` is the one pointwise check
 of X's component form.  The groupoid's compositions skip that check:
@@ -131,8 +134,9 @@ def _key(policy, s_images, declared, t_norm):
 
 
 def _s_map(f, images, policy=DEFAULT_POLICY):
-    """s from its images, through R' |x E' = Lambda1 of the target's tower."""
-    return derivation_map(f, images, lambda: get_tower(f.tgt, policy).levels[1])
+    """s from its images, through R' |x E' = Lambda1 of the target's tower
+    (its lower stage: a derivation certifies no Lambda3 action)."""
+    return derivation_map(f, images, lambda: get_tower(f.tgt, policy, top=2).levels[1])
 
 
 class QuadraticDerivation:
@@ -309,10 +313,11 @@ def box_plus_s(h1, h2, policy=DEFAULT_POLICY):
 
 
 def _triangle_map(f, images1, images2, policy=DEFAULT_POLICY):
-    """The unique algebra map R -> Lam2(B) with b -> (f0(b), s(b), s'(b), 0)."""
+    """The unique algebra map R -> Lam2(B) with b -> (f0(b), s(b), s'(b), 0),
+    and the tower of B it maps into, at least its lower stage."""
     A, B = f.src, f.tgt
     basis = _require_free(A)
-    tower = get_tower(B, policy)
+    tower = get_tower(B, policy, top=2)
     zeta = {}
     for b in basis:
         zeta[b] = tower.simplex2(
@@ -424,7 +429,8 @@ def z_map(h1, h2, h3, r, policy=DEFAULT_POLICY):
     box23, w12, w23, w12_3 = _triple_w(h1, h2, h3, r, policy)
     f = h1.f
     A, B = f.src, f.tgt
-    tower, back = _triangle_map(f, h1.s_images, box23, policy)
+    tower = get_tower(B, policy)
+    _, back = _triangle_map(f, h1.s_images, box23, policy)
     zL = B.L.zero()
     lam = {}
     for b in A.free_basis:
@@ -454,8 +460,12 @@ def z_map(h1, h2, h3, r, policy=DEFAULT_POLICY):
 
 def check_w_change(h1, h2, h3, r, policy=DEFAULT_POLICY):
     """Exact check of w^(s,s')(r) + w^(s[+]s',s'')(r)
-    = w^(s,s'[+]s'')(r) + w^(s',s'')(r); returns (ok, lhs, rhs)."""
+    = w^(s,s'[+]s'')(r) + w^(s',s'')(r); returns (ok, lhs, rhs).
+
+    The identity is the tetrahedron's (see ``z_map``), so the whole tower
+    of the target, Lam3 included, is certified before it is reported."""
     box23, w12, w23, w12_3 = _triple_w(h1, h2, h3, r, policy)
+    get_tower(h1.f.tgt, policy)
     lhs = w12 + w12_3
     rhs = _pair_w(h1.f, h1.s_images, box23, r, policy) + w23
     return lhs == rhs, lhs, rhs

@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 import weakref
 
 import pytest
@@ -16,7 +17,7 @@ from xmod2.randgen import (
 )
 from xmod2.rings import PrimeField, QQ
 from xmod2.selftest import worked_homotopies
-from xmod2.simplex import get_tower
+from xmod2.simplex import build_tower, get_tower
 from xmod2.tcm_homotopy import (
     apply_2cm_homotopy,
     box_plus_s,
@@ -465,6 +466,123 @@ def _free_domain_instance(seed):
     B = random_two_crossed(F5, rng, max_dim=2, policy=POL)
     f = random_2cm_morphism(D, B, rng, policy=POL)
     return D, B, f, random_quadratic_derivation(f, rng, policy=POL)
+
+
+def _patch_everywhere(monkeypatch, real, replacement):
+    """Replace ``real`` by ``replacement`` in every xmod2 module that holds it."""
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("xmod2") and getattr(mod, real.__name__, None) is real:
+            monkeypatch.setattr(mod, real.__name__, replacement)
+
+
+def _count_entries(monkeypatch, module, names):
+    """Calls of module.name for each name, as a dict that fills while the
+    patch lasts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(sys.modules["xmod2." + module], name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        _patch_everywhere(monkeypatch, real, counted)
+    return calls
+
+
+def _count_law_tuples(monkeypatch):
+    """[calls, tuples] of law_tuples, as a list that fills while the patch
+    lasts."""
+    from xmod2 import maps
+
+    real = maps.law_tuples
+    seen = [0, 0]
+
+    def counting(*args, **kwargs):
+        tuples, exhaustive = real(*args, **kwargs)
+        seen[0] += 1
+        seen[1] += len(tuples)
+        return tuples, exhaustive
+
+    _patch_everywhere(monkeypatch, real, counting)
+    return seen
+
+
+def test_work_count_of_a_derivation_on_a_fresh_target(monkeypatch):
+    """A quadratic derivation builds the lower stage of its target's tower
+    (Lam0..Lam2 with >.) and certifies no action of the upper stage.
+    [calls, tuples] of law_tuples was [24, 2117] while it built the whole
+    tower.  The derivation's own three calls (s-law, t-action, t-action on
+    boundaries) are unchanged; s is an algebra map into Lam1 and no law of
+    the derivation reads Lam3.  The 11 calls left out are A1 and A2 of >*
+    and >t and the multiplicativity of d0..d3@3 and s0..s2@2, which certify
+    only Lam3 and the maps to and from it.  They run, with the same
+    certificates, when the tower is completed (the next test)."""
+    _, B, f, qd = _free_domain_instance(5)
+    pol = Policy(10, 4, 0)
+    assert (B.R.dim(), B.E.dim(), B.L.dim()) == (2, 2, 2) and pol not in B._towers
+    entered = _count_entries(monkeypatch, "simplex", ("get_tower", "build_tower"))
+    certified = _count_entries(monkeypatch, "maps", ("certify_action",))
+    seen = _count_law_tuples(monkeypatch)
+    make_quadratic_derivation(f, qd.s_images, qd.t_images, pol)
+    assert entered == {"get_tower": 1, "build_tower": 1}
+    assert certified == {"certify_action": 1}  # >.
+    assert B._towers[pol].top == 2 and set(B._towers[pol].actions) == {"prime", "bullet"}
+    assert seen == [13, 421]
+
+
+def test_completing_a_kept_lower_stage_gives_the_whole_tower(monkeypatch):
+    """After a derivation keeps the lower stage, get_tower completes it in
+    place: the same Lam1 and Lam2 (so the same product caches) and the same
+    >., with every certificate a fresh build_tower gives.  A broken upper
+    stage raises from check_w_change what it raises from build_tower, and
+    leaves the lower stage kept."""
+    from xmod2 import simplex
+
+    D, B, f, qd = _free_domain_instance(5)
+    pol = Policy(10, 4, 0)
+    make_quadratic_derivation(f, qd.s_images, qd.t_images, pol)
+    short = B._towers[pol]
+    lam1, lam2, bullet = short.levels[1], short.levels[2], short.actions["bullet"]
+    certified = _count_entries(monkeypatch, "maps", ("certify_action",))
+    T = get_tower(B, pol)
+    assert certified == {"certify_action": 2}  # >* and >t, not >. again
+    assert T.top == 3 and T.levels[1] is lam1 and T.levels[2] is lam2
+    assert T.actions["bullet"] is bullet
+    assert get_tower(B, pol) is T and get_tower(B, pol, top=2) is T
+    fresh = build_tower(B, pol)
+    for kept, built in ((T.actions, fresh.actions), (T.faces, fresh.faces),
+                        (T.degeneracies, fresh.degeneracies)):
+        assert list(kept) == list(built)
+    certificates = lambda T: (
+        [a.certificate for a in T.actions.values()]
+        + [m.multiplicative for m in list(T.faces.values()) + list(T.degeneracies.values())])
+    assert certificates(T) == certificates(fresh)
+    assert T.levels[3].dim() == fresh.levels[3].dim()
+
+    # >2l gains c(k) m, c(k) the coefficient of k on L's first key: A2 fails
+    real_table, first = simplex._action_formulas, B.L.basis_keys()[0]
+
+    def action_formulas(A):
+        formulas = real_table(A)
+        two_l = formulas["two_l"]
+        formulas["two_l"] = lambda k, *m: tuple(
+            v + w.scale(k.coeffs.get(first, A.ring.zero)) for v, w in zip(two_l(k, *m), m))
+        return formulas
+
+    monkeypatch.setattr(simplex, "_action_formulas", action_formulas)
+    other = Policy(10, 4, 1)
+    with pytest.raises(XmodError) as eager:
+        build_tower(B, other)
+    h1 = make_quadratic_derivation(f, qd.s_images, qd.t_images, other)
+    rng = random.Random(6)
+    h2 = random_quadratic_derivation(h1.target, rng, policy=other)
+    h3 = random_quadratic_derivation(h2.target, rng, policy=other)
+    assert B._towers[other].top == 2
+    with pytest.raises(XmodError) as lazy:
+        check_w_change(h1, h2, h3, D.R.monomial(D.free_basis[0]), other)
+    assert type(lazy.value) is type(eager.value) and str(lazy.value) == str(eager.value)
+    assert B._towers[other].top == 2
 
 
 def test_concat_reads_w_once_per_key_and_runs_no_triangle_tripwire(monkeypatch):
