@@ -79,7 +79,7 @@ def make_precrossed(E, R, d, act, policy=DEFAULT_POLICY):
     _check_precrossed_shape(E, R, d, act)
     pcm = PreCrossedModule(E, R, d, act)
     pcm.certificates["XM1"] = check_law(
-        [R, E], lambda r, e: d(act(r, e)), lambda r, e: r * d(e), XM1Violation, policy, policy.rng()
+        [R, E], lambda r, e: d(act(r, e)), lambda r, e: r * d(e), XM1Violation, policy
     )
     return pcm
 
@@ -89,7 +89,7 @@ def make_crossed(E, R, d, act, policy=DEFAULT_POLICY):
     cm = CrossedModule(E, R, d, act)
     cm.certificates.update(pcm.certificates)
     cm.certificates["XM2"] = check_law(
-        [E, E], lambda e, e2: act(d(e), e2), lambda e, e2: e * e2, XM2Violation, policy, policy.rng()
+        [E, E], lambda e, e2: act(d(e), e2), lambda e, e2: e * e2, XM2Violation, policy
     )
     return cm
 
@@ -156,11 +156,10 @@ def make_cm_morphism(src, tgt, f0, f1, policy=DEFAULT_POLICY):
         raise BadShape("f0 endpoints do not match")
     if not (f1.source.compatible(src.E) and f1.target.compatible(tgt.E)):
         raise BadShape("f1 endpoints do not match")
-    rng = policy.rng()
-    check_law([src.E], lambda e: f0(src.d(e)), lambda e: tgt.d(f1(e)), SquareViolation, policy, rng)
+    check_law([src.E], lambda e: f0(src.d(e)), lambda e: tgt.d(f1(e)), SquareViolation, policy)
     check_law(
         [src.R, src.E], lambda r, e: f1(src.act(r, e)), lambda r, e: tgt.act(f0(r), f1(e)),
-        EquivarianceViolation, policy, rng,
+        EquivarianceViolation, policy,
     )
     return CrossedMorphism(src, tgt, f0, f1)
 
@@ -249,7 +248,6 @@ def make_two_crossed(L, E, R, d2, d1, act_e, act_l, lift, free_basis=None, polic
             raise BadShape("free basis %r does not present R" % (free_basis,))
 
     A = TwoCrossedModule(L, E, R, d2, d1, act_e, act_l, lift, free_basis)
-    rng = policy.rng()
     certs = A.certificates
 
     for lk in L.basis_keys():
@@ -260,7 +258,7 @@ def make_two_crossed(L, E, R, d2, d1, act_e, act_l, lift, free_basis=None, polic
     certs["d1.d2=0"] = EXHAUSTIVE
 
     def run(name, algebras, lhs, rhs, error):
-        certs[name] = check_law(algebras, lhs, rhs, error, policy, rng)
+        certs[name] = check_law(algebras, lhs, rhs, error, policy)
 
     run(
         "d2-equivariance", [R, L], lambda r, l: d2(act_l(r, l)), lambda r, l: act_e(r, d2(l)),
@@ -410,26 +408,25 @@ def make_2cm_morphism(src, tgt, f0, f1, f2, policy=DEFAULT_POLICY):
     ):
         if not (f.source.compatible(dom) and f.target.compatible(cod)):
             raise BadShape("%s endpoints do not match" % name)
-    rng = policy.rng()
     check_law(
         [src.E], lambda e: f0(src.d1(e)), lambda e: tgt.d1(f1(e)),
-        partial(SquareViolation, msg="f0.d1 != d1'.f1"), policy, rng,
+        partial(SquareViolation, msg="f0.d1 != d1'.f1"), policy,
     )
     check_law(
         [src.L], lambda l: f1(src.d2(l)), lambda l: tgt.d2(f2(l)),
-        partial(SquareViolation, msg="f1.d2 != d2'.f2"), policy, rng,
+        partial(SquareViolation, msg="f1.d2 != d2'.f2"), policy,
     )
     check_law(
         [src.R, src.E], lambda r, e: f1(src.act_e(r, e)), lambda r, e: tgt.act_e(f0(r), f1(e)),
-        partial(EquivarianceViolation, msg="f1"), policy, rng,
+        partial(EquivarianceViolation, msg="f1"), policy,
     )
     check_law(
         [src.R, src.L], lambda r, l: f2(src.act_l(r, l)), lambda r, l: tgt.act_l(f0(r), f2(l)),
-        partial(EquivarianceViolation, msg="f2"), policy, rng,
+        partial(EquivarianceViolation, msg="f2"), policy,
     )
     check_law(
         [src.E, src.E], lambda e, e2: f2(src.lift(e, e2)), lambda e, e2: tgt.lift(f1(e), f1(e2)),
-        LiftingViolation, policy, rng,
+        LiftingViolation, policy,
     )
     return TwoCrossedMorphism(src, tgt, f0, f1, f2)
 

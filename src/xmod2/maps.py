@@ -15,17 +15,15 @@ A finite semidirect product of proved parts under an action proved on a
 basis is commutative and associative by the semidirect lemma, so
 ``certify_algebra`` stamps it EXHAUSTIVE without a law check.
 
-Sampled tuples are drawn once.  Every check site takes a fresh
-``Policy.rng()``, a ``Draws`` stream, and only ``law_tuples`` draws from
-it.  So the sampled tuples of one call are a function of the policy, the
-non-finite algebra lists drawn earlier on the same stream (its *path*)
-and the current list.  ``law_tuples`` keeps them under that key on the
-first algebra of the list, the way a 2-crossed module keeps its towers,
-and a later site that walks the same path gets them back without drawing:
-exactly the tuples, in exactly the order, that a plain
-``Random(policy.seed)`` would give.  Keys hold the algebras themselves,
-never their ids, so two structures never share an entry, and the memo
-goes with its structure.
+Sampled tuples depend on the policy and the algebra list alone: the
+sampled part of a law over a non-finite list is N draws of degree <= D
+from a fresh ``Random(policy.seed)``, so a certificate (D, N, seed) and
+the law's algebras reproduce the tuples it was checked on.  ``law_tuples``
+draws them the first time it sees (policy, list) and keeps them under that
+key on the first algebra of the list, the way a 2-crossed module keeps its
+towers; a later call gets the same objects back without drawing.  Keys
+hold the algebras themselves, never their ids, so two structures never
+share an entry, and the memo goes with its structure.
 
 For a table action of a free algebra, monomials act by iterated generator
 action and A2 on generator pairs makes that well defined; A1 for monomials
@@ -84,14 +82,6 @@ class Policy:
     max_degree: int = 4
     seed: int = 0
 
-    def rng(self):
-        """A fresh stream of sampled law tuples for one check site.
-
-        Only law_tuples draws from it, so what it yields is a function of
-        this policy, its path and the algebras of each call.
-        """
-        return Draws(self)
-
 
 DEFAULT_POLICY = Policy()
 
@@ -148,81 +138,53 @@ def _skeleton(alg):
     raise BadShape("cannot span %r" % (alg,))
 
 
-def _sample(algebras, policy, rng):
-    return tuple(
-        tuple(random_element(a, rng, policy.max_degree) for a in algebras)
-        for _ in range(policy.samples)
-    )
+def _sampled(algebras, policy):
+    """The policy's sampled tuples over algebras, drawn from a fresh
+    Random(policy.seed) on the first call and kept on algebras[0]."""
+    memo = algebras[0]._draws
+    tuples = memo.get((policy, algebras))
+    if tuples is None:
+        rng = random.Random(policy.seed)
+        tuples = memo[(policy, algebras)] = tuple(
+            tuple(random_element(a, rng, policy.max_degree) for a in algebras)
+            for _ in range(policy.samples)
+        )
+    return tuples
 
 
-class Draws:
-    """The sampled law tuples of one check site, as a stream of draws from
-    ``Random(policy.seed)``.
-
-    ``path`` holds the non-finite algebra lists drawn so far, and ``_random``
-    has made the draws of the first ``_drawn`` of them.  A list found in
-    the memo costs no draw, so the generator falls behind; it catches up on
-    the next list that is not.
-    """
-
-    def __init__(self, policy):
-        self.policy = policy
-        self.path = ()
-        self._random = random.Random(policy.seed)
-        self._drawn = 0
-
-    def sampled(self, algebras):
-        memo = algebras[0]._draws
-        key = (self.policy, self.path, algebras)
-        tuples = memo.get(key)
-        if tuples is None:
-            for behind in self.path[self._drawn:]:
-                _sample(behind, self.policy, self._random)
-            tuples = memo[key] = _sample(algebras, self.policy, self._random)
-            self._drawn = len(self.path) + 1
-        self.path += (algebras,)
-        return tuples
-
-
-def law_tuples(algebras, policy=DEFAULT_POLICY, rng=None):
+def law_tuples(algebras, policy=DEFAULT_POLICY):
     """Tuples on which to test a multilinear law over the given algebras.
 
     Returns (tuples, exhaustive).  Exhaustive means the full cartesian
     product of bases was produced and the law check is a proof.
 
     Otherwise the skeleton tuples are followed by policy.samples random
-    tuples.  With rng a ``Draws`` stream of this policy (the default is a
-    fresh one), they are a function of (policy, rng.path, algebras), kept
-    on algebras[0] and drawn only the first time.  A plain
-    ``random.Random`` is drawn from directly.
+    tuples of degree <= policy.max_degree, drawn from Random(policy.seed):
+    a function of (policy, algebras), kept on algebras[0] and drawn only
+    the first time.
     """
     if all(a.is_finite() for a in algebras):
         tuples = list(itertools.product(*[a.basis_elements() for a in algebras]))
         return tuples, True
-    rng = rng or policy.rng()
     tuples = list(itertools.product(*[_skeleton(a) for a in algebras]))
-    if isinstance(rng, Draws):
-        tuples.extend(rng.sampled(tuple(algebras)))
-    else:
-        tuples.extend(_sample(algebras, policy, rng))
+    tuples.extend(_sampled(tuple(algebras), policy))
     return tuples, False
 
 
-def check_law(algebras, lhs, rhs, error, policy, rng=None, on_keys=None):
+def check_law(algebras, lhs, rhs, error, policy, on_keys=None):
     """Check the multilinear law lhs(*t) == rhs(*t) on law_tuples(algebras).
 
     Raises ``error(t, lhs(*t), rhs(*t))`` at the first failing tuple t.
     Otherwise returns the certificate the check earned: EXHAUSTIVE when
-    the tuples span every argument, else the policy's (D, N, seed).  A
-    caller checking several laws under one policy passes the one
-    ``policy.rng()`` stream of its site.
+    the tuples span every argument, else the policy's (D, N, seed), from
+    which, with the algebras, the sampled tuples can be drawn again.
 
     ``on_keys`` decides the law on basis keys: given the basis key lists
     of the algebras, it returns the positions (one per algebra) of the
     first failing key tuple in ``itertools.product`` order, or None.  An
     exhaustive check uses it and evaluates lhs and rhs at that tuple only.
     """
-    tuples, exhaustive = law_tuples(algebras, policy, rng)
+    tuples, exhaustive = law_tuples(algebras, policy)
     if exhaustive and on_keys is not None:
         # Keys taken from the basis elements, not from basis_keys(), which
         # builds new tuples for a semidirect product: the memo and cache
@@ -572,7 +534,6 @@ def certify_action(action, policy=DEFAULT_POLICY):
     when the acting algebra is a semidirect product the split basis tuples
     are exactly the reduced conditions for actions of semidirect products.
     """
-    rng = policy.rng()
     R, M = action.acting, action.acted
     ring, image, key_mul = M.ring, action._key_image, M.key_mul
 
@@ -602,11 +563,11 @@ def certify_action(action, policy=DEFAULT_POLICY):
 
     a1 = check_law(
         [R, M, M], lambda r, m1, m2: action(r, m1 * m2), lambda r, m1, m2: action(r, m1) * m2,
-        A1Violation, policy, rng, on_keys=a1_on_keys,
+        A1Violation, policy, on_keys=a1_on_keys,
     )
     a2 = check_law(
         [R, R, M], lambda r1, r2, m: action(r1 * r2, m), lambda r1, r2, m: action(r1, action(r2, m)),
-        A2Violation, policy, rng, on_keys=a2_on_keys,
+        A2Violation, policy, on_keys=a2_on_keys,
     )
     action.certificate = _weakest(a1, a2)
     return action.certificate
@@ -716,13 +677,9 @@ def certify_algebra(alg, policy=DEFAULT_POLICY):
     ):
         alg.certificate = EXHAUSTIVE
         return alg.certificate
-    rng = policy.rng()
-    commutative = check_law(
-        [alg, alg], lambda u, v: u * v, lambda u, v: v * u, NonCommutative, policy, rng
-    )
+    commutative = check_law([alg, alg], lambda u, v: u * v, lambda u, v: v * u, NonCommutative, policy)
     associative = check_law(
-        [alg, alg, alg], lambda u, v, w: (u * v) * w, lambda u, v, w: u * (v * w),
-        NonAssociative, policy, rng,
+        [alg, alg, alg], lambda u, v, w: (u * v) * w, lambda u, v, w: u * (v * w), NonAssociative, policy
     )
     alg.certificate = _weakest(commutative, associative)
     return alg.certificate

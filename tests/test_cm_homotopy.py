@@ -180,6 +180,40 @@ def _free_line_cm():
     return cm, identity_cm_morphism(cm)
 
 
+def test_declared_monomial_value_is_checked_over_a_free_r():
+    """Over a free R, s is fixed by its generator images: a value declared
+    on a monomial must be the one s takes there, s(x^2) = s(x)^2 = 0, or
+    the derivation is refused with the monomial as witness."""
+    cm, f = _free_line_cm()
+    a, x2 = cm.E.basis_element("a"), cm.R.monomial("x", "x")
+    with pytest.raises(DerivationLawViolation) as err:
+        make_cm_derivation(f, {"x": a, ("x", "x"): 5 * a})
+    assert err.value.witness == (x2,)
+    assert err.value.lhs == 5 * a and err.value.rhs.is_zero()
+    d = make_cm_derivation(f, {"x": a, ("x", "x"): cm.E.zero()})
+    assert d(x2).is_zero() and d.images == {"x": a}
+
+
+def test_a_target_that_fails_certification_fails_its_entry(monkeypatch):
+    """target-valid reports a drawn derivation whose target does not
+    certify: the sample's entry is false, with the error naming the law,
+    and the check goes on to the next sample instead of raising."""
+    from xmod2 import cm_homotopy
+
+    def wrong_target(d):  # g0 sends every basis element to x, but x^2 = x2
+        R = d.f.tgt.R
+        x = R.basis_element("x")
+        return algebra_morphism(d.f.src.R, R, fn=lambda r: x, policy=d.policy, note="g0")
+
+    monkeypatch.setattr(cm_homotopy, "_cm_target", wrong_target)
+    cm = fixtures.ideal_crossed()
+    entries = cm_groupoid_check(cm, cm, samples=2, seed=3)
+    assert [(name, ok) for name, ok, _ in entries] == [
+        ("cm/00/target-valid", False), ("cm/01/target-valid", False),
+    ]
+    assert all(witness.startswith("multiplicativity fails") for _, _, witness in entries)
+
+
 def test_target_is_certified_under_the_derivations_own_policy():
     """A derivation keeps the policy it was certified under, and its target
     carries that policy's certificates."""

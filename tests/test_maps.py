@@ -23,12 +23,14 @@ from xmod2.maps import (
     TableAction,
     algebra_morphism,
     certify_action,
+    certify_algebra,
     check_law,
     identity_map,
     law_tuples,
     linear_map,
     make_action,
     morphisms_equal,
+    random_element,
     zero_action,
     zero_map,
     _skeleton,
@@ -268,44 +270,59 @@ def test_certify_algebra_proves_finite_semidirect_products_by_the_lemma(monkeypa
     assert len(calls) == 6
 
 
-def _plain_draws(policy, lists):
-    """What a site that draws lists in order from one Random(policy.seed) gets."""
+def _fresh_draw(policy, algebras):
+    """The sampled part of a non-finite list: N draws from Random(policy.seed)."""
     rng = random.Random(policy.seed)
-    return [law_tuples(algebras, policy, rng)[0] for algebras in lists]
+    return [
+        tuple(random_element(a, rng, policy.max_degree) for a in algebras)
+        for _ in range(policy.samples)
+    ]
 
 
-def test_sampled_tuples_are_drawn_once_and_exactly():
-    """Sampled tuples are a function of (policy, path, algebras): a second
-    site that walks the same path gets them without drawing, a site that
-    then leaves the path draws exactly what one plain generator would, and
-    no other policy or structure sees an entry."""
+def test_sampled_tuples_are_drawn_once_and_exactly(monkeypatch):
+    """The sampled tuples of a non-finite list are a fresh Random(seed)
+    draw for that list alone, whatever was drawn before; a second call
+    returns the same objects without drawing, another policy or a twin
+    structure gets its own entry, and a finite list draws nothing."""
+    from xmod2 import maps
+
     R = make_free_algebra(["x", "y"], QQ)
     _, E = f2_carriers()
     pol = Policy(samples=6, max_degree=3, seed=5)
-    first = [[R, R], [R], [R]]
-    second = [[R, R], [E], [R], [R], [R, E]]  # [E] is finite: it draws nothing
+    lists = [[R, R], [R], [R, E]]
+    draws = []
+    real = maps.random_element
+    monkeypatch.setattr(maps, "random_element", lambda *a, **k: draws.append(1) or real(*a, **k))
 
-    def site(policy, lists):
-        rng = policy.rng()
-        return [law_tuples(algebras, policy, rng)[0] for algebras in lists]
+    first = [law_tuples(algebras, pol)[0] for algebras in lists]
+    assert len(draws) == sum(len(algebras) for algebras in lists) * pol.samples
+    for algebras, tuples in zip(lists, first):
+        assert tuples[-pol.samples:] == _fresh_draw(pol, algebras)
+    del draws[:]
+    for algebras, old in zip(lists, first):
+        new, exhaustive = law_tuples(algebras, pol)
+        assert not exhaustive and new == old
+        assert all(a is b for a, b in zip(old[-pol.samples:], new[-pol.samples:]))
+    assert not draws and len(R._draws) == 3 and not E._draws
 
-    for _ in range(2):
-        drawn = site(pol, first)
-        assert drawn == _plain_draws(pol, first)
-        again = site(pol, second)
-        assert again == _plain_draws(pol, second)
-        for old, new in zip(drawn, again[:1] + again[2:]):
-            assert all(a is b for a, b in zip(old[-pol.samples:], new[-pol.samples:]))
-    assert len(R._draws) == 4 and not E._draws
+    assert law_tuples([E, E], pol)[1] and not draws and not E._draws
 
     other = Policy(samples=6, max_degree=3, seed=6)
-    assert site(other, second) == _plain_draws(other, second) != again
-    assert len(R._draws) == 8
+    tuples = law_tuples([R], other)[0]
+    assert tuples[-other.samples:] == _fresh_draw(other, [R]) != first[1][-pol.samples:]
+    assert len(R._draws) == 4
 
     twin = make_free_algebra(["x", "y"], QQ)
-    tuples = site(pol, [[twin, twin], [twin], [twin]])
-    assert all(u.algebra is twin for t in tuples for sample in t for u in sample)
-    assert len(twin._draws) == 3 and len(R._draws) == 8
+    tuples = law_tuples([twin], pol)[0]
+    assert all(u.algebra is twin for t in tuples for u in t)
+    assert len(twin._draws) == 1 and len(R._draws) == 4
+
+    # a site that checks two laws draws each list from the seed: certify_algebra
+    # draws [S, S] for commutativity, then [S, S, S] for associativity
+    S = make_free_algebra(["x"], QQ)
+    certify_algebra(S, pol)
+    for algebras in ([S, S], [S, S, S]):
+        assert list(S._draws[(pol, tuple(algebras))]) == _fresh_draw(pol, algebras)
 
 
 def test_sampled_tuples_are_kept_on_their_structure():

@@ -547,26 +547,6 @@ FORMULA_MUTANTS = {
         A.E.zero(), A.act_prime(e2, k) + k * l, -A.lift(A.d2(k), A.d2(l) + e2))),
 }
 
-# Mutants that equal the real entry on every input below.  Each is an
-# expected failure, strict, so an input that rejects it turns it into a
-# failure that must be acted on (drop the mark).
-_NO_R_ON_L = "R > L is zero on F2, T3 and the square kernel"
-_SYMMETRIC = "every input below has a symmetric lifting, {e (x) e'} = {e' (x) e}"
-FORMULA_SURVIVORS = {
-    "bullet-without-d1(e)>l": _NO_R_ON_L,
-    "bullet-without-r>l": _NO_R_ON_L,
-    "one_e-without-d1(e)>l": _NO_R_ON_L,
-    "one_e-without-d1(e)>l'": _NO_R_ON_L,
-    "one_r-without-r>l": _NO_R_ON_L,
-    "one_r-without-r>l'": _NO_R_ON_L,
-    "two_e-without-d1(e)>l'": _NO_R_ON_L,
-    "bullet-lift-swapped": _SYMMETRIC,
-    "one_e-lift-swapped": _SYMMETRIC,
-    "two_e-lift-swapped": _SYMMETRIC,
-    "two_l-lift-swapped": _SYMMETRIC,
-}
-
-
 def _square_kernel(c, v, ring, pol):
     """Kernel 2-crossed module of E = <a, b; a^2 = b> -> R = <p; p^2 = 0>,
     d(a) = c p, p > a = v b."""
@@ -577,6 +557,20 @@ def _square_kernel(c, v, ring, pol):
     return kernel_two_crossed(make_precrossed(E, R, d, act, pol), pol)
 
 
+def _asymmetric_kernel(ring, pol):
+    """Kernel 2-crossed module of E = <u0, u1, u2> -> R = <u0>, all products
+    zero, d(u1) = 4 u0, d(u2) = u0, u0 > u2 = 2 u0 (over F5 the structure
+    random_two_crossed draws from Random(48) at max_dim=3).  Its lifting is
+    asymmetric and R > L is nonzero, which the other inputs lack."""
+    R = make_finite_algebra(["u0"], {}, ring)
+    E = make_finite_algebra(["u0", "u1", "u2"], {}, ring)
+    d = maps.algebra_morphism(
+        E, R, images={"u0": R.zero(), "u1": R.element({"u0": 4}), "u2": R.basis_element("u0")}, policy=pol
+    )
+    act = maps.make_action(R, E, {"u0": {"u2": E.element({"u0": 2})}}, pol)
+    return kernel_two_crossed(make_precrossed(E, R, d, act, pol), pol)
+
+
 @functools.cache
 def _mutant_inputs():
     F5 = PrimeField(5)
@@ -584,22 +578,27 @@ def _mutant_inputs():
         fixtures.square_two_crossed(),
         _truncated_kernel(3, F5, POL),
         _square_kernel(1, 2, F5, POL),
+        _asymmetric_kernel(F5, POL),
     )
 
 
+def test_asymmetric_kernel_is_a_valid_input():
+    T = build_tower(_mutant_inputs()[3], POL)
+    assert [len(level.basis_keys()) for level in T.levels] == [1, 4, 9, 16]
+    assert all(ok for _, ok, _ in check_simplicial_identities(T, POL))
+
+
 @pytest.mark.parametrize("table, key, mutant", [
-    pytest.param(*entry, id=name, marks=(
-        [pytest.mark.xfail(strict=True, reason=FORMULA_SURVIVORS[name])]
-        if name in FORMULA_SURVIVORS else []))
-    for name, entry in FORMULA_MUTANTS.items()
+    pytest.param(*entry, id=name) for name, entry in FORMULA_MUTANTS.items()
 ])
 def test_formula_table_mutant_is_rejected(monkeypatch, table, key, mutant):
     """Every face, degeneracy and leaf action is built from its entry in a
     formula table, so a wrong entry reaches the tower, where it is rejected
-    on F2, on the n = 3 truncated kernel over F5 or on the square kernel
-    with d(a) = p, p > a = 2b over F5: build_tower raises (a face or
-    degeneracy is not multiplicative, an action breaks A1 or A2), or a
-    simplicial identity fails."""
+    on F2, on the n = 3 truncated kernel over F5, on the square kernel
+    with d(a) = p, p > a = 2b over F5, or on the asymmetric kernel over F5
+    (the only input with an asymmetric lifting and R > L nonzero):
+    build_tower raises (a face or degeneracy is not multiplicative, an
+    action breaks A1 or A2), or a simplicial identity fails."""
     structures = _mutant_inputs()
     _patch_formula(monkeypatch, table, key, mutant)
     for A in structures:

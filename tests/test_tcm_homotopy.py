@@ -69,6 +69,35 @@ def test_overdeclared_s_value_rejected():
     assert good.s(F3.R.monomial("x", "x")) == F2.E.basis_element("b")
 
 
+def test_sampled_certificate_reproduces_its_tuples(monkeypatch):
+    """A sampled certificate (D, N, seed) and the law's algebras give back
+    the tuples its check saw: F3's s-law over R x R is checked on the
+    generator pair, then on N pairs drawn from Random(seed) at degree <= D."""
+    from xmod2 import maps
+
+    pol = Policy(samples=7, max_degree=3, seed=11)
+    F3, F2, f, _, _, _ = worked_homotopies(QQ, pol)
+    real, seen = maps.law_tuples, []
+
+    def law_tuples(algebras, policy):
+        tuples, exhaustive = real(algebras, policy)
+        if len(algebras) == 2 and all(a is F3.R for a in algebras):
+            seen.append(tuples)
+        return tuples, exhaustive
+
+    monkeypatch.setattr(maps, "law_tuples", law_tuples)
+    qd = make_quadratic_derivation(f, {"x": F2.E.basis_element("b")}, {}, pol)
+    cert = qd.certificates["s-law"]
+    assert not cert.exhaustive
+    rng = random.Random(cert.seed)
+    drawn = [
+        (random_element(F3.R, rng, cert.max_degree), random_element(F3.R, rng, cert.max_degree))
+        for _ in range(cert.samples)
+    ]
+    x = F3.R.monomial("x")
+    assert seen == [[(x, x)] + drawn]
+
+
 def test_apply_homotopy_target_and_char_two_variant():
     F3, F2, f, h1, _, _ = worked()
     x = F3.R.monomial("x")
@@ -375,6 +404,27 @@ def test_groupoid_check_fixture_pairs():
     F0 = fixtures.zero_two_crossed()
     entries = tcm_groupoid_check(F3, F0, samples=2, seed=1, policy=POL)
     assert all(ok for _, ok, _ in entries)
+
+
+def test_a_target_that_fails_certification_fails_its_entry(monkeypatch):
+    """targets-valid reports a drawn homotopy whose target does not
+    certify: the sample's entry is false, with the error naming the law,
+    and the check goes on to the next sample instead of raising."""
+    from xmod2 import tcm_homotopy
+    from xmod2.maps import algebra_morphism
+
+    def wrong_target(qd):  # g0 sends every monomial to p, but p^2 = 0
+        A, B = qd.f.src, qd.f.tgt
+        p = B.R.basis_element("p")
+        return algebra_morphism(A.R, B.R, fn=lambda r: p, policy=qd.policy, note="g0")
+
+    monkeypatch.setattr(tcm_homotopy, "_qd_target", wrong_target)
+    F3, F2 = fixtures.free_line_two_crossed(), fixtures.square_two_crossed()
+    entries = tcm_groupoid_check(F3, F2, samples=2, seed=1, policy=POL)
+    assert [(name, ok) for name, ok, _ in entries] == [
+        ("tcm/00/targets-valid", False), ("tcm/01/targets-valid", False),
+    ]
+    assert all(witness.startswith("multiplicativity fails") for _, _, witness in entries)
 
 
 def test_second_quadratic_derivation_draws_no_sampled_tuple(monkeypatch):
