@@ -112,10 +112,13 @@ def unit_key(u):
 
     Formula closures are called on basis elements, and the skeleton tuples
     of a law check and the probes of the simplicial identities are basis
-    elements, so the element operations take a direct path on them."""
+    elements, so the element operations take a direct path on them.  The
+    coefficient is tested by identity first, as in ``combine``: a basis
+    element holds ``ring.one`` itself, and over Q ``==`` is a slow call."""
     if len(u.coeffs) == 1:
         (key, c), = u.coeffs.items()
-        if c == u.algebra.ring.one:
+        one = u.algebra.ring.one
+        if c is one or c == one:
             return key
     return None
 
@@ -246,7 +249,7 @@ class FiniteAlgebra(Algebra):
         self.labels = tuple(labels)
         self._labelset = set(self.labels)
         self._table = table  # (label, label) -> dict(label -> scalar), both orders present
-        self._draws = {}  # sampled law tuples, kept by maps.law_tuples
+        self._draws = {}  # sampled law tuples, kept by maps._sampled
 
     def check_key(self, key):
         if key not in self._labelset:
@@ -281,7 +284,7 @@ class FreeAlgebra(Algebra):
         self.ring = ring
         self.generators = tuple(generators)
         self._genset = set(self.generators)
-        self._draws = {}  # sampled law tuples, kept by maps.law_tuples
+        self._draws = {}  # sampled law tuples, kept by maps._sampled
 
     def check_key(self, key):
         if not isinstance(key, tuple) or not key:
@@ -355,7 +358,7 @@ class SemidirectAlgebra(Algebra):
         self.action = action
         self.certificate = None  # commutativity/associativity, set by maps.certify_algebra
         self._mulcache = {}  # basis-key products recur heavily in law checks
-        self._draws = {}  # sampled law tuples, kept by maps.law_tuples
+        self._draws = {}  # sampled law tuples, kept by maps._sampled
 
     def check_key(self, key):
         if not (isinstance(key, tuple) and len(key) == 2 and key[0] in (0, 1)):

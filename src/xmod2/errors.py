@@ -124,6 +124,12 @@ class QDLawViolation(LawViolation):
     these on boundaries d2(l) of L, checked as transcription tripwires:
     "t-product-on-boundaries" (t on d2(l) d2(l')) and
     "t-action-on-boundaries" (t on r > d2(l)).
+
+    Witnesses: (r, r') for the s-law, or (monomial,) for a declared value
+    of s that the law does not force; (e, e') of E-basis elements for
+    t-product and (l, l') of L-basis elements for its boundary form; (r,)
+    for t-action and its boundary form, whose lhs and rhs are then lists
+    with one value per E-basis (L-basis) element, in basis order.
     """
 
     def __init__(self, equation, witness, lhs=None, rhs=None):

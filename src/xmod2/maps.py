@@ -9,11 +9,15 @@ exact.  The check policy is therefore:
 * a free polynomial algebra involved -> generator-anchored tuples plus N
   random tuples of degree <= D, stamped into a certificate (D, N, seed).
 
-``check_law`` applies this policy to one law and returns its certificate:
-it is the one place where the kind of certificate a law earns is decided.
-A finite semidirect product of proved parts under an action proved on a
-basis is commutative and associative by the semidirect lemma, so
-``certify_algebra`` stamps it EXHAUSTIVE without a law check.
+``check_law`` applies this policy to one law and returns its certificate.
+It is the one caller of ``law_tuples``, so the one place where the kind of
+certificate a law earns is decided: every law checked above ``algebra``
+(whose ``make_finite_algebra`` checks its own table) is one ``check_law``
+call.  EXHAUSTIVE is stamped without one only where a law holds by
+construction or by a lemma: ``identity_map``, substitution maps,
+``zero_action``, ``simplex._certify_dagger``, and ``certify_algebra`` by
+the semidirect lemma (a finite semidirect product of proved parts under an
+action proved on a basis is commutative and associative).
 
 Sampled tuples depend on the policy and the algebra list alone: the
 sampled part of a law over a non-finite list is N draws of degree <= D
@@ -153,7 +157,8 @@ def _sampled(algebras, policy):
 
 
 def law_tuples(algebras, policy=DEFAULT_POLICY):
-    """Tuples on which to test a multilinear law over the given algebras.
+    """Tuples on which to test a multilinear law over the given algebras;
+    called by ``check_law`` alone.
 
     Returns (tuples, exhaustive).  Exhaustive means the full cartesian
     product of bases was produced and the law check is a proof.
@@ -172,9 +177,12 @@ def law_tuples(algebras, policy=DEFAULT_POLICY):
 
 
 def check_law(algebras, lhs, rhs, error, policy, on_keys=None):
-    """Check the multilinear law lhs(*t) == rhs(*t) on law_tuples(algebras).
+    """Check the multilinear law lhs(*t) == rhs(*t) on law_tuples(algebras),
+    the one caller of ``law_tuples``.
 
     Raises ``error(t, lhs(*t), rhs(*t))`` at the first failing tuple t.
+    The two sides may be any values that compare with ==, such as lists of
+    elements for a law checked at several basis elements per tuple.
     Otherwise returns the certificate the check earned: EXHAUSTIVE when
     the tuples span every argument, else the policy's (D, N, seed), from
     which, with the algebras, the sampled tuples can be drawn again.

@@ -48,13 +48,13 @@ kept lower stage in place, certifying nothing twice.
 
 from collections import namedtuple
 
-from .errors import IndexOutOfRange
+from .errors import IndexOutOfRange, LawViolation
 from .maps import (
     DEFAULT_POLICY,
     FunctionAction,
     algebra_morphism,
     certify_action,
-    law_tuples,
+    check_law,
     semidirect,
 )
 
@@ -351,14 +351,9 @@ def simplicial_identity_list():
 
 
 def check_simplicial_identities(T, policy=DEFAULT_POLICY):
-    """Verify every listed identity pointwise; returns report entries
-    (name, ok, witness string or None)."""
+    """Check every listed identity with ``check_law`` on its level;
+    returns report entries (name, ok, witness string or None)."""
     entries = []
-
-    def probe(n):
-        tuples, _ = law_tuples([T.levels[n]], policy)
-        return [u for (u,) in tuples]
-
     for kind, (i, j), n in simplicial_identity_list():
         if kind == "dd":
             name = "d%d.d%d=d%d.d%d@%d" % (i, j, j - 1, i, n)
@@ -379,13 +374,11 @@ def check_simplicial_identities(T, policy=DEFAULT_POLICY):
             else:
                 name = "d%d.s%d=s%d.d%d@%d" % (i, j, j, i - 1, n)
                 rhs = lambda u: T.degeneracy(n - 1, j, T.face(n, i - 1, u))
-        witness = None
-        for u in probe(n):
-            a, b = lhs(u), rhs(u)
-            if a != b:
-                witness = "at %s: %s != %s" % (u, a, b)
-                break
-        entries.append((name, witness is None, witness))
+        try:
+            check_law([T.levels[n]], lhs, rhs, LawViolation, policy)
+            entries.append((name, True, None))
+        except LawViolation as exc:
+            entries.append((name, False, "at %s: %s != %s" % (exc.witness + (exc.lhs, exc.rhs))))
     return entries
 
 

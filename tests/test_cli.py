@@ -97,6 +97,30 @@ def test_simplicial_json_is_pinned(tmp_path, capsys, module, seed):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _SIMPLICIAL_DIGESTS[module, seed]
 
 
+@pytest.mark.parametrize("module, target, name", [
+    ("tcm_homotopy", "_qd_target", "h1"), ("cm_homotopy", "_cm_target", "d1"),
+])
+def test_apply_reports_a_target_that_fails_certification(tmp_path, capsys, monkeypatch,
+                                                         module, target, name):
+    """A target map that fails a law is a failed target-valid check with
+    the error as witness, and exit 1; the other checks are not reported."""
+    import importlib
+
+    from xmod2.errors import SquareViolation
+
+    def refuse(_):
+        raise SquareViolation(("w",), msg="target square fails")
+
+    monkeypatch.setattr(importlib.import_module("xmod2." + module), target, refuse)
+    out = tmp_path / "out.json"
+    argv = ["homotopy", "apply", FIXTURES, "--names", name, "--samples", "10", "--json", str(out)]
+    assert cli.main(argv) == 1
+    checks = json.loads(out.read_text())["checks"]
+    assert [(c["name"], c["status"], c["witness"]) for c in checks] == [
+        ("homotopy/%s/target-valid" % name, "fail", "target square fails"),
+    ]
+
+
 def test_groupoid_tcm_without_free_basis_fails_with_exit_1():
     out = run_cli("groupoid", "tcm", FIXTURES, "--source", "F2", "--target", "F2")
     assert out.returncode == 1

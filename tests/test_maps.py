@@ -423,3 +423,17 @@ def test_direct_basis_paths_agree_with_the_general_sum():
                         for k1, c1 in r.coeffs.items() for k2, c2 in m.coeffs.items()
                     ]))
     assert seen_rules == {"table", "substitution", "function"} and partial_tables == 4
+
+
+def test_law_tuples_is_held_by_maps_alone():
+    """check_law is the one caller of law_tuples, so every law's certificate
+    is decided there: no other xmod2 module holds law_tuples in its globals."""
+    import importlib
+    import pkgutil
+
+    import xmod2
+
+    names = [info.name for info in pkgutil.iter_modules(xmod2.__path__) if info.name != "__main__"]
+    modules = [xmod2] + [importlib.import_module("xmod2." + name) for name in names]
+    assert "maps" in names and "tcm_homotopy" in names
+    assert [m.__name__ for m in modules if "law_tuples" in vars(m)] == ["xmod2.maps"]

@@ -6,9 +6,18 @@ import weakref
 import pytest
 
 from xmod2 import fixtures
-from xmod2.crossed import identity_2cm_morphism, zero_2cm_morphism
+from xmod2.algebra import make_finite_algebra, make_free_algebra
+from xmod2.crossed import identity_2cm_morphism, make_two_crossed, zero_2cm_morphism
 from xmod2.errors import CompositionMismatch, FreeBasisRequired, QDLawViolation, XmodError
-from xmod2.maps import Certificate, Policy, random_element
+from xmod2.maps import (
+    BilinearMap,
+    Certificate,
+    Policy,
+    algebra_morphism,
+    identity_map,
+    make_action,
+    random_element,
+)
 from xmod2.randgen import (
     random_2cm_morphism,
     random_free_two_crossed,
@@ -67,6 +76,45 @@ def test_overdeclared_s_value_rejected():
         f, {"x": a, ("x", "x"): F2.E.basis_element("b")}, {}, POL
     )
     assert good.s(F3.R.monomial("x", "x")) == F2.E.basis_element("b")
+
+
+def _idempotent_domain():
+    """A free F5 domain with E != 0 where x acts: R = F5[x]+, E = L = F5{u}
+    with u^2 = u, x > u = u on E and L, d1 = 0, d2 the identity and the
+    lifting the multiplication; with the zero map f to itself."""
+    F5 = PrimeField(5)
+    R = make_free_algebra(["x"], F5)
+    E = make_finite_algebra(["u"], {("u", "u"): {"u": 1}}, F5)
+    u = E.basis_element("u")
+    act = make_action(R, E, {"x": {"u": u}}, POL)
+    D = make_two_crossed(
+        E, E, R, d2=identity_map(E), d1=algebra_morphism(E, R, images={"u": R.zero()}, policy=POL),
+        act_e=act, act_l=act, lift=BilinearMap(E, E, E, {("u", "u"): u}), free_basis=["x"],
+        policy=POL,
+    )
+    return D, zero_2cm_morphism(D, D, POL), u
+
+
+def test_t_breaking_the_product_law_is_rejected():
+    # s = 0 and f = 0 leave t(ee') = t(e)t(e'); t(u) = 2u gives 2u != 4u
+    D, f, u = _idempotent_domain()
+    with pytest.raises(QDLawViolation) as err:
+        make_quadratic_derivation(f, {}, {"u": 2 * u}, POL)
+    assert err.value.law == "t-product"
+    assert err.value.witness == (u, u) and all(e in D.E.basis_elements() for e in err.value.witness)
+    assert (err.value.lhs, err.value.rhs) == (2 * u, 4 * u)
+
+
+def test_t_breaking_the_action_law_is_rejected():
+    # t(u) = u keeps t(uu) = t(u)t(u), but t(x > u) = u while f0 = 0 and
+    # s = 0 make the right side 0; the witness is (x,), the sides are lists
+    # over the E-basis
+    D, f, u = _idempotent_domain()
+    with pytest.raises(QDLawViolation) as err:
+        make_quadratic_derivation(f, {}, {"u": u}, POL)
+    assert err.value.law == "t-action"
+    assert err.value.witness == (D.R.monomial("x"),)
+    assert (err.value.lhs, err.value.rhs) == ([u], [D.E.zero()])
 
 
 def test_sampled_certificate_reproduces_its_tuples(monkeypatch):
@@ -431,7 +479,7 @@ def test_second_quadratic_derivation_draws_no_sampled_tuple(monkeypatch):
     """On a free domain the second check of the same f-derivation evaluates
     the same law tuples as the first; it only does not draw them again.
     No check is skipped: the law_tuples calls and their sizes are equal."""
-    from xmod2 import maps, tcm_homotopy
+    from xmod2 import maps
 
     F5 = PrimeField(5)
     rng = random.Random(5)
@@ -455,14 +503,17 @@ def test_second_quadratic_derivation_draws_no_sampled_tuple(monkeypatch):
         return real_element(*args, **kwargs)
 
     monkeypatch.setattr(maps, "law_tuples", law_tuples)
-    monkeypatch.setattr(tcm_homotopy, "law_tuples", law_tuples)
     monkeypatch.setattr(maps, "random_element", random_element)
     for _ in range(2):
         sizes.append([])
         draws.append(0)
         make_quadratic_derivation(f, qd.s_images, qd.t_images, POL)
     assert draws[1] > 0 and draws[2] == 0
-    assert sizes[0] == sizes[1] == [1 + POL.samples] * 3  # s-law, t-action, on boundaries
+    assert (D.E.dim(), D.L.dim()) == (2, 2)
+    # s-law, t-product on E x E, t-action, t-product-on-boundaries on L x L,
+    # t-action-on-boundaries
+    sampled = 1 + POL.samples
+    assert sizes[0] == sizes[1] == [sampled, 4, sampled, 4, sampled]
 
 
 def test_target_is_certified_under_the_derivations_own_policy():
@@ -560,14 +611,14 @@ def _count_law_tuples(monkeypatch):
 
 def test_work_count_of_a_derivation_on_a_fresh_target(monkeypatch):
     """A quadratic derivation builds the lower stage of its target's tower
-    (Lam0..Lam2 with >.) and certifies no action of the upper stage.
-    [calls, tuples] of law_tuples was [24, 2117] while it built the whole
-    tower.  The derivation's own three calls (s-law, t-action, t-action on
-    boundaries) are unchanged; s is an algebra map into Lam1 and no law of
-    the derivation reads Lam3.  The 11 calls left out are A1 and A2 of >*
-    and >t and the multiplicativity of d0..d3@3 and s0..s2@2, which certify
-    only Lam3 and the maps to and from it.  They run, with the same
-    certificates, when the tower is completed (the next test)."""
+    (Lam0..Lam2 with >.) and certifies no action of the upper stage.  Its
+    own five law_tuples calls are the s-law, t-product on E x E, t-action
+    and the two forms on boundaries (on L x L and on R); s is an algebra
+    map into Lam1 and no law of the derivation reads Lam3.  Building the
+    whole tower takes 11 more calls: A1 and A2 of >* and >t and the
+    multiplicativity of d0..d3@3 and s0..s2@2, which certify only Lam3 and
+    the maps to and from it.  They run, with the same certificates, when
+    the tower is completed (the next test)."""
     _, B, f, qd = _free_domain_instance(5)
     pol = Policy(10, 4, 0)
     assert (B.R.dim(), B.E.dim(), B.L.dim()) == (2, 2, 2) and pol not in B._towers
@@ -578,7 +629,7 @@ def test_work_count_of_a_derivation_on_a_fresh_target(monkeypatch):
     assert entered == {"get_tower": 1, "build_tower": 1}
     assert certified == {"certify_action": 1}  # >.
     assert B._towers[pol].top == 2 and set(B._towers[pol].actions) == {"prime", "bullet"}
-    assert seen == [13, 421]
+    assert seen == [15, 429]
 
 
 def test_completing_a_kept_lower_stage_gives_the_whole_tower(monkeypatch):
@@ -676,15 +727,16 @@ def test_changed_data_or_policy_misses_the_memo_and_certifies_in_full(monkeypatc
         return real_tuples(*args, **kwargs)
 
     monkeypatch.setattr(maps, "law_tuples", law_tuples)
-    monkeypatch.setattr(tcm_homotopy, "law_tuples", law_tuples)
     assert tcm_homotopy._quadratic(f, qd.s_images, qd.t_images, POL) is qd
     assert calls == []
+    # s-law, t-product, t-action, t-product-on-boundaries, t-action-on-boundaries
+    laws = [[D.R, D.R], [D.E, D.E], [D.R], [D.L, D.L], [D.R]]
     for t_images, policy in ((changed, POL), (qd.t_images, other)):
         out = tcm_homotopy._quadratic(f, qd.s_images, t_images, policy)
-        assert out is not qd and len(calls) == 3  # s-law, t-action, on boundaries
+        assert out is not qd and calls == laws
         assert out.certificates["s-law"].samples == policy.samples
         assert tcm_homotopy._quadratic(f, qd.s_images, t_images, policy) is out
-        assert len(calls) == 3
+        assert calls == laws
         calls.clear()
 
 
