@@ -19,13 +19,14 @@ import functools
 import os
 import sys
 
-from .cm_homotopy import cm_groupoid_check, concat_cm, invert_cm
+from .algebra import FreeAlgebra
+from .cm_homotopy import CMDerivation, bracketings, cm_groupoid_check, concat_cm, invert_cm
 from .errors import LawViolation, ParseError, UnresolvedReference, ValidationError, XmodError
 from .maps import Policy
 from .report import Report, canonical_json
 from .simplex import build_tower, check_simplicial_identities
 from .specdoc import load_spec
-from .tcm_homotopy import check_w_change, concat_2cm, invert_2cm, tcm_groupoid_check
+from .tcm_homotopy import QuadraticDerivation, check_w_change, concat_2cm, invert_2cm, tcm_groupoid_check
 
 
 def _default_seed():
@@ -128,7 +129,7 @@ def _cmd_validate(args, policy):
         report.add("map/%s" % name, "morphism", True)
     for name in sorted(doc.derivations):
         report.add("derivation/%s" % name, "derivation-law", True,
-                   certificate=doc.derivations[name].certificate)
+                   certificate=doc.derivations[name].certificates["derivation-law"])
     for name in sorted(doc.quadratic):
         for law, cert in sorted(doc.quadratic[name].certificates.items()):
             report.add("quadratic/%s/%s" % (name, law), law, True, certificate=cert)
@@ -160,26 +161,20 @@ def _cmd_simplicial(args, policy):
 
 
 def _homotopy_by_name(doc, name):
-    if name in doc.quadratic:
-        return ("tcm", doc.quadratic[name])
-    if name in doc.derivations:
-        return ("cm", doc.derivations[name])
+    """The named derivation of either layer, quadratic names first."""
+    for store in (doc.quadratic, doc.derivations):
+        if name in store:
+            return store[name]
     raise UnresolvedReference(name, "derivation")
 
 
 def _sample_points(R):
     """Generator values plus low-degree monomials for display."""
-    from .algebra import FreeAlgebra
-
-    points = []
-    if isinstance(R, FreeAlgebra):
-        for g in R.generators:
-            points.append(R.monomial(g))
-        for g in R.generators:
-            points.append(R.monomial(g, g))
-            points.append(R.monomial(g, g, g))
-    else:
-        points = R.basis_elements()
+    if not isinstance(R, FreeAlgebra):
+        return R.basis_elements()
+    points = [R.monomial(g) for g in R.generators]
+    for g in R.generators:
+        points += [R.monomial(g, g), R.monomial(g, g, g)]
     return points
 
 
@@ -190,12 +185,18 @@ def _cmd_homotopy(args, policy):
         params={"file": os.path.basename(args.file), "names": names, "seed": policy.seed},
     )
     doc = _load(args, policy)
-    flavors = [_homotopy_by_name(doc, n) for n in names]
-    kinds = {k for k, _ in flavors}
+    items = [_homotopy_by_name(doc, n) for n in names]
+    kinds = sorted({"tcm" if isinstance(h, QuadraticDerivation) else "cm" for h in items})
     if len(kinds) != 1:
         raise ValidationError("homotopy " + args.op, "mixed derivation kinds %r" % kinds)
-    kind = kinds.pop()
-    items = [h for _, h in flavors]
+    quadratic = kinds == ["tcm"]
+    if quadratic:  # the layer's operations, labels and t-points, picked once
+        E = items[0].f.src.E
+        concat, invert, plus, tag, s_assoc = concat_2cm, invert_2cm, "[+]", "box-plus", "s-component"
+        t_points = [(k, E.basis_element(k)) for k in E.basis_keys()]
+    else:
+        concat, invert, plus, tag, s_assoc = concat_cm, invert_cm, "+", "concat", "derivations"
+        t_points = []
 
     if args.op == "apply":
         for name, item in zip(names, items):
@@ -213,31 +214,19 @@ def _cmd_homotopy(args, policy):
         if len(items) != 2:
             raise ValidationError("homotopy compose", "need exactly two names")
         a, b = items
-        if kind == "cm":
-            out = concat_cm(a, b, policy)
-            for r in _sample_points(a.f.src.R):
-                report.add("value/(s+s')(%s)" % r, "concat", True, witness=str(out(r)))
-        else:
-            box = concat_2cm(a, b, policy)
-            for r in _sample_points(a.f.src.R):
-                report.add("value/(s[+]s')(%s)" % r, "box-plus", True, witness=str(box.s(r)))
-            for k in a.f.src.E.basis_keys():
-                report.add("value/(t[+]t')(%s)" % k, "box-plus", True,
-                           witness=str(box.t(a.f.src.E.basis_element(k))))
+        out = concat(a, b, policy)
+        for r in _sample_points(a.f.src.R):
+            report.add("value/(s%ss')(%s)" % (plus, r), tag, True, witness=str(out.s(r)))
+        for k, e in t_points:
+            report.add("value/(t[+]t')(%s)" % k, tag, True, witness=str(out.t(e)))
         report.add("homotopy/compose/laws", "concat", True)
         return report
 
     if args.op == "invert":
         for name, item in zip(names, items):
-            if kind == "cm":
-                inv = invert_cm(item, policy)
-                for r in _sample_points(item.f.src.R):
-                    report.add("value/%s/sbar(%s)" % (name, r), "inverse", True, witness=str(inv(r)))
-            else:
-                inv = invert_2cm(item, policy)
-                for r in _sample_points(item.f.src.R):
-                    report.add("value/%s/sbar(%s)" % (name, r), "inverse", True,
-                               witness=str(inv.s(r)))
+            inv = invert(item, policy)
+            for r in _sample_points(item.f.src.R):
+                report.add("value/%s/sbar(%s)" % (name, r), "inverse", True, witness=str(inv.s(r)))
             report.add("homotopy/%s/inverse-valid" % name, "inverse", True)
         return report
 
@@ -245,21 +234,13 @@ def _cmd_homotopy(args, policy):
     if len(items) != 3:
         raise ValidationError("homotopy assoc", "need exactly three names")
     a, b, c = items
-    if kind == "cm":
-        left = concat_cm(concat_cm(a, b, policy), c, policy)
-        right = concat_cm(a, concat_cm(b, c, policy), policy)
-        report.add("assoc/derivations", "associativity", left.equal(right))
-        return report
-    for r in _sample_points(a.f.src.R):
-        ok, lhs, rhs = check_w_change(a, b, c, r, policy)
-        report.add("assoc/w-change(%s)" % r, "wchange", ok, "%s vs %s" % (lhs, rhs))
-    ab = concat_2cm(a, b, policy)
-    bc = concat_2cm(b, c, policy)
-    left = concat_2cm(ab, c, policy)
-    right = concat_2cm(a, bc, policy)
-    report.add("assoc/s-component", "associativity", left.equal(right))
-    t_ok = all(left.t(e) == right.t(e) for e in a.f.src.E.basis_elements())
-    report.add("assoc/t-component", "associativity", t_ok)
+    left, right = bracketings(concat, a, b, c, policy)
+    report.add("assoc/" + s_assoc, "associativity", CMDerivation.equal(left, right))
+    if quadratic:
+        report.add("assoc/t-component", "associativity", all(left.t(e) == right.t(e) for _, e in t_points))
+        for r in _sample_points(a.f.src.R):
+            ok, lhs, rhs = check_w_change(a, b, c, r, policy)
+            report.add("assoc/w-change(%s)" % r, "wchange", ok, "%s vs %s" % (lhs, rhs))
     return report
 
 

@@ -13,21 +13,23 @@ homotopies.
 The s-half of a quadratic derivation of 2-crossed module maps is exactly
 such an f0-derivation into E' -> R', so ``complete_s_images``,
 ``check_derivation_law`` and ``derivation_map`` are the one derivation
-path of both homotopy layers.
+path of both homotopy layers, and ``CMDerivation`` is their one
+derivation shape: ``QuadraticDerivation`` extends it with t.
 
 Each derivation is certified once.  ``make_cm_derivation`` certifies
 every call and keeps its result on f, keyed by the policy and the
-normalized images (``image_key``).  ``zero_cm_derivation`` and
-``concat_cm`` return the kept derivation when their images match a key,
-and certify only on a miss; ``invert_cm`` and randgen always certify.
-Reuse is exact: a certification is a pure function of (f, images,
-policy), because its sampled tuples are a function of the policy and R
-alone and s is fixed by its images, so a hit returns the object a
-re-certification would rebuild, with the same certificate.  A composite
-with wrong images matches no key and is certified, and rejected, as
-before.  A derivation carries the policy it was certified under, and its
-``target`` is certified under that policy too, so a kept derivation, and
-its kept target, only ever answer for the policy they were keyed by.
+normalized images (``kept_key``, the key of both layers).
+``zero_cm_derivation`` and ``concat_cm`` return the kept derivation when
+their images match a key, and certify only on a miss; ``invert_cm`` and
+randgen always certify.  Reuse is exact: a certification is a pure
+function of (f, images, policy), because its sampled tuples are a
+function of the policy and R alone and s is fixed by its images, so a
+hit returns the object a re-certification would rebuild, with the same
+certificate.  A composite with wrong images matches no key and is
+certified, and rejected, as before.  A derivation carries the policy it
+was certified under, and its ``target`` is certified under that policy
+too, so a kept derivation, and its kept target, only ever answer for the
+policy they were keyed by.
 """
 
 from functools import cached_property
@@ -58,30 +60,32 @@ def edge_algebra(cm, policy=DEFAULT_POLICY):
 
 class CMDerivation:
     """An f0-derivation s: R -> E' over a crossed module morphism f, with
-    its law certified under ``policy``.
+    its law certified under ``policy``; the one derivation shape of both
+    homotopy layers (``QuadraticDerivation`` adds t).
 
-    ``images`` records s on the R-basis (finite R) or on the free
+    ``s_images`` records s on the R-basis (finite R) or on the free
     generators (free R, where s is evaluated through the algebra map
-    r -> (f0(r), s(r)) into R' |x E').  ``target`` is the target map,
-    certified under the same policy when first read and then kept."""
+    r -> (f0(r), s(r)) into R' |x E').  ``certificates`` maps each law to
+    its certificate: a crossed derivation has one, ``"derivation-law"``.
+    ``target`` is the target map, certified under the same policy when
+    first read and then kept."""
 
-    def __init__(self, f, images, smap, certificate, policy):
+    def __init__(self, f, s_images, s, certificates, policy):
         self.f = f
-        self.images = images
-        self.smap = smap
-        self.certificate = certificate
+        self.s_images = s_images
+        self.s = s
+        self.certificates = certificates
         self.policy = policy
-
-    def __call__(self, r):
-        return self.smap(r)
 
     @cached_property
     def target(self):
         return _cm_target(self)
 
     def equal(self, other):
+        """Same base map and the same s on a spanning set of R: the
+        s-halves alone."""
         return self is other or (
-            self.f.equal(other.f) and maps_agree(self.smap, other.smap, _skeleton(self.f.src.R))
+            self.f.equal(other.f) and maps_agree(self.s, other.s, _skeleton(self.f.src.R))
         )
 
 
@@ -147,8 +151,10 @@ def complete_s_images(R, E, images):
     return out, declared
 
 
-def _key(policy, images, declared):
-    return policy, image_key(images), image_key(declared)
+def kept_key(policy, *tables):
+    """The key a certified derivation is kept under on its base map: the
+    policy and each normalized image table."""
+    return (policy, *map(image_key, tables))
 
 
 def make_cm_derivation(f, images, policy=DEFAULT_POLICY):
@@ -158,23 +164,22 @@ def make_cm_derivation(f, images, policy=DEFAULT_POLICY):
     under ``policy`` is kept on f for ``_derivation``."""
     src, tgt = f.src, f.tgt
     images, declared = complete_s_images(src.R, tgt.E, images)
-    smap = derivation_map(f, images, lambda: edge_algebra(tgt, policy))
-    cert = check_derivation_law(src.R, f.f0, tgt.act, smap, declared, DerivationLawViolation, policy)
-    d = CMDerivation(f, images, smap, cert, policy)
-    f._homotopies.setdefault(_key(policy, images, declared), d)
+    s = derivation_map(f, images, lambda: edge_algebra(tgt, policy))
+    cert = check_derivation_law(src.R, f.f0, tgt.act, s, declared, DerivationLawViolation, policy)
+    d = CMDerivation(f, images, s, {"derivation-law": cert}, policy)
+    f._homotopies.setdefault(kept_key(policy, images, declared), d)
     return d
-
 
 
 def _derivation(f, images, policy):
     """The derivation kept on f for these images under ``policy``, or a
     newly certified one."""
-    kept = f._homotopies.get(_key(policy, *complete_s_images(f.src.R, f.tgt.E, images)))
+    kept = f._homotopies.get(kept_key(policy, *complete_s_images(f.src.R, f.tgt.E, images)))
     return kept if kept is not None else make_cm_derivation(f, images, policy)
 
 
 def _cm_target(d):
-    f, s, policy = d.f, d.smap, d.policy
+    f, s, policy = d.f, d.s, d.policy
     src, tgt = f.src, f.tgt
     g0 = algebra_morphism(src.R, tgt.R, fn=lambda r: f.f0(r) + tgt.d(s(r)), policy=policy, note="g0")
     g1 = algebra_morphism(src.E, tgt.E, fn=lambda e: f.f1(e) + s(src.d(e)), policy=policy, note="g1")
@@ -184,7 +189,7 @@ def _cm_target(d):
 def invert_cm(d, policy=DEFAULT_POLICY):
     """The derivation -s over g, connecting g back to f; certified under
     ``policy``."""
-    images = {k: -v for k, v in d.images.items()}
+    images = {k: -v for k, v in d.s_images.items()}
     inv = make_cm_derivation(d.target, images, policy)
     if not inv.target.equal(d.f):
         raise XmodError("inverse derivation does not recover the source map")
@@ -196,13 +201,19 @@ def concat_cm(d, d2, policy=DEFAULT_POLICY):
     requires target(d) = source(d2)."""
     if not d.target.equal(d2.f):
         raise CompositionMismatch("intermediate morphisms differ")
-    images = dict(d.images)
-    for k, v in d2.images.items():
+    images = dict(d.s_images)
+    for k, v in d2.s_images.items():
         images[k] = images[k] + v if k in images else v
     out = _derivation(d.f, images, policy)
     if not out.target.equal(d2.target):
         raise XmodError("concatenation target mismatch (transcription bug)")
     return out
+
+
+def bracketings(concat, d1, d2, d3, policy):
+    """(d1 d2) d3 and d1 (d2 d3) for a composable triple, each composite
+    formed by ``concat`` under ``policy``."""
+    return concat(concat(d1, d2, policy), d3, policy), concat(d1, concat(d2, d3, policy), policy)
 
 
 def zero_cm_derivation(f, policy=DEFAULT_POLICY):
@@ -252,13 +263,12 @@ def cm_groupoid_check(A, B, samples=25, seed=0, policy=DEFAULT_POLICY):
 
         inv = invert_cm(d1, policy)
         both = concat_cm(d1, inv, policy)
-        note("cm/%02d/inverse-right" % i, all(both(r).is_zero() for r in span))
+        note("cm/%02d/inverse-right" % i, all(both.s(r).is_zero() for r in span))
         both = concat_cm(inv, d1, policy)
-        note("cm/%02d/inverse-left" % i, all(both(r).is_zero() for r in span))
+        note("cm/%02d/inverse-left" % i, all(both.s(r).is_zero() for r in span))
         note("cm/%02d/symmetric" % i, inv.target.equal(f))
 
-        assoc_l = concat_cm(concat_cm(d1, d2, policy), d3, policy)
-        assoc_r = concat_cm(d1, concat_cm(d2, d3, policy), policy)
+        assoc_l, assoc_r = bracketings(concat_cm, d1, d2, d3, policy)
         note("cm/%02d/associative" % i, assoc_l.equal(assoc_r))
         note("cm/%02d/transitive" % i, assoc_l.target.equal(d3.target))
     return entries

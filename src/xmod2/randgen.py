@@ -79,9 +79,9 @@ def random_finite_algebra(ring, rng, max_dim=2):
     return make_finite_algebra(labels, {}, ring)
 
 
-def random_action(R, M, rng, attempts=40, policy=DEFAULT_POLICY):
+def random_action(R, M, rng, policy=DEFAULT_POLICY):
     """A certified action of R on M; falls back to the zero action."""
-    for _ in range(attempts):
+    for _ in range(40):
         table = {}
         for r in R.basis_keys():
             row = {}
@@ -99,7 +99,7 @@ def random_action(R, M, rng, attempts=40, policy=DEFAULT_POLICY):
 def random_precrossed(ring, rng, max_dim=2, policy=DEFAULT_POLICY):
     """A valid pre-crossed module with dim E, dim R <= max_dim."""
     if rng.random() < 0.5:
-        return _square_family_precrossed(ring, rng)
+        return _square_family_precrossed(ring, rng, policy)
     R = random_finite_algebra(ring, rng, max_dim)
     E = random_finite_algebra(ring, rng, max_dim)
     act = random_action(R, E, rng, policy=policy)
@@ -114,7 +114,7 @@ def random_precrossed(ring, rng, max_dim=2, policy=DEFAULT_POLICY):
     return make_precrossed(E, R, d, act, policy)
 
 
-def _square_family_precrossed(ring, rng):
+def _square_family_precrossed(ring, rng, policy):
     """E = <a, b; a^2 = b> -> R = <p; p^2 = 0>, d(a) = c*p, p > a = v*b.
 
     XM1 holds for every (c, v), so the kernel construction yields a
@@ -126,9 +126,9 @@ def _square_family_precrossed(ring, rng):
     v = ring.random(rng)
     c = ring.one if rng.random() < 0.5 else ring.random(rng)
     act_table = {"p": {"a": E.element({"b": v})}}
-    act = make_action(R, E, act_table)
-    d = algebra_morphism(E, R, images={"a": R.element({"p": c}), "b": R.zero()})
-    return make_precrossed(E, R, d, act)
+    act = make_action(R, E, act_table, policy)
+    d = algebra_morphism(E, R, images={"a": R.element({"p": c}), "b": R.zero()}, policy=policy)
+    return make_precrossed(E, R, d, act, policy)
 
 
 def random_two_crossed(ring, rng, max_dim=2, policy=DEFAULT_POLICY):
@@ -169,37 +169,6 @@ def random_free_two_crossed(ring, rng, max_dim=2, policy=DEFAULT_POLICY):
 # Random morphisms and derivations (rejection; zero maps as fallback)
 
 
-def random_cm_morphism(A, B, rng, attempts=200, policy=DEFAULT_POLICY):
-    for _ in range(attempts):
-        try:
-            f0 = algebra_morphism(
-                A.R, B.R,
-                images={k: _random_element(B.R, rng, density=0.5) for k in A.R.basis_keys()},
-                policy=policy,
-            )
-            f1 = algebra_morphism(
-                A.E, B.E,
-                images={k: _random_element(B.E, rng, density=0.5) for k in A.E.basis_keys()},
-                policy=policy,
-            )
-            return make_cm_morphism(A, B, f0, f1, policy)
-        except LawViolation:
-            continue
-    f0 = algebra_morphism(A.R, B.R, images={k: B.R.zero() for k in A.R.basis_keys()}, policy=policy)
-    f1 = algebra_morphism(A.E, B.E, images={k: B.E.zero() for k in A.E.basis_keys()}, policy=policy)
-    return make_cm_morphism(A, B, f0, f1, policy)
-
-
-def random_cm_derivation(f, rng, attempts=200, policy=DEFAULT_POLICY):
-    for _ in range(attempts):
-        images = {k: _random_element(f.tgt.E, rng, density=0.5) for k in f.src.R.basis_keys()}
-        try:
-            return make_cm_derivation(f, images, policy)
-        except LawViolation:
-            continue
-    return make_cm_derivation(f, {}, policy)
-
-
 def _morphism_images(source, target, rng, density):
     if source.is_finite():
         keys = source.basis_keys()
@@ -208,8 +177,30 @@ def _morphism_images(source, target, rng, density):
     return {k: _random_element(target, rng, density=density) for k in keys}
 
 
-def random_2cm_morphism(A, B, rng, attempts=120, policy=DEFAULT_POLICY):
-    for _ in range(attempts):
+def random_cm_morphism(A, B, rng, policy=DEFAULT_POLICY):
+    for _ in range(200):
+        try:
+            f0 = algebra_morphism(A.R, B.R, images=_morphism_images(A.R, B.R, rng, 0.5), policy=policy)
+            f1 = algebra_morphism(A.E, B.E, images=_morphism_images(A.E, B.E, rng, 0.5), policy=policy)
+            return make_cm_morphism(A, B, f0, f1, policy)
+        except LawViolation:
+            continue
+    f0 = algebra_morphism(A.R, B.R, images={k: B.R.zero() for k in A.R.basis_keys()}, policy=policy)
+    f1 = algebra_morphism(A.E, B.E, images={k: B.E.zero() for k in A.E.basis_keys()}, policy=policy)
+    return make_cm_morphism(A, B, f0, f1, policy)
+
+
+def random_cm_derivation(f, rng, policy=DEFAULT_POLICY):
+    for _ in range(200):
+        try:
+            return make_cm_derivation(f, _morphism_images(f.src.R, f.tgt.E, rng, 0.5), policy)
+        except LawViolation:
+            continue
+    return make_cm_derivation(f, {}, policy)
+
+
+def random_2cm_morphism(A, B, rng, policy=DEFAULT_POLICY):
+    for _ in range(120):
         try:
             f0 = algebra_morphism(A.R, B.R, images=_morphism_images(A.R, B.R, rng, 0.5), policy=policy)
             f1 = algebra_morphism(A.E, B.E, images=_morphism_images(A.E, B.E, rng, 0.5), policy=policy)
@@ -220,14 +211,14 @@ def random_2cm_morphism(A, B, rng, attempts=120, policy=DEFAULT_POLICY):
     return zero_2cm_morphism(A, B, policy)
 
 
-def random_quadratic_derivation(f, rng, attempts=80, policy=DEFAULT_POLICY):
+def random_quadratic_derivation(f, rng, policy=DEFAULT_POLICY):
     """A valid quadratic f-derivation; s is free on the basis B, t is
     found by rejection over small tables (the laws are the arbiter)."""
     from .tcm_homotopy import make_quadratic_derivation
 
     A, B = f.src, f.tgt
     s_images = {b: _random_element(B.E, rng, density=0.6) for b in (A.free_basis or [])}
-    for trial in range(attempts):
+    for _ in range(80):
         t_images = {k: _random_element(B.L, rng, density=0.5) for k in A.E.basis_keys()}
         try:
             return make_quadratic_derivation(f, s_images, t_images, policy)

@@ -12,10 +12,10 @@ import random
 
 from . import fixtures
 from .cm_homotopy import cm_groupoid_check
-from .crossed import make_2cm_morphism
+from .crossed import identity_2cm_morphism, make_2cm_morphism
 from .errors import FreeBasisRequired, LawViolation
-from .maps import Policy, algebra_morphism, random_element
-from .randgen import random_free_two_crossed, random_two_crossed
+from .maps import LinearMap, Policy, algebra_morphism, random_element
+from .randgen import _random_element, random_2cm_morphism, random_free_two_crossed, random_two_crossed
 from .report import Report
 from .rings import QQ, PrimeField
 from .simplex import build_tower, check_simplicial_identities, get_tower, with_face
@@ -74,7 +74,7 @@ def _fixture_suite(report, policy):
             report.add("mutants/%s" % name, law, False, witness="accepted a corrupted structure")
 
 
-def _tower_suite(report, seed, policy, structures=50):
+def _tower_suite(report, seed, policy):
     for name in ("F0", "F2", "F3"):
         A = fixtures.fixture(name)
         T = build_tower(A, policy)
@@ -89,7 +89,7 @@ def _tower_suite(report, seed, policy, structures=50):
 
     rng = random.Random(seed)
     bad = 0
-    for i in range(structures):
+    for i in range(50):
         A = random_two_crossed(F5, rng, max_dim=2, policy=policy)
         try:
             T = build_tower(A, policy)
@@ -99,7 +99,7 @@ def _tower_suite(report, seed, policy, structures=50):
         except LawViolation:
             bad += 1
     report.add(
-        "actions/random-f5/%d-structures" % structures, "A1+A2", bad == 0,
+        "actions/random-f5/50-structures", "A1+A2", bad == 0,
         witness=None if bad == 0 else "%d structures failed" % bad,
     )
 
@@ -112,8 +112,6 @@ def _tower_suite(report, seed, policy, structures=50):
         r, e, e2, l = T.split2(u)
         return lam1.pair(r + F2.d1(e), e2)  # drops the d2(l) term
 
-    from .maps import LinearMap
-
     mutated = with_face(T, 2, 2, LinearMap(lam2, lam1, "function", fn=broken_d2))
     entries = check_simplicial_identities(mutated, policy)
     caught = [name for name, ok, _ in entries if not ok]
@@ -123,9 +121,9 @@ def _tower_suite(report, seed, policy, structures=50):
     )
 
 
-def _cm_suite(report, seed, policy, samples=25):
+def _cm_suite(report, seed, policy):
     F1 = fixtures.ideal_crossed()
-    entries = cm_groupoid_check(F1, F1, samples=samples, seed=seed, policy=policy)
+    entries = cm_groupoid_check(F1, F1, samples=25, seed=seed, policy=policy)
     report.extend("groupoid", entries)
 
 
@@ -178,15 +176,13 @@ def _worked_suite(report, policy):
     )
 
 
-def _associativity_suite(report, seed, policy, triples=100):
+def _associativity_suite(report, seed, policy):
     rng = random.Random(seed)
     F3 = fixtures.free_line_two_crossed(F5)
     bad = 0
     first = None
-    for i in range(triples):
+    for i in range(25):
         B = random_two_crossed(F5, rng, max_dim=2, policy=policy)
-        from .randgen import random_2cm_morphism, _random_element
-
         f = random_2cm_morphism(F3, B, rng, policy=policy)
         h1 = make_quadratic_derivation(f, {"x": _random_element(B.E, rng)}, {}, policy)
         h2 = make_quadratic_derivation(h1.target, {"x": _random_element(B.E, rng)}, {}, policy)
@@ -197,7 +193,7 @@ def _associativity_suite(report, seed, policy, triples=100):
             bad += 1
             first = first or "at %s: %s != %s" % (r, lhs, rhs)
     report.add(
-        "assoc/w-change-random/%d-triples" % triples, "wchange", bad == 0, first,
+        "assoc/w-change-random/25-triples", "wchange", bad == 0, first,
     )
 
     rng2 = random.Random(seed + 1)
@@ -210,8 +206,6 @@ def _associativity_suite(report, seed, policy, triples=100):
 
 def _guardrail_suite(report, policy):
     F2 = fixtures.square_two_crossed()
-    from .crossed import identity_2cm_morphism
-
     ident = identity_2cm_morphism(F2)
     h = make_quadratic_derivation(ident, {}, {}, policy)
     try:
@@ -244,6 +238,6 @@ def run_selftest(seed=0, samples=25, max_degree=4):
     )
     report.extend("groupoid", tcm)
     _worked_suite(report, policy)
-    _associativity_suite(report, seed, policy, triples=25)
+    _associativity_suite(report, seed, policy)
     _guardrail_suite(report, policy)
     return report

@@ -46,6 +46,7 @@ from .cm_homotopy import make_cm_derivation
 from .crossed import (
     ideal_inclusion_cm,
     identity_2cm_morphism,
+    identity_cm_morphism,
     kernel_two_crossed,
     make_cm_morphism,
     make_crossed,
@@ -64,7 +65,6 @@ from .maps import (
     DEFAULT_POLICY,
     BilinearMap,
     algebra_morphism,
-    identity_map,
     make_action,
     semidirect,
     zero_action,
@@ -337,7 +337,7 @@ class _Loader:
             if spec.get("identity"):
                 if src is not tgt:
                     raise ParseError("%s: identity needs source == target" % where)
-                return make_cm_morphism(src, tgt, identity_map(src.R), identity_map(src.E), self.policy)
+                return identity_cm_morphism(src)
             components, make = (("f0", "R"), ("f1", "E")), make_cm_morphism
         else:
             src = self.two_crossed_module(_required(spec, "source", where))

@@ -41,34 +41,45 @@ equivalence relation, and silently computing would be wrong.
 
 A homotopy is one object, a ``QuadraticDerivation``: its data, the
 policy its laws were certified under, and its ``target``, the map g
-certified under that same policy when first read and then kept.  The
-operations here take derivations, and ``concat_2cm`` and ``invert_2cm``
-return one, certified under the policy they are given.
+certified under that same policy when first read and then kept.  It
+extends ``cm_homotopy.CMDerivation``, the one derivation shape of both
+layers, by t alone: the s-half, the certificates and the s-comparison
+``CMDerivation.equal`` are the crossed layer's.  The operations here
+take derivations, and ``concat_2cm`` and ``invert_2cm`` return one,
+certified under the policy they are given.
 
-Each homotopy is certified once.  ``make_quadratic_derivation`` certifies
-every call and keeps its result on f, keyed by the policy and the
-normalized data: the completed s-images, the declared monomial values and
-the nonzero t-images.  ``zero_quadratic``, ``concat_2cm`` and
-``apply_2cm_homotopy`` (for a derivation certified under another policy)
-go through ``_quadratic``, which normalizes the same way and returns the
-kept derivation when the key matches, certifying only on a miss; so the
+Each homotopy is certified once.  ``make_quadratic_derivation``
+certifies every call and keeps its result on f, keyed (``kept_key``, as
+in the crossed layer) by the policy and the normalized data: the
+completed s-images, the declared monomial values and the nonzero
+t-images.  ``zero_quadratic``, ``concat_2cm`` and ``apply_2cm_homotopy``
+(for a derivation certified under another policy) go through
+``_quadratic``, which normalizes the same way and returns the kept
+derivation when the key matches, certifying only on a miss; so the
 groupoid's zeros, its units (0 [+] h = h [+] 0 = h), its inverse laws
 (h [+] hbar = 0) and both bracketings of a triple come back as the
-object already certified, with its target.  ``invert_2cm`` and randgen
-always certify.  Reuse is exact: a certification is a pure function of
-(f, images, policy).  Its sampled tuples are a function of the policy and
-R alone, s and t are fixed by their images, and a hit needs
-equal images over the same f object and an equal policy, so a hit
-returns the object a re-certification would rebuild, with the same
-certificates, and its kept target is certified under the policy asked
-for.  A composite with wrong data matches no key and is certified, and
-rejected, as before.
+object already certified, with its target.  ``invert_2cm`` and randgen always
+certify.  Reuse is exact: a certification is a pure function of (f,
+images, policy).  Its sampled tuples are a function of the policy and R
+alone, s and t are fixed by their images, and a hit needs equal images
+over the same f object and an equal policy, so a hit returns the object
+a re-certification would rebuild, with the same certificates, and its
+kept target is certified under the policy asked for.  A composite with
+wrong data matches no key and is certified, and rejected, as before.
 """
 
+import random
 from functools import cached_property, partial
 
 from .algebra import unit_key
-from .cm_homotopy import check_derivation_law, complete_s_images, derivation_map, image_key
+from .cm_homotopy import (
+    CMDerivation,
+    bracketings,
+    check_derivation_law,
+    complete_s_images,
+    derivation_map,
+    kept_key,
+)
 from .crossed import make_2cm_morphism
 from .errors import (
     CompositionMismatch,
@@ -83,8 +94,9 @@ from .maps import (
     check_law,
     linear_map,
     maps_agree,
-    _skeleton,
+    random_element,
 )
+from .randgen import random_2cm_morphism, random_quadratic_derivation
 from .simplex import get_tower
 
 
@@ -113,39 +125,31 @@ def _normalize(f, s_images, t_images):
     return s_images, declared, t_norm
 
 
-def _key(policy, s_images, declared, t_norm):
-    return policy, image_key(s_images), image_key(declared), image_key(t_norm)
-
-
 def _s_map(f, images, policy=DEFAULT_POLICY):
     """s from its images, through R' |x E' = Lambda1 of the target's tower
     (its lower stage: a derivation certifies no Lambda3 action)."""
     return derivation_map(f, images, lambda: get_tower(f.tgt, policy, top=2).levels[1])
 
 
-class QuadraticDerivation:
+class QuadraticDerivation(CMDerivation):
     """A pair (s, t) over a 2-crossed morphism f, with its laws certified
-    under ``policy``.  ``target`` is the target map, certified under the
-    same policy when first read and then kept."""
+    under ``policy``: the s-half is a ``CMDerivation``, and t: E -> L' is
+    given by ``t_images`` on the E-basis.  ``target`` is the target map,
+    certified under the same policy when first read and then kept."""
 
-    def __init__(self, f, s_images, smap, t_images, tmap, certificates, policy):
-        self.f = f
-        self.s_images = s_images
-        self.s = smap
+    def __init__(self, f, s_images, s, t_images, t, certificates, policy):
+        super().__init__(f, s_images, s, certificates, policy)
         self.t_images = t_images
-        self.t = tmap
-        self.certificates = certificates
-        self.policy = policy
+        self.t = t
 
     @cached_property
     def target(self):
         return _qd_target(self)
 
     def equal(self, other):
+        """Same base map, the same s and the same t on the E-basis."""
         return self is other or (
-            self.f.equal(other.f)
-            and maps_agree(self.s, other.s, _skeleton(self.f.src.R))
-            and maps_agree(self.t, other.t, self.f.src.E.basis_elements())
+            super().equal(other) and maps_agree(self.t, other.t, self.f.src.E.basis_elements())
         )
 
 
@@ -228,14 +232,14 @@ def make_quadratic_derivation(f, s_images, t_images, policy=DEFAULT_POLICY):
     )
 
     qd = QuadraticDerivation(f, s_images, smap, t_norm, tmap, certs, policy)
-    f._homotopies.setdefault(_key(policy, s_images, declared, t_norm), qd)
+    f._homotopies.setdefault(kept_key(policy, s_images, declared, t_norm), qd)
     return qd
 
 
 def _quadratic(f, s_images, t_images, policy):
     """The quadratic derivation kept on f for this data under ``policy``,
     or a newly certified one."""
-    kept = f._homotopies.get(_key(policy, *_normalize(f, s_images, t_images)))
+    kept = f._homotopies.get(kept_key(policy, *_normalize(f, s_images, t_images)))
     return kept if kept is not None else make_quadratic_derivation(f, s_images, t_images, policy)
 
 
@@ -459,13 +463,8 @@ def tcm_groupoid_check(A, B, samples=25, seed=0, policy=DEFAULT_POLICY):
     Returns report entries (name, ok, witness).  A sample whose three
     homotopies or targets fail certification reports targets-valid false,
     with the error as witness, and the check moves on to the next sample."""
-    import random as _random
-
-    from .maps import random_element
-    from .randgen import random_2cm_morphism, random_quadratic_derivation
-
     _require_free(A)
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     entries = []
 
     def note(name, ok, witness=None):
@@ -484,10 +483,10 @@ def tcm_groupoid_check(A, B, samples=25, seed=0, policy=DEFAULT_POLICY):
             continue
         note("tcm/%02d/targets-valid" % i, True)
 
-        zf = zero_quadratic(f, policy)
+        zf, zg = zero_quadratic(f, policy), zero_quadratic(h1.target, policy)
         note("tcm/%02d/reflexive-zero" % i, zf.target.equal(f))
         left = concat_2cm(zf, h1, policy)
-        right = concat_2cm(h1, zero_quadratic(h1.target, policy), policy)
+        right = concat_2cm(h1, zg, policy)
         note("tcm/%02d/identity-left" % i, left.equal(h1))
         note("tcm/%02d/identity-right" % i, right.equal(h1))
 
@@ -495,16 +494,11 @@ def tcm_groupoid_check(A, B, samples=25, seed=0, policy=DEFAULT_POLICY):
         note("tcm/%02d/symmetric" % i, hinv.target.equal(f))
         round1 = concat_2cm(h1, hinv, policy)
         round2 = concat_2cm(hinv, h1, policy)
-        z1 = zero_quadratic(f, policy)
-        z2 = zero_quadratic(h1.target, policy)
-        note("tcm/%02d/inverse-right" % i, round1.equal(z1))
-        note("tcm/%02d/inverse-left" % i, round2.equal(z2))
+        note("tcm/%02d/inverse-right" % i, round1.equal(zf))
+        note("tcm/%02d/inverse-left" % i, round2.equal(zg))
 
-        c12 = concat_2cm(h1, h2, policy)
-        c23 = concat_2cm(h2, h3, policy)
-        assoc_l = concat_2cm(c12, h3, policy)
-        assoc_r = concat_2cm(h1, c23, policy)
-        note("tcm/%02d/s-associative" % i, assoc_l.equal(assoc_r))
+        assoc_l, assoc_r = bracketings(concat_2cm, h1, h2, h3, policy)
+        note("tcm/%02d/s-associative" % i, CMDerivation.equal(assoc_l, assoc_r))
         t_ok = all(assoc_l.t(e) == assoc_r.t(e) for e in ebasis)
         note("tcm/%02d/t-associative" % i, t_ok)
         note("tcm/%02d/transitive" % i, assoc_l.target.equal(h3.target))

@@ -73,6 +73,58 @@ def test_homotopy_json_is_pinned(tmp_path, capsys, op, names):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _HOMOTOPY_DIGESTS[op, names]
 
 
+# A crossed-layer chain on F1 = (x2) -> R1 = <x, x2; x^2 = x2>: d over the
+# identity id1, d2 over d's target g1 and d3 over d2's target g2, with
+# s(x) = x2, 2*x2 and -x2.
+_CROSSED_CHAIN = {
+    "ring": "Q",
+    "algebras": {"R1": {"type": "finite", "basis": ["x", "x2"], "products": {"x": {"x": {"x2": "1"}}}}},
+    "crossed": {"F1": {"ideal": {"R": "R1", "labels": ["x2"]}}},
+    "maps": {
+        "id1": {"kind": "crossed", "source": "F1", "target": "F1", "identity": True},
+        "g1": {"kind": "crossed", "source": "F1", "target": "F1",
+               "f0": {"x": {"x": "1", "x2": "1"}, "x2": {"x2": "1"}}, "f1": {"x2": {"x2": "1"}}},
+        "g2": {"kind": "crossed", "source": "F1", "target": "F1",
+               "f0": {"x": {"x": "1", "x2": "3"}, "x2": {"x2": "1"}}, "f1": {"x2": {"x2": "1"}}},
+    },
+    "derivations": {
+        "d": {"base": "id1", "s": {"x": {"x2": "1"}}},
+        "d2": {"base": "g1", "s": {"x": {"x2": "2"}}},
+        "d3": {"base": "g2", "s": {"x": {"x2": "-1"}}},
+    },
+}
+
+# sha256 of ``xmod2 homotopy OP crossed.json --names NAMES --samples 10
+# --seed 0 --json`` on the chain above: the crossed composition and
+# associativity outputs byte for byte.
+_CROSSED_DIGESTS = {
+    ("compose", "d,d2"): "de4cb5390fe0ae4f71071d80e9e8426babc1ebf2c344a285dd12f68f7b240035",
+    ("assoc", "d,d2,d3"): "107f883fe3c8d8700cb21b163692e812d214c4cf1fbb4dc571ee539214b96093",
+}
+
+
+@pytest.mark.parametrize("op, names", list(_CROSSED_DIGESTS),
+                         ids=["-".join(case) for case in _CROSSED_DIGESTS])
+def test_crossed_homotopy_json_is_pinned(tmp_path, capsys, op, names):
+    doc = tmp_path / "crossed.json"
+    doc.write_text(json.dumps(_CROSSED_CHAIN))
+    out = tmp_path / "out.json"
+    argv = ["homotopy", op, str(doc), "--names", names,
+            "--samples", "10", "--seed", "0", "--json", str(out)]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _CROSSED_DIGESTS[op, names]
+
+
+def test_mixed_kinds_report_is_the_same_under_every_hash_seed():
+    """Naming a quadratic and a crossed derivation together is refused,
+    with the same bytes whatever the string hash seed."""
+    outs = [run_cli("homotopy", "apply", FIXTURES, "--names", "h1,d1",
+                    env_extra={"PYTHONHASHSEED": seed}) for seed in ("0", "1")]
+    assert outs[0].returncode == 1
+    assert "mixed derivation kinds ['cm', 'tcm']" in outs[0].stdout
+    assert outs[0].stdout == outs[1].stdout
+
+
 # sha256 of ``xmod2 simplicial fixtures.json --module M --samples 10 --seed S
 # --json``: every identity, action, face and degeneracy entry of the tower.
 _SIMPLICIAL_DIGESTS = {

@@ -1,4 +1,6 @@
 import gc
+import json
+import os
 import random
 import sys
 import weakref
@@ -15,6 +17,7 @@ from xmod2.maps import (
     Policy,
     algebra_morphism,
     identity_map,
+    linear_map,
     make_action,
     random_element,
 )
@@ -28,6 +31,7 @@ from xmod2.rings import PrimeField, QQ
 from xmod2.selftest import worked_homotopies
 from xmod2.simplex import build_tower, get_tower
 from xmod2.tcm_homotopy import (
+    QuadraticDerivation,
     apply_2cm_homotopy,
     box_plus_s,
     box_plus_t,
@@ -773,6 +777,54 @@ def test_wrong_w_term_stops_or_fails_the_groupoid_check(monkeypatch, name):
     except XmodError:
         return
     assert not all(ok for _, ok, _ in entries)
+
+
+def _right_t_off_by(c, real):
+    """``bracketings`` whose right bracketing keeps its s and has t + c on
+    every E-basis element."""
+
+    def bracketings(*args):
+        left, right = real(*args)
+        E, L = right.f.src.E, right.f.tgt.L
+        t_images = {k: right.t(E.basis_element(k)) + c for k in E.basis_keys()}
+        return left, QuadraticDerivation(
+            right.f, right.s_images, right.s, t_images, linear_map(E, L, t_images),
+            right.certificates, right.policy,
+        )
+
+    return bracketings
+
+
+def test_each_associativity_entry_checks_what_it_names(monkeypatch):
+    """Bracketings equal in s and unequal in t pass s-associative and
+    fail t-associative: the s-entry compares the s-halves alone."""
+    from xmod2 import tcm_homotopy
+
+    D, B, _, _ = _free_domain_instance(5)
+    off = _right_t_off_by(B.L.basis_element("k0"), tcm_homotopy.bracketings)
+    monkeypatch.setattr(tcm_homotopy, "bracketings", off)
+    entries = {name: ok for name, ok, _ in tcm_groupoid_check(D, B, samples=1, seed=3, policy=POL)}
+    assert entries["tcm/00/targets-valid"]
+    assert entries["tcm/00/s-associative"] and not entries["tcm/00/t-associative"]
+
+
+def test_cli_assoc_components_check_what_they_name(monkeypatch, tmp_path, capsys):
+    """The same pair through ``xmod2 homotopy assoc``: s-component passes,
+    t-component fails."""
+    from xmod2 import cli
+
+    _, B, _, qd = _free_domain_instance(5)
+    h1 = apply_2cm_homotopy(qd, POL)
+    h2 = zero_quadratic(h1.target, POL)
+    named = {"h1": h1, "h2": h2, "h3": zero_quadratic(h2.target, POL)}
+    monkeypatch.setattr(cli, "_homotopy_by_name", lambda doc, name: named[name])
+    monkeypatch.setattr(cli, "bracketings", _right_t_off_by(B.L.basis_element("k0"), cli.bracketings))
+    out = tmp_path / "out.json"
+    fixtures_json = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures.json")
+    argv = ["homotopy", "assoc", fixtures_json, "--names", "h1,h2,h3", "--json", str(out)]
+    assert cli.main(argv) == 1
+    status = {c["name"]: c["status"] for c in json.loads(out.read_text())["checks"]}
+    assert status["assoc/s-component"] == "pass" and status["assoc/t-component"] == "fail"
 
 
 def test_kept_homotopies_are_freed_with_their_base_map():
