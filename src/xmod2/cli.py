@@ -253,12 +253,15 @@ def _cmd_groupoid(args, policy):
         },
     )
     doc = _load(args, policy)
-    src = doc.module_named(args.source)
-    tgt = doc.module_named(args.target)
-    if args.flavor == "cm":
-        entries = cm_groupoid_check(src, tgt, samples=policy.samples, seed=policy.seed, policy=policy)
-    else:
-        entries = tcm_groupoid_check(src, tgt, samples=policy.samples, seed=policy.seed, policy=policy)
+    section, store, check = {
+        "cm": ("crossed", doc.crossed, cm_groupoid_check),
+        "tcm": ("two_crossed", doc.two_crossed, tcm_groupoid_check),
+    }[args.flavor]
+    for name in (args.source, args.target):
+        if name not in store:
+            raise UnresolvedReference(name, section)
+    entries = check(store[args.source], store[args.target], samples=policy.samples, seed=policy.seed,
+                    policy=policy)
     report.extend("", entries)
     return report
 

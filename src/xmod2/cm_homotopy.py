@@ -8,13 +8,15 @@ f0-derivation, a linear map s: R -> E' with
 and the target is g0 = f0 + d' o s, g1 = f1 + s o d.  No freeness is
 needed here: the zero map is a homotopy f => f, -s inverts, and pointwise
 addition concatenates, giving the groupoid of maps A -> A' and their
-homotopies.
+homotopies, over a finite R or a free one alike.
 
 The s-half of a quadratic derivation of 2-crossed module maps is exactly
 such an f0-derivation into E' -> R', so ``complete_s_images``,
 ``check_derivation_law`` and ``derivation_map`` are the one derivation
-path of both homotopy layers, and ``CMDerivation`` is their one
-derivation shape: ``QuadraticDerivation`` extends it with t.
+path of both homotopy layers, ``CMDerivation`` is their one derivation
+shape (``QuadraticDerivation`` extends it with t), and ``groupoid_check``
+is their one loop over the groupoid laws (the 2-crossed layer adds
+t-associativity and w-change).
 
 Each derivation is certified once.  ``make_cm_derivation`` certifies
 every call and keeps its result on f, keyed by the policy and the
@@ -32,6 +34,7 @@ too, so a kept derivation, and its kept target, only ever answer for the
 policy they were keyed by.
 """
 
+import random
 from functools import cached_property
 
 from .crossed import make_cm_morphism
@@ -220,55 +223,61 @@ def zero_cm_derivation(f, policy=DEFAULT_POLICY):
     return _derivation(f, {}, policy)
 
 
-def cm_groupoid_check(A, B, samples=25, seed=0, policy=DEFAULT_POLICY):
-    """Sample derivation chains A -> B and verify the groupoid laws exactly.
+def groupoid_check(A, B, samples, seed, policy, names, ops, more=None):
+    """Sample derivation chains A -> B and check the groupoid laws of
+    either layer exactly; returns report entries (name, ok, witness).
 
-    Returns report entries (name, ok, witness).  Covers: validity of every
-    homotopy target, left/right identity, both inverse laws, associativity
-    of concatenation, and reflexivity/symmetry/transitivity of the
-    homotopy relation on the sampled maps.  A sample whose three
-    derivations or targets fail certification reports target-valid false,
-    with the error as witness, and the check moves on to the next sample.
+    ``names`` is the layer's (prefix, validity law, associativity law),
+    ``ops`` its (random morphism, random derivation, zero, concat, invert).
+    Each sample draws f and a chain d1: f => g, d2, d3 from one
+    Random(seed); if one of them or a target fails certification, the
+    validity law is false with the error as witness.  Otherwise come the
+    units, inverses, s-associativity and the relation's laws, then the
+    (law, ok, witness) triples of ``more(rng, d1, d2, d3, left, right)``.
     """
-    import random as _random
-
-    from .randgen import random_cm_derivation, random_cm_morphism
-
-    rng = _random.Random(seed)
+    prefix, valid, associative = names
+    random_morphism, random_derivation, zero, concat, invert = ops
+    rng = random.Random(seed)
     entries = []
 
-    def note(name, ok, witness=None):
-        entries.append((name, ok, witness))
+    def note(law, ok, witness=None):  # i is the current sample
+        entries.append(("%s/%02d/%s" % (prefix, i, law), ok, witness))
 
-    span = _skeleton(A.R)
     for i in range(samples):
-        f = random_cm_morphism(A, B, rng, policy=policy)
+        f = random_morphism(A, B, rng, policy=policy)
         try:  # each target is certified when read
-            d1 = random_cm_derivation(f, rng, policy=policy)
+            d1 = random_derivation(f, rng, policy=policy)
             g = d1.target
-            d2 = random_cm_derivation(g, rng, policy=policy)
-            d3 = random_cm_derivation(d2.target, rng, policy=policy)
+            d2 = random_derivation(g, rng, policy=policy)
+            d3 = random_derivation(d2.target, rng, policy=policy)
             d3.target
         except LawViolation as exc:
-            note("cm/%02d/target-valid" % i, False, str(exc))
+            note(valid, False, str(exc))
             continue
-        note("cm/%02d/target-valid" % i, True)
+        note(valid, True)
 
-        zf = zero_cm_derivation(f, policy)
-        note("cm/%02d/reflexive-zero" % i, zf.target.equal(f))
-        left = concat_cm(zf, d1, policy)
-        right = concat_cm(d1, zero_cm_derivation(g, policy), policy)
-        note("cm/%02d/identity-left" % i, left.equal(d1))
-        note("cm/%02d/identity-right" % i, right.equal(d1))
-
-        inv = invert_cm(d1, policy)
-        both = concat_cm(d1, inv, policy)
-        note("cm/%02d/inverse-right" % i, all(both.s(r).is_zero() for r in span))
-        both = concat_cm(inv, d1, policy)
-        note("cm/%02d/inverse-left" % i, all(both.s(r).is_zero() for r in span))
-        note("cm/%02d/symmetric" % i, inv.target.equal(f))
-
-        assoc_l, assoc_r = bracketings(concat_cm, d1, d2, d3, policy)
-        note("cm/%02d/associative" % i, assoc_l.equal(assoc_r))
-        note("cm/%02d/transitive" % i, assoc_l.target.equal(d3.target))
+        zf, zg = zero(f, policy), zero(g, policy)
+        note("reflexive-zero", zf.target.equal(f))
+        note("identity-left", concat(zf, d1, policy).equal(d1))
+        note("identity-right", concat(d1, zg, policy).equal(d1))
+        inv = invert(d1, policy)
+        note("symmetric", inv.target.equal(f))
+        note("inverse-right", concat(d1, inv, policy).equal(zf))
+        note("inverse-left", concat(inv, d1, policy).equal(zg))
+        left, right = bracketings(concat, d1, d2, d3, policy)
+        note(associative, CMDerivation.equal(left, right))
+        note("transitive", left.target.equal(d3.target))
+        if more:
+            for law, ok, witness in more(rng, d1, d2, d3, left, right):
+                note(law, ok, witness)
     return entries
+
+
+def cm_groupoid_check(A, B, samples=25, seed=0, policy=DEFAULT_POLICY):
+    """The groupoid laws (``groupoid_check``) on sampled derivation chains
+    of crossed module maps A -> B.  Returns report entries (name, ok,
+    witness)."""
+    from .randgen import random_cm_derivation, random_cm_morphism
+
+    ops = (random_cm_morphism, random_cm_derivation, zero_cm_derivation, concat_cm, invert_cm)
+    return groupoid_check(A, B, samples, seed, policy, ("cm", "target-valid", "associative"), ops)

@@ -13,7 +13,6 @@ from .crossed import (
     make_precrossed,
     make_two_crossed,
     make_2cm_morphism,
-    zero_2cm_morphism,
 )
 from .errors import LawViolation
 from .maps import (
@@ -23,21 +22,23 @@ from .maps import (
     identity_map,
     make_action,
     zero_action,
+    zero_map,
 )
 from .cm_homotopy import make_cm_derivation
 
 
 def _random_element(alg, rng, density=0.6):
-    """A finite-dimensional element: each basis key kept with probability
-    density.
+    """An element drawn key by key: each basis key of a finite algebra, or
+    each generator of a free one, kept with probability density.
 
     This is the generators' sampler, distinct from maps.random_element
     (by degree, for law tuples).  The two draw differently from an rng, so
     merging them would change every generated structure and the pinned
     selftest digests; they stay apart until a change re-pins anyway.
     """
+    keys = alg.basis_keys() if alg.is_finite() else [(g,) for g in alg.generators]
     coeffs = {}
-    for k in alg.basis_keys():
+    for k in keys:
         if rng.random() < density:
             coeffs[k] = alg.ring.random(rng)
     return alg.element(coeffs)
@@ -177,17 +178,24 @@ def _morphism_images(source, target, rng, density):
     return {k: _random_element(target, rng, density=density) for k in keys}
 
 
-def random_cm_morphism(A, B, rng, policy=DEFAULT_POLICY):
-    for _ in range(200):
+def _random_morphism(A, B, levels, make, attempts, rng, policy):
+    """make(A, B, *level maps, policy) on random images for each named
+    level, by rejection over ``attempts`` draws; falls back to the zero
+    map."""
+    pairs = [(getattr(A, level), getattr(B, level)) for level in levels]
+    for _ in range(attempts):
         try:
-            f0 = algebra_morphism(A.R, B.R, images=_morphism_images(A.R, B.R, rng, 0.5), policy=policy)
-            f1 = algebra_morphism(A.E, B.E, images=_morphism_images(A.E, B.E, rng, 0.5), policy=policy)
-            return make_cm_morphism(A, B, f0, f1, policy)
+            return make(A, B, *[
+                algebra_morphism(src, tgt, images=_morphism_images(src, tgt, rng, 0.5), policy=policy)
+                for src, tgt in pairs
+            ], policy)
         except LawViolation:
             continue
-    f0 = algebra_morphism(A.R, B.R, images={k: B.R.zero() for k in A.R.basis_keys()}, policy=policy)
-    f1 = algebra_morphism(A.E, B.E, images={k: B.E.zero() for k in A.E.basis_keys()}, policy=policy)
-    return make_cm_morphism(A, B, f0, f1, policy)
+    return make(A, B, *[zero_map(src, tgt) for src, tgt in pairs], policy)
+
+
+def random_cm_morphism(A, B, rng, policy=DEFAULT_POLICY):
+    return _random_morphism(A, B, ("R", "E"), make_cm_morphism, 200, rng, policy)
 
 
 def random_cm_derivation(f, rng, policy=DEFAULT_POLICY):
@@ -200,15 +208,7 @@ def random_cm_derivation(f, rng, policy=DEFAULT_POLICY):
 
 
 def random_2cm_morphism(A, B, rng, policy=DEFAULT_POLICY):
-    for _ in range(120):
-        try:
-            f0 = algebra_morphism(A.R, B.R, images=_morphism_images(A.R, B.R, rng, 0.5), policy=policy)
-            f1 = algebra_morphism(A.E, B.E, images=_morphism_images(A.E, B.E, rng, 0.5), policy=policy)
-            f2 = algebra_morphism(A.L, B.L, images=_morphism_images(A.L, B.L, rng, 0.5), policy=policy)
-            return make_2cm_morphism(A, B, f0, f1, f2, policy)
-        except LawViolation:
-            continue
-    return zero_2cm_morphism(A, B, policy)
+    return _random_morphism(A, B, ("R", "E", "L"), make_2cm_morphism, 120, rng, policy)
 
 
 def random_quadratic_derivation(f, rng, policy=DEFAULT_POLICY):

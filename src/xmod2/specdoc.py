@@ -85,14 +85,6 @@ class SpecDocument:
         self.derivations = {}
         self.quadratic = {}
 
-    def module_named(self, name):
-        """A crossed or 2-crossed module by name (for groupoid commands)."""
-        if name in self.two_crossed:
-            return self.two_crossed[name]
-        if name in self.crossed:
-            return self.crossed[name]
-        raise UnresolvedReference(name, "module")
-
 
 def _shaped(value, kind, where):
     """value, if it is a JSON object (kind dict) or array (kind list)."""

@@ -46,7 +46,9 @@ extends ``cm_homotopy.CMDerivation``, the one derivation shape of both
 layers, by t alone: the s-half, the certificates and the s-comparison
 ``CMDerivation.equal`` are the crossed layer's.  The operations here
 take derivations, and ``concat_2cm`` and ``invert_2cm`` return one,
-certified under the policy they are given.
+certified under the policy they are given.  ``tcm_groupoid_check`` runs
+the crossed layer's groupoid loop (``groupoid_check``) on them and adds
+t-associativity and w-change.
 
 Each homotopy is certified once.  ``make_quadratic_derivation``
 certifies every call and keeps its result on f, keyed (``kept_key``, as
@@ -68,23 +70,21 @@ kept target is certified under the policy asked for.  A composite with
 wrong data matches no key and is certified, and rejected, as before.
 """
 
-import random
 from functools import cached_property, partial
 
 from .algebra import unit_key
 from .cm_homotopy import (
     CMDerivation,
-    bracketings,
     check_derivation_law,
     complete_s_images,
     derivation_map,
+    groupoid_check,
     kept_key,
 )
 from .crossed import make_2cm_morphism
 from .errors import (
     CompositionMismatch,
     FreeBasisRequired,
-    LawViolation,
     QDLawViolation,
     XmodError,
 )
@@ -458,52 +458,19 @@ def check_w_change(h1, h2, h3, r, policy=DEFAULT_POLICY):
 
 
 def tcm_groupoid_check(A, B, samples=25, seed=0, policy=DEFAULT_POLICY):
-    """Sampled groupoid laws for HOM(A, B): identities, inverses,
-    associativity of both components, w-change, and target bookkeeping.
-    Returns report entries (name, ok, witness).  A sample whose three
-    homotopies or targets fail certification reports targets-valid false,
-    with the error as witness, and the check moves on to the next sample."""
+    """The groupoid laws (``cm_homotopy.groupoid_check``) on sampled
+    homotopy chains of 2-crossed module maps A -> B, then associativity of
+    the t-components and w-change at one random r per triple.  Returns
+    report entries (name, ok, witness)."""
     _require_free(A)
-    rng = random.Random(seed)
-    entries = []
-
-    def note(name, ok, witness=None):
-        entries.append((name, ok, witness))
-
     ebasis = A.E.basis_elements()
-    for i in range(samples):
-        f = random_2cm_morphism(A, B, rng, policy=policy)
-        try:  # each target is certified when read
-            h1 = random_quadratic_derivation(f, rng, policy=policy)
-            h2 = random_quadratic_derivation(h1.target, rng, policy=policy)
-            h3 = random_quadratic_derivation(h2.target, rng, policy=policy)
-            h3.target
-        except LawViolation as exc:
-            note("tcm/%02d/targets-valid" % i, False, str(exc))
-            continue
-        note("tcm/%02d/targets-valid" % i, True)
 
-        zf, zg = zero_quadratic(f, policy), zero_quadratic(h1.target, policy)
-        note("tcm/%02d/reflexive-zero" % i, zf.target.equal(f))
-        left = concat_2cm(zf, h1, policy)
-        right = concat_2cm(h1, zg, policy)
-        note("tcm/%02d/identity-left" % i, left.equal(h1))
-        note("tcm/%02d/identity-right" % i, right.equal(h1))
-
-        hinv = invert_2cm(h1, policy)
-        note("tcm/%02d/symmetric" % i, hinv.target.equal(f))
-        round1 = concat_2cm(h1, hinv, policy)
-        round2 = concat_2cm(hinv, h1, policy)
-        note("tcm/%02d/inverse-right" % i, round1.equal(zf))
-        note("tcm/%02d/inverse-left" % i, round2.equal(zg))
-
-        assoc_l, assoc_r = bracketings(concat_2cm, h1, h2, h3, policy)
-        note("tcm/%02d/s-associative" % i, CMDerivation.equal(assoc_l, assoc_r))
-        t_ok = all(assoc_l.t(e) == assoc_r.t(e) for e in ebasis)
-        note("tcm/%02d/t-associative" % i, t_ok)
-        note("tcm/%02d/transitive" % i, assoc_l.target.equal(h3.target))
-
+    def more(rng, h1, h2, h3, left, right):
+        yield "t-associative", all(left.t(e) == right.t(e) for e in ebasis), None
         r = random_element(A.R, rng, policy.max_degree)
         ok, lhs, rhs = check_w_change(h1, h2, h3, r, policy)
-        note("tcm/%02d/w-change" % i, ok, None if ok else "%s != %s" % (lhs, rhs))
-    return entries
+        yield "w-change", ok, None if ok else "%s != %s" % (lhs, rhs)
+
+    ops = (random_2cm_morphism, random_quadratic_derivation, zero_quadratic, concat_2cm, invert_2cm)
+    names = ("tcm", "targets-valid", "s-associative")
+    return groupoid_check(A, B, samples, seed, policy, names, ops, more)

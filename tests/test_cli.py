@@ -149,6 +149,28 @@ def test_simplicial_json_is_pinned(tmp_path, capsys, module, seed):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _SIMPLICIAL_DIGESTS[module, seed]
 
 
+# sha256 of ``xmod2 groupoid FLAVOR fixtures.json --source S --target T
+# --samples 10 --seed SEED --json``: every groupoid law entry of the ten
+# sampled triples, crossed on F1 -> F1 and 2-crossed on F3 -> F2.
+_GROUPOID_DIGESTS = {
+    ("cm", "F1", "F1", "0"): "4b31c518f263fc42c6ede995f97f4f624baa5d00a0b1de0236701f3bbbd8280d",
+    ("cm", "F1", "F1", "7"): "bbbb78e638b6ae6542c1cf17ea349281d47f8f657e08fa80fd9a94090d6d4736",
+    ("tcm", "F3", "F2", "0"): "246e813b7b6c8a3013b340b94766bfc58b2a2c974a04643bbbdc38498d122159",
+    ("tcm", "F3", "F2", "7"): "665e1070bd7c1949eee2c8e8095a3d7cb8b9d850e452cd4dc5070cb53f024b80",
+}
+
+
+@pytest.mark.parametrize("flavor, source, target, seed", list(_GROUPOID_DIGESTS),
+                         ids=["-".join(case) for case in _GROUPOID_DIGESTS])
+def test_groupoid_json_is_pinned(tmp_path, capsys, flavor, source, target, seed):
+    out = tmp_path / "out.json"
+    argv = ["groupoid", flavor, FIXTURES, "--source", source, "--target", target,
+            "--samples", "10", "--seed", seed, "--json", str(out)]
+    assert cli.main(argv) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == _GROUPOID_DIGESTS[flavor, source, target, seed]
+
+
 @pytest.mark.parametrize("module, target, name", [
     ("tcm_homotopy", "_qd_target", "h1"), ("cm_homotopy", "_cm_target", "d1"),
 ])
@@ -182,6 +204,33 @@ def test_groupoid_tcm_without_free_basis_fails_with_exit_1():
 def test_groupoid_cm_passes():
     out = run_cli("groupoid", "cm", FIXTURES, "--source", "F1", "--target", "F1", "--samples", "4")
     assert out.returncode == 0
+
+
+@pytest.mark.parametrize("flavor, name", [("cm", "F2"), ("tcm", "F1")])
+def test_groupoid_module_from_the_other_layer_is_unresolved(flavor, name):
+    """A groupoid looks its modules up in its own layer's section: a
+    2-crossed module named for the crossed groupoid, or a crossed one for
+    the 2-crossed groupoid, is an unresolved reference, not a traceback."""
+    out = run_cli("groupoid", flavor, FIXTURES, "--source", name, "--target", name)
+    assert out.returncode == 1
+    assert "load/UnresolvedReference" in out.stdout
+    assert "Traceback" not in out.stderr
+
+
+def test_groupoid_cm_runs_over_a_free_r(tmp_path):
+    """The crossed groupoid needs no finite R: over R = Q[x]+ and E = Q{a},
+    with the zero boundary and action, every law passes."""
+    doc = {
+        "ring": "Q",
+        "algebras": {"R": {"type": "free", "generators": ["x"]},
+                     "E": {"type": "finite", "basis": ["a"], "products": {}}},
+        "actions": {"z": {"acting": "R", "acted": "E", "zero": True}},
+        "crossed": {"L1": {"E": "E", "R": "R", "map": {"a": {}}, "action": "z"}},
+    }
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = run_cli("groupoid", "cm", str(path), "--source", "L1", "--target", "L1", "--samples", "3")
+    assert out.returncode == 0, out.stdout + out.stderr
 
 
 def test_simplicial_command():

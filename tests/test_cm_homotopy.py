@@ -194,6 +194,14 @@ def test_declared_monomial_value_is_checked_over_a_free_r():
     assert d.s(x2).is_zero() and d.s_images == {"x": a}
 
 
+def test_groupoid_check_over_a_free_r():
+    """The crossed groupoid needs no freeness and no finite R: the maps,
+    derivations and their targets are drawn on the generator x."""
+    cm, _ = _free_line_cm()
+    entries = cm_groupoid_check(cm, cm, samples=2, seed=3)
+    assert len(entries) == 18 and all(ok for _, ok, _ in entries)
+
+
 def test_a_target_that_fails_certification_fails_its_entry(monkeypatch):
     """target-valid reports a drawn derivation whose target does not
     certify: the sample's entry is false, with the error naming the law,

@@ -9,6 +9,7 @@ import pytest
 
 from xmod2 import fixtures
 from xmod2.algebra import make_finite_algebra, make_free_algebra
+from xmod2.cm_homotopy import cm_groupoid_check
 from xmod2.crossed import identity_2cm_morphism, make_two_crossed, zero_2cm_morphism
 from xmod2.errors import CompositionMismatch, FreeBasisRequired, QDLawViolation, XmodError
 from xmod2.maps import (
@@ -458,6 +459,29 @@ def test_groupoid_check_fixture_pairs():
     assert all(ok for _, ok, _ in entries)
 
 
+@pytest.mark.parametrize("layer, source, target, laws", [
+    (cm_groupoid_check, "F1", "F1", (
+        "target-valid", "reflexive-zero", "identity-left", "identity-right",
+        "inverse-right", "inverse-left", "symmetric", "associative", "transitive",
+    )),
+    (tcm_groupoid_check, "F3", "F2", (
+        "targets-valid", "reflexive-zero", "identity-left", "identity-right",
+        "symmetric", "inverse-right", "inverse-left", "s-associative",
+        "t-associative", "transitive", "w-change",
+    )),
+], ids=["cm", "tcm"])
+def test_one_sample_reports_each_groupoid_law_once(layer, source, target, laws):
+    """One composable triple reports exactly the layer's law names: nine
+    for crossed maps, and two more (t-associative, w-change) for 2-crossed
+    maps, with the layer's own names for validity and associativity."""
+    prefix = "cm" if layer is cm_groupoid_check else "tcm"
+    entries = layer(fixtures.fixture(source), fixtures.fixture(target), samples=1, seed=0, policy=POL)
+    names = [name for name, _, _ in entries]
+    assert len(names) == len(laws)
+    assert set(names) == {"%s/00/%s" % (prefix, law) for law in laws}
+    assert all(ok for _, ok, _ in entries)
+
+
 def test_a_target_that_fails_certification_fails_its_entry(monkeypatch):
     """targets-valid reports a drawn homotopy whose target does not
     certify: the sample's entry is false, with the error naming the law,
@@ -798,11 +822,11 @@ def _right_t_off_by(c, real):
 def test_each_associativity_entry_checks_what_it_names(monkeypatch):
     """Bracketings equal in s and unequal in t pass s-associative and
     fail t-associative: the s-entry compares the s-halves alone."""
-    from xmod2 import tcm_homotopy
+    from xmod2 import cm_homotopy
 
     D, B, _, _ = _free_domain_instance(5)
-    off = _right_t_off_by(B.L.basis_element("k0"), tcm_homotopy.bracketings)
-    monkeypatch.setattr(tcm_homotopy, "bracketings", off)
+    off = _right_t_off_by(B.L.basis_element("k0"), cm_homotopy.bracketings)
+    monkeypatch.setattr(cm_homotopy, "bracketings", off)
     entries = {name: ok for name, ok, _ in tcm_groupoid_check(D, B, samples=1, seed=3, policy=POL)}
     assert entries["tcm/00/targets-valid"]
     assert entries["tcm/00/s-associative"] and not entries["tcm/00/t-associative"]
