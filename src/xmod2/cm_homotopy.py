@@ -18,6 +18,15 @@ shape (``QuadraticDerivation`` extends it with t), and ``groupoid_check``
 is their one loop over the groupoid laws (the 2-crossed layer adds
 t-associativity and w-change).
 
+Where the proofs come from.  Over a finite R the derivation law is checked
+on a basis.  Over a free R it holds by construction: s is read through
+the substitution phi: r -> (f0(r), s(r)) into R' |x E', and
+``check_derivation_law`` proves the law from phi once its premises are
+proved.  The target's g0 = f0 + d' o s is then built as a substitution too
+(``target_g0``, with f0 + d' o s kept as a tripwire).  A premise that is
+not proved leaves the law sampled and g0 a formula map, certified on law
+tuples.
+
 Each derivation is certified once.  ``make_cm_derivation`` certifies
 every call and keeps its result on f, keyed by the policy and the
 normalized images (``kept_key``, the key of both layers).
@@ -35,15 +44,23 @@ policy they were keyed by.
 """
 
 import random
-from functools import cached_property
+from functools import cached_property, partial
 
+from .algebra import FreeAlgebra
 from .crossed import make_cm_morphism
-from .errors import CompositionMismatch, DerivationLawViolation, LawViolation, XmodError
+from .errors import (
+    CompositionMismatch,
+    DerivationLawViolation,
+    LawViolation,
+    MorphismViolation,
+    XmodError,
+)
 from .maps import (
     DEFAULT_POLICY,
     LinearMap,
     algebra_morphism,
     check_law,
+    is_proof,
     linear_map,
     maps_agree,
     semidirect,
@@ -96,9 +113,10 @@ def derivation_map(f, images, edge):
     """Realize an f0-derivation s: R -> E' from its images.
 
     A finite R gives a basis table.  A free R gives the algebra map
-    r -> (f0(r), s(r)) into R' |x E' = edge(), fixed by the generator
-    images, followed by the projection to E'; ``edge`` is called only
-    then.
+    phi: r -> (f0(r), s(r)) into R' |x E' = edge(), the substitution fixed
+    by the generator images, followed by the projection to E'; ``edge`` is
+    called only then, and phi is kept as ``s.edge_map`` for the s-law's
+    proof by construction (``check_derivation_law``).
     """
     R, target = f.src.R, f.tgt.E
     if R.is_finite():
@@ -107,7 +125,26 @@ def derivation_map(f, images, edge):
     phi = algebra_morphism(
         R, lam1, images={b: lam1.pair(f.f0(R.basis_element((b,))), images[b]) for b in R.generators}
     )
-    return LinearMap(R, target, "function", fn=lambda r: lam1.split(phi(r))[1], note="derivation")
+    s = LinearMap(R, target, "function", fn=lambda r: lam1.split(phi(r))[1], note="derivation")
+    s.edge_map = phi
+    return s
+
+
+def _by_construction(f0, act, s):
+    """Whether the derivation law of s holds by construction: s is read
+    through a substitution phi: R -> R' |x E' (``derivation_map``), f0 is
+    proved multiplicative, R' |x E' is proved commutative and associative
+    under the law's action ``act``, and phi(b) has R'-part f0(b) on B."""
+    phi = getattr(s, "edge_map", None)
+    if phi is None or not (is_proof(f0.multiplicative) and is_proof(phi.multiplicative)):
+        return False
+    edge = phi.target
+    return (
+        is_proof(edge.certificate)
+        and edge.action.same(act)
+        and all(edge.split(phi.images[b])[0] == f0(phi.source.basis_element((b,)))
+                for b in phi.source.generators)
+    )
 
 
 def check_derivation_law(R, f0, act, s, declared, error, policy):
@@ -115,7 +152,16 @@ def check_derivation_law(R, f0, act, s, declared, error, policy):
     tuples of R x R; returns the certificate or raises error(witness, lhs, rhs).
 
     First each declared monomial value (see ``complete_s_images``) must be
-    the value s takes there; otherwise error((monomial,), declared, s(monomial))."""
+    the value s takes there; otherwise error((monomial,), declared, s(monomial)).
+
+    Over a free R the law holds by construction (``maps.check_law``) when
+    ``_by_construction`` says its premises hold.  The lemma: phi is an
+    algebra map, being a substitution into a commutative associative
+    algebra.  Its R'-part and f0 are algebra maps that agree on B, so they
+    are equal, and phi(rr') = phi(r)phi(r') reads, in the E'-component of
+    (a, e)(a', e') = (aa', a > e' + a' > e + ee'), as the law above.
+    Otherwise the law is checked on law tuples.
+    """
     for mono, value in declared.items():
         r = R.basis_element(mono)
         forced = s(r)
@@ -126,7 +172,10 @@ def check_derivation_law(R, f0, act, s, declared, error, policy):
         sr, sr2 = s(r), s(r2)
         return act(f0(r), sr2) + act(f0(r2), sr) + sr * sr2
 
-    return check_law([R, R], lambda r, r2: s(r * r2), rhs, error, policy)
+    return check_law(
+        [R, R], lambda r, r2: s(r * r2), rhs, error, policy,
+        by_construction=_by_construction(f0, act, s),
+    )
 
 
 def image_key(images):
@@ -181,10 +230,44 @@ def _derivation(f, images, policy):
     return kept if kept is not None else make_cm_derivation(f, images, policy)
 
 
+def target_g0(d, s_law, boundary, equivariance):
+    """g0 = f0 + d' o s: R -> R', the R-part of the target of d, for d'
+    = ``boundary``: E' -> R'; ``s_law`` is the certificate of d's s-law and
+    ``equivariance`` that of d'(a > e) = a d'(e) in the target.
+
+    The lemma: pi(a, e) = a + d'(e) is an algebra map R' |x E' -> R' when
+    d' is multiplicative and equivariant, since
+
+        pi((a, e)(a', e')) = aa' + d'(a > e' + a' > e + ee')
+                           = aa' + a d'(e') + a' d'(e) + d'(e) d'(e')
+                           = pi(a, e) pi(a', e').
+
+    By the s-law, phi: r -> (f0(r), s(r)) is an algebra map, so g0 =
+    pi o phi is one; over a free R it is the substitution b -> f0(b) +
+    d'(s(b)).  When the s-law, d' and its equivariance are proved, g0 is
+    built so (EXHAUSTIVE by construction), and f0 + d' o s stays as a
+    tripwire on the policy's sampled r, each evaluated once.  Otherwise g0
+    is the formula, certified multiplicative on law tuples.
+    """
+    f, s, policy = d.f, d.s, d.policy
+    R = f.src.R
+    formula = lambda r: f.f0(r) + boundary(s(r))
+    if not (
+        isinstance(R, FreeAlgebra)
+        and all(is_proof(c) for c in (s_law, boundary.multiplicative, equivariance))
+    ):
+        return algebra_morphism(R, boundary.target, fn=formula, policy=policy, note="g0")
+    g0 = algebra_morphism(
+        R, boundary.target, images={b: formula(R.basis_element((b,))) for b in R.generators}, note="g0"
+    )
+    check_law([R], g0, formula, partial(MorphismViolation, msg="g0 differs from f0 + d'.s"), policy)
+    return g0
+
+
 def _cm_target(d):
     f, s, policy = d.f, d.s, d.policy
     src, tgt = f.src, f.tgt
-    g0 = algebra_morphism(src.R, tgt.R, fn=lambda r: f.f0(r) + tgt.d(s(r)), policy=policy, note="g0")
+    g0 = target_g0(d, d.certificates["derivation-law"], tgt.d, tgt.certificates["XM1"])
     g1 = algebra_morphism(src.E, tgt.E, fn=lambda e: f.f1(e) + s(src.d(e)), policy=policy, note="g1")
     return make_cm_morphism(src, tgt, g0, g1, policy)
 

@@ -27,16 +27,17 @@ from .errors import (
 )
 from .maps import (
     DEFAULT_POLICY,
+    EXHAUSTIVE,
     BilinearMap,
     TableAction,
     algebra_morphism,
     certify_action,
     check_law,
     identity_map,
+    is_proof,
     make_action,
     morphisms_equal,
     zero_action,
-    zero_map,
 )
 from .rings import nullspace, solve_in_span
 
@@ -370,12 +371,16 @@ def kernel_two_crossed(P, policy=DEFAULT_POLICY):
 
 
 class TwoCrossedMorphism:
-    def __init__(self, src, tgt, f0, f1, f2):
+    """A map of 2-crossed modules, with ``certificates`` naming the
+    certificate of each of its five laws (``MORPHISM_LAWS``)."""
+
+    def __init__(self, src, tgt, f0, f1, f2, certificates):
         self.src = src
         self.tgt = tgt
         self.f0 = f0
         self.f1 = f1
         self.f2 = f2
+        self.certificates = certificates
         self._homotopies = {}  # key -> QuadraticDerivation, filled by make_quadratic_derivation
 
     def equal(self, other):
@@ -391,9 +396,27 @@ class TwoCrossedMorphism:
         return "TwoCrossedMorphism<%r -> %r>" % (self.src, self.tgt)
 
 
+MORPHISM_LAWS = ("d1-square", "d2-square", "f1-equivariance", "f2-equivariance", "lifting")
+
+
 def make_2cm_morphism(src, tgt, f0, f1, f2, policy=DEFAULT_POLICY):
     """Certify a 2-crossed module map: commuting squares, action
-    equivariance for f1 and f2, and preservation of the liftings."""
+    equivariance for f1 and f2, and preservation of the liftings.
+
+    Over a free R each equivariance law takes the generator rule of
+    ``maps.check_law`` (r on B) when f0 and the two actions it relates
+    are proved.  The closure lemma, for f1 (for f2 read L and the actions
+    on L): let S be the set of r with f1(r > e) = f0(r) > f1(e) for every
+    e.  For r1, r2 in S and every e,
+
+        f1(r1r2 > e) = f1(r1 > (r2 > e))          A2 of the source action
+                     = f0(r1) > f1(r2 > e)         r1 in S
+                     = f0(r1) > (f0(r2) > f1(e))   r2 in S
+                     = f0(r1)f0(r2) > f1(e)        A2 of the target action
+                     = f0(r1r2) > f1(e)            f0 multiplicative
+
+    so S is closed under products.
+    """
     for f, dom, cod, name in (
         (f0, src.R, tgt.R, "f0"),
         (f1, src.E, tgt.E, "f1"),
@@ -401,32 +424,42 @@ def make_2cm_morphism(src, tgt, f0, f1, f2, policy=DEFAULT_POLICY):
     ):
         if not (f.source.compatible(dom) and f.target.compatible(cod)):
             raise BadShape("%s endpoints do not match" % name)
-    check_law(
-        [src.E], lambda e: f0(src.d1(e)), lambda e: tgt.d1(f1(e)),
-        partial(SquareViolation, msg="f0.d1 != d1'.f1"), policy,
+    certs = {}
+
+    def run(name, algebras, lhs, rhs, error, generators=()):
+        certs[name] = check_law(algebras, lhs, rhs, error, policy, generators=generators)
+
+    def r_over_generators(*actions):  # the lemma's premises, else sampled
+        proved = is_proof(f0.multiplicative) and all(is_proof(a.certificate) for a in actions)
+        return (0,) if proved else ()
+
+    run(
+        "d1-square", [src.E], lambda e: f0(src.d1(e)), lambda e: tgt.d1(f1(e)),
+        partial(SquareViolation, msg="f0.d1 != d1'.f1"),
     )
-    check_law(
-        [src.L], lambda l: f1(src.d2(l)), lambda l: tgt.d2(f2(l)),
-        partial(SquareViolation, msg="f1.d2 != d2'.f2"), policy,
+    run(
+        "d2-square", [src.L], lambda l: f1(src.d2(l)), lambda l: tgt.d2(f2(l)),
+        partial(SquareViolation, msg="f1.d2 != d2'.f2"),
     )
-    check_law(
-        [src.R, src.E], lambda r, e: f1(src.act_e(r, e)), lambda r, e: tgt.act_e(f0(r), f1(e)),
-        partial(EquivarianceViolation, msg="f1"), policy,
+    run(
+        "f1-equivariance", [src.R, src.E], lambda r, e: f1(src.act_e(r, e)),
+        lambda r, e: tgt.act_e(f0(r), f1(e)), partial(EquivarianceViolation, msg="f1"),
+        r_over_generators(src.act_e, tgt.act_e),
     )
-    check_law(
-        [src.R, src.L], lambda r, l: f2(src.act_l(r, l)), lambda r, l: tgt.act_l(f0(r), f2(l)),
-        partial(EquivarianceViolation, msg="f2"), policy,
+    run(
+        "f2-equivariance", [src.R, src.L], lambda r, l: f2(src.act_l(r, l)),
+        lambda r, l: tgt.act_l(f0(r), f2(l)), partial(EquivarianceViolation, msg="f2"),
+        r_over_generators(src.act_l, tgt.act_l),
     )
-    check_law(
-        [src.E, src.E], lambda e, e2: f2(src.lift(e, e2)), lambda e, e2: tgt.lift(f1(e), f1(e2)),
-        LiftingViolation, policy,
+    run(
+        "lifting", [src.E, src.E], lambda e, e2: f2(src.lift(e, e2)),
+        lambda e, e2: tgt.lift(f1(e), f1(e2)), LiftingViolation,
     )
-    return TwoCrossedMorphism(src, tgt, f0, f1, f2)
+    return TwoCrossedMorphism(src, tgt, f0, f1, f2, certs)
 
 
 def identity_2cm_morphism(A):
-    return TwoCrossedMorphism(A, A, identity_map(A.R), identity_map(A.E), identity_map(A.L))
-
-
-def zero_2cm_morphism(A, B, policy=DEFAULT_POLICY):
-    return make_2cm_morphism(A, B, zero_map(A.R, B.R), zero_map(A.E, B.E), zero_map(A.L, B.L), policy)
+    return TwoCrossedMorphism(
+        A, A, identity_map(A.R), identity_map(A.E), identity_map(A.L),
+        dict.fromkeys(MORPHISM_LAWS, EXHAUSTIVE),
+    )

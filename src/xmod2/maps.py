@@ -3,18 +3,35 @@
 Laws (A1/A2, multiplicativity, commutativity/associativity of a semidirect
 product, the crossed and 2-crossed module axioms, the morphism squares and
 the derivation law) are multilinear, so checking them on a spanning set is
-exact.  The check policy is therefore:
+exact.  Each law is one ``check_law`` call, which gives it a certificate by
+one of four rules:
 
-* every algebra in sight finite-dimensional -> exhaustive on basis tuples;
-* a free polynomial algebra involved -> generator-anchored tuples plus N
-  random tuples of degree <= D, stamped into a certificate (D, N, seed).
+* basis: every algebra of the law is finite, and every tuple of basis
+  elements is checked -> EXHAUSTIVE;
+* generators: the caller names slots over a free algebra R on B whose
+  solution set is closed under products (the lemma below), every other
+  slot is finite, and B in those slots times the bases elsewhere is
+  checked -> EXHAUSTIVE;
+* by construction: the caller has shown that the law holds for the way
+  its maps were built (``cm_homotopy.check_derivation_law``), and no tuple
+  is evaluated -> EXHAUSTIVE;
+* sampled: otherwise, generator-anchored tuples plus N random tuples of
+  degree <= D -> the certificate (D, N, seed), one object per policy.
 
-``check_law`` applies this policy to one law and returns its certificate.
-It is the one caller of ``law_tuples``, so the one place where the kind of
-certificate a law earns is decided: every law checked above ``algebra``
-(whose ``make_finite_algebra`` checks its own table) is one ``check_law``
-call.  EXHAUSTIVE is stamped without one only where a law holds by
-construction or by a lemma: ``identity_map``, substitution maps,
+The generator lemma.  Let a law be linear in a slot a over a free algebra R
+on B, and let S be the set of a for which it holds for every value of the
+other slots.  S is a subspace.  If S is closed under products and contains
+B, it contains every monomial, so S = R, and the finite check on B is a
+proof.  Each caller proves closure for its own law in its docstring
+(``crossed.make_2cm_morphism``, ``tcm_homotopy.make_quadratic_derivation``)
+and names the slot only when the laws that proof uses are themselves
+proved; otherwise the law is sampled as before.
+
+``check_law`` is the one caller of ``law_tuples``, so the one place where
+the kind of certificate a law earns is decided: every law checked above
+``algebra`` (whose ``make_finite_algebra`` checks its own table) is one
+``check_law`` call.  EXHAUSTIVE is stamped without one only where a law
+holds by construction or by a lemma: ``identity_map``, substitution maps,
 ``zero_action``, ``simplex._certify_dagger``, and ``certify_algebra`` by
 the semidirect lemma (a finite semidirect product of proved parts under an
 action proved on a basis is commutative and associative).
@@ -52,8 +69,8 @@ pair.  The tuples still come from one ``law_tuples`` call and are decided
 in its order.  At the first tuple whose two sides differ, the witness
 comes from the element path: ``check_law`` evaluates lhs and rhs on that
 tuple of elements, so a failure raises exactly the error an element check
-raises.  Sampled checks (a free algebra in the law) evaluate every tuple
-on elements.
+raises.  Generator and sampled checks (a free algebra in the law) evaluate
+every tuple on elements.
 
 On elements, evaluation takes a direct path on a single basis key with
 coefficient one (``algebra.unit_key``): a ``LinearMap`` returns the key's
@@ -66,6 +83,7 @@ with the memo, which is why elements are never mutated.
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import Element, FiniteAlgebra, FreeAlgebra, SemidirectAlgebra, combine, unit_key
 from .errors import (
@@ -76,18 +94,6 @@ from .errors import (
     NonAssociative,
     NonCommutative,
 )
-
-
-@dataclass(frozen=True)
-class Policy:
-    """Degree bound and sample count for randomized pointwise checks."""
-
-    samples: int = 100
-    max_degree: int = 4
-    seed: int = 0
-
-
-DEFAULT_POLICY = Policy()
 
 
 @dataclass(frozen=True)
@@ -109,6 +115,25 @@ class Certificate:
 
 
 EXHAUSTIVE = Certificate(True)
+
+
+@dataclass(frozen=True)
+class Policy:
+    """Degree bound and sample count for randomized pointwise checks."""
+
+    samples: int = 100
+    max_degree: int = 4
+    seed: int = 0
+
+    @cached_property
+    def certificate(self):
+        """The certificate of a law checked on this policy's samples, built
+        once per policy object (kept outside the fields, so equality and
+        hashing are unchanged)."""
+        return Certificate(False, self.max_degree, self.samples, self.seed)
+
+
+DEFAULT_POLICY = Policy()
 
 
 def random_element(alg, rng, max_degree=4):
@@ -156,12 +181,15 @@ def _sampled(algebras, policy):
     return tuples
 
 
-def law_tuples(algebras, policy=DEFAULT_POLICY):
+def law_tuples(algebras, policy=DEFAULT_POLICY, generators=()):
     """Tuples on which to test a multilinear law over the given algebras;
     called by ``check_law`` alone.
 
-    Returns (tuples, exhaustive).  Exhaustive means the full cartesian
-    product of bases was produced and the law check is a proof.
+    Returns (tuples, exhaustive).  Exhaustive means the tuples span every
+    argument, so the law check is a proof: the full cartesian product of
+    bases, or, when each slot in ``generators`` is a free algebra and every
+    other slot is finite, the generators in those slots times the bases
+    elsewhere (the generator lemma of the module docstring).
 
     Otherwise the skeleton tuples are followed by policy.samples random
     tuples of degree <= policy.max_degree, drawn from Random(policy.seed):
@@ -171,12 +199,17 @@ def law_tuples(algebras, policy=DEFAULT_POLICY):
     if all(a.is_finite() for a in algebras):
         tuples = list(itertools.product(*[a.basis_elements() for a in algebras]))
         return tuples, True
+    if generators and all(
+        isinstance(a, FreeAlgebra) if i in generators else a.is_finite()
+        for i, a in enumerate(algebras)
+    ):
+        return list(itertools.product(*map(_skeleton, algebras))), True
     tuples = list(itertools.product(*[_skeleton(a) for a in algebras]))
     tuples.extend(_sampled(tuple(algebras), policy))
     return tuples, False
 
 
-def check_law(algebras, lhs, rhs, error, policy, on_keys=None):
+def check_law(algebras, lhs, rhs, error, policy, on_keys=None, generators=(), by_construction=False):
     """Check the multilinear law lhs(*t) == rhs(*t) on law_tuples(algebras),
     the one caller of ``law_tuples``.
 
@@ -187,12 +220,22 @@ def check_law(algebras, lhs, rhs, error, policy, on_keys=None):
     the tuples span every argument, else the policy's (D, N, seed), from
     which, with the algebras, the sampled tuples can be drawn again.
 
+    ``generators`` names the slots whose solution set the caller has shown
+    to be closed under products; over a free algebra those slots are
+    checked on its generators alone (the generator rule).
+    ``by_construction`` says the caller has shown that the law holds for
+    the way its maps were built: nothing is evaluated and the certificate
+    is EXHAUSTIVE.  The sides are still given, as the statement of the law.
+
     ``on_keys`` decides the law on basis keys: given the basis key lists
     of the algebras, it returns the positions (one per algebra) of the
     first failing key tuple in ``itertools.product`` order, or None.  An
-    exhaustive check uses it and evaluates lhs and rhs at that tuple only.
+    exhaustive check over bases uses it and evaluates lhs and rhs at that
+    tuple only; no caller gives both ``on_keys`` and ``generators``.
     """
-    tuples, exhaustive = law_tuples(algebras, policy)
+    if by_construction:
+        return EXHAUSTIVE
+    tuples, exhaustive = law_tuples(algebras, policy, generators)
     if exhaustive and on_keys is not None:
         # Keys taken from the basis elements, not from basis_keys(), which
         # builds new tuples for a semidirect product: the memo and cache
@@ -212,9 +255,7 @@ def check_law(algebras, lhs, rhs, error, policy, on_keys=None):
         right = rhs(*t)
         if left != right:
             raise error(t, left, right)
-    if exhaustive:
-        return EXHAUSTIVE
-    return Certificate(False, policy.max_degree, policy.samples, policy.seed)
+    return EXHAUSTIVE if exhaustive else policy.certificate
 
 
 def _weakest(*certs):
@@ -657,10 +698,10 @@ def _proved(alg):
     product by its stored exhaustive certificate."""
     if isinstance(alg, FiniteAlgebra):
         return True
-    return isinstance(alg, SemidirectAlgebra) and _is_proof(alg.certificate)
+    return isinstance(alg, SemidirectAlgebra) and is_proof(alg.certificate)
 
 
-def _is_proof(cert):
+def is_proof(cert):
     return cert is not None and cert.exhaustive
 
 
@@ -681,7 +722,7 @@ def certify_algebra(alg, policy=DEFAULT_POLICY):
         and alg.is_finite()
         and _proved(alg.left)
         and _proved(alg.right)
-        and _is_proof(alg.action.certificate)
+        and is_proof(alg.action.certificate)
     ):
         alg.certificate = EXHAUSTIVE
         return alg.certificate

@@ -39,6 +39,15 @@ Everything here refuses to run without a recorded free basis
 (FreeBasisRequired): without freeness the homotopy relation is not an
 equivalence relation, and silently computing would be wrong.
 
+Where the proofs come from.  t-product and its boundary form are over the
+finite E and L, so they are checked on bases.  Over a free R the s-law
+holds by construction and the target's g0 is a substitution (the crossed
+layer's ``check_derivation_law`` and ``target_g0``).  t-action and its
+boundary form take the generator rule of ``maps.check_law`` by the closure
+lemma of ``make_quadratic_derivation``, and so do the equivariance laws of
+each target map (``crossed.make_2cm_morphism``).  Each proof names its
+premises and falls back to sampling when one of them is not proved.
+
 A homotopy is one object, a ``QuadraticDerivation``: its data, the
 policy its laws were certified under, and its ``target``, the map g
 certified under that same policy when first read and then kept.  It
@@ -80,6 +89,7 @@ from .cm_homotopy import (
     derivation_map,
     groupoid_check,
     kept_key,
+    target_g0,
 )
 from .crossed import make_2cm_morphism
 from .errors import (
@@ -90,8 +100,10 @@ from .errors import (
 )
 from .maps import (
     DEFAULT_POLICY,
+    EXHAUSTIVE,
     algebra_morphism,
     check_law,
+    is_proof,
     linear_map,
     maps_agree,
     random_element,
@@ -153,6 +165,25 @@ class QuadraticDerivation(CMDerivation):
         )
 
 
+def _t_action_premises(f, s_law):
+    """Whether the laws that the t-action closure lemma uses are proved
+    (see ``make_quadratic_derivation``): the s-law, f0, f's d1-square and
+    f1-equivariance; A2 of the source's R-action on E and its
+    d1-equivariance, which holds trivially when d1 vanishes on E; and in the
+    target A2 of the R-action on L, d1' with its equivariance, 2XM3 and
+    2XM6."""
+    A, B = f.src, f.tgt
+    d1_equivariance = (
+        EXHAUSTIVE if all(A.d1(e).is_zero() for e in A.E.basis_elements())
+        else A.certificates["d1-equivariance"]
+    )
+    return all(is_proof(c) for c in (
+        s_law, f.f0.multiplicative, f.certificates["d1-square"], f.certificates["f1-equivariance"],
+        A.act_e.certificate, d1_equivariance, B.act_l.certificate, B.d1.multiplicative,
+        B.certificates["d1-equivariance"], B.certificates["2XM3"], B.certificates["2XM6"],
+    ))
+
+
 def make_quadratic_derivation(f, s_images, t_images, policy=DEFAULT_POLICY):
     """Certify the three quadratic derivation laws for (s, t) over f.
 
@@ -163,6 +194,44 @@ def make_quadratic_derivation(f, s_images, t_images, policy=DEFAULT_POLICY):
     certificate.  Every call certifies; the first derivation
     certified for this data under ``policy`` is kept on f for
     ``_quadratic``.
+
+    Where the proofs come from: t-product and its boundary form are over
+    the finite E and L, so they are checked on bases.  Over a free R the
+    s-law holds by construction (``cm_homotopy.check_derivation_law``),
+    and t-action takes the generator rule (r on B, e over the E-basis)
+    when ``_t_action_premises`` holds, by the closure lemma below;
+    otherwise both are sampled.  t-action on boundaries is t-action at
+    e = d2(l), rewritten by 2XM4, 2XM5 and f's d2-square, so it is checked
+    on the tuples t-action is checked on.
+
+    The closure lemma.  Write a = f0(r), sigma = s(r), x = f1(e), z =
+    s(d1 e), {-,-} for the target's lifting, and
+
+        Psi(r, e) = a > t(e) + d1'(sigma) > t(e)
+                    + {sigma, x} - {x, sigma} - {z, sigma},
+
+    so t-action at r is t(r > e) = Psi(r, e) for every e; both sides are
+    linear in r.  Let r1, r2 satisfy it, with a_i, sigma_i.  Then
+
+        t(r1r2 > e) = t(r1 > (r2 > e)) = Psi(r1, r2 > e)
+
+    by A2 of the source and t-action at r1.  Expand Psi(r1, r2 > e) with
+    t-action at r2, f1(r2 > e) = a2 > x (f1-equivariance), d1(r2 > e) =
+    r2 d1(e) (the source's d1-equivariance), the s-law at (r2, d1 e) and
+    f0(d1 e) = d1'(x) (the d1-square).  The t-terms give ((a1 + d1'
+    sigma1)(a2 + d1' sigma2)) > t(e) by A2 on L, and that product is
+    f0(r1r2) + d1'(s(r1r2)) because f0 is multiplicative, d1' is
+    multiplicative and equivariant, and s(r1r2) = a1 > sigma2 + a2 >
+    sigma1 + sigma1 sigma2 (the s-law).  2XM6 moves each a_i inside the
+    brackets, where the terms match those of Psi(r1r2, e).  What is left,
+    by 2XM3 ({e, e2e3} = {ee2, e3} + d1'(e3) > {e, e2}) applied to {x,
+    sigma1 sigma2}, {z, sigma1 sigma2}, {sigma2, x sigma1} and {sigma2,
+    sigma1 x}, is
+
+        d1'(x) > {sigma2, sigma1} - {d1'(x) > sigma2, sigma1},
+
+    which is 0 by 2XM6.  So the r where t-action holds form a subspace
+    closed under products, and the generator rule applies.
     """
     A, B = f.src, f.tgt
     s_images, declared, t_norm = _normalize(f, s_images, t_images)
@@ -176,12 +245,22 @@ def make_quadratic_derivation(f, s_images, t_images, policy=DEFAULT_POLICY):
     certs["s-law"] = check_derivation_law(
         A.R, f0, act_e, smap, declared, partial(QDLawViolation, "s-law"), policy
     )
+    r_over_generators = (0,) if _t_action_premises(f, certs["s-law"]) else ()
 
-    def law(name, algebras, lhs, rhs):
-        return check_law(algebras, lhs, rhs, partial(QDLawViolation, name), policy)
+    def law(name, algebras, lhs, rhs, generators=()):
+        return check_law(algebras, lhs, rhs, partial(QDLawViolation, name), policy, generators=generators)
 
     # each subterm once per basis key: f1(e), t(e), s(d1 e) per E-basis e
     ebasis = {unit_key(e): (e, f1(e), tmap(e), smap(A.d1(e))) for e in A.E.basis_elements()}
+    at_r = {}
+
+    def at(r):  # f0(r), s(r) and d1'(s(r)), once per r for t-action and its boundary form
+        key = frozenset(r.coeffs.items())
+        got = at_r.get(key)
+        if got is None:
+            sr = smap(r)
+            got = at_r[key] = (f0(r), sr, d1p(sr))
+        return got
 
     def t_product(e, e2):
         (_, f1e, te, se), (_, f1e2, te2, se2) = ebasis[unit_key(e)], ebasis[unit_key(e2)]
@@ -193,8 +272,7 @@ def make_quadratic_derivation(f, s_images, t_images, policy=DEFAULT_POLICY):
     def t_action(r):  # one value per E-basis e, in basis order
         if not ebasis:
             return []
-        sr, f0r = smap(r), f0(r)
-        d1sr = d1p(sr)
+        f0r, sr, d1sr = at(r)
         return [
             act_l(f0r, te) + act_l(d1sr, te) + lift(sr, f1e) - lift(f1e, sr) - lift(se, sr)
             for _, f1e, te, se in ebasis.values()
@@ -202,7 +280,8 @@ def make_quadratic_derivation(f, s_images, t_images, policy=DEFAULT_POLICY):
 
     certs["t-product"] = law("t-product", [A.E, A.E], lambda e, e2: tmap(e * e2), t_product)
     certs["t-action"] = law(
-        "t-action", [A.R], lambda r: [tmap(A.act_e(r, e)) for e, _, _, _ in ebasis.values()], t_action
+        "t-action", [A.R], lambda r: [tmap(A.act_e(r, e)) for e, _, _, _ in ebasis.values()], t_action,
+        r_over_generators,
     )
 
     # consequences of the laws on boundaries of L (sanity tripwires);
@@ -219,7 +298,7 @@ def make_quadratic_derivation(f, s_images, t_images, policy=DEFAULT_POLICY):
     def action_on_boundaries(r):  # one value per L-basis l, in basis order
         if not lbasis:
             return []
-        f0r, d1sr = f0(r), d1p(smap(r))
+        f0r, _, d1sr = at(r)
         return [act_l(f0r, td) + act_l(d1sr, f2l) + act_l(d1sr, td) for _, f2l, td in lbasis.values()]
 
     law(
@@ -229,6 +308,7 @@ def make_quadratic_derivation(f, s_images, t_images, policy=DEFAULT_POLICY):
     law(
         "t-action-on-boundaries", [A.R],
         lambda r: [tmap(A.act_e(r, dl)) for dl, _, _ in lbasis.values()], action_on_boundaries,
+        r_over_generators,
     )
 
     qd = QuadraticDerivation(f, s_images, smap, t_norm, tmap, certs, policy)
@@ -251,7 +331,7 @@ def _qd_target(qd):
     f, policy = qd.f, qd.policy
     A, B = f.src, f.tgt
     s, t = qd.s, qd.t
-    g0 = algebra_morphism(A.R, B.R, fn=lambda r: f.f0(r) + B.d1(s(r)), policy=policy, note="g0")
+    g0 = target_g0(qd, qd.certificates["s-law"], B.d1, B.certificates["d1-equivariance"])
     g1 = algebra_morphism(
         A.E, B.E, fn=lambda e: f.f1(e) + s(A.d1(e)) + B.d2(t(e)), policy=policy, note="g1"
     )

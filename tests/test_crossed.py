@@ -13,7 +13,6 @@ from xmod2.crossed import (
     make_crossed,
     make_precrossed,
     make_two_crossed,
-    zero_2cm_morphism,
 )
 from xmod2.errors import (
     BadShape,
@@ -24,6 +23,8 @@ from xmod2.errors import (
 from xmod2.maps import LinearMap, algebra_morphism, make_action, zero_action, zero_bilinear
 from xmod2.randgen import random_precrossed
 from xmod2.rings import PrimeField, QQ
+
+from helpers import zero_2cm_morphism
 
 
 def square_level_one():

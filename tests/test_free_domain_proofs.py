@@ -1,0 +1,266 @@
+"""The free-domain proofs agree with the sampled checks they replace.
+
+Over a free R the s-law holds by construction, the targets' g0 is a
+substitution, and f1-equivariance, f2-equivariance and t-action take the
+generator rule.  The differential property decides drawn (f, s, t)
+candidates twice: as the checker does, and with every ``check_law`` call
+sampled on ``Policy(samples=200)``.  The verdicts must agree.  A broken
+substitution makes them disagree, so the proofs by construction stand on
+the substitution code.  A missing premise gives a sampled certificate.
+"""
+
+import random
+
+import pytest
+
+from xmod2 import fixtures, maps
+from xmod2.algebra import FreeAlgebra, make_finite_algebra, make_free_algebra
+from xmod2.cm_homotopy import make_cm_derivation
+from xmod2.crossed import (
+    identity_2cm_morphism,
+    kernel_two_crossed,
+    make_2cm_morphism,
+    make_cm_morphism,
+    make_crossed,
+    make_precrossed,
+    make_two_crossed,
+)
+from xmod2.errors import LawViolation, XmodError
+from xmod2.maps import (
+    BilinearMap,
+    LinearMap,
+    Policy,
+    algebra_morphism,
+    identity_map,
+    make_action,
+    zero_action,
+    zero_map,
+)
+from xmod2.randgen import _random_element, random_free_two_crossed
+from xmod2.rings import PrimeField, QQ
+from xmod2.tcm_homotopy import make_quadratic_derivation
+
+from helpers import patch_everywhere, zero_2cm_morphism
+
+F5 = PrimeField(5)
+PROVED = Policy(samples=10, seed=0)
+SAMPLED = Policy(samples=200, seed=0)
+
+
+def _square_kernel(c, v):
+    """The kernel 2-crossed module of E = <a, b; a^2 = b> -> R = <p; p^2 = 0>
+    with d(a) = c p and p > a = v b, over F5."""
+    R = make_finite_algebra(["p"], {}, F5)
+    E = make_finite_algebra(["a", "b"], {("a", "a"): {"b": 1}}, F5)
+    act = make_action(R, E, {"p": {"a": E.element({"b": v})}}, PROVED)
+    d = algebra_morphism(E, R, images={"a": R.element({"p": c}), "b": R.zero()}, policy=PROVED)
+    return kernel_two_crossed(make_precrossed(E, R, d, act, PROVED), PROVED)
+
+
+def _truncated_kernel(n):
+    """The kernel 2-crossed module of E = <u0..u(n-1); ui uj = u(i+j+1)> ->
+    R = <r; r^2 = 0> with d = 0, over F5."""
+    labels = ["u%d" % i for i in range(n)]
+    table = {(labels[i], labels[j]): {labels[i + j + 1]: 1}
+             for i in range(n) for j in range(n) if i + j + 1 < n}
+    E = make_finite_algebra(labels, table, F5)
+    R = make_finite_algebra(["r"], {}, F5)
+    d = algebra_morphism(E, R, images={k: R.zero() for k in labels}, policy=PROVED)
+    return kernel_two_crossed(make_precrossed(E, R, d, zero_action(R, E), PROVED), PROVED)
+
+
+def _kernel_targets():
+    """The three targets of the groupoid benchmark's free domains."""
+    return [_square_kernel(1, 2), _square_kernel(3, 1), _truncated_kernel(2)]
+
+
+def _shift_kernel():
+    """The kernel 2-crossed module of E = <e1, e2> (zero products) -> R =
+    <p; p^2 = 0> with d = 0 and p > e1 = e2, over F5: R' acts on L' = E, so
+    equivariance and t-action can fail on it, which they cannot on the
+    three kernel targets (R' annihilates their L')."""
+    R = make_finite_algebra(["p"], {}, F5)
+    E = make_finite_algebra(["e1", "e2"], {}, F5)
+    act = make_action(R, E, {"p": {"e1": E.basis_element("e2")}}, PROVED)
+    d = algebra_morphism(E, R, images={"e1": R.zero(), "e2": R.zero()}, policy=PROVED)
+    return kernel_two_crossed(make_precrossed(E, R, d, act, PROVED), PROVED)
+
+
+def _sampled_only(patch):
+    """Make every check_law call sample its law: the generator and
+    by-construction rules are dropped, in every xmod2 module that holds
+    check_law, for as long as ``patch`` lasts."""
+    real = maps.check_law
+
+    def check_law(algebras, lhs, rhs, error, policy, on_keys=None, generators=(),
+                  by_construction=False):
+        return real(algebras, lhs, rhs, error, policy, on_keys=on_keys)
+
+    patch_everywhere(patch, real, check_law)
+
+
+def _verdict(D, B, levels, s_images, t_images, policy):
+    """"accept", or the error type and law of the first failure: of f
+    from its level maps, of (s, t) over f, or of the target."""
+    try:
+        f = make_2cm_morphism(D, B, *levels, policy)
+        make_quadratic_derivation(f, s_images, t_images, policy).target
+    except XmodError as exc:
+        return type(exc).__name__, getattr(exc, "law", None)
+    return "accept"
+
+
+def _level_maps(D, B, rng):
+    """Random f0, f1, f2 for D -> B: f0 on the generators; f2 a random
+    algebra map L -> L' (zero if the draw is not one), and f1 = d2' o f2 on
+    E = L with d2 = id, the free domains of randgen (F3 has E = L = 0), so
+    that both squares hold and the other three laws decide."""
+    f0 = algebra_morphism(D.R, B.R, images={b: _random_element(B.R, rng) for b in D.R.generators})
+    try:
+        f2 = algebra_morphism(D.L, B.L, images={k: _random_element(B.L, rng) for k in D.L.basis_keys()})
+    except LawViolation:
+        f2 = algebra_morphism(D.L, B.L, images={k: B.L.zero() for k in D.L.basis_keys()})
+    f1 = algebra_morphism(D.E, B.E, images={k: B.d2(f2(D.d2(D.E.basis_element(k))))
+                                            for k in D.E.basis_keys()})
+    return f0, f1, f2
+
+
+def _candidates(rng, domains, targets, n):
+    """n drawn (D, B, level maps, s-images, t-images): s on the generators
+    and t on the E-basis, unfiltered; t = 0 in half of the draws, so that
+    t-action is reached."""
+    out = []
+    for _ in range(n):
+        D, B = rng.choice(domains), rng.choice(targets)
+        s_images = {b: _random_element(B.E, rng) for b in D.R.generators}
+        t_images = {}
+        if rng.random() < 0.5:
+            t_images = {k: _random_element(B.L, rng, density=0.5) for k in D.E.basis_keys()}
+        out.append((D, B, _level_maps(D, B, rng), s_images, t_images))
+    return out
+
+
+def _mismatches(monkeypatch, candidates):
+    """The proved verdicts, and the candidates whose verdict differs under
+    the sampled checks of Policy(samples=200)."""
+    proved = [_verdict(D, B, levels, s, t, PROVED) for D, B, levels, s, t in candidates]
+    with monkeypatch.context() as patch:
+        _sampled_only(patch)
+        sampled = [_verdict(D, B, levels, s, t, SAMPLED) for D, B, levels, s, t in candidates]
+    return proved, [(c, p, q) for c, p, q in zip(candidates, proved, sampled) if p != q]
+
+
+def test_proved_verdicts_equal_the_sampled_verdicts(monkeypatch):
+    """1,000 candidates: 100 from F3 into F2 over Q, 600 from free F5
+    domains (d1 = 0, dim E = dim L <= 2) into the three kernel targets of
+    the groupoid benchmark, and 300 from them into the shift kernel."""
+    rng = random.Random(16)
+    F3, F2 = fixtures.free_line_two_crossed(), fixtures.square_two_crossed()
+    domains = [random_free_two_crossed(F5, rng, max_dim=2, policy=PROVED) for _ in range(6)]
+    candidates = (
+        _candidates(rng, [F3], [F2], 100)
+        + _candidates(rng, domains, _kernel_targets(), 600)
+        + _candidates(rng, domains, [_shift_kernel()], 300)
+    )
+    proved, mismatched = _mismatches(monkeypatch, candidates)
+    assert mismatched == []
+    laws = {v if v == "accept" else v[1] for v in proved}
+    assert {"accept", "t-action", "equivariance", "t-product"} <= laws
+
+
+@pytest.mark.parametrize("mutant", ["FreeAlgebra.key_mul", "substitution image"])
+def test_a_broken_substitution_splits_the_verdicts(monkeypatch, mutant):
+    """The s-law and g0 are proved by construction, so the checker no
+    longer evaluates them.  A substitution mutant must then be caught by
+    the sampled verdict: x x multiplied to x, or a monomial sent to the
+    image of its last generator alone."""
+    if mutant == "FreeAlgebra.key_mul":
+        def key_mul(self, k1, k2):
+            return self.element({tuple(sorted(k1 + k2))[1:]: 1})
+
+        monkeypatch.setattr(FreeAlgebra, "key_mul", key_mul)
+    else:
+        real = LinearMap._image
+
+        def image(self, key):
+            if self.rule == "substitution" and len(key) > 1:
+                return self.images[key[-1]]
+            return real(self, key)
+
+        monkeypatch.setattr(LinearMap, "_image", image)
+    rng = random.Random(17)
+    domains = [random_free_two_crossed(F5, rng, max_dim=2, policy=PROVED) for _ in range(3)]
+    candidates = _candidates(rng, domains, _kernel_targets(), 40)
+    assert _mismatches(monkeypatch, candidates)[1]
+
+
+def _table_acted_domain():
+    """R = F5[x]+ acting on E = L = F5{u} (u^2 = u) by the table x > u = u:
+    an action of a free algebra, so A2 is only sampled."""
+    R = make_free_algebra(["x"], F5)
+    E = make_finite_algebra(["u"], {("u", "u"): {"u": 1}}, F5)
+    u = E.basis_element("u")
+    act = make_action(R, E, {"x": {"u": u}}, PROVED)
+    return make_two_crossed(
+        E, E, R, d2=identity_map(E), d1=algebra_morphism(E, R, images={"u": R.zero()}, policy=PROVED),
+        act_e=act, act_l=act, lift=BilinearMap(E, E, E, {("u", "u"): u}), free_basis=["x"],
+        policy=PROVED,
+    )
+
+
+def test_a_missing_premise_falls_back_to_a_sampled_certificate():
+    sampled = PROVED.certificate
+    F3, F2 = fixtures.free_line_two_crossed(), fixtures.square_two_crossed()
+    a, p = F2.E.basis_element("a"), F2.R.basis_element("p")
+
+    # f0 a substitution: the s-law and t-action are proved, g0 is a substitution
+    f = make_2cm_morphism(F3, F2, algebra_morphism(F3.R, F2.R, images={"x": p}),
+                          algebra_morphism(F3.E, F2.E, images={}),
+                          algebra_morphism(F3.L, F2.L, images={}), PROVED)
+    qd = make_quadratic_derivation(f, {"x": a}, {}, PROVED)
+    assert qd.certificates["s-law"].exhaustive and qd.certificates["t-action"].exhaustive
+    assert qd.target.f0.rule == "substitution" and qd.target.f0.multiplicative.exhaustive
+    assert qd.target.certificates["f1-equivariance"].exhaustive
+
+    # f0 a formula map with no certificate: all three are sampled
+    qd = make_quadratic_derivation(zero_2cm_morphism(F3, F2, PROVED), {"x": a}, {}, PROVED)
+    assert qd.certificates["s-law"] is sampled and qd.certificates["t-action"] is sampled
+    assert qd.target.f0.rule == "function" and qd.target.f0.multiplicative is sampled
+
+    # R' |x E' not proved (a free target): the s-law is sampled
+    qd = make_quadratic_derivation(identity_2cm_morphism(F3), {}, {}, PROVED)
+    assert qd.certificates["s-law"] is sampled
+
+    # an action with A2 only sampled: both equivariance laws are sampled
+    D = _table_acted_domain()
+    x = D.R.monomial("x")
+    f = make_2cm_morphism(D, D, algebra_morphism(D.R, D.R, images={"x": x}),
+                          identity_map(D.E), identity_map(D.L), PROVED)
+    assert f.certificates["f1-equivariance"] is sampled
+    assert f.certificates["f2-equivariance"] is sampled
+    D = random_free_two_crossed(F5, random.Random(3), max_dim=2, policy=PROVED)
+    f = make_2cm_morphism(D, D, algebra_morphism(D.R, D.R, images={"x": D.R.monomial("x")}),
+                          identity_map(D.E), identity_map(D.L), PROVED)
+    assert f.certificates["f1-equivariance"].exhaustive and f.certificates["f2-equivariance"].exhaustive
+
+
+def test_crossed_derivations_over_a_free_r_are_proved_the_same_way():
+    """The s-half and g0 are shared by both layers: a crossed derivation
+    from a free line into F1 has its law by construction and a
+    substitution g0, unless f0 carries no certificate."""
+    R = make_free_algebra(["y"], QQ)
+    E = make_finite_algebra(["a"], {}, QQ)
+    C = make_crossed(E, R, algebra_morphism(E, R, images={"a": R.zero()}), zero_action(R, E))
+    F1 = fixtures.ideal_crossed()
+    x, x2 = F1.R.basis_element("x"), F1.E.basis_element("x2")
+    f1 = algebra_morphism(C.E, F1.E, images={"a": F1.E.zero()})
+    f = make_cm_morphism(C, F1, algebra_morphism(R, F1.R, images={"y": x}), f1, PROVED)
+    d = make_cm_derivation(f, {"y": 3 * x2}, PROVED)
+    assert d.certificates["derivation-law"].exhaustive
+    g0 = d.target.f0
+    assert g0.rule == "substitution" and g0(R.monomial("y")) == x + 3 * F1.R.basis_element("x2")
+    assert g0(R.monomial("y", "y")) == F1.R.basis_element("x2")
+    f = make_cm_morphism(C, F1, zero_map(R, F1.R), f1, PROVED)
+    d = make_cm_derivation(f, {"y": 3 * x2}, PROVED)
+    assert d.certificates["derivation-law"] is PROVED.certificate
+    assert d.target.f0.rule == "function"

@@ -10,7 +10,7 @@ import pytest
 from xmod2 import fixtures
 from xmod2.algebra import make_finite_algebra, make_free_algebra
 from xmod2.cm_homotopy import cm_groupoid_check
-from xmod2.crossed import identity_2cm_morphism, make_two_crossed, zero_2cm_morphism
+from xmod2.crossed import identity_2cm_morphism, make_two_crossed
 from xmod2.errors import CompositionMismatch, FreeBasisRequired, QDLawViolation, XmodError
 from xmod2.maps import (
     BilinearMap,
@@ -48,6 +48,8 @@ from xmod2.tcm_homotopy import (
     zero_quadratic,
 )
 
+from helpers import patch_everywhere, zero_2cm_morphism
+
 POL = Policy(samples=40, seed=2)
 
 
@@ -58,7 +60,9 @@ def worked(ring=QQ):
 def test_quadratic_derivation_accepted_and_vacuous_t_laws():
     F3, F2, f, h1, _, _ = worked()
     qd = h1
-    assert qd.certificates["s-law"].samples == POL.samples
+    # s-law by construction (f0 is a substitution into the finite F2), and
+    # t-action by the generator rule (x only; vacuous, as E = 0)
+    assert qd.certificates["s-law"].exhaustive and qd.certificates["t-action"].exhaustive
     assert qd.certificates["t-product"].exhaustive  # vacuous: E = 0
     x = F3.R.monomial("x")
     assert qd.s(x) == F2.E.basis_element("a")
@@ -124,31 +128,38 @@ def test_t_breaking_the_action_law_is_rejected():
 
 def test_sampled_certificate_reproduces_its_tuples(monkeypatch):
     """A sampled certificate (D, N, seed) and the law's algebras give back
-    the tuples its check saw: F3's s-law over R x R is checked on the
-    generator pair, then on N pairs drawn from Random(seed) at degree <= D."""
+    the tuples its check saw: F3's d1-equivariance over R x E, a law of
+    make_two_crossed over a free R that no lemma covers, is checked on the
+    generator tuples (none, as E = 0), then on N pairs drawn from
+    Random(seed) at degree <= D."""
     from xmod2 import maps
+    from xmod2.algebra import zero_algebra
+    from xmod2.maps import zero_action, zero_bilinear
 
     pol = Policy(samples=7, max_degree=3, seed=11)
-    F3, F2, f, _, _, _ = worked_homotopies(QQ, pol)
+    R, E, L = make_free_algebra(["x"], QQ), zero_algebra(QQ), zero_algebra(QQ)
     real, seen = maps.law_tuples, []
 
-    def law_tuples(algebras, policy):
-        tuples, exhaustive = real(algebras, policy)
-        if len(algebras) == 2 and all(a is F3.R for a in algebras):
+    def law_tuples(algebras, policy, *rest):
+        tuples, exhaustive = real(algebras, policy, *rest)
+        if len(algebras) == 2 and algebras[0] is R and algebras[1] is E:
             seen.append(tuples)
         return tuples, exhaustive
 
     monkeypatch.setattr(maps, "law_tuples", law_tuples)
-    qd = make_quadratic_derivation(f, {"x": F2.E.basis_element("b")}, {}, pol)
-    cert = qd.certificates["s-law"]
+    F3 = make_two_crossed(
+        L, E, R, d2=algebra_morphism(L, E, images={}), d1=algebra_morphism(E, R, images={}),
+        act_e=zero_action(R, E), act_l=zero_action(R, L), lift=zero_bilinear(E, E, L),
+        free_basis=["x"], policy=pol,
+    )
+    cert = F3.certificates["d1-equivariance"]
     assert not cert.exhaustive
     rng = random.Random(cert.seed)
     drawn = [
-        (random_element(F3.R, rng, cert.max_degree), random_element(F3.R, rng, cert.max_degree))
+        (random_element(R, rng, cert.max_degree), random_element(E, rng, cert.max_degree))
         for _ in range(cert.samples)
     ]
-    x = F3.R.monomial("x")
-    assert seen == [[(x, x)] + drawn]
+    assert seen == [drawn]
 
 
 def test_apply_homotopy_target_and_char_two_variant():
@@ -506,7 +517,10 @@ def test_a_target_that_fails_certification_fails_its_entry(monkeypatch):
 def test_second_quadratic_derivation_draws_no_sampled_tuple(monkeypatch):
     """On a free domain the second check of the same f-derivation evaluates
     the same law tuples as the first; it only does not draw them again.
-    No check is skipped: the law_tuples calls and their sizes are equal."""
+    No check is skipped: the law_tuples calls and their sizes are equal.
+    Over the zero base map, whose f0 is a formula map with no certificate,
+    the s-law and t-action are sampled; over a drawn map they are proved
+    and draw nothing."""
     from xmod2 import maps
 
     F5 = PrimeField(5)
@@ -516,6 +530,7 @@ def test_second_quadratic_derivation_draws_no_sampled_tuple(monkeypatch):
     B = random_two_crossed(F5, rng, max_dim=2, policy=built)
     f = random_2cm_morphism(D, B, rng, policy=built)
     qd = random_quadratic_derivation(f, rng, policy=built)
+    zero = zero_2cm_morphism(D, B, built)
     get_tower(B, POL)  # kept per policy: built before counting, all exhaustive
 
     real_tuples, real_element = maps.law_tuples, maps.random_element
@@ -532,25 +547,30 @@ def test_second_quadratic_derivation_draws_no_sampled_tuple(monkeypatch):
 
     monkeypatch.setattr(maps, "law_tuples", law_tuples)
     monkeypatch.setattr(maps, "random_element", random_element)
-    for _ in range(2):
+    for base in (zero, zero, f):
         sizes.append([])
         draws.append(0)
-        make_quadratic_derivation(f, qd.s_images, qd.t_images, POL)
-    assert draws[1] > 0 and draws[2] == 0
+        make_quadratic_derivation(base, qd.s_images, {}, POL)
+    assert draws[1] > 0 and draws[2] == draws[3] == 0
     assert (D.E.dim(), D.L.dim()) == (2, 2)
     # s-law, t-product on E x E, t-action, t-product-on-boundaries on L x L,
-    # t-action-on-boundaries
+    # t-action-on-boundaries; the proved s-law evaluates no tuple, and
+    # t-action and its boundary form take r = x alone
     sampled = 1 + POL.samples
     assert sizes[0] == sizes[1] == [sampled, 4, sampled, 4, sampled]
+    assert sizes[2] == [4, 1, 4, 1]
 
 
 def test_target_is_certified_under_the_derivations_own_policy():
     """A derivation keeps the policy it was certified under, and its target
     carries that policy's certificates.  apply_2cm_homotopy under another
-    policy returns the same data certified under that policy."""
-    _, _, f, h1, _, _ = worked()
+    policy returns the same data certified under that policy.  Over the
+    zero base map the s-law and g0 are sampled, so the certificates name
+    the policy; over the worked map f they are proved under either one."""
+    F3, F2, f, h1, _, _ = worked()
     first, second = Policy(samples=3, seed=1), Policy(samples=7, seed=2)
-    qd = make_quadratic_derivation(f, h1.s_images, {}, first)
+    zero = zero_2cm_morphism(F3, F2, first)
+    qd = make_quadratic_derivation(zero, h1.s_images, {}, first)
     assert qd.policy == first and qd.target is qd.target
     assert qd.target.f0.multiplicative == Certificate(False, first.max_degree, 3, 1)
     assert apply_2cm_homotopy(qd, first) is qd
@@ -560,6 +580,9 @@ def test_target_is_certified_under_the_derivations_own_policy():
     assert other.target is not qd.target and other.target.equal(qd.target)
     assert other.target.f0.multiplicative == Certificate(False, second.max_degree, 7, 2)
     assert apply_2cm_homotopy(qd, second) is other
+    for policy in (first, second):
+        proved = apply_2cm_homotopy(make_quadratic_derivation(f, h1.s_images, {}, first), policy)
+        assert proved.certificates["s-law"].exhaustive and proved.target.f0.multiplicative.exhaustive
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -597,13 +620,6 @@ def _free_domain_instance(seed):
     return D, B, f, random_quadratic_derivation(f, rng, policy=POL)
 
 
-def _patch_everywhere(monkeypatch, real, replacement):
-    """Replace ``real`` by ``replacement`` in every xmod2 module that holds it."""
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.startswith("xmod2") and getattr(mod, real.__name__, None) is real:
-            monkeypatch.setattr(mod, real.__name__, replacement)
-
-
 def _count_entries(monkeypatch, module, names):
     """Calls of module.name for each name, as a dict that fills while the
     patch lasts."""
@@ -615,7 +631,7 @@ def _count_entries(monkeypatch, module, names):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        _patch_everywhere(monkeypatch, real, counted)
+        patch_everywhere(monkeypatch, real, counted)
     return calls
 
 
@@ -633,20 +649,27 @@ def _count_law_tuples(monkeypatch):
         seen[1] += len(tuples)
         return tuples, exhaustive
 
-    _patch_everywhere(monkeypatch, real, counting)
+    patch_everywhere(monkeypatch, real, counting)
     return seen
 
 
 def test_work_count_of_a_derivation_on_a_fresh_target(monkeypatch):
     """A quadratic derivation builds the lower stage of its target's tower
     (Lam0..Lam2 with >.) and certifies no action of the upper stage.  Its
-    own five law_tuples calls are the s-law, t-product on E x E, t-action
-    and the two forms on boundaries (on L x L and on R); s is an algebra
-    map into Lam1 and no law of the derivation reads Lam3.  Building the
+    own four law_tuples calls are t-product on E x E, t-action and the two
+    forms on boundaries (on L x L and on R); s is an algebra map into Lam1
+    and no law of the derivation reads Lam3.  Building the
     whole tower takes 11 more calls: A1 and A2 of >* and >t and the
     multiplicativity of d0..d3@3 and s0..s2@2, which certify only Lam3 and
     the maps to and from it.  They run, with the same certificates, when
-    the tower is completed (the next test)."""
+    the tower is completed (the next test).
+
+    The pin was [15, 429] while the s-law and both t-action forms were
+    sampled (1 + 10 tuples each).  Now the s-law holds by construction
+    (``cm_homotopy.check_derivation_law``: s is the E'-part of a
+    substitution into Lam1, with f0 proved) and evaluates no tuple, and
+    t-action and its boundary form take the generator rule (the closure
+    lemma of ``make_quadratic_derivation``): r = x alone, 1 tuple each."""
     _, B, f, qd = _free_domain_instance(5)
     pol = Policy(10, 4, 0)
     assert (B.R.dim(), B.E.dim(), B.L.dim()) == (2, 2, 2) and pol not in B._towers
@@ -657,7 +680,7 @@ def test_work_count_of_a_derivation_on_a_fresh_target(monkeypatch):
     assert entered == {"get_tower": 1, "build_tower": 1}
     assert certified == {"certify_action": 1}  # >.
     assert B._towers[pol].top == 2 and set(B._towers[pol].actions) == {"prime", "bullet"}
-    assert seen == [15, 429]
+    assert seen == [14, 398]
 
 
 def test_completing_a_kept_lower_stage_gives_the_whole_tower(monkeypatch):
@@ -738,7 +761,10 @@ def test_concat_reads_w_once_per_key_and_runs_no_triangle_tripwire(monkeypatch):
 
 
 def test_changed_data_or_policy_misses_the_memo_and_certifies_in_full(monkeypatch):
-    from xmod2 import maps, tcm_homotopy
+    """A changed t-image or policy misses the memo: every law is decided
+    again, the proved s-law by its premises (no tuple) and the other four
+    on their tuples."""
+    from xmod2 import cm_homotopy, maps, tcm_homotopy
 
     D, B, f, qd = _free_domain_instance(5)
     assert D.E.dim() == 2 and B.L.dim() == 2 and qd.t_images
@@ -747,25 +773,31 @@ def test_changed_data_or_policy_misses_the_memo_and_certifies_in_full(monkeypatc
     changed = dict(qd.t_images)
     changed["u0"] = changed["u0"] + B.L.basis_element("k1")  # one coefficient
 
-    real_tuples = maps.law_tuples
-    calls = []
+    real_tuples, real_premises = maps.law_tuples, cm_homotopy._by_construction
+    calls, proofs = [], []
 
     def law_tuples(*args, **kwargs):
         calls.append(args[0])
         return real_tuples(*args, **kwargs)
 
+    def by_construction(*args):
+        proofs.append(real_premises(*args))
+        return proofs[-1]
+
     monkeypatch.setattr(maps, "law_tuples", law_tuples)
+    monkeypatch.setattr(cm_homotopy, "_by_construction", by_construction)
     assert tcm_homotopy._quadratic(f, qd.s_images, qd.t_images, POL) is qd
-    assert calls == []
-    # s-law, t-product, t-action, t-product-on-boundaries, t-action-on-boundaries
-    laws = [[D.R, D.R], [D.E, D.E], [D.R], [D.L, D.L], [D.R]]
+    assert calls == [] and proofs == []
+    # t-product, t-action, t-product-on-boundaries, t-action-on-boundaries
+    laws = [[D.E, D.E], [D.R], [D.L, D.L], [D.R]]
     for t_images, policy in ((changed, POL), (qd.t_images, other)):
         out = tcm_homotopy._quadratic(f, qd.s_images, t_images, policy)
-        assert out is not qd and calls == laws
-        assert out.certificates["s-law"].samples == policy.samples
+        assert out is not qd and calls == laws and proofs == [True]
+        assert out.certificates["s-law"].exhaustive
         assert tcm_homotopy._quadratic(f, qd.s_images, t_images, policy) is out
-        assert calls == laws
+        assert calls == laws and proofs == [True]
         calls.clear()
+        proofs.clear()
 
 
 def test_wrong_composite_is_certified_not_taken_from_the_memo(monkeypatch):
