@@ -246,7 +246,8 @@ def target_g0(d, s_law, boundary, equivariance):
     pi o phi is one; over a free R it is the substitution b -> f0(b) +
     d'(s(b)).  When the s-law, d' and its equivariance are proved, g0 is
     built so (EXHAUSTIVE by construction), and f0 + d' o s stays as a
-    tripwire on the policy's sampled r, each evaluated once.  Otherwise g0
+    tripwire on the policy's sampled r, evaluated once per spanned
+    monomial (``maps.check_law``).  Otherwise g0
     is the formula, certified multiplicative on law tuples.
     """
     f, s, policy = d.f, d.s, d.policy

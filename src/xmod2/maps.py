@@ -17,6 +17,10 @@ one of four rules:
   is evaluated -> EXHAUSTIVE;
 * sampled: otherwise, generator-anchored tuples plus N random tuples of
   degree <= D -> the certificate (D, N, seed), one object per policy.
+  The law is decided on the basis-key tuples those tuples span, when they
+  are fewer: each drawn tuple expands into a combination of spanned key
+  tuples, so by multilinearity the law holds on every draw once it holds
+  on them.
 
 The generator lemma.  Let a law be linear in a slot a over a free algebra R
 on B, and let S be the set of a for which it holds for every value of the
@@ -69,8 +73,11 @@ pair.  The tuples still come from one ``law_tuples`` call and are decided
 in its order.  At the first tuple whose two sides differ, the witness
 comes from the element path: ``check_law`` evaluates lhs and rhs on that
 tuple of elements, so a failure raises exactly the error an element check
-raises.  Generator and sampled checks (a free algebra in the law) evaluate
-every tuple on elements.
+raises.  The exhaustive tuples are a lazy ``BasisTuples``, so the tuple at
+the witness is the only one built.  Generator and sampled checks (a free
+algebra in the law) evaluate on elements: every generator tuple, and for a
+sampled law each spanned key tuple as a tuple of basis elements (or every
+drawn tuple, when the span is not smaller).
 
 On elements, evaluation takes a direct path on a single basis key with
 coefficient one (``algebra.unit_key``): a ``LinearMap`` returns the key's
@@ -81,7 +88,9 @@ with the memo, which is why elements are never mutated.
 """
 
 import itertools
+import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -181,6 +190,31 @@ def _sampled(algebras, policy):
     return tuples
 
 
+class BasisTuples(Sequence):
+    """The cartesian product of finite lists of elements, in
+    ``itertools.product`` order, without building it: a length, iteration
+    and indexing from 0.  ``factors`` holds the lists, one per slot."""
+
+    def __init__(self, factors):
+        self.factors = factors
+        self._len = math.prod(map(len, factors))
+
+    def __len__(self):
+        return self._len
+
+    def __iter__(self):
+        return itertools.product(*self.factors)
+
+    def __getitem__(self, index):
+        if not 0 <= index < self._len:
+            raise IndexError(index)
+        out = []
+        for factor in reversed(self.factors):
+            index, pos = divmod(index, len(factor))
+            out.append(factor[pos])
+        return tuple(reversed(out))
+
+
 def law_tuples(algebras, policy=DEFAULT_POLICY, generators=()):
     """Tuples on which to test a multilinear law over the given algebras;
     called by ``check_law`` alone.
@@ -189,7 +223,8 @@ def law_tuples(algebras, policy=DEFAULT_POLICY, generators=()):
     argument, so the law check is a proof: the full cartesian product of
     bases, or, when each slot in ``generators`` is a free algebra and every
     other slot is finite, the generators in those slots times the bases
-    elsewhere (the generator lemma of the module docstring).
+    elsewhere (the generator lemma of the module docstring).  Both are a
+    ``BasisTuples``, which builds a tuple only when it is read.
 
     Otherwise the skeleton tuples are followed by policy.samples random
     tuples of degree <= policy.max_degree, drawn from Random(policy.seed):
@@ -197,16 +232,37 @@ def law_tuples(algebras, policy=DEFAULT_POLICY, generators=()):
     the first time.
     """
     if all(a.is_finite() for a in algebras):
-        tuples = list(itertools.product(*[a.basis_elements() for a in algebras]))
-        return tuples, True
+        return BasisTuples([a.basis_elements() for a in algebras]), True
     if generators and all(
         isinstance(a, FreeAlgebra) if i in generators else a.is_finite()
         for i, a in enumerate(algebras)
     ):
-        return list(itertools.product(*map(_skeleton, algebras))), True
+        return BasisTuples(list(map(_skeleton, algebras))), True
     tuples = list(itertools.product(*[_skeleton(a) for a in algebras]))
     tuples.extend(_sampled(tuple(algebras), policy))
     return tuples, False
+
+
+def _spanned(algebras, tuples):
+    """The basis-key tuples that ``tuples`` span, as tuples of basis
+    elements in order of first appearance, when they are fewer than the
+    tuples; otherwise the tuples themselves.
+
+    A tuple spans the product of its elements' supports, so a zero element
+    spans nothing.  A multilinear law that holds on every spanned key tuple
+    holds on every tuple, each expanding into a combination of them."""
+    limit = len(tuples)
+    span = {}
+    for t in tuples:
+        for keys in itertools.product(*[u.coeffs for u in t]):
+            if keys not in span:
+                span[keys] = None
+                if len(span) == limit:
+                    return tuples
+    return [
+        tuple(Element(a, {k: a.ring.one}) for a, k in zip(algebras, keys))
+        for keys in span
+    ]
 
 
 def check_law(algebras, lhs, rhs, error, policy, on_keys=None, generators=(), by_construction=False):
@@ -219,6 +275,12 @@ def check_law(algebras, lhs, rhs, error, policy, on_keys=None, generators=(), by
     Otherwise returns the certificate the check earned: EXHAUSTIVE when
     the tuples span every argument, else the policy's (D, N, seed), from
     which, with the algebras, the sampled tuples can be drawn again.
+
+    A sampled law is decided on the basis-key tuples its tuples span, in
+    order of first appearance, whenever those are fewer than the tuples
+    (``_spanned``): by multilinearity it then holds on every drawn tuple,
+    so the certificate is the same, and a failure's witness is a tuple of
+    basis elements.  No check evaluates more tuples than law_tuples gives.
 
     ``generators`` names the slots whose solution set the caller has shown
     to be closed under products; over a free algebra those slots are
@@ -241,7 +303,7 @@ def check_law(algebras, lhs, rhs, error, policy, on_keys=None, generators=(), by
         # builds new tuples for a semidirect product: the memo and cache
         # entries made here then hold the very key objects that later
         # lookups pass, and those compare by identity, not by value.
-        keys = [[unit_key(u) for u in a.basis_elements()] for a in algebras]
+        keys = [[unit_key(u) for u in factor] for factor in tuples.factors]
         positions = on_keys(*keys)
         if positions is not None:
             index = 0
@@ -250,6 +312,8 @@ def check_law(algebras, lhs, rhs, error, policy, on_keys=None, generators=(), by
             t = tuples[index]
             raise error(t, lhs(*t), rhs(*t))
         return EXHAUSTIVE
+    if not exhaustive:
+        tuples = _spanned(algebras, tuples)
     for t in tuples:
         left = lhs(*t)
         right = rhs(*t)

@@ -14,7 +14,7 @@ import random
 import pytest
 
 from xmod2 import fixtures, maps
-from xmod2.algebra import FreeAlgebra, make_finite_algebra, make_free_algebra
+from xmod2.algebra import FreeAlgebra, make_finite_algebra, make_free_algebra, unit_key
 from xmod2.cm_homotopy import make_cm_derivation
 from xmod2.crossed import (
     identity_2cm_morphism,
@@ -25,7 +25,7 @@ from xmod2.crossed import (
     make_precrossed,
     make_two_crossed,
 )
-from xmod2.errors import LawViolation, XmodError
+from xmod2.errors import LawViolation, MorphismViolation, XmodError
 from xmod2.maps import (
     BilinearMap,
     LinearMap,
@@ -264,3 +264,58 @@ def test_crossed_derivations_over_a_free_r_are_proved_the_same_way():
     d = make_cm_derivation(f, {"y": 3 * x2}, PROVED)
     assert d.certificates["derivation-law"] is PROVED.certificate
     assert d.target.f0.rule == "function"
+
+
+def _g0_target(policy):
+    """An F3 -> F2 derivation over the substitution f0: x -> p with s(x) =
+    a, whose target's g0 is the substitution x -> p + d1'(a) = 2p."""
+    F3, F2 = fixtures.free_line_two_crossed(), fixtures.square_two_crossed()
+    f = make_2cm_morphism(F3, F2, algebra_morphism(F3.R, F2.R, images={"x": F2.R.basis_element("p")}),
+                          algebra_morphism(F3.E, F2.E, images={}),
+                          algebra_morphism(F3.L, F2.L, images={}), policy)
+    return make_quadratic_derivation(f, {"x": F2.E.basis_element("a")}, {}, policy)
+
+
+def test_the_g0_tripwire_catches_a_wrong_image_of_x_squared(monkeypatch):
+    """g0 is proved by construction, so only the tripwire f0 + d'.s reads
+    its images.  A g0 that sends x^2 to p instead of 4p^2 = 0 is rejected
+    at the monomial x^2 itself."""
+    real = LinearMap._image
+
+    def image(self, key):
+        if self.note == "g0" and self.rule == "substitution" and key == ("x", "x"):
+            return self.target.basis_element("p")
+        return real(self, key)
+
+    monkeypatch.setattr(LinearMap, "_image", image)
+    qd = _g0_target(PROVED)
+    with pytest.raises(MorphismViolation, match="g0 differs from f0 \\+ d'.s") as err:
+        qd.target
+    (witness,) = err.value.witness
+    assert witness == qd.f.src.R.monomial("x", "x") and len(next(iter(witness.coeffs))) >= 2
+
+
+def test_the_g0_tripwire_evaluates_once_per_spanned_monomial(monkeypatch):
+    """On a fresh target the tripwire's 11 tuples (x, then ten draws of
+    degree <= 4) span at most x, x^2, x^3 and x^4, and g0 is evaluated on
+    those alone."""
+    from xmod2 import cm_homotopy
+
+    real = cm_homotopy.check_law
+    seen = []
+
+    def check_law(algebras, lhs, rhs, error, policy, **kwargs):
+        if getattr(lhs, "note", None) == "g0":
+            g0, calls = lhs, []
+            seen.append((len(maps.law_tuples(algebras, policy)[0]), calls))
+            lhs = lambda r: calls.append(r) or g0(r)  # noqa: E731
+        return real(algebras, lhs, rhs, error, policy, **kwargs)
+
+    monkeypatch.setattr(cm_homotopy, "check_law", check_law)
+    qd = _g0_target(PROVED)
+    assert qd.target.f0.rule == "substitution"
+    [(tuples, calls)] = seen
+    assert tuples == 1 + PROVED.samples == 11
+    keys = [unit_key(r) for r in calls]
+    assert 1 <= len(keys) <= 4 and len(set(keys)) == len(keys)
+    assert keys[0] == ("x",) and all(key == ("x",) * len(key) for key in keys)

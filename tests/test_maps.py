@@ -1,10 +1,18 @@
 import gc
+import itertools
 import random
 import weakref
 
 import pytest
 
-from xmod2.algebra import Element, FreeAlgebra, make_finite_algebra, make_free_algebra
+from xmod2.algebra import (
+    Element,
+    FreeAlgebra,
+    make_finite_algebra,
+    make_free_algebra,
+    unit_key,
+    zero_algebra,
+)
 from xmod2.errors import (
     A1Violation,
     A2Violation,
@@ -15,6 +23,7 @@ from xmod2.errors import (
 )
 from xmod2.maps import (
     EXHAUSTIVE,
+    BasisTuples,
     BilinearMap,
     Certificate,
     FunctionAction,
@@ -437,3 +446,115 @@ def test_law_tuples_is_held_by_maps_alone():
     modules = [xmod2] + [importlib.import_module("xmod2." + name) for name in names]
     assert "maps" in names and "tcm_homotopy" in names
     assert [m.__name__ for m in modules if "law_tuples" in vars(m)] == ["xmod2.maps"]
+
+
+def _span_keys(tuples):
+    """The basis-key tuples that tuples span, in order of first appearance."""
+    span = {}
+    for t in tuples:
+        for keys in itertools.product(*[u.coeffs for u in t]):
+            span.setdefault(keys)
+    return list(span)
+
+
+def _counted(side, calls):
+    def counted(*t):
+        calls.append(t)
+        return side(*t)
+
+    return counted
+
+
+def test_exhaustive_tuples_are_lazy_and_in_product_order():
+    """A finite list's tuples are a BasisTuples: its length, iteration and
+    indexing are those of the built product, and an exhaustive check that
+    fails reads the tuple at its witness."""
+    R, E = f2_carriers()
+    tuples, exhaustive = law_tuples([R, E, E], Policy(samples=3))
+    built = list(itertools.product(R.basis_elements(), E.basis_elements(), E.basis_elements()))
+    assert exhaustive and isinstance(tuples, BasisTuples)
+    assert len(tuples) == len(built) == 4 and list(tuples) == built
+    assert [tuples[i] for i in range(4)] == built
+    for index in (4, -1):
+        with pytest.raises(IndexError):
+            tuples[index]
+    assert len(law_tuples([R, zero_algebra(QQ)], Policy())[0]) == 0
+
+    a, b = E.basis_element("a"), E.basis_element("b")
+    assert certify_action(TableAction(R, E, {"p": {"a": b}})) is EXHAUSTIVE
+    bad = TableAction(R, E, {"p": {"a": a}})  # p > (a a) = p > b = 0, (p > a) a = a a = b
+    with pytest.raises(A1Violation) as err:
+        certify_action(bad)
+    assert err.value.witness == (R.basis_element("p"), a, a)
+
+
+def test_a_sampled_law_wrong_on_one_monomial_is_rejected_there():
+    """A one-slot sampled law that fails on the monomial x^2 alone is
+    decided on the monomials its draws span: the witness is (x^2,), with
+    the error type the caller gave."""
+    R = make_free_algebra(["x"], QQ)
+    pol = Policy(samples=10, max_degree=3, seed=0)
+    x2 = R.monomial("x", "x")
+    tuples, exhaustive = law_tuples([R], pol)
+    assert not exhaustive and ((("x", "x"),) in _span_keys(tuples))
+    assert not any(t == (x2,) for t in tuples)  # no draw is x^2 itself
+    doubled = LinearMap(R, R, "function", fn=lambda u: 2 * u if unit_key(u) == ("x", "x") else u)
+    with pytest.raises(MorphismViolation) as err:
+        check_law([R], doubled, lambda u: u, MorphismViolation, pol)
+    assert type(err.value) is MorphismViolation
+    assert err.value.witness == (x2,)
+    assert err.value.lhs == 2 * x2 and err.value.rhs == x2
+
+
+def test_a_sampled_law_keeps_its_certificate_and_tuples():
+    """Deciding on spanned key tuples changes neither the certificate (the
+    policy's own object) nor the tuples law_tuples gives."""
+    R = make_free_algebra(["x", "y"], QQ)
+    pol = Policy(samples=6, max_degree=3, seed=5)
+    before, _ = law_tuples([R, R], pol)
+    cert = check_law([R, R], lambda u, v: u * v, lambda u, v: v * u, NonCommutative, pol)
+    assert cert is pol.certificate
+    after, exhaustive = law_tuples([R, R], pol)
+    assert not exhaustive and after == before and len(after) == 4 + pol.samples
+    assert after[-pol.samples:] == _fresh_draw(pol, [R, R])
+    assert all(u is v for u, v in zip(before[-pol.samples:], after[-pol.samples:]))
+
+
+def test_a_sampled_law_evaluates_each_spanned_key_tuple_once():
+    """lhs and rhs run once per spanned key tuple, in order of first
+    appearance, when those are fewer than the tuples; otherwise once per
+    tuple.  Never more often than there are tuples."""
+    R = make_free_algebra(["x"], QQ)
+    pol = Policy(samples=20, max_degree=4, seed=1)
+    tuples = law_tuples([R], pol)[0]
+    span = _span_keys(tuples)
+    assert len(span) <= 4 < len(tuples) == 21
+    left, right = [], []
+    check_law([R], _counted(lambda u: u, left), _counted(lambda u: u, right), MorphismViolation, pol)
+    assert [tuple(map(unit_key, t)) for t in left] == span and left == right
+
+    P = make_free_algebra(["x", "y"], QQ)
+    pol = Policy(samples=2, max_degree=3, seed=3)
+    tuples = law_tuples([P, P], pol)[0]
+    assert len(_span_keys(tuples)) > len(tuples)
+    calls = []
+    check_law([P, P], _counted(lambda u, v: u * v, calls), lambda u, v: v * u, NonCommutative, pol)
+    assert calls == list(tuples)
+
+
+def test_a_law_with_a_zero_algebra_slot_evaluates_nothing_and_stays_sampled():
+    """A zero element spans nothing, so a law with a zero-algebra slot over
+    a free algebra evaluates no tuple and keeps the sampled certificate;
+    F3's laws over E = 0 are such laws."""
+    from xmod2 import fixtures
+
+    F3 = fixtures.free_line_two_crossed()
+    R, E = F3.R, F3.E
+    pol = Policy(samples=5, seed=1)
+    tuples, exhaustive = law_tuples([R, E], pol)
+    assert not exhaustive and len(tuples) == pol.samples and _span_keys(tuples) == []
+    calls = []
+    cert = check_law([R, E], _counted(lambda r, e: E.zero(), calls), lambda r, e: e,
+                     MorphismViolation, pol)
+    assert calls == [] and cert is pol.certificate
+    assert not F3.certificates["d1-equivariance"].exhaustive
