@@ -3,11 +3,12 @@
     python3 tools/bench_pairs.py --parent REV --label NAME \
         --pairs groupoid=10 --pairs tower=5 --pairs validate=5 [--first-seed 1001]
 
-Runs ``verdictbench/run.py`` once per side for each pair: the parent side
-in a temporary ``git worktree`` of REV, the change side in the working
-tree this script belongs to.  Pair i of a workload uses seed first-seed + i
-on both sides and runs the parent first when i is even, the change first
-when i is odd, so that a slow spell of the machine falls on both sides.
+Runs the benchmark command of ``BENCHMARK.json`` for its ``run_seconds``
+once per side for each pair: the parent side in a temporary ``git
+worktree`` of REV, the change side in the working tree this script
+belongs to.  Pair i of a workload uses seed first-seed + i on both sides
+and runs the parent first when i is even, the change first when i is
+odd, so that a slow spell of the machine falls on both sides.
 
 Writes ``BENCH_<label>.json`` at the root of the working tree: for each
 workload and each end-to-end metric of ``BENCHMARK.json``, every run's
@@ -28,7 +29,6 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-RUN = os.path.join("verdictbench", "run.py")
 
 
 def parse_args(argv):
@@ -38,7 +38,6 @@ def parse_args(argv):
     p.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N",
                    help="N alternating pairs of WORKLOAD; repeat for more workloads")
     p.add_argument("--first-seed", type=int, default=1001)
-    p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--tmpdir", default=None, help="where the parent's worktree goes")
     args = p.parse_args(argv)
     plan = []
@@ -56,11 +55,11 @@ def git(*args, cwd=ROOT):
                           text=True).stdout.strip()
 
 
-def run_once(tree, workload, seed, seconds):
+def run_once(bench, tree, workload, seed):
     """The JSON object of the last output line of one benchmark run in tree."""
     done = subprocess.run(
-        [sys.executable, RUN, "--workload", workload, "--seed", str(seed),
-         "--seconds", repr(seconds)],
+        [*bench["command"], "--workload", workload, "--seed", str(seed),
+         "--seconds", str(bench["run_seconds"])],
         cwd=tree, capture_output=True, text=True,
     )
     lines = done.stdout.strip().splitlines()
@@ -112,9 +111,8 @@ def machine():
                                  platform.python_version())
 
 
-def measure(args, parent_tree):
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        metrics = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+def measure(args, bench, parent_tree):
+    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
     trees = {"parent": parent_tree, "change": ROOT}
     workloads, seeds = {}, {}
     for workload, count in args.plan:
@@ -123,7 +121,7 @@ def measure(args, parent_tree):
         for i, seed in enumerate(seeds[workload]):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(run_once(trees[side], workload, seed, args.seconds))
+                runs[side].append(run_once(bench, trees[side], workload, seed))
                 print("%s pair %d %s: %s" % (workload, i, side, json.dumps(
                     {k: v["value"] for k, v in runs[side][-1]["metrics"].items()})), flush=True)
         every = runs["parent"] + runs["change"]
@@ -138,7 +136,12 @@ def measure(args, parent_tree):
 
 def main(argv=None):
     args = parse_args(argv)
-    parent = git("rev-parse", "--verify", args.parent + "^{commit}")
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        bench = json.load(fh)
+    try:
+        parent = git("rev-parse", "--verify", args.parent + "^{commit}")
+    except subprocess.CalledProcessError:
+        sys.exit("bench_pairs: %r names no commit" % args.parent)
     change = git("rev-parse", "HEAD")
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     base = tempfile.mkdtemp(prefix="bench-pairs-", dir=args.tmpdir)
@@ -150,7 +153,7 @@ def main(argv=None):
     old = {sig: signal.signal(sig, stop) for sig in (signal.SIGTERM, signal.SIGHUP)}
     try:
         git("worktree", "add", "--detach", tree, parent)
-        workloads, seeds = measure(args, tree)
+        workloads, seeds = measure(args, bench, tree)
     finally:
         for sig, handler in old.items():
             signal.signal(sig, handler)
@@ -163,9 +166,9 @@ def main(argv=None):
         "label": args.label,
         "what": "verdictbench end-to-end metrics in alternating parent/change pairs (pair i "
                 "runs the parent first when i is even, the change first when i is odd); each "
-                "run is the last output line of `python3 verdictbench/run.py --workload W "
-                "--seed S --seconds %g`, the parent in a git worktree of its commit, the "
-                "change in the working tree" % args.seconds,
+                "run is the last output line of `%s --workload W --seed S --seconds %s`, the "
+                "parent in a git worktree of its commit, the change in the working tree"
+                % (" ".join(bench["command"]), bench["run_seconds"]),
         "parent": parent,
         "change": change + ("+uncommitted" if dirty else ""),
         "seeds": seeds,
