@@ -286,3 +286,116 @@ def test_groupoid_returns_the_derivations_already_certified(monkeypatch):
     assert again is not d1 and len(calls) == 1 and again.certificates == d1.certificates
     other = Policy(samples=3, seed=9)
     assert concat_cm(zero_cm_derivation(f, other), d1, other) is not d1
+
+
+def _oracle_cases(ring, rng, modules):
+    """Random ideal crossed modules E -> R over ``ring`` (R a random
+    finite algebra, E a random ideal of it, else R itself)."""
+    from xmod2.errors import NotAnIdeal
+    from xmod2.randgen import random_finite_algebra
+
+    out = []
+    for _ in range(modules):
+        R = random_finite_algebra(ring, rng, max_dim=3)
+        labels = [k for k in R.basis_keys() if rng.random() < 0.6] or R.basis_keys()
+        try:
+            out.append(ideal_inclusion_cm(R, labels))
+        except NotAnIdeal:
+            out.append(ideal_inclusion_cm(R, R.basis_keys()))
+    return out
+
+
+def _small_element(alg, rng):
+    """A combination of the basis with coefficients in {-1, 0, 1, 2}."""
+    out = alg.zero()
+    for k in alg.basis_keys():
+        out = out + rng.choice((-1, 0, 0, 1, 2)) * alg.basis_element(k)
+    return out
+
+
+def _check_against_formulas(C, f, images, s_of, points, declared_ok, pol):
+    """One s-table over f: C's derivation, target, inverse and zero
+    against the formulas, with s_of the oracle's own s.  Returns the
+    derivation, or None when make_cm_derivation refused it."""
+    f0 = f.f0
+    law = declared_ok and all(
+        s_of(r * r2) == C.act(f0(r), s_of(r2)) + C.act(f0(r2), s_of(r)) + s_of(r) * s_of(r2)
+        for r in C.R.basis_elements() for r2 in C.R.basis_elements()
+    ) if C.R.is_finite() else declared_ok
+    try:
+        d = make_cm_derivation(f, images, pol)
+    except DerivationLawViolation:
+        assert not law, images
+        return None
+    assert law, images
+    g = d.target
+    skeleton = C.R.basis_elements() if C.R.is_finite() else [C.R.monomial("x")]
+    assert all(g.f0(r) == f0(r) + C.d(s_of(r)) for r in skeleton)
+    assert all(g.f1(e) == f.f1(e) + s_of(C.d(e)) for e in C.E.basis_elements())
+    assert all(d.s(r) == s_of(r) for r in points)
+    inv = invert_cm(d, pol)
+    assert all(inv.s(r) == -s_of(r) for r in points)
+    assert zero_cm_derivation(f, pol).target.equal(f)
+    back = concat_cm(d, inv, pol)
+    assert all(back.s(r).is_zero() for r in points)
+    return d
+
+
+def test_crossed_layer_matches_its_formulas():
+    """A check of the crossed layer that reads no layer internals: on F1,
+    on random ideal crossed modules over F5 and Q and on the free line,
+    every s-table drawn (unfiltered) is accepted exactly when the
+    derivation law s(rr') = f0(r) > s(r') + f0(r') > s(r) + s(r)s(r')
+    holds on the basis, and an accepted one has target (f0 + d'.s,
+    f1 + s.d) on the skeleton, is undone by invert_cm (-s), and
+    concatenates pointwise with concat_cm; the zero derivation's target
+    is its base."""
+    from xmod2.rings import PrimeField
+
+    rng = random.Random(20231)
+    pol = Policy(samples=4, max_degree=3)
+    for ring, modules in ((PrimeField(5), 20), (QQ, 20)):
+        cases = [fixtures.ideal_crossed(ring)] + _oracle_cases(ring, rng, modules)
+        tables = accepted = 0
+        for C in cases:
+            f, last = identity_cm_morphism(C), None
+            for _ in range(10):
+                table = {k: _small_element(C.E, rng) for k in C.R.basis_keys()}
+
+                def s_of(r, table=table):
+                    out = C.E.zero()
+                    for k, c in r.coeffs.items():
+                        out = out + c * table[k]
+                    return out
+
+                tables += 1
+                d = _check_against_formulas(C, f, table, s_of, C.R.basis_elements(), True, pol)
+                if d is not None:  # concatenate with the last one, over d's base
+                    if last is not None:
+                        both = concat_cm(last[0], d, pol)
+                        assert all(both.s(r) == last[1](r) + s_of(r) for r in C.R.basis_elements())
+                    accepted += 1
+                    f, last = d.target, (d, s_of)
+        assert tables >= 200 and 0 < accepted < tables
+
+    C, _ = _free_line_cm()
+    a, x = C.E.basis_element("a"), C.R.monomial("x")
+    points = [x, C.R.monomial("x", "x"), C.R.monomial("x", "x", "x")]
+    tables = accepted = 0
+    for i in range(200):
+        if i % 10 == 0:
+            f = random_cm_morphism(C, C, rng, pol)
+        sx = rng.choice((-1, 0, 1, 2)) * a
+        images = {"x": sx}
+        declared_ok = True
+        if rng.random() < 0.5:  # a declared value at x^2, forced by the law
+            images[("x", "x")] = rng.choice((-1, 0, 0, 1)) * a
+            forced = C.act(f.f0(x), sx) + C.act(f.f0(x), sx) + sx * sx
+            declared_ok = images[("x", "x")] == forced
+
+        def s_of(r, sx=sx):  # E^2 = 0 and the action is zero: s(x^n) = 0 for n > 1
+            return r.coeffs.get(("x",), 0) * sx
+
+        tables += 1
+        accepted += _check_against_formulas(C, f, images, s_of, points, declared_ok, pol) is not None
+    assert tables == 200 and 0 < accepted < tables
