@@ -13,7 +13,6 @@ from .algebra import (
     zero_algebra,
 )
 from .cm_homotopy import (
-    CMDerivation,
     cm_groupoid_check,
     concat_cm,
     invert_cm,
@@ -22,10 +21,10 @@ from .cm_homotopy import (
 )
 from .crossed import (
     CrossedModule,
-    CrossedMorphism,
     PreCrossedModule,
     TwoCrossedModule,
     TwoCrossedMorphism,
+    as_two_crossed,
     ideal_inclusion_cm,
     identity_2cm_morphism,
     identity_cm_morphism,

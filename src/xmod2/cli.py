@@ -20,13 +20,20 @@ import os
 import sys
 
 from .algebra import FreeAlgebra
-from .cm_homotopy import CMDerivation, bracketings, cm_groupoid_check, concat_cm, invert_cm
-from .errors import LawViolation, ParseError, UnresolvedReference, ValidationError, XmodError
+from .cm_homotopy import cm_groupoid_check
+from .errors import (
+    CompositionMismatch,
+    LawViolation,
+    ParseError,
+    UnresolvedReference,
+    ValidationError,
+    XmodError,
+)
 from .maps import Policy
 from .report import Report, canonical_json
 from .simplex import build_tower, check_simplicial_identities
 from .specdoc import load_spec
-from .tcm_homotopy import QuadraticDerivation, check_w_change, concat_2cm, invert_2cm, tcm_groupoid_check
+from .tcm_homotopy import bracketings, check_w_change, concat_2cm, invert_2cm, tcm_groupoid_check
 
 
 def _default_seed():
@@ -129,7 +136,7 @@ def _cmd_validate(args, policy):
         report.add("map/%s" % name, "morphism", True)
     for name in sorted(doc.derivations):
         report.add("derivation/%s" % name, "derivation-law", True,
-                   certificate=doc.derivations[name].certificates["derivation-law"])
+                   certificate=doc.derivations[name].certificates["s-law"])
     for name in sorted(doc.quadratic):
         for law, cert in sorted(doc.quadratic[name].certificates.items()):
             report.add("quadratic/%s/%s" % (name, law), law, True, certificate=cert)
@@ -186,17 +193,24 @@ def _cmd_homotopy(args, policy):
     )
     doc = _load(args, policy)
     items = [_homotopy_by_name(doc, n) for n in names]
-    kinds = sorted({"tcm" if isinstance(h, QuadraticDerivation) else "cm" for h in items})
+    # each name's layer is the section it was found in (quadratic first)
+    kinds = sorted({"tcm" if n in doc.quadratic else "cm" for n in names})
     if len(kinds) != 1:
         raise ValidationError("homotopy " + args.op, "mixed derivation kinds %r" % kinds)
     quadratic = kinds == ["tcm"]
-    if quadratic:  # the layer's operations, labels and t-points, picked once
+    if quadratic:  # the layer's labels and t-points, picked once
         E = items[0].f.src.E
-        concat, invert, plus, tag, s_assoc = concat_2cm, invert_2cm, "[+]", "box-plus", "s-component"
+        plus, tag, s_assoc = "[+]", "box-plus", "s-component"
         t_points = [(k, E.basis_element(k)) for k in E.basis_keys()]
     else:
-        concat, invert, plus, tag, s_assoc = concat_cm, invert_cm, "+", "concat", "derivations"
+        plus, tag, s_assoc = "+", "concat", "derivations"
         t_points = []
+
+    def composed(op, compose):  # None, and a failed op/composable entry, if they do not compose
+        try:
+            return compose()
+        except CompositionMismatch as exc:
+            report.add(op + "/composable", "composable", False, witness=str(exc))
 
     if args.op == "apply":
         for name, item in zip(names, items):
@@ -214,7 +228,9 @@ def _cmd_homotopy(args, policy):
         if len(items) != 2:
             raise ValidationError("homotopy compose", "need exactly two names")
         a, b = items
-        out = concat(a, b, policy)
+        out = composed("homotopy/compose", lambda: concat_2cm(a, b, policy))
+        if out is None:
+            return report
         for r in _sample_points(a.f.src.R):
             report.add("value/(s%ss')(%s)" % (plus, r), tag, True, witness=str(out.s(r)))
         for k, e in t_points:
@@ -224,7 +240,7 @@ def _cmd_homotopy(args, policy):
 
     if args.op == "invert":
         for name, item in zip(names, items):
-            inv = invert(item, policy)
+            inv = invert_2cm(item, policy)
             for r in _sample_points(item.f.src.R):
                 report.add("value/%s/sbar(%s)" % (name, r), "inverse", True, witness=str(inv.s(r)))
             report.add("homotopy/%s/inverse-valid" % name, "inverse", True)
@@ -234,8 +250,11 @@ def _cmd_homotopy(args, policy):
     if len(items) != 3:
         raise ValidationError("homotopy assoc", "need exactly three names")
     a, b, c = items
-    left, right = bracketings(concat, a, b, c, policy)
-    report.add("assoc/" + s_assoc, "associativity", CMDerivation.equal(left, right))
+    both = composed("assoc", lambda: bracketings(concat_2cm, a, b, c, policy))
+    if both is None:
+        return report
+    left, right = both
+    report.add("assoc/" + s_assoc, "associativity", left.same_s(right))
     if quadratic:
         report.add("assoc/t-component", "associativity", all(left.t(e) == right.t(e) for _, e in t_points))
         for r in _sample_points(a.f.src.R):

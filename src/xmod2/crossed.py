@@ -6,13 +6,20 @@ to the axioms 2XM1..2XM6.  The lifting axiom 2XM5 defines an action of E
 on L, e >' l = {e (x) d2(l)}, and (d2: L -> E, >') is itself a crossed
 module; that derived structure is certified along with the axioms.
 
+A crossed module E -> R is the L = 0 slice 0 -> E -> R of a 2-crossed
+module, with zero lifting (``as_two_crossed``): 2XM1 is then its Peiffer
+identity and d1-equivariance its XM1.  Its maps are the 2-crossed maps of
+the slices with f2 = 0, so ``make_cm_morphism`` is ``make_2cm_morphism``
+on the slices, whose d1-square and f1-equivariance are the crossed square
+and equivariance and whose other laws hold on L = 0.
+
 Validation is exhaustive on finite bases; when R is free it runs on
 generators plus sampled monomials and stamps the certificate.
 """
 
 from functools import partial
 
-from .algebra import FiniteAlgebra, FreeAlgebra, make_finite_algebra
+from .algebra import FiniteAlgebra, FreeAlgebra, make_finite_algebra, zero_algebra
 from .errors import (
     AxiomViolation,
     BadShape,
@@ -38,6 +45,7 @@ from .maps import (
     make_action,
     morphisms_equal,
     zero_action,
+    zero_map,
 )
 from .rings import nullspace, solve_in_span
 
@@ -51,7 +59,7 @@ class PreCrossedModule:
         self.d = d
         self.act = act
         self.certificates = {}
-        self._edges = {}  # Policy -> R |x E, filled by cm_homotopy.edge_algebra
+        self._slices = {}  # Policy -> the L = 0 slice, filled by as_two_crossed
 
     @property
     def ring(self):
@@ -126,46 +134,6 @@ def ideal_inclusion_cm(R, ideal_labels, policy=DEFAULT_POLICY):
 
     act = make_action(R, E, act_table, policy)
     return make_crossed(E, R, d, act, policy)
-
-
-class CrossedMorphism:
-    """A map of crossed modules: algebra maps f1: E -> E', f0: R -> R'
-    commuting with the boundaries and preserving the action."""
-
-    def __init__(self, src, tgt, f0, f1):
-        self.src = src
-        self.tgt = tgt
-        self.f0 = f0
-        self.f1 = f1
-        self._homotopies = {}  # key -> CMDerivation, filled by make_cm_derivation
-
-    def equal(self, other):
-        return self is other or (
-            self.src.compatible(other.src)
-            and self.tgt.compatible(other.tgt)
-            and morphisms_equal(self.f0, other.f0)
-            and morphisms_equal(self.f1, other.f1)
-        )
-
-    def __repr__(self):
-        return "CrossedMorphism<%r -> %r>" % (self.src, self.tgt)
-
-
-def make_cm_morphism(src, tgt, f0, f1, policy=DEFAULT_POLICY):
-    if not (f0.source.compatible(src.R) and f0.target.compatible(tgt.R)):
-        raise BadShape("f0 endpoints do not match")
-    if not (f1.source.compatible(src.E) and f1.target.compatible(tgt.E)):
-        raise BadShape("f1 endpoints do not match")
-    check_law([src.E], lambda e: f0(src.d(e)), lambda e: tgt.d(f1(e)), SquareViolation, policy)
-    check_law(
-        [src.R, src.E], lambda r, e: f1(src.act(r, e)), lambda r, e: tgt.act(f0(r), f1(e)),
-        EquivarianceViolation, policy,
-    )
-    return CrossedMorphism(src, tgt, f0, f1)
-
-
-def identity_cm_morphism(cm):
-    return CrossedMorphism(cm, cm, identity_map(cm.R), identity_map(cm.E))
 
 
 # ---------------------------------------------------------------------------
@@ -463,3 +431,35 @@ def identity_2cm_morphism(A):
         A, A, identity_map(A.R), identity_map(A.E), identity_map(A.L),
         dict.fromkeys(MORPHISM_LAWS, EXHAUSTIVE),
     )
+
+
+# ---------------------------------------------------------------------------
+# Crossed modules as the L = 0 slice
+
+
+def as_two_crossed(C, policy=DEFAULT_POLICY):
+    """The crossed module C = (E -> R) as the 2-crossed module 0 -> E -> R
+    with d2 = 0, the zero action on L = 0 and zero lifting, recording the
+    generators of a free R as its free basis.  Certified under ``policy``
+    and kept on C, one per policy; its certificates stay its own, C still
+    reports XM1 and XM2 alone."""
+    A = C._slices.get(policy)
+    if A is None:
+        E, R = C.E, C.R
+        L = zero_algebra(C.ring)
+        A = C._slices[policy] = make_two_crossed(
+            L, E, R, algebra_morphism(L, E, images={}, policy=policy), C.d, C.act,
+            zero_action(R, L), BilinearMap(E, E, L, {}),
+            free_basis=R.generators if isinstance(R, FreeAlgebra) else None, policy=policy,
+        )
+    return A
+
+
+def make_cm_morphism(src, tgt, f0, f1, policy=DEFAULT_POLICY):
+    """The crossed module map (f0, f1): the map of the slices with f2 = 0."""
+    A, B = as_two_crossed(src, policy), as_two_crossed(tgt, policy)
+    return make_2cm_morphism(A, B, f0, f1, zero_map(A.L, B.L), policy)
+
+
+def identity_cm_morphism(cm):
+    return identity_2cm_morphism(as_two_crossed(cm))

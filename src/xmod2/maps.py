@@ -13,7 +13,7 @@ one of four rules:
   slot is finite, and B in those slots times the bases elsewhere is
   checked -> EXHAUSTIVE;
 * by construction: the caller has shown that the law holds for the way
-  its maps were built (``cm_homotopy.check_derivation_law``), and no tuple
+  its maps were built (``tcm_homotopy.check_derivation_law``), and no tuple
   is evaluated -> EXHAUSTIVE;
 * sampled: otherwise, generator-anchored tuples plus N random tuples of
   degree <= D -> the certificate (D, N, seed), one object per policy.

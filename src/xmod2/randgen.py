@@ -8,8 +8,8 @@ generator takes an explicit rng; callers derive them from a seed.
 
 from .algebra import make_finite_algebra, make_free_algebra
 from .crossed import (
+    as_two_crossed,
     kernel_two_crossed,
-    make_cm_morphism,
     make_precrossed,
     make_two_crossed,
     make_2cm_morphism,
@@ -24,7 +24,6 @@ from .maps import (
     zero_action,
     zero_map,
 )
-from .cm_homotopy import make_cm_derivation
 
 
 def _random_element(alg, rng, density=0.6):
@@ -181,7 +180,7 @@ def _morphism_images(source, target, rng, density):
 def _random_morphism(A, B, levels, make, attempts, rng, policy):
     """make(A, B, *level maps, policy) on random images for each named
     level, by rejection over ``attempts`` draws; falls back to the zero
-    map."""
+    map.  A level with no basis keys draws nothing."""
     pairs = [(getattr(A, level), getattr(B, level)) for level in levels]
     for _ in range(attempts):
         try:
@@ -195,10 +194,15 @@ def _random_morphism(A, B, levels, make, attempts, rng, policy):
 
 
 def random_cm_morphism(A, B, rng, policy=DEFAULT_POLICY):
-    return _random_morphism(A, B, ("R", "E"), make_cm_morphism, 200, rng, policy)
+    """A crossed module map A -> B: a map of the slices, whose L = 0 draws
+    nothing."""
+    slices = as_two_crossed(A, policy), as_two_crossed(B, policy)
+    return _random_morphism(*slices, ("R", "E", "L"), make_2cm_morphism, 200, rng, policy)
 
 
 def random_cm_derivation(f, rng, policy=DEFAULT_POLICY):
+    from .cm_homotopy import make_cm_derivation
+
     for _ in range(200):
         try:
             return make_cm_derivation(f, _morphism_images(f.src.R, f.tgt.E, rng, 0.5), policy)

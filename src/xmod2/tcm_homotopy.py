@@ -9,11 +9,12 @@ which gives the law its certificate.  The target of the homotopy is
 
     g0 = f0 + d1' o s,   g1 = f1 + s o d1 + d2' o t,   g2 = f2 + t o d2.
 
-Composition needs the recorded free basis B of R.  An f0-derivation is
-the same thing as an algebra map r -> (f0(r), s(r)) into R' |x E', so a
-set map B -> E' extends uniquely; s [+] s' extends (s + s')|B.  The
-correction term w(r) is extracted from the algebra of 2-simplices: the
-unique algebra map X with X(b) = (f0(b), s(b), s'(b), 0) has the form
+Composition takes s [+] s' on the recorded free basis B of R.  An
+f0-derivation is the same thing as an algebra map r -> (f0(r), s(r)) into
+R' |x E', so a set map B -> E' extends uniquely; s [+] s' extends
+(s + s')|B.  The correction term w(r) is extracted from the algebra of
+2-simplices: the unique algebra map X with X(b) = (f0(b), s(b), s'(b), 0)
+has the form
 
     X(r) = (f0(r), s(r), s'(r) - d2'(w(r)), w(r)),
 
@@ -33,16 +34,25 @@ w is read only in ``_pair_w``, and ``x_map`` is the one pointwise check
 of X's component form.  The groupoid's compositions skip that check:
 they read w only at 0, as d1 = 0 on a free R with finite E (x d1(e) =
 d1(x > e), checked by make_two_crossed on generator tuples (x, e), would
-otherwise exceed the top degree of d1(E)).
+otherwise exceed the top degree of d1(E)), or into a target whose L' has
+no basis, where w = 0.
 
-Everything here refuses to run without a recorded free basis
-(FreeBasisRequired): without freeness the homotopy relation is not an
-equivalence relation, and silently computing would be wrong.
+Composition and inversion read the input (``_s_keys``): they need a
+recorded free basis, unless the target's L' has no basis.  There w = 0,
+so s [+] s' = s + s' and sbar = -s, and over a finite R they run on its
+R-basis; this is the crossed layer, the L = 0 slice (``cm_homotopy``).
+Otherwise they refuse (FreeBasisRequired): without freeness the homotopy
+relation is not an equivalence relation, and silently computing would be
+wrong.  The triangle and tetrahedron maps X and Z always need B.
 
 Where the proofs come from.  t-product and its boundary form are over the
-finite E and L, so they are checked on bases.  Over a free R the s-law
-holds by construction and the target's g0 is a substitution (the crossed
-layer's ``check_derivation_law`` and ``target_g0``).  t-action and its
+finite E and L, so they are checked on bases; into a target whose L' has
+no basis every t-law holds by construction.  Over a finite R the s-law
+is checked on a basis.  Over a free R it holds by construction: s is read
+through the substitution phi: r -> (f0(r), s(r)) into R' |x E', and
+``check_derivation_law`` proves the law from phi once its premises are
+proved; the target's g0 = f0 + d1' o s is then a substitution too
+(``target_g0``, with the formula kept as a tripwire).  t-action and its
 boundary form take the generator rule of ``maps.check_law`` by the closure
 lemma of ``make_quadratic_derivation``, and so do the equivariance laws of
 each target map (``crossed.make_2cm_morphism``).  Each proof names its
@@ -50,63 +60,57 @@ premises and falls back to sampling when one of them is not proved.
 
 A homotopy is one object, a ``QuadraticDerivation``: its data, the
 policy its laws were certified under, and its ``target``, the map g
-certified under that same policy when first read and then kept.  It
-extends ``cm_homotopy.CMDerivation``, the one derivation shape of both
-layers, by t alone: the s-half, the certificates and the s-comparison
-``CMDerivation.equal`` are the crossed layer's.  The operations here
-take derivations, and ``concat_2cm`` and ``invert_2cm`` return one,
-certified under the policy they are given.  ``tcm_groupoid_check`` runs
-the crossed layer's groupoid loop (``groupoid_check``) on them and adds
-t-associativity and w-change.
+certified under that same policy when first read and then kept.  The
+operations here take derivations, and ``concat_2cm`` and ``invert_2cm``
+return one, certified under the policy they are given.
+``groupoid_check`` is the one loop over the groupoid laws;
+``tcm_groupoid_check`` runs it and adds t-associativity and w-change,
+``cm_homotopy.cm_groupoid_check`` runs it on the slices.
 
 Each homotopy is certified once.  ``make_quadratic_derivation``
-certifies every call and keeps its result on f, keyed (``kept_key``, as
-in the crossed layer) by the policy and the normalized data: the
-completed s-images, the declared monomial values and the nonzero
-t-images.  ``zero_quadratic``, ``concat_2cm`` and ``apply_2cm_homotopy``
-(for a derivation certified under another policy) go through
-``_quadratic``, which normalizes the same way and returns the kept
-derivation when the key matches, certifying only on a miss; so the
-groupoid's zeros, its units (0 [+] h = h [+] 0 = h), its inverse laws
-(h [+] hbar = 0) and both bracketings of a triple come back as the
-object already certified, with its target.  ``invert_2cm`` and randgen always
-certify.  Reuse is exact: a certification is a pure function of (f,
-images, policy).  Its sampled tuples are a function of the policy and R
-alone, s and t are fixed by their images, and a hit needs equal images
-over the same f object and an equal policy, so a hit returns the object
-a re-certification would rebuild, with the same certificates, and its
-kept target is certified under the policy asked for.  A composite with
-wrong data matches no key and is certified, and rejected, as before.
+certifies every call and keeps its result on f, keyed (``kept_key``) by
+the policy and the normalized data: the completed s-images, the declared
+monomial values and the nonzero t-images.  ``zero_quadratic``,
+``concat_2cm`` and ``apply_2cm_homotopy`` (for a derivation certified
+under another policy) go through ``_quadratic``, which normalizes the
+same way and returns the kept derivation when the key matches,
+certifying only on a miss; so the groupoid's zeros, its units (0 [+] h =
+h [+] 0 = h), its inverse laws (h [+] hbar = 0) and both bracketings of a
+triple come back as the object already certified, with its target.
+``invert_2cm`` and randgen always certify.  Reuse is exact: a
+certification is a pure function of (f, images, policy).  Its sampled
+tuples are a function of the policy and R alone, s and t are fixed by
+their images, and a hit needs equal images over the same f object and an
+equal policy, so a hit returns the object a re-certification would
+rebuild, with the same certificates, and its kept target is certified
+under the policy asked for.  A composite with wrong data matches no key
+and is certified, and rejected, as before.
 """
 
+import random
 from functools import cached_property, partial
 
-from .algebra import unit_key
-from .cm_homotopy import (
-    CMDerivation,
-    check_derivation_law,
-    complete_s_images,
-    derivation_map,
-    groupoid_check,
-    kept_key,
-    target_g0,
-)
+from .algebra import FreeAlgebra, unit_key
 from .crossed import make_2cm_morphism
 from .errors import (
     CompositionMismatch,
     FreeBasisRequired,
+    LawViolation,
+    MorphismViolation,
     QDLawViolation,
     XmodError,
 )
 from .maps import (
     DEFAULT_POLICY,
     EXHAUSTIVE,
+    LinearMap,
     algebra_morphism,
     check_law,
     is_proof,
     linear_map,
     maps_agree,
     random_element,
+    _skeleton,
 )
 from .randgen import random_2cm_morphism, random_quadratic_derivation
 from .simplex import get_tower
@@ -119,6 +123,115 @@ def _require_free(A):
             "of 2-crossed homotopies are only defined for domains free up to order one"
         )
     return A.free_basis
+
+
+def _s_keys(A, B):
+    """The keys that a composite's or an inverse's s-images over A -> B are
+    given on: the recorded free basis of R, or, into a target whose L' has
+    no basis (so w = 0), the R-basis of a finite R.  Otherwise
+    FreeBasisRequired, from ``_require_free``."""
+    if A.free_basis is None and A.R.is_finite() and B.L.dim() == 0:
+        return A.R.basis_keys()
+    return _require_free(A)
+
+
+def derivation_map(f, images, edge):
+    """Realize an f0-derivation s: R -> E' from its images.
+
+    A finite R gives a basis table.  A free R gives the algebra map
+    phi: r -> (f0(r), s(r)) into R' |x E' = edge(), the substitution fixed
+    by the generator images, followed by the projection to E'; ``edge`` is
+    called only then, and phi is kept as ``s.edge_map`` for the s-law's
+    proof by construction (``check_derivation_law``).
+    """
+    R, target = f.src.R, f.tgt.E
+    if R.is_finite():
+        return linear_map(R, target, images)
+    lam1 = edge()
+    phi = algebra_morphism(
+        R, lam1, images={b: lam1.pair(f.f0(R.basis_element((b,))), images[b]) for b in R.generators}
+    )
+    s = LinearMap(R, target, "function", fn=lambda r: lam1.split(phi(r))[1], note="derivation")
+    s.edge_map = phi
+    return s
+
+
+def _by_construction(f0, act, s):
+    """Whether the derivation law of s holds by construction: s is read
+    through a substitution phi: R -> R' |x E' (``derivation_map``), f0 is
+    proved multiplicative, R' |x E' is proved commutative and associative
+    under the law's action ``act``, and phi(b) has R'-part f0(b) on B."""
+    phi = getattr(s, "edge_map", None)
+    if phi is None or not (is_proof(f0.multiplicative) and is_proof(phi.multiplicative)):
+        return False
+    edge = phi.target
+    return (
+        is_proof(edge.certificate)
+        and edge.action.same(act)
+        and all(edge.split(phi.images[b])[0] == f0(phi.source.basis_element((b,)))
+                for b in phi.source.generators)
+    )
+
+
+def check_derivation_law(R, f0, act, s, declared, error, policy):
+    """Check s(rr') = f0(r) > s(r') + f0(r') > s(r) + s(r)s(r') on law
+    tuples of R x R; returns the certificate or raises error(witness, lhs, rhs).
+
+    First each declared monomial value (see ``complete_s_images``) must be
+    the value s takes there; otherwise error((monomial,), declared, s(monomial)).
+
+    Over a free R the law holds by construction (``maps.check_law``) when
+    ``_by_construction`` says its premises hold.  The lemma: phi is an
+    algebra map, being a substitution into a commutative associative
+    algebra.  Its R'-part and f0 are algebra maps that agree on B, so they
+    are equal, and phi(rr') = phi(r)phi(r') reads, in the E'-component of
+    (a, e)(a', e') = (aa', a > e' + a' > e + ee'), as the law above.
+    Otherwise the law is checked on law tuples.
+    """
+    for mono, value in declared.items():
+        r = R.basis_element(mono)
+        forced = s(r)
+        if forced != value:
+            raise error((r,), value, forced)
+
+    def rhs(r, r2):
+        sr, sr2 = s(r), s(r2)
+        return act(f0(r), sr2) + act(f0(r2), sr) + sr * sr2
+
+    return check_law(
+        [R, R], lambda r, r2: s(r * r2), rhs, error, policy,
+        by_construction=_by_construction(f0, act, s),
+    )
+
+
+def image_key(images):
+    """An image table as a hashable value: each key with its coefficients."""
+    return frozenset((key, frozenset(value.coeffs.items())) for key, value in images.items())
+
+
+def complete_s_images(R, E, images):
+    """Split given s-data for s: R -> E into its images and declared
+    monomial values, each owned by E.  The images are completed by zero on
+    the R-basis of a finite R, or on the generators of a free one; there a
+    monomial key declares a value that the derivation law forces, so it is
+    checked, not used."""
+    out, declared = {}, {}
+    free = not R.is_finite()
+    for key, value in images.items():
+        E.owns(value)
+        if free and isinstance(key, tuple):
+            declared[R.check_key(key)] = value
+        else:
+            out[key] = value
+    for key in R.generators if free else R.basis_keys():
+        out.setdefault(key, E.zero())
+    return out, declared
+
+
+def kept_key(policy, *tables):
+    """The key a certified derivation is kept under on its base map: the
+    policy and each normalized image table."""
+    return (policy, *map(image_key, tables))
 
 
 def _normalize(f, s_images, t_images):
@@ -143,25 +256,41 @@ def _s_map(f, images, policy=DEFAULT_POLICY):
     return derivation_map(f, images, lambda: get_tower(f.tgt, policy, top=2).levels[1])
 
 
-class QuadraticDerivation(CMDerivation):
+class QuadraticDerivation:
     """A pair (s, t) over a 2-crossed morphism f, with its laws certified
-    under ``policy``: the s-half is a ``CMDerivation``, and t: E -> L' is
-    given by ``t_images`` on the E-basis.  ``target`` is the target map,
-    certified under the same policy when first read and then kept."""
+    under ``policy``; a crossed derivation is one with t = 0 over the
+    slices (``cm_homotopy``).
+
+    ``s_images`` records s: R -> E' on the R-basis (finite R) or on the
+    free generators (free R, where s is evaluated through the algebra map
+    r -> (f0(r), s(r)) into R' |x E'); t: E -> L' is given by ``t_images``
+    on the E-basis.  ``certificates`` maps each law to its certificate.
+    ``target`` is the target map, certified under the same policy when
+    first read and then kept."""
 
     def __init__(self, f, s_images, s, t_images, t, certificates, policy):
-        super().__init__(f, s_images, s, certificates, policy)
+        self.f = f
+        self.s_images = s_images
+        self.s = s
         self.t_images = t_images
         self.t = t
+        self.certificates = certificates
+        self.policy = policy
 
     @cached_property
     def target(self):
         return _qd_target(self)
 
+    def same_s(self, other):
+        """Same base map and the same s on a spanning set of R."""
+        return self is other or (
+            self.f.equal(other.f) and maps_agree(self.s, other.s, _skeleton(self.f.src.R))
+        )
+
     def equal(self, other):
         """Same base map, the same s and the same t on the E-basis."""
         return self is other or (
-            super().equal(other) and maps_agree(self.t, other.t, self.f.src.E.basis_elements())
+            self.same_s(other) and maps_agree(self.t, other.t, self.f.src.E.basis_elements())
         )
 
 
@@ -197,12 +326,14 @@ def make_quadratic_derivation(f, s_images, t_images, policy=DEFAULT_POLICY):
 
     Where the proofs come from: t-product and its boundary form are over
     the finite E and L, so they are checked on bases.  Over a free R the
-    s-law holds by construction (``cm_homotopy.check_derivation_law``),
+    s-law holds by construction (``check_derivation_law``),
     and t-action takes the generator rule (r on B, e over the E-basis)
     when ``_t_action_premises`` holds, by the closure lemma below;
     otherwise both are sampled.  t-action on boundaries is t-action at
     e = d2(l), rewritten by 2XM4, 2XM5 and f's d2-square, so it is checked
-    on the tuples t-action is checked on.
+    on the tuples t-action is checked on.  Into a target whose L' has no
+    basis, as for a crossed module's slice, both sides of every t-law lie
+    in L' = 0, so the t-laws hold by construction.
 
     The closure lemma.  Write a = f0(r), sigma = s(r), x = f1(e), z =
     s(d1 e), {-,-} for the target's lifting, and
@@ -233,19 +364,34 @@ def make_quadratic_derivation(f, s_images, t_images, policy=DEFAULT_POLICY):
     which is 0 by 2XM6.  So the r where t-action holds form a subspace
     closed under products, and the generator rule applies.
     """
+    return _certify(f, s_images, t_images, policy, partial(QDLawViolation, "s-law"))
+
+
+def _certify(f, s_images, t_images, policy, s_error):
+    """``make_quadratic_derivation``, raising ``s_error`` for the s-law
+    (a crossed derivation reports DerivationLawViolation)."""
     A, B = f.src, f.tgt
     s_images, declared, t_norm = _normalize(f, s_images, t_images)
     smap = _s_map(f, s_images, policy)
     tmap = linear_map(A.E, B.L, t_norm)
+    certs = {"s-law": check_derivation_law(A.R, f.f0, B.act_e, smap, declared, s_error, policy)}
+    if B.L.dim() == 0:  # every side of a t-law lies in L' = 0
+        certs["t-product"] = certs["t-action"] = EXHAUSTIVE
+    else:
+        certs.update(_t_laws(f, smap, tmap, certs["s-law"], policy))
+    qd = QuadraticDerivation(f, s_images, smap, t_norm, tmap, certs, policy)
+    f._homotopies.setdefault(kept_key(policy, s_images, declared, t_norm), qd)
+    return qd
 
-    act_e, act_l, lift, prime, d1p = B.act_e, B.act_l, B.lift, B.act_prime, B.d1
+
+def _t_laws(f, smap, tmap, s_law, policy):
+    """The certificates of t-product and t-action for (smap, tmap) over f,
+    each law and its boundary form checked as ``make_quadratic_derivation``
+    says; raises QDLawViolation."""
+    A, B = f.src, f.tgt
+    act_l, lift, prime, d1p = B.act_l, B.lift, B.act_prime, B.d1
     f0, f1, f2 = f.f0, f.f1, f.f2
-    certs = {}
-
-    certs["s-law"] = check_derivation_law(
-        A.R, f0, act_e, smap, declared, partial(QDLawViolation, "s-law"), policy
-    )
-    r_over_generators = (0,) if _t_action_premises(f, certs["s-law"]) else ()
+    r_over_generators = (0,) if _t_action_premises(f, s_law) else ()
 
     def law(name, algebras, lhs, rhs, generators=()):
         return check_law(algebras, lhs, rhs, partial(QDLawViolation, name), policy, generators=generators)
@@ -278,7 +424,7 @@ def make_quadratic_derivation(f, s_images, t_images, policy=DEFAULT_POLICY):
             for _, f1e, te, se in ebasis.values()
         ]
 
-    certs["t-product"] = law("t-product", [A.E, A.E], lambda e, e2: tmap(e * e2), t_product)
+    certs = {"t-product": law("t-product", [A.E, A.E], lambda e, e2: tmap(e * e2), t_product)}
     certs["t-action"] = law(
         "t-action", [A.R], lambda r: [tmap(A.act_e(r, e)) for e, _, _, _ in ebasis.values()], t_action,
         r_over_generators,
@@ -310,10 +456,7 @@ def make_quadratic_derivation(f, s_images, t_images, policy=DEFAULT_POLICY):
         lambda r: [tmap(A.act_e(r, dl)) for dl, _, _ in lbasis.values()], action_on_boundaries,
         r_over_generators,
     )
-
-    qd = QuadraticDerivation(f, s_images, smap, t_norm, tmap, certs, policy)
-    f._homotopies.setdefault(kept_key(policy, s_images, declared, t_norm), qd)
-    return qd
+    return certs
 
 
 def _quadratic(f, s_images, t_images, policy):
@@ -327,11 +470,42 @@ def zero_quadratic(f, policy=DEFAULT_POLICY):
     return _quadratic(f, {}, {}, policy)
 
 
+def target_g0(qd):
+    """g0 = f0 + d1' o s: R -> R', the R-part of the target of qd.
+
+    The lemma: pi(a, e) = a + d1'(e) is an algebra map R' |x E' -> R' when
+    d1' is multiplicative and equivariant, since
+
+        pi((a, e)(a', e')) = aa' + d1'(a > e' + a' > e + ee')
+                           = aa' + a d1'(e') + a' d1'(e) + d1'(e) d1'(e')
+                           = pi(a, e) pi(a', e').
+
+    By the s-law, phi: r -> (f0(r), s(r)) is an algebra map, so g0 =
+    pi o phi is one; over a free R it is the substitution b -> f0(b) +
+    d1'(s(b)).  When the s-law, d1' and its equivariance are proved, g0 is
+    built so (EXHAUSTIVE by construction), and f0 + d1' o s stays as a
+    tripwire on the policy's sampled r, evaluated once per spanned
+    monomial (``maps.check_law``).  Otherwise g0 is the formula, certified
+    multiplicative on law tuples.
+    """
+    f, s, policy = qd.f, qd.s, qd.policy
+    R, boundary = f.src.R, f.tgt.d1
+    formula = lambda r: f.f0(r) + boundary(s(r))
+    proofs = (qd.certificates["s-law"], boundary.multiplicative, f.tgt.certificates["d1-equivariance"])
+    if not (isinstance(R, FreeAlgebra) and all(map(is_proof, proofs))):
+        return algebra_morphism(R, boundary.target, fn=formula, policy=policy, note="g0")
+    g0 = algebra_morphism(
+        R, boundary.target, images={b: formula(R.basis_element((b,))) for b in R.generators}, note="g0"
+    )
+    check_law([R], g0, formula, partial(MorphismViolation, msg="g0 differs from f0 + d'.s"), policy)
+    return g0
+
+
 def _qd_target(qd):
     f, policy = qd.f, qd.policy
     A, B = f.src, f.tgt
     s, t = qd.s, qd.t
-    g0 = target_g0(qd, qd.certificates["s-law"], B.d1, B.certificates["d1-equivariance"])
+    g0 = target_g0(qd)
     g1 = algebra_morphism(
         A.E, B.E, fn=lambda e: f.f1(e) + s(A.d1(e)) + B.d2(t(e)), policy=policy, note="g1"
     )
@@ -369,7 +543,7 @@ def extend_derivation(f, s_star, policy=DEFAULT_POLICY):
 
 def _sum_images(h1, h2):
     """(s + s')|B, the generator images of s [+] s'."""
-    return {b: h1.s_images[b] + h2.s_images[b] for b in _require_free(h1.f.src)}
+    return {b: h1.s_images[b] + h2.s_images[b] for b in _s_keys(h1.f.src, h1.f.tgt)}
 
 
 def box_plus_s(h1, h2, policy=DEFAULT_POLICY):
@@ -417,10 +591,11 @@ def x_map(h1, h2, r, policy=DEFAULT_POLICY):
 def _pair_w(f, images1, images2, r, policy=DEFAULT_POLICY):
     """w for a raw pair of basis-image tables over the base f: the
     L'-component of X(r), the one place w is read.  w is linear, so w(0) =
-    0 without building X; concatenation and inversion read w at d1(e),
-    which is 0 on every domain the groupoid accepts."""
-    _require_free(f.src)
-    if f.src.R.owns(r).is_zero():
+    0 without building X, and w = 0 when L' has no basis; concatenation and
+    inversion read w at d1(e), which is 0 on every free domain the groupoid
+    accepts."""
+    _s_keys(f.src, f.tgt)
+    if f.src.R.owns(r).is_zero() or f.tgt.L.dim() == 0:
         return f.tgt.L.zero()
     tower, X = _triangle_map(f, images1, images2, policy)
     return tower.split2(X(r))[3]
@@ -454,10 +629,10 @@ def concat_2cm(h1, h2, policy=DEFAULT_POLICY):
 
 def invert_2cm(h, policy=DEFAULT_POLICY):
     """The groupoid inverse, certified under ``policy``: sbar extends
-    -s|B as a g0-derivation and tbar = -t - w^(s,sbar) o d1; both
-    concatenations are the zero homotopy, exactly."""
+    -s|B as a g0-derivation (or is -s, see ``_s_keys``) and tbar = -t -
+    w^(s,sbar) o d1; both concatenations are the zero homotopy, exactly."""
     A = h.f.src
-    sbar_images = {b: -h.s_images[b] for b in _require_free(A)}
+    sbar_images = {b: -h.s_images[b] for b in _s_keys(A, h.f.tgt)}
     tbar_images = {}
     for k in A.E.basis_keys():
         e = A.E.basis_element(k)
@@ -537,12 +712,68 @@ def check_w_change(h1, h2, h3, r, policy=DEFAULT_POLICY):
     return lhs == rhs, lhs, rhs
 
 
+def bracketings(concat, d1, d2, d3, policy):
+    """(d1 d2) d3 and d1 (d2 d3) for a composable triple, each composite
+    formed by ``concat`` under ``policy``."""
+    return concat(concat(d1, d2, policy), d3, policy), concat(d1, concat(d2, d3, policy), policy)
+
+
+def groupoid_check(A, B, samples, seed, policy, names, ops, more=None):
+    """Sample derivation chains A -> B and check the groupoid laws of
+    either layer exactly; returns report entries (name, ok, witness).
+
+    ``names`` is the layer's (prefix, validity law, associativity law),
+    ``ops`` its (random morphism, random derivation, zero, concat, invert).
+    Each sample draws f and a chain d1: f => g, d2, d3 from one
+    Random(seed); if one of them or a target fails certification, the
+    validity law is false with the error as witness.  Otherwise come the
+    units, inverses, s-associativity and the relation's laws, then the
+    (law, ok, witness) triples of ``more(rng, d1, d2, d3, left, right)``.
+    """
+    prefix, valid, associative = names
+    random_morphism, random_derivation, zero, concat, invert = ops
+    rng = random.Random(seed)
+    entries = []
+
+    def note(law, ok, witness=None):  # i is the current sample
+        entries.append(("%s/%02d/%s" % (prefix, i, law), ok, witness))
+
+    for i in range(samples):
+        f = random_morphism(A, B, rng, policy=policy)
+        try:  # each target is certified when read
+            d1 = random_derivation(f, rng, policy=policy)
+            g = d1.target
+            d2 = random_derivation(g, rng, policy=policy)
+            d3 = random_derivation(d2.target, rng, policy=policy)
+            d3.target
+        except LawViolation as exc:
+            note(valid, False, str(exc))
+            continue
+        note(valid, True)
+
+        zf, zg = zero(f, policy), zero(g, policy)
+        note("reflexive-zero", zf.target.equal(f))
+        note("identity-left", concat(zf, d1, policy).equal(d1))
+        note("identity-right", concat(d1, zg, policy).equal(d1))
+        inv = invert(d1, policy)
+        note("symmetric", inv.target.equal(f))
+        note("inverse-right", concat(d1, inv, policy).equal(zf))
+        note("inverse-left", concat(inv, d1, policy).equal(zg))
+        left, right = bracketings(concat, d1, d2, d3, policy)
+        note(associative, left.same_s(right))
+        note("transitive", left.target.equal(d3.target))
+        if more:
+            for law, ok, witness in more(rng, d1, d2, d3, left, right):
+                note(law, ok, witness)
+    return entries
+
+
 def tcm_groupoid_check(A, B, samples=25, seed=0, policy=DEFAULT_POLICY):
-    """The groupoid laws (``cm_homotopy.groupoid_check``) on sampled
-    homotopy chains of 2-crossed module maps A -> B, then associativity of
-    the t-components and w-change at one random r per triple.  Returns
-    report entries (name, ok, witness)."""
-    _require_free(A)
+    """The groupoid laws (``groupoid_check``) on sampled homotopy chains of
+    2-crossed module maps A -> B, then associativity of the t-components
+    and w-change at one random r per triple.  Returns report entries
+    (name, ok, witness)."""
+    _s_keys(A, B)
     ebasis = A.E.basis_elements()
 
     def more(rng, h1, h2, h3, left, right):

@@ -115,6 +115,26 @@ def test_crossed_homotopy_json_is_pinned(tmp_path, capsys, op, names):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _CROSSED_DIGESTS[op, names]
 
 
+@pytest.mark.parametrize("op, names, entry", [
+    ("compose", "d,d3", "homotopy/compose/composable"),
+    ("assoc", "d,d3,d2", "assoc/composable"),
+])
+def test_non_composable_homotopies_fail_their_composable_entry(tmp_path, capsys, op, names, entry):
+    """Homotopies that do not compose (d's target g1 is not d3's base g2)
+    are a failed composable entry under the op's own header, with the
+    error as witness, and exit 1; nothing else is reported."""
+    doc = tmp_path / "crossed.json"
+    doc.write_text(json.dumps(_CROSSED_CHAIN))
+    out = tmp_path / "out.json"
+    argv = ["homotopy", op, str(doc), "--names", names, "--seed", "0", "--json", str(out)]
+    assert cli.main(argv) == 1
+    report = json.loads(out.read_text())
+    assert report["command"] == "homotopy " + op
+    assert report["params"] == {"file": "crossed.json", "names": names.split(","), "seed": 0}
+    assert [(c["name"], c["status"]) for c in report["checks"]] == [(entry, "fail")]
+    assert "differs from the base of the second" in report["checks"][0]["witness"]
+
+
 def test_mixed_kinds_report_is_the_same_under_every_hash_seed():
     """Naming a quadratic and a crossed derivation together is refused,
     with the same bytes whatever the string hash seed."""
@@ -172,7 +192,7 @@ def test_groupoid_json_is_pinned(tmp_path, capsys, flavor, source, target, seed)
 
 
 @pytest.mark.parametrize("module, target, name", [
-    ("tcm_homotopy", "_qd_target", "h1"), ("cm_homotopy", "_cm_target", "d1"),
+    ("tcm_homotopy", "_qd_target", "h1"), ("tcm_homotopy", "_qd_target", "d1"),
 ])
 def test_apply_reports_a_target_that_fails_certification(tmp_path, capsys, monkeypatch,
                                                          module, target, name):

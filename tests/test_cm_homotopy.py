@@ -7,16 +7,16 @@ from xmod2.algebra import make_finite_algebra, make_free_algebra
 from xmod2.cm_homotopy import (
     cm_groupoid_check,
     concat_cm,
-    edge_algebra,
     invert_cm,
     make_cm_derivation,
     zero_cm_derivation,
 )
 from xmod2.crossed import identity_cm_morphism, ideal_inclusion_cm, make_cm_morphism, make_crossed
 from xmod2.errors import CompositionMismatch, DerivationLawViolation
-from xmod2.maps import Certificate, Policy, algebra_morphism, zero_action
+from xmod2.maps import DEFAULT_POLICY, Certificate, Policy, algebra_morphism, zero_action
 from xmod2.randgen import random_cm_derivation, random_cm_morphism
 from xmod2.rings import QQ
+from xmod2.simplex import get_tower
 
 
 def f1_setup():
@@ -31,7 +31,7 @@ def test_derivation_accepted_and_law_checked_by_hand():
     # law at (x, x): s(x^2) = 2 x > s(x) + s(x)^2 = 0
     x = cm.R.basis_element("x")
     assert s.s(x * x).is_zero()
-    assert s.certificates["derivation-law"].exhaustive
+    assert s.certificates["s-law"].exhaustive
 
 
 def test_zero_derivation_connects_f_to_f():
@@ -156,9 +156,10 @@ def test_random_generators_produce_valid_objects():
     assert f.equal(f2) and d.equal(d2)
 
 
-def test_edge_algebra_is_certified_under_the_callers_policy():
-    """Over a free R the derivation is realized through R |x E, which is kept
-    on the target per policy and carries the caller's certificate."""
+def test_slice_edge_algebra_is_certified_under_the_derivations_policy():
+    """Over a free R the derivation is realized through R |x E, Lambda1 of
+    the target slice's tower, which is kept on the slice per policy and
+    carries the derivation's own policy's certificate."""
     R = make_free_algebra(["x"], QQ)
     E = make_finite_algebra(["a"], {}, QQ)
     cm = make_crossed(E, R, algebra_morphism(E, R, images={"a": R.zero()}), zero_action(R, E))
@@ -166,11 +167,11 @@ def test_edge_algebra_is_certified_under_the_callers_policy():
     pol = Policy(samples=6, max_degree=2, seed=13)
     s = make_cm_derivation(f, {"x": E.basis_element("a")}, pol)
     assert s.s(R.monomial("x", "x")).is_zero()
-    assert list(cm._edges) == [pol]
-    edge = edge_algebra(cm, pol)
-    assert edge is cm._edges[pol]
+    assert list(f.tgt._towers) == [pol]
+    edge = s.s.edge_map.target
+    assert edge is get_tower(f.tgt, pol, top=2).levels[1]
     assert edge.certificate == Certificate(False, 2, 6, 13)
-    assert edge_algebra(cm).certificate == Certificate(False, 4, 100, 0)
+    assert get_tower(f.tgt, DEFAULT_POLICY, top=2).levels[1].certificate == Certificate(False, 4, 100, 0)
 
 
 def _free_line_cm():
@@ -206,14 +207,14 @@ def test_a_target_that_fails_certification_fails_its_entry(monkeypatch):
     """target-valid reports a drawn derivation whose target does not
     certify: the sample's entry is false, with the error naming the law,
     and the check goes on to the next sample instead of raising."""
-    from xmod2 import cm_homotopy
+    from xmod2 import tcm_homotopy
 
     def wrong_target(d):  # g0 sends every basis element to x, but x^2 = x2
         R = d.f.tgt.R
         x = R.basis_element("x")
         return algebra_morphism(d.f.src.R, R, fn=lambda r: x, policy=d.policy, note="g0")
 
-    monkeypatch.setattr(cm_homotopy, "_cm_target", wrong_target)
+    monkeypatch.setattr(tcm_homotopy, "_qd_target", wrong_target)
     cm = fixtures.ideal_crossed()
     entries = cm_groupoid_check(cm, cm, samples=2, seed=3)
     assert [(name, ok) for name, ok, _ in entries] == [
@@ -239,13 +240,14 @@ def test_target_is_certified_under_the_derivations_own_policy():
 def test_groupoid_check_certifies_only_under_its_policy(monkeypatch):
     """Every morphism and derivation the check draws or builds is
     certified under the policy it was given."""
-    from xmod2 import cm_homotopy, randgen
+    from xmod2 import cm_homotopy, randgen, tcm_homotopy
 
     cm = fixtures.ideal_crossed()
     pol = Policy(samples=10, seed=4)
     seen = []
-    for module, name in ((randgen, "make_cm_morphism"), (randgen, "make_cm_derivation"),
-                         (cm_homotopy, "make_cm_morphism"), (cm_homotopy, "make_cm_derivation")):
+    for module, name in ((randgen, "make_2cm_morphism"), (tcm_homotopy, "make_2cm_morphism"),
+                         (tcm_homotopy, "make_quadratic_derivation"),
+                         (cm_homotopy, "make_cm_derivation")):
         real = getattr(module, name)
 
         def recording(*args, _real=real):

@@ -256,13 +256,13 @@ def test_crossed_derivations_over_a_free_r_are_proved_the_same_way():
     f1 = algebra_morphism(C.E, F1.E, images={"a": F1.E.zero()})
     f = make_cm_morphism(C, F1, algebra_morphism(R, F1.R, images={"y": x}), f1, PROVED)
     d = make_cm_derivation(f, {"y": 3 * x2}, PROVED)
-    assert d.certificates["derivation-law"].exhaustive
+    assert d.certificates["s-law"].exhaustive
     g0 = d.target.f0
     assert g0.rule == "substitution" and g0(R.monomial("y")) == x + 3 * F1.R.basis_element("x2")
     assert g0(R.monomial("y", "y")) == F1.R.basis_element("x2")
     f = make_cm_morphism(C, F1, zero_map(R, F1.R), f1, PROVED)
     d = make_cm_derivation(f, {"y": 3 * x2}, PROVED)
-    assert d.certificates["derivation-law"] is PROVED.certificate
+    assert d.certificates["s-law"] is PROVED.certificate
     assert d.target.f0.rule == "function"
 
 
@@ -299,9 +299,9 @@ def test_the_g0_tripwire_evaluates_once_per_spanned_monomial(monkeypatch):
     """On a fresh target the tripwire's 11 tuples (x, then ten draws of
     degree <= 4) span at most x, x^2, x^3 and x^4, and g0 is evaluated on
     those alone."""
-    from xmod2 import cm_homotopy
+    from xmod2 import tcm_homotopy
 
-    real = cm_homotopy.check_law
+    real = tcm_homotopy.check_law
     seen = []
 
     def check_law(algebras, lhs, rhs, error, policy, **kwargs):
@@ -311,7 +311,7 @@ def test_the_g0_tripwire_evaluates_once_per_spanned_monomial(monkeypatch):
             lhs = lambda r: calls.append(r) or g0(r)  # noqa: E731
         return real(algebras, lhs, rhs, error, policy, **kwargs)
 
-    monkeypatch.setattr(cm_homotopy, "check_law", check_law)
+    monkeypatch.setattr(tcm_homotopy, "check_law", check_law)
     qd = _g0_target(PROVED)
     assert qd.target.f0.rule == "substitution"
     [(tuples, calls)] = seen

@@ -48,7 +48,7 @@ def test_named_homotopies_resolve():
     E2 = h1.f.tgt.E
     assert h1.s(R3.monomial("x", "x")) == E2.basis_element("b")
     d1 = doc.derivations["d1"]
-    assert d1.certificates["derivation-law"].exhaustive
+    assert d1.certificates["s-law"].exhaustive
 
 
 def test_semidirect_algebra_in_document():

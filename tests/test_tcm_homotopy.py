@@ -460,6 +460,35 @@ def test_free_basis_guardrails():
         tcm_groupoid_check(F2, F2, samples=1, seed=0, policy=POL)
 
 
+def test_a_finite_domain_composes_only_into_a_target_with_no_l():
+    """Composition and inversion need a recorded free basis unless the
+    target's L' has no basis.  The kernel 2-crossed module K of F1 = (x2)
+    -> <x, x2> has a finite R, no free basis and L = ker d = 0: there w = 0,
+    so s [+] s' = s + s' and sbar = -s on the R-basis.  From K into F2,
+    whose L' is Q{b-hat}, both still refuse."""
+    from xmod2.crossed import PreCrossedModule, kernel_two_crossed
+
+    F1 = fixtures.ideal_crossed()
+    K = kernel_two_crossed(PreCrossedModule(F1.E, F1.R, F1.d, F1.act), POL)
+    assert K.free_basis is None and K.R.is_finite() and K.L.dim() == 0
+    f = identity_2cm_morphism(K)
+    x, x2 = K.R.basis_element("x"), K.E.basis_element("x2")
+    h1 = make_quadratic_derivation(f, {"x": x2}, {}, POL)
+    h2 = make_quadratic_derivation(h1.target, {"x": 2 * x2}, {}, POL)
+    both = concat_2cm(h1, h2, POL)
+    assert both.s(x) == 3 * x2 and both.target.equal(h2.target)
+    inv = invert_2cm(h1, POL)
+    assert inv.s(x) == -x2 and inv.target.equal(f)
+    assert concat_2cm(h1, inv, POL).equal(zero_quadratic(f, POL))
+    assert w_map(h1, h2, x, POL).is_zero()
+
+    qd = make_quadratic_derivation(zero_2cm_morphism(K, fixtures.square_two_crossed(), POL), {}, {}, POL)
+    with pytest.raises(FreeBasisRequired):
+        concat_2cm(qd, qd, POL)
+    with pytest.raises(FreeBasisRequired):
+        invert_2cm(qd, POL)
+
+
 def test_groupoid_check_fixture_pairs():
     F3 = fixtures.free_line_two_crossed()
     F2 = fixtures.square_two_crossed()
@@ -666,7 +695,7 @@ def test_work_count_of_a_derivation_on_a_fresh_target(monkeypatch):
 
     The pin was [15, 429] while the s-law and both t-action forms were
     sampled (1 + 10 tuples each).  Now the s-law holds by construction
-    (``cm_homotopy.check_derivation_law``: s is the E'-part of a
+    (``tcm_homotopy.check_derivation_law``: s is the E'-part of a
     substitution into Lam1, with f0 proved) and evaluates no tuple, and
     t-action and its boundary form take the generator rule (the closure
     lemma of ``make_quadratic_derivation``): r = x alone, 1 tuple each."""
@@ -764,7 +793,7 @@ def test_changed_data_or_policy_misses_the_memo_and_certifies_in_full(monkeypatc
     """A changed t-image or policy misses the memo: every law is decided
     again, the proved s-law by its premises (no tuple) and the other four
     on their tuples."""
-    from xmod2 import cm_homotopy, maps, tcm_homotopy
+    from xmod2 import maps, tcm_homotopy
 
     D, B, f, qd = _free_domain_instance(5)
     assert D.E.dim() == 2 and B.L.dim() == 2 and qd.t_images
@@ -773,7 +802,7 @@ def test_changed_data_or_policy_misses_the_memo_and_certifies_in_full(monkeypatc
     changed = dict(qd.t_images)
     changed["u0"] = changed["u0"] + B.L.basis_element("k1")  # one coefficient
 
-    real_tuples, real_premises = maps.law_tuples, cm_homotopy._by_construction
+    real_tuples, real_premises = maps.law_tuples, tcm_homotopy._by_construction
     calls, proofs = [], []
 
     def law_tuples(*args, **kwargs):
@@ -785,7 +814,7 @@ def test_changed_data_or_policy_misses_the_memo_and_certifies_in_full(monkeypatc
         return proofs[-1]
 
     monkeypatch.setattr(maps, "law_tuples", law_tuples)
-    monkeypatch.setattr(cm_homotopy, "_by_construction", by_construction)
+    monkeypatch.setattr(tcm_homotopy, "_by_construction", by_construction)
     assert tcm_homotopy._quadratic(f, qd.s_images, qd.t_images, POL) is qd
     assert calls == [] and proofs == []
     # t-product, t-action, t-product-on-boundaries, t-action-on-boundaries
@@ -854,11 +883,11 @@ def _right_t_off_by(c, real):
 def test_each_associativity_entry_checks_what_it_names(monkeypatch):
     """Bracketings equal in s and unequal in t pass s-associative and
     fail t-associative: the s-entry compares the s-halves alone."""
-    from xmod2 import cm_homotopy
+    from xmod2 import tcm_homotopy
 
     D, B, _, _ = _free_domain_instance(5)
-    off = _right_t_off_by(B.L.basis_element("k0"), cm_homotopy.bracketings)
-    monkeypatch.setattr(cm_homotopy, "bracketings", off)
+    off = _right_t_off_by(B.L.basis_element("k0"), tcm_homotopy.bracketings)
+    monkeypatch.setattr(tcm_homotopy, "bracketings", off)
     entries = {name: ok for name, ok, _ in tcm_groupoid_check(D, B, samples=1, seed=3, policy=POL)}
     assert entries["tcm/00/targets-valid"]
     assert entries["tcm/00/s-associative"] and not entries["tcm/00/t-associative"]
