@@ -52,7 +52,7 @@ is checked on a basis.  Over a free R it holds by construction: s is read
 through the substitution phi: r -> (f0(r), s(r)) into R' |x E', and
 ``check_derivation_law`` proves the law from phi once its premises are
 proved; the target's g0 = f0 + d1' o s is then a substitution too
-(``target_g0``, with the formula kept as a tripwire).  t-action and its
+(``_qd_target``, with the formula kept as a tripwire).  t-action and its
 boundary form take the generator rule of ``maps.check_law`` by the closure
 lemma of ``make_quadratic_derivation``, and so do the equivariance laws of
 each target map (``crossed.make_2cm_morphism``).  Each proof names its
@@ -470,11 +470,12 @@ def zero_quadratic(f, policy=DEFAULT_POLICY):
     return _quadratic(f, {}, {}, policy)
 
 
-def target_g0(qd):
-    """g0 = f0 + d1' o s: R -> R', the R-part of the target of qd.
+def _qd_target(qd):
+    """The target map (g0, g1, g2) of qd, certified under qd's policy.
 
-    The lemma: pi(a, e) = a + d1'(e) is an algebra map R' |x E' -> R' when
-    d1' is multiplicative and equivariant, since
+    g0 = f0 + d1' o s: R -> R'.  The lemma: pi(a, e) = a + d1'(e) is an
+    algebra map R' |x E' -> R' when d1' is multiplicative and equivariant,
+    since
 
         pi((a, e)(a', e')) = aa' + d1'(a > e' + a' > e + ee')
                            = aa' + a d1'(e') + a' d1'(e) + d1'(e) d1'(e')
@@ -488,24 +489,16 @@ def target_g0(qd):
     monomial (``maps.check_law``).  Otherwise g0 is the formula, certified
     multiplicative on law tuples.
     """
-    f, s, policy = qd.f, qd.s, qd.policy
-    R, boundary = f.src.R, f.tgt.d1
-    formula = lambda r: f.f0(r) + boundary(s(r))
-    proofs = (qd.certificates["s-law"], boundary.multiplicative, f.tgt.certificates["d1-equivariance"])
-    if not (isinstance(R, FreeAlgebra) and all(map(is_proof, proofs))):
-        return algebra_morphism(R, boundary.target, fn=formula, policy=policy, note="g0")
-    g0 = algebra_morphism(
-        R, boundary.target, images={b: formula(R.basis_element((b,))) for b in R.generators}, note="g0"
-    )
-    check_law([R], g0, formula, partial(MorphismViolation, msg="g0 differs from f0 + d'.s"), policy)
-    return g0
-
-
-def _qd_target(qd):
-    f, policy = qd.f, qd.policy
+    f, s, t, policy = qd.f, qd.s, qd.t, qd.policy
     A, B = f.src, f.tgt
-    s, t = qd.s, qd.t
-    g0 = target_g0(qd)
+    formula = lambda r: f.f0(r) + B.d1(s(r))
+    proofs = (qd.certificates["s-law"], B.d1.multiplicative, B.certificates["d1-equivariance"])
+    if isinstance(A.R, FreeAlgebra) and all(map(is_proof, proofs)):
+        images = {b: formula(A.R.basis_element((b,))) for b in A.R.generators}
+        g0 = algebra_morphism(A.R, B.d1.target, images=images, note="g0")
+        check_law([A.R], g0, formula, partial(MorphismViolation, msg="g0 differs from f0 + d'.s"), policy)
+    else:
+        g0 = algebra_morphism(A.R, B.d1.target, fn=formula, policy=policy, note="g0")
     g1 = algebra_morphism(
         A.E, B.E, fn=lambda e: f.f1(e) + s(A.d1(e)) + B.d2(t(e)), policy=policy, note="g1"
     )
