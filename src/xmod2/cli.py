@@ -250,7 +250,7 @@ def _cmd_homotopy(args, policy):
     if len(items) != 3:
         raise ValidationError("homotopy assoc", "need exactly three names")
     a, b, c = items
-    both = composed("assoc", lambda: bracketings(concat_2cm, a, b, c, policy))
+    both = composed("assoc", lambda: bracketings(a, b, c, policy))
     if both is None:
         return report
     left, right = both

@@ -135,19 +135,21 @@ def _s_keys(A, B):
     return _require_free(A)
 
 
-def derivation_map(f, images, edge):
+def _s_map(f, images, policy=DEFAULT_POLICY):
     """Realize an f0-derivation s: R -> E' from its images.
 
     A finite R gives a basis table.  A free R gives the algebra map
-    phi: r -> (f0(r), s(r)) into R' |x E' = edge(), the substitution fixed
-    by the generator images, followed by the projection to E'; ``edge`` is
-    called only then, and phi is kept as ``s.edge_map`` for the s-law's
-    proof by construction (``check_derivation_law``).
+    phi: r -> (f0(r), s(r)) into R' |x E' = Lambda1 of the target's tower
+    (its lower stage: a derivation certifies no Lambda3 action), the
+    substitution fixed by the generator images, followed by the projection
+    to E'; the tower is asked for only then, and phi is kept as
+    ``s.edge_map`` for the s-law's proof by construction
+    (``check_derivation_law``).
     """
     R, target = f.src.R, f.tgt.E
     if R.is_finite():
         return linear_map(R, target, images)
-    lam1 = edge()
+    lam1 = get_tower(f.tgt, policy, top=2).levels[1]
     phi = algebra_morphism(
         R, lam1, images={b: lam1.pair(f.f0(R.basis_element((b,))), images[b]) for b in R.generators}
     )
@@ -158,7 +160,7 @@ def derivation_map(f, images, edge):
 
 def _by_construction(f0, act, s):
     """Whether the derivation law of s holds by construction: s is read
-    through a substitution phi: R -> R' |x E' (``derivation_map``), f0 is
+    through a substitution phi: R -> R' |x E' (``_s_map``), f0 is
     proved multiplicative, R' |x E' is proved commutative and associative
     under the law's action ``act``, and phi(b) has R'-part f0(b) on B."""
     phi = getattr(s, "edge_map", None)
@@ -248,12 +250,6 @@ def _normalize(f, s_images, t_images):
         if not value.is_zero():
             t_norm[key] = value
     return s_images, declared, t_norm
-
-
-def _s_map(f, images, policy=DEFAULT_POLICY):
-    """s from its images, through R' |x E' = Lambda1 of the target's tower
-    (its lower stage: a derivation certifies no Lambda3 action)."""
-    return derivation_map(f, images, lambda: get_tower(f.tgt, policy, top=2).levels[1])
 
 
 class QuadraticDerivation:
@@ -705,26 +701,28 @@ def check_w_change(h1, h2, h3, r, policy=DEFAULT_POLICY):
     return lhs == rhs, lhs, rhs
 
 
-def bracketings(concat, d1, d2, d3, policy):
+def bracketings(d1, d2, d3, policy):
     """(d1 d2) d3 and d1 (d2 d3) for a composable triple, each composite
-    formed by ``concat`` under ``policy``."""
-    return concat(concat(d1, d2, policy), d3, policy), concat(d1, concat(d2, d3, policy), policy)
+    formed by ``concat_2cm`` under ``policy``."""
+    return (concat_2cm(concat_2cm(d1, d2, policy), d3, policy),
+            concat_2cm(d1, concat_2cm(d2, d3, policy), policy))
 
 
-def groupoid_check(A, B, samples, seed, policy, names, ops, more=None):
+def groupoid_check(A, B, samples, seed, policy, names, draws, more=None):
     """Sample derivation chains A -> B and check the groupoid laws of
     either layer exactly; returns report entries (name, ok, witness).
 
     ``names`` is the layer's (prefix, validity law, associativity law),
-    ``ops`` its (random morphism, random derivation, zero, concat, invert).
-    Each sample draws f and a chain d1: f => g, d2, d3 from one
-    Random(seed); if one of them or a target fails certification, the
-    validity law is false with the error as witness.  Otherwise come the
-    units, inverses, s-associativity and the relation's laws, then the
-    (law, ok, witness) triples of ``more(rng, d1, d2, d3, left, right)``.
+    ``draws`` its (random morphism, random derivation).  Each sample draws
+    f and a chain d1: f => g, d2, d3 from one Random(seed); if one of them
+    or a target fails certification, the validity law is false with the
+    error as witness.  Otherwise come the units, inverses, s-associativity
+    and the relation's laws, then the (law, ok, witness) triples of
+    ``more(rng, d1, d2, d3, left, right)``.  The zero, concatenation and
+    inverse are the 2-crossed ones for both layers.
     """
     prefix, valid, associative = names
-    random_morphism, random_derivation, zero, concat, invert = ops
+    random_morphism, random_derivation = draws
     rng = random.Random(seed)
     entries = []
 
@@ -744,15 +742,15 @@ def groupoid_check(A, B, samples, seed, policy, names, ops, more=None):
             continue
         note(valid, True)
 
-        zf, zg = zero(f, policy), zero(g, policy)
+        zf, zg = zero_quadratic(f, policy), zero_quadratic(g, policy)
         note("reflexive-zero", zf.target.equal(f))
-        note("identity-left", concat(zf, d1, policy).equal(d1))
-        note("identity-right", concat(d1, zg, policy).equal(d1))
-        inv = invert(d1, policy)
+        note("identity-left", concat_2cm(zf, d1, policy).equal(d1))
+        note("identity-right", concat_2cm(d1, zg, policy).equal(d1))
+        inv = invert_2cm(d1, policy)
         note("symmetric", inv.target.equal(f))
-        note("inverse-right", concat(d1, inv, policy).equal(zf))
-        note("inverse-left", concat(inv, d1, policy).equal(zg))
-        left, right = bracketings(concat, d1, d2, d3, policy)
+        note("inverse-right", concat_2cm(d1, inv, policy).equal(zf))
+        note("inverse-left", concat_2cm(inv, d1, policy).equal(zg))
+        left, right = bracketings(d1, d2, d3, policy)
         note(associative, left.same_s(right))
         note("transitive", left.target.equal(d3.target))
         if more:
@@ -775,6 +773,6 @@ def tcm_groupoid_check(A, B, samples=25, seed=0, policy=DEFAULT_POLICY):
         ok, lhs, rhs = check_w_change(h1, h2, h3, r, policy)
         yield "w-change", ok, None if ok else "%s != %s" % (lhs, rhs)
 
-    ops = (random_2cm_morphism, random_quadratic_derivation, zero_quadratic, concat_2cm, invert_2cm)
     names = ("tcm", "targets-valid", "s-associative")
-    return groupoid_check(A, B, samples, seed, policy, names, ops, more)
+    draws = (random_2cm_morphism, random_quadratic_derivation)
+    return groupoid_check(A, B, samples, seed, policy, names, draws, more)
