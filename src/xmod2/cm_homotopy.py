@@ -24,7 +24,6 @@ DerivationLawViolation; ``zero_cm_derivation``, ``concat_cm`` and
 the one groupoid loop on the slices.
 """
 
-from .errors import DerivationLawViolation
 from .maps import DEFAULT_POLICY
 from .randgen import random_cm_derivation, random_cm_morphism
 from .tcm_homotopy import _certify, concat_2cm, groupoid_check, invert_2cm, zero_quadratic
@@ -38,7 +37,7 @@ def make_cm_derivation(f, images, policy=DEFAULT_POLICY):
 
     Every call certifies; the first derivation certified for these images
     under ``policy`` is kept on f, where the 2-crossed operations find it."""
-    return _certify(f, images, {}, policy, DerivationLawViolation)
+    return _certify(f, images, {}, policy)
 
 
 def cm_groupoid_check(A, B, samples=25, seed=0, policy=DEFAULT_POLICY):

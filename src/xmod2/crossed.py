@@ -45,6 +45,7 @@ from .maps import (
     make_action,
     morphisms_equal,
     zero_action,
+    zero_bilinear,
     zero_map,
 )
 from .rings import nullspace, solve_in_span
@@ -145,7 +146,8 @@ class TwoCrossedModule:
 
     ``free_basis`` records the chosen free-algebra basis B of R when the
     structure is free up to order one; the homotopy groupoid operations
-    require it and refuse to run without it.
+    require it and refuse to run without it.  ``slice_of`` is the crossed
+    module this is the L = 0 slice of (``as_two_crossed``), else None.
     """
 
     def __init__(self, L, E, R, d2, d1, act_e, act_l, lift, free_basis=None):
@@ -159,6 +161,7 @@ class TwoCrossedModule:
         self.lift = lift
         self.free_basis = tuple(free_basis) if free_basis is not None else None
         self.certificates = {}
+        self.slice_of = None
         self._prime = None
         self._towers = {}  # Policy -> SimplexTower, whole or its lower stage: simplex.get_tower
 
@@ -171,7 +174,7 @@ class TwoCrossedModule:
         """The derived action of E on L: e >' l = {e (x) d2(l)}."""
         if self._prime is None:
             table = {}
-            for ek in self.E.basis_keys():
+            for ek in self.E.basis_keys() if self.L.dim() else ():  # zero on L = 0, for any E
                 e = self.E.basis_element(ek)
                 row = {}
                 for lk in self.L.basis_keys():
@@ -449,9 +452,10 @@ def as_two_crossed(C, policy=DEFAULT_POLICY):
         L = zero_algebra(C.ring)
         A = C._slices[policy] = make_two_crossed(
             L, E, R, algebra_morphism(L, E, images={}, policy=policy), C.d, C.act,
-            zero_action(R, L), BilinearMap(E, E, L, {}),
+            zero_action(R, L), zero_bilinear(E, E, L),
             free_basis=R.generators if isinstance(R, FreeAlgebra) else None, policy=policy,
         )
+        A.slice_of = C
     return A
 
 

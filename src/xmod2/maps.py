@@ -748,8 +748,17 @@ class BilinearMap:
         ]))
 
 
+class ZeroBilinear(BilinearMap):
+    """The zero bilinear map, whose empty table needs no finite arguments:
+    the zero lifting of a crossed module's slice (``crossed.as_two_crossed``)
+    has an infinite E when E is free."""
+
+    def __init__(self, left, right, target):
+        self.left, self.right, self.target, self.table = left, right, target, {}
+
+
 def zero_bilinear(left, right, target):
-    return BilinearMap(left, right, target, {})
+    return ZeroBilinear(left, right, target)
 
 
 # ---------------------------------------------------------------------------

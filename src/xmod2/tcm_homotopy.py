@@ -37,10 +37,11 @@ d1(x > e), checked by make_two_crossed on generator tuples (x, e), would
 otherwise exceed the top degree of d1(E)), or into a target whose L' has
 no basis, where w = 0.
 
-Composition and inversion read the input (``_s_keys``): they need a
-recorded free basis, unless the target's L' has no basis.  There w = 0,
-so s [+] s' = s + s' and sbar = -s, and over a finite R they run on its
-R-basis; this is the crossed layer, the L = 0 slice (``cm_homotopy``).
+Composition and inversion read the input (``_s_keys``, ``_t_keys``):
+they need a recorded free basis, unless the target's L' has no basis.
+There w = 0 and t = 0, so s [+] s' = s + s' and sbar = -s, over a finite
+R they run on its R-basis, and E may be infinite; this is the crossed
+layer, the L = 0 slice (``cm_homotopy``).
 Otherwise they refuse (FreeBasisRequired): without freeness the homotopy
 relation is not an equivalence relation, and silently computing would be
 wrong.  The triangle and tetrahedron maps X and Z always need B.
@@ -94,6 +95,7 @@ from .algebra import FreeAlgebra, unit_key
 from .crossed import make_2cm_morphism
 from .errors import (
     CompositionMismatch,
+    DerivationLawViolation,
     FreeBasisRequired,
     LawViolation,
     MorphismViolation,
@@ -110,6 +112,7 @@ from .maps import (
     linear_map,
     maps_agree,
     random_element,
+    zero_map,
     _skeleton,
 )
 from .randgen import random_2cm_morphism, random_quadratic_derivation
@@ -260,7 +263,8 @@ class QuadraticDerivation:
     ``s_images`` records s: R -> E' on the R-basis (finite R) or on the
     free generators (free R, where s is evaluated through the algebra map
     r -> (f0(r), s(r)) into R' |x E'); t: E -> L' is given by ``t_images``
-    on the E-basis.  ``certificates`` maps each law to its certificate.
+    on the E-basis, and is the zero map into an L' with no basis.
+    ``certificates`` maps each law to its certificate.
     ``target`` is the target map, certified under the same policy when
     first read and then kept."""
 
@@ -284,10 +288,9 @@ class QuadraticDerivation:
         )
 
     def equal(self, other):
-        """Same base map, the same s and the same t on the E-basis."""
-        return self is other or (
-            self.same_s(other) and maps_agree(self.t, other.t, self.f.src.E.basis_elements())
-        )
+        """Same base map, the same s and the same t, which its nonzero
+        images on the E-basis fix (none into an L' with no basis)."""
+        return self is other or (self.same_s(other) and self.t_images == other.t_images)
 
 
 def _t_action_premises(f, s_law):
@@ -316,9 +319,10 @@ def make_quadratic_derivation(f, s_images, t_images, policy=DEFAULT_POLICY):
     E-basis.  Each law, and each of its two consequences on boundaries of
     L (transcription tripwires), is one ``check_law`` call: it raises
     QDLawViolation with the law id and witness, or gives the law its
-    certificate.  Every call certifies; the first derivation
-    certified for this data under ``policy`` is kept on f for
-    ``_quadratic``.
+    certificate.  Over the slices of crossed modules the s-law is their
+    derivation law and raises DerivationLawViolation.  Every call
+    certifies; the first derivation certified for this data under
+    ``policy`` is kept on f for ``_quadratic``.
 
     Where the proofs come from: t-product and its boundary form are over
     the finite E and L, so they are checked on bases.  Over a free R the
@@ -360,20 +364,22 @@ def make_quadratic_derivation(f, s_images, t_images, policy=DEFAULT_POLICY):
     which is 0 by 2XM6.  So the r where t-action holds form a subspace
     closed under products, and the generator rule applies.
     """
-    return _certify(f, s_images, t_images, policy, partial(QDLawViolation, "s-law"))
+    return _certify(f, s_images, t_images, policy)
 
 
-def _certify(f, s_images, t_images, policy, s_error):
-    """``make_quadratic_derivation``, raising ``s_error`` for the s-law
-    (a crossed derivation reports DerivationLawViolation)."""
+def _certify(f, s_images, t_images, policy):
+    """``make_quadratic_derivation``, whose s-law over the slices of crossed
+    modules is their derivation law and fails as DerivationLawViolation."""
     A, B = f.src, f.tgt
     s_images, declared, t_norm = _normalize(f, s_images, t_images)
     smap = _s_map(f, s_images, policy)
-    tmap = linear_map(A.E, B.L, t_norm)
+    s_error = DerivationLawViolation if A.slice_of is not None else partial(QDLawViolation, "s-law")
     certs = {"s-law": check_derivation_law(A.R, f.f0, B.act_e, smap, declared, s_error, policy)}
-    if B.L.dim() == 0:  # every side of a t-law lies in L' = 0
+    if B.L.dim() == 0:  # t = 0, and every side of a t-law lies in L' = 0
+        tmap = zero_map(A.E, B.L)
         certs["t-product"] = certs["t-action"] = EXHAUSTIVE
     else:
+        tmap = linear_map(A.E, B.L, t_norm)
         certs.update(_t_laws(f, smap, tmap, certs["s-law"], policy))
     qd = QuadraticDerivation(f, s_images, smap, t_norm, tmap, certs, policy)
     f._homotopies.setdefault(kept_key(policy, s_images, declared, t_norm), qd)
@@ -530,6 +536,13 @@ def extend_derivation(f, s_star, policy=DEFAULT_POLICY):
     return _s_map(f, images, policy)
 
 
+def _t_keys(A, B):
+    """The E-keys that a composite's or an inverse's t-images over A -> B
+    are given on: none into a target whose L' has no basis, where t = 0
+    (so E may be infinite), else the E-basis."""
+    return A.E.basis_keys() if B.L.dim() else ()
+
+
 def _sum_images(h1, h2):
     """(s + s')|B, the generator images of s [+] s'."""
     return {b: h1.s_images[b] + h2.s_images[b] for b in _s_keys(h1.f.src, h1.f.tgt)}
@@ -609,7 +622,7 @@ def concat_2cm(h1, h2, policy=DEFAULT_POLICY):
     _check_composable(h1, h2)
     A = h1.f.src
     s_images = _sum_images(h1, h2)
-    t_images = {k: box_plus_t(h1, h2, A.E.basis_element(k), policy) for k in A.E.basis_keys()}
+    t_images = {k: box_plus_t(h1, h2, A.E.basis_element(k), policy) for k in _t_keys(A, h1.f.tgt)}
     out = _quadratic(h1.f, s_images, t_images, policy)
     if not out.target.equal(h2.target):
         raise XmodError("concatenation target mismatch (transcription bug)")
@@ -623,7 +636,7 @@ def invert_2cm(h, policy=DEFAULT_POLICY):
     A = h.f.src
     sbar_images = {b: -h.s_images[b] for b in _s_keys(A, h.f.tgt)}
     tbar_images = {}
-    for k in A.E.basis_keys():
+    for k in _t_keys(A, h.f.tgt):
         e = A.E.basis_element(k)
         w = _pair_w(h.f, h.s_images, sbar_images, A.d1(e), policy)
         tbar_images[k] = -h.t(e) - w

@@ -253,6 +253,32 @@ def test_groupoid_cm_runs_over_a_free_r(tmp_path):
     assert out.returncode == 0, out.stdout + out.stderr
 
 
+def test_crossed_commands_run_over_a_free_e(tmp_path):
+    """A crossed module with an infinite E: R = Q[x]+ acting on E = Q[y]+
+    by x > y^k = y^(k+1), tabled up to y^12, past every degree the laws
+    sample, with d(y) = x.  Its derivation validates, inverts by the
+    formula sbar(x^n) = -(2^n - 1) y^n of s(x) = y, and every groupoid law
+    passes."""
+    table = {"x": {"y" if k == 1 else "y^%d" % k: {"y^%d" % (k + 1): "1"} for k in range(1, 12)}}
+    doc = {
+        "ring": "Q",
+        "algebras": {"R": {"type": "free", "generators": ["x"]},
+                     "E": {"type": "free", "generators": ["y"]}},
+        "actions": {"m": {"acting": "R", "acted": "E", "table": table}},
+        "crossed": {"C": {"E": "E", "R": "R", "map": {"y": {"x": "1"}}, "action": "m"}},
+        "maps": {"id": {"kind": "crossed", "source": "C", "target": "C", "identity": True}},
+        "derivations": {"h": {"base": "id", "s": {"x": {"y": "1"}}}},
+    }
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = run_cli("validate", str(path), "--samples", "5")
+    assert out.returncode == 0 and "ok    derivation/h" in out.stdout, out.stdout + out.stderr
+    out = run_cli("homotopy", "invert", str(path), "--names", "h", "--samples", "5")
+    assert out.returncode == 0 and "sbar(x^2)  [-3*y^2]" in out.stdout, out.stdout + out.stderr
+    out = run_cli("groupoid", "cm", str(path), "--source", "C", "--target", "C", "--samples", "2")
+    assert out.returncode == 0, out.stdout + out.stderr
+
+
 def test_simplicial_command():
     out = run_cli("simplicial", FIXTURES, "--module", "F2")
     assert out.returncode == 0

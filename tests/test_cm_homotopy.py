@@ -203,6 +203,53 @@ def test_groupoid_check_over_a_free_r():
     assert len(entries) == 18 and all(ok for _, ok, _ in entries)
 
 
+def test_a_free_e_runs_through_the_crossed_layer():
+    """The identity crossed module R -> R of R = Q[x]+, acting by
+    multiplication, has an infinite E.  Its maps, derivations and groupoid
+    laws run as over any free R: s(x) = x gives s(x^2) = 3x^2 (r + s(r) is
+    the substitution x -> 2x), whose target doubles x, inverts back to the
+    base map, and a wrong declared value at x^2 breaks the law."""
+    from xmod2.maps import FunctionAction, certify_action, identity_map
+
+    R = make_free_algebra(["x"], QQ)
+    pol = Policy(samples=3)
+    act = FunctionAction(R, R, lambda r, e: r * e)
+    certify_action(act, pol)
+    cm = make_crossed(R, R, identity_map(R), act, pol)
+    f = identity_cm_morphism(cm)
+    assert make_cm_morphism(cm, cm, identity_map(R), identity_map(R), pol).equal(f)
+    assert random_cm_morphism(cm, cm, random.Random(2), pol) is not None
+    x, x2 = R.monomial("x"), R.monomial("x", "x")
+    d = make_cm_derivation(f, {"x": x}, pol)
+    assert d.s(x2) == 3 * x2
+    assert d.target.f0(x) == 2 * x and d.target.f1(x2) == 4 * x2
+    inv = invert_cm(d, pol)
+    assert inv.target.equal(f)
+    assert concat_cm(d, inv, pol).equal(zero_cm_derivation(f, pol))
+    with pytest.raises(DerivationLawViolation) as err:
+        make_cm_derivation(f, {"x": x, ("x", "x"): x2}, pol)
+    assert err.value.witness == (x2,)
+    entries = cm_groupoid_check(cm, cm, samples=2, seed=0, policy=pol)
+    assert len(entries) == 18 and all(ok for _, ok, _ in entries)
+
+
+def test_a_crossed_derivation_law_fails_alike_from_every_entry():
+    """Over the slices of crossed modules the s-law is the derivation law:
+    certified through make_cm_derivation or through the 2-crossed entry
+    that the groupoid operations use on a miss, it fails as
+    DerivationLawViolation with the same witness."""
+    from xmod2.tcm_homotopy import make_quadratic_derivation
+
+    cm, f = f1_setup()
+    bad = {"x": cm.E.basis_element("x2"), "x2": cm.E.basis_element("x2")}
+    witnesses = []
+    for certify in (make_cm_derivation, lambda f, s: make_quadratic_derivation(f, s, {})):
+        with pytest.raises(DerivationLawViolation) as err:
+            certify(f, bad)
+        witnesses.append(err.value.witness)
+    assert witnesses[0] == witnesses[1]
+
+
 def test_a_target_that_fails_certification_fails_its_entry(monkeypatch):
     """target-valid reports a drawn derivation whose target does not
     certify: the sample's entry is false, with the error naming the law,
