@@ -754,7 +754,10 @@ class ZeroBilinear(BilinearMap):
     has an infinite E when E is free."""
 
     def __init__(self, left, right, target):
-        self.left, self.right, self.target, self.table = left, right, target, {}
+        self.left = left
+        self.right = right
+        self.target = target
+        self.table = {}
 
 
 def zero_bilinear(left, right, target):
