@@ -206,12 +206,6 @@ def _cmd_homotopy(args, policy):
         plus, tag, s_assoc = "+", "concat", "derivations"
         t_points = []
 
-    def composed(op, compose):  # None, and a failed op/composable entry, if they do not compose
-        try:
-            return compose()
-        except CompositionMismatch as exc:
-            report.add(op + "/composable", "composable", False, witness=str(exc))
-
     if args.op == "apply":
         for name, item in zip(names, items):
             try:
@@ -228,8 +222,10 @@ def _cmd_homotopy(args, policy):
         if len(items) != 2:
             raise ValidationError("homotopy compose", "need exactly two names")
         a, b = items
-        out = composed("homotopy/compose", lambda: concat_2cm(a, b, policy))
-        if out is None:
+        try:
+            out = concat_2cm(a, b, policy)
+        except CompositionMismatch as exc:
+            report.add("homotopy/compose/composable", "composable", False, witness=str(exc))
             return report
         for r in _sample_points(a.f.src.R):
             report.add("value/(s%ss')(%s)" % (plus, r), tag, True, witness=str(out.s(r)))
@@ -250,10 +246,11 @@ def _cmd_homotopy(args, policy):
     if len(items) != 3:
         raise ValidationError("homotopy assoc", "need exactly three names")
     a, b, c = items
-    both = composed("assoc", lambda: bracketings(a, b, c, policy))
-    if both is None:
+    try:
+        left, right = bracketings(a, b, c, policy)
+    except CompositionMismatch as exc:
+        report.add("assoc/composable", "composable", False, witness=str(exc))
         return report
-    left, right = both
     report.add("assoc/" + s_assoc, "associativity", left.same_s(right))
     if quadratic:
         report.add("assoc/t-component", "associativity", all(left.t(e) == right.t(e) for _, e in t_points))

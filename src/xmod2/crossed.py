@@ -66,9 +66,6 @@ class PreCrossedModule:
     def ring(self):
         return self.R.ring
 
-    def compatible(self, other):
-        return self.E.compatible(other.E) and self.R.compatible(other.R)
-
     def __repr__(self):
         return "%s<%r -> %r>" % (type(self).__name__, self.E, self.R)
 

@@ -323,24 +323,17 @@ class _Loader:
         kind = spec.get("kind", "two_crossed")
         if kind not in ("crossed", "two_crossed"):
             raise ParseError("%s: unknown kind %r" % (where, kind))
-        if kind == "crossed":
-            src = self.crossed_module(_required(spec, "source", where))
-            tgt = self.crossed_module(_required(spec, "target", where))
-            if spec.get("identity"):
-                if src is not tgt:
-                    raise ParseError("%s: identity needs source == target" % where)
-                return identity_cm_morphism(src)
-            components, make = (("f0", "R"), ("f1", "E")), make_cm_morphism
-        else:
-            src = self.two_crossed_module(_required(spec, "source", where))
-            tgt = self.two_crossed_module(_required(spec, "target", where))
-            if spec.get("identity"):
-                if src is not tgt:
-                    raise ParseError("%s: identity needs source == target" % where)
-                return identity_2cm_morphism(src)
-            components, make = (("f0", "R"), ("f1", "E"), ("f2", "L")), make_2cm_morphism
+        crossed = kind == "crossed"  # a crossed module map is (f0, f1), without f2
+        module = self.crossed_module if crossed else self.two_crossed_module
+        src = module(_required(spec, "source", where))
+        tgt = module(_required(spec, "target", where))
+        if spec.get("identity"):
+            if src is not tgt:
+                raise ParseError("%s: identity needs source == target" % where)
+            return identity_cm_morphism(src) if crossed else identity_2cm_morphism(src)
+        make = make_cm_morphism if crossed else make_2cm_morphism
         maps = []
-        for component, level in components:
+        for component, level in (("f0", "R"), ("f1", "E"), ("f2", "L"))[:2 if crossed else 3]:
             dom, cod = getattr(src, level), getattr(tgt, level)
             images = _parse_linmap_images(dom, cod, spec, component, where)
             maps.append(algebra_morphism(dom, cod, images=images, policy=self.policy))

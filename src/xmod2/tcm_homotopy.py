@@ -209,11 +209,6 @@ def check_derivation_law(R, f0, act, s, declared, error, policy):
     )
 
 
-def image_key(images):
-    """An image table as a hashable value: each key with its coefficients."""
-    return frozenset((key, frozenset(value.coeffs.items())) for key, value in images.items())
-
-
 def complete_s_images(R, E, images):
     """Split given s-data for s: R -> E into its images and declared
     monomial values, each owned by E.  The images are completed by zero on
@@ -235,8 +230,10 @@ def complete_s_images(R, E, images):
 
 def kept_key(policy, *tables):
     """The key a certified derivation is kept under on its base map: the
-    policy and each normalized image table."""
-    return (policy, *map(image_key, tables))
+    policy and each normalized image table as a hashable value, each key
+    with its coefficients."""
+    return (policy, *(frozenset((k, frozenset(v.coeffs.items())) for k, v in images.items())
+                      for images in tables))
 
 
 def _normalize(f, s_images, t_images):
