@@ -183,10 +183,17 @@ class TwoCrossedModule:
         return self._prime
 
     def compatible(self, other):
-        return (
+        """The same structure: compatible algebras, equal boundaries, the
+        same two actions and an equal lifting."""
+        return self is other or (
             self.L.compatible(other.L)
             and self.E.compatible(other.E)
             and self.R.compatible(other.R)
+            and morphisms_equal(self.d1, other.d1)
+            and morphisms_equal(self.d2, other.d2)
+            and self.act_e.same(other.act_e)
+            and self.act_l.same(other.act_l)
+            and self.lift.same(other.lift)
         )
 
     def __repr__(self):

@@ -36,9 +36,11 @@ the kind of certificate a law earns is decided: every law checked above
 ``algebra`` (whose ``make_finite_algebra`` checks its own table) is one
 ``check_law`` call.  EXHAUSTIVE is stamped without one only where a law
 holds by construction or by a lemma: ``identity_map``, substitution maps,
-``zero_action``, ``simplex._certify_dagger``, and ``certify_algebra`` by
+``zero_action``, ``simplex._certify_dagger``, ``certify_algebra`` by
 the semidirect lemma (a finite semidirect product of proved parts under an
-action proved on a basis is commutative and associative).
+action proved on a basis is commutative and associative), and a target
+equal to a certified map, which carries that map's certificates
+(``tcm_homotopy._settle_target``).
 
 Sampled tuples depend on the policy and the algebra list alone: the
 sampled part of a law over a non-finite list is N draws of degree <= D
@@ -746,6 +748,17 @@ class BilinearMap:
             for k2, c2 in v.coeffs.items()
             if (k1, k2) in self.table
         ]))
+
+    def same(self, other):
+        """Equal as bilinear maps: compatible endpoints and the same
+        nonzero table entries."""
+        return self is other or (
+            isinstance(other, BilinearMap)
+            and other.left.compatible(self.left)
+            and other.right.compatible(self.right)
+            and other.target.compatible(self.target)
+            and other.table == self.table
+        )
 
 
 class ZeroBilinear(BilinearMap):

@@ -62,8 +62,11 @@ premises and falls back to sampling when one of them is not proved.
 A homotopy is one object, a ``QuadraticDerivation``: its data, the
 policy its laws were certified under, and its ``target``, the map g
 certified under that same policy when first read and then kept.  The
-operations here take derivations, and ``concat_2cm`` and ``invert_2cm``
-return one, certified under the policy they are given.
+target of a zero homotopy, a composite or an inverse is known in advance,
+and is that certified map itself when ``_settle_target`` shows the two
+equal (the lemma is in ``_qd_target``).  The operations here take
+derivations, and ``concat_2cm`` and ``invert_2cm`` return one, certified
+under the policy they are given.
 ``groupoid_check`` is the one loop over the groupoid laws;
 ``tcm_groupoid_check`` runs it and adds t-associativity and w-change,
 ``cm_homotopy.cm_groupoid_check`` runs it on the slices.
@@ -92,7 +95,7 @@ import random
 from functools import cached_property, partial
 
 from .algebra import FreeAlgebra, unit_key
-from .crossed import make_2cm_morphism
+from .crossed import MORPHISM_LAWS, make_2cm_morphism
 from .errors import (
     CompositionMismatch,
     DerivationLawViolation,
@@ -263,7 +266,8 @@ class QuadraticDerivation:
     on the E-basis, and is the zero map into an L' with no basis.
     ``certificates`` maps each law to its certificate.
     ``target`` is the target map, certified under the same policy when
-    first read and then kept."""
+    first read and then kept, or the certified map it equals
+    (``_settle_target``)."""
 
     def __init__(self, f, s_images, s, t_images, t, certificates, policy):
         self.f = f
@@ -466,7 +470,37 @@ def _quadratic(f, s_images, t_images, policy):
 
 
 def zero_quadratic(f, policy=DEFAULT_POLICY):
-    return _quadratic(f, {}, {}, policy)
+    """The zero homotopy f => f, whose target is f itself when
+    ``_settle_target`` can show it."""
+    return _settle_target(_quadratic(f, {}, {}, policy), f)
+
+
+def _target_formulas(qd):
+    """g0, g1 and g2 of qd's target as formulas on basis elements, the one
+    place they are written: f0 + d1' o s, f1 + s o d1 + d2' o t and
+    f2 + t o d2."""
+    f, s, t = qd.f, qd.s, qd.t
+    A, B = f.src, f.tgt
+    return (
+        lambda r: f.f0(r) + B.d1(s(r)),
+        lambda e: f.f1(e) + s(A.d1(e)) + B.d2(t(e)),
+        lambda l: f.f2(l) + t(A.d2(l)),
+    )
+
+
+def _g0_substitution(qd, formula):
+    """g0 built as the substitution b -> f0(b) + d1'(s(b)) over a free R,
+    with the formula as a tripwire on the policy's sampled r, when the
+    lemma of ``_qd_target`` has its premises; else None."""
+    f, policy = qd.f, qd.policy
+    A, B = f.src, f.tgt
+    proofs = (qd.certificates["s-law"], B.d1.multiplicative, B.certificates["d1-equivariance"])
+    if not (isinstance(A.R, FreeAlgebra) and all(map(is_proof, proofs))):
+        return None
+    images = {b: formula(A.R.basis_element((b,))) for b in A.R.generators}
+    g0 = algebra_morphism(A.R, B.d1.target, images=images, note="g0")
+    check_law([A.R], g0, formula, partial(MorphismViolation, msg="g0 differs from f0 + d'.s"), policy)
+    return g0
 
 
 def _qd_target(qd):
@@ -487,22 +521,67 @@ def _qd_target(qd):
     tripwire on the policy's sampled r, evaluated once per spanned
     monomial (``maps.check_law``).  Otherwise g0 is the formula, certified
     multiplicative on law tuples.
+
+    A target known in advance.  The target of a zero homotopy on f is f,
+    of s [+] s' the target of s', and of sbar the source f of s.  There
+    ``_settle_target`` takes that certified map m as the target, with no
+    second certification, when ``_is_target`` shows the two equal:
+
+    * linear maps that agree on a basis are equal, which covers g1 and g2
+      over the finite E and L, and g0 over a finite R;
+    * over a free R, algebra maps that agree on B are equal: g0 is one by
+      the lemma above, so its premises must be proved, and so must the
+      multiplicativity of m's f0; the tripwire on sampled r still runs.
+
+    The other premises: m runs between the very structures of qd's base
+    map, and each of m's five laws and the multiplicativity of its three
+    maps is EXHAUSTIVE or the sampled certificate of qd's policy.  Under
+    them a certification of (g0, g1, g2) would prove no law that m does not
+    prove as strongly: over a finite R every law is over bases, and over a
+    free R each equivariance law takes the generator rule for m exactly
+    when it would for g.  When a premise fails or the maps differ, the
+    target is certified here when first read, so the tripwires of
+    ``concat_2cm`` and ``invert_2cm`` raise what they always raised.
     """
-    f, s, t, policy = qd.f, qd.s, qd.t, qd.policy
-    A, B = f.src, f.tgt
-    formula = lambda r: f.f0(r) + B.d1(s(r))
-    proofs = (qd.certificates["s-law"], B.d1.multiplicative, B.certificates["d1-equivariance"])
-    if isinstance(A.R, FreeAlgebra) and all(map(is_proof, proofs)):
-        images = {b: formula(A.R.basis_element((b,))) for b in A.R.generators}
-        g0 = algebra_morphism(A.R, B.d1.target, images=images, note="g0")
-        check_law([A.R], g0, formula, partial(MorphismViolation, msg="g0 differs from f0 + d'.s"), policy)
-    else:
-        g0 = algebra_morphism(A.R, B.d1.target, fn=formula, policy=policy, note="g0")
-    g1 = algebra_morphism(
-        A.E, B.E, fn=lambda e: f.f1(e) + s(A.d1(e)) + B.d2(t(e)), policy=policy, note="g1"
-    )
-    g2 = algebra_morphism(A.L, B.L, fn=lambda l: f.f2(l) + t(A.d2(l)), policy=policy, note="g2")
+    A, B, policy = qd.f.src, qd.f.tgt, qd.policy
+    g0f, g1f, g2f = _target_formulas(qd)
+    g0 = _g0_substitution(qd, g0f)
+    if g0 is None:
+        g0 = algebra_morphism(A.R, B.d1.target, fn=g0f, policy=policy, note="g0")
+    g1 = algebra_morphism(A.E, B.E, fn=g1f, policy=policy, note="g1")
+    g2 = algebra_morphism(A.L, B.L, fn=g2f, policy=policy, note="g2")
     return make_2cm_morphism(A, B, g0, g1, g2, policy)
+
+
+def _is_target(qd, m):
+    """Whether the certified map m is qd's target, by the premises and
+    spanning sets of the lemma in ``_qd_target``."""
+    A, B = qd.f.src, qd.f.tgt
+    if m.src is not A or m.tgt is not B or not (A.E.is_finite() and A.L.is_finite()):
+        return False
+    sampled = qd.policy.certificate
+    certs = [m.certificates.get(law) for law in MORPHISM_LAWS]
+    certs += [m.f0.multiplicative, m.f1.multiplicative, m.f2.multiplicative]
+    if not all(c is not None and (c.exhaustive or c == sampled) for c in certs):
+        return False
+    g0, g1, g2 = _target_formulas(qd)
+    if not A.R.is_finite():
+        g0 = _g0_substitution(qd, g0) if is_proof(m.f0.multiplicative) else None
+        if g0 is None:
+            return False
+    return (
+        maps_agree(g0, m.f0, _skeleton(A.R))
+        and maps_agree(g1, m.f1, A.E.basis_elements())
+        and maps_agree(g2, m.f2, A.L.basis_elements())
+    )
+
+
+def _settle_target(qd, m):
+    """qd, whose target is m when ``_is_target(qd, m)`` and it is not read
+    yet; otherwise the target is certified when first read, as ever."""
+    if "target" not in vars(qd) and _is_target(qd, m):
+        qd.target = m
+    return qd
 
 
 def apply_2cm_homotopy(qd, policy=DEFAULT_POLICY):
@@ -620,7 +699,7 @@ def concat_2cm(h1, h2, policy=DEFAULT_POLICY):
     A = h1.f.src
     s_images = _sum_images(h1, h2)
     t_images = {k: box_plus_t(h1, h2, A.E.basis_element(k), policy) for k in _t_keys(A, h1.f.tgt)}
-    out = _quadratic(h1.f, s_images, t_images, policy)
+    out = _settle_target(_quadratic(h1.f, s_images, t_images, policy), h2.target)
     if not out.target.equal(h2.target):
         raise XmodError("concatenation target mismatch (transcription bug)")
     return out
@@ -637,7 +716,7 @@ def invert_2cm(h, policy=DEFAULT_POLICY):
         e = A.E.basis_element(k)
         w = _pair_w(h.f, h.s_images, sbar_images, A.d1(e), policy)
         tbar_images[k] = -h.t(e) - w
-    out = make_quadratic_derivation(h.target, sbar_images, tbar_images, policy)
+    out = _settle_target(make_quadratic_derivation(h.target, sbar_images, tbar_images, policy), h.f)
     if not out.target.equal(h.f):
         raise XmodError("inverse does not recover the source map (transcription bug)")
     return out
@@ -725,11 +804,14 @@ def groupoid_check(A, B, samples, seed, policy, names, draws, more=None):
     ``names`` is the layer's (prefix, validity law, associativity law),
     ``draws`` its (random morphism, random derivation).  Each sample draws
     f and a chain d1: f => g, d2, d3 from one Random(seed); if one of them
-    or a target fails certification, the validity law is false with the
+    or its target fails certification, the validity law is false with the
     error as witness.  Otherwise come the units, inverses, s-associativity
     and the relation's laws, then the (law, ok, witness) triples of
     ``more(rng, d1, d2, d3, left, right)``.  The zero, concatenation and
-    inverse are the 2-crossed ones for both layers.
+    inverse are the 2-crossed ones for both layers; their targets are f,
+    the second homotopy's target and the source map, taken as those
+    certified maps when ``_settle_target`` shows them equal, else certified
+    when read.
     """
     prefix, valid, associative = names
     random_morphism, random_derivation = draws
@@ -741,7 +823,7 @@ def groupoid_check(A, B, samples, seed, policy, names, draws, more=None):
 
     for i in range(samples):
         f = random_morphism(A, B, rng, policy=policy)
-        try:  # each target is certified when read
+        try:  # each drawn derivation's target is certified when read
             d1 = random_derivation(f, rng, policy=policy)
             g = d1.target
             d2 = random_derivation(g, rng, policy=policy)

@@ -6,6 +6,7 @@ import pytest
 from xmod2 import fixtures
 from xmod2.algebra import make_finite_algebra, make_free_algebra
 from xmod2.crossed import (
+    as_two_crossed,
     ideal_inclusion_cm,
     identity_2cm_morphism,
     kernel_two_crossed,
@@ -16,6 +17,7 @@ from xmod2.crossed import (
 )
 from xmod2.errors import (
     BadShape,
+    CompositionMismatch,
     NotAnIdeal,
     XM1Violation,
     XM2Violation,
@@ -23,6 +25,7 @@ from xmod2.errors import (
 from xmod2.maps import LinearMap, algebra_morphism, make_action, zero_action, zero_bilinear
 from xmod2.randgen import random_precrossed
 from xmod2.rings import PrimeField, QQ
+from xmod2.tcm_homotopy import concat_2cm, zero_quadratic
 
 from helpers import zero_2cm_morphism
 
@@ -207,6 +210,25 @@ def test_2cm_morphism_identity_and_zero():
     F3 = fixtures.free_line_two_crossed()
     z = zero_2cm_morphism(F3, F2)
     assert z.f0(F3.R.monomial("x")).is_zero()
+
+
+def test_maps_between_structures_on_the_same_algebras_differ():
+    """Over F5 with E = <a> and R = <p> (zero products, zero action), the
+    crossed modules with d = 0 and with d(a) = p share their algebras but
+    not their boundary: the identities of their slices are different maps,
+    and a homotopy on one does not compose with a homotopy on the other."""
+    F5 = PrimeField(5)
+    R = make_finite_algebra(["p"], {}, F5)
+    E = make_finite_algebra(["a"], {}, F5)
+    i0, i1 = (
+        identity_2cm_morphism(as_two_crossed(
+            make_crossed(E, R, algebra_morphism(E, R, images={"a": image}), zero_action(R, E))
+        ))
+        for image in (R.zero(), R.basis_element("p"))
+    )
+    assert i0.equal(i0) and not i0.equal(i1) and not i1.equal(i0)
+    with pytest.raises(CompositionMismatch):
+        concat_2cm(zero_quadratic(i0), zero_quadratic(i1))
 
 
 def test_2cm_morphism_f3_to_f2():

@@ -10,7 +10,13 @@ import pytest
 from xmod2 import fixtures
 from xmod2.algebra import make_finite_algebra, make_free_algebra
 from xmod2.cm_homotopy import cm_groupoid_check
-from xmod2.crossed import identity_2cm_morphism, make_two_crossed
+from xmod2.crossed import (
+    identity_2cm_morphism,
+    kernel_two_crossed,
+    make_2cm_morphism,
+    make_precrossed,
+    make_two_crossed,
+)
 from xmod2.errors import CompositionMismatch, FreeBasisRequired, QDLawViolation, XmodError
 from xmod2.maps import (
     BilinearMap,
@@ -21,6 +27,8 @@ from xmod2.maps import (
     linear_map,
     make_action,
     random_element,
+    zero_action,
+    zero_bilinear,
 )
 from xmod2.randgen import (
     random_2cm_morphism,
@@ -924,3 +932,95 @@ def test_kept_homotopies_are_freed_with_their_base_map():
     del f, h1, zf
     gc.collect()
     assert base() is None and kept() is None
+
+
+def _every_term_instance():
+    """A homotopy over a free F5 domain whose target reads each term that
+    can be nonzero there.  The domain: R = F5[x]+, E = L = F5{u} with
+    u^2 = 0, d2 the identity, d1 = 0, zero actions and lifting.  The
+    target: the kernel 2-crossed module of E' = <a, b; a^2 = b> -> R' =
+    <p; p^2 = 0> with d(a) = p and the zero action, so L' = <k0> with
+    d2'(k0) = b.  Over the zero map, s(x) = a and t(u) = k0."""
+    F5 = PrimeField(5)
+    R = make_free_algebra(["x"], F5)
+    E = make_finite_algebra(["u"], {}, F5)
+    D = make_two_crossed(
+        E, E, R, d2=identity_map(E), d1=algebra_morphism(E, R, images={"u": R.zero()}, policy=POL),
+        act_e=zero_action(R, E), act_l=zero_action(R, E), lift=zero_bilinear(E, E, E),
+        free_basis=["x"], policy=POL,
+    )
+    R2 = make_finite_algebra(["p"], {}, F5)
+    E2 = make_finite_algebra(["a", "b"], {("a", "a"): {"b": 1}}, F5)
+    d = algebra_morphism(E2, R2, images={"a": R2.basis_element("p"), "b": R2.zero()}, policy=POL)
+    B = kernel_two_crossed(make_precrossed(E2, R2, d, zero_action(R2, E2), POL), POL)
+    f = make_2cm_morphism(
+        D, B, algebra_morphism(R, R2, images={"x": R2.zero()}),
+        algebra_morphism(E, E2, images={"u": E2.zero()}, policy=POL),
+        algebra_morphism(E, B.L, images={"u": B.L.zero()}, policy=POL), POL,
+    )
+    qd = make_quadratic_derivation(f, {"x": E2.basis_element("a")}, {"u": B.L.basis_element("k0")}, POL)
+    return D, B, f, qd
+
+
+def test_target_reads_every_term_of_its_formula():
+    """g0 = f0 + d1' o s, g1 = f1 + s o d1 + d2' o t and g2 = f2 + t o d2,
+    where f = 0 and s, t, d1' o s, d2' o t and t o d2 are nonzero, so
+    dropping any of those terms changes a value below.  d1 = 0 on every
+    free domain with a finite E, so s o d1 is not seen here."""
+    D, B, f, qd = _every_term_instance()
+    x, u = D.R.monomial("x"), D.E.basis_element("u")
+    g = qd.target
+    assert g.f0(x) == B.R.basis_element("p")  # d1'(s(x)) = d1'(a)
+    assert g.f1(u) == B.E.basis_element("b")  # d2'(t(u)) = d2'(k0)
+    assert g.f2(u) == B.L.basis_element("k0")  # t(d2(u)) = t(u)
+
+
+def test_known_targets_are_the_maps_they_equal():
+    """The target of s [+] s' is the target of s', of sbar the source map
+    of s and of the zero homotopy on f the map f: each is taken as that
+    object, not as a certified copy, on the worked instance and on one
+    with s and t nonzero."""
+    _, _, f, h1, h2, _ = worked()
+    assert concat_2cm(h1, h2, POL).target is h2.target
+    assert invert_2cm(h1, POL).target is h1.f
+    assert zero_quadratic(f, POL).target is f
+    _, _, f, qd = _every_term_instance()
+    inv = invert_2cm(qd, POL)
+    assert inv.target is f and concat_2cm(inv, qd, POL).target is qd.target
+
+
+def test_known_targets_give_the_entries_of_certified_ones(monkeypatch):
+    """Every groupoid entry is the same whether the targets of zeros,
+    composites and inverses are the maps they equal or, with that path
+    off, are certified: 2-crossed on F3 -> F2 (seeds 0-29) and on drawn
+    free F5 domains, crossed on F1 -> F1 (seeds 0-49)."""
+    from xmod2 import tcm_homotopy
+
+    F5 = PrimeField(5)
+    F3, F2, F1 = fixtures.free_line_two_crossed(), fixtures.square_two_crossed(), fixtures.ideal_crossed()
+
+    def entries():
+        out = []
+        for seed in range(30):
+            out += tcm_groupoid_check(F3, F2, samples=1, seed=seed, policy=POL)
+        rng = random.Random(24)
+        for seed in range(10):
+            D = random_free_two_crossed(F5, rng, max_dim=2, policy=POL)
+            B = random_two_crossed(F5, rng, max_dim=2, policy=POL)
+            out += tcm_groupoid_check(D, B, samples=1, seed=seed, policy=POL)
+        for seed in range(50):
+            out += cm_groupoid_check(F1, F1, samples=1, seed=seed, policy=POL)
+        return [(name, ok) for name, ok, _ in out]
+
+    real, taken = tcm_homotopy._is_target, [0]
+
+    def counted(qd, m):
+        ok = real(qd, m)
+        taken[0] += ok
+        return ok
+
+    monkeypatch.setattr(tcm_homotopy, "_is_target", counted)
+    known = entries()
+    monkeypatch.setattr(tcm_homotopy, "_is_target", lambda qd, m: False)
+    certified = entries()
+    assert taken[0] > 0 and known == certified

@@ -4,20 +4,21 @@
         --pairs groupoid=10 --pairs tower=5 --pairs validate=5 [--first-seed 1001]
 
 Runs the benchmark command of ``BENCHMARK.json`` for its ``run_seconds``
-once per side for each pair: the parent side in a temporary ``git
-worktree`` of REV, the change side in the working tree this script
-belongs to.  Pair i of a workload uses seed first-seed + i on both sides
+once per side for each pair: the parent side in a temporary copy of
+REV's files (``git archive``), the change side in the working tree this
+script belongs to.  Pair i of a workload uses seed first-seed + i on both sides
 and runs the parent first when i is even, the change first when i is
 odd, so that a slow spell of the machine falls on both sides.
 
 Writes ``BENCH_<label>.json`` at the root of the working tree: for each
 workload and each end-to-end metric of ``BENCHMARK.json``, every run's
 value, the median and quartiles of each side, the parent's interquartile
-range, and the number of pairs the change won.  The worktree is removed
-on every exit path, an interrupt or SIGTERM included.
+range, and the number of pairs the change won.  The copy is removed on
+every exit path, an interrupt or SIGTERM included.
 """
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -26,6 +27,7 @@ import signal
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -38,7 +40,7 @@ def parse_args(argv):
     p.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N",
                    help="N alternating pairs of WORKLOAD; repeat for more workloads")
     p.add_argument("--first-seed", type=int, default=1001)
-    p.add_argument("--tmpdir", default=None, help="where the parent's worktree goes")
+    p.add_argument("--tmpdir", default=None, help="where the parent's copy goes")
     args = p.parse_args(argv)
     plan = []
     for item in args.pairs:
@@ -152,14 +154,14 @@ def main(argv=None):
 
     old = {sig: signal.signal(sig, stop) for sig in (signal.SIGTERM, signal.SIGHUP)}
     try:
-        git("worktree", "add", "--detach", tree, parent)
+        archive = subprocess.run(["git", "archive", "--format=tar", parent], cwd=ROOT,
+                                 check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tree, filter="data")
         workloads, seeds = measure(args, bench, tree)
     finally:
         for sig, handler in old.items():
             signal.signal(sig, handler)
-        subprocess.run(["git", "worktree", "remove", "--force", tree], cwd=ROOT,
-                       capture_output=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
         shutil.rmtree(base, ignore_errors=True)
 
     doc = {
@@ -167,7 +169,7 @@ def main(argv=None):
         "what": "verdictbench end-to-end metrics in alternating parent/change pairs (pair i "
                 "runs the parent first when i is even, the change first when i is odd); each "
                 "run is the last output line of `%s --workload W --seed S --seconds %s`, the "
-                "parent in a git worktree of its commit, the change in the working tree"
+                "parent in a copy of its commit's files, the change in the working tree"
                 % (" ".join(bench["command"]), bench["run_seconds"]),
         "parent": parent,
         "change": change + ("+uncommitted" if dirty else ""),
