@@ -497,3 +497,14 @@ def make_free_algebra(generators, ring):
 def zero_algebra(ring):
     """The zero algebra, as a finite algebra with empty basis."""
     return FiniteAlgebra(ring, (), {})
+
+
+def generator_keys(alg):
+    """The keys an algebra map or a derivation out of alg is given on: the
+    generators of a free algebra or the basis of a finite one.  Any other
+    algebra, such as a semidirect product with a free part, raises BadShape."""
+    if isinstance(alg, FreeAlgebra):
+        return list(alg.generators)
+    if not alg.is_finite():
+        raise BadShape("%r is neither finite nor free" % (alg,))
+    return alg.basis_keys()

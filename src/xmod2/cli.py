@@ -72,12 +72,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_policy=True):
+    def common(p):
         p.add_argument("--json", metavar="PATH", help="also write the canonical JSON report")
-        if with_policy:
-            p.add_argument("--samples", type=_int_at_least(0), default=100)
-            p.add_argument("--max-degree", type=_int_at_least(1), default=4)
-            p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--samples", type=_int_at_least(0), default=100)
+        p.add_argument("--max-degree", type=_int_at_least(1), default=4)
+        p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("validate", help="validate every structure in a file")
     p.add_argument("file")
@@ -111,13 +110,9 @@ def _policy(args):
     return Policy(samples=args.samples, max_degree=args.max_degree, seed=seed)
 
 
-def _load(args, policy):
-    return load_spec(args.file, policy)
-
-
 def _cmd_validate(args, policy):
     report = Report("validate", params={"file": os.path.basename(args.file), "seed": policy.seed})
-    doc = _load(args, policy)
+    doc = load_spec(args.file, policy)
     for name in sorted(doc.algebras):
         report.add("algebra/%s" % name, "associativity", True)
     for name in sorted(doc.actions):
@@ -151,7 +146,7 @@ def _cmd_simplicial(args, policy):
             "seed": policy.seed, "samples": policy.samples, "max_degree": policy.max_degree,
         },
     )
-    doc = _load(args, policy)
+    doc = load_spec(args.file, policy)
     if args.module not in doc.two_crossed:
         raise UnresolvedReference(args.module, "two_crossed")
     A = doc.two_crossed[args.module]
@@ -191,7 +186,7 @@ def _cmd_homotopy(args, policy):
         "homotopy " + args.op,
         params={"file": os.path.basename(args.file), "names": names, "seed": policy.seed},
     )
-    doc = _load(args, policy)
+    doc = load_spec(args.file, policy)
     items = [_homotopy_by_name(doc, n) for n in names]
     # each name's layer is the section it was found in (quadratic first)
     kinds = sorted({"tcm" if n in doc.quadratic else "cm" for n in names})
@@ -268,7 +263,7 @@ def _cmd_groupoid(args, policy):
             "seed": policy.seed, "samples": policy.samples,
         },
     )
-    doc = _load(args, policy)
+    doc = load_spec(args.file, policy)
     section, store, check = {
         "cm": ("crossed", doc.crossed, cm_groupoid_check),
         "tcm": ("two_crossed", doc.two_crossed, tcm_groupoid_check),

@@ -141,13 +141,11 @@ def ideal_inclusion_cm(R, ideal_labels, policy=DEFAULT_POLICY):
 class TwoCrossedModule:
     """The tuple (L, E, R, d2, d1, actions, Peiffer lifting).
 
-    ``free_basis`` records the chosen free-algebra basis B of R when the
-    structure is free up to order one; the homotopy groupoid operations
-    require it and refuse to run without it.  ``slice_of`` is the crossed
-    module this is the L = 0 slice of (``as_two_crossed``), else None.
+    ``slice_of`` is the crossed module this is the L = 0 slice of
+    (``as_two_crossed``), else None.
     """
 
-    def __init__(self, L, E, R, d2, d1, act_e, act_l, lift, free_basis=None):
+    def __init__(self, L, E, R, d2, d1, act_e, act_l, lift):
         self.L = L
         self.E = E
         self.R = R
@@ -156,7 +154,6 @@ class TwoCrossedModule:
         self.act_e = act_e
         self.act_l = act_l
         self.lift = lift
-        self.free_basis = tuple(free_basis) if free_basis is not None else None
         self.certificates = {}
         self.slice_of = None
         self._prime = None
@@ -165,6 +162,13 @@ class TwoCrossedModule:
     @property
     def ring(self):
         return self.R.ring
+
+    @property
+    def free_basis(self):
+        """The basis B on which the structure is free up to order one: the
+        generators of R when R is a free algebra, else None.  The homotopy
+        groupoid operations need it (``tcm_homotopy``)."""
+        return self.R.generators if isinstance(self.R, FreeAlgebra) else None
 
     @property
     def act_prime(self):
@@ -200,7 +204,7 @@ class TwoCrossedModule:
         return "TwoCrossedModule<%r -> %r -> %r>" % (self.L, self.E, self.R)
 
 
-def make_two_crossed(L, E, R, d2, d1, act_e, act_l, lift, free_basis=None, policy=DEFAULT_POLICY):
+def make_two_crossed(L, E, R, d2, d1, act_e, act_l, lift, policy=DEFAULT_POLICY):
     """Build and certify a 2-crossed module.
 
     Checks, in order: d1 o d2 = 0; both boundaries preserve the R-actions;
@@ -218,11 +222,8 @@ def make_two_crossed(L, E, R, d2, d1, act_e, act_l, lift, free_basis=None, polic
         raise BadShape("R-action on L has wrong endpoints")
     if not (lift.left.compatible(E) and lift.right.compatible(E) and lift.target.compatible(L)):
         raise BadShape("Peiffer lifting has wrong endpoints")
-    if free_basis is not None:
-        if not isinstance(R, FreeAlgebra) or tuple(free_basis) != R.generators:
-            raise BadShape("free basis %r does not present R" % (free_basis,))
 
-    A = TwoCrossedModule(L, E, R, d2, d1, act_e, act_l, lift, free_basis)
+    A = TwoCrossedModule(L, E, R, d2, d1, act_e, act_l, lift)
     certs = A.certificates
 
     def run(name, algebras, lhs, rhs, error):
@@ -446,18 +447,17 @@ def identity_2cm_morphism(A):
 
 def as_two_crossed(C, policy=DEFAULT_POLICY):
     """The crossed module C = (E -> R) as the 2-crossed module 0 -> E -> R
-    with d2 = 0, the zero action on L = 0 and zero lifting, recording the
-    generators of a free R as its free basis.  Certified under ``policy``
-    and kept on C, one per policy; its certificates stay its own, C still
-    reports XM1 and XM2 alone."""
+    with d2 = 0, the zero action on L = 0 and zero lifting, free up to
+    order one when R is free.  Certified under ``policy`` and kept on C,
+    one per policy; its certificates stay its own, C still reports XM1 and
+    XM2 alone."""
     A = C._slices.get(policy)
     if A is None:
         E, R = C.E, C.R
         L = zero_algebra(C.ring)
         A = C._slices[policy] = make_two_crossed(
             L, E, R, algebra_morphism(L, E, images={}, policy=policy), C.d, C.act,
-            zero_action(R, L), zero_bilinear(E, E, L),
-            free_basis=R.generators if isinstance(R, FreeAlgebra) else None, policy=policy,
+            zero_action(R, L), zero_bilinear(E, E, L), policy,
         )
         A.slice_of = C
     return A

@@ -34,7 +34,8 @@ class CompositionMismatch(XmodError):
 
 
 class FreeBasisRequired(XmodError):
-    """Groupoid operation requested over a domain with no recorded free basis."""
+    """Groupoid operation requested over a domain whose R is not a free
+    algebra, so not free up to order one."""
 
 
 class NotAnIdeal(XmodError):

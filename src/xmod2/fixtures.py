@@ -60,20 +60,22 @@ def ideal_crossed(ring=QQ):
     return ideal_inclusion_cm(R, ["x2"])
 
 
-def _square_algebras(ring):
+def _f2_pieces(ring=QQ):
+    """F2's algebras, boundaries and lifting, also the parts of its
+    corrupted variants."""
     R = make_finite_algebra(["p"], {}, ring)
     E = make_finite_algebra(["a", "b"], {("a", "a"): {"b": 1}}, ring)
     L = make_finite_algebra([BH], {}, ring)
-    return R, E, L
+    d2 = algebra_morphism(L, E, images={BH: E.basis_element("b")})
+    d1 = algebra_morphism(E, R, images={"a": R.basis_element("p"), "b": R.zero()})
+    lift = BilinearMap(E, E, L, {("a", "a"): L.basis_element(BH)})
+    return R, E, L, d2, d1, lift
 
 
 @cache
 def square_two_crossed(ring=QQ):
     """F2: the a^2 = b example."""
-    R, E, L = _square_algebras(ring)
-    d2 = algebra_morphism(L, E, images={BH: E.basis_element("b")})
-    d1 = algebra_morphism(E, R, images={"a": R.basis_element("p"), "b": R.zero()})
-    lift = BilinearMap(E, E, L, {("a", "a"): L.basis_element(BH)})
+    R, E, L, d2, d1, lift = _f2_pieces(ring)
     return make_two_crossed(
         L, E, R, d2, d1,
         act_e=zero_action(R, E),
@@ -84,7 +86,7 @@ def square_two_crossed(ring=QQ):
 
 @cache
 def free_line_two_crossed(ring=QQ):
-    """F3: 0 -> 0 -> polynomial algebra on {x}, free basis recorded."""
+    """F3: 0 -> 0 -> polynomial algebra on {x}, free on B = {x}."""
     R = make_free_algebra(["x"], ring)
     E = zero_algebra(ring)
     L = zero_algebra(ring)
@@ -95,7 +97,6 @@ def free_line_two_crossed(ring=QQ):
         act_e=zero_action(R, E),
         act_l=zero_action(R, L),
         lift=zero_bilinear(E, E, L),
-        free_basis=["x"],
     )
 
 
@@ -112,14 +113,6 @@ def fixture(name, ring=QQ):
 # ---------------------------------------------------------------------------
 # Corrupted F2 variants.  Each entry is (name, thunk, expected error class,
 # expected law tag, witness labels); running the thunk must raise.
-
-
-def _f2_pieces(ring=QQ):
-    R, E, L = _square_algebras(ring)
-    d2 = algebra_morphism(L, E, images={BH: E.basis_element("b")})
-    d1 = algebra_morphism(E, R, images={"a": R.basis_element("p"), "b": R.zero()})
-    lift = BilinearMap(E, E, L, {("a", "a"): L.basis_element(BH)})
-    return R, E, L, d2, d1, lift
 
 
 def _mutant_lift_zero(ring=QQ):

@@ -6,7 +6,7 @@ through the full validators, so nothing unvalidated ever escapes.  Each
 generator takes an explicit rng; callers derive them from a seed.
 """
 
-from .algebra import make_finite_algebra, make_free_algebra
+from .algebra import FreeAlgebra, generator_keys, make_finite_algebra, make_free_algebra
 from .crossed import (
     as_two_crossed,
     kernel_two_crossed,
@@ -35,11 +35,11 @@ def _random_element(alg, rng, density=0.6):
     merging them would change every generated structure and the pinned
     selftest digests; they stay apart until a change re-pins anyway.
     """
-    keys = alg.basis_keys() if alg.is_finite() else [(g,) for g in alg.generators]
+    free = isinstance(alg, FreeAlgebra)
     coeffs = {}
-    for k in keys:
+    for k in generator_keys(alg):
         if rng.random() < density:
-            coeffs[k] = alg.ring.random(rng)
+            coeffs[(k,) if free else k] = alg.ring.random(rng)
     return alg.element(coeffs)
 
 
@@ -160,7 +160,6 @@ def random_free_two_crossed(ring, rng, max_dim=2, policy=DEFAULT_POLICY):
         act_e=zero_action(R, E),
         act_l=zero_action(R, L),
         lift=BilinearMap(E, E, L, lift_table),
-        free_basis=["x"],
         policy=policy,
     )
 
@@ -170,11 +169,7 @@ def random_free_two_crossed(ring, rng, max_dim=2, policy=DEFAULT_POLICY):
 
 
 def _morphism_images(source, target, rng, density):
-    if source.is_finite():
-        keys = source.basis_keys()
-    else:
-        keys = list(source.generators)
-    return {k: _random_element(target, rng, density=density) for k in keys}
+    return {k: _random_element(target, rng, density=density) for k in generator_keys(source)}
 
 
 def _random_morphism(A, B, levels, make, attempts, rng, policy):

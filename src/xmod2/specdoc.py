@@ -31,6 +31,9 @@ Schema (all scalars are strings, e.g. "3/4" or "2 mod 5"; elements are
       "quadratic_derivations":  {NAME: {"base": NAME, "s": linmap, "t": linmap}}
     }
 
+A 2-crossed module is free up to order one on R's generators when R is a
+free algebra; an optional "free_basis" declaration must be those generators.
+
 References resolve by name in dependency order.  A missing required
 field, a reference or a label that is not a string, an unknown label,
 monomial or map kind, and a scalar that is not a JSON string or number
@@ -306,12 +309,15 @@ class _Loader:
             for k2, elem in _shaped(row, dict, "%s row %r" % (lifting, k1)).items():
                 value = _parse_element(L, elem, "lifting of %r" % name)
                 table[(_parse_key(E, k1, lifting), _parse_key(E, k2, lifting))] = value
+        if free_basis is not None and not (
+            isinstance(R, FreeAlgebra) and tuple(free_basis) == R.generators
+        ):
+            raise BadShape("free basis %r does not present R" % (free_basis,))
         return make_two_crossed(
             L, E, R, d2, d1,
             act_e=self.action(_required(spec, "action_e", entry)),
             act_l=self.action(_required(spec, "action_l", entry)),
             lift=BilinearMap(E, E, L, table),
-            free_basis=free_basis,
             policy=self.policy,
         )
 

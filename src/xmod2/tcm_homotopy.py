@@ -9,7 +9,7 @@ which gives the law its certificate.  The target of the homotopy is
 
     g0 = f0 + d1' o s,   g1 = f1 + s o d1 + d2' o t,   g2 = f2 + t o d2.
 
-Composition takes s [+] s' on the recorded free basis B of R.  An
+Composition takes s [+] s' on the free basis B of R, its generators.  An
 f0-derivation is the same thing as an algebra map r -> (f0(r), s(r)) into
 R' |x E', so a set map B -> E' extends uniquely; s [+] s' extends
 (s + s')|B.  The correction term w(r) is extracted from the algebra of
@@ -28,7 +28,7 @@ z_map; it stays because the planned proof of w-change from B is built
 on the four faces of Z.  Only Z lives in Lam3: s, X and w read the lower
 stage of the target's tower (up to Lam2), and its upper stage, Lam3 with
 the actions behind it, is certified when check_w_change or z_map first
-asks for it.
+asks for it.  ``_tower_map`` builds phi (for s), X and Z from B.
 
 w is read only in ``_pair_w``, and ``x_map`` is the one pointwise check
 of X's component form.  The groupoid's compositions skip that check:
@@ -38,7 +38,7 @@ otherwise exceed the top degree of d1(E)), or into a target whose L' has
 no basis, where w = 0.
 
 Composition and inversion read the input (``_s_keys``, ``_t_keys``):
-they need a recorded free basis, unless the target's L' has no basis.
+they need a free R, unless the target's L' has no basis.
 There w = 0 and t = 0, so s [+] s' = s + s' and sbar = -s, over a finite
 R they run on its R-basis, and E may be infinite; this is the crossed
 layer, the L = 0 slice (``cm_homotopy``).
@@ -94,7 +94,7 @@ and is certified, and rejected, as before.
 import random
 from functools import cached_property, partial
 
-from .algebra import FreeAlgebra, unit_key
+from .algebra import FreeAlgebra, generator_keys, unit_key
 from .crossed import MORPHISM_LAWS, make_2cm_morphism
 from .errors import (
     CompositionMismatch,
@@ -125,15 +125,15 @@ from .simplex import get_tower
 def _require_free(A):
     if A.free_basis is None:
         raise FreeBasisRequired(
-            "domain has no recorded free basis; concatenation and inversion "
-            "of 2-crossed homotopies are only defined for domains free up to order one"
+            "R = %r is not a free algebra; concatenation and inversion of 2-crossed "
+            "homotopies are only defined for domains free up to order one" % (A.R,)
         )
     return A.free_basis
 
 
 def _s_keys(A, B):
     """The keys that a composite's or an inverse's s-images over A -> B are
-    given on: the recorded free basis of R, or, into a target whose L' has
+    given on: the free basis of R, or, into a target whose L' has
     no basis (so w = 0), the R-basis of a finite R.  Otherwise
     FreeBasisRequired, from ``_require_free``."""
     if A.free_basis is None and A.R.is_finite() and B.L.dim() == 0:
@@ -147,21 +147,31 @@ def _s_map(f, images, policy=DEFAULT_POLICY):
     A finite R gives a basis table.  A free R gives the algebra map
     phi: r -> (f0(r), s(r)) into R' |x E' = Lambda1 of the target's tower
     (its lower stage: a derivation certifies no Lambda3 action), the
-    substitution fixed by the generator images, followed by the projection
-    to E'; the tower is asked for only then, and phi is kept as
-    ``s.edge_map`` for the s-law's proof by construction
+    substitution fixed by the generator images (``_tower_map``), followed
+    by the projection to E'; the tower is asked for only then, and phi is
+    kept as ``s.edge_map`` for the s-law's proof by construction
     (``check_derivation_law``).
     """
     R, target = f.src.R, f.tgt.E
-    if R.is_finite():
+    if f.src.free_basis is None:
         return linear_map(R, target, images)
-    lam1 = get_tower(f.tgt, policy, top=2).levels[1]
-    phi = algebra_morphism(
-        R, lam1, images={b: lam1.pair(f.f0(R.basis_element((b,))), images[b]) for b in R.generators}
-    )
+    _, phi = _tower_map(f, 1, lambda b: (images[b],), policy, "phi")
+    lam1 = phi.target
     s = LinearMap(R, target, "function", fn=lambda r: lam1.split(phi(r))[1], note="derivation")
     s.edge_map = phi
     return s
+
+
+def _tower_map(f, n, columns, policy, note):
+    """The algebra map R -> Lam_n (n = 1, 2, 3) of the tower of f's target
+    that extends b -> (f0(b), *columns(b)) on the free basis B, and that
+    tower, built up to at least its lower stage (Lam2) or to Lam_n."""
+    A = f.src
+    basis = _require_free(A)
+    tower = get_tower(f.tgt, policy, top=max(n, 2))
+    pack = tower.codecs[n].pack
+    images = {b: pack(f.f0(A.R.basis_element((b,))), *columns(b)) for b in basis}
+    return tower, algebra_morphism(A.R, tower.levels[n], images=images, policy=policy, note=note)
 
 
 def _by_construction(f0, act, s):
@@ -217,16 +227,16 @@ def complete_s_images(R, E, images):
     monomial values, each owned by E.  The images are completed by zero on
     the R-basis of a finite R, or on the generators of a free one; there a
     monomial key declares a value that the derivation law forces, so it is
-    checked, not used."""
+    checked, not used.  Any other R raises BadShape."""
     out, declared = {}, {}
-    free = not R.is_finite()
+    free = isinstance(R, FreeAlgebra)
     for key, value in images.items():
         E.owns(value)
         if free and isinstance(key, tuple):
             declared[R.check_key(key)] = value
         else:
             out[key] = value
-    for key in R.generators if free else R.basis_keys():
+    for key in generator_keys(R):
         out.setdefault(key, E.zero())
     return out, declared
 
@@ -633,15 +643,8 @@ def box_plus_s(h1, h2, policy=DEFAULT_POLICY):
 def _triangle_map(f, images1, images2, policy=DEFAULT_POLICY):
     """The unique algebra map R -> Lam2(B) with b -> (f0(b), s(b), s'(b), 0),
     and the tower of B it maps into, at least its lower stage."""
-    A, B = f.src, f.tgt
-    basis = _require_free(A)
-    tower = get_tower(B, policy, top=2)
-    zeta = {}
-    for b in basis:
-        zeta[b] = tower.simplex2(
-            f.f0(A.R.basis_element((b,))), images1[b], images2[b], B.L.zero()
-        )
-    return tower, algebra_morphism(A.R, tower.levels[2], images=zeta, policy=policy, note="X")
+    zero = f.tgt.L.zero()
+    return _tower_map(f, 2, lambda b: (images1[b], images2[b], zero), policy, "X")
 
 
 def x_map(h1, h2, r, policy=DEFAULT_POLICY):
@@ -746,18 +749,12 @@ def z_map(h1, h2, h3, r, policy=DEFAULT_POLICY):
     and that the d1-face is X^(s, s'[+]s'') (the back face of the
     tetrahedron)."""
     box23, w12, w23, w12_3 = _triple_w(h1, h2, h3, r, policy)
-    f = h1.f
-    A, B = f.src, f.tgt
-    tower = get_tower(B, policy)
-    _, back = _triangle_map(f, h1.s_images, box23, policy)
+    f, B = h1.f, h1.f.tgt
     zL = B.L.zero()
-    lam = {}
-    for b in A.free_basis:
-        rb = A.R.basis_element((b,))
-        lam[b] = tower.simplex3(
-            f.f0(rb), h1.s_images[b], h2.s_images[b], zL, h3.s_images[b], zL, zL
-        )
-    Z = algebra_morphism(A.R, tower.levels[3], images=lam, policy=policy, note="Z")
+    tower, Z = _tower_map(
+        f, 3, lambda b: (h1.s_images[b], h2.s_images[b], zL, h3.s_images[b], zL, zL), policy, "Z"
+    )
+    _, back = _triangle_map(f, h1.s_images, box23, policy)
     value = Z(r)
     expected = (
         f.f0(r),

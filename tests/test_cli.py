@@ -221,6 +221,69 @@ def test_groupoid_tcm_without_free_basis_fails_with_exit_1():
     assert "FreeBasisRequired" in out.stdout
 
 
+def test_groupoid_tcm_on_f3_needs_no_declared_free_basis(tmp_path, capsys):
+    """F3's R is a free algebra, so F3 is free up to order one whether or
+    not the document declares its free_basis."""
+    with open(FIXTURES, encoding="utf-8") as fh:
+        data = json.load(fh)
+    del data["two_crossed"]["F3"]["free_basis"]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out.json"
+    argv = ["groupoid", "tcm", str(path), "--source", "F3", "--target", "F2", "--samples", "2",
+            "--json", str(out)]
+    assert cli.main(argv) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert len(checks) == 22 and all(c["status"] == "pass" for c in checks)
+
+
+def _semidirect_domain_doc(layer):
+    """R = X |x U, with X free on x, U = <u> finite and the zero action: an
+    infinite R that is not free.  The "tcm" layer takes D = (0 -> 0 -> R)
+    and a quadratic derivation over its identity; the "cm" layer takes the
+    crossed module U -> R with the zero map, and a derivation over its
+    identity when ``layer`` is "cm-derivation"."""
+    doc = {
+        "ring": "Q",
+        "algebras": {"X": {"type": "free", "generators": ["x"]},
+                     "U": {"type": "finite", "basis": ["u"], "products": {}},
+                     "R": {"type": "semidirect", "acting": "X", "acted": "U", "action": "zXU"},
+                     "Z": {"type": "finite", "basis": [], "products": {}}},
+        "actions": {"zXU": {"acting": "X", "acted": "U", "zero": True},
+                    "zRZ": {"acting": "R", "acted": "Z", "zero": True},
+                    "zRU": {"acting": "R", "acted": "U", "zero": True}},
+    }
+    if layer == "tcm":
+        doc["two_crossed"] = {"D": {"L": "Z", "E": "Z", "R": "R", "d2": {}, "d1": {},
+                                    "action_e": "zRZ", "action_l": "zRZ", "lifting": {}}}
+        doc["maps"] = {"id": {"kind": "two_crossed", "source": "D", "target": "D", "identity": True}}
+        doc["quadratic_derivations"] = {"q": {"base": "id", "s": {}, "t": {}}}
+    else:
+        doc["crossed"] = {"C": {"E": "U", "R": "R", "map": {}, "action": "zRU"}}
+        if layer == "cm-derivation":
+            doc["maps"] = {"id": {"kind": "crossed", "source": "C", "target": "C", "identity": True}}
+            doc["derivations"] = {"s": {"base": "id", "s": {}}}
+    return doc
+
+
+@pytest.mark.parametrize("layer, command, check", [
+    ("tcm", ["validate"], "load/ValidationError"),
+    ("cm-derivation", ["validate"], "load/ValidationError"),
+    ("cm", ["groupoid", "cm"], "load/BadShape"),
+], ids=["quadratic-derivation", "crossed-derivation", "groupoid-cm"])
+def test_infinite_r_that_is_not_free_fails_by_name(tmp_path, capsys, layer, command, check):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_semidirect_domain_doc(layer)))
+    out = tmp_path / "out.json"
+    argv = [*command, str(path), "--json", str(out)]
+    if command[0] == "groupoid":
+        argv += ["--source", "C", "--target", "C", "--samples", "2"]
+    assert cli.main(argv) == 1
+    (entry,) = json.loads(out.read_text())["checks"]
+    assert entry["name"] == check and entry["status"] == "fail"
+    assert entry["witness"].endswith("Semidirect<FreeAlgebra<x> |x FiniteAlgebra<u>> is neither finite nor free")
+
+
 def test_groupoid_cm_passes():
     out = run_cli("groupoid", "cm", FIXTURES, "--source", "F1", "--target", "F1", "--samples", "4")
     assert out.returncode == 0

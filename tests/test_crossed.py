@@ -1,10 +1,12 @@
 import hashlib
+import json
+import os
 import random
 
 import pytest
 
 from xmod2 import fixtures
-from xmod2.algebra import make_finite_algebra, make_free_algebra
+from xmod2.algebra import make_finite_algebra
 from xmod2.crossed import (
     as_two_crossed,
     ideal_inclusion_cm,
@@ -13,21 +15,24 @@ from xmod2.crossed import (
     make_2cm_morphism,
     make_crossed,
     make_precrossed,
-    make_two_crossed,
 )
 from xmod2.errors import (
     BadShape,
     CompositionMismatch,
     NotAnIdeal,
+    ValidationError,
     XM1Violation,
     XM2Violation,
 )
-from xmod2.maps import LinearMap, algebra_morphism, make_action, zero_action, zero_bilinear
+from xmod2.maps import LinearMap, algebra_morphism, make_action, zero_action
 from xmod2.randgen import random_precrossed
 from xmod2.rings import PrimeField, QQ
+from xmod2.specdoc import load_spec
 from xmod2.tcm_homotopy import concat_2cm, zero_quadratic
 
 from helpers import zero_2cm_morphism
+
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures.json")
 
 
 def square_level_one():
@@ -145,20 +150,16 @@ def test_corrupted_f2_error_texts_are_pinned():
 
 
 def test_free_basis_must_present_r():
+    """R is free on its generators; a document's declared free_basis is
+    checked against them."""
     F3 = fixtures.free_line_two_crossed()
     assert F3.free_basis == ("x",)
-    R = make_free_algebra(["x"], QQ)
-    E = make_finite_algebra([], {}, QQ)
-    with pytest.raises(BadShape):
-        make_two_crossed(
-            E, E, R,
-            d2=algebra_morphism(E, E, images={}),
-            d1=algebra_morphism(E, R, images={}),
-            act_e=zero_action(R, E),
-            act_l=zero_action(R, E),
-            lift=zero_bilinear(E, E, E),
-            free_basis=["y"],
-        )
+    with open(FIXTURES, encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["two_crossed"]["F3"]["free_basis"] = ["y"]
+    with pytest.raises(ValidationError) as err:
+        load_spec(data)
+    assert str(err.value) == "two_crossed 'F3': free basis ['y'] does not present R"
 
 
 def test_kernel_of_square_level_one_reproduces_f2():

@@ -203,7 +203,7 @@ def _table_acted_domain():
     act = make_action(R, E, {"x": {"u": u}}, PROVED)
     return make_two_crossed(
         E, E, R, d2=identity_map(E), d1=algebra_morphism(E, R, images={"u": R.zero()}, policy=PROVED),
-        act_e=act, act_l=act, lift=BilinearMap(E, E, E, {("u", "u"): u}), free_basis=["x"],
+        act_e=act, act_l=act, lift=BilinearMap(E, E, E, {("u", "u"): u}),
         policy=PROVED,
     )
 

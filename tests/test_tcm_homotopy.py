@@ -106,7 +106,7 @@ def _idempotent_domain():
     act = make_action(R, E, {"x": {"u": u}}, POL)
     D = make_two_crossed(
         E, E, R, d2=identity_map(E), d1=algebra_morphism(E, R, images={"u": R.zero()}, policy=POL),
-        act_e=act, act_l=act, lift=BilinearMap(E, E, E, {("u", "u"): u}), free_basis=["x"],
+        act_e=act, act_l=act, lift=BilinearMap(E, E, E, {("u", "u"): u}),
         policy=POL,
     )
     return D, zero_2cm_morphism(D, D, POL), u
@@ -158,7 +158,7 @@ def test_sampled_certificate_reproduces_its_tuples(monkeypatch):
     F3 = make_two_crossed(
         L, E, R, d2=algebra_morphism(L, E, images={}), d1=algebra_morphism(E, R, images={}),
         act_e=zero_action(R, E), act_l=zero_action(R, L), lift=zero_bilinear(E, E, L),
-        free_basis=["x"], policy=pol,
+        policy=pol,
     )
     cert = F3.certificates["d1-equivariance"]
     assert not cert.exhaustive
@@ -469,7 +469,7 @@ def test_free_basis_guardrails():
 
 
 def test_a_finite_domain_composes_only_into_a_target_with_no_l():
-    """Composition and inversion need a recorded free basis unless the
+    """Composition and inversion need a free R unless the
     target's L' has no basis.  The kernel 2-crossed module K of F1 = (x2)
     -> <x, x2> has a finite R, no free basis and L = ker d = 0: there w = 0,
     so s [+] s' = s + s' and sbar = -s on the R-basis.  From K into F2,
@@ -947,7 +947,7 @@ def _every_term_instance():
     D = make_two_crossed(
         E, E, R, d2=identity_map(E), d1=algebra_morphism(E, R, images={"u": R.zero()}, policy=POL),
         act_e=zero_action(R, E), act_l=zero_action(R, E), lift=zero_bilinear(E, E, E),
-        free_basis=["x"], policy=POL,
+        policy=POL,
     )
     R2 = make_finite_algebra(["p"], {}, F5)
     E2 = make_finite_algebra(["a", "b"], {("a", "a"): {"b": 1}}, F5)
