@@ -20,6 +20,11 @@ coefficient dicts: ``combine`` (a linear combination of dicts) and
 maps, actions and the exhaustive law checks of ``maps`` all go through
 them, so the arithmetic has one implementation.
 
+A finite algebra also names a generating set: positions in its basis of
+basis elements whose products span it (``generating_positions``), found
+once and kept.  ``maps.check_law`` checks a law on it in a slot whose
+solution set is closed under products (the generator rule).
+
 An element's ``coeffs`` dict may be shared: a product of two basis keys is
 the ``key_mul`` value itself (a structure-table row, or a semidirect
 product's memoised entry), a map or action evaluated on basis keys returns
@@ -143,9 +148,31 @@ def combine(ring, terms):
     return acc
 
 
+def _echelon_add(ring, echelon, v, position):
+    """Reduce the coefficient dict v against ``echelon`` and add what is
+    left, if anything, as a new row; returns whether a row was added.
+
+    ``echelon`` maps each row's pivot to the row, which has coefficient one
+    at its pivot and zero at the pivots of the rows before it.  Reducing in
+    that order leaves zero at every pivot, and the new row's pivot is its
+    first key in ``position`` order.  So every pivot is the first key of a
+    vector of the span, and the pivots are those of the span's rref."""
+    for p, row in echelon.items():
+        c = v.get(p)
+        if c is not None:
+            v = combine(ring, [(ring.one, v), (ring.neg(c), row)])
+    if not v:
+        return False
+    pivot = min(v, key=position.__getitem__)
+    scale = ring.inv(v[pivot])
+    echelon[pivot] = {k: ring.mul(scale, c) for k, c in v.items()}
+    return True
+
+
 class Algebra:
     ring = None
     _basis = None  # basis elements, built by basis_elements on first use
+    _generating = None  # generating_positions, found on first use
 
     # -- elements ----------------------------------------------------------
 
@@ -218,6 +245,11 @@ class Algebra:
             self._basis = [self.basis_element(k) for k in self.basis_keys()]
         return list(self._basis)
 
+    def generating_positions(self):
+        """Positions in the basis of basis elements that generate the
+        algebra: their products, iterated, span it (finite algebras only)."""
+        raise BadShape("%r has no finite basis" % (self,))
+
     def compatible(self, other):
         raise NotImplementedError
 
@@ -264,6 +296,42 @@ class FiniteAlgebra(Algebra):
 
     def basis_keys(self):
         return list(self.labels)
+
+    def generating_positions(self):
+        """The labels that are not pivots of the rref of A^2's table rows,
+        found once.  They span a complement of A^2, which generates A when
+        A is nilpotent, and in general when the subalgebra they generate
+        spans A; that is checked, and when it fails (u^2 = u) every label
+        is taken.  A zero table takes every label with no linear algebra."""
+        if self._generating is None:
+            labels = self.labels
+            self._generating = tuple(range(len(labels)))
+            if self._table:
+                ring, position = self.ring, {k: i for i, k in enumerate(labels)}
+                square = {}
+                for row in self._table.values():
+                    _echelon_add(ring, square, row, position)
+                gens = [k for k in labels if k not in square]
+                if self._generates(gens, position):
+                    self._generating = tuple(position[k] for k in gens)
+        return self._generating
+
+    def _generates(self, gens, position):
+        """Whether the subalgebra generated by the labels gens spans A: the
+        span of gens, closed under multiplication by each of them."""
+        ring = self.ring
+        span, queue = {}, []
+        for g in gens:
+            _echelon_add(ring, span, {g: ring.one}, position)
+            queue.append({g: ring.one})
+        for v in queue:  # grows while products add rows
+            if len(span) == len(self.labels):
+                break
+            for g in gens:
+                w = self.product(v, {g: ring.one})
+                if _echelon_add(ring, span, w, position):
+                    queue.append(w)
+        return len(span) == len(self.labels)
 
     def compatible(self, other):
         return (
@@ -422,6 +490,16 @@ class SemidirectAlgebra(Algebra):
 
     def basis_keys(self):
         return [(0, k) for k in self.left.basis_keys()] + [(1, k) for k in self.right.basis_keys()]
+
+    def generating_positions(self):
+        """G(X) on the X side and G(Y) on the Y side, with no linear algebra:
+        (x, 0)(x', 0) = (xx', 0) and (0, y)(0, y') = (0, yy'), so they
+        generate X x 0 and 0 x Y, which span X |x Y."""
+        if self._generating is None:
+            shift = self.left.dim()
+            self._generating = self.left.generating_positions() + tuple(
+                shift + i for i in self.right.generating_positions())
+        return self._generating
 
     def compatible(self, other):
         return (

@@ -405,9 +405,9 @@ def make_2cm_morphism(src, tgt, f0, f1, f2, policy=DEFAULT_POLICY):
     def run(name, algebras, lhs, rhs, error, generators=()):
         certs[name] = check_law(algebras, lhs, rhs, error, policy, generators=generators)
 
-    def r_over_generators(*actions):  # the lemma's premises, else sampled
+    def r_over_generators(*actions):  # over a free R, the lemma's premises, else sampled
         proved = is_proof(f0.multiplicative) and all(is_proof(a.certificate) for a in actions)
-        return (0,) if proved else ()
+        return (0,) if src.free_basis and proved else ()
 
     run(
         "d1-square", [src.E], lambda e: f0(src.d1(e)), lambda e: tgt.d1(f1(e)),

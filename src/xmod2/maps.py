@@ -8,10 +8,11 @@ one of four rules:
 
 * basis: every algebra of the law is finite, and every tuple of basis
   elements is checked -> EXHAUSTIVE;
-* generators: the caller names slots over a free algebra R on B whose
-  solution set is closed under products (the lemma below), every other
-  slot is finite, and B in those slots times the bases elsewhere is
-  checked -> EXHAUSTIVE;
+* generators: the caller names slots whose solution set is closed under
+  products (the lemma below), each over a free algebra R on B or over a
+  finite algebra whose product is proved, every other slot is finite, and
+  B or the finite algebra's generating set in those slots times the bases
+  elsewhere is checked -> EXHAUSTIVE;
 * by construction: the caller has shown that the law holds for the way
   its maps were built (``tcm_homotopy.check_derivation_law``), and no tuple
   is evaluated -> EXHAUSTIVE;
@@ -22,14 +23,28 @@ one of four rules:
   tuples, so by multilinearity the law holds on every draw once it holds
   on them.
 
-The generator lemma.  Let a law be linear in a slot a over a free algebra R
-on B, and let S be the set of a for which it holds for every value of the
-other slots.  S is a subspace.  If S is closed under products and contains
-B, it contains every monomial, so S = R, and the finite check on B is a
-proof.  Each caller proves closure for its own law in its docstring
-(``crossed.make_2cm_morphism``, ``tcm_homotopy.make_quadratic_derivation``)
-and names the slot only when the laws that proof uses are themselves
-proved; otherwise the law is sampled as before.
+The generator lemma.  Let a law be linear in a slot a over an algebra R,
+and let S be the set of a for which it holds for every value of the other
+slots.  S is a subspace.  If S is closed under products and contains a
+set G that generates R, it contains every product of elements of G, so
+S = R, and the finite check on G is a proof.  G is B for a free algebra
+on B, and ``generating_positions`` for a finite one, whose products span
+it when its product is the proved one (``_proved``).  Each caller proves
+closure for its own law in its docstring and names the slot only when the
+laws that proof uses are themselves proved; otherwise the law is checked
+as before:
+
+* ``certify_multiplicative``: a on G, x over the basis;
+* ``certify_action``: A2 with r1 on G_R, then A1 with r on G_R and m1 on
+  G_M, over finite algebras;
+* ``simplex.check_simplicial_identities``: each identity on G of its
+  level, when its faces and degeneracies are proved algebra maps;
+* ``crossed.make_2cm_morphism`` and ``tcm_homotopy.make_quadratic_derivation``:
+  r on B, over a free R.
+
+When a law over finite algebras fails on a generating set, ``check_law``
+decides it again on the full basis, so its error and witness are the ones
+the basis check raises.
 
 ``check_law`` is the one caller of ``law_tuples``, so the one place where
 the kind of certificate a law earns is decided: every law checked above
@@ -65,21 +80,22 @@ pair for an action) once, keep it in a per-object memo, and extend
 (bilinear for an action): it is only ever called on basis elements, and
 the memo grows with the keys seen.
 
-Exhaustive checks of A1, A2 and multiplicativity run on coefficient dicts.
-``certify_action`` and ``certify_multiplicative`` hand ``check_law`` a
-kernel that decides each basis tuple with the two dict kernels of
+Exhaustive checks of A1, A2, multiplicativity and the simplicial
+identities run on coefficient dicts.  ``certify_action``,
+``certify_multiplicative`` and ``simplex.check_simplicial_identities`` hand
+``check_law`` a kernel that decides each basis tuple with the two dict kernels of
 ``algebra`` (``combine`` and ``Algebra.product``).  Products come from the
 algebra's own ``key_mul``, and images from ``_key_image``: a map's memoised
 or table image of a key, an action's memo entry or table row for a key
 pair.  The tuples still come from one ``law_tuples`` call and are decided
-in its order.  At the first tuple whose two sides differ, the witness
-comes from the element path: ``check_law`` evaluates lhs and rhs on that
-tuple of elements, so a failure raises exactly the error an element check
-raises.  The exhaustive tuples are a lazy ``BasisTuples``, so the tuple at
-the witness is the only one built.  Generator and sampled checks (a free
-algebra in the law) evaluate on elements: every generator tuple, and for a
-sampled law each spanned key tuple as a tuple of basis elements (or every
-drawn tuple, when the span is not smaller).
+in its order, generating sets in the generator slots.  At the first tuple
+whose two sides differ, the witness comes from the element path:
+``check_law`` evaluates lhs and rhs on that tuple of elements, so a failure
+raises exactly the error an element check raises.  The exhaustive tuples
+are a lazy ``BasisTuples``, so the tuple at the witness is the only one
+built.  Checks with a free algebra in the law evaluate on elements: every
+generator tuple, and for a sampled law each spanned key tuple as a tuple of
+basis elements (or every drawn tuple, when the span is not smaller).
 
 On elements, evaluation takes a direct path on a single basis key with
 coefficient one (``algebra.unit_key``): a ``LinearMap`` returns the key's
@@ -217,29 +233,45 @@ class BasisTuples(Sequence):
         return tuple(reversed(out))
 
 
+def _generating(alg):
+    """The elements a generator slot over alg is checked on: a free
+    algebra's generators, or the generating set of a finite algebra whose
+    commutativity and associativity are proved (``_proved``); None for any
+    other algebra, whose slot then takes no generator rule."""
+    if isinstance(alg, FreeAlgebra):
+        return alg.generator_elements()
+    if alg.is_finite() and _proved(alg):
+        basis = alg.basis_elements()
+        return [basis[i] for i in alg.generating_positions()]
+    return None
+
+
 def law_tuples(algebras, policy=DEFAULT_POLICY, generators=()):
     """Tuples on which to test a multilinear law over the given algebras;
     called by ``check_law`` alone.
 
     Returns (tuples, exhaustive).  Exhaustive means the tuples span every
-    argument, so the law check is a proof: the full cartesian product of
-    bases, or, when each slot in ``generators`` is a free algebra and every
-    other slot is finite, the generators in those slots times the bases
-    elsewhere (the generator lemma of the module docstring).  Both are a
-    ``BasisTuples``, which builds a tuple only when it is read.
+    argument, so the law check is a proof: when each slot in ``generators``
+    has a generating set (``_generating``) and every other slot is finite,
+    that set in those slots times the bases elsewhere (the generator lemma
+    of the module docstring); else, when every slot is finite, the full
+    cartesian product of bases.  Both are a ``BasisTuples``, which builds a
+    tuple only when it is read.
 
     Otherwise the skeleton tuples are followed by policy.samples random
     tuples of degree <= policy.max_degree, drawn from Random(policy.seed):
     a function of (policy, algebras), kept on algebras[0] and drawn only
     the first time.
     """
+    if generators:
+        factors = [
+            _generating(a) if i in generators else a.basis_elements() if a.is_finite() else None
+            for i, a in enumerate(algebras)
+        ]
+        if all(f is not None for f in factors):
+            return BasisTuples(factors), True
     if all(a.is_finite() for a in algebras):
         return BasisTuples([a.basis_elements() for a in algebras]), True
-    if generators and all(
-        isinstance(a, FreeAlgebra) if i in generators else a.is_finite()
-        for i, a in enumerate(algebras)
-    ):
-        return BasisTuples(list(map(_skeleton, algebras))), True
     tuples = list(itertools.product(*[_skeleton(a) for a in algebras]))
     tuples.extend(_sampled(tuple(algebras), policy))
     return tuples, False
@@ -285,21 +317,40 @@ def check_law(algebras, lhs, rhs, error, policy, on_keys=None, generators=(), by
     basis elements.  No check evaluates more tuples than law_tuples gives.
 
     ``generators`` names the slots whose solution set the caller has shown
-    to be closed under products; over a free algebra those slots are
-    checked on its generators alone (the generator rule).
+    to be closed under products; those slots are checked on a generating
+    set (the generator rule): a free algebra's generators, or a finite
+    algebra's ``generating_positions`` when its product is proved.  When a
+    law over finite algebras fails on a generating set, it is decided again
+    on the full basis, so the error and its witness are the ones the basis
+    check raises.
     ``by_construction`` says the caller has shown that the law holds for
     the way its maps were built: nothing is evaluated and the certificate
     is EXHAUSTIVE.  The sides are still given, as the statement of the law.
 
     ``on_keys`` decides the law on basis keys: given the basis key lists
-    of the algebras, it returns the positions (one per algebra) of the
-    first failing key tuple in ``itertools.product`` order, or None.  An
-    exhaustive check over bases uses it and evaluates lhs and rhs at that
-    tuple only; no caller gives both ``on_keys`` and ``generators``.
+    of the slots (a generating set's keys in a generator slot), it returns
+    the positions (one per slot) of the first failing key tuple in
+    ``itertools.product`` order, or None.  An exhaustive check uses it and
+    evaluates lhs and rhs at that tuple only.
     """
     if by_construction:
         return EXHAUSTIVE
     tuples, exhaustive = law_tuples(algebras, policy, generators)
+    failure = _first_failure(algebras, tuples, exhaustive, lhs, rhs, on_keys)
+    if (
+        failure is not None and generators and all(a.is_finite() for a in algebras)
+        and len(tuples) < math.prod(a.dim() for a in algebras)
+    ):
+        tuples, exhaustive = law_tuples(algebras, policy)
+        failure = _first_failure(algebras, tuples, exhaustive, lhs, rhs, on_keys)
+    if failure is not None:
+        raise error(*failure)
+    return EXHAUSTIVE if exhaustive else policy.certificate
+
+
+def _first_failure(algebras, tuples, exhaustive, lhs, rhs, on_keys):
+    """(t, lhs(*t), rhs(*t)) at the first tuple t of law_tuples' output
+    where the sides differ, or None."""
     if exhaustive and on_keys is not None:
         # Keys taken from the basis elements, not from basis_keys(), which
         # builds new tuples for a semidirect product: the memo and cache
@@ -307,21 +358,21 @@ def check_law(algebras, lhs, rhs, error, policy, on_keys=None, generators=(), by
         # lookups pass, and those compare by identity, not by value.
         keys = [[unit_key(u) for u in factor] for factor in tuples.factors]
         positions = on_keys(*keys)
-        if positions is not None:
-            index = 0
-            for pos, ks in zip(positions, keys):
-                index = index * len(ks) + pos
-            t = tuples[index]
-            raise error(t, lhs(*t), rhs(*t))
-        return EXHAUSTIVE
+        if positions is None:
+            return None
+        index = 0
+        for pos, ks in zip(positions, keys):
+            index = index * len(ks) + pos
+        t = tuples[index]
+        return t, lhs(*t), rhs(*t)
     if not exhaustive:
         tuples = _spanned(algebras, tuples)
     for t in tuples:
         left = lhs(*t)
         right = rhs(*t)
         if left != right:
-            raise error(t, left, right)
-    return EXHAUSTIVE if exhaustive else policy.certificate
+            return t, left, right
+    return None
 
 
 def _weakest(*certs):
@@ -435,12 +486,23 @@ def identity_map(alg):
 
 
 def certify_multiplicative(f, policy=DEFAULT_POLICY):
+    """Certify f(ax) = f(a)f(x); stored as f.multiplicative.
+
+    The lemma (the generator rule in a, x over the basis): the law is
+    linear in a, and the set S of a for which it holds for every x is
+    closed under products when the source and the target are associative,
+    since for a, b in S
+
+        f((ab)x) = f(a(bx)) = f(a)f(b)f(x) = f(ab)f(x).
+
+    So a on a generating set of a proved source suffices, when the
+    target's product is proved too."""
     source_mul, target_product = f.source.key_mul, f.target.product
     ring, image = f.target.ring, f._key_image
 
-    def on_keys(keys, _):  # f(k1k2) = f(k1)f(k2)
-        for i, k1 in enumerate(keys):
-            for j, k2 in enumerate(keys):
+    def on_keys(akeys, xkeys):  # f(k1k2) = f(k1)f(k2)
+        for i, k1 in enumerate(akeys):
+            for j, k2 in enumerate(xkeys):
                 product = source_mul(k1, k2).coeffs
                 left = product and combine(ring, [(c, image(k)) for k, c in product.items()])
                 a, b = image(k1), image(k2)
@@ -450,7 +512,7 @@ def certify_multiplicative(f, policy=DEFAULT_POLICY):
 
     f.multiplicative = check_law(
         [f.source, f.source], lambda u, v: f(u * v), lambda u, v: f(u) * f(v),
-        MorphismViolation, policy, on_keys=on_keys,
+        MorphismViolation, policy, on_keys=on_keys, generators=(0,) if _proved(f.target) else (),
     )
     return f.multiplicative
 
@@ -648,15 +710,32 @@ def certify_action(action, policy=DEFAULT_POLICY):
     A1 and A2 are trilinear, so basis tuples prove them in the finite case;
     when the acting algebra is a semidirect product the split basis tuples
     are exactly the reduced conditions for actions of semidirect products.
+
+    Over finite algebras both take the generator rule, A2 first:
+
+    * A2, r1 r2 > m = r1 > (r2 > m), with r1 on G_R and r2, m over the
+      bases.  For a, b in the solution set S and every r2, m, by the
+      associativity of R,
+      (ab)r2 > m = a > (b r2 > m) = a > (b > (r2 > m)) = ab > (r2 > m).
+    * A1, r > m1 m2 = (r > m1) m2, with r on G_R and m1 on G_M, m2 over the
+      basis, once A2 is proved.  For r on G_R, the m1 that satisfy it are
+      closed under products by the associativity of M:
+      r > (ab)m2 = (r > a)(b m2) = ((r > a)b)m2 = (r > ab)m2.  So A1 holds
+      for r on G_R and every m1, m2, and the r that satisfy it are closed
+      under products by A2:
+      ab > m1m2 = a > (b > m1m2) = a > (b > m1)m2 = (ab > m1)m2.
+
+    When either fails, A1 and then A2 are decided on the bases, in that
+    order, so the error is the one the basis checks raise.
     """
     R, M = action.acting, action.acted
     ring, image, key_mul = M.ring, action._key_image, M.key_mul
 
-    def a1_on_keys(rkeys, mkeys, _):  # r > m1m2 = (r > m1)m2
+    def a1_on_keys(rkeys, m1keys, m2keys):  # r > m1m2 = (r > m1)m2
         for i, r in enumerate(rkeys):
-            for j, m1 in enumerate(mkeys):
+            for j, m1 in enumerate(m1keys):
                 acted = image(r, m1)
-                for l, m2 in enumerate(mkeys):
+                for l, m2 in enumerate(m2keys):
                     product = key_mul(m1, m2).coeffs
                     left = product and combine(ring, [(c, image(r, k)) for k, c in product.items()])
                     right = acted and combine(ring, [(c, key_mul(k, m2).coeffs) for k, c in acted.items()])
@@ -664,9 +743,9 @@ def certify_action(action, policy=DEFAULT_POLICY):
                         return i, j, l
         return None
 
-    def a2_on_keys(rkeys, _, mkeys):  # r1r2 > m = r1 > (r2 > m)
-        for i, r1 in enumerate(rkeys):
-            for j, r2 in enumerate(rkeys):
+    def a2_on_keys(r1keys, r2keys, mkeys):  # r1r2 > m = r1 > (r2 > m)
+        for i, r1 in enumerate(r1keys):
+            for j, r2 in enumerate(r2keys):
                 product = R.key_mul(r1, r2).coeffs
                 for l, m in enumerate(mkeys):
                     acted = image(r2, m)
@@ -676,15 +755,30 @@ def certify_action(action, policy=DEFAULT_POLICY):
                         return i, j, l
         return None
 
-    a1 = check_law(
-        [R, M, M], lambda r, m1, m2: action(r, m1 * m2), lambda r, m1, m2: action(r, m1) * m2,
-        A1Violation, policy, on_keys=a1_on_keys,
-    )
-    a2 = check_law(
-        [R, R, M], lambda r1, r2, m: action(r1 * r2, m), lambda r1, r2, m: action(r1, action(r2, m)),
-        A2Violation, policy, on_keys=a2_on_keys,
-    )
-    action.certificate = _weakest(a1, a2)
+    def a1(generators=()):
+        return check_law(
+            [R, M, M], lambda r, m1, m2: action(r, m1 * m2), lambda r, m1, m2: action(r, m1) * m2,
+            A1Violation, policy, on_keys=a1_on_keys, generators=generators,
+        )
+
+    def a2(generators=()):
+        return check_law(
+            [R, R, M], lambda r1, r2, m: action(r1 * r2, m), lambda r1, r2, m: action(r1, action(r2, m)),
+            A2Violation, policy, on_keys=a2_on_keys, generators=generators,
+        )
+
+    if R.is_finite() and M.is_finite():
+        try:
+            a2_cert, a2_error = a2((0,)), None
+        except A2Violation as exc:
+            a2_cert, a2_error = None, exc
+        if a2_error is not None:
+            a1()  # the bases decide A1 first
+            raise a2_error
+        a1_cert = a1((0, 1))  # A2 passed with every slot finite, so it is proved
+    else:
+        a1_cert, a2_cert = a1(), a2()
+    action.certificate = _weakest(a1_cert, a2_cert)
     return action.certificate
 
 

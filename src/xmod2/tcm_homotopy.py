@@ -404,7 +404,7 @@ def _t_laws(f, smap, tmap, s_law, policy):
     A, B = f.src, f.tgt
     act_l, lift, prime, d1p = B.act_l, B.lift, B.act_prime, B.d1
     f0, f1, f2 = f.f0, f.f1, f.f2
-    r_over_generators = (0,) if _t_action_premises(f, s_law) else ()
+    r_over_generators = (0,) if A.free_basis and _t_action_premises(f, s_law) else ()
 
     def law(name, algebras, lhs, rhs, generators=()):
         return check_law(algebras, lhs, rhs, partial(QDLawViolation, name), policy, generators=generators)

@@ -23,7 +23,7 @@ from xmod2.maps import (
     semidirect,
     zero_action,
 )
-from xmod2.rings import QQ
+from xmod2.rings import QQ, PrimeField
 
 
 def carrier_f1():
@@ -178,3 +178,66 @@ def test_zero_algebra():
     Z = zero_algebra(QQ)
     assert Z.dim() == 0 and Z.basis_elements() == []
     assert Z.zero().is_zero()
+
+
+RINGS = [pytest.param(PrimeField(5), id="F5"), pytest.param(QQ, id="Q")]
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_a_zero_table_is_generated_by_its_basis(ring):
+    A = make_finite_algebra(["a", "b", "c"], {}, ring)
+    assert A.generating_positions() == (0, 1, 2)
+    assert zero_algebra(ring).generating_positions() == ()
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_an_idempotent_falls_back_to_the_whole_basis(ring):
+    """u^2 = u: A^2 = A, so no label is outside its pivots, and the empty
+    set generates 0.  With a nilpotent x beside it, {x} spans a complement
+    of A^2 = <u> and generates only <x>."""
+    U = make_finite_algebra(["u"], {("u", "u"): {"u": 1}}, ring)
+    assert U.generating_positions() == (0,)
+    XU = make_finite_algebra(["x", "u"], {("u", "u"): {"u": 1}}, ring)
+    assert XU.generating_positions() == (0, 1)
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_a_complement_of_the_square_generates_when_its_products_span(ring):
+    """{x, y; x^2 = y, xy = y, y^2 = y} is not nilpotent, yet {x}
+    generates it: x^2 = y.  The truncated polynomials u0..u3 with
+    ui uj = u(i+j+1) are generated by u0."""
+    A = make_finite_algebra(["x", "y"], {
+        ("x", "x"): {"y": 1}, ("x", "y"): {"y": 1}, ("y", "x"): {"y": 1}, ("y", "y"): {"y": 1},
+    }, ring)
+    assert A.generating_positions() == (0,)
+    labels = ["u0", "u1", "u2", "u3"]
+    T = make_finite_algebra(labels, {
+        (labels[i], labels[j]): {labels[i + j + 1]: 1}
+        for i in range(4) for j in range(4) if i + j + 1 < 4
+    }, ring)
+    assert T.generating_positions() == (0,)
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_a_semidirect_product_is_generated_by_its_parts_sets(ring):
+    R = make_finite_algebra(["x", "x2"], {("x", "x"): {"x2": 1}}, ring)
+    E = make_finite_algebra(["a", "b"], {}, ring)
+    lam1 = semidirect(R, E, zero_action(R, E))
+    assert lam1.generating_positions() == (0, 2, 3)
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_a_generator_slot_takes_the_set_of_a_proved_finite_algebra(ring):
+    """law_tuples checks a generator slot over a finite algebra on its
+    generating set once its product is proved, and on the whole basis
+    otherwise, as in a semidirect product under an action whose
+    certificate is sampled."""
+    from xmod2.maps import law_tuples
+
+    R = make_finite_algebra(["x", "x2"], {("x", "x"): {"x2": 1}}, ring)
+    tuples, exhaustive = law_tuples([R, R], Policy(), generators=(0,))
+    assert exhaustive and [len(f) for f in tuples.factors] == [1, 2]
+    lam1 = semidirect(R, R, zero_action(R, R))
+    lam1.certificate = Policy().certificate
+    tuples, exhaustive = law_tuples([lam1, lam1], Policy(), generators=(0,))
+    assert exhaustive and [len(f) for f in tuples.factors] == [4, 4]

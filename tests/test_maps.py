@@ -175,6 +175,49 @@ def test_key_path_witness_when_dims_differ(rbasis, mbasis, mproducts, law, witne
     assert (got.lhs, got.rhs) == (expected.lhs, expected.rhs)
 
 
+def test_a_map_failing_on_generators_raises_the_basis_witness():
+    """E = <b, a; a^2 = b> lists its generator a after b.  f(b) = t, an
+    idempotent, and f(a) = 0 fails at (a, a) on the generating set {a},
+    but at (b, b) first on the basis; the error is the basis check's."""
+    E = make_finite_algebra(["b", "a"], {("a", "a"): {"b": 1}}, QQ)
+    T = make_finite_algebra(["t"], {("t", "t"): {"t": 1}}, QQ)
+    assert E.generating_positions() == (1,)
+    images = {"b": T.basis_element("t"), "a": T.zero()}
+    with pytest.raises(MorphismViolation) as info:
+        algebra_morphism(E, T, images=images)
+    f = linear_map(E, T, images)
+    with pytest.raises(MorphismViolation) as expected:
+        check_law([E, E], lambda u, v: f(u * v), lambda u, v: f(u) * f(v), MorphismViolation, Policy())
+    assert [str(u) for u in info.value.witness] == ["b", "b"]
+    assert str(info.value) == str(expected.value)
+
+
+# R = <p; p^2 = p>, so G(R) = {p}; M = <n, m, o> with m^2 = n, mn = o lists
+# its generator m after n.
+_IDEMPOTENT_R = (["p"], {("p", "p"): {"p": 1}})
+_CUBIC_M = (["n", "m", "o"], {("m", "m"): {"n": 1}, ("m", "n"): {"o": 1}, ("n", "m"): {"o": 1}})
+
+
+@pytest.mark.parametrize("table, a2_fails, witness", [
+    # A2 holds; A1 fails at (p, m, m) on generators, first at (p, n, m) on the bases
+    ({"p": {"n": {"n": 1}}}, False, ("p", "n", "m")),
+    # both fail: A2 is checked first, on generators, but A1 is raised, as on the bases
+    ({"p": {"m": {"m": 2}, "n": {"o": 1}}}, True, ("p", "m", "n")),
+])
+def test_an_action_failing_on_generators_raises_the_basis_error(table, a2_fails, witness):
+    R = make_finite_algebra(*_IDEMPOTENT_R, QQ)
+    M = make_finite_algebra(*_CUBIC_M, QQ)
+    assert M.generating_positions() == (1,)
+    table = {r: {k: M.element(v) for k, v in row.items()} for r, row in table.items()}
+    with pytest.raises(A1Violation) as info:
+        make_action(R, M, table)
+    if a2_fails:
+        _element_path_error(R, M, table, "A2")
+    expected = _element_path_error(R, M, table, "A1")
+    assert tuple(str(u) for u in info.value.witness) == witness
+    assert str(info.value) == str(expected)
+
+
 def test_free_acting_table_action_certificates():
     P = make_free_algebra(["x"], QQ)
     _, E = f2_carriers()

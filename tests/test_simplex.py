@@ -13,7 +13,7 @@ from xmod2.crossed import kernel_two_crossed, make_precrossed
 from xmod2.errors import A1Violation, IndexOutOfRange, MorphismViolation, XmodError
 from xmod2.maps import LinearMap, Policy, certify_action, random_element
 from xmod2.randgen import random_two_crossed
-from xmod2.rings import PrimeField
+from xmod2.rings import PrimeField, rref
 from xmod2.simplex import (
     build_tower,
     check_simplicial_identities,
@@ -22,6 +22,8 @@ from xmod2.simplex import (
     with_face,
 )
 from xmod2.specdoc import load_spec
+
+from helpers import patch_everywhere
 
 POL = Policy(samples=30, seed=5)
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures.json")
@@ -145,6 +147,21 @@ def test_faces_and_degeneracies_are_morphisms():
     T = f2_tower()
     for (n, i), f in {**T.faces, **T.degeneracies}.items():
         assert f.multiplicative is not None and f.multiplicative.exhaustive, (n, i)
+
+
+def test_f3_levels_never_take_the_finite_rule():
+    """F3's R is free, so Lam1..Lam3 are infinite and their products are
+    certified on samples.  No generator slot over them takes a generating
+    set: every face and degeneracy keeps its sampled certificate, on the
+    tuples law_tuples gives with no generator slot."""
+    T = build_tower(fixtures.free_line_two_crossed(), POL)
+    for level in T.levels[1:]:
+        assert not level.is_finite() and level.certificate is POL.certificate
+        assert maps._generating(level) is None
+    for f in [*T.faces.values(), *T.degeneracies.values()]:
+        assert f.multiplicative is POL.certificate
+        slots = [f.source, f.source]
+        assert maps.law_tuples(slots, POL, (0,)) == maps.law_tuples(slots, POL)
 
 
 def test_identity_list_is_complete_standard_list():
@@ -407,12 +424,19 @@ def test_work_count_of_one_tower_build(monkeypatch):
     semidirect lemma it was 43 calls and 2,767 tuples: 10 calls and 1,504
     tuples re-proved commutativity and associativity of the five
     semidirect products, and 12 calls and 304 tuples certified the six
-    components of >t, whose instances >t's own basis check contains.  A
-    change that checks less must edit this pin and say why."""
+    components of >t, whose instances >t's own basis check contains.
+
+    Then it was [21, 959], every law on the full bases.  The finite
+    generator rule takes it to [21, 631]: each face and degeneracy is
+    checked for a on a generating set of its proved source
+    (``maps.certify_multiplicative``), and each action's A2 for r1 and A1
+    for r and m1 on generating sets (``maps.certify_action``); F2's E has
+    a^2 = b, so G(E) = {a}, and the levels' sets are unions of the parts'.
+    A change that checks less must edit this pin and say why."""
     F2 = fixtures.square_two_crossed()
     seen = _count_law_tuples(monkeypatch)
     build_tower(F2, Policy(10, 4, 0))
-    assert seen == [21, 959]
+    assert seen == [21, 631]
 
 
 def _count_law_tuples(monkeypatch):
@@ -449,14 +473,23 @@ def _truncated_kernel(n, ring, pol):
 def test_work_count_of_build_and_identities(monkeypatch):
     """[calls, tuples] of law_tuples in build_tower plus
     check_simplicial_identities, wherever xmod2 calls it, on F2, K2 and the
-    n = 3 truncated kernel at Policy(10, 4, 0).  A speed-up must not come
-    from checking less: a change that checks less must edit this pin and
-    say why."""
+    n = 3 and n = 12 truncated kernels at Policy(10, 4, 0).  A speed-up
+    must not come from checking less: a change that checks less must edit
+    this pin and say why.
+
+    With every law on the full bases the pin was F2 and K2 [54, 1139], T3
+    [54, 4524] and T12 [54, 150468].  The finite generator rule checks the
+    multiplicativity of faces and degeneracies, A1 and A2 and the
+    simplicial identities on generating sets; the lemmas are in
+    ``maps.certify_multiplicative``, ``maps.certify_action`` and
+    ``simplex.check_simplicial_identities``.  The truncated kernels' E = L
+    is generated by u0, so G(Lam3) of T12 has 7 of its 73 basis elements."""
     pol = Policy(10, 4, 0)
     structures = {
         "F2": fixtures.square_two_crossed(),
         "K2": load_spec(FIXTURES, pol).two_crossed["K2"],
         "T3": _truncated_kernel(3, PrimeField(5), pol),
+        "T12": _truncated_kernel(12, PrimeField(5), pol),
     }
     seen = _count_law_tuples(monkeypatch)
     counts = {}
@@ -465,7 +498,7 @@ def test_work_count_of_build_and_identities(monkeypatch):
         T = build_tower(A, pol)
         assert all(ok for _, ok, _ in check_simplicial_identities(T, pol))
         counts[name] = list(seen)
-    assert counts == {"F2": [54, 1139], "K2": [54, 1139], "T3": [54, 4524]}
+    assert counts == {"F2": [54, 754], "K2": [54, 754], "T3": [54, 1510], "T12": [54, 10240]}
 
 
 # One wrong term in one entry of a formula table.  The faces and
@@ -547,11 +580,11 @@ FORMULA_MUTANTS = {
         A.E.zero(), A.act_prime(e2, k) + k * l, -A.lift(A.d2(k), A.d2(l) + e2))),
 }
 
-def _square_kernel(c, v, ring, pol):
+def _square_kernel(c, v, ring, pol, labels=("a", "b")):
     """Kernel 2-crossed module of E = <a, b; a^2 = b> -> R = <p; p^2 = 0>,
-    d(a) = c p, p > a = v b."""
+    d(a) = c p, p > a = v b, with E's basis listed in the order ``labels``."""
     R = make_finite_algebra(["p"], {}, ring)
-    E = make_finite_algebra(["a", "b"], {("a", "a"): {"b": 1}}, ring)
+    E = make_finite_algebra(list(labels), {("a", "a"): {"b": 1}}, ring)
     act = maps.make_action(R, E, {"p": {"a": E.element({"b": v})}}, pol)
     d = maps.algebra_morphism(E, R, images={"a": R.element({"p": c}), "b": R.zero()}, policy=pol)
     return kernel_two_crossed(make_precrossed(E, R, d, act, pol), pol)
@@ -623,9 +656,12 @@ def _patch_formula(monkeypatch, table, key, mutant):
 
 
 def _element_path(monkeypatch):
-    """Make every law check evaluate its tuples on elements."""
+    """Make every law check evaluate its tuples on elements over the full
+    bases: no key kernel and no generator rule.  A check on generating sets
+    must find what this finds, a failure's witness included."""
     real = maps.check_law
-    monkeypatch.setattr(maps, "check_law", lambda *args, on_keys=None, **kwargs: real(*args, **kwargs))
+    patch_everywhere(
+        monkeypatch, real, lambda *args, on_keys=None, generators=(), **kwargs: real(*args, **kwargs))
 
 
 def _build_outcome(A):
@@ -652,12 +688,36 @@ def _agreement_structures():
     ] + [random_two_crossed(F5, rng, policy=POL) for _ in range(5)]
 
 
+def _generated_dim(alg, gens):
+    """The dimension of the subalgebra of alg that the elements gens
+    generate, by element products and ``rings.rref``: each round multiplies
+    the elements that raised the rank by every generator."""
+    keys, ring, rows = alg.basis_keys(), alg.ring, []
+
+    def raises_rank(u):
+        rows.append([u.coeffs.get(k, ring.zero) for k in keys])
+        if len(rref([list(row) for row in rows], len(keys), ring)) == len(rows):
+            return True
+        rows.pop()
+        return False
+
+    frontier = [g for g in gens if raises_rank(g)]
+    while frontier:
+        frontier = [p for p in (u * g for u in frontier for g in gens) if raises_rank(p)]
+    return len(rows)
+
+
 def test_key_path_certifies_what_the_element_path_certifies(monkeypatch):
     """Every finite action, face and degeneracy of the towers gets the same
-    certificate from its basis-key check as from check_law on elements."""
+    certificate from its basis-key check as from check_law on elements,
+    and the generating set each level records generates it."""
     checked = 0
     for A in _agreement_structures():
         T = build_tower(A, POL)
+        for level in T.levels:
+            basis = level.basis_elements()
+            gens = [basis[i] for i in level.generating_positions()]
+            assert _generated_dim(level, gens) == level.dim(), level
         laws = [(certify_action, act) for act in T.actions.values()
                 if act.acting.is_finite() and act.acted.is_finite()]
         laws += [(maps.certify_multiplicative, f)
@@ -683,6 +743,35 @@ def test_formula_mutant_raises_what_the_element_path_raises(monkeypatch, table, 
     assert by_keys == [_build_outcome(A) for A in _mutant_inputs()]
 
 
+def _without_d2l(T):
+    """T with d2@2 replaced by an uncertified map without its d2(l) term."""
+    lam1, d1 = T.levels[1], T.base.d1
+
+    def fn(u):
+        r, e, e2, _ = T.split2(u)
+        return lam1.pair(r + d1(e), e2)
+
+    return _mutant(T, 2, 2, fn)
+
+
+def test_identity_witnesses_are_the_full_basis_checks(monkeypatch):
+    """On the broken-d2 tower five identities fail, checked on the basis
+    because their broken face is uncertified.  With d1@1 replaced by the
+    certified d0@1, or d2@2 by d1@2, the identities through it are algebra
+    maps, checked on a generating set and decided again on the basis when
+    they fail.  Over the square kernel that lists b before a, the first
+    failing basis element is not a generator, so the two checks find
+    different witnesses.  Each tower gives the entries, witnesses
+    included, of element checks over the full bases."""
+    T = f2_tower()
+    S = build_tower(_square_kernel(1, 2, PrimeField(5), POL, labels=("b", "a")), POL)
+    towers = [_without_d2l(T), with_face(T, 1, 1, T.faces[(1, 0)]), with_face(S, 2, 2, S.faces[(2, 1)])]
+    by_keys = [check_simplicial_identities(t, POL) for t in towers]
+    _element_path(monkeypatch)
+    assert by_keys == [check_simplicial_identities(t, POL) for t in towers]
+    assert [len([e for e in entries if not e[1]]) for entries in by_keys] == [5, 3, 7]
+
+
 @pytest.mark.parametrize("name", COMPONENTS)
 def test_component_mutant_raises_what_the_element_path_raises(monkeypatch, name):
     F2 = fixtures.square_two_crossed()
@@ -693,12 +782,24 @@ def test_component_mutant_raises_what_the_element_path_raises(monkeypatch, name)
     assert by_keys == _build_outcome(F2)
 
 
-# [calls, tuples] of law_tuples up to the error, measured on the element
-# path: a failing basis-key check finds its witness without a second
-# law_tuples call.
+# [calls, tuples] of law_tuples up to the error: a failing basis-key check
+# finds its witness without a second law_tuples call, and a failing check
+# on a generating set takes one more, on the full bases, for the witness
+# the basis check finds (``maps.check_law``).
+#
+# star-without-l''l' on T3: with every law on the bases it was [6, 1455],
+# A1 and A2 of >. and >*, A1 of >t, which fails, then A1 of its first
+# component >1e, which fails too.  On generating sets A2 comes first and
+# each A1 that fails is decided again on the bases: >. and >* 2 calls
+# each, >t and >1e 3 each (A2 on G, A1 on G, A1 on the bases), [10, 1689].
+#
+# d2@2-without-d2(l) on F2: it was [11, 432], A1 and A2 of the three
+# actions of the tower and then d0@1, d1@1, d0@2, d1@2 and d2@2, which
+# fails.  With a on generating sets and the failing d2@2 decided again on
+# the basis, it is [12, 302].
 @pytest.mark.parametrize("name, structure, error, counts", [
-    ("star-without-l''l'", 1, A1Violation, [6, 1455]),  # A1 of >* on T3
-    ("d2@2-without-d2(l)", 0, MorphismViolation, [11, 432]),  # d2 at level 2 on F2
+    ("star-without-l''l'", 1, A1Violation, [10, 1689]),  # A1 of >t and >1e on T3
+    ("d2@2-without-d2(l)", 0, MorphismViolation, [12, 302]),  # d2 at level 2 on F2
 ])
 def test_work_count_of_a_rejected_build(monkeypatch, name, structure, error, counts):
     _patch_formula(monkeypatch, *FORMULA_MUTANTS[name])

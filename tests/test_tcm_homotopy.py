@@ -706,7 +706,15 @@ def test_work_count_of_a_derivation_on_a_fresh_target(monkeypatch):
     (``tcm_homotopy.check_derivation_law``: s is the E'-part of a
     substitution into Lam1, with f0 proved) and evaluates no tuple, and
     t-action and its boundary form take the generator rule (the closure
-    lemma of ``make_quadratic_derivation``): r = x alone, 1 tuple each."""
+    lemma of ``make_quadratic_derivation``): r = x alone, 1 tuple each.
+
+    The finite generator rule (the multiplicativity of the faces and
+    degeneracies on a generating set of the source, A1 and A2 of >. on
+    generating sets: ``maps.certify_multiplicative`` and
+    ``maps.certify_action``) leaves the pin at [14, 398]: the target's R'
+    has u0^2 = u0 and u1^2 = 4u1, so R'^2 = R' and G(R') is the whole
+    basis, and E' and L' have zero tables, whose generating sets are their
+    bases too."""
     _, B, f, qd = _free_domain_instance(5)
     pol = Policy(10, 4, 0)
     assert (B.R.dim(), B.E.dim(), B.L.dim()) == (2, 2, 2) and pol not in B._towers
