@@ -164,8 +164,11 @@ def _echelon_add(ring, echelon, v, position):
     if not v:
         return False
     pivot = min(v, key=position.__getitem__)
-    scale = ring.inv(v[pivot])
-    echelon[pivot] = {k: ring.mul(scale, c) for k, c in v.items()}
+    lead = v[pivot]
+    if lead is not ring.one and lead != ring.one:
+        scale = ring.inv(lead)
+        v = {k: ring.mul(scale, c) for k, c in v.items()}
+    echelon[pivot] = v  # never mutated, so it may be a table row
     return True
 
 
@@ -309,26 +312,25 @@ class FiniteAlgebra(Algebra):
             if self._table:
                 ring, position = self.ring, {k: i for i, k in enumerate(labels)}
                 square = {}
-                for row in self._table.values():
-                    _echelon_add(ring, square, row, position)
+                for (i, j), row in self._table.items():
+                    if position[i] <= position[j]:  # the table holds both orders
+                        _echelon_add(ring, square, row, position)
                 gens = [k for k in labels if k not in square]
-                if self._generates(gens, position):
+                if gens and self._generates(gens, position):
                     self._generating = tuple(position[k] for k in gens)
         return self._generating
 
     def _generates(self, gens, position):
         """Whether the subalgebra generated by the labels gens spans A: the
         span of gens, closed under multiplication by each of them."""
-        ring = self.ring
-        span, queue = {}, []
-        for g in gens:
-            _echelon_add(ring, span, {g: ring.one}, position)
-            queue.append({g: ring.one})
+        ring, table = self.ring, self._table
+        span = {g: {g: ring.one} for g in gens}  # unit rows are an echelon form
+        queue = list(span.values())
         for v in queue:  # grows while products add rows
             if len(span) == len(self.labels):
                 break
             for g in gens:
-                w = self.product(v, {g: ring.one})
+                w = combine(ring, [(c, table.get((k, g), {})) for k, c in v.items()])
                 if _echelon_add(ring, span, w, position):
                     queue.append(w)
         return len(span) == len(self.labels)
