@@ -118,8 +118,9 @@ def unit_key(u):
     Formula closures are called on basis elements, and the skeleton tuples
     of a law check and the probes of the simplicial identities are basis
     elements, so the element operations take a direct path on them.  The
-    coefficient is tested by identity first, as in ``combine``: a basis
-    element holds ``ring.one`` itself, and over Q ``==`` is a slow call."""
+    coefficient is tested by identity first, as in ``combine``: ``ring.one``
+    is the int 1 over Q and F_p alike, and CPython shares small ints, so
+    every canonical one is that object and ``==`` is only a fallback."""
     if len(u.coeffs) == 1:
         (key, c), = u.coeffs.items()
         one = u.algebra.ring.one
@@ -133,8 +134,10 @@ def combine(ring, terms):
     (scalar, coeffs) terms.
 
     One term whose scalar is ``ring.one`` itself is its own dict.  The test
-    is by identity because it is cheap; an equal scalar that is another
-    object takes the sum, which gives an equal dict."""
+    is by identity because it is cheap, and it misses no canonical scalar:
+    ``ring.one`` is the int 1, and CPython shares small ints, so every
+    integral 1 of Q or F_p is that object.  An equal scalar that were
+    another object would take the sum, which gives an equal dict."""
     if len(terms) == 1 and terms[0][0] is ring.one:
         return terms[0][1]
     acc = {}
@@ -542,10 +545,6 @@ def make_finite_algebra(basis, constants, ring):
             if not ring.is_zero(c):
                 row[k] = c
         table[(i, j)] = row
-    for i in labels:
-        for j in labels:
-            if table.get((i, j), {}) != table.get((j, i), {}):
-                raise NonCommutative((i, j), table.get((i, j), {}), table.get((j, i), {}))
     full = {}
     for i in labels:
         for j in labels:
@@ -553,6 +552,10 @@ def make_finite_algebra(basis, constants, ring):
             if row:
                 full[(i, j)] = row
     alg = FiniteAlgebra(ring, labels, full)
+    for i in labels:
+        for j in labels:
+            if full.get((i, j), {}) != full.get((j, i), {}):
+                raise NonCommutative((i, j), alg.key_mul(i, j), alg.key_mul(j, i))
     for i in labels:
         ei = alg.basis_element(i)
         for j in labels:

@@ -45,18 +45,26 @@ class NotAnIdeal(XmodError):
 
 
 class LawViolation(XmodError):
-    """An algebraic law failed at a concrete witness."""
+    """An algebraic law failed at a concrete witness.
+
+    The message is built when it is read, not when the error is raised:
+    random draws reject candidates by catching these errors, and most are
+    never printed."""
 
     law = "law"
 
     def __init__(self, witness, lhs=None, rhs=None, msg=""):
+        super().__init__(witness, lhs, rhs)
         self.witness = witness
         self.lhs = lhs
         self.rhs = rhs
-        text = msg or "%s fails at %s" % (self.law, (witness,))
-        if lhs is not None or rhs is not None:
-            text += ": lhs=%s rhs=%s" % (lhs, rhs)
-        super().__init__(text)
+        self.msg = msg
+
+    def __str__(self):
+        text = self.msg or "%s fails at %s" % (self.law, (self.witness,))
+        if self.lhs is not None or self.rhs is not None:
+            text += ": lhs=%s rhs=%s" % (self.lhs, self.rhs)
+        return text
 
 
 class NonCommutative(LawViolation):

@@ -1,8 +1,13 @@
 """Exact coefficient fields: arbitrary-precision rationals and prime fields.
 
-Scalars are stored as raw values (``fractions.Fraction`` for Q, canonical
-int in [0, p) for F_p); all arithmetic goes through the ring object, so no
-floating point can enter anywhere.
+Scalars are stored as raw values in one canonical form per ring.  For Q
+it is a Python ``int`` when the value is integral and otherwise a
+``fractions.Fraction`` in lowest terms, so integral arithmetic (every Q
+fixture and draw) runs on C integers; for F_p it is the int in [0, p).
+Every ring operation returns the canonical form.  An int and the equal
+``Fraction`` compare and hash alike, so the form never changes a verdict,
+and ``str`` prints both the same way.  All arithmetic goes through the
+ring object, so no floating point can enter anywhere.
 """
 
 from fractions import Fraction
@@ -53,7 +58,7 @@ class Ring:
         return self.add(a, self.neg(b))
 
     def is_zero(self, a):
-        return not a  # Fraction(0) and the canonical int 0 are the only falsy scalars
+        return not a  # the int 0 is every ring's zero and its only falsy scalar
 
     def random(self, rng):
         raise NotImplementedError
@@ -62,16 +67,24 @@ class Ring:
         return self.name
 
 
+def _canonical(q):
+    """The canonical Q scalar equal to the Fraction q: its numerator when
+    q is integral (a Fraction is always in lowest terms)."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class Rational(Ring):
     name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def coerce(self, value):
-        if isinstance(value, Fraction):
+        if type(value) is int:
             return value
-        if isinstance(value, int):
-            return Fraction(value)
+        if isinstance(value, Fraction):
+            return _canonical(value)
+        if isinstance(value, int):  # bool
+            return int(value)
         if isinstance(value, str):
             return self.parse(value)
         raise BadShape("cannot coerce %r into Q" % (value,))
@@ -80,7 +93,7 @@ class Rational(Ring):
         if "e" in text or "E" in text:  # Fraction would build 10**exponent
             raise ParseError("bad rational scalar %r: exponent notation is not accepted" % (text,))
         try:
-            return Fraction(text.strip())
+            return _canonical(Fraction(text.strip()))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError("bad rational scalar %r: %s" % (text, exc))
 
@@ -88,21 +101,25 @@ class Rational(Ring):
         return str(value)
 
     def add(self, a, b):
-        return a + b
+        s = a + b
+        return s if type(s) is int else _canonical(s)
 
     def mul(self, a, b):
-        return a * b
+        p = a * b
+        return p if type(p) is int else _canonical(p)
 
     def neg(self, a):
-        return -a
+        return -a if type(a) is int else _canonical(-a)
 
     def inv(self, a):
-        if a == 0:
+        if not a:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        if type(a) is int:  # 1 / a would be a float
+            return a if a == 1 or a == -1 else Fraction(1, a)
+        return _canonical(1 / a)
 
     def random(self, rng):
-        return Fraction(rng.randint(-3, 3))
+        return rng.randint(-3, 3)
 
     def __eq__(self, other):
         return isinstance(other, Rational)

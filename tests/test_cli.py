@@ -410,6 +410,25 @@ def test_selftest_deterministic_json(tmp_path):
     assert payload["params"]["seed"] == 7
 
 
+def test_no_user_facing_text_shows_a_fraction(tmp_path, capsys):
+    """Q scalars are printed by value, never as ``Fraction(...)``: the text
+    and JSON of validate, the corrupted F2 error texts and the selftest text."""
+    from xmod2 import fixtures
+
+    report = tmp_path / "validate.json"
+    assert cli.main(["validate", FIXTURES, "--json", str(report)]) == 0
+    texts = [capsys.readouterr().out, report.read_text()]
+    for _, thunk, exc, _, _ in fixtures.corrupted_f2_variants():
+        with pytest.raises(exc) as err:
+            thunk()
+        texts.append("%s: %s" % (type(err.value).__name__, err.value))
+    assert cli.main(["selftest", "--seed", "0", "--samples", "10"]) == 0
+    texts.append(capsys.readouterr().out)
+    assert len(texts) == 11 and all(texts)
+    for text in texts:
+        assert "Fraction(" not in text
+
+
 def test_env_seed_fallback(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

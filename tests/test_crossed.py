@@ -135,18 +135,31 @@ CORRUPTED_F2_ERROR_DIGESTS = {
     "action-breaks-peiffer": "9ec93717b3ea48b1620b303719aa132b3293fdb4888184bb93a633718fbe2cb3",
     "d1-not-multiplicative": "373a4fda493f22a5c43d82c484da6a8cb769627cde8ed0ce31f4a10432dcae52",
     "level-one-not-peiffer": "0a9dc7df95785af56b9a2d5fa61333878a42782af9819721ef3adb8168b99147",
-    "asymmetric-table": "ca04935928f8746cd3b70728917823be2f72783ac440e61d8dbb7e5ac04bf99d",
+    "asymmetric-table": "a56318a4714a6800e0dbc939d6c49c16ade2b81f57eed43799fc2432f7543cc3",
 }
 
 
 def test_corrupted_f2_error_texts_are_pinned():
-    seen = {}
+    """The "asymmetric-table" pin moved when its two products came to be
+    printed as elements, as every other law error's are, not as raw
+    coefficient dicts.  Its text and digest were
+
+        NonCommutative: commutativity fails at (('u', 'v'),): lhs={'u': Fraction(1, 1)} rhs={'v': Fraction(1, 1)}
+        ca04935928f8746cd3b70728917823be2f72783ac440e61d8dbb7e5ac04bf99d
+
+    and the new text with the two products reverted hashes to the old pin."""
+    seen, texts = {}, {}
     for name, thunk, exc, _, _ in fixtures.corrupted_f2_variants():
         with pytest.raises(exc) as err:
             thunk()
-        text = "%s: %s" % (type(err.value).__name__, err.value)
+        text = texts[name] = "%s: %s" % (type(err.value).__name__, err.value)
         seen[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert seen == CORRUPTED_F2_ERROR_DIGESTS
+    new = texts["asymmetric-table"]
+    assert new.endswith(": lhs=u rhs=v")
+    old = new.replace("lhs=u rhs=v", "lhs={'u': Fraction(1, 1)} rhs={'v': Fraction(1, 1)}")
+    assert hashlib.sha256(old.encode("utf-8")).hexdigest() == (
+        "ca04935928f8746cd3b70728917823be2f72783ac440e61d8dbb7e5ac04bf99d")
 
 
 def test_free_basis_must_present_r():

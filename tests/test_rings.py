@@ -32,6 +32,42 @@ def test_rational_ops_exact():
     assert QQ.is_zero(QQ.sub(a, a))
 
 
+SMALL_RATIONALS = sorted({Fraction(p, q) for p in range(-6, 7) for q in range(1, 5)})
+
+
+def _assert_canonical(value, exact):
+    """value is the canonical Q scalar equal to the Fraction exact: the int
+    when exact is integral, else a Fraction; never a float."""
+    assert not isinstance(value, float)
+    assert value == exact
+    assert type(value) is (int if exact.denominator == 1 else Fraction)
+
+
+def test_rational_operations_return_canonical_scalars():
+    """Every Q operation returns an int exactly when its value is integral,
+    on every a, b in {p/q : |p| <= 6, 1 <= q <= 4}, whether the inputs come
+    canonical or as Fractions."""
+    for a in SMALL_RATIONALS:
+        _assert_canonical(QQ.coerce(a), a)
+        _assert_canonical(QQ.parse("%d/%d" % (a.numerator, a.denominator)), a)
+        _assert_canonical(QQ.parse(str(a)), a)
+        for x in (QQ.coerce(a), a):
+            _assert_canonical(QQ.neg(x), -a)
+            if a:
+                _assert_canonical(QQ.inv(x), 1 / a)
+            for b in SMALL_RATIONALS:
+                for y in (QQ.coerce(b), b):
+                    _assert_canonical(QQ.add(x, y), a + b)
+                    _assert_canonical(QQ.mul(x, y), a * b)
+    for n in range(-6, 7):
+        _assert_canonical(QQ.coerce(n), Fraction(n))
+    assert type(QQ.coerce(True)) is int and QQ.coerce(True) == 1
+    assert type(QQ.parse("6/3")) is int and QQ.parse("6/3") == 2
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(QQ.zero)
+
+
 def test_prime_field_canonical_representatives():
     F5 = PrimeField(5)
     assert F5.parse("7") == 2
