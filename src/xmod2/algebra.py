@@ -28,9 +28,14 @@ solution set is closed under products (the generator rule).
 An element's ``coeffs`` dict may be shared: a product of two basis keys is
 the ``key_mul`` value itself (a structure-table row, or a semidirect
 product's memoised entry), a map or action evaluated on basis keys returns
-its memoised image, and a combination of one dict with coefficient one is
-that dict.  So nothing may mutate the ``coeffs`` of an element it did not
-just build.
+its memoised image, a combination of one dict with coefficient one is
+that dict, and a sum with a zero operand is the other operand (re-tagged
+to the left operand's algebra when that is another, compatible one).
+Elements themselves may be shared too: every algebra builds its zero
+once (``zero``), and a finite algebra keeps each basis element it builds
+(``basis_element``), so every caller of a key gets the same object.  So
+nothing may mutate the ``coeffs`` of an element it did not just build, a
+zero or a basis element included.
 """
 
 from .errors import (
@@ -63,6 +68,10 @@ class Element:
 
     def __add__(self, other):
         self._check_owner(other)
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other if other.algebra is self.algebra else Element(self.algebra, other.coeffs)
         ring = self.algebra.ring
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
@@ -74,6 +83,8 @@ class Element:
         return Element(self.algebra, out)
 
     def __neg__(self):
+        if not self.coeffs:
+            return self
         ring = self.algebra.ring
         return Element(self.algebra, {k: ring.neg(c) for k, c in self.coeffs.items()})
 
@@ -177,6 +188,8 @@ def _echelon_add(ring, echelon, v, position):
 
 class Algebra:
     ring = None
+    _zero = None  # zero(), built on first use
+    _kept = None  # basis key -> basis element, kept by a finite algebra only
     _basis = None  # basis elements, built by basis_elements on first use
     _generating = None  # generating_positions, found on first use
 
@@ -198,10 +211,24 @@ class Algebra:
         return Element(self, out)
 
     def zero(self):
-        return Element(self, {})
+        """The zero element, built once and shared."""
+        if self._zero is None:
+            self._zero = Element(self, {})
+        return self._zero
 
     def basis_element(self, key):
-        return Element(self, {self.check_key(key): self.ring.one})
+        """The basis element of key.  A finite algebra keeps each one it
+        builds, so a key has one basis element, shared by every caller."""
+        kept = self._kept
+        if kept is None:
+            return Element(self, {self.check_key(key): self.ring.one})
+        try:
+            return kept[key]
+        except (KeyError, TypeError):  # new, or unhashable for check_key to refuse
+            pass
+        key = self.check_key(key)
+        u = kept[key] = Element(self, {key: self.ring.one})
+        return u
 
     def check_key(self, key):
         raise NotImplementedError
@@ -246,7 +273,8 @@ class Algebra:
         raise BadShape("%r has no finite basis" % (self,))
 
     def basis_elements(self):
-        """A fresh list of the basis elements, which are built once."""
+        """A fresh list of the basis elements, the ones ``basis_element``
+        keeps, listed once."""
         if self._basis is None:
             self._basis = [self.basis_element(k) for k in self.basis_keys()]
         return list(self._basis)
@@ -288,6 +316,7 @@ class FiniteAlgebra(Algebra):
         self._labelset = set(self.labels)
         self._table = table  # (label, label) -> dict(label -> scalar), both orders present
         self._draws = {}  # sampled law tuples, kept by maps._sampled
+        self._kept = {}
 
     def check_key(self, key):
         if key not in self._labelset:
@@ -432,6 +461,10 @@ class SemidirectAlgebra(Algebra):
         self.certificate = None  # commutativity/associativity, set by maps.certify_algebra
         self._mulcache = {}  # basis-key products recur heavily in law checks
         self._draws = {}  # sampled law tuples, kept by maps._sampled
+        dl, dr = left.dim(), right.dim()
+        self._dim = None if dl is None or dr is None else dl + dr  # the parts never change
+        if self._dim is not None:
+            self._kept = {}
 
     def check_key(self, key):
         if not (isinstance(key, tuple) and len(key) == 2 and key[0] in (0, 1)):
@@ -482,16 +515,14 @@ class SemidirectAlgebra(Algebra):
         right = {}
         for (side, k), c in w.coeffs.items():
             (left if side == 0 else right)[k] = c
-        return Element(self.left, left), Element(self.right, right)
+        return (Element(self.left, left) if left else self.left.zero(),
+                Element(self.right, right) if right else self.right.zero())
 
     def __repr__(self):
         return "Semidirect<%r |x %r>" % (self.left, self.right)
 
     def dim(self):
-        dl, dr = self.left.dim(), self.right.dim()
-        if dl is None or dr is None:
-            return None
-        return dl + dr
+        return self._dim
 
     def basis_keys(self):
         return [(0, k) for k in self.left.basis_keys()] + [(1, k) for k in self.right.basis_keys()]

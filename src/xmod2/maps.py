@@ -87,11 +87,14 @@ identities run on coefficient dicts.  ``certify_action``,
 ``algebra`` (``combine`` and ``Algebra.product``).  Products come from the
 algebra's own ``key_mul``, and images from ``_key_image``: a map's memoised
 or table image of a key, an action's memo entry or table row for a key
-pair.  The tuples still come from one ``law_tuples`` call and are decided
-in its order, generating sets in the generator slots.  At the first tuple
-whose two sides differ, the witness comes from the element path:
-``check_law`` evaluates lhs and rhs on that tuple of elements, so a failure
-raises exactly the error an element check raises.  The exhaustive tuples
+pair.  ``certify_multiplicative`` and ``certify_action`` read those images
+through a table local to the check, filled on first read (``_Lazy``), so
+each image is fetched once per check.  The tuples still come from one
+``law_tuples`` call and are decided in its order, generating sets in the
+generator slots.  At the first tuple whose two sides differ, the witness
+comes from the element path: ``check_law`` evaluates lhs and rhs on that
+tuple of elements, so a failure raises exactly the error an element check
+raises.  The exhaustive tuples
 are a lazy ``BasisTuples``, so the tuple at the witness is the only one
 built.  Checks with a free algebra in the law evaluate on elements: every
 generator tuple, and for a sampled law each spanned key tuple as a tuple of
@@ -102,7 +105,9 @@ coefficient one (``algebra.unit_key``): a ``LinearMap`` returns the key's
 memoised or table image, re-tagged to its target but not copied (a table
 key with no image gives the target's zero), and a ``FunctionAction``
 returns the key pair's memoised image.  Those images share their ``coeffs``
-with the memo, which is why elements are never mutated.
+with the memo, which is why elements are never mutated.  Every map, action
+and bilinear map called with a zero argument returns the target's zero,
+after its owner checks, without evaluating.
 """
 
 import itertools
@@ -392,6 +397,22 @@ def _as_element_of(alg, img):
 _EMPTY = {}  # the image of a key with none; read by the key kernels only, never mutated
 
 
+class _Lazy(dict):
+    """A key kernel's table, local to one check: a missing entry is filled
+    with ``fill(key)`` when it is first read, so every later read is one
+    dict lookup, and no entry the check does not read is computed."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 class LinearMap:
     """A kappa-linear map between algebras, extended linearly from the
     images of basis keys.
@@ -440,6 +461,8 @@ class LinearMap:
 
     def __call__(self, u):
         self.source.owns(u)
+        if not u.coeffs:
+            return self.target.zero()
         key = unit_key(u)
         if key is not None:
             img = self._image(key)
@@ -498,14 +521,14 @@ def certify_multiplicative(f, policy=DEFAULT_POLICY):
     So a on a generating set of a proved source suffices, when the
     target's product is proved too."""
     source_mul, target_product = f.source.key_mul, f.target.product
-    ring, image = f.target.ring, f._key_image
+    ring, image = f.target.ring, _Lazy(f._key_image)  # key -> f(key) coeffs
 
     def on_keys(akeys, xkeys):  # f(k1k2) = f(k1)f(k2)
         for i, k1 in enumerate(akeys):
             for j, k2 in enumerate(xkeys):
                 product = source_mul(k1, k2).coeffs
-                left = product and combine(ring, [(c, image(k)) for k, c in product.items()])
-                a, b = image(k1), image(k2)
+                left = product and combine(ring, [(c, image[k]) for k, c in product.items()])
+                a, b = image[k1], image[k2]
                 if left != (a and b and target_product(a, b)):
                     return i, j
         return None
@@ -610,6 +633,8 @@ class TableAction(Action):
     def __call__(self, r, m):
         self.acting.owns(r)
         self.acted.owns(m)
+        if not (r.coeffs and m.coeffs):
+            return self.acted.zero()
         terms = []
         for key, c in r.coeffs.items():
             if isinstance(self.acting, FreeAlgebra):
@@ -681,6 +706,8 @@ class FunctionAction(Action):
     def __call__(self, r, m):
         self.acting.owns(r)
         self.acted.owns(m)
+        if not (r.coeffs and m.coeffs):
+            return self.acted.zero()
         k1, k2 = unit_key(r), unit_key(m)
         if k1 is not None and k2 is not None:
             return _as_element_of(self.acted, self._image(k1, k2))
@@ -729,15 +756,18 @@ def certify_action(action, policy=DEFAULT_POLICY):
     order, so the error is the one the basis checks raise.
     """
     R, M = action.acting, action.acted
-    ring, image, key_mul = M.ring, action._key_image, M.key_mul
+    ring, key_mul = M.ring, M.key_mul
+    # rows[r][m] is the coeffs of r > m, one row per acting key
+    rows = _Lazy(lambda r: _Lazy(lambda m: action._key_image(r, m)))
 
     def a1_on_keys(rkeys, m1keys, m2keys):  # r > m1m2 = (r > m1)m2
         for i, r in enumerate(rkeys):
+            row = rows[r]
             for j, m1 in enumerate(m1keys):
-                acted = image(r, m1)
+                acted = row[m1]
                 for l, m2 in enumerate(m2keys):
                     product = key_mul(m1, m2).coeffs
-                    left = product and combine(ring, [(c, image(r, k)) for k, c in product.items()])
+                    left = product and combine(ring, [(c, row[k]) for k, c in product.items()])
                     right = acted and combine(ring, [(c, key_mul(k, m2).coeffs) for k, c in acted.items()])
                     if left != right:
                         return i, j, l
@@ -745,12 +775,13 @@ def certify_action(action, policy=DEFAULT_POLICY):
 
     def a2_on_keys(r1keys, r2keys, mkeys):  # r1r2 > m = r1 > (r2 > m)
         for i, r1 in enumerate(r1keys):
+            row1 = rows[r1]
             for j, r2 in enumerate(r2keys):
-                product = R.key_mul(r1, r2).coeffs
+                product, row2 = R.key_mul(r1, r2).coeffs, rows[r2]
                 for l, m in enumerate(mkeys):
-                    acted = image(r2, m)
-                    left = product and combine(ring, [(c, image(k, m)) for k, c in product.items()])
-                    right = acted and combine(ring, [(c, image(r1, k)) for k, c in acted.items()])
+                    acted = row2[m]
+                    left = product and combine(ring, [(c, rows[k][m]) for k, c in product.items()])
+                    right = acted and combine(ring, [(c, row1[k]) for k, c in acted.items()])
                     if left != right:
                         return i, j, l
         return None
@@ -835,6 +866,8 @@ class BilinearMap:
     def __call__(self, u, v):
         self.left.owns(u)
         self.right.owns(v)
+        if not (u.coeffs and v.coeffs):
+            return self.target.zero()
         mul = self.target.ring.mul
         return Element(self.target, combine(self.target.ring, [
             (mul(c1, c2), self.table[(k1, k2)].coeffs)

@@ -54,16 +54,20 @@ class Report:
     def sorted_checks(self):
         return sorted(self.checks, key=lambda c: c.name)
 
+    def counts(self):
+        """The number of checks of each status."""
+        out = {"pass": 0, "fail": 0, "skipped": 0}
+        for c in self.checks:
+            out[c.status] += 1
+        return out
+
     def to_json_obj(self):
+        counts = self.counts()
         return {
             "command": self.command,
             "params": self.params,
-            "status": "pass" if self.ok else "fail",
-            "counts": {
-                "pass": sum(1 for c in self.checks if c.status == "pass"),
-                "fail": sum(1 for c in self.checks if c.status == "fail"),
-                "skipped": sum(1 for c in self.checks if c.status == "skipped"),
-            },
+            "status": "fail" if counts["fail"] else "pass",
+            "counts": counts,
             "checks": [c.to_json() for c in self.sorted_checks()],
         }
 
@@ -77,10 +81,10 @@ class Report:
             if c.witness:
                 line += "  [%s]" % c.witness
             lines.append(line)
-        obj = self.to_json_obj()
+        counts = self.counts()
         lines.append(
             "%s: %d pass, %d fail, %d skipped"
-            % (obj["status"], obj["counts"]["pass"], obj["counts"]["fail"], obj["counts"]["skipped"])
+            % ("fail" if counts["fail"] else "pass", counts["pass"], counts["fail"], counts["skipped"])
         )
         return "\n".join(lines) + "\n"
 

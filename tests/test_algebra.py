@@ -3,6 +3,7 @@ import random
 import pytest
 
 from xmod2.algebra import (
+    SemidirectAlgebra,
     make_finite_algebra,
     make_free_algebra,
     zero_algebra,
@@ -15,9 +16,12 @@ from xmod2.errors import (
     OwnerMismatch,
 )
 from xmod2.maps import (
+    BilinearMap,
+    FunctionAction,
     Policy,
     algebra_morphism,
     certify_algebra,
+    linear_map,
     make_action,
     random_element,
     semidirect,
@@ -101,6 +105,57 @@ def test_owner_mismatch():
         R.basis_element("x") + P.monomial("x")
     with pytest.raises(OwnerMismatch):
         R.basis_element("x") == P.monomial("x")
+    # a zero operand or argument is short-cut only after the owner check
+    x, p = R.basis_element("x"), P.monomial("x")
+    for left, right in [(x, P.zero()), (R.zero(), p), (R.zero(), P.zero())]:
+        with pytest.raises(OwnerMismatch):
+            left + right
+        with pytest.raises(OwnerMismatch):
+            left - right
+    f = linear_map(R, R, {"x": R.basis_element("x2")})
+    with pytest.raises(OwnerMismatch):
+        f(P.zero())
+    act = FunctionAction(R, R, lambda r, m: r * m, note="product")
+    table = make_action(R, R, {"x": {"x": R.basis_element("x2")}})
+    lift = BilinearMap(R, R, R, {("x", "x"): R.basis_element("x2")})
+    for r, m in [(P.zero(), x), (x, P.zero()), (R.zero(), P.zero())]:
+        for bilinear in (act, table, lift):
+            with pytest.raises(OwnerMismatch):
+                bilinear(r, m)
+    # compatible but distinct algebras: the sum lives in the left operand's
+    R2 = carrier_f1()
+    y = R2.basis_element("x")
+    assert R2 is not R and R2.compatible(R)
+    for total, algebra, value in [(x + R2.zero(), R, x), (R.zero() + y, R, x),
+                                  (y + R.zero(), R2, y), (R2.zero() + x, R2, y)]:
+        assert total.algebra is algebra and total == value
+    assert f(R2.zero()).algebra is R and f(R2.zero()).is_zero()
+    assert act(R2.zero(), x).algebra is R and act(x, R2.zero()).is_zero()
+
+
+def test_finite_algebras_keep_their_basis_elements_and_free_ones_none():
+    R = carrier_f1()
+    P = make_free_algebra(["x"], QQ)
+    lam = semidirect(R, R, zero_action(R, R))
+    for alg in (R, lam):
+        first = [alg.basis_element(k) for k in alg.basis_keys()]
+        # basis_keys builds new key tuples for a semidirect product
+        assert all(u is alg.basis_element(k) for u, k in zip(first, alg.basis_keys()))
+        assert all(u is v for u, v in zip(first, alg.basis_elements()))
+        with pytest.raises(BadShape):
+            alg.basis_element("nope" if alg is R else (0, "nope"))
+        assert len(alg._kept) == alg.dim()
+    with pytest.raises(BadShape):
+        lam.basis_element([0, "x"])  # unhashable, refused as at construction
+    assert len(lam._kept) == lam.dim()
+    zero = R.zero()
+    assert zero is R.zero() and -zero is zero and zero.is_zero()
+    # a free algebra, or a semidirect product with a free part, keeps none
+    mixed = SemidirectAlgebra(P, R, zero_action(P, R))
+    assert mixed.dim() is None
+    for alg, key in [(P, ("x",)), (mixed, (0, ("x",)))]:
+        assert alg.basis_element(key) is not alg.basis_element(key)
+        assert alg._kept is None
 
 
 def test_semidirect_worked_product():

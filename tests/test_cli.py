@@ -680,3 +680,26 @@ def test_in_process_calls_each_see_only_their_own_arguments(tmp_path, monkeypatc
     ]
     assert json.loads(out.read_text())["params"]["seed"] == 9
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_report_text_summary_counts_every_status():
+    from xmod2.report import Report
+
+    rep = Report("validate", {"seed": 0})
+    rep.add("b/ok", "ok", True)
+    rep.add("a/broken", "broken", False, witness="at x")
+    rep.add("c/none", "none", None)
+    rep.add("d/ok", "ok", True)
+    assert rep.to_text() == (
+        "# xmod2 validate\n"
+        'params: {"seed": 0}\n'
+        "FAIL  a/broken  [at x]\n"
+        "ok    b/ok\n"
+        "skip  c/none\n"
+        "ok    d/ok\n"
+        "fail: 2 pass, 1 fail, 1 skipped\n"
+    )
+    obj = rep.to_json_obj()
+    assert obj["status"] == "fail" and obj["counts"] == {"pass": 2, "fail": 1, "skipped": 1}
+    rep.checks.pop(1)  # the failing check
+    assert rep.to_text().endswith("\npass: 2 pass, 0 fail, 1 skipped\n")

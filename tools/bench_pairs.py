@@ -13,8 +13,16 @@ odd, so that a slow spell of the machine falls on both sides.
 Writes ``BENCH_<label>.json`` at the root of the working tree: for each
 workload and each end-to-end metric of ``BENCHMARK.json``, every run's
 value, the median and quartiles of each side, the parent's interquartile
-range, and the number of pairs the change won.  The copy is removed on
-every exit path, an interrupt or SIGTERM included.
+range, the number of pairs the change won, and two verdicts:
+
+* ``claim_rule_met``: the change won at least 9 of every 10 pairs, and its
+  median is better than the parent's by more than the parent's
+  interquartile range -- what a claimed gain must show;
+* ``within_bound``: the change's median is worse than the parent's by no
+  more than the metric's ``bound``, a fraction of the parent's median.
+
+It prints one summary line per workload and metric.  The copy is removed
+on every exit path, an interrupt or SIGTERM included.
 """
 
 import argparse
@@ -79,26 +87,51 @@ def quartiles(values):
 
 
 def summarize(runs, metrics):
-    """Per metric: each side's runs, median and quartiles, the parent's
-    interquartile range, and the pairs the change won."""
+    """Per metric of ``metrics`` (the ``end_to_end`` entries of
+    ``BENCHMARK.json``): each side's runs, median and quartiles, the
+    parent's interquartile range, the pairs the change won, and whether
+    the change meets the claim rule and stays within the metric's bound."""
     out = {}
-    for name, better in metrics.items():
+    for metric in metrics:
+        name, better = metric["name"], metric["better"]
         sides = {side: [r["metrics"][name]["value"] for r in runs[side]]
                  for side in ("parent", "change")}
-        beats = (lambda c, p: c > p) if better == "higher" else (lambda c, p: c < p)
-        entry = {"unit": runs["parent"][0]["metrics"][name]["unit"], "better": better}
+        sign = 1 if better == "higher" else -1  # a gain is sign * (change - parent) > 0
+        entry = {"unit": runs["parent"][0]["metrics"][name]["unit"], "better": better,
+                 "bound": metric["bound"]}
+        stats = {}
         for side, values in sides.items():
-            q1, q3 = quartiles(values)
-            entry["%s_median" % side] = round(statistics.median(values), 4)
-            entry["%s_q1" % side] = round(q1, 4)
-            entry["%s_q3" % side] = round(q3, 4)
-        entry["parent_iqr"] = round(entry["parent_q3"] - entry["parent_q1"], 4)
-        entry["change_wins"] = sum(beats(c, p) for c, p in zip(sides["change"], sides["parent"]))
+            stats[side] = (statistics.median(values), *quartiles(values))
+            for field, value in zip(("median", "q1", "q3"), stats[side]):
+                entry["%s_%s" % (side, field)] = round(value, 4)
+        parent_median, parent_q1, parent_q3 = stats["parent"]
+        gain = sign * (stats["change"][0] - parent_median)
+        entry["parent_iqr"] = round(parent_q3 - parent_q1, 4)
+        entry["change_wins"] = sum(sign * (c - p) > 0 for c, p in zip(sides["change"], sides["parent"]))
         entry["pairs"] = len(sides["parent"])
+        entry["claim_rule_met"] = (10 * entry["change_wins"] >= 9 * entry["pairs"]
+                                   and gain > parent_q3 - parent_q1)
+        entry["within_bound"] = -gain <= metric["bound"] * abs(parent_median)
         for side, values in sides.items():
             entry["%s_runs" % side] = [round(v, 4) for v in values]
         out[name] = entry
     return out
+
+
+def summary_lines(workloads):
+    """One line per workload and metric: the medians, the parent's IQR, the
+    pairs won and the two verdicts of ``summarize``."""
+    lines = []
+    for workload, result in workloads.items():
+        for name, e in result["metrics"].items():
+            lines.append(
+                "%s %s: parent %g, change %g (%s is better), parent IQR %g, change won %d/%d; "
+                "claim rule %s; %s bound %g"
+                % (workload, name, e["parent_median"], e["change_median"], e["better"],
+                   e["parent_iqr"], e["change_wins"], e["pairs"],
+                   "met" if e["claim_rule_met"] else "not met",
+                   "within" if e["within_bound"] else "OUTSIDE", e["bound"]))
+    return lines
 
 
 def machine():
@@ -114,7 +147,6 @@ def machine():
 
 
 def measure(args, bench, parent_tree):
-    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
     trees = {"parent": parent_tree, "change": ROOT}
     workloads, seeds = {}, {}
     for workload, count in args.plan:
@@ -131,7 +163,7 @@ def measure(args, bench, parent_tree):
             "correct": all(r["correct"] for r in every),
             "attempted": sorted({r["attempted"] for r in every}),
             "failed": sum(r["failed"] for r in every),
-            "metrics": summarize(runs, metrics),
+            "metrics": summarize(runs, bench["end_to_end"]),
         }
     return workloads, seeds
 
@@ -181,6 +213,7 @@ def main(argv=None):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+    print("\n".join(summary_lines(workloads)))
     print("wrote %s" % path)
     return 0
 
