@@ -16,9 +16,12 @@ All values are immutable after construction and every operation is pure.
 
 The sums of products, maps and actions are computed by two kernels on
 coefficient dicts: ``combine`` (a linear combination of dicts) and
-``Algebra.product`` (``key_mul`` extended bilinearly).  Element operations,
-maps, actions and the exhaustive law checks of ``maps`` all go through
-them, so the arithmetic has one implementation.
+``Algebra.product`` (``key_mul`` extended bilinearly).  Element operations
+and the exhaustive law checks of ``maps`` go through them, and so do maps,
+actions and Peiffer liftings, each by one extension of its key images: a
+linear map's in ``maps._extend``, and every action's and lifting's in
+``maps._KeyBilinear._evaluate``.  So the arithmetic has one
+implementation.
 
 A finite algebra also names a generating set: positions in its basis of
 basis elements whose products span it (``generating_positions``), found

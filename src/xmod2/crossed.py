@@ -177,12 +177,7 @@ class TwoCrossedModule:
             table = {}
             for ek in self.E.basis_keys() if self.L.dim() else ():  # zero on L = 0, for any E
                 e = self.E.basis_element(ek)
-                row = {}
-                for lk in self.L.basis_keys():
-                    value = self.lift(e, self.d2(self.L.basis_element(lk)))
-                    if not value.is_zero():
-                        row[lk] = value
-                table[ek] = row
+                table[ek] = {lk: self.lift(e, self.d2(self.L.basis_element(lk))) for lk in self.L.basis_keys()}
             self._prime = TableAction(self.E, self.L, table)
         return self._prime
 

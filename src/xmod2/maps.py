@@ -68,9 +68,9 @@ hold the algebras themselves, never their ids, so two structures never
 share an entry, and the memo goes with its structure.
 
 For a table action of a free algebra, monomials act by iterated generator
-action and A2 on generator pairs makes that well defined; A1 for monomials
-then follows by induction, and is additionally covered by the sampled
-tuples.
+action: the key image of g1...gk applies the rows of g1, ..., gk in turn.
+A2 on generator pairs makes that well defined; A1 for monomials then
+follows by induction, and is additionally covered by the sampled tuples.
 
 Formula-defined maps and actions are evaluated on basis keys only.  A
 ``LinearMap`` with the "substitution" or "function" rule and a
@@ -87,33 +87,37 @@ identities run on coefficient dicts.  ``certify_action``,
 ``algebra`` (``combine`` and ``Algebra.product``).  Products come from the
 algebra's own ``key_mul``, and images from ``_key_image``: a map's memoised
 or table image of a key, an action's memo entry or table row for a key
-pair.  ``certify_multiplicative`` and ``certify_action`` read those images
-through a table local to the check, filled on first read (``_Lazy``), so
-each image is fetched once per check.  The tuples still come from one
-``law_tuples`` call and are decided in its order, generating sets in the
-generator slots.  At the first tuple whose two sides differ, the witness
-comes from the element path: ``check_law`` evaluates lhs and rhs on that
-tuple of elements, so a failure raises exactly the error an element check
-raises.  The exhaustive tuples
-are a lazy ``BasisTuples``, so the tuple at the witness is the only one
-built.  Checks with a free algebra in the law evaluate on elements: every
-generator tuple, and for a sampled law each spanned key tuple as a tuple of
-basis elements (or every drawn tuple, when the span is not smaller).
+pair.  The three kernels read those images through a table local to the
+check, filled on first read (``_Lazy``), so each image is fetched once per
+check.  The tuples still come from one ``law_tuples`` call and are decided
+in its order, generating sets in the generator slots.  At the first tuple
+whose two sides differ, the witness comes from the element path:
+``check_law`` builds that tuple of elements from the kernel's positions
+and evaluates lhs and rhs on it, so a failure raises exactly the error an
+element check raises.  The exhaustive tuples are a lazy ``BasisTuples``,
+so the tuple at the witness is the only one built.  Checks with a free
+algebra in the law evaluate on elements: every generator tuple, and for a
+sampled law each spanned key tuple as a tuple of basis elements (or every
+drawn tuple, when the span is not smaller).
 
-On elements, evaluation takes a direct path on a single basis key with
-coefficient one (``algebra.unit_key``): a ``LinearMap`` returns the key's
-memoised or table image, re-tagged to its target but not copied (a table
-key with no image gives the target's zero), and a ``FunctionAction``
-returns the key pair's memoised image.  Those images share their ``coeffs``
-with the memo, which is why elements are never mutated.  Every map, action
-and bilinear map called with a zero argument returns the target's zero,
-after its owner checks, without evaluating.
+On elements, every action and Peiffer lifting is evaluated by one routine,
+``_KeyBilinear._evaluate``, to which each class's ``__call__`` delegates;
+a class supplies only its key images.  In order: the owner checks; a zero
+argument gives the target's ``zero()``; two basis keys with coefficient one
+(``algebra.unit_key``) give their key image; anything else gives the
+bilinear extension of the key images.  A ``LinearMap`` takes the same steps
+with one argument, and its extension is ``_extend``, the linear extension
+of a key image, which ``simplex`` also composes.  On a unit key a
+``LinearMap`` returns the key's memoised or table image, re-tagged to its
+target but not copied, and a ``FunctionAction`` returns the key pair's
+memoised image likewise.  Those images share their ``coeffs`` with the
+memo, which is why elements are never mutated.  An empty image or sum is
+the target's shared zero.
 """
 
 import itertools
 import math
 import random
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -213,10 +217,10 @@ def _sampled(algebras, policy):
     return tuples
 
 
-class BasisTuples(Sequence):
+class BasisTuples:
     """The cartesian product of finite lists of elements, in
-    ``itertools.product`` order, without building it: a length, iteration
-    and indexing from 0.  ``factors`` holds the lists, one per slot."""
+    ``itertools.product`` order, without building it: a length and
+    iteration.  ``factors`` holds the lists, one per slot."""
 
     def __init__(self, factors):
         self.factors = factors
@@ -227,15 +231,6 @@ class BasisTuples(Sequence):
 
     def __iter__(self):
         return itertools.product(*self.factors)
-
-    def __getitem__(self, index):
-        if not 0 <= index < self._len:
-            raise IndexError(index)
-        out = []
-        for factor in reversed(self.factors):
-            index, pos = divmod(index, len(factor))
-            out.append(factor[pos])
-        return tuple(reversed(out))
 
 
 def _generating(alg):
@@ -365,10 +360,7 @@ def _first_failure(algebras, tuples, exhaustive, lhs, rhs, on_keys):
         positions = on_keys(*keys)
         if positions is None:
             return None
-        index = 0
-        for pos, ks in zip(positions, keys):
-            index = index * len(ks) + pos
-        t = tuples[index]
+        t = tuple(factor[p] for factor, p in zip(tuples.factors, positions))
         return t, lhs(*t), rhs(*t)
     if not exhaustive:
         tuples = _spanned(algebras, tuples)
@@ -394,7 +386,18 @@ def _as_element_of(alg, img):
     return img if img.algebra is alg else Element(alg, img.coeffs)
 
 
-_EMPTY = {}  # the image of a key with none; read by the key kernels only, never mutated
+_EMPTY = {}  # the image of a key with none; read only, never the coeffs of an element
+
+
+def _extend(ring, coeffs, image):
+    """The coefficient dict of sum(c * image(k)) over the items (k, c) of
+    coeffs: the linear extension of a key image."""
+    return combine(ring, [(c, image(k)) for k, c in coeffs.items()])
+
+
+def _element(target, coeffs):
+    """coeffs as an element of target; the target's shared zero when empty."""
+    return Element(target, coeffs) if coeffs else target.zero()
 
 
 class _Lazy(dict):
@@ -467,12 +470,7 @@ class LinearMap:
         if key is not None:
             img = self._image(key)
             return self.target.zero() if img is None else _as_element_of(self.target, img)
-        terms = []
-        for key, c in u.coeffs.items():
-            img = self._image(key)
-            if img is not None:
-                terms.append((c, img.coeffs))
-        return Element(self.target, combine(self.target.ring, terms))
+        return _element(self.target, _extend(self.target.ring, u.coeffs, self._key_image))
 
     def __repr__(self):
         tag = self.note or self.rule
@@ -584,21 +582,43 @@ def morphisms_equal(f, g):
 # Actions
 
 
-class Action:
+class _KeyBilinear:
+    """A bilinear map left x right -> target (``_ends``), given by its key
+    images: ``_key_image(k1, k2)`` is the coefficient dict of the image of
+    one pair of basis keys.  ``_evaluate`` is the one evaluation of every
+    action and Peiffer lifting; each class's ``__call__`` delegates to it."""
+
+    def _key_image(self, k1, k2):
+        raise NotImplementedError
+
+    def _key_element(self, k1, k2):
+        """The image of one pair of basis keys, as an element."""
+        return _element(self._ends[2], self._key_image(k1, k2))
+
+    def _evaluate(self, u, v):
+        left, right, target = self._ends
+        left.owns(u)
+        right.owns(v)
+        if not (u.coeffs and v.coeffs):
+            return target.zero()
+        k1, k2 = unit_key(u), unit_key(v)
+        if k1 is not None and k2 is not None:
+            return self._key_element(k1, k2)
+        ring, image = target.ring, self._key_image
+        mul = ring.mul
+        return _element(target, combine(ring, [
+            (mul(c1, c2), image(k1, k2)) for k1, c1 in u.coeffs.items() for k2, c2 in v.coeffs.items()
+        ]))
+
+
+class Action(_KeyBilinear):
     """A bilinear map R x M -> M subject to A1 and A2."""
 
     def __init__(self, acting, acted):
         self.acting = acting
         self.acted = acted
+        self._ends = (acting, acted, acted)
         self.certificate = None
-
-    def __call__(self, r, m):
-        raise NotImplementedError
-
-    def _key_image(self, k1, k2):
-        """The coefficient dict of k1 > k2 for basis keys of a finite acting
-        algebra and of the acted algebra."""
-        raise NotImplementedError
 
     def same(self, other):
         return self is other
@@ -606,9 +626,7 @@ class Action:
 
 class ZeroAction(Action):
     def __call__(self, r, m):
-        self.acting.owns(r)
-        self.acted.owns(m)
-        return self.acted.zero()
+        return self._evaluate(r, m)
 
     def _key_image(self, k1, k2):
         return _EMPTY
@@ -618,58 +636,40 @@ class ZeroAction(Action):
 
 
 class TableAction(Action):
-    """Action given on the basis (finite acting algebra) or on generators
-    (free acting algebra; monomials act by iterated generator action)."""
+    """Action given by rows {acted key -> Element}, one per basis label of a
+    finite acting algebra or per generator of a free one.  Zero entries and
+    empty rows are dropped when it is built, so equal actions have equal
+    tables.  A monomial g1...gk of a free acting algebra acts by iterated
+    generator action: its key image applies the rows of g1, ..., gk in turn."""
 
     def __init__(self, acting, acted, table):
         super().__init__(acting, acted)
-        self.table = table  # actor label -> {acted key -> Element}
-
-    def _act_label(self, label, m):
-        row = self.table.get(label, {})
-        terms = [(c, row[key].coeffs) for key, c in m.coeffs.items() if key in row]
-        return Element(self.acted, combine(self.acted.ring, terms))
+        rows = {label: {k: v for k, v in row.items() if v.coeffs} for label, row in table.items()}
+        self.table = {label: row for label, row in rows.items() if row}
 
     def __call__(self, r, m):
-        self.acting.owns(r)
-        self.acted.owns(m)
-        if not (r.coeffs and m.coeffs):
-            return self.acted.zero()
-        terms = []
-        for key, c in r.coeffs.items():
-            if isinstance(self.acting, FreeAlgebra):
-                cur = m
-                for g in key:
-                    cur = self._act_label(g, cur)
-            else:
-                cur = self._act_label(key, m)
-            terms.append((c, cur.coeffs))
-        return Element(self.acted, combine(self.acted.ring, terms))
+        return self._evaluate(r, m)
+
+    def _row_image(self, label, key):
+        img = self.table.get(label, _EMPTY).get(key)
+        return _EMPTY if img is None else img.coeffs
 
     def _key_image(self, k1, k2):
-        img = self.table.get(k1, _EMPTY).get(k2)
-        return _EMPTY if img is None else img.coeffs
+        if not isinstance(self.acting, FreeAlgebra):
+            return self._row_image(k1, k2)
+        ring = self.acted.ring
+        image = {k2: ring.one}
+        for g in k1:
+            image = _extend(ring, image, lambda k, g=g: self._row_image(g, k))
+        return image
 
     def same(self, other):
         return (
             isinstance(other, TableAction)
             and other.acting.compatible(self.acting)
             and other.acted.compatible(self.acted)
-            and _tables_equal(self.table, other.table)
+            and other.table == self.table
         )
-
-
-def _tables_equal(t1, t2):
-    keys = set(t1) | set(t2)
-    for k in keys:
-        r1 = {kk: v for kk, v in t1.get(k, {}).items() if not v.is_zero()}
-        r2 = {kk: v for kk, v in t2.get(k, {}).items() if not v.is_zero()}
-        if set(r1) != set(r2):
-            return False
-        for kk in r1:
-            if r1[kk] != r2[kk]:
-                return False
-    return True
 
 
 class FunctionAction(Action):
@@ -691,6 +691,9 @@ class FunctionAction(Action):
         self.origin = origin
         self._memo = {}  # (acting key, acted key) -> image
 
+    def __call__(self, r, m):
+        return self._evaluate(r, m)
+
     def _image(self, k1, k2):
         img = self._memo.get((k1, k2))
         if img is None:
@@ -703,20 +706,8 @@ class FunctionAction(Action):
         img = self._memo.get((k1, k2))
         return (self._image(k1, k2) if img is None else img).coeffs
 
-    def __call__(self, r, m):
-        self.acting.owns(r)
-        self.acted.owns(m)
-        if not (r.coeffs and m.coeffs):
-            return self.acted.zero()
-        k1, k2 = unit_key(r), unit_key(m)
-        if k1 is not None and k2 is not None:
-            return _as_element_of(self.acted, self._image(k1, k2))
-        mul = self.acted.ring.mul
-        return Element(self.acted, combine(self.acted.ring, [
-            (mul(c1, c2), self._image(k1, k2).coeffs)
-            for k1, c1 in r.coeffs.items()
-            for k2, c2 in m.coeffs.items()
-        ]))
+    def _key_element(self, k1, k2):
+        return _as_element_of(self.acted, self._image(k1, k2))
 
     def same(self, other):
         if self is other:
@@ -849,13 +840,11 @@ def zero_action(acting, acted):
 # Bilinear maps (Peiffer liftings)
 
 
-class BilinearMap:
+class BilinearMap(_KeyBilinear):
     def __init__(self, left, right, target, table):
         if not left.is_finite() or not right.is_finite():
             raise BadShape("bilinear table needs finite-dimensional arguments")
-        self.left = left
-        self.right = right
-        self.target = target
+        self.left, self.right, self.target = self._ends = (left, right, target)
         norm = {}
         for (k1, k2), value in table.items():
             target.owns(value)
@@ -864,17 +853,11 @@ class BilinearMap:
         self.table = norm
 
     def __call__(self, u, v):
-        self.left.owns(u)
-        self.right.owns(v)
-        if not (u.coeffs and v.coeffs):
-            return self.target.zero()
-        mul = self.target.ring.mul
-        return Element(self.target, combine(self.target.ring, [
-            (mul(c1, c2), self.table[(k1, k2)].coeffs)
-            for k1, c1 in u.coeffs.items()
-            for k2, c2 in v.coeffs.items()
-            if (k1, k2) in self.table
-        ]))
+        return self._evaluate(u, v)
+
+    def _key_image(self, k1, k2):
+        img = self.table.get((k1, k2))
+        return _EMPTY if img is None else img.coeffs
 
     def same(self, other):
         """Equal as bilinear maps: compatible endpoints and the same
@@ -894,9 +877,7 @@ class ZeroBilinear(BilinearMap):
     has an infinite E when E is free."""
 
     def __init__(self, left, right, target):
-        self.left = left
-        self.right = right
-        self.target = target
+        self.left, self.right, self.target = self._ends = (left, right, target)
         self.table = {}
 
 

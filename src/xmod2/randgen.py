@@ -88,7 +88,7 @@ def random_action(R, M, rng, policy=DEFAULT_POLICY):
             for m in M.basis_keys():
                 if rng.random() < 0.4:
                     row[m] = _random_element(M, rng, density=0.4)
-            table[r] = {k: v for k, v in row.items() if not v.is_zero()}
+            table[r] = row
         try:
             return make_action(R, M, table, policy)
         except LawViolation:

@@ -163,7 +163,7 @@ class PrimeField(Ring):
             if "/" in body:
                 return self.coerce(Fraction(body))
             return int(body) % self.p
-        except (ValueError, BadShape) as exc:
+        except (ValueError, ZeroDivisionError, BadShape) as exc:
             raise ParseError("bad scalar %r for %s: %s" % (text, self.name, exc))
 
     def to_str(self, value):

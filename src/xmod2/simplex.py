@@ -52,7 +52,6 @@ kept lower stage in place, certifying nothing twice.
 
 from collections import namedtuple
 
-from .algebra import combine
 from .errors import IndexOutOfRange, LawViolation
 from .maps import (
     DEFAULT_POLICY,
@@ -62,6 +61,8 @@ from .maps import (
     check_law,
     is_proof,
     semidirect,
+    _Lazy,
+    _extend,
 )
 
 
@@ -384,13 +385,14 @@ def _composite(maps):
     return apply
 
 
-def _key_composite(maps, ring):
-    """The coefficient dict of the composite's image of one basis key."""
+def _key_composite(maps, ring, images):
+    """The coefficient dict of the composite's image of one basis key, read
+    from images[f], a table of f's key images, for each map f in turn."""
 
     def apply(key):
         v = {key: ring.one}
         for f in maps:
-            v = combine(ring, [(c, f._key_image(k)) for k, c in v.items()])
+            v = _extend(ring, v, images[f].__getitem__)
         return v
 
     return apply
@@ -410,10 +412,11 @@ def check_simplicial_identities(T, policy=DEFAULT_POLICY):
     on the basis.  A failure on a generating set is decided again on the
     basis, so the witness is the one the basis check finds."""
     entries = []
+    images = _Lazy(lambda f: _Lazy(f._key_image))  # f -> key -> f(key) coeffs
     for kind, (i, j), n in simplicial_identity_list():
         name, lhs, rhs = _identity(T, kind, i, j, n)
         level = T.levels[n]
-        left, right = _key_composite(lhs, level.ring), _key_composite(rhs, level.ring)
+        left, right = _key_composite(lhs, level.ring, images), _key_composite(rhs, level.ring, images)
 
         def on_keys(keys):
             return next(((pos,) for pos, k in enumerate(keys) if left(k) != right(k)), None)

@@ -27,6 +27,27 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
+def test_every_traced_method_is_its_own_class_function():
+    """The tracer patches a method on the class it names, and reports as
+    unwrapped any original function still held in an xmod2 class.  So every
+    traced ``Class.method`` is defined in that class's own ``__dict__``,
+    not inherited, and no two targets share one function object."""
+    inherited, seen, shared = [], {}, []
+    for module_name, attribute, _, _, _ in _targets():
+        owner_name, _, method = attribute.rpartition(".")
+        if not owner_name:
+            continue
+        owner = getattr(importlib.import_module("xmod2." + module_name), owner_name)
+        fn = vars(owner).get(method)
+        if fn is None:
+            inherited.append(attribute)
+            continue
+        if fn in seen:
+            shared.append((seen[fn], attribute))
+        seen[fn] = attribute
+    assert inherited == [] and shared == []
+
+
 def test_semidirect_key_mul_fills_the_cache_the_tracer_reads():
     """The tracer's key_mul hit counter reads ``alg._mulcache`` by key pair."""
     from xmod2 import fixtures

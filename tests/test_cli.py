@@ -494,6 +494,16 @@ def test_exponent_notation_scalar_is_parse_error(tmp_path, capsys):
     assert err.startswith("parse error: ") and "'1e999999999'" in err
 
 
+def test_zero_denominator_scalar_over_a_prime_field_is_parse_error(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"ring": {"prime": 5}, "algebras": {"N": {
+        "type": "finite", "basis": ["u"], "products": {"u": {"u": {"u": "1/0"}}}}}}))
+    out = run_cli("validate", str(path))
+    assert out.returncode == 3, out.stderr
+    assert out.stderr.startswith("parse error: ") and "'1/0'" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 _FREE_X = {"type": "free", "generators": ["x"]}
 _N_AND_X = {"N": {"type": "finite", "basis": ["u"], "products": {}}, "X": _FREE_X}
 

@@ -30,6 +30,8 @@ from xmod2.maps import (
     LinearMap,
     Policy,
     TableAction,
+    ZeroAction,
+    ZeroBilinear,
     algebra_morphism,
     certify_action,
     certify_algebra,
@@ -509,18 +511,14 @@ def _counted(side, calls):
 
 
 def test_exhaustive_tuples_are_lazy_and_in_product_order():
-    """A finite list's tuples are a BasisTuples: its length, iteration and
-    indexing are those of the built product, and an exhaustive check that
-    fails reads the tuple at its witness."""
+    """A finite list's tuples are a BasisTuples: its length and iteration
+    are those of the built product, and an exhaustive check that fails
+    builds the tuple at its witness."""
     R, E = f2_carriers()
     tuples, exhaustive = law_tuples([R, E, E], Policy(samples=3))
     built = list(itertools.product(R.basis_elements(), E.basis_elements(), E.basis_elements()))
     assert exhaustive and isinstance(tuples, BasisTuples)
     assert len(tuples) == len(built) == 4 and list(tuples) == built
-    assert [tuples[i] for i in range(4)] == built
-    for index in (4, -1):
-        with pytest.raises(IndexError):
-            tuples[index]
     assert len(law_tuples([R, zero_algebra(QQ)], Policy())[0]) == 0
 
     a, b = E.basis_element("a"), E.basis_element("b")
@@ -601,3 +599,83 @@ def test_a_law_with_a_zero_algebra_slot_evaluates_nothing_and_stays_sampled():
                      MorphismViolation, pol)
     assert calls == [] and cert is pol.certificate
     assert not F3.certificates["d1-equivariance"].exhaustive
+
+
+def _bilinear_cases(ring):
+    """One of each action and lifting class over ring, each as (name, f,
+    left, right, target): the table action on a finite actor and on a free
+    one, whose monomials act by iterated generator rows."""
+    R = make_finite_algebra(["p", "q"], {("p", "p"): {"q": 1}}, ring)
+    E = make_finite_algebra(["a", "b"], {("a", "a"): {"b": 1}}, ring)
+    L = make_finite_algebra(["k", "m"], {}, ring)
+    P = make_free_algebra(["x", "y"], ring)
+    a, b = E.basis_element("a"), E.basis_element("b")
+    k, m = L.basis_element("k"), L.basis_element("m")
+    return [
+        ("zero action", ZeroAction(R, E), R, E, E),
+        ("table action", TableAction(R, E, {"p": {"a": 2 * a + b, "b": 3 * b}, "q": {"a": -b}}), R, E, E),
+        ("free table action", TableAction(P, E, {"x": {"a": a + 2 * b, "b": b}, "y": {"a": 4 * b}}), P, E, E),
+        ("function action", FunctionAction(E, E, lambda u, v: u * v + 2 * (u * v * v)), E, E, E),
+        ("bilinear map", BilinearMap(E, E, L, {("a", "a"): k, ("a", "b"): 2 * k - m, ("b", "a"): m}), E, E, L),
+        ("zero bilinear", ZeroBilinear(P, E, L), P, E, L),
+    ]
+
+
+def _multi_term(alg, rng):
+    """A drawn element of alg with two terms or more, one of them a product
+    of generators when alg is free."""
+    while True:
+        u = random_element(alg, rng, 3)
+        if len(u.coeffs) > 1 and (not isinstance(alg, FreeAlgebra) or any(len(k) > 1 for k in u.coeffs)):
+            return u
+
+
+@pytest.mark.parametrize("ring", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_actions_and_liftings_extend_their_key_images_bilinearly(ring):
+    """On drawn multi-term elements every action and lifting gives the sum
+    of c1 c2 times its value on the basis pairs."""
+    rng, cases = random.Random(3), _bilinear_cases(ring)
+    for name, f, left, right, target in cases:
+        for _ in range(6):
+            u, v = _multi_term(left, rng), _multi_term(right, rng)
+            expected = target.zero()
+            for k1, c1 in u.coeffs.items():
+                for k2, c2 in v.coeffs.items():
+                    image = f(left.basis_element(k1), right.basis_element(k2))
+                    expected = expected + image.scale(ring.mul(c1, c2))
+            assert f(u, v) == expected, name
+    _, act, P, E, _ = cases[2]
+    a, b = E.basis_element("a"), E.basis_element("b")
+    # (x^2 + y) > a = x > (a + 2b) + 4b = a + 4b + 4b
+    assert act(P.monomial("x", "x") + P.monomial("y"), a) == a + 8 * b
+
+
+@pytest.mark.parametrize("ring", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_actions_and_liftings_give_the_shared_zero_and_refuse_foreign_arguments(ring):
+    """A zero argument gives the target's zero() object; a foreign argument,
+    a zero one included, raises OwnerMismatch in either slot."""
+    rng = random.Random(4)
+    F = make_finite_algebra(["z"], {}, ring)
+    for name, f, left, right, target in _bilinear_cases(ring):
+        u, v = _multi_term(left, rng), _multi_term(right, rng)
+        assert f(left.zero(), v) is target.zero(), name
+        assert f(u, right.zero()) is target.zero(), name
+        assert f(left.zero(), right.zero()) is target.zero(), name
+        for foreign in (F.zero(), F.basis_element("z")):
+            with pytest.raises(OwnerMismatch):
+                f(foreign, v)
+            with pytest.raises(OwnerMismatch):
+                f(u, foreign)
+
+
+@pytest.mark.parametrize("ring", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_table_action_drops_zero_entries_and_empty_rows(ring):
+    R = make_finite_algebra(["p", "q"], {("p", "p"): {"q": 1}}, ring)
+    E = make_finite_algebra(["a", "b"], {("a", "a"): {"b": 1}}, ring)
+    a, b = E.basis_element("a"), E.basis_element("b")
+    padded = TableAction(R, E, {"p": {"a": E.zero(), "b": b}, "q": {"a": a - a}})
+    plain = TableAction(R, E, {"p": {"b": b}})
+    assert padded.table == plain.table == {"p": {"b": b}}
+    assert padded.same(plain) and plain.same(padded)
+    assert TableAction(R, E, {"p": {}, "q": {"b": 0 * b}}).table == {}
+    assert not padded.same(TableAction(R, E, {"p": {"b": 2 * b}}))

@@ -17,6 +17,14 @@ def test_rational_parse_lowest_terms():
         QQ.parse("1/0")
 
 
+def test_prime_field_parse_rejects_a_zero_denominator():
+    """Over F_p as over Q, "1/0" is a ParseError that names the scalar, not
+    the ZeroDivisionError of Fraction."""
+    with pytest.raises(ParseError) as err:
+        PrimeField(5).parse("1/0")
+    assert "'1/0'" in str(err.value)
+
+
 @pytest.mark.parametrize("text", ["1e999999999", "1E3", "2.5e-1", "-1e0"])
 def test_rational_parse_rejects_exponent_notation(text):
     """Fraction would expand the exponent: "1e999999999" is about 415 MB."""
