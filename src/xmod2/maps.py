@@ -110,9 +110,10 @@ with one argument, and its extension is ``_extend``, the linear extension
 of a key image, which ``simplex`` also composes.  On a unit key a
 ``LinearMap`` returns the key's memoised or table image, re-tagged to its
 target but not copied, and a ``FunctionAction`` returns the key pair's
-memoised image likewise.  Those images share their ``coeffs`` with the
-memo, which is why elements are never mutated.  An empty image or sum is
-the target's shared zero.
+memoised image, which was re-tagged to the acted algebra when it was
+memoised.  Those images share their ``coeffs`` with the memo, which is why
+elements are never mutated.  An empty image or sum is the target's shared
+zero.
 """
 
 import itertools
@@ -698,16 +699,14 @@ class FunctionAction(Action):
         img = self._memo.get((k1, k2))
         if img is None:
             img = self.fn(self.acting.basis_element(k1), self.acted.basis_element(k2))
-            self.acted.owns(img)
-            self._memo[(k1, k2)] = img
+            img = self._memo[(k1, k2)] = _as_element_of(self.acted, self.acted.owns(img))
         return img
+
+    _key_element = _image  # the memoised image itself, an element of acted
 
     def _key_image(self, k1, k2):
         img = self._memo.get((k1, k2))
         return (self._image(k1, k2) if img is None else img).coeffs
-
-    def _key_element(self, k1, k2):
-        return _as_element_of(self.acted, self._image(k1, k2))
 
     def same(self, other):
         if self is other:

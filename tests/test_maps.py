@@ -611,11 +611,12 @@ def _bilinear_cases(ring):
     P = make_free_algebra(["x", "y"], ring)
     a, b = E.basis_element("a"), E.basis_element("b")
     k, m = L.basis_element("k"), L.basis_element("m")
+    table = TableAction(R, E, {"p": {"a": 2 * a + b, "b": 3 * b}, "q": {"a": -b}})
     return [
         ("zero action", ZeroAction(R, E), R, E, E),
-        ("table action", TableAction(R, E, {"p": {"a": 2 * a + b, "b": 3 * b}, "q": {"a": -b}}), R, E, E),
+        ("table action", table, R, E, E),
         ("free table action", TableAction(P, E, {"x": {"a": a + 2 * b, "b": b}, "y": {"a": 4 * b}}), P, E, E),
-        ("function action", FunctionAction(E, E, lambda u, v: u * v + 2 * (u * v * v)), E, E, E),
+        ("function action", FunctionAction(R, E, lambda r, e: table(r, e) * a + 3 * table(r, e)), R, E, E),
         ("bilinear map", BilinearMap(E, E, L, {("a", "a"): k, ("a", "b"): 2 * k - m, ("b", "a"): m}), E, E, L),
         ("zero bilinear", ZeroBilinear(P, E, L), P, E, L),
     ]
