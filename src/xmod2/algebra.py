@@ -35,7 +35,11 @@ its memoised image, a combination of one dict with coefficient one is
 that dict, and a sum with a zero operand is the other operand (re-tagged
 to the left operand's algebra when that is another, compatible one).
 Elements themselves may be shared too: every algebra builds its zero
-once (``zero``), and a finite algebra keeps each basis element it builds
+once (``zero``), and every empty result is that object, because sums,
+scalings, products, ``element``, the semidirect embeddings, ``pair`` and
+``split`` build their results with one method, ``from_coeffs``, which
+gives ``zero()`` for an empty dict (so do the maps, actions and liftings
+of ``maps``).  A finite algebra keeps each basis element it builds
 (``basis_element``), so every caller of a key gets the same object.  So
 nothing may mutate the ``coeffs`` of an element it did not just build, a
 zero or a basis element included.
@@ -74,7 +78,7 @@ class Element:
         if not other.coeffs:
             return self
         if not self.coeffs:
-            return other if other.algebra is self.algebra else Element(self.algebra, other.coeffs)
+            return other if other.algebra is self.algebra else self.algebra.from_coeffs(other.coeffs)
         ring = self.algebra.ring
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
@@ -83,7 +87,7 @@ class Element:
                 out.pop(k, None)
             else:
                 out[k] = s
-        return Element(self.algebra, out)
+        return self.algebra.from_coeffs(out)
 
     def __neg__(self):
         if not self.coeffs:
@@ -98,8 +102,8 @@ class Element:
         ring = self.algebra.ring
         scalar = ring.coerce(scalar)
         if ring.is_zero(scalar):
-            return Element(self.algebra, {})
-        return Element(self.algebra, {k: ring.mul(scalar, c) for k, c in self.coeffs.items()})
+            return self.algebra.zero()
+        return self.algebra.from_coeffs({k: ring.mul(scalar, c) for k, c in self.coeffs.items()})
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
@@ -211,7 +215,12 @@ class Algebra:
                 out.pop(key, None)
             else:
                 out[key] = value
-        return Element(self, out)
+        return self.from_coeffs(out)
+
+    def from_coeffs(self, coeffs):
+        """The element with the normalised coefficient dict coeffs, which it
+        shares; the shared zero() when coeffs is empty."""
+        return Element(self, coeffs) if coeffs else self.zero()
 
     def zero(self):
         """The zero element, built once and shared."""
@@ -260,7 +269,7 @@ class Algebra:
         k1, k2 = unit_key(u), unit_key(v)
         if k1 is not None and k2 is not None:
             return self.key_mul(k1, k2)
-        return Element(self, self.product(u.coeffs, v.coeffs))
+        return self.from_coeffs(self.product(u.coeffs, v.coeffs))
 
     # -- shape -------------------------------------------------------------
 
@@ -327,7 +336,7 @@ class FiniteAlgebra(Algebra):
         return key
 
     def key_mul(self, k1, k2):
-        return Element(self, self._table.get((k1, k2), {}))
+        return self.from_coeffs(self._table.get((k1, k2), {}))
 
     def dim(self):
         return len(self.labels)
@@ -497,11 +506,11 @@ class SemidirectAlgebra(Algebra):
 
     def embed_left(self, u):
         self.left.owns(u)
-        return Element(self, {(0, k): c for k, c in u.coeffs.items()})
+        return self.from_coeffs({(0, k): c for k, c in u.coeffs.items()})
 
     def embed_right(self, u):
         self.right.owns(u)
-        return Element(self, {(1, k): c for k, c in u.coeffs.items()})
+        return self.from_coeffs({(1, k): c for k, c in u.coeffs.items()})
 
     def pair(self, u, v):
         self.left.owns(u)
@@ -509,7 +518,7 @@ class SemidirectAlgebra(Algebra):
         coeffs = {(0, k): c for k, c in u.coeffs.items()}
         for k, c in v.coeffs.items():
             coeffs[(1, k)] = c
-        return Element(self, coeffs)
+        return self.from_coeffs(coeffs)
 
     def split(self, w):
         """Inverse of pair: the (left, right) components of an element."""
@@ -518,8 +527,7 @@ class SemidirectAlgebra(Algebra):
         right = {}
         for (side, k), c in w.coeffs.items():
             (left if side == 0 else right)[k] = c
-        return (Element(self.left, left) if left else self.left.zero(),
-                Element(self.right, right) if right else self.right.zero())
+        return self.left.from_coeffs(left), self.right.from_coeffs(right)
 
     def __repr__(self):
         return "Semidirect<%r |x %r>" % (self.left, self.right)
@@ -578,17 +586,12 @@ def make_finite_algebra(basis, constants, ring):
             c = ring.coerce(c)
             if not ring.is_zero(c):
                 row[k] = c
-        table[(i, j)] = row
-    full = {}
+        if row:
+            table[(i, j)] = row
+    alg = FiniteAlgebra(ring, labels, table)
     for i in labels:
         for j in labels:
-            row = table.get((i, j), {})
-            if row:
-                full[(i, j)] = row
-    alg = FiniteAlgebra(ring, labels, full)
-    for i in labels:
-        for j in labels:
-            if full.get((i, j), {}) != full.get((j, i), {}):
+            if table.get((i, j), {}) != table.get((j, i), {}):
                 raise NonCommutative((i, j), alg.key_mul(i, j), alg.key_mul(j, i))
     for i in labels:
         ei = alg.basis_element(i)

@@ -118,12 +118,7 @@ def ideal_inclusion_cm(R, ideal_labels, policy=DEFAULT_POLICY):
             if escaped:
                 raise NotAnIdeal((r, e), "product %s*%s leaves the span" % (r, e))
 
-    table = {}
-    for i in ideal_labels:
-        for j in ideal_labels:
-            row = {k: c for k, c in R.key_mul(i, j).coeffs.items()}
-            if row:
-                table[(i, j)] = row
+    table = {(i, j): R.key_mul(i, j).coeffs for i in ideal_labels for j in ideal_labels}
     E = make_finite_algebra(ideal_labels, table, R.ring)
     d = algebra_morphism(E, R, images={l: R.basis_element(l) for l in ideal_labels}, policy=policy)
     act_table = {}
@@ -308,9 +303,7 @@ def kernel_two_crossed(P, policy=DEFAULT_POLICY):
     table = {}
     for i, vi in enumerate(vectors):
         for j, vj in enumerate(vectors):
-            row = in_kernel_coords(vi * vj, "kernel product")
-            if row:
-                table[(labels[i], labels[j])] = row
+            table[(labels[i], labels[j])] = in_kernel_coords(vi * vj, "kernel product")
     L = make_finite_algebra(labels, table, ring)
 
     d2 = algebra_morphism(L, E, images={labels[i]: vectors[i] for i in range(len(labels))}, policy=policy)

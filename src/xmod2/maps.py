@@ -113,7 +113,14 @@ target but not copied, and a ``FunctionAction`` returns the key pair's
 memoised image, which was re-tagged to the acted algebra when it was
 memoised.  Those images share their ``coeffs`` with the memo, which is why
 elements are never mutated.  An empty image or sum is the target's shared
-zero.
+zero (``Algebra.from_coeffs``).
+
+Zero has one form here too: an empty table.  ``zero_map`` is the table
+rule with no images, over any source, a free one included; ``zero_action``
+is a ``TableAction`` with an empty table (``ZeroAction``, which skips the
+row lookup), and ``zero_bilinear`` a ``BilinearMap`` with one.  Table-given
+actions and liftings share one ``same``: the same kind, compatible ends
+and equal tables, so a zero action is the same as any empty table action.
 """
 
 import itertools
@@ -384,7 +391,7 @@ def _weakest(*certs):
 
 def _as_element_of(alg, img):
     """img re-tagged to alg, a compatible algebra, sharing its coeffs."""
-    return img if img.algebra is alg else Element(alg, img.coeffs)
+    return img if img.algebra is alg else alg.from_coeffs(img.coeffs)
 
 
 _EMPTY = {}  # the image of a key with none; read only, never the coeffs of an element
@@ -394,11 +401,6 @@ def _extend(ring, coeffs, image):
     """The coefficient dict of sum(c * image(k)) over the items (k, c) of
     coeffs: the linear extension of a key image."""
     return combine(ring, [(c, image(k)) for k, c in coeffs.items()])
-
-
-def _element(target, coeffs):
-    """coeffs as an element of target; the target's shared zero when empty."""
-    return Element(target, coeffs) if coeffs else target.zero()
 
 
 class _Lazy(dict):
@@ -422,7 +424,9 @@ class LinearMap:
     images of basis keys.
 
     Evaluation rules for the image of one key:
-      "table"        looked up in ``images`` (finite source basis);
+      "table"        looked up in ``images`` (a finite source's basis), a
+                     missing key going to zero; with no images, the zero
+                     map over any source (``zero_map``);
       "substitution" ``images`` holds the free generators' images, and a
                      monomial g1...gk goes to the product of its images;
       "function"     ``fn`` applied to the basis element (sums/composites,
@@ -471,7 +475,7 @@ class LinearMap:
         if key is not None:
             img = self._image(key)
             return self.target.zero() if img is None else _as_element_of(self.target, img)
-        return _element(self.target, _extend(self.target.ring, u.coeffs, self._key_image))
+        return self.target.from_coeffs(_extend(self.target.ring, u.coeffs, self._key_image))
 
     def __repr__(self):
         tag = self.note or self.rule
@@ -498,7 +502,8 @@ def linear_map(source, target, images):
 
 
 def zero_map(source, target):
-    return LinearMap(source, target, "function", fn=lambda u: target.zero(), note="zero")
+    """The zero map: the table rule with no images, over any source."""
+    return LinearMap(source, target, "table", images={}, note="zero")
 
 
 def identity_map(alg):
@@ -594,7 +599,7 @@ class _KeyBilinear:
 
     def _key_element(self, k1, k2):
         """The image of one pair of basis keys, as an element."""
-        return _element(self._ends[2], self._key_image(k1, k2))
+        return self._ends[2].from_coeffs(self._key_image(k1, k2))
 
     def _evaluate(self, u, v):
         left, right, target = self._ends
@@ -607,9 +612,20 @@ class _KeyBilinear:
             return self._key_element(k1, k2)
         ring, image = target.ring, self._key_image
         mul = ring.mul
-        return _element(target, combine(ring, [
+        return target.from_coeffs(combine(ring, [
             (mul(c1, c2), image(k1, k2)) for k1, c1 in u.coeffs.items() for k2, c2 in v.coeffs.items()
         ]))
+
+    def same(self, other):
+        """Equal as table-given maps (a ``TableAction`` or a ``BilinearMap``):
+        the same kind, compatible ends and equal tables.  Tables hold no zero
+        entries, so an empty table is the zero map."""
+        return self is other or (
+            isinstance(other, (TableAction, BilinearMap))
+            and isinstance(other, Action) is isinstance(self, Action)
+            and all(o.compatible(e) for o, e in zip(other._ends, self._ends))
+            and other.table == self.table
+        )
 
 
 class Action(_KeyBilinear):
@@ -620,20 +636,6 @@ class Action(_KeyBilinear):
         self.acted = acted
         self._ends = (acting, acted, acted)
         self.certificate = None
-
-    def same(self, other):
-        return self is other
-
-
-class ZeroAction(Action):
-    def __call__(self, r, m):
-        return self._evaluate(r, m)
-
-    def _key_image(self, k1, k2):
-        return _EMPTY
-
-    def same(self, other):
-        return isinstance(other, ZeroAction) and other.acting.compatible(self.acting) and other.acted.compatible(self.acted)
 
 
 class TableAction(Action):
@@ -664,13 +666,18 @@ class TableAction(Action):
             image = _extend(ring, image, lambda k, g=g: self._row_image(g, k))
         return image
 
-    def same(self, other):
-        return (
-            isinstance(other, TableAction)
-            and other.acting.compatible(self.acting)
-            and other.acted.compatible(self.acted)
-            and other.table == self.table
-        )
+
+class ZeroAction(TableAction):
+    """The zero action: the table action with an empty table."""
+
+    def __init__(self, acting, acted):
+        super().__init__(acting, acted, {})
+
+    def __call__(self, r, m):
+        return self._evaluate(r, m)
+
+    def _key_image(self, k1, k2):
+        return _EMPTY
 
 
 class FunctionAction(Action):
@@ -840,8 +847,14 @@ def zero_action(acting, acted):
 
 
 class BilinearMap(_KeyBilinear):
+    """A bilinear map given by a table {(left key, right key) -> Element};
+    zero entries are dropped.  A table with entries needs finite arguments.
+    The empty table is the zero map over any arguments, such as the zero
+    lifting of a crossed module's slice (``crossed.as_two_crossed``), whose
+    E is infinite when E is free."""
+
     def __init__(self, left, right, target, table):
-        if not left.is_finite() or not right.is_finite():
+        if table and not (left.is_finite() and right.is_finite()):
             raise BadShape("bilinear table needs finite-dimensional arguments")
         self.left, self.right, self.target = self._ends = (left, right, target)
         norm = {}
@@ -858,30 +871,9 @@ class BilinearMap(_KeyBilinear):
         img = self.table.get((k1, k2))
         return _EMPTY if img is None else img.coeffs
 
-    def same(self, other):
-        """Equal as bilinear maps: compatible endpoints and the same
-        nonzero table entries."""
-        return self is other or (
-            isinstance(other, BilinearMap)
-            and other.left.compatible(self.left)
-            and other.right.compatible(self.right)
-            and other.target.compatible(self.target)
-            and other.table == self.table
-        )
-
-
-class ZeroBilinear(BilinearMap):
-    """The zero bilinear map, whose empty table needs no finite arguments:
-    the zero lifting of a crossed module's slice (``crossed.as_two_crossed``)
-    has an infinite E when E is free."""
-
-    def __init__(self, left, right, target):
-        self.left, self.right, self.target = self._ends = (left, right, target)
-        self.table = {}
-
 
 def zero_bilinear(left, right, target):
-    return ZeroBilinear(left, right, target)
+    return BilinearMap(left, right, target, {})
 
 
 # ---------------------------------------------------------------------------

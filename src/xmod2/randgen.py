@@ -69,9 +69,8 @@ def random_finite_algebra(ring, rng, max_dim=2):
                 for k in range(dim):
                     if rng.random() < 0.4:
                         row[labels[k]] = ring.random(rng)
-                if row:
-                    table[(labels[i], labels[j])] = row
-                    table[(labels[j], labels[i])] = row
+                table[(labels[i], labels[j])] = row
+                table[(labels[j], labels[i])] = row
         try:
             return make_finite_algebra(labels, table, ring)
         except LawViolation:

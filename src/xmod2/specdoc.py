@@ -231,6 +231,11 @@ class _Loader:
                         for k, c in _shaped(elem, dict, products).items()
                     }
             basis = _names(_required(spec, "basis", where), where + " basis")
+            known = set(basis)
+            for pair, row in constants.items():
+                for label in (*pair, *row):
+                    if label not in known:
+                        raise ParseError("%s: unknown basis label %r" % (products, label))
             return make_finite_algebra(basis, constants, self.doc.ring)
         if kind == "free":
             generators = _names(_required(spec, "generators", where), where + " generators")

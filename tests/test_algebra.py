@@ -296,3 +296,38 @@ def test_a_generator_slot_takes_the_set_of_a_proved_finite_algebra(ring):
     lam1.certificate = Policy().certificate
     tuples, exhaustive = law_tuples([lam1, lam1], Policy(), generators=(0,))
     assert exhaustive and [len(f) for f in tuples.factors] == [4, 4]
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_every_empty_result_is_the_shared_zero(ring):
+    """Sums, scalings, products (by * and by key_mul), element, pair, the
+    embeddings and both sides of split give the algebra's zero() object
+    itself whenever their result is empty, over a finite, a free and a
+    semidirect algebra."""
+    R = make_finite_algebra(["x", "x2"], {("x", "x"): {"x2": 1}}, ring)
+    P = make_free_algebra(["y", "z"], ring)
+    E = make_finite_algebra(["a"], {}, ring)
+    S = semidirect(R, E, zero_action(R, E))
+    x, x2 = R.basis_element("x"), R.basis_element("x2")
+    y, z = P.monomial("y"), P.monomial("y", "z")
+    a = E.basis_element("a")
+    u = S.pair(x, a)
+    for alg, v in [(R, x + 3 * x2), (P, y + 2 * z), (S, u + S.embed_right(2 * a))]:
+        zero = alg.zero()
+        assert v + (-v) is zero and v - v is zero
+        assert v.scale(0) is zero and 0 * v is zero
+        assert alg.element({}) is zero
+        assert v * zero is zero and zero * v is zero
+    # zero products of nonzero elements: unit keys, key_mul and multi-term
+    assert x * x2 is R.zero() and R.key_mul("x", "x2") is R.zero()
+    assert (x + x2) * x2 is R.zero()
+    assert E.key_mul("a", "a") is E.zero() and a * a is E.zero()
+    assert S.key_mul((0, "x2"), (0, "x2")) is S.zero()
+    assert S.key_mul((1, "a"), (1, "a")) is S.zero() and S.key_mul((0, "x"), (1, "a")) is S.zero()
+    assert S.embed_left(x2) * S.embed_left(x2 + x2) is S.zero()
+    # the semidirect packing and unpacking
+    assert S.pair(R.zero(), E.zero()) is S.zero()
+    assert S.embed_left(R.zero()) is S.zero() and S.embed_right(E.zero()) is S.zero()
+    left, right = S.split(S.zero())
+    assert left is R.zero() and right is E.zero()
+    assert S.split(S.embed_left(x))[1] is E.zero() and S.split(S.embed_right(a))[0] is R.zero()

@@ -504,6 +504,18 @@ def test_zero_denominator_scalar_over_a_prime_field_is_parse_error(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("products", [{"u": {"w": {"u": "1"}}}, {"u": {"u": {"w": "1"}}}],
+                         ids=["pair-label", "constant-target"])
+def test_unknown_label_in_products_is_parse_error(tmp_path, products):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"algebras": {"A": {"type": "finite", "basis": ["u"],
+                                                   "products": products}}}))
+    out = run_cli("validate", str(path))
+    assert out.returncode == 3, out.stderr
+    assert out.stderr.startswith("parse error: ") and "Traceback" not in out.stderr
+    assert "algebra 'A' products" in out.stderr and "'w'" in out.stderr
+
+
 _FREE_X = {"type": "free", "generators": ["x"]}
 _N_AND_X = {"N": {"type": "finite", "basis": ["u"], "products": {}}, "X": _FREE_X}
 

@@ -31,7 +31,6 @@ from xmod2.maps import (
     Policy,
     TableAction,
     ZeroAction,
-    ZeroBilinear,
     algebra_morphism,
     certify_action,
     certify_algebra,
@@ -43,6 +42,7 @@ from xmod2.maps import (
     morphisms_equal,
     random_element,
     zero_action,
+    zero_bilinear,
     zero_map,
     _skeleton,
 )
@@ -240,7 +240,7 @@ def test_bilinear_map_requires_finite_and_is_bilinear():
     assert lift(2 * a + b, 3 * a) == 6 * L.basis_element("k")
     P = make_free_algebra(["x"], QQ)
     with pytest.raises(BadShape):
-        BilinearMap(P, E, L, {})
+        BilinearMap(P, E, L, {(("x",), "a"): L.basis_element("k")})
 
 
 def test_certify_action_reduced_conditions_for_semidirect_actor():
@@ -618,7 +618,7 @@ def _bilinear_cases(ring):
         ("free table action", TableAction(P, E, {"x": {"a": a + 2 * b, "b": b}, "y": {"a": 4 * b}}), P, E, E),
         ("function action", FunctionAction(R, E, lambda r, e: table(r, e) * a + 3 * table(r, e)), R, E, E),
         ("bilinear map", BilinearMap(E, E, L, {("a", "a"): k, ("a", "b"): 2 * k - m, ("b", "a"): m}), E, E, L),
-        ("zero bilinear", ZeroBilinear(P, E, L), P, E, L),
+        ("zero bilinear", zero_bilinear(P, E, L), P, E, L),
     ]
 
 
@@ -680,3 +680,38 @@ def test_table_action_drops_zero_entries_and_empty_rows(ring):
     assert padded.same(plain) and plain.same(padded)
     assert TableAction(R, E, {"p": {}, "q": {"b": 0 * b}}).table == {}
     assert not padded.same(TableAction(R, E, {"p": {"b": 2 * b}}))
+
+
+@pytest.mark.parametrize("ring", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_zero_structure_maps_are_their_empty_tables(ring):
+    """zero_action is the same as the empty table action, both ways, and
+    zero_bilinear as the empty bilinear map; an action and a lifting are
+    never the same, even when both are zero.  zero_map is the table rule
+    with no images: over a free source too it gives the target's zero()
+    object, on monomials of several degrees, and memoises nothing."""
+    R = make_finite_algebra(["p", "q"], {("p", "p"): {"q": 1}}, ring)
+    E = make_finite_algebra(["a", "b"], {("a", "a"): {"b": 1}}, ring)
+    L = make_finite_algebra(["k"], {}, ring)
+    P = make_free_algebra(["x", "y"], ring)
+    a, b = E.basis_element("a"), E.basis_element("b")
+    zero, empty = zero_action(R, E), TableAction(R, E, {})
+    assert zero.same(empty) and empty.same(zero)
+    assert zero.same(TableAction(R, E, {"p": {"a": E.zero()}, "q": {}}))
+    assert not zero.same(TableAction(R, E, {"p": {"a": b}}))
+    assert not TableAction(R, E, {"p": {"a": b}}).same(zero)
+    assert not zero.same(zero_action(R, L)) and not zero_action(P, E).same(zero)
+    assert zero_action(P, E).same(TableAction(P, E, {}))
+    lift = zero_bilinear(E, E, L)
+    assert lift.same(BilinearMap(E, E, L, {})) and BilinearMap(E, E, L, {}).same(lift)
+    assert lift.same(BilinearMap(E, E, L, {("a", "b"): L.zero()}))
+    assert not lift.same(BilinearMap(E, E, L, {("a", "b"): L.basis_element("k")}))
+    assert not zero_action(E, E).same(zero_bilinear(E, E, E))
+    assert not zero_bilinear(E, E, E).same(zero_action(E, E))
+    assert zero_bilinear(P, E, L)(P.monomial("x", "y"), a + b) is L.zero()
+    z = zero_map(P, E)
+    assert z.rule == "table" and z.fn is None
+    x, xy = P.monomial("x"), P.monomial("x", "y")
+    for u in (x, xy, P.monomial("x", "x", "y"), P.monomial("y") + 2 * xy):
+        assert z(u) is E.zero()
+    assert z(P.zero()) is E.zero() and not z._memo
+    assert zero_map(R, E)(R.basis_element("p") + R.basis_element("q")) is E.zero()
