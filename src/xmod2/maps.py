@@ -117,8 +117,8 @@ zero (``Algebra.from_coeffs``).
 
 Zero has one form here too: an empty table.  ``zero_map`` is the table
 rule with no images, over any source, a free one included; ``zero_action``
-is a ``TableAction`` with an empty table (``ZeroAction``, which skips the
-row lookup), and ``zero_bilinear`` a ``BilinearMap`` with one.  Table-given
+is a ``TableAction`` with an empty table (``ZeroAction``), and
+``zero_bilinear`` a ``BilinearMap`` with one.  Table-given
 actions and liftings share one ``same``: the same kind, compatible ends
 and equal tables, so a zero action is the same as any empty table action.
 """
@@ -675,9 +675,6 @@ class ZeroAction(TableAction):
 
     def __call__(self, r, m):
         return self._evaluate(r, m)
-
-    def _key_image(self, k1, k2):
-        return _EMPTY
 
 
 class FunctionAction(Action):
