@@ -16,12 +16,15 @@ All values are immutable after construction and every operation is pure.
 
 The sums of products, maps and actions are computed by two kernels on
 coefficient dicts: ``combine`` (a linear combination of dicts) and
-``Algebra.product`` (``key_mul`` extended bilinearly).  Element operations
-and the exhaustive law checks of ``maps`` go through them, and so do maps,
-actions and Peiffer liftings, each by one extension of its key images: a
-linear map's in ``maps._extend``, and every action's and lifting's in
-``maps._KeyBilinear._evaluate``.  So the arithmetic has one
-implementation.
+``bilinear`` (the bilinear extension of a key image, an element for each
+pair of keys).  On elements, one evaluation, ``evaluate_bilinear``, serves
+every bilinear map: a zero argument gives zero, two unit keys give their
+key image, anything else the extension ``bilinear``.  Products
+(``Algebra.multiply``, whose key image is ``key_mul``) and every action and
+Peiffer lifting of ``maps`` (``maps._KeyBilinear._evaluate``) go through
+it; a linear map extends its key images by ``combine`` (``maps._extend``),
+and the exhaustive law checks of ``maps`` use the two kernels.  So the
+arithmetic has one implementation.
 
 A finite algebra also names a generating set: positions in its basis of
 basis elements whose products span it (``generating_positions``), found
@@ -30,8 +33,9 @@ solution set is closed under products (the generator rule).
 
 An element's ``coeffs`` dict may be shared: a product of two basis keys is
 the ``key_mul`` value itself (a structure-table row, or a semidirect
-product's memoised entry), a map or action evaluated on basis keys returns
-its memoised image, a combination of one dict with coefficient one is
+product's memoised entry), a map, action or lifting evaluated on basis
+keys returns its key image itself (a table or memo entry, an element of
+its target), a combination of one dict with coefficient one is
 that dict, and a sum with a zero operand is the other operand (re-tagged
 to the left operand's algebra when that is another, compatible one).
 Elements themselves may be shared too: every algebra builds its zero
@@ -169,6 +173,32 @@ def combine(ring, terms):
     return acc
 
 
+def bilinear(ring, a, b, image):
+    """The normalised coefficient dict of sum(c1 c2 image(k1, k2)) over the
+    items (k1, c1) of a and (k2, c2) of b: the bilinear extension of
+    ``image``, which gives an element for each pair of keys."""
+    mul = ring.mul
+    return combine(ring, [
+        (mul(c1, c2), image(k1, k2).coeffs) for k1, c1 in a.items() for k2, c2 in b.items()
+    ])
+
+
+def evaluate_bilinear(target, u, v, image):
+    """The value at (u, v) of the bilinear map into target whose image of a
+    pair of basis keys is the element image(k1, k2) of target.  In order: a
+    zero argument gives target's ``zero()``; two basis keys with coefficient
+    one (``unit_key``) give their key image itself; anything else gives the
+    bilinear extension (``bilinear``).  ``Algebra.multiply``, whose key
+    image is ``key_mul``, and every action and Peiffer lifting of ``maps``
+    are evaluated here."""
+    if not (u.coeffs and v.coeffs):
+        return target.zero()
+    k1, k2 = unit_key(u), unit_key(v)
+    if k1 is not None and k2 is not None:
+        return image(k1, k2)
+    return target.from_coeffs(bilinear(target.ring, u.coeffs, v.coeffs, image))
+
+
 def _echelon_add(ring, echelon, v, position):
     """Reduce the coefficient dict v against ``echelon`` and add what is
     left, if anything, as a new row; returns whether a row was added.
@@ -257,19 +287,8 @@ class Algebra:
     def key_mul(self, k1, k2):
         raise NotImplementedError
 
-    def product(self, a, b):
-        """The normalised coefficient dict of the product of coefficient dicts
-        a and b: key_mul extended bilinearly."""
-        mul, key_mul = self.ring.mul, self.key_mul
-        return combine(self.ring, [
-            (mul(c1, c2), key_mul(k1, k2).coeffs) for k1, c1 in a.items() for k2, c2 in b.items()
-        ])
-
     def multiply(self, u, v):
-        k1, k2 = unit_key(u), unit_key(v)
-        if k1 is not None and k2 is not None:
-            return self.key_mul(k1, k2)
-        return self.from_coeffs(self.product(u.coeffs, v.coeffs))
+        return evaluate_bilinear(self, u, v, self.key_mul)
 
     # -- shape -------------------------------------------------------------
 

@@ -367,9 +367,9 @@ def make_2cm_morphism(src, tgt, f0, f1, f2, policy=DEFAULT_POLICY):
     """Certify a 2-crossed module map: commuting squares, action
     equivariance for f1 and f2, and preservation of the liftings.
 
-    Over a free R each equivariance law takes the generator rule of
-    ``maps.check_law`` (r on B) when f0 and the two actions it relates
-    are proved.  The closure lemma, for f1 (for f2 read L and the actions
+    Each equivariance law takes the generator rule of ``maps.check_law``
+    (r on B over a free R, on G_R over a finite one) when f0 and the two
+    actions it relates are proved.  The closure lemma, for f1 (for f2 read L and the actions
     on L): let S be the set of r with f1(r > e) = f0(r) > f1(e) for every
     e.  For r1, r2 in S and every e,
 
@@ -393,9 +393,9 @@ def make_2cm_morphism(src, tgt, f0, f1, f2, policy=DEFAULT_POLICY):
     def run(name, algebras, lhs, rhs, error, generators=()):
         certs[name] = check_law(algebras, lhs, rhs, error, policy, generators=generators)
 
-    def r_over_generators(*actions):  # over a free R, the lemma's premises, else sampled
+    def r_over_generators(*actions):  # the lemma's premises, else the basis or sampled
         proved = is_proof(f0.multiplicative) and all(is_proof(a.certificate) for a in actions)
-        return (0,) if src.free_basis and proved else ()
+        return (0,) if proved else ()
 
     run(
         "d1-square", [src.E], lambda e: f0(src.d1(e)), lambda e: tgt.d1(f1(e)),

@@ -40,7 +40,7 @@ as before:
 * ``simplex.check_simplicial_identities``: each identity on G of its
   level, when its faces and degeneracies are proved algebra maps;
 * ``crossed.make_2cm_morphism`` and ``tcm_homotopy.make_quadratic_derivation``:
-  r on B, over a free R.
+  r on G_R, which is B over a free R.
 
 When a law over finite algebras fails on a generating set, ``check_law``
 decides it again on the full basis, so its error and witness are the ones
@@ -80,47 +80,54 @@ pair for an action) once, keep it in a per-object memo, and extend
 (bilinear for an action): it is only ever called on basis elements, and
 the memo grows with the keys seen.
 
-Exhaustive checks of A1, A2, multiplicativity and the simplicial
-identities run on coefficient dicts.  ``certify_action``,
-``certify_multiplicative`` and ``simplex.check_simplicial_identities`` hand
-``check_law`` a kernel that decides each basis tuple with the two dict kernels of
-``algebra`` (``combine`` and ``Algebra.product``).  Products come from the
-algebra's own ``key_mul``, and images from ``_key_image``: a map's memoised
-or table image of a key, an action's memo entry or table row for a key
-pair.  The three kernels read those images through a table local to the
-check, filled on first read (``_Lazy``), so each image is fetched once per
-check.  The tuples still come from one ``law_tuples`` call and are decided
-in its order, generating sets in the generator slots.  At the first tuple
-whose two sides differ, the witness comes from the element path:
-``check_law`` builds that tuple of elements from the kernel's positions
-and evaluates lhs and rhs on it, so a failure raises exactly the error an
-element check raises.  The exhaustive tuples are a lazy ``BasisTuples``,
-so the tuple at the witness is the only one built.  Checks with a free
-algebra in the law evaluate on elements: every generator tuple, and for a
-sampled law each spanned key tuple as a tuple of basis elements (or every
-drawn tuple, when the span is not smaller).
+Exhaustive checks of A1, A2, multiplicativity and the simplicial identities
+run on coefficient dicts.  ``certify_action``, ``certify_multiplicative``
+and ``simplex.check_simplicial_identities`` hand ``check_law`` a kernel
+that decides each basis tuple with the two dict kernels of ``algebra``
+(``combine`` and ``bilinear``).  Products come from the algebra's own
+``key_mul``, and images from ``_image``: a map's memoised or table image of
+a key, an action's memo entry or table row for a key pair.  The three
+kernels read the coefficient dicts of those images through a table local to
+the check, filled on first read (``_Lazy``), so each image is fetched once
+per check.  The tuples still come from one ``law_tuples`` call and are
+decided in its order, generating sets in the generator slots.  At the first
+tuple whose two sides differ, the witness comes from the element path:
+``check_law`` builds that tuple of elements from the kernel's positions and
+evaluates lhs and rhs on it, so a failure raises exactly the error an
+element check raises.  The exhaustive tuples are a lazy ``BasisTuples``, so
+the tuple at the witness is the only one built.  Checks with a free algebra
+in the law evaluate on elements: every generator tuple, and for a sampled
+law each spanned key tuple as a tuple of basis elements (or every drawn
+tuple, when the span is not smaller).
 
-On elements, every action and Peiffer lifting is evaluated by one routine,
-``_KeyBilinear._evaluate``, to which each class's ``__call__`` delegates;
-a class supplies only its key images.  In order: the owner checks; a zero
-argument gives the target's ``zero()``; two basis keys with coefficient one
-(``algebra.unit_key``) give their key image; anything else gives the
-bilinear extension of the key images.  A ``LinearMap`` takes the same steps
-with one argument, and its extension is ``_extend``, the linear extension
-of a key image, which ``simplex`` also composes.  On a unit key a
-``LinearMap`` returns the key's memoised or table image, re-tagged to its
-target but not copied, and a ``FunctionAction`` returns the key pair's
-memoised image, which was re-tagged to the acted algebra when it was
-memoised.  Those images share their ``coeffs`` with the memo, which is why
-elements are never mutated.  An empty image or sum is the target's shared
-zero (``Algebra.from_coeffs``).
+A key image has one form: ``_image`` of a map (one key) or of an action
+or lifting (a key pair) is an element of the map's own target (the acted
+algebra for an action), and the target's shared ``zero()`` for a key with
+no image.  Each image is re-tagged to the target once, where it is stored:
+table and substitution images by ``_check_images``, the memos of
+``LinearMap`` and ``FunctionAction``, and the tables of ``TableAction`` and
+``BilinearMap``; so no call re-tags.  On elements, every action and Peiffer
+lifting is evaluated by ``_KeyBilinear._evaluate``, to which each class's
+``__call__`` delegates: the owner checks, then the evaluation products
+share, ``algebra.evaluate_bilinear``, on the class's ``_image``.  In
+order: a zero argument gives the target's ``zero()``; two basis keys with
+coefficient one (``algebra.unit_key``) give their key image itself;
+anything else gives the bilinear extension of the key images.  A
+``LinearMap`` takes the same steps with one argument, and its extension is
+``_extend``, the linear extension of a key image, which ``simplex`` also
+composes.  A unit key returns its stored image itself (a monomial of a
+free actor acts by its generators' rows, so a table action computes that
+image), sharing its ``coeffs`` with the table or memo, which is why
+elements are never mutated.  An empty sum is the target's shared zero
+(``Algebra.from_coeffs``).
 
-Zero has one form here too: an empty table.  ``zero_map`` is the table
-rule with no images, over any source, a free one included; ``zero_action``
-is a ``TableAction`` with an empty table (``ZeroAction``), and
-``zero_bilinear`` a ``BilinearMap`` with one.  Table-given
-actions and liftings share one ``same``: the same kind, compatible ends
-and equal tables, so a zero action is the same as any empty table action.
+Zero has one form here too: an empty table, whose every key image is the
+target's ``zero()``.  ``zero_map`` is the table rule with no images, over
+any source, a free one included; ``zero_action`` is a ``TableAction`` with
+an empty table (``ZeroAction``), and ``zero_bilinear`` a ``BilinearMap``
+with one.  Table-given actions and liftings share one ``same``: the same
+kind, compatible ends and equal tables, so a zero action is the same as
+any empty table action.
 """
 
 import itertools
@@ -129,7 +136,9 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import Element, FiniteAlgebra, FreeAlgebra, SemidirectAlgebra, combine, unit_key
+from .algebra import (
+    Element, FiniteAlgebra, FreeAlgebra, SemidirectAlgebra, bilinear, combine, evaluate_bilinear, unit_key,
+)
 from .errors import (
     A1Violation,
     A2Violation,
@@ -394,13 +403,11 @@ def _as_element_of(alg, img):
     return img if img.algebra is alg else alg.from_coeffs(img.coeffs)
 
 
-_EMPTY = {}  # the image of a key with none; read only, never the coeffs of an element
-
-
 def _extend(ring, coeffs, image):
     """The coefficient dict of sum(c * image(k)) over the items (k, c) of
-    coeffs: the linear extension of a key image."""
-    return combine(ring, [(c, image(k)) for k, c in coeffs.items()])
+    coeffs: the linear extension of ``image``, which gives an element for
+    each key."""
+    return combine(ring, [(c, image(k).coeffs) for k, c in coeffs.items()])
 
 
 class _Lazy(dict):
@@ -423,10 +430,10 @@ class LinearMap:
     """A kappa-linear map between algebras, extended linearly from the
     images of basis keys.
 
-    Evaluation rules for the image of one key:
+    ``_image`` gives the image of one key, an element of the target:
       "table"        looked up in ``images`` (a finite source's basis), a
-                     missing key going to zero; with no images, the zero
-                     map over any source (``zero_map``);
+                     missing key going to the target's zero(); with no
+                     images, the zero map over any source (``zero_map``);
       "substitution" ``images`` holds the free generators' images, and a
                      monomial g1...gk goes to the product of its images;
       "function"     ``fn`` applied to the basis element (sums/composites,
@@ -434,7 +441,9 @@ class LinearMap:
 
     ``fn`` must be linear: it is called on basis elements only, once per
     key.  Substitution and function images are memoised per key, so the
-    memo grows with the keys seen.
+    memo grows with the keys seen.  Table, substitution and memoised images
+    are re-tagged to the target where they are stored, so ``__call__``
+    returns a unit key's image itself.
     """
 
     def __init__(self, source, target, rule, images=None, fn=None, note=""):
@@ -448,8 +457,10 @@ class LinearMap:
         self._memo = {}  # basis key -> image (substitution and function rules)
 
     def _image(self, key):
+        """The image of one basis key, an element of the target: its table
+        image (zero() for a key with none) or its memoised image."""
         if self.rule == "table":
-            return self.images.get(key)
+            return self.images.get(key, self.target.zero())
         img = self._memo.get(key)
         if img is None:
             if self.rule == "substitution":  # g1...gk = (g1...g(k-1)) gk, prefix memoised
@@ -458,14 +469,8 @@ class LinearMap:
                     img = self._image(key[:-1]) * img
             else:
                 img = self.fn(self.source.basis_element(key))
-            self.target.owns(img)
-            self._memo[key] = img
+            img = self._memo[key] = _as_element_of(self.target, self.target.owns(img))
         return img
-
-    def _key_image(self, key):
-        """The coefficient dict of the image of one basis key."""
-        img = self._image(key)
-        return _EMPTY if img is None else img.coeffs
 
     def __call__(self, u):
         self.source.owns(u)
@@ -473,9 +478,8 @@ class LinearMap:
             return self.target.zero()
         key = unit_key(u)
         if key is not None:
-            img = self._image(key)
-            return self.target.zero() if img is None else _as_element_of(self.target, img)
-        return self.target.from_coeffs(_extend(self.target.ring, u.coeffs, self._key_image))
+            return self._image(key)
+        return self.target.from_coeffs(_extend(self.target.ring, u.coeffs, self._image))
 
     def __repr__(self):
         tag = self.note or self.rule
@@ -483,11 +487,8 @@ class LinearMap:
 
 
 def _check_images(source, target, images):
-    out = {}
-    for key, value in images.items():
-        target.owns(value)
-        out[key] = value
-    return out
+    """The images, each owned by target and re-tagged to it."""
+    return {key: _as_element_of(target, target.owns(value)) for key, value in images.items()}
 
 
 def linear_map(source, target, images):
@@ -524,8 +525,8 @@ def certify_multiplicative(f, policy=DEFAULT_POLICY):
 
     So a on a generating set of a proved source suffices, when the
     target's product is proved too."""
-    source_mul, target_product = f.source.key_mul, f.target.product
-    ring, image = f.target.ring, _Lazy(f._key_image)  # key -> f(key) coeffs
+    source_mul, target_mul = f.source.key_mul, f.target.key_mul
+    ring, image = f.target.ring, _Lazy(lambda k: f._image(k).coeffs)  # key -> f(key) coeffs
 
     def on_keys(akeys, xkeys):  # f(k1k2) = f(k1)f(k2)
         for i, k1 in enumerate(akeys):
@@ -533,7 +534,7 @@ def certify_multiplicative(f, policy=DEFAULT_POLICY):
                 product = source_mul(k1, k2).coeffs
                 left = product and combine(ring, [(c, image[k]) for k, c in product.items()])
                 a, b = image[k1], image[k2]
-                if left != (a and b and target_product(a, b)):
+                if left != (a and b and bilinear(ring, a, b, target_mul)):
                     return i, j
         return None
 
@@ -590,31 +591,17 @@ def morphisms_equal(f, g):
 
 class _KeyBilinear:
     """A bilinear map left x right -> target (``_ends``), given by its key
-    images: ``_key_image(k1, k2)`` is the coefficient dict of the image of
-    one pair of basis keys.  ``_evaluate`` is the one evaluation of every
-    action and Peiffer lifting; each class's ``__call__`` delegates to it."""
-
-    def _key_image(self, k1, k2):
-        raise NotImplementedError
-
-    def _key_element(self, k1, k2):
-        """The image of one pair of basis keys, as an element."""
-        return self._ends[2].from_coeffs(self._key_image(k1, k2))
+    images: each subclass's ``_image(k1, k2)`` is the image of one pair of
+    basis keys, an element of target (its ``zero()`` for a pair with none).
+    ``_evaluate`` is the evaluation of every action and Peiffer lifting;
+    each class's ``__call__`` delegates to it, and after the owner checks it
+    is ``algebra.evaluate_bilinear``, the evaluation products share."""
 
     def _evaluate(self, u, v):
         left, right, target = self._ends
         left.owns(u)
         right.owns(v)
-        if not (u.coeffs and v.coeffs):
-            return target.zero()
-        k1, k2 = unit_key(u), unit_key(v)
-        if k1 is not None and k2 is not None:
-            return self._key_element(k1, k2)
-        ring, image = target.ring, self._key_image
-        mul = ring.mul
-        return target.from_coeffs(combine(ring, [
-            (mul(c1, c2), image(k1, k2)) for k1, c1 in u.coeffs.items() for k2, c2 in v.coeffs.items()
-        ]))
+        return evaluate_bilinear(target, u, v, self._image)
 
     def same(self, other):
         """Equal as table-given maps (a ``TableAction`` or a ``BilinearMap``):
@@ -647,24 +634,24 @@ class TableAction(Action):
 
     def __init__(self, acting, acted, table):
         super().__init__(acting, acted)
-        rows = {label: {k: v for k, v in row.items() if v.coeffs} for label, row in table.items()}
+        rows = {
+            label: {k: _as_element_of(acted, v) for k, v in row.items() if v.coeffs}
+            for label, row in table.items()
+        }
         self.table = {label: row for label, row in rows.items() if row}
 
     def __call__(self, r, m):
         return self._evaluate(r, m)
 
-    def _row_image(self, label, key):
-        img = self.table.get(label, _EMPTY).get(key)
-        return _EMPTY if img is None else img.coeffs
-
-    def _key_image(self, k1, k2):
+    def _image(self, k1, k2):
+        table, zero = self.table, self.acted.zero()
         if not isinstance(self.acting, FreeAlgebra):
-            return self._row_image(k1, k2)
+            return table.get(k1, {}).get(k2, zero)
         ring = self.acted.ring
         image = {k2: ring.one}
         for g in k1:
-            image = _extend(ring, image, lambda k, g=g: self._row_image(g, k))
-        return image
+            image = _extend(ring, image, lambda k, row=table.get(g, {}): row.get(k, zero))
+        return self.acted.from_coeffs(image)
 
 
 class ZeroAction(TableAction):
@@ -706,12 +693,6 @@ class FunctionAction(Action):
             img = self._memo[(k1, k2)] = _as_element_of(self.acted, self.acted.owns(img))
         return img
 
-    _key_element = _image  # the memoised image itself, an element of acted
-
-    def _key_image(self, k1, k2):
-        img = self._memo.get((k1, k2))
-        return (self._image(k1, k2) if img is None else img).coeffs
-
     def same(self, other):
         if self is other:
             return True
@@ -752,7 +733,7 @@ def certify_action(action, policy=DEFAULT_POLICY):
     R, M = action.acting, action.acted
     ring, key_mul = M.ring, M.key_mul
     # rows[r][m] is the coeffs of r > m, one row per acting key
-    rows = _Lazy(lambda r: _Lazy(lambda m: action._key_image(r, m)))
+    rows = _Lazy(lambda r: _Lazy(lambda m: action._image(r, m).coeffs))
 
     def a1_on_keys(rkeys, m1keys, m2keys):  # r > m1m2 = (r > m1)m2
         for i, r in enumerate(rkeys):
@@ -858,15 +839,14 @@ class BilinearMap(_KeyBilinear):
         for (k1, k2), value in table.items():
             target.owns(value)
             if not value.is_zero():
-                norm[(left.check_key(k1), right.check_key(k2))] = value
+                norm[(left.check_key(k1), right.check_key(k2))] = _as_element_of(target, value)
         self.table = norm
 
     def __call__(self, u, v):
         return self._evaluate(u, v)
 
-    def _key_image(self, k1, k2):
-        img = self.table.get((k1, k2))
-        return _EMPTY if img is None else img.coeffs
+    def _image(self, k1, k2):
+        return self.table.get((k1, k2), self.target.zero())
 
 
 def zero_bilinear(left, right, target):

@@ -412,7 +412,7 @@ def check_simplicial_identities(T, policy=DEFAULT_POLICY):
     on the basis.  A failure on a generating set is decided again on the
     basis, so the witness is the one the basis check finds."""
     entries = []
-    images = _Lazy(lambda f: _Lazy(f._key_image))  # f -> key -> f(key) coeffs
+    images = _Lazy(lambda f: _Lazy(f._image))  # f -> key -> f(key)
     for kind, (i, j), n in simplicial_identity_list():
         name, lhs, rhs = _identity(T, kind, i, j, n)
         level = T.levels[n]

@@ -57,7 +57,8 @@ proved; the target's g0 = f0 + d1' o s is then a substitution too
 boundary form take the generator rule of ``maps.check_law`` by the closure
 lemma of ``make_quadratic_derivation``, and so do the equivariance laws of
 each target map (``crossed.make_2cm_morphism``).  Each proof names its
-premises and falls back to sampling when one of them is not proved.
+premises and falls back to the basis of a finite R, or to sampling over
+a free one, when one of them is not proved.
 
 A homotopy is one object, a ``QuadraticDerivation``: its data, the
 policy its laws were certified under, and its ``target``, the map g
@@ -337,12 +338,15 @@ def make_quadratic_derivation(f, s_images, t_images, policy=DEFAULT_POLICY):
 
     Where the proofs come from: t-product and its boundary form are over
     the finite E and L, so they are checked on bases.  Over a free R the
-    s-law holds by construction (``check_derivation_law``),
-    and t-action takes the generator rule (r on B, e over the E-basis)
-    when ``_t_action_premises`` holds, by the closure lemma below;
-    otherwise both are sampled.  t-action on boundaries is t-action at
-    e = d2(l), rewritten by 2XM4, 2XM5 and f's d2-square, so it is checked
-    on the tuples t-action is checked on.  Into a target whose L' has no
+    s-law holds by construction (``check_derivation_law``), and over a
+    finite R it is checked on a basis.  t-action takes the generator rule
+    (r on B over a free R, on its generating set G_R over a finite one;
+    e over the E-basis) when ``_t_action_premises`` holds, by the closure
+    lemma below, which uses no more of R than its associativity; otherwise
+    it is checked on the basis of a finite R and sampled over a free one.
+    t-action on boundaries is t-action at e = d2(l), rewritten by 2XM4,
+    2XM5 and f's d2-square, so it is checked on the tuples t-action is
+    checked on.  Into a target whose L' has no
     basis, as for a crossed module's slice, both sides of every t-law lie
     in L' = 0, so the t-laws hold by construction.
 
@@ -404,7 +408,7 @@ def _t_laws(f, smap, tmap, s_law, policy):
     A, B = f.src, f.tgt
     act_l, lift, prime, d1p = B.act_l, B.lift, B.act_prime, B.d1
     f0, f1, f2 = f.f0, f.f1, f.f2
-    r_over_generators = (0,) if A.free_basis and _t_action_premises(f, s_law) else ()
+    r_over_generators = (0,) if _t_action_premises(f, s_law) else ()
 
     def law(name, algebras, lhs, rhs, generators=()):
         return check_law(algebras, lhs, rhs, partial(QDLawViolation, name), policy, generators=generators)

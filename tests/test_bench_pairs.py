@@ -1,9 +1,11 @@
 """``tools/bench_pairs.summarize`` on synthetic runs: the pairs won, the
 claim rule and the bound check, for a higher-better and a lower-better
-metric."""
+metric; and ``measured_changes`` on synthetic ``git status`` lines."""
 
 import importlib.util
 import os
+
+import pytest
 
 HERE = os.path.dirname(__file__)
 TOOL = os.path.join(HERE, os.pardir, "tools", "bench_pairs.py")
@@ -76,3 +78,24 @@ def test_one_summary_line_per_workload_and_metric():
     assert lines[0].startswith("tower verdicts_per_s: parent 150.5, change 170.5")
     assert "won 10/10; claim rule met; within bound 0.25" in lines[0]
     assert "won 0/10; claim rule not met; within bound 0.25" in lines[1]
+
+
+def test_only_a_change_to_measured_code_refuses():
+    """Doc, tool and result changes leave nothing measured; a change under
+    src/ or verdictbench/, staged, unstaged, untracked or renamed, is named."""
+    measured = _tool().measured_changes
+    assert measured(" M CHANGES.md\nM  ROADMAP.md\n?? BENCH_x.json\n M tools/bench_pairs.py\n") == []
+    assert measured("") == []
+    assert measured(" M src/xmod2/maps.py\nA  verdictbench/new.py\n?? src/xmod2/extra.py\n"
+                    "R  src/a.py -> src/b.py\n M tests/test_maps.py\n") == [
+        "src/xmod2/maps.py", "verdictbench/new.py", "src/xmod2/extra.py", "src/a.py", "src/b.py"]
+
+
+def test_a_measured_change_exits_2_before_any_run(monkeypatch, capsys):
+    tool = _tool()
+    monkeypatch.setattr(tool, "uncommitted", lambda: " M src/xmod2/maps.py\n M CHANGES.md\n")
+    monkeypatch.setattr(tool, "measure", lambda *args: pytest.fail("a run started"))
+    assert tool.main(["--parent", "HEAD", "--label", "never", "--pairs", "tower=1"]) == 2
+    err = capsys.readouterr().err
+    assert "src/xmod2/maps.py" in err and "CHANGES.md" not in err
+    assert not os.path.exists(os.path.join(HERE, os.pardir, "BENCH_never.json"))

@@ -715,3 +715,79 @@ def test_zero_structure_maps_are_their_empty_tables(ring):
         assert z(u) is E.zero()
     assert z(P.zero()) is E.zero() and not z._memo
     assert zero_map(R, E)(R.basis_element("p") + R.basis_element("q")) is E.zero()
+
+
+def _image_keys(alg):
+    """Basis keys of alg to read images at: its basis, or, when it is not
+    finite, the keys of its skeleton and of their pairwise products."""
+    skeleton = _skeleton(alg)
+    keys = {}
+    for u in skeleton + [u * v for u in skeleton for v in skeleton]:
+        keys.update(dict.fromkeys(u.coeffs))
+    return list(keys)
+
+
+def _assert_key_images(image, keys, target, stored):
+    """Each image(*key) is an element of target itself, the zero() object
+    when it is empty, and when stored (a memo or a table) the same object on
+    a second read; returns how many were empty."""
+    empty = 0
+    for key in keys:
+        img = image(*key)
+        assert isinstance(img, Element) and img.algebra is target, (key, img)
+        if not img.coeffs:
+            assert img is target.zero(), key
+            empty += 1
+        if stored:
+            assert image(*key) is img, key
+    return empty
+
+
+def test_every_key_image_is_an_element_of_its_own_target():
+    """A map's ``_image(key)`` and an action's or lifting's ``_image(k1, k2)``
+    are elements of the map's own target (the acted algebra for an action),
+    with the target's zero() for a key that has no image: the structure maps
+    of F0-F3, the derived action, the tower maps and actions of F2 and F3,
+    a table action of a free algebra, a table map with a missing key, the
+    zero map over a free source and a table lifting."""
+    from xmod2 import fixtures
+    from xmod2.crossed import CrossedModule, as_two_crossed
+
+    def check_map(f):
+        return _assert_key_images(f._image, [(k,) for k in _image_keys(f.source)], f.target, True)
+
+    def check_bilinear(f, left, right, target, stored=True):
+        keys = list(itertools.product(_image_keys(left), _image_keys(right)))
+        return _assert_key_images(f._image, keys, target, stored)
+
+    empty = 0
+    for name in ("F0", "F1", "F2", "F3"):
+        A = fixtures.fixture(name)
+        A = as_two_crossed(A) if isinstance(A, CrossedModule) else A
+        empty += check_map(A.d1) + check_map(A.d2)
+        if name in ("F2", "F3"):
+            empty += check_bilinear(A.act_prime, A.E, A.L, A.L)
+            T = get_tower(A)
+            for f in list(T.faces.values()) + list(T.degeneracies.values()):
+                empty += check_map(f)
+            for act in T.actions.values():
+                empty += check_bilinear(act, act.acting, act.acted, act.acted)
+    assert empty > 0
+
+    R = make_finite_algebra(["p", "q"], {("p", "p"): {"q": 1}}, QQ)
+    E = make_finite_algebra(["a", "b"], {("a", "a"): {"b": 1}}, QQ)
+    L = make_finite_algebra(["k", "m"], {}, QQ)
+    P = make_free_algebra(["x", "y"], QQ)
+    a, b, k = E.basis_element("a"), E.basis_element("b"), L.basis_element("k")
+    free = TableAction(P, E, {"x": {"a": a + 2 * b}, "y": {"a": 4 * b}})
+    assert check_bilinear(free, P, E, E, stored=False) > 0
+    assert free._image(("x", "x"), "a").coeffs == {"a": 1, "b": 2}  # x > (a + 2b), and x > b = 0
+    table = linear_map(R, E, {"p": b})
+    assert check_map(table) == 1 and table._image("q") is E.zero() and table._image("p").coeffs == {"b": 1}
+    zero = zero_map(P, E)
+    assert check_map(zero) == len(_image_keys(P)) and zero._image(("x", "y")) is E.zero()
+    lift = BilinearMap(E, E, L, {("a", "a"): k, ("a", "b"): L.zero()})
+    assert check_bilinear(lift, E, E, L) == 3 and lift._image("a", "a") is lift.table[("a", "a")]
+    other = make_finite_algebra(["k", "m"], {}, QQ)  # compatible with L, another object
+    retagged = BilinearMap(E, E, L, {("b", "b"): other.basis_element("m")})
+    assert retagged._image("b", "b").algebra is L and retagged._image("b", "b") is retagged._image("b", "b")

@@ -9,8 +9,8 @@ import pytest
 
 from xmod2 import fixtures, maps, simplex
 from xmod2.algebra import SemidirectAlgebra, make_finite_algebra
-from xmod2.crossed import kernel_two_crossed, make_precrossed
-from xmod2.errors import A1Violation, IndexOutOfRange, MorphismViolation, XmodError
+from xmod2.crossed import kernel_two_crossed, make_2cm_morphism, make_precrossed, make_two_crossed
+from xmod2.errors import A1Violation, EquivarianceViolation, IndexOutOfRange, MorphismViolation, XmodError
 from xmod2.maps import LinearMap, Policy, certify_action, random_element
 from xmod2.randgen import random_two_crossed
 from xmod2.rings import PrimeField, rref
@@ -808,3 +808,53 @@ def test_work_count_of_a_rejected_build(monkeypatch, name, structure, error, cou
     with pytest.raises(error):
         build_tower(A, POL)
     assert seen == counts
+
+
+def _finite_generated_module():
+    """A 2-crossed module over the finite R = <u0, u1; u0^2 = u1> over F5,
+    generated by u0 alone, acting on E = F5{a, b} (zero product) by
+    u0 > a = b; d1, d2, the action on L = F5{l} and the lifting vanish."""
+    F5 = PrimeField(5)
+    R = make_finite_algebra(["u0", "u1"], {("u0", "u0"): {"u1": 1}}, F5)
+    E = make_finite_algebra(["a", "b"], {}, F5)
+    L = make_finite_algebra(["l"], {}, F5)
+    act_e = maps.make_action(R, E, {"u0": {"a": E.basis_element("b")}}, POL)
+    return make_two_crossed(
+        L, E, R, maps.algebra_morphism(L, E, images={"l": E.zero()}),
+        maps.algebra_morphism(E, R, images={"a": R.zero(), "b": R.zero()}),
+        act_e, maps.zero_action(R, L), maps.zero_bilinear(E, E, L), POL,
+    )
+
+
+def _morphism_outcome(A, f1):
+    """The error make_2cm_morphism(A, A, id, f1, id) raises: its type,
+    message, witness tuple and both sides, as text."""
+    try:
+        make_2cm_morphism(A, A, maps.identity_map(A.R), f1, maps.identity_map(A.L), POL)
+    except XmodError as exc:
+        return type(exc), str(exc), [str(u) for u in exc.witness], str(exc.lhs), str(exc.rhs)
+    return None
+
+
+def test_equivariance_over_a_finite_r_takes_the_generator_rule(monkeypatch):
+    """f1- and f2-equivariance take r on G_R over a finite R too: the
+    closure lemma of make_2cm_morphism uses only A2 of both actions and f0.
+    So f1-equivariance is EXHAUSTIVE on |G_R| dim E = 2 tuples, where the
+    basis check takes dim R dim E = 4, and f2-equivariance on |G_R| dim L
+    = 1 instead of 2.  A map that breaks f1-equivariance fails on G_R, is
+    decided again on the basis, and raises what the basis check raises."""
+    A = _finite_generated_module()
+    R, E, L = A.R, A.E, A.L
+    gens = maps._generating(R)
+    assert [u.coeffs for u in gens] == [{"u0": 1}] and len(gens) < R.dim()
+    seen = _count_law_tuples(monkeypatch)
+    f = make_2cm_morphism(A, A, maps.identity_map(R), maps.identity_map(E), maps.identity_map(L), POL)
+    assert f.certificates["f1-equivariance"] == maps.EXHAUSTIVE
+    # d1-square, d2-square, f1- and f2-equivariance on G_R, lifting
+    assert seen == [5, E.dim() + L.dim() + len(gens) * E.dim() + len(gens) * L.dim() + E.dim() ** 2]
+    a, b = E.basis_element("a"), E.basis_element("b")
+    broken = maps.linear_map(E, E, {"a": a, "b": 2 * b})  # f1(u0 > a) = 2b, u0 > f1(a) = b
+    by_generators = _morphism_outcome(A, broken)
+    assert by_generators[0] is EquivarianceViolation and by_generators[2] == ["u0", "a"]
+    _element_path(monkeypatch)
+    assert by_generators == _morphism_outcome(A, broken)

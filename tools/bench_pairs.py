@@ -6,7 +6,10 @@
 Runs the benchmark command of ``BENCHMARK.json`` for its ``run_seconds``
 once per side for each pair: the parent side in a temporary copy of
 REV's files (``git archive``), the change side in the working tree this
-script belongs to.  Pair i of a workload uses seed first-seed + i on both sides
+script belongs to.  That tree must hold no uncommitted change under
+``src/`` or ``verdictbench/``: the script names any it finds and exits
+with status 2, so the change side is always its HEAD commit, the one the
+file records.  Pair i of a workload uses seed first-seed + i on both sides
 and runs the parent first when i is even, the change first when i is
 odd, so that a slow spell of the machine falls on both sides.
 
@@ -39,6 +42,7 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+MEASURED = ("src/", "verdictbench/")  # the code a run imports
 
 
 def parse_args(argv):
@@ -63,6 +67,26 @@ def parse_args(argv):
 def git(*args, cwd=ROOT):
     return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def uncommitted():
+    """The working tree's ``git status --porcelain`` lines, untracked files
+    included."""
+    return subprocess.run(["git", "status", "--porcelain"], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def measured_changes(porcelain):
+    """The paths under a MEASURED directory in ``git status --porcelain``
+    lines ("XY PATH", or "XY OLD -> NEW" for a rename, whose two paths both
+    count)."""
+    paths = []
+    for line in porcelain.splitlines():
+        for path in line[3:].split(" -> "):
+            path = path.strip('"')
+            if path.startswith(MEASURED):
+                paths.append(path)
+    return paths
 
 
 def run_once(bench, tree, workload, seed):
@@ -170,6 +194,11 @@ def measure(args, bench, parent_tree):
 
 def main(argv=None):
     args = parse_args(argv)
+    changed = measured_changes(uncommitted())
+    if changed:
+        print("bench_pairs: commit these first; the change side must be the commit it records:\n  "
+              + "\n  ".join(changed), file=sys.stderr)
+        return 2
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     try:
@@ -177,7 +206,6 @@ def main(argv=None):
     except subprocess.CalledProcessError:
         sys.exit("bench_pairs: %r names no commit" % args.parent)
     change = git("rev-parse", "HEAD")
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     base = tempfile.mkdtemp(prefix="bench-pairs-", dir=args.tmpdir)
     tree = os.path.join(base, "parent")
 
@@ -201,10 +229,11 @@ def main(argv=None):
         "what": "verdictbench end-to-end metrics in alternating parent/change pairs (pair i "
                 "runs the parent first when i is even, the change first when i is odd); each "
                 "run is the last output line of `%s --workload W --seed S --seconds %s`, the "
-                "parent in a copy of its commit's files, the change in the working tree"
+                "parent in a copy of its commit's files, the change in the working tree at its "
+                "commit"
                 % (" ".join(bench["command"]), bench["run_seconds"]),
         "parent": parent,
-        "change": change + ("+uncommitted" if dirty else ""),
+        "change": change,
         "seeds": seeds,
         "machine": machine(),
         "workloads": workloads,
