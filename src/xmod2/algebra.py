@@ -44,9 +44,11 @@ scalings, products, ``element``, the semidirect embeddings, ``pair`` and
 ``split`` build their results with one method, ``from_coeffs``, which
 gives ``zero()`` for an empty dict (so do the maps, actions and liftings
 of ``maps``).  A finite algebra keeps each basis element it builds
-(``basis_element``), so every caller of a key gets the same object.  So
-nothing may mutate the ``coeffs`` of an element it did not just build, a
-zero or a basis element included.
+(``basis_element``), so every caller of a key gets the same object, and
+each product of a pair of basis keys with a table row (``key_mul``); a
+free algebra builds its generators' elements once (``generator_elements``).
+So nothing may mutate the ``coeffs`` of an element it did not just build,
+a zero, a basis element or a kept product included.
 """
 
 from .errors import (
@@ -348,6 +350,7 @@ class FiniteAlgebra(Algebra):
         self._table = table  # (label, label) -> dict(label -> scalar), both orders present
         self._draws = {}  # sampled law tuples, kept by maps._sampled
         self._kept = {}
+        self._products = {}  # (label, label) -> kept product, one per table pair
 
     def check_key(self, key):
         if key not in self._labelset:
@@ -355,7 +358,13 @@ class FiniteAlgebra(Algebra):
         return key
 
     def key_mul(self, k1, k2):
-        return self.from_coeffs(self._table.get((k1, k2), {}))
+        """The product of two basis keys: the element of its table row, built
+        once per table pair and kept, or the shared zero() for a pair with
+        no row."""
+        kept = self._products.get((k1, k2))
+        if kept is None and (k1, k2) in self._table:
+            kept = self._products[(k1, k2)] = self.from_coeffs(self._table[(k1, k2)])
+        return self.zero() if kept is None else kept
 
     def dim(self):
         return len(self.labels)
@@ -418,6 +427,7 @@ class FreeAlgebra(Algebra):
         self.generators = tuple(generators)
         self._genset = set(self.generators)
         self._draws = {}  # sampled law tuples, kept by maps._sampled
+        self._generator_elements = [Element(self, {(g,): ring.one}) for g in self.generators]
 
     def check_key(self, key):
         if not isinstance(key, tuple) or not key:
@@ -434,7 +444,9 @@ class FreeAlgebra(Algebra):
         return None
 
     def generator_elements(self):
-        return [self.basis_element((g,)) for g in self.generators]
+        """A fresh list of the generators' elements, built once, with the
+        algebra, and shared."""
+        return list(self._generator_elements)
 
     def monomial(self, *labels):
         return self.basis_element(tuple(labels))

@@ -51,7 +51,10 @@ the kind of certificate a law earns is decided: every law checked above
 ``algebra`` (whose ``make_finite_algebra`` checks its own table) is one
 ``check_law`` call.  EXHAUSTIVE is stamped without one only where a law
 holds by construction or by a lemma: ``identity_map``, substitution maps,
-``zero_action``, ``simplex._certify_dagger``, ``certify_algebra`` by
+``zero_action``, ``simplex._certify_dagger``, the faces d0 and
+degeneracies s0 of the tower (``simplex._by_construction``: the projection
+of Lam_n = Lam_{n-1} |x X onto Lam_{n-1} and its inclusion, algebra maps
+for any bilinear action), ``certify_algebra`` by
 the semidirect lemma (a finite semidirect product of proved parts under an
 action proved on a basis is commutative and associative), and a target
 equal to a certified map, which carries that map's certificates

@@ -19,24 +19,41 @@ it restricts to >2 (to >2e or >2l).  Each of those sides is a subalgebra,
 element, on bases or on generating sets, they hold for the six
 components, which then carry >t's certificate.  Over a free R the
 components are certified on their own.  Each semidirect product is
-certified by the semidirect lemma (``maps.certify_algebra``).
+certified by the semidirect lemma (``maps.certify_algebra``).  The same
+restriction lemma evaluates the sums: a key (side, k) of X |x Y is
+(k, 0) or (0, k), so (x, y) > m = x >left m + y >right m reads the image of
+a key pair from the component on the key's side (``_SumAction``).  The
+actor is never split, and a sum keeps no memo of its own.
+
+Every level is Lam_n = Lam_{n-1} |x X, so its face d0 is the projection
+(x, y) -> x onto Lam_{n-1} and the degeneracy s0 : Lam_{n-1} -> Lam_n the
+inclusion x -> (x, 0) (Conduche's decomposition of a simplicial algebra,
+JPAA 34, 1984).  For any bilinear action (x, y)(x', y') = (xx', ...), so
+both are algebra maps by construction: d0@1..3 and s0@0..2 are built as
+the projection and the inclusion and stamped EXHAUSTIVE, with no law
+check (``_by_construction``).  The simplicial identities still check them
+against every other face and degeneracy.
 
 The simplicial identities are checked on the key images of the faces and
 degeneracies, and on a generating set of their level when every map in
 them is a proved algebra map (``check_simplicial_identities``).
 
-The tower is transcribed once, as three tables of formulas on components:
-``_face_formulas`` and ``_degeneracy_formulas`` key (n, i) to a formula on
-the component tuples of Lam_n, (r,), (r, e), (r, e, e', l) and
-(r, e, e', l, e'', l', l''), in that order; ``_action_formulas`` keys each
-leaf action >., >*, >1e, >1r, >2e, >2l by its note to a formula from the
-actor's components followed by the acted components to the acted
-components.  Every level, and E |x L and (E |x L) |x L, has one ``Codec``
-(element <-> components) built from the levels alone, and
-``build_tower`` wraps every entry through the codecs of its ends: the faces
-and degeneracies as certified algebra morphisms, the leaf actions as
-certified actions.  The composites >1 = >1r + >1e, >2 = >2e + >2l and
->t = >1 + >2 are sums of the stored components (``_sum_action``).
+The rest of the tower is transcribed once, as three tables of formulas on
+components: ``_face_formulas`` and ``_degeneracy_formulas`` key (n, i),
+i >= 1, to a formula on the component tuples of Lam_n, (r,), (r, e),
+(r, e, e', l) and (r, e, e', l, e'', l', l''), in that order;
+``_action_formulas`` keys each leaf action >., >*, >1e, >1r, >2e, >2l by
+its note to a formula from the actor's components followed by the acted
+components to the acted components.  Every level, and E |x L and
+(E |x L) |x L, has one flat ``Codec`` (element <-> components) built from
+the levels alone: it routes each key of its level to (slot, part key) and
+tags each part key with its level key, so a basis element splits into its
+part's basis element and shared zeros, anything else splits in one pass,
+and a pack builds one coefficient dict.  ``build_tower`` wraps every entry
+through the codecs of its ends: the faces and degeneracies as certified
+algebra morphisms, the leaf actions as certified actions.  The composites
+>1 = >1r + >1e, >2 = >2e + >2l and >t = >1 + >2 are sums of the stored
+components (``_SumAction``).
 
 A tower is built in two stages.  The lower stage is Lam0, Lam1, E |x L,
 >., Lam2 and the faces and degeneracies between them; the upper stage is
@@ -50,12 +67,15 @@ w-change and the tetrahedron Z ask for the whole tower, which completes a
 kept lower stage in place, certifying nothing twice.
 """
 
-from collections import namedtuple
+from functools import reduce
 
+from .algebra import unit_key
 from .errors import IndexOutOfRange, LawViolation
 from .maps import (
     DEFAULT_POLICY,
+    EXHAUSTIVE,
     FunctionAction,
+    LinearMap,
     algebra_morphism,
     certify_action,
     check_law,
@@ -66,31 +86,70 @@ from .maps import (
 )
 
 
-# An element of ``level`` and its components: ``split(u)`` is the tuple,
-# ``pack(*components)`` the element, and ``arity`` the tuple's length.
-Codec = namedtuple("Codec", "level split pack arity")
+class Codec:
+    """An element of ``level`` and its components, one per slot:
+    ``split(u)`` is the tuple, ``pack(*components)`` the element, ``arity``
+    the tuple's length and ``parts`` the algebra of each slot.
+
+    A key of the level nests as (side, subkey) down to a part key, and
+    ``paths[slot]`` is the sequence of sides that leads to the slot: the
+    e' slot of Lam2 has path (1, 0), so its part key k has the level key
+    (1, (0, k)).  ``_route`` maps a level key to (slot, part key) and
+    ``_tags[slot]`` a part key to its level key, the path's sides wrapped
+    around it innermost first.  Both are filled on first use, so they hold
+    at most the keys seen (the level's basis when it is finite), and equal
+    keys come back as the same tuple objects."""
+
+    def __init__(self, level, parts, paths):
+        self.level, self.parts, self.paths, self.arity = level, parts, paths, len(parts)
+        self._zeros = tuple(part.zero() for part in parts)
+        slots = {path: slot for slot, path in enumerate(paths)}
+
+        def route(key):
+            path = ()
+            while path not in slots:
+                side, key = key
+                path += (side,)
+            return slots[path], key
+
+        self._route = _Lazy(route)
+        self._tags = [_Lazy(lambda key, path=path[::-1]: reduce(lambda k, side: (side, k), path, key))
+                      for path in paths]
+
+    def split(self, u):
+        """The components of u: for a basis element, the part's basis
+        element at its slot and the parts' shared zeros elsewhere."""
+        self.level.owns(u)
+        key = unit_key(u)
+        if key is not None:
+            slot, sub = self._route[key]
+            return self._zeros[:slot] + (self.parts[slot].basis_element(sub),) + self._zeros[slot + 1:]
+        coeffs = [{} for _ in self.parts]
+        for key, c in u.coeffs.items():
+            slot, sub = self._route[key]
+            coeffs[slot][sub] = c
+        return tuple(part.from_coeffs(d) for part, d in zip(self.parts, coeffs))
+
+    def pack(self, *components):
+        """The element with the given components, one per slot, each owned
+        by its part: one coefficient dict of tagged keys."""
+        coeffs = {}
+        for part, tags, u in zip(self.parts, self._tags, components, strict=True):
+            for key, c in part.owns(u).coeffs.items():
+                coeffs[tags[key]] = c
+        return self.level.from_coeffs(coeffs)
 
 
 def _atom(alg):
-    return Codec(alg, lambda u: (u,), lambda u: u, 1)
+    return Codec(alg, (alg,), ((),))
 
 
 def _codec(alg, left, right):
-    """The codec of alg = X |x Y from the codecs of X and Y: an element
+    """The flat codec of alg = X |x Y from the codecs of X and Y: the slots
+    of X followed by those of Y, each path led by its side, so an element
     splits into the components of its X part followed by those of its Y part."""
-    if left.arity == right.arity == 1:  # two atoms: alg's own split and pair
-        return Codec(alg, alg.split, alg.pair, 2)
-    _, lsplit, lpack, n = left
-    _, rsplit, rpack, m = right
-
-    def split(u):
-        a, b = alg.split(u)
-        return lsplit(a) + rsplit(b)
-
-    def pack(*c):
-        return alg.pair(lpack(*c[:n]), rpack(*c[n:]))
-
-    return Codec(alg, split, pack, n + m)
+    paths = tuple((0,) + p for p in left.paths) + tuple((1,) + p for p in right.paths)
+    return Codec(alg, left.parts + right.parts, paths)
 
 
 class SimplexTower:
@@ -131,9 +190,9 @@ class SimplexTower:
         return self.degeneracies[(n, i)](u)
 
     def tuple_str(self, u):
-        for level, split, _, _ in self.codecs[1:]:
-            if u.algebra.compatible(level):
-                return "(%s)" % ", ".join(str(p) for p in split(u))
+        for codec in self.codecs[1:]:
+            if u.algebra.compatible(codec.level):
+                return "(%s)" % ", ".join(str(p) for p in codec.split(u))
         return str(u)
 
 
@@ -160,15 +219,34 @@ def _certify_dagger(dagger, components, policy):
             certify_action(act, policy)
 
 
-def _sum_action(A, acting, left, right, note):
+class _SumAction(FunctionAction):
     """(x, y) > m = x >left m + y >right m, for acting = X |x Y and two
-    stored actions of X and Y on the same algebra."""
+    stored actions ``parts`` of X and Y on the same algebra.  A key
+    (side, k) of acting is (k, 0) or (0, k), so its image is the image of
+    k under parts[side]: the actor is never split, and the sum keeps no
+    memo of its own (the ``_memo`` it inherits stays empty).  It is a
+    ``FunctionAction`` with no ``fn`` for that class's ``same`` (the note
+    and the structure) and ``__call__``."""
 
-    def fn(actor, actee):
-        x, y = acting.split(actor)
-        return left(x, actee) + right(y, actee)
+    def __init__(self, A, acting, parts, note):
+        super().__init__(acting, parts[0].acted, None, note=note, origin=A)
+        self.parts = parts
 
-    return FunctionAction(acting, left.acted, fn, note=note, origin=A)
+    def _image(self, k1, k2):
+        side, k = k1
+        return self.parts[side]._image(k, k2)
+
+
+def _by_construction(source, target, step, note):
+    """d0 or s0, multiplicative by construction.  Lam_n = Lam_{n-1} |x X,
+    and d0 : Lam_n -> Lam_{n-1} is the projection (x, y) -> x, s0 :
+    Lam_{n-1} -> Lam_n the inclusion x -> (x, 0).  For any bilinear
+    action, (x, y)(x', y') = (xx', ...), so both are algebra maps, and
+    their certificate is EXHAUSTIVE, as ``maps.identity_map``'s is."""
+    fn = target.embed_left if step > 0 else lambda u: source.split(u)[0]
+    f = LinearMap(source, target, "function", fn=fn, note=note)
+    f.multiplicative = EXHAUSTIVE
+    return f
 
 
 def build_tower(A, policy=DEFAULT_POLICY, top=3, lower=None):
@@ -183,7 +261,9 @@ def build_tower(A, policy=DEFAULT_POLICY, top=3, lower=None):
     (E |x L) |x L, >t and its components, Lam3 and the maps to and from
     it) is built and certified.  A failure leaves ``lower`` as it was.
     From scratch, every level and action is certified before the faces and
-    degeneracies, each table in its own order.
+    degeneracies, which are built in (n, i) order: d0 and s0 by
+    construction (``_by_construction``), every other one from its entry
+    in the formula tables, certified by ``algebra_morphism``.
     """
     if lower is None:
         actions, faces, degeneracies = {"prime": A.act_prime}, {}, {}
@@ -197,14 +277,13 @@ def build_tower(A, policy=DEFAULT_POLICY, top=3, lower=None):
         (faces, _face_formulas(A), -1, "d"),
         (degeneracies, _degeneracy_formulas(A), 1, "s"),
     ):
-        for (n, i), formula in table.items():
-            if (n, i) in store or max(n, n + step) >= len(codecs):
+        for n, i in [(n, i) for n in range(len(codecs)) for i in range(n + 1)]:
+            if (n, i) in store or not 0 <= n + step < len(codecs):
                 continue
-            (source, split, _, _), (target, _, pack, _) = codecs[n], codecs[n + step]
-            store[(n, i)] = algebra_morphism(
-                source, target, fn=_on_levels(split, formula, pack), policy=policy,
-                note="%s%d@%d" % (tag, i, n),
-            )
+            source, target, note = codecs[n], codecs[n + step], "%s%d@%d" % (tag, i, n)
+            store[(n, i)] = _by_construction(source.level, target.level, step, note) if i == 0 else (
+                algebra_morphism(source.level, target.level, policy=policy, note=note,
+                                 fn=_on_levels(source.split, table[(n, i)], target.pack)))
     if lower is None:
         return SimplexTower(A, codecs, faces, degeneracies, actions)
     lower._set(codecs, faces, degeneracies, actions)
@@ -246,12 +325,12 @@ def _upper_stage(A, codecs, actions, policy):
     components = {
         "one_e": one_e,
         "one_r": one_r,
-        "one": _sum_action(A, lam1.level, one_r, one_e, "one"),
+        "one": _SumAction(A, lam1.level, (one_r, one_e), "one"),
         "two_e": two_e,
         "two_l": two_l,
-        "two": _sum_action(A, el.level, two_e, two_l, "two"),
+        "two": _SumAction(A, el.level, (two_e, two_l), "two"),
     }
-    dagger = _sum_action(A, lam2.level, components["one"], components["two"], "dagger")
+    dagger = _SumAction(A, lam2.level, (components["one"], components["two"]), "dagger")
     _certify_dagger(dagger, components, policy)
     actions.update(components)
     actions["dagger"] = dagger
@@ -291,15 +370,13 @@ def _action_formulas(A):
 
 
 def _face_formulas(A):
-    """d_i : Lam_n -> Lam_{n-1} on components, keyed by (n, i)."""
+    """d_i : Lam_n -> Lam_{n-1} on components, keyed by (n, i), for i >= 1
+    (d0 is the projection, built by construction)."""
     d1, d2 = A.d1, A.d2
     return {
-        (1, 0): lambda r, e: (r,),
         (1, 1): lambda r, e: (r + d1(e),),
-        (2, 0): lambda r, e, e2, l: (r, e),
         (2, 1): lambda r, e, e2, l: (r, e + e2),
         (2, 2): lambda r, e, e2, l: (r + d1(e), e2 + d2(l)),
-        (3, 0): lambda r, e, e2, l, e3, l2, l3: (r, e, e2, l),
         (3, 1): lambda r, e, e2, l, e3, l2, l3: (r, e, e2 + e3, l + l2),
         (3, 2): lambda r, e, e2, l, e3, l2, l3: (r, e + e2, e3, l2 + l3),
         (3, 3): lambda r, e, e2, l, e3, l2, l3: (r + d1(e), e2 + d2(l), e3 + d2(l2), l3),
@@ -307,13 +384,11 @@ def _face_formulas(A):
 
 
 def _degeneracy_formulas(A):
-    """s_i : Lam_n -> Lam_{n+1} on components, keyed by (n, i)."""
+    """s_i : Lam_n -> Lam_{n+1} on components, keyed by (n, i), for i >= 1
+    (s0 is the inclusion, built by construction)."""
     zE, zL = A.E.zero(), A.L.zero()
     return {
-        (0, 0): lambda r: (r, zE),
-        (1, 0): lambda r, e: (r, e, zE, zL),
         (1, 1): lambda r, e: (r, zE, e, zL),
-        (2, 0): lambda r, e, e2, l: (r, e, e2, l, zE, zL, zL),
         (2, 1): lambda r, e, e2, l: (r, e, zE, zL, e2, l, zL),
         (2, 2): lambda r, e, e2, l: (r, zE, e, zL, e2, zL, l),
     }

@@ -331,3 +331,24 @@ def test_every_empty_result_is_the_shared_zero(ring):
     left, right = S.split(S.zero())
     assert left is R.zero() and right is E.zero()
     assert S.split(S.embed_left(x))[1] is E.zero() and S.split(S.embed_right(a))[0] is R.zero()
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_products_and_generators_are_built_once(ring):
+    """A finite algebra keeps one element per table pair, which every
+    key_mul of that pair returns, and a pair with no row gives the shared
+    zero(); a free algebra builds its generators' elements once, with the
+    algebra, and every call lists those same objects."""
+    R = make_finite_algebra(["x", "x2"], {("x", "x"): {"x2": 1}}, ring)
+    xx = R.key_mul("x", "x")
+    assert xx is R.key_mul("x", "x") and xx.coeffs == {"x2": 1}
+    assert R.basis_element("x") * R.basis_element("x") is xx
+    assert R.key_mul("x", "x2") is R.zero() and R.key_mul("x2", "x2") is R.zero()
+    assert len(R._products) == 1  # only table pairs are kept
+    P = make_free_algebra(["y", "z"], ring)
+    gens = P.generator_elements()
+    again = P.generator_elements()
+    assert gens is not again and all(u is v for u, v in zip(gens, again))
+    assert [u.coeffs for u in gens] == [{("y",): 1}, {("z",): 1}]
+    gens.pop()  # a caller's list is its own
+    assert len(P.generator_elements()) == 2

@@ -150,23 +150,46 @@ def test_mixed_kinds_report_is_the_same_under_every_hash_seed():
 _SIMPLICIAL_DIGESTS = {
     ("F0", "0"): "f9eda2f3232789513558a5cdcbff2a59a9ccbc1d6864982bdfb51342c827e272",
     ("F2", "0"): "1c092013ebb3432a4454cd5f7b26fa3180d7a070c13e0ba9740dfe8ef4a1d7c4",
-    ("F3", "0"): "62b4339f4a90cdace2996ab606a3514e6c99f3811ca4eb3811fa891fb2e8090b",
+    ("F3", "0"): "ae9eea2945ece4c8ec7ffc652996e242f2c110234d45f4c087e168046f4eefb9",
     ("K2", "0"): "77bbb8d05890f1eca89b2fa3fcc539c1fe2890e900ff59f193a7a0dc860ef066",
     ("F0", "7"): "a1a1fc4ebdf0953b7d52cd88e9e5ae1fef26fc4058bc2ad9280969abdb91c30f",
     ("F2", "7"): "0da23a614fd5afa8a21a4ddb6c9f51a1bd0c9d6a4c2eb08eb4b509ba3d933a32",
-    ("F3", "7"): "f5367839bedb81bc7f056f90cdb488ba769c7d160f75d0030ef8addd7430f9b3",
+    ("F3", "7"): "bdf2b602c9da489027832d015374855de3adeeaa30237a4638488810adf4dad5",
     ("K2", "7"): "3acbc24b7113eb6fdf4bccd3d9da423843226fce26c4786d3e8bdb22b50d6521",
 }
+
+# F3's pins before its faces d0 and degeneracies s0 were built as the
+# semidirect projection and inclusion, algebra maps by construction
+# (``simplex._by_construction``).  Over F3's free R the six were certified
+# on the policy's samples; now they are EXHAUSTIVE, and no other byte moved.
+_SIMPLICIAL_DIGESTS_BEFORE_D0_S0 = {
+    ("F3", "0"): "62b4339f4a90cdace2996ab606a3514e6c99f3811ca4eb3811fa891fb2e8090b",
+    ("F3", "7"): "f5367839bedb81bc7f056f90cdb488ba769c7d160f75d0030ef8addd7430f9b3",
+}
+_D0_S0 = ("face/d0@1", "face/d0@2", "face/d0@3", "degeneracy/s0@0", "degeneracy/s0@1",
+          "degeneracy/s0@2")
 
 
 @pytest.mark.parametrize("module, seed", list(_SIMPLICIAL_DIGESTS),
                          ids=["-".join(case) for case in _SIMPLICIAL_DIGESTS])
 def test_simplicial_json_is_pinned(tmp_path, capsys, module, seed):
+    """The F3 pins moved when d0 and s0 became exhaustive: the new JSON with
+    exactly those six certificates set back to the sampled one of the run's
+    policy hashes to the old pin."""
     out = tmp_path / "out.json"
     argv = ["simplicial", FIXTURES, "--module", module,
             "--samples", "10", "--seed", seed, "--json", str(out)]
     assert cli.main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _SIMPLICIAL_DIGESTS[module, seed]
+    if (module, seed) in _SIMPLICIAL_DIGESTS_BEFORE_D0_S0:
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        reverted = [c for c in doc["checks"] if c["name"] in _D0_S0]
+        assert [c["certificate"] for c in reverted] == [{"exhaustive": True}] * 6
+        for c in reverted:
+            c["certificate"] = {"exhaustive": False, "max_degree": 4, "samples": 10, "seed": int(seed)}
+        old = json.dumps(doc, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+        digest = hashlib.sha256(old.encode("utf-8")).hexdigest()
+        assert digest == _SIMPLICIAL_DIGESTS_BEFORE_D0_S0[module, seed]
 
 
 # sha256 of ``xmod2 groupoid FLAVOR fixtures.json --source S --target T

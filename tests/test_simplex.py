@@ -8,7 +8,7 @@ import weakref
 import pytest
 
 from xmod2 import fixtures, maps, simplex
-from xmod2.algebra import SemidirectAlgebra, make_finite_algebra
+from xmod2.algebra import SemidirectAlgebra, make_finite_algebra, unit_key
 from xmod2.crossed import kernel_two_crossed, make_2cm_morphism, make_precrossed, make_two_crossed
 from xmod2.errors import A1Violation, EquivarianceViolation, IndexOutOfRange, MorphismViolation, XmodError
 from xmod2.maps import LinearMap, Policy, certify_action, random_element
@@ -152,16 +152,25 @@ def test_faces_and_degeneracies_are_morphisms():
 def test_f3_levels_never_take_the_finite_rule():
     """F3's R is free, so Lam1..Lam3 are infinite and their products are
     certified on samples.  No generator slot over them takes a generating
-    set: every face and degeneracy keeps its sampled certificate, on the
-    tuples law_tuples gives with no generator slot."""
+    set: every face and degeneracy but d0 and s0 keeps its sampled
+    certificate, on the tuples law_tuples gives with no generator slot.
+    d0 and s0 are the projection of Lam_n = Lam_{n-1} |x X and its
+    inclusion, algebra maps by construction, so they are EXHAUSTIVE on
+    every level, F3's included."""
     T = build_tower(fixtures.free_line_two_crossed(), POL)
     for level in T.levels[1:]:
         assert not level.is_finite() and level.certificate is POL.certificate
         assert maps._generating(level) is None
+    by_construction = []
     for f in [*T.faces.values(), *T.degeneracies.values()]:
-        assert f.multiplicative is POL.certificate
         slots = [f.source, f.source]
         assert maps.law_tuples(slots, POL, (0,)) == maps.law_tuples(slots, POL)
+        if f.note[:2] in ("d0", "s0"):
+            assert f.multiplicative is maps.EXHAUSTIVE
+            by_construction.append(f.note)
+        else:
+            assert f.multiplicative is POL.certificate
+    assert by_construction == ["d0@1", "d0@2", "d0@3", "s0@0", "s0@1", "s0@2"]
 
 
 def test_identity_list_is_complete_standard_list():
@@ -268,12 +277,15 @@ def test_towers_are_per_module():
 
 
 TOWER_ACTIONS = ("bullet", "star", "one_e", "one_r", "one", "two_e", "two_l", "two", "dagger")
+SUMS = ("one", "two", "dagger")
 
 
 def test_memoised_maps_agree_with_their_closures():
     """Actions, faces and degeneracies evaluate their closures on basis keys
     only and extend (bi)linearly; on general elements the result must still
-    equal the closure's own value."""
+    equal the closure's own value.  A sum >1, >2 or >t reads a key's image
+    from the part on the key's side; on general elements it must equal
+    x >left m + y >right m for the actor (x, y), computed from its parts."""
     rng = random.Random(31)
     structures = [fixtures.fixture(name) for name in ("F0", "F2", "F3")]
     structures += [random_two_crossed(PrimeField(5), rng, max_dim=2, policy=POL) for _ in range(3)]
@@ -284,11 +296,95 @@ def test_memoised_maps_agree_with_their_closures():
             for _ in range(4):
                 r = random_element(act.acting, rng, max_degree=3)
                 m = random_element(act.acted, rng, max_degree=3)
-                assert act(r, m) == act.fn(r, m), (A, name)
+                if name in SUMS:
+                    x, y = act.acting.split(r)
+                    want = act.parts[0](x, m) + act.parts[1](y, m)
+                else:
+                    want = act.fn(r, m)
+                assert act(r, m) == want, (A, name)
         for f in list(T.faces.values()) + list(T.degeneracies.values()):
             for _ in range(4):
                 u = random_element(f.source, rng, max_degree=3)
                 assert f(u) == f.fn(u), (A, f.note)
+
+
+def _codec_structures(seed):
+    """F0, F2, F3 and K2, then three random F5 structures."""
+    rng = random.Random(seed)
+    structures = [fixtures.fixture(name) for name in ("F0", "F2", "F3")]
+    structures.append(load_spec(FIXTURES, POL).two_crossed["K2"])
+    return structures + [random_two_crossed(PrimeField(5), rng, max_dim=2, policy=POL) for _ in range(3)]
+
+
+def _nested_split(u):
+    """The components of u by the semidirect products' own split, part by
+    part down to R, E and L: what a flat codec must give."""
+    if not isinstance(u.algebra, SemidirectAlgebra):
+        return (u,)
+    x, y = u.algebra.split(u)
+    return _nested_split(x) + _nested_split(y)
+
+
+def test_codecs_split_and_pack_are_inverse(monkeypatch):
+    """On every level of the F0, F2, F3, K2 and random F5 towers, split
+    gives the components the nested semidirect split gives, pack(*split(u))
+    is u, and a basis element (a basis key, or a generator of a free part,
+    with coefficient one) splits on its key's route exactly as the one-pass
+    split does; with ``unit_key`` finding no key, every split is one pass."""
+    rng = random.Random(43)
+    for A in _codec_structures(43):
+        T = build_tower(A, POL)
+        for codec in T.codecs:
+            keys = maps._skeleton(codec.level)
+            elements = keys + [random_element(codec.level, rng, max_degree=3) for _ in range(6)]
+            routed = [codec.split(u) for u in keys]
+            for u, parts in zip(keys, routed):  # the kept basis element and shared zeros
+                assert sum(not p.is_zero() for p in parts) == 1
+                assert all(p is part.zero() for p, part in zip(parts, codec.parts) if p.is_zero())
+                if codec.level.is_finite():
+                    assert all(p is part.basis_element(unit_key(p)) for p, part in zip(parts, codec.parts)
+                               if not p.is_zero())
+            for u in elements:
+                parts = codec.split(u)
+                assert len(parts) == codec.arity and parts == _nested_split(u)
+                assert codec.pack(*parts) == u
+            with monkeypatch.context() as patch:
+                patch.setattr(simplex, "unit_key", lambda u: None)
+                assert [codec.split(u) for u in keys] == routed
+
+
+# The entries d0 and s0 had in the formula tables before they were built as
+# the projection of Lam_n = Lam_{n-1} |x X and its inclusion: the reference
+# the maps must still equal, keyed by (face or degeneracy, level).
+def _d0_s0_formulas(A):
+    zE, zL = A.E.zero(), A.L.zero()
+    return {
+        ("d", 1): lambda r, e: (r,),
+        ("d", 2): lambda r, e, e2, l: (r, e),
+        ("d", 3): lambda r, e, e2, l, e3, l2, l3: (r, e, e2, l),
+        ("s", 0): lambda r: (r, zE),
+        ("s", 1): lambda r, e: (r, e, zE, zL),
+        ("s", 2): lambda r, e, e2, l: (r, e, e2, l, zE, zL, zL),
+    }
+
+
+def test_d0_and_s0_equal_the_formulas_they_replace():
+    """d0@1..3 and s0@0..2 are EXHAUSTIVE by construction, and equal the
+    table formulas they replace, read through the codecs: on every basis
+    key of the finite towers, and on sampled elements (and the generator
+    skeleton) of F3's infinite levels."""
+    rng = random.Random(47)
+    for A in _codec_structures(47):
+        T = build_tower(A, POL)
+        for (kind, n), formula in _d0_s0_formulas(A).items():
+            f, step = (T.faces[(n, 0)], -1) if kind == "d" else (T.degeneracies[(n, 0)], 1)
+            source, target = T.codecs[n], T.codecs[n + step]
+            assert f.multiplicative is maps.EXHAUSTIVE and f.note == "%s0@%d" % (kind, n)
+            elements = maps._skeleton(source.level)
+            if not source.level.is_finite():
+                elements += [random_element(source.level, rng, max_degree=3) for _ in range(20)]
+            for u in elements:
+                assert f(u) == target.pack(*formula(*source.split(u))), (A, f.note)
 
 
 def test_towers_are_kept_on_their_structure():
@@ -314,19 +410,28 @@ def test_a_dropped_tower_is_freed_without_the_collector():
 
 
 def test_composite_actions_are_built_from_the_stored_components():
-    """>1, >2 and >t evaluate the very component objects kept in the tower,
-    so certifying >t certifies what T.actions holds."""
+    """>1, >2 and >t read their key images from the very component objects
+    kept in the tower (their ``parts``), and keep no memo of their own; so
+    evaluating >t fills the memos of the four leaves, and certifying >t
+    certifies what T.actions holds."""
     T = f2_tower()
-    components = ("one_e", "one_r", "one", "two_e", "two_l", "two")
-    for name in components + ("dagger",):
-        T.actions[name]._memo.clear()
-    dagger = T.actions["dagger"]
+    acts = T.actions
+    assert acts["one"].parts[0] is acts["one_r"] and acts["one"].parts[1] is acts["one_e"]
+    assert acts["two"].parts[0] is acts["two_e"] and acts["two"].parts[1] is acts["two_l"]
+    assert acts["dagger"].parts[0] is acts["one"] and acts["dagger"].parts[1] is acts["two"]
+    leaves = ("one_e", "one_r", "two_e", "two_l")
+    for name in leaves:
+        acts[name]._memo.clear()
+    dagger = acts["dagger"]
     for x in dagger.acting.basis_elements():
         for m in dagger.acted.basis_elements():
             dagger(x, m)
-    for name in components:
-        assert T.actions[name]._memo, name
-        assert T.actions[name].certificate is dagger.certificate, name
+    for name in leaves:
+        assert acts[name]._memo, name
+    for name in SUMS:
+        assert not acts[name]._memo, name
+    for name in leaves + ("one", "two"):
+        assert acts[name].certificate is dagger.certificate, name
 
 
 # Each component of >t, as a one-term mutant: x > m gains c(x) m, where c(x)
@@ -335,7 +440,8 @@ def test_composite_actions_are_built_from_the_stored_components():
 # leave A1/A2 of a component alone intact on F2 (the face checks reject
 # them); this term breaks A2 of every component, since every actor algebra
 # of F2 is nilpotent.  A leaf gains it in its entry of the action table,
-# on components (its actor is R, E or L); a composite in ``_sum_action``.
+# on components (its actor is R, E or L); a sum >1 or >2 in its key
+# images (``simplex._SumAction._image``).
 COMPONENTS = ("one_e", "one_r", "one", "two_e", "two_l", "two")
 
 
@@ -350,6 +456,21 @@ def _with_identity_term(act):
     return act
 
 
+def _sum_with_identity_term(name):
+    """``simplex._SumAction`` whose sum ``name`` gains the identity term in
+    its key images: (k1, k2) gains the basis element of k2 when k1 is the
+    actor's first basis key, which is c(x) m on basis elements."""
+
+    class Mutant(simplex._SumAction):
+        def _image(self, k1, k2):
+            image = super()._image(k1, k2)
+            if self.note != name or k1 != self.acting.basis_keys()[0]:
+                return image
+            return image + self.acted.basis_element(k2)
+
+    return Mutant
+
+
 @pytest.mark.parametrize("name", COMPONENTS)
 def test_component_mutant_raises_its_own_error_from_build_tower(monkeypatch, name):
     """>t's check holds every component's law instances; when it fails,
@@ -357,7 +478,10 @@ def test_component_mutant_raises_its_own_error_from_build_tower(monkeypatch, nam
     F2 = fixtures.square_two_crossed()
     T = build_tower(F2, POL)
     real = T.actions[name]
-    alone = _with_identity_term(maps.FunctionAction(real.acting, real.acted, real.fn))
+    if name in SUMS:
+        alone = _sum_with_identity_term(name)(real.origin, real.acting, real.parts, name)
+    else:
+        alone = _with_identity_term(maps.FunctionAction(real.acting, real.acted, real.fn))
     assert any(
         alone(x, m) != real(x, m)
         for x in real.acting.basis_elements()
@@ -375,14 +499,8 @@ def test_component_mutant_raises_its_own_error_from_build_tower(monkeypatch, nam
 def _patch_component(monkeypatch, name, acting):
     """Give the component `name` of >t, acting from `acting`, the identity
     term in the tower's construction."""
-    if name in ("one", "two"):
-        real_sum = simplex._sum_action
-
-        def sum_action(A, acting, left, right, note):
-            act = real_sum(A, acting, left, right, note)
-            return _with_identity_term(act) if note == name else act
-
-        monkeypatch.setattr(simplex, "_sum_action", sum_action)
+    if name in SUMS:
+        monkeypatch.setattr(simplex, "_SumAction", _sum_with_identity_term(name))
     else:
         real_table, c = simplex._action_formulas, _coefficient(acting)
 
@@ -432,11 +550,18 @@ def test_work_count_of_one_tower_build(monkeypatch):
     (``maps.certify_multiplicative``), and each action's A2 for r1 and A1
     for r and m1 on generating sets (``maps.certify_action``); F2's E has
     a^2 = b, so G(E) = {a}, and the levels' sets are unions of the parts'.
+
+    Then it was [21, 631].  The d0/s0 lemma takes it to [15, 500]: d0@1..3
+    and s0@0..2 are the projection of Lam_n = Lam_{n-1} |x X onto Lam_{n-1}
+    and its inclusion, algebra maps for any bilinear action since
+    (x, y)(x', y') = (xx', ...) (``simplex._by_construction``), so their six
+    multiplicativity checks (131 tuples) are not run; the simplicial
+    identities still check them against the other maps.
     A change that checks less must edit this pin and say why."""
     F2 = fixtures.square_two_crossed()
     seen = _count_law_tuples(monkeypatch)
     build_tower(F2, Policy(10, 4, 0))
-    assert seen == [21, 631]
+    assert seen == [15, 500]
 
 
 def _count_law_tuples(monkeypatch):
@@ -483,7 +608,13 @@ def test_work_count_of_build_and_identities(monkeypatch):
     simplicial identities on generating sets; the lemmas are in
     ``maps.certify_multiplicative``, ``maps.certify_action`` and
     ``simplex.check_simplicial_identities``.  The truncated kernels' E = L
-    is generated by u0, so G(Lam3) of T12 has 7 of its 73 basis elements."""
+    is generated by u0, so G(Lam3) of T12 has 7 of its 73 basis elements.
+
+    That pin was F2 and K2 [54, 754], T3 [54, 1510] and T12 [54, 10240].
+    The d0/s0 lemma (``simplex._by_construction``: d0 is the projection of
+    Lam_n = Lam_{n-1} |x X, s0 the inclusion, algebra maps for any bilinear
+    action) leaves out the six multiplicativity checks of d0@1..3 and
+    s0@0..2 on every tower; the 33 identities are checked as before."""
     pol = Policy(10, 4, 0)
     structures = {
         "F2": fixtures.square_two_crossed(),
@@ -498,7 +629,7 @@ def test_work_count_of_build_and_identities(monkeypatch):
         T = build_tower(A, pol)
         assert all(ok for _, ok, _ in check_simplicial_identities(T, pol))
         counts[name] = list(seen)
-    assert counts == {"F2": [54, 754], "K2": [54, 754], "T3": [54, 1510], "T12": [54, 10240]}
+    assert counts == {"F2": [48, 623], "K2": [48, 623], "T3": [48, 1280], "T12": [48, 9380]}
 
 
 # One wrong term in one entry of a formula table.  The faces and
@@ -796,10 +927,12 @@ def test_component_mutant_raises_what_the_element_path_raises(monkeypatch, name)
 # d2@2-without-d2(l) on F2: it was [11, 432], A1 and A2 of the three
 # actions of the tower and then d0@1, d1@1, d0@2, d1@2 and d2@2, which
 # fails.  With a on generating sets and the failing d2@2 decided again on
-# the basis, it is [12, 302].
+# the basis, it was [12, 302].  d0@1 and d0@2 are the semidirect
+# projections, algebra maps by construction (``simplex._by_construction``),
+# so their two checks (30 tuples) are not run: [10, 272].
 @pytest.mark.parametrize("name, structure, error, counts", [
     ("star-without-l''l'", 1, A1Violation, [10, 1689]),  # A1 of >t and >1e on T3
-    ("d2@2-without-d2(l)", 0, MorphismViolation, [12, 302]),  # d2 at level 2 on F2
+    ("d2@2-without-d2(l)", 0, MorphismViolation, [10, 272]),  # d2 at level 2 on F2
 ])
 def test_work_count_of_a_rejected_build(monkeypatch, name, structure, error, counts):
     _patch_formula(monkeypatch, *FORMULA_MUTANTS[name])

@@ -696,8 +696,8 @@ def test_work_count_of_a_derivation_on_a_fresh_target(monkeypatch):
     own four law_tuples calls are t-product on E x E, t-action and the two
     forms on boundaries (on L x L and on R); s is an algebra map into Lam1
     and no law of the derivation reads Lam3.  Building the
-    whole tower takes 11 more calls: A1 and A2 of >* and >t and the
-    multiplicativity of d0..d3@3 and s0..s2@2, which certify only Lam3 and
+    whole tower takes 9 more calls: A1 and A2 of >* and >t and the
+    multiplicativity of d1..d3@3 and s1..s2@2, which certify only Lam3 and
     the maps to and from it.  They run, with the same certificates, when
     the tower is completed (the next test).
 
@@ -714,7 +714,13 @@ def test_work_count_of_a_derivation_on_a_fresh_target(monkeypatch):
     ``maps.certify_action``) leaves the pin at [14, 398]: the target's R'
     has u0^2 = u0 and u1^2 = 4u1, so R'^2 = R' and G(R') is the whole
     basis, and E' and L' have zero tables, whose generating sets are their
-    bases too."""
+    bases too.
+
+    The d0/s0 lemma then took it from [14, 398] to [10, 298]: d0@1, d0@2,
+    s0@0 and s0@1 of the lower stage are the projections of
+    Lam_n = Lam_{n-1} |x X and their inclusions, algebra maps for any
+    bilinear action (``simplex._by_construction``), so their four
+    multiplicativity checks (100 tuples) are not run."""
     _, B, f, qd = _free_domain_instance(5)
     pol = Policy(10, 4, 0)
     assert (B.R.dim(), B.E.dim(), B.L.dim()) == (2, 2, 2) and pol not in B._towers
@@ -725,7 +731,7 @@ def test_work_count_of_a_derivation_on_a_fresh_target(monkeypatch):
     assert entered == {"get_tower": 1, "build_tower": 1}
     assert certified == {"certify_action": 1}  # >.
     assert B._towers[pol].top == 2 and set(B._towers[pol].actions) == {"prime", "bullet"}
-    assert seen == [14, 398]
+    assert seen == [10, 298]
 
 
 def test_completing_a_kept_lower_stage_gives_the_whole_tower(monkeypatch):
