@@ -503,6 +503,7 @@ class SemidirectAlgebra(Algebra):
         self.action = action
         self.certificate = None  # commutativity/associativity, set by maps.certify_algebra
         self._mulcache = {}  # basis-key products recur heavily in law checks
+        self._slots = None  # basis_slots, found on first use
         self._draws = {}  # sampled law tuples, kept by maps._sampled
         dl, dr = left.dim(), right.dim()
         self._dim = None if dl is None or dr is None else dl + dr  # the parts never change
@@ -579,6 +580,14 @@ class SemidirectAlgebra(Algebra):
                 shift + i for i in self.right.generating_positions())
         return self._generating
 
+    def basis_slots(self):
+        """The slot of each basis element, in basis order, found once: the
+        parts that are not semidirect products, numbered left to right down
+        the nesting, so the basis lists the slots in nondecreasing order."""
+        if self._slots is None:
+            self._slots = _leaf_slots(self, 0)[0]
+        return self._slots
+
     def compatible(self, other):
         return (
             isinstance(other, SemidirectAlgebra)
@@ -590,6 +599,16 @@ class SemidirectAlgebra(Algebra):
     def element_str(self, u):
         l, r = self.split(u)
         return "(%s, %s)" % (self.left.element_str(l), self.right.element_str(r))
+
+
+def _leaf_slots(alg, first):
+    """(the slot of each basis element of alg, the next free slot), its
+    slots numbered from first."""
+    if not isinstance(alg, SemidirectAlgebra):
+        return [first] * alg.dim(), first + 1
+    left, after = _leaf_slots(alg.left, first)
+    right, after = _leaf_slots(alg.right, after)
+    return left + right, after
 
 
 def make_finite_algebra(basis, constants, ring):

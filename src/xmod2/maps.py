@@ -34,7 +34,9 @@ closure for its own law in its docstring and names the slot only when the
 laws that proof uses are themselves proved; otherwise the law is checked
 as before:
 
-* ``certify_multiplicative``: a on G, x over the basis;
+* ``certify_multiplicative``: a on G, x over the basis; out of a finite
+  semidirect product, only the pairs of the slot triangle, whose x lies
+  in a slot not before a's (the slot-triangle lemma in its docstring);
 * ``certify_action``: A2 with r1 on G_R, then A1 with r on G_R and m1 on
   G_M, over finite algebras;
 * ``simplex.check_simplicial_identities``: each identity on G of its
@@ -81,7 +83,10 @@ Formula-defined maps and actions are evaluated on basis keys only.  A
 pair for an action) once, keep it in a per-object memo, and extend
 (bi)linearly to general elements.  So a formula closure must be linear
 (bilinear for an action): it is only ever called on basis elements, and
-the memo grows with the keys seen.
+the memo grows with the keys seen.  The tower's faces, degeneracies and
+leaf actions are such maps and actions whose memo is filled from a key
+image function, not a closure on elements (``simplex._TermMap`` and
+``simplex._TermAction``).
 
 Exhaustive checks of A1, A2, multiplicativity and the simplicial identities
 run on coefficient dicts.  ``certify_action``, ``certify_multiplicative``
@@ -240,17 +245,28 @@ def _sampled(algebras, policy):
 class BasisTuples:
     """The cartesian product of finite lists of elements, in
     ``itertools.product`` order, without building it: a length and
-    iteration.  ``factors`` holds the lists, one per slot."""
+    iteration.  ``factors`` holds the lists, one per slot.
 
-    def __init__(self, factors):
-        self.factors = factors
-        self._len = math.prod(map(len, factors))
+    ``starts``, for two factors, gives for each element of the first the
+    position in the second where its pairs start: the tuples are then the
+    slot triangle, the pairs whose second element's slot is not before the
+    first's (``certify_multiplicative``)."""
+
+    def __init__(self, factors, starts=None):
+        self.factors, self.starts = factors, starts
+        if starts is None:
+            self._len = math.prod(map(len, factors))
+        else:
+            self._len = sum(len(factors[1]) - start for start in starts)
 
     def __len__(self):
         return self._len
 
     def __iter__(self):
-        return itertools.product(*self.factors)
+        if self.starts is None:
+            return itertools.product(*self.factors)
+        (left, right), starts = self.factors, self.starts
+        return ((u, v) for u, start in zip(left, starts) for v in right[start:])
 
 
 def _generating(alg):
@@ -266,7 +282,7 @@ def _generating(alg):
     return None
 
 
-def law_tuples(algebras, policy=DEFAULT_POLICY, generators=()):
+def law_tuples(algebras, policy=DEFAULT_POLICY, generators=(), triangle=False):
     """Tuples on which to test a multilinear law over the given algebras;
     called by ``check_law`` alone.
 
@@ -276,7 +292,9 @@ def law_tuples(algebras, policy=DEFAULT_POLICY, generators=()):
     that set in those slots times the bases elsewhere (the generator lemma
     of the module docstring); else, when every slot is finite, the full
     cartesian product of bases.  Both are a ``BasisTuples``, which builds a
-    tuple only when it is read.
+    tuple only when it is read.  ``triangle``, for a law over [S, S] with
+    S a semidirect product and slot 0 a generator slot, keeps only the
+    slot triangle of that product (the lemma of ``certify_multiplicative``).
 
     Otherwise the skeleton tuples are followed by policy.samples random
     tuples of degree <= policy.max_degree, drawn from Random(policy.seed):
@@ -289,7 +307,13 @@ def law_tuples(algebras, policy=DEFAULT_POLICY, generators=()):
             for i, a in enumerate(algebras)
         ]
         if all(f is not None for f in factors):
-            return BasisTuples(factors), True
+            starts = None
+            if triangle:  # the first basis position of each generator's slot
+                slots, first = algebras[0].basis_slots(), {}
+                for position, slot in enumerate(slots):
+                    first.setdefault(slot, position)
+                starts = [first[slots[i]] for i in algebras[0].generating_positions()]
+            return BasisTuples(factors, starts), True
     if all(a.is_finite() for a in algebras):
         return BasisTuples([a.basis_elements() for a in algebras]), True
     tuples = list(itertools.product(*[_skeleton(a) for a in algebras]))
@@ -319,7 +343,8 @@ def _spanned(algebras, tuples):
     ]
 
 
-def check_law(algebras, lhs, rhs, error, policy, on_keys=None, generators=(), by_construction=False):
+def check_law(algebras, lhs, rhs, error, policy, on_keys=None, generators=(), by_construction=False,
+              triangle=False):
     """Check the multilinear law lhs(*t) == rhs(*t) on law_tuples(algebras),
     the one caller of ``law_tuples``.
 
@@ -347,6 +372,11 @@ def check_law(algebras, lhs, rhs, error, policy, on_keys=None, generators=(), by
     the way its maps were built: nothing is evaluated and the certificate
     is EXHAUSTIVE.  The sides are still given, as the statement of the law.
 
+    ``triangle`` asks ``law_tuples`` for the slot triangle of a semidirect
+    product in place of the generator rule's full product; the kernel then
+    gets the tuples' ``starts`` too, and may name a pair outside the
+    triangle, which sends the law to the full basis as a failure does.
+
     ``on_keys`` decides the law on basis keys: given the basis key lists
     of the slots (a generating set's keys in a generator slot), it returns
     the positions (one per slot) of the first failing key tuple in
@@ -355,7 +385,7 @@ def check_law(algebras, lhs, rhs, error, policy, on_keys=None, generators=(), by
     """
     if by_construction:
         return EXHAUSTIVE
-    tuples, exhaustive = law_tuples(algebras, policy, generators)
+    tuples, exhaustive = law_tuples(algebras, policy, generators, triangle)
     failure = _first_failure(algebras, tuples, exhaustive, lhs, rhs, on_keys)
     if (
         failure is not None and generators and all(a.is_finite() for a in algebras)
@@ -377,7 +407,7 @@ def _first_failure(algebras, tuples, exhaustive, lhs, rhs, on_keys):
         # entries made here then hold the very key objects that later
         # lookups pass, and those compare by identity, not by value.
         keys = [[unit_key(u) for u in factor] for factor in tuples.factors]
-        positions = on_keys(*keys)
+        positions = on_keys(*keys) if tuples.starts is None else on_keys(*keys, starts=tuples.starts)
         if positions is None:
             return None
         t = tuple(factor[p] for factor, p in zip(tuples.factors, positions))
@@ -527,13 +557,33 @@ def certify_multiplicative(f, policy=DEFAULT_POLICY):
         f((ab)x) = f(a(bx)) = f(a)f(b)f(x) = f(ab)f(x).
 
     So a on a generating set of a proved source suffices, when the
-    target's product is proved too."""
+    target's product is proved too.
+
+    The slot triangle.  Let f : X |x Y -> Z, with source and target proved
+    commutative and associative.  If the law holds on G_X x B_X, G_X x B_Y
+    and G_Y x B_Y, f is multiplicative: X and Y are subalgebras, so f|X and
+    f|Y are by the lemma above; the set of x with f(xy) = f(x)f(y) for
+    every y in Y holds G_X and is closed under products, since Y is an
+    ideal (xy is in Y) and f|X is multiplicative:
+    f((ab)y) = f(a(by)) = f(a)f(b)f(y) = f(ab)f(y); and the pairs in
+    Y x X follow by commutativity.  Applied down the nested parts, a pair
+    (g, b) is checked only when b's slot is not before g's, in the flat
+    slot order, which is the basis order (``SemidirectAlgebra.basis_slots``,
+    ``law_tuples``' triangle).  A semidirect source takes it with the
+    generator rule; on each pair it skips, the kernel checks that the
+    source product is symmetric, and a mismatch decides the law again on
+    the full basis, as a failure does.  Every other source keeps the
+    generator rule alone."""
     source_mul, target_mul = f.source.key_mul, f.target.key_mul
     ring, image = f.target.ring, _Lazy(lambda k: f._image(k).coeffs)  # key -> f(key) coeffs
 
-    def on_keys(akeys, xkeys):  # f(k1k2) = f(k1)f(k2)
+    def on_keys(akeys, xkeys, starts=None):  # f(k1k2) = f(k1)f(k2)
         for i, k1 in enumerate(akeys):
-            for j, k2 in enumerate(xkeys):
+            start = 0 if starts is None else starts[i]
+            for j in range(start):  # outside the triangle: k1k2 = k2k1
+                if source_mul(k1, xkeys[j]).coeffs != source_mul(xkeys[j], k1).coeffs:
+                    return i, j
+            for j, k2 in enumerate(xkeys[start:] if start else xkeys, start):
                 product = source_mul(k1, k2).coeffs
                 left = product and combine(ring, [(c, image[k]) for k, c in product.items()])
                 a, b = image[k1], image[k2]
@@ -544,6 +594,7 @@ def certify_multiplicative(f, policy=DEFAULT_POLICY):
     f.multiplicative = check_law(
         [f.source, f.source], lambda u, v: f(u * v), lambda u, v: f(u) * f(v),
         MorphismViolation, policy, on_keys=on_keys, generators=(0,) if _proved(f.target) else (),
+        triangle=isinstance(f.source, SemidirectAlgebra),
     )
     return f.multiplicative
 

@@ -25,59 +25,74 @@ restriction lemma evaluates the sums: a key (side, k) of X |x Y is
 a key pair from the component on the key's side (``_SumAction``).  The
 actor is never split, and a sum keeps no memo of its own.
 
+The tower is transcribed once, as three tables of terms on named component
+slots.  Lam_n has the slots ``_NAMES[n]``: (r,), (r, e), (r, e, e', l) and
+(r, e, e', l, e'', l', l'').  ``_FACES`` and ``_DEGENERACIES`` key (n, i)
+to the terms of d_i : Lam_n -> Lam_{n-1} and s_i : Lam_n -> Lam_{n+1}; a
+term (sign, out, arg) adds sign * arg to the output slot out, where arg is
+an input slot or d1 or d2 of one.  ``_ACTIONS`` keys each leaf action >.,
+>*, >1e, >1r, >2e, >2l by its note to the actor's slot names, the acted
+slot names and its terms; a term (sign, out, op, x, y) adds sign * op(x, y)
+to the acted slot out, op being the product ``mul`` or one of the
+structure's ``act_e``, ``act_l``, ``act_prime`` (>') and ``lift`` ({ , }),
+and x and y an actor slot and an acted slot, in the order the paper writes
+them.  A sum inside an argument, such as {d2(l) + e' (x) e}, is one term per
+summand.  Each entry is written as text, "out += arg" or
+"out -= op(x, y)" per term, read into those tuples once (``_terms``), and
+a comment above it prints the formula as the paper writes it.
+
 Every level is Lam_n = Lam_{n-1} |x X, so its face d0 is the projection
 (x, y) -> x onto Lam_{n-1} and the degeneracy s0 : Lam_{n-1} -> Lam_n the
 inclusion x -> (x, 0) (Conduche's decomposition of a simplicial algebra,
-JPAA 34, 1984).  For any bilinear action (x, y)(x', y') = (xx', ...), so
-both are algebra maps by construction: d0@1..3 and s0@0..2 are built as
-the projection and the inclusion and stamped EXHAUSTIVE, with no law
-check (``_by_construction``).  The simplicial identities still check them
-against every other face and degeneracy.
+JPAA 34, 1984).  They are the entries (n, 0) of the same tables, one
+identity term per slot.  For any bilinear action (x, y)(x', y') =
+(xx', ...), so both are algebra maps by construction: d0@1..3 and s0@0..2
+are stamped EXHAUSTIVE, with no law check (``_by_construction``).  The
+simplicial identities still check them against every other face and
+degeneracy.
 
-The simplicial identities are checked on the key images of the faces and
-degeneracies, and on a generating set of their level when every map in
-them is a proved algebra map (``check_simplicial_identities``).
-
-The rest of the tower is transcribed once, as three tables of formulas on
-components: ``_face_formulas`` and ``_degeneracy_formulas`` key (n, i),
-i >= 1, to a formula on the component tuples of Lam_n, (r,), (r, e),
-(r, e, e', l) and (r, e, e', l, e'', l', l''), in that order;
-``_action_formulas`` keys each leaf action >., >*, >1e, >1r, >2e, >2l by
-its note to a formula from the actor's components followed by the acted
-components to the acted components.  Every level, and E |x L and
-(E |x L) |x L, has one flat ``Codec`` (element <-> components) built from
-the levels alone: it routes each key of its level to (slot, part key) and
-tags each part key with its level key, so a basis element splits into its
-part's basis element and shared zeros, anything else splits in one pass,
-and a pack builds one coefficient dict.  ``build_tower`` wraps every entry
-through the codecs of its ends: the faces and degeneracies as certified
-algebra morphisms, the leaf actions as certified actions.  The composites
+One evaluator reads an entry (``_evaluator``).  Every level, and E |x L and
+(E |x L) |x L, has one flat ``Codec``, built from the levels alone: it
+routes each key of its level to (slot, part key) and tags each part key
+with its level key.  The key image of a level key, or of a key pair for a
+leaf action, routes each key through its codec, evaluates only the terms
+whose slots hold those keys, on the part keys (so never on a zero
+argument), and tags each term's value into its output slot; a lone
+identity term gives the target's own basis element.  No element is split
+and no tuple is packed.  ``build_tower`` builds every face and degeneracy
+as a linear map with those key images, certified by
+``maps.certify_multiplicative``, and every leaf action as an action with
+those key images (``_TermMap``, ``_TermAction``).  The composites
 >1 = >1r + >1e, >2 = >2e + >2l and >t = >1 + >2 are sums of the stored
-components (``_SumAction``).
+components (``_SumAction``).  The codecs' ``split`` and ``pack`` serve
+where whole elements are printed or built: ``tuple_str``, ``split2``/
+``simplex2``, ``split3``/``simplex3`` and ``tcm_homotopy``'s maps into the
+tower.
 
 A tower is built in two stages.  The lower stage is Lam0, Lam1, E |x L,
 >., Lam2 and the faces and degeneracies between them; the upper stage is
 >*, (E |x L) |x L, >t with its six components, Lam3, the faces d0..d3 of
-Lam3 and the degeneracies s0..s2 of Lam2.  ``build_tower`` (the
-``xmod2 simplicial`` command, the selftest) builds both at once;
-``get_tower`` keeps one tower per structure and policy and builds what
-its caller asks for.  A quadratic derivation's s (through Lam1) and the
-triangle map X with its w (into Lam2) ask for the lower stage only;
-w-change and the tetrahedron Z ask for the whole tower, which completes a
-kept lower stage in place, certifying nothing twice.
+Lam3 and the degeneracies s0..s2 of Lam2, over the lower stage's codecs
+(its E |x L codec included, so a tower has eight codecs).
+``build_tower`` (the ``xmod2 simplicial`` command, the selftest) builds
+both at once; ``get_tower`` keeps one tower per structure and policy and
+builds what its caller asks for.  A quadratic derivation's s (through
+Lam1) and the triangle map X with its w (into Lam2) ask for the lower
+stage only; w-change and the tetrahedron Z ask for the whole tower, which
+completes a kept lower stage in place, certifying nothing twice.
 """
 
-from functools import reduce
+from functools import cache, reduce
 
-from .algebra import unit_key
+from .algebra import bilinear, combine, unit_key
 from .errors import IndexOutOfRange, LawViolation
 from .maps import (
     DEFAULT_POLICY,
     EXHAUSTIVE,
     FunctionAction,
     LinearMap,
-    algebra_morphism,
     certify_action,
+    certify_multiplicative,
     check_law,
     is_proof,
     semidirect,
@@ -89,7 +104,8 @@ from .maps import (
 class Codec:
     """An element of ``level`` and its components, one per slot:
     ``split(u)`` is the tuple, ``pack(*components)`` the element, ``arity``
-    the tuple's length and ``parts`` the algebra of each slot.
+    the tuple's length and ``parts`` the algebra of each slot.  A codec
+    built from two others (``_codec``) keeps them as ``halves``.
 
     A key of the level nests as (side, subkey) down to a part key, and
     ``paths[slot]`` is the sequence of sides that leads to the slot: the
@@ -100,8 +116,9 @@ class Codec:
     at most the keys seen (the level's basis when it is finite), and equal
     keys come back as the same tuple objects."""
 
-    def __init__(self, level, parts, paths):
+    def __init__(self, level, parts, paths, halves=None):
         self.level, self.parts, self.paths, self.arity = level, parts, paths, len(parts)
+        self.halves = halves
         self._zeros = tuple(part.zero() for part in parts)
         slots = {path: slot for slot, path in enumerate(paths)}
 
@@ -149,7 +166,7 @@ def _codec(alg, left, right):
     of X followed by those of Y, each path led by its side, so an element
     splits into the components of its X part followed by those of its Y part."""
     paths = tuple((0,) + p for p in left.paths) + tuple((1,) + p for p in right.paths)
-    return Codec(alg, left.parts + right.parts, paths)
+    return Codec(alg, left.parts + right.parts, paths, (left, right))
 
 
 class SimplexTower:
@@ -237,16 +254,39 @@ class _SumAction(FunctionAction):
         return self.parts[side]._image(k, k2)
 
 
-def _by_construction(source, target, step, note):
+class _TermAction(FunctionAction):
+    """A leaf action whose key images are its table entry's: ``image``
+    gives the image of a key pair (``_evaluator``), computed once and kept
+    in ``_memo``.  A ``FunctionAction`` with no ``fn``, as ``_SumAction``."""
+
+    def __init__(self, A, acting, acted, image, note):
+        super().__init__(acting, acted, None, note=note, origin=A)
+        self._memo = _Lazy(lambda pair: image(*pair))
+
+    def _image(self, k1, k2):
+        return self._memo[(k1, k2)]
+
+
+class _TermMap(LinearMap):
+    """A face or degeneracy whose key images are its table entry's:
+    ``image`` gives the image of a key (``_evaluator``), computed once and
+    kept in ``_memo``."""
+
+    def __init__(self, source, target, image, note):
+        super().__init__(source, target, "function", note=note)
+        self._memo = _Lazy(image)
+
+    def _image(self, key):
+        return self._memo[key]
+
+
+def _by_construction(f):
     """d0 or s0, multiplicative by construction.  Lam_n = Lam_{n-1} |x X,
     and d0 : Lam_n -> Lam_{n-1} is the projection (x, y) -> x, s0 :
     Lam_{n-1} -> Lam_n the inclusion x -> (x, 0).  For any bilinear
     action, (x, y)(x', y') = (xx', ...), so both are algebra maps, and
     their certificate is EXHAUSTIVE, as ``maps.identity_map``'s is."""
-    fn = target.embed_left if step > 0 else lambda u: source.split(u)[0]
-    f = LinearMap(source, target, "function", fn=fn, note=note)
     f.multiplicative = EXHAUSTIVE
-    return f
 
 
 def build_tower(A, policy=DEFAULT_POLICY, top=3, lower=None):
@@ -261,9 +301,9 @@ def build_tower(A, policy=DEFAULT_POLICY, top=3, lower=None):
     (E |x L) |x L, >t and its components, Lam3 and the maps to and from
     it) is built and certified.  A failure leaves ``lower`` as it was.
     From scratch, every level and action is certified before the faces and
-    degeneracies, which are built in (n, i) order: d0 and s0 by
-    construction (``_by_construction``), every other one from its entry
-    in the formula tables, certified by ``algebra_morphism``.
+    degeneracies, which are built in (n, i) order from their table
+    entries: d0 and s0 by construction (``_by_construction``), every other
+    one certified by ``maps.certify_multiplicative``.
     """
     if lower is None:
         actions, faces, degeneracies = {"prime": A.act_prime}, {}, {}
@@ -273,27 +313,28 @@ def build_tower(A, policy=DEFAULT_POLICY, top=3, lower=None):
         faces, degeneracies = dict(lower.faces), dict(lower.degeneracies)
     if top == 3 and len(codecs) == 3:
         codecs += (_upper_stage(A, codecs, actions, policy),)
-    for store, table, step, tag in (
-        (faces, _face_formulas(A), -1, "d"),
-        (degeneracies, _degeneracy_formulas(A), 1, "s"),
-    ):
+    for store, table, step, tag in ((faces, _FACES, -1, "d"), (degeneracies, _DEGENERACIES, 1, "s")):
         for n, i in [(n, i) for n in range(len(codecs)) for i in range(n + 1)]:
-            if (n, i) in store or not 0 <= n + step < len(codecs):
+            m = n + step
+            if (n, i) in store or not 0 <= m < len(codecs):
                 continue
-            source, target, note = codecs[n], codecs[n + step], "%s%d@%d" % (tag, i, n)
-            store[(n, i)] = _by_construction(source.level, target.level, step, note) if i == 0 else (
-                algebra_morphism(source.level, target.level, policy=policy, note=note,
-                                 fn=_on_levels(source.split, table[(n, i)], target.pack)))
+            image = _evaluator(A, table[(n, i)], (codecs[n],), (_NAMES[n],), codecs[m], _NAMES[m])
+            f = _TermMap(codecs[n].level, codecs[m].level, image, "%s%d@%d" % (tag, i, n))
+            if i == 0:
+                _by_construction(f)
+            else:
+                certify_multiplicative(f, policy)
+            store[(n, i)] = f
     if lower is None:
         return SimplexTower(A, codecs, faces, degeneracies, actions)
     lower._set(codecs, faces, degeneracies, actions)
     return lower
 
 
-def _leaf(A, formulas, note, actor, acted):
-    split = lambda x, m: actor.split(x) + acted.split(m)
-    fn = _on_levels(split, formulas[note], acted.pack)
-    return FunctionAction(actor.level, acted.level, fn, note=note, origin=A)
+def _leaf(A, note, actor, acted):
+    actor_names, acted_names, terms = _ACTIONS[note]
+    image = _evaluator(A, terms, (actor, acted), (actor_names, acted_names), acted, acted_names)
+    return _TermAction(A, actor.level, acted.level, image, note)
 
 
 def _lower_stage(A, actions, policy):
@@ -302,26 +343,25 @@ def _lower_stage(A, actions, policy):
     R, E, L = _atom(A.R), _atom(A.E), _atom(A.L)
     el = _codec(semidirect(A.E, A.L, A.act_prime, policy), E, L)
     lam1 = _codec(semidirect(A.R, A.E, A.act_e, policy), R, E)
-    bullet = actions["bullet"] = _leaf(A, _action_formulas(A), "bullet", lam1, el)
+    bullet = actions["bullet"] = _leaf(A, "bullet", lam1, el)
     certify_action(bullet, policy)
     return R, lam1, _codec(semidirect(lam1.level, el.level, bullet, policy), lam1, el)
 
 
 def _upper_stage(A, codecs, actions, policy):
-    """The codec of Lam3 over the lower stage's codecs, certifying >*,
-    (E |x L) |x L, >t with its components and Lam3 in that order; they go
-    into ``actions``."""
+    """The codec of Lam3 over the lower stage's codecs (its E |x L codec
+    and atoms included), certifying >*, (E |x L) |x L, >t with its
+    components and Lam3 in that order; they go into ``actions``."""
     R, lam1, lam2 = codecs
-    E, L = _atom(A.E), _atom(A.L)
-    el = _codec(lam2.level.right, E, L)
-    formulas = _action_formulas(A)
+    el = lam2.halves[1]
+    E, L = el.halves
 
-    star = actions["star"] = _leaf(A, formulas, "star", el, L)
+    star = actions["star"] = _leaf(A, "star", el, L)
     certify_action(star, policy)
     ell = _codec(semidirect(el.level, A.L, star, policy), el, L)
 
-    one_e, one_r = _leaf(A, formulas, "one_e", E, ell), _leaf(A, formulas, "one_r", R, ell)
-    two_e, two_l = _leaf(A, formulas, "two_e", E, ell), _leaf(A, formulas, "two_l", L, ell)
+    one_e, one_r = _leaf(A, "one_e", E, ell), _leaf(A, "one_r", R, ell)
+    two_e, two_l = _leaf(A, "two_e", E, ell), _leaf(A, "two_l", L, ell)
     components = {
         "one_e": one_e,
         "one_r": one_r,
@@ -337,61 +377,155 @@ def _upper_stage(A, codecs, actions, policy):
     return _codec(semidirect(lam2.level, ell.level, dagger, policy), lam2, ell)
 
 
-def _on_levels(split, formula, pack):
-    return lambda *u: pack(*formula(*split(*u)))
+def _evaluator(A, terms, inputs, names, target, outputs):
+    """The key image function of a table entry: given one key of each
+    input codec's level (a level key for a face or degeneracy, an actor
+    key and an acted key for a leaf action), an element of target's level.
+
+    ``names`` holds each input's slot names and ``outputs`` the target's.
+    Each key is routed through its codec's ``_route`` to (slot, part key),
+    and only the terms that read those slots are evaluated, on the part
+    keys: an argument is the part key itself or its image under d1 or d2,
+    and a binary term is the bilinear extension of its operation's key
+    image.  Each value is tagged through target's ``_tags`` of its output
+    slot, and the image is the sum (``combine``).  A lone identity term
+    gives the target level's own basis element of the tagged key."""
+    ring, level, tags = A.R.ring, target.level, target._tags
+    one, sign = ring.one, {1: ring.one, -1: ring.neg(ring.one)}
+    index, identities = _index(terms, names, outputs)
+    routes = [codec._route for codec in inputs]
+
+    def image(*keys):
+        routed = [route[key] for route, key in zip(routes, keys)]
+        slots = tuple(slot for slot, _ in routed)
+        parts = [key for _, key in routed]
+        out = identities.get(slots)
+        if out is not None:
+            return level.basis_element(tags[out][parts[0]])
+        values = []
+        for s, out, op, reads in index.get(slots, ()):
+            args = [{parts[i]: one} if pre is None else getattr(A, pre)._image(parts[i]).coeffs
+                    for i, pre in reads]
+            if op is not None:
+                op = target.parts[out].key_mul if op == "mul" else getattr(A, op)._image
+                args = [bilinear(ring, args[0], args[1], op)]
+            values.append((sign[s], {tags[out][k]: v for k, v in args[0].items()}))
+        return level.from_coeffs(combine(ring, values))
+
+    return image
 
 
-def _action_formulas(A):
-    """The leaf actions on components, keyed by note: the actor's
-    components, then the acted components, map to the acted components.
-    The actors are Lam1 (r, e), E |x L (e, l''), E (e), R (r) and L (k); the
-    acted algebras E |x L (e', l), L (l') and (E |x L) |x L (e', l, l')."""
-    d1, d2, lift = A.d1, A.d2, A.lift
-    act_e, act_l, act_prime = A.act_e, A.act_l, A.act_prime
-    zE = A.E.zero()
-    return {
-        # (r, e) >. (e', l) = (ee' + r>e', d1(e)>l + r>l - {e' (x) e})
-        "bullet": lambda r, e, e2, l: (
-            e * e2 + act_e(r, e2), act_l(d1(e), l) + act_l(r, l) - lift(e2, e)),
-        # (e, l'') >* l' = e >' l' + l''l'
-        "star": lambda e, l3, l2: (act_prime(e, l2) + l3 * l2,),
-        # e >1e (e', l, l') = (ee', d1(e)>l - {e' (x) e}, d1(e)>l')
-        "one_e": lambda e, e2, l, l2: (
-            e * e2, act_l(d1(e), l) - lift(e2, e), act_l(d1(e), l2)),
-        # r >1r (e', l, l') = (r>e', r>l, r>l')
-        "one_r": lambda r, e2, l, l2: (act_e(r, e2), act_l(r, l), act_l(r, l2)),
-        # e >2e (e', l, l') = (ee', e>'l, d1(e)>l' - {d2(l)+e' (x) e})
-        "two_e": lambda e, e2, l, l2: (
-            e * e2, act_prime(e, l), act_l(d1(e), l2) - lift(d2(l) + e2, e)),
-        # k >2l (e', l, l') = (0, e'>'k + kl, -{d2(l)+e' (x) d2(k)})
-        "two_l": lambda k, e2, l, l2: (
-            zE, act_prime(e2, k) + k * l, -lift(d2(l) + e2, d2(k))),
-    }
+@cache
+def _index(terms, names, outputs):
+    """The terms of an entry by the input slots they read, and the slots
+    whose one term is an identity, found once per entry from the table
+    alone.  The index takes each tuple of slots (one per input) to its
+    terms (sign, output slot, op, reads), in output slot order, where reads
+    gives each argument, in the op's order, as (input, d1 or d2 or None);
+    the identities take such a tuple to its term's output slot."""
+    index = {}
+    for s, out, *rest in sorted(terms, key=lambda t: outputs.index(t[1])):
+        op, args = (None, rest) if len(rest) == 1 else (rest[0], rest[1:])
+        reads = []
+        for arg in args:
+            pre, name = (None, arg) if isinstance(arg, str) else arg
+            i = next(i for i, ns in enumerate(names) if name in ns)
+            reads.append((i, names[i].index(name), pre))
+        slots = tuple(slot for _, slot, _ in sorted(reads))
+        index.setdefault(slots, []).append((s, outputs.index(out), op, tuple((i, pre) for i, _, pre in reads)))
+    identities = {slots: found[0][1] for slots, found in index.items()
+                  if len(found) == 1 and found[0][0] == 1 and found[0][2] is None and found[0][3][0][1] is None}
+    return index, identities
 
 
-def _face_formulas(A):
-    """d_i : Lam_n -> Lam_{n-1} on components, keyed by (n, i), for i >= 1
-    (d0 is the projection, built by construction)."""
-    d1, d2 = A.d1, A.d2
-    return {
-        (1, 1): lambda r, e: (r + d1(e),),
-        (2, 1): lambda r, e, e2, l: (r, e + e2),
-        (2, 2): lambda r, e, e2, l: (r + d1(e), e2 + d2(l)),
-        (3, 1): lambda r, e, e2, l, e3, l2, l3: (r, e, e2 + e3, l + l2),
-        (3, 2): lambda r, e, e2, l, e3, l2, l3: (r, e + e2, e3, l2 + l3),
-        (3, 3): lambda r, e, e2, l, e3, l2, l3: (r + d1(e), e2 + d2(l), e3 + d2(l2), l3),
-    }
+# The component slots of Lam0..Lam3.
+_NAMES = (("r",), ("r", "e"), ("r", "e", "e'", "l"), ("r", "e", "e'", "l", "e''", "l'", "l''"))
 
 
-def _degeneracy_formulas(A):
-    """s_i : Lam_n -> Lam_{n+1} on components, keyed by (n, i), for i >= 1
-    (s0 is the inclusion, built by construction)."""
-    zE, zL = A.E.zero(), A.L.zero()
-    return {
-        (1, 1): lambda r, e: (r, zE, e, zL),
-        (2, 1): lambda r, e, e2, l: (r, e, zE, zL, e2, l, zL),
-        (2, 2): lambda r, e, e2, l: (r, zE, e, zL, e2, zL, l),
-    }
+def _terms(text):
+    """The terms of a table entry from its text, terms separated by "; ":
+    "out += arg" or "out -= arg" is (sign, out, arg), for a face or
+    degeneracy, and "out += op(x, y)" is (sign, out, op, x, y), for a leaf
+    action; an argument is a slot name, or d1(name) or d2(name), which is
+    (d1 or d2, name)."""
+    def argument(a):
+        return tuple(a[:-1].split("(")) if a.endswith(")") else a
+
+    terms = []
+    for term in text.split("; "):
+        out, sign, expr = term.split(" ", 2)
+        sign = 1 if sign == "+=" else -1
+        if expr.startswith(("d1(", "d2(")) or "(" not in expr:
+            terms.append((sign, out, argument(expr)))
+        else:
+            op, args = expr[:-1].split("(", 1)
+            terms.append((sign, out, op) + tuple(argument(a) for a in args.split(", ")))
+    return tuple(terms)
+
+
+# d_i : Lam_n -> Lam_{n-1}, keyed by (n, i): output slots of Lam_{n-1} from
+# input slots of Lam_n.
+_FACES = {key: _terms(text) for key, text in {
+    # d0(r, e) = r
+    (1, 0): "r += r",
+    # d1(r, e) = r + d1(e)
+    (1, 1): "r += r; r += d1(e)",
+    # d0(r, e, e', l) = (r, e)
+    (2, 0): "r += r; e += e",
+    # d1(r, e, e', l) = (r, e + e')
+    (2, 1): "r += r; e += e; e += e'",
+    # d2(r, e, e', l) = (r + d1(e), e' + d2(l))
+    (2, 2): "r += r; r += d1(e); e += e'; e += d2(l)",
+    # d0(r, e, e', l, e'', l', l'') = (r, e, e', l)
+    (3, 0): "r += r; e += e; e' += e'; l += l",
+    # d1(r, e, e', l, e'', l', l'') = (r, e, e' + e'', l + l')
+    (3, 1): "r += r; e += e; e' += e'; e' += e''; l += l; l += l'",
+    # d2(r, e, e', l, e'', l', l'') = (r, e + e', e'', l' + l'')
+    (3, 2): "r += r; e += e; e += e'; e' += e''; l += l'; l += l''",
+    # d3(r, e, e', l, e'', l', l'') = (r + d1(e), e' + d2(l), e'' + d2(l'), l'')
+    (3, 3): "r += r; r += d1(e); e += e'; e += d2(l); e' += e''; e' += d2(l'); l += l''",
+}.items()}
+
+# s_i : Lam_n -> Lam_{n+1}, keyed by (n, i): output slots of Lam_{n+1} from
+# input slots of Lam_n.
+_DEGENERACIES = {key: _terms(text) for key, text in {
+    # s0(r) = (r, 0)
+    (0, 0): "r += r",
+    # s0(r, e) = (r, e, 0, 0)
+    (1, 0): "r += r; e += e",
+    # s1(r, e) = (r, 0, e, 0)
+    (1, 1): "r += r; e' += e",
+    # s0(r, e, e', l) = (r, e, e', l, 0, 0, 0)
+    (2, 0): "r += r; e += e; e' += e'; l += l",
+    # s1(r, e, e', l) = (r, e, 0, 0, e', l, 0)
+    (2, 1): "r += r; e += e; e'' += e'; l' += l",
+    # s2(r, e, e', l) = (r, 0, e, 0, e', 0, l)
+    (2, 2): "r += r; e' += e; e'' += e'; l'' += l",
+}.items()}
+
+# The leaf actions, keyed by note: (actor slots, acted slots, terms), each
+# term adding an operation of an actor slot and an acted slot, in the
+# paper's order, to an acted slot.  The actors are Lam1, E |x L, E, R and
+# L; the acted algebras E |x L, L and (E |x L) |x L.
+_ACTIONS = {note: (tuple(actor.split()), tuple(acted.split()), _terms(text))
+            for note, (actor, acted, text) in {
+    # (r, e) >. (e', l) = (ee' + r>e', d1(e)>l + r>l - {e' (x) e})
+    "bullet": ("r e", "e' l", "e' += mul(e, e'); e' += act_e(r, e'); "
+                              "l += act_l(d1(e), l); l += act_l(r, l); l -= lift(e', e)"),
+    # (e, l'') >* l' = e >' l' + l''l'
+    "star": ("e l''", "l'", "l' += act_prime(e, l'); l' += mul(l'', l')"),
+    # e >1e (e', l, l') = (ee', d1(e)>l - {e' (x) e}, d1(e)>l')
+    "one_e": ("e", "e' l l'", "e' += mul(e, e'); l += act_l(d1(e), l); l -= lift(e', e); "
+                              "l' += act_l(d1(e), l')"),
+    # r >1r (e', l, l') = (r>e', r>l, r>l')
+    "one_r": ("r", "e' l l'", "e' += act_e(r, e'); l += act_l(r, l); l' += act_l(r, l')"),
+    # e >2e (e', l, l') = (ee', e>'l, d1(e)>l' - {d2(l)+e' (x) e})
+    "two_e": ("e", "e' l l'", "e' += mul(e, e'); l += act_prime(e, l); l' += act_l(d1(e), l'); "
+                              "l' -= lift(d2(l), e); l' -= lift(e', e)"),
+    # k >2l (e', l, l') = (0, e'>'k + kl, -{d2(l)+e' (x) d2(k)})
+    "two_l": ("k", "e' l l'", "l += act_prime(e', k); l += mul(k, l); "
+                              "l' -= lift(d2(l), d2(k)); l' -= lift(e', d2(k))"),
+}.items()}
 
 
 def get_tower(A, policy=DEFAULT_POLICY, top=3):
@@ -461,13 +595,17 @@ def _composite(maps):
 
 
 def _key_composite(maps, ring, images):
-    """The coefficient dict of the composite's image of one basis key, read
-    from images[f], a table of f's key images, for each map f in turn."""
+    """The coefficient dict of the composite's image of one basis key: the
+    first map's image read from images[f], a table of f's key images, and
+    each later map's by the linear extension of its table."""
+    if not maps:
+        return lambda key: {key: ring.one}
+    first, rest = images[maps[0]], [images[f].__getitem__ for f in maps[1:]]
 
     def apply(key):
-        v = {key: ring.one}
-        for f in maps:
-            v = _extend(ring, v, images[f].__getitem__)
+        v = first[key].coeffs
+        for image in rest:
+            v = _extend(ring, v, image)
         return v
 
     return apply

@@ -87,13 +87,13 @@ def _shift_kernel():
 
 
 def _sampled_only(patch):
-    """Make every check_law call sample its law: the generator and
-    by-construction rules are dropped, in every xmod2 module that holds
-    check_law, for as long as ``patch`` lasts."""
+    """Make every check_law call sample its law: the generator (with its
+    slot triangle) and by-construction rules are dropped, in every xmod2
+    module that holds check_law, for as long as ``patch`` lasts."""
     real = maps.check_law
 
     def check_law(algebras, lhs, rhs, error, policy, on_keys=None, generators=(),
-                  by_construction=False):
+                  by_construction=False, triangle=False):
         return real(algebras, lhs, rhs, error, policy, on_keys=on_keys)
 
     patch_everywhere(patch, real, check_law)

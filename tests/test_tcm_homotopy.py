@@ -720,7 +720,13 @@ def test_work_count_of_a_derivation_on_a_fresh_target(monkeypatch):
     s0@0 and s0@1 of the lower stage are the projections of
     Lam_n = Lam_{n-1} |x X and their inclusions, algebra maps for any
     bilinear action (``simplex._by_construction``), so their four
-    multiplicativity checks (100 tuples) are not run."""
+    multiplicativity checks (100 tuples) are not run.
+
+    The slot-triangle lemma then took it from [10, 298] to [10, 242]: d1@1,
+    d1@2, d2@2 and s1@1 leave Lam1 = R |x E or Lam2, and each is checked on
+    a pair (g, b) only when b's slot is not before g's
+    (``maps.certify_multiplicative``); the other pairs are decided by the
+    symmetry of the source product."""
     _, B, f, qd = _free_domain_instance(5)
     pol = Policy(10, 4, 0)
     assert (B.R.dim(), B.E.dim(), B.L.dim()) == (2, 2, 2) and pol not in B._towers
@@ -731,7 +737,7 @@ def test_work_count_of_a_derivation_on_a_fresh_target(monkeypatch):
     assert entered == {"get_tower": 1, "build_tower": 1}
     assert certified == {"certify_action": 1}  # >.
     assert B._towers[pol].top == 2 and set(B._towers[pol].actions) == {"prime", "bullet"}
-    assert seen == [10, 298]
+    assert seen == [10, 242]
 
 
 def test_completing_a_kept_lower_stage_gives_the_whole_tower(monkeypatch):
@@ -763,17 +769,18 @@ def test_completing_a_kept_lower_stage_gives_the_whole_tower(monkeypatch):
     assert certificates(T) == certificates(fresh)
     assert T.levels[3].dim() == fresh.levels[3].dim()
 
-    # >2l gains c(k) m, c(k) the coefficient of k on L's first key: A2 fails
-    real_table, first = simplex._action_formulas, B.L.basis_keys()[0]
+    # >2l gains c(k) m, c(k) the coefficient of k on L's first key: A2 fails.
+    # On key images, (k, m) gains m when k is L's first key.
+    first = B.L.basis_keys()[0]
 
-    def action_formulas(A):
-        formulas = real_table(A)
-        two_l = formulas["two_l"]
-        formulas["two_l"] = lambda k, *m: tuple(
-            v + w.scale(k.coeffs.get(first, A.ring.zero)) for v, w in zip(two_l(k, *m), m))
-        return formulas
+    class TwoL(simplex._TermAction):
+        def _image(self, k1, k2):
+            image = super()._image(k1, k2)
+            if self.note != "two_l" or k1 != first:
+                return image
+            return image + self.acted.basis_element(k2)
 
-    monkeypatch.setattr(simplex, "_action_formulas", action_formulas)
+    monkeypatch.setattr(simplex, "_TermAction", TwoL)
     other = Policy(10, 4, 1)
     with pytest.raises(XmodError) as eager:
         build_tower(B, other)
