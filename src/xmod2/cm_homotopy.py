@@ -21,12 +21,15 @@ homotopy code of its own: ``make_cm_derivation`` certifies a derivation
 by the 2-crossed laws, reporting a failing derivation law as
 DerivationLawViolation; ``zero_cm_derivation``, ``concat_cm`` and
 ``invert_cm`` are the 2-crossed operations, and ``cm_groupoid_check`` runs
-the one groupoid loop on the slices.
+the one groupoid loop on the slices.  So the zero derivation is built with
+no law checked (``tcm_homotopy.zero_quadratic``): every term of the
+derivation law has a factor s, so s = 0 satisfies it for every f, and its
+target (f0 + d' o 0, f1 + 0 o d) is f.
 """
 
 from .maps import DEFAULT_POLICY
 from .randgen import random_cm_derivation, random_cm_morphism
-from .tcm_homotopy import _certify, concat_2cm, groupoid_check, invert_2cm, zero_quadratic
+from .tcm_homotopy import _certify, _entry, concat_2cm, groupoid_check, invert_2cm, zero_quadratic
 
 zero_cm_derivation, concat_cm, invert_cm = zero_quadratic, concat_2cm, invert_2cm
 
@@ -37,7 +40,7 @@ def make_cm_derivation(f, images, policy=DEFAULT_POLICY):
 
     Every call certifies; the first derivation certified for these images
     under ``policy`` is kept on f, where the 2-crossed operations find it."""
-    return _certify(f, images, {}, policy)
+    return _certify(f, *_entry(f, images, {}, policy), policy)
 
 
 def cm_groupoid_check(A, B, samples=25, seed=0, policy=DEFAULT_POLICY):

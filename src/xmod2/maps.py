@@ -21,7 +21,9 @@ one of four rules:
   The law is decided on the basis-key tuples those tuples span, when they
   are fewer: each drawn tuple expands into a combination of spanned key
   tuples, so by multilinearity the law holds on every draw once it holds
-  on them.
+  on them.  The span is found once, when the tuples are drawn, and kept
+  with them as keys (``_Draws.span``); each check builds the basis
+  elements of a key tuple when it reads it.
 
 The generator lemma.  Let a law be linear in a slot a over an algebra R,
 and let S be the set of a for which it holds for every value of the other
@@ -58,8 +60,10 @@ degeneracies s0 of the tower (``simplex._by_construction``: the projection
 of Lam_n = Lam_{n-1} |x X onto Lam_{n-1} and its inclusion, algebra maps
 for any bilinear action), ``certify_algebra`` by
 the semidirect lemma (a finite semidirect product of proved parts under an
-action proved on a basis is commutative and associative), and a target
-equal to a certified map, which carries that map's certificates
+action proved on a basis is commutative and associative), the zero
+homotopy by the zero lemma (``tcm_homotopy.zero_quadratic``: each law of a
+quadratic derivation is linear in s or t, so (0, 0) satisfies it), and a
+target equal to a certified map, which carries that map's certificates
 (``tcm_homotopy._settle_target``).
 
 Sampled tuples depend on the policy and the algebra list alone: the
@@ -68,7 +72,9 @@ from a fresh ``Random(policy.seed)``, so a certificate (D, N, seed) and
 the law's algebras reproduce the tuples it was checked on.  ``law_tuples``
 draws them the first time it sees (policy, list) and keeps them under that
 key on the first algebra of the list, the way a 2-crossed module keeps its
-towers; a later call gets the same objects back without drawing.  Keys
+towers, with the key tuples that the law's tuples span; a later call gets
+the same objects back without drawing, and a later check the same span
+without finding it again.  Keys
 hold the algebras themselves, never their ids, so two structures never
 share an entry, and the memo goes with its structure.
 
@@ -105,8 +111,8 @@ evaluates lhs and rhs on it, so a failure raises exactly the error an
 element check raises.  The exhaustive tuples are a lazy ``BasisTuples``, so
 the tuple at the witness is the only one built.  Checks with a free algebra
 in the law evaluate on elements: every generator tuple, and for a sampled
-law each spanned key tuple as a tuple of basis elements (or every drawn
-tuple, when the span is not smaller).
+law each kept spanned key tuple as a tuple of basis elements, a finite
+slot's kept ones (or every drawn tuple, when the span is not smaller).
 
 A key image has one form: ``_image`` of a map (one key) or of an action
 or lifting (a key pair) is an element of the map's own target (the acted
@@ -142,7 +148,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .algebra import (
     Element, FiniteAlgebra, FreeAlgebra, SemidirectAlgebra, bilinear, combine, evaluate_bilinear, unit_key,
@@ -228,18 +234,48 @@ def _skeleton(alg):
     raise BadShape("cannot span %r" % (alg,))
 
 
+class _Draws(tuple):
+    """A policy's sampled tuples over a list of algebras, as ``_sampled``
+    keeps them, with their ``span`` (``_span``)."""
+
+
 def _sampled(algebras, policy):
     """The policy's sampled tuples over algebras, drawn from a fresh
-    Random(policy.seed) on the first call and kept on algebras[0]."""
+    Random(policy.seed) on the first call and kept on algebras[0], with the
+    span of the law's tuples, found then and kept with them."""
     memo = algebras[0]._draws
-    tuples = memo.get((policy, algebras))
-    if tuples is None:
+    draws = memo.get((policy, algebras))
+    if draws is None:
         rng = random.Random(policy.seed)
-        tuples = memo[(policy, algebras)] = tuple(
+        draws = memo[(policy, algebras)] = _Draws(
             tuple(random_element(a, rng, policy.max_degree) for a in algebras)
             for _ in range(policy.samples)
         )
-    return tuples
+        draws.span = _span(_skeleton_tuples(algebras) + list(draws))
+    return draws
+
+
+def _skeleton_tuples(algebras):
+    """The product of the algebras' skeletons: a sampled law's first tuples."""
+    return list(itertools.product(*[_skeleton(a) for a in algebras]))
+
+
+def _span(tuples):
+    """The basis-key tuples that ``tuples`` span, in order of first
+    appearance, when they are fewer than the tuples; otherwise None.
+
+    A tuple spans the product of its elements' supports, so a zero element
+    spans nothing.  A multilinear law that holds on every spanned key tuple
+    holds on every tuple, each expanding into a combination of them."""
+    limit = len(tuples)
+    span = {}
+    for t in tuples:
+        for keys in itertools.product(*[u.coeffs for u in t]):
+            if keys not in span:
+                span[keys] = None
+                if len(span) == limit:
+                    return None
+    return tuple(span)
 
 
 class BasisTuples:
@@ -316,31 +352,27 @@ def law_tuples(algebras, policy=DEFAULT_POLICY, generators=(), triangle=False):
             return BasisTuples(factors, starts), True
     if all(a.is_finite() for a in algebras):
         return BasisTuples([a.basis_elements() for a in algebras]), True
-    tuples = list(itertools.product(*[_skeleton(a) for a in algebras]))
+    tuples = _skeleton_tuples(algebras)
     tuples.extend(_sampled(tuple(algebras), policy))
     return tuples, False
 
 
-def _spanned(algebras, tuples):
-    """The basis-key tuples that ``tuples`` span, as tuples of basis
-    elements in order of first appearance, when they are fewer than the
-    tuples; otherwise the tuples themselves.
+def _spanned(algebras, policy, tuples):
+    """The tuples a sampled law is decided on: the tuples of basis elements
+    of the key tuples its tuples span (``_Draws.span``), each built when it
+    is read, the kept one on a finite slot; or the tuples themselves, when
+    their span is not smaller."""
+    span = _sampled(tuple(algebras), policy).span
+    if span is None:
+        return tuples
+    units = [a.basis_element if a.is_finite() else partial(_unit, a) for a in algebras]
+    return (tuple(unit(k) for unit, k in zip(units, keys)) for keys in span)
 
-    A tuple spans the product of its elements' supports, so a zero element
-    spans nothing.  A multilinear law that holds on every spanned key tuple
-    holds on every tuple, each expanding into a combination of them."""
-    limit = len(tuples)
-    span = {}
-    for t in tuples:
-        for keys in itertools.product(*[u.coeffs for u in t]):
-            if keys not in span:
-                span[keys] = None
-                if len(span) == limit:
-                    return tuples
-    return [
-        tuple(Element(a, {k: a.ring.one}) for a, k in zip(algebras, keys))
-        for keys in span
-    ]
+
+def _unit(alg, key):
+    """The basis element of key over an algebra that keeps none, built
+    without ``basis_element``'s check of a key it has seen in a draw."""
+    return Element(alg, {key: alg.ring.one})
 
 
 def check_law(algebras, lhs, rhs, error, policy, on_keys=None, generators=(), by_construction=False,
@@ -357,7 +389,8 @@ def check_law(algebras, lhs, rhs, error, policy, on_keys=None, generators=(), by
 
     A sampled law is decided on the basis-key tuples its tuples span, in
     order of first appearance, whenever those are fewer than the tuples
-    (``_spanned``): by multilinearity it then holds on every drawn tuple,
+    (``_spanned``, on the span kept with the draws): by multilinearity it
+    then holds on every drawn tuple,
     so the certificate is the same, and a failure's witness is a tuple of
     basis elements.  No check evaluates more tuples than law_tuples gives.
 
@@ -386,19 +419,19 @@ def check_law(algebras, lhs, rhs, error, policy, on_keys=None, generators=(), by
     if by_construction:
         return EXHAUSTIVE
     tuples, exhaustive = law_tuples(algebras, policy, generators, triangle)
-    failure = _first_failure(algebras, tuples, exhaustive, lhs, rhs, on_keys)
+    failure = _first_failure(algebras, policy, tuples, exhaustive, lhs, rhs, on_keys)
     if (
         failure is not None and generators and all(a.is_finite() for a in algebras)
         and len(tuples) < math.prod(a.dim() for a in algebras)
     ):
         tuples, exhaustive = law_tuples(algebras, policy)
-        failure = _first_failure(algebras, tuples, exhaustive, lhs, rhs, on_keys)
+        failure = _first_failure(algebras, policy, tuples, exhaustive, lhs, rhs, on_keys)
     if failure is not None:
         raise error(*failure)
     return EXHAUSTIVE if exhaustive else policy.certificate
 
 
-def _first_failure(algebras, tuples, exhaustive, lhs, rhs, on_keys):
+def _first_failure(algebras, policy, tuples, exhaustive, lhs, rhs, on_keys):
     """(t, lhs(*t), rhs(*t)) at the first tuple t of law_tuples' output
     where the sides differ, or None."""
     if exhaustive and on_keys is not None:
@@ -413,7 +446,7 @@ def _first_failure(algebras, tuples, exhaustive, lhs, rhs, on_keys):
         t = tuple(factor[p] for factor, p in zip(tuples.factors, positions))
         return t, lhs(*t), rhs(*t)
     if not exhaustive:
-        tuples = _spanned(algebras, tuples)
+        tuples = _spanned(algebras, policy, tuples)
     for t in tuples:
         left = lhs(*t)
         right = rhs(*t)

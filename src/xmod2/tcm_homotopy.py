@@ -72,24 +72,29 @@ under the policy they are given.
 ``tcm_groupoid_check`` runs it and adds t-associativity and w-change,
 ``cm_homotopy.cm_groupoid_check`` runs it on the slices.
 
-Each homotopy is certified once.  ``make_quadratic_derivation``
-certifies every call and keeps its result on f, keyed (``kept_key``) by
-the policy and the normalized data: the completed s-images, the declared
-monomial values and the nonzero t-images.  ``zero_quadratic``,
-``concat_2cm`` and ``apply_2cm_homotopy`` (for a derivation certified
-under another policy) go through ``_quadratic``, which normalizes the
-same way and returns the kept derivation when the key matches,
-certifying only on a miss; so the groupoid's zeros, its units (0 [+] h =
-h [+] 0 = h), its inverse laws (h [+] hbar = 0) and both bracketings of a
-triple come back as the object already certified, with its target.
-``invert_2cm`` and randgen always certify.  Reuse is exact: a
-certification is a pure function of (f, images, policy).  Its sampled
-tuples are a function of the policy and R alone, s and t are fixed by
-their images, and a hit needs equal images over the same f object and an
-equal policy, so a hit returns the object a re-certification would
-rebuild, with the same certificates, and its kept target is certified
-under the policy asked for.  A composite with wrong data matches no key
-and is certified, and rejected, as before.
+Each homotopy is certified once, and a zero homotopy never.
+``make_quadratic_derivation`` certifies every call and keeps its result
+on f, keyed (``kept_key``) by the policy and the normalized data: the
+completed s-images, the declared monomial values and the nonzero
+t-images.  ``concat_2cm`` and ``apply_2cm_homotopy`` (for a derivation
+certified under another policy) go through ``_quadratic``, which
+normalizes the same way and returns the kept derivation when the key
+matches, certifying only on a miss, with the data and key it has
+normalized and built once (``_entry``).  ``zero_quadratic`` looks up the
+same key and, on a miss, builds the zero homotopy with no law checked:
+each law is linear in s or t, so (0, 0) satisfies it for every f, and
+its target is f (the zero lemma in its docstring).  So the groupoid's
+zeros, its units (0 [+] h = h [+] 0 = h), its inverse laws (h [+] hbar
+= 0) and both bracketings of a triple come back as the object already
+kept, with its target.  ``invert_2cm`` and randgen always certify.
+Reuse is exact: a certification is a pure function of (f, images,
+policy).  Its sampled tuples are a function of the policy and R alone, s
+and t are fixed by their images, and a hit needs equal images over the
+same f object and an equal policy, so a hit returns the object a
+re-certification would rebuild, with the same certificates or, for a
+zero homotopy built by the lemma, EXHAUSTIVE ones, and its kept target
+is certified under the policy asked for.  A composite with wrong data
+matches no key and is certified, and rejected, as before.
 """
 
 import random
@@ -379,25 +384,40 @@ def make_quadratic_derivation(f, s_images, t_images, policy=DEFAULT_POLICY):
     which is 0 by 2XM6.  So the r where t-action holds form a subspace
     closed under products, and the generator rule applies.
     """
-    return _certify(f, s_images, t_images, policy)
+    return _certify(f, *_entry(f, s_images, t_images, policy), policy)
 
 
-def _certify(f, s_images, t_images, policy):
-    """``make_quadratic_derivation``, whose s-law over the slices of crossed
-    modules is their derivation law and fails as DerivationLawViolation."""
+def _entry(f, s_images, t_images, policy):
+    """The data of a quadratic derivation normalized (``_normalize``), and
+    the key it is kept under on f (``kept_key``)."""
+    data = _normalize(f, s_images, t_images)
+    return data, kept_key(policy, *data)
+
+
+def _t_map(f, t_norm):
+    """t: E -> L' from its nonzero E-basis images: the zero map, over any
+    E, into an L' with no basis; else the basis table, for a finite E."""
     A, B = f.src, f.tgt
-    s_images, declared, t_norm = _normalize(f, s_images, t_images)
+    return zero_map(A.E, B.L) if B.L.dim() == 0 else linear_map(A.E, B.L, t_norm)
+
+
+def _certify(f, data, key, policy):
+    """``make_quadratic_derivation`` on normalized data, kept on f under
+    ``key`` unless a derivation is kept there already; its s-law over the
+    slices of crossed modules is their derivation law and fails as
+    DerivationLawViolation."""
+    A, B = f.src, f.tgt
+    s_images, declared, t_norm = data
     smap = _s_map(f, s_images, policy)
     s_error = DerivationLawViolation if A.slice_of is not None else partial(QDLawViolation, "s-law")
     certs = {"s-law": check_derivation_law(A.R, f.f0, B.act_e, smap, declared, s_error, policy)}
+    tmap = _t_map(f, t_norm)
     if B.L.dim() == 0:  # t = 0, and every side of a t-law lies in L' = 0
-        tmap = zero_map(A.E, B.L)
         certs["t-product"] = certs["t-action"] = EXHAUSTIVE
     else:
-        tmap = linear_map(A.E, B.L, t_norm)
         certs.update(_t_laws(f, smap, tmap, certs["s-law"], policy))
     qd = QuadraticDerivation(f, s_images, smap, t_norm, tmap, certs, policy)
-    f._homotopies.setdefault(kept_key(policy, s_images, declared, t_norm), qd)
+    f._homotopies.setdefault(key, qd)
     return qd
 
 
@@ -479,14 +499,37 @@ def _t_laws(f, smap, tmap, s_law, policy):
 def _quadratic(f, s_images, t_images, policy):
     """The quadratic derivation kept on f for this data under ``policy``,
     or a newly certified one."""
-    kept = f._homotopies.get(kept_key(policy, *_normalize(f, s_images, t_images)))
-    return kept if kept is not None else make_quadratic_derivation(f, s_images, t_images, policy)
+    data, key = _entry(f, s_images, t_images, policy)
+    kept = f._homotopies.get(key)
+    return kept if kept is not None else _certify(f, data, key, policy)
 
 
 def zero_quadratic(f, policy=DEFAULT_POLICY):
-    """The zero homotopy f => f, whose target is f itself when
-    ``_settle_target`` can show it."""
-    return _settle_target(_quadratic(f, {}, {}, policy), f)
+    """The zero homotopy f => f, built with no law checked.
+
+    The zero lemma.  Each law of a quadratic derivation is linear in s or
+    in t: every term of the s-law has a factor s, and every term of
+    t-product and t-action a factor s or t (``_t_laws``).  So (s, t) =
+    (0, 0) satisfies all three for every f, and its three certificates are
+    EXHAUSTIVE by construction.  Over a free R, s is read through phi
+    (``_s_map``), whose images (f0(b), 0) lie in the subalgebra R' |x 0 of
+    R' |x E', so s = 0 on all of R.  The target (f0 + d1' o 0,
+    f1 + 0 o d1 + d2' o 0, f2 + 0 o d2) is f itself.
+
+    s and t are built as ``_certify`` builds them (``_s_map``, ``_t_map``),
+    so every shape it refuses is refused here too.  The derivation is kept
+    on f under the key of its data, and one already kept there is returned
+    instead.  Its target is f when ``_is_target`` shows it, which for a
+    zero homotopy asks only its certificate premise; otherwise the target
+    is certified when first read."""
+    (s_images, _, t_norm), key = _entry(f, {}, {}, policy)
+    qd = f._homotopies.get(key)
+    if qd is None:
+        certs = dict.fromkeys(("s-law", "t-product", "t-action"), EXHAUSTIVE)
+        qd = f._homotopies[key] = QuadraticDerivation(
+            f, s_images, _s_map(f, s_images, policy), t_norm, _t_map(f, t_norm), certs, policy
+        )
+    return _settle_target(qd, f)
 
 
 def _target_formulas(qd):
@@ -541,6 +584,8 @@ def _qd_target(qd):
     ``_settle_target`` takes that certified map m as the target, with no
     second certification, when ``_is_target`` shows the two equal:
 
+    * a homotopy with s = 0 and t = 0 has its base map f as its target,
+      by the zero lemma of ``zero_quadratic``, with no map compared;
     * linear maps that agree on a basis are equal, which covers g1 and g2
       over the finite E and L, and g0 over a finite R;
     * over a free R, algebra maps that agree on B are equal: g0 is one by
@@ -569,14 +614,19 @@ def _qd_target(qd):
 
 def _is_target(qd, m):
     """Whether the certified map m is qd's target, by the premises and
-    spanning sets of the lemma in ``_qd_target``."""
+    spanning sets of the lemma in ``_qd_target``: the certificate premise
+    always, then, unless qd is zero and m its base map (the zero lemma),
+    the comparison on spanning sets."""
     A, B = qd.f.src, qd.f.tgt
-    if m.src is not A or m.tgt is not B or not (A.E.is_finite() and A.L.is_finite()):
-        return False
     sampled = qd.policy.certificate
     certs = [m.certificates.get(law) for law in MORPHISM_LAWS]
     certs += [m.f0.multiplicative, m.f1.multiplicative, m.f2.multiplicative]
-    if not all(c is not None and (c.exhaustive or c == sampled) for c in certs):
+    if m.src is not A or m.tgt is not B or not all(c is not None and (c.exhaustive or c == sampled)
+                                                   for c in certs):
+        return False
+    if m is qd.f and not qd.t_images and all(v.is_zero() for v in qd.s_images.values()):
+        return True  # the zero lemma of zero_quadratic
+    if not (A.E.is_finite() and A.L.is_finite()):
         return False
     g0, g1, g2 = _target_formulas(qd)
     if not A.R.is_finite():

@@ -27,6 +27,7 @@ from xmod2.crossed import (
 )
 from xmod2.errors import LawViolation, MorphismViolation, XmodError
 from xmod2.maps import (
+    EXHAUSTIVE,
     BilinearMap,
     LinearMap,
     Policy,
@@ -36,9 +37,10 @@ from xmod2.maps import (
     zero_action,
     zero_map,
 )
-from xmod2.randgen import _random_element, random_free_two_crossed
+from xmod2.randgen import _random_element, random_2cm_morphism, random_cm_morphism, random_free_two_crossed
 from xmod2.rings import PrimeField, QQ
-from xmod2.tcm_homotopy import make_quadratic_derivation
+from xmod2.simplex import get_tower
+from xmod2.tcm_homotopy import make_quadratic_derivation, zero_quadratic
 
 from helpers import patch_everywhere, zero_2cm_morphism
 
@@ -319,3 +321,66 @@ def test_the_g0_tripwire_evaluates_once_per_spanned_monomial(monkeypatch):
     keys = [unit_key(r) for r in calls]
     assert 1 <= len(keys) <= 4 and len(set(keys)) == len(keys)
     assert keys[0] == ("x",) and all(key == ("x",) * len(key) for key in keys)
+
+
+def _zero_lemma_maps():
+    """Maps drawn from each groupoid input family: F3 -> F2 over Q, free F5
+    domains into the square-family and truncated kernels, the F1 slices,
+    and a finite-R kernel into itself."""
+    rng = random.Random(35)
+    F3, F2, F1 = fixtures.free_line_two_crossed(), fixtures.square_two_crossed(), fixtures.ideal_crossed()
+    out = [random_2cm_morphism(F3, F2, rng, policy=PROVED) for _ in range(3)]
+    for target in _kernel_targets():
+        D = random_free_two_crossed(F5, rng, max_dim=2, policy=PROVED)
+        out += [random_2cm_morphism(D, target, rng, policy=PROVED) for _ in range(2)]
+    out += [random_cm_morphism(F1, F1, rng, policy=PROVED) for _ in range(3)]
+    K = _shift_kernel()
+    return out + [random_2cm_morphism(K, K, rng, policy=PROVED) for _ in range(3)]
+
+
+def test_the_zero_homotopy_is_the_zero_derivation_the_laws_certify(monkeypatch):
+    """The zero lemma of zero_quadratic against the plain path.  On each
+    drawn map f, make_quadratic_derivation(f, {}, {}) certifies, and its
+    target, certified when read, equals f; zero_quadratic(f) is the same
+    derivation, built with no check_law call, with EXHAUSTIVE certificates
+    and f itself as its target (a target certified when read over the zero
+    map that randgen falls back to, whose level maps carry no certificate)."""
+    real, calls = maps.check_law, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    drawn = _zero_lemma_maps()
+    fallback = [f.f0.multiplicative is None for f in drawn]
+    assert 0 < sum(fallback) < len(drawn)
+    for f, zero_map_drawn in zip(drawn, fallback):
+        get_tower(f.tgt, PROVED)  # kept per policy: the tower's checks are not the homotopy's
+        with monkeypatch.context() as patch:
+            patch_everywhere(patch, real, counted)
+            zero = zero_quadratic(f, PROVED)
+        assert calls == [] and all(cert is EXHAUSTIVE for cert in zero.certificates.values())
+        # randgen's fallback, the zero map, meets no premise of _is_target
+        assert ("target" in vars(zero)) is not zero_map_drawn
+        assert zero.target.equal(f) and (zero.target is f) is not zero_map_drawn
+        plain = make_quadratic_derivation(f, {}, {}, PROVED)
+        assert plain is not zero and plain.equal(zero) and zero_quadratic(f, PROVED) is zero
+        assert plain.target is not f and plain.target.equal(f)
+
+
+def test_a_zero_homotopy_certifies_a_target_whose_premise_fails():
+    """f is the zero homotopy's target only when f's certificates meet the
+    premise of _is_target under its policy.  Otherwise the target is
+    certified when read, and equals f: over the zero map, whose level maps
+    carry no multiplicativity certificate, and under a policy other than
+    the one that sampled f's equivariance laws."""
+    F3, F2 = fixtures.free_line_two_crossed(), fixtures.square_two_crossed()
+    D = _table_acted_domain()
+    f = make_2cm_morphism(D, D, algebra_morphism(D.R, D.R, images={"x": D.R.monomial("x")}),
+                          identity_map(D.E), identity_map(D.L), PROVED)
+    assert f.certificates["f1-equivariance"] is PROVED.certificate
+    assert zero_quadratic(f, PROVED).target is f
+    for base, policy in ((zero_2cm_morphism(F3, F2, PROVED), PROVED), (f, SAMPLED)):
+        zero = zero_quadratic(base, policy)
+        assert "target" not in vars(zero)
+        assert zero.target is not base and zero.target.equal(base)

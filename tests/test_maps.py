@@ -547,6 +547,42 @@ def test_a_sampled_law_wrong_on_one_monomial_is_rejected_there():
     assert err.value.lhs == 2 * x2 and err.value.rhs == x2
 
 
+def test_a_sampled_law_finds_its_span_once_per_policy_and_list(monkeypatch):
+    """The span of a sampled law's tuples is found once, with its draws, and
+    kept in their _draws entry: a second check of the same list under the
+    same policy evaluates the same key tuples, a finite slot's the kept
+    basis elements, and a law wrong on x^2 alone is rejected with the same
+    witness both times.  Another policy finds and keeps its own span, and
+    R._draws holds one entry per (policy, list)."""
+    from xmod2 import maps
+
+    R = make_free_algebra(["x"], QQ)
+    _, E = f2_carriers()
+    pol, other = Policy(samples=10, max_degree=3, seed=0), Policy(samples=10, max_degree=3, seed=1)
+    real, found = maps._span, []
+    monkeypatch.setattr(maps, "_span", lambda tuples: found.append(len(tuples)) or real(tuples))
+    x2 = R.monomial("x", "x")
+    doubled = LinearMap(R, R, "function", fn=lambda u: 2 * u if unit_key(u) == ("x", "x") else u)
+    witnesses, seen = [], []
+    for _ in range(2):
+        with pytest.raises(MorphismViolation) as err:
+            check_law([R], doubled, lambda u: u, MorphismViolation, pol)
+        witnesses.append(err.value.witness)
+        calls = []
+        check_law([R, E], _counted(lambda r, e: r, calls), lambda r, e: r, MorphismViolation, pol)
+        seen.append(calls)
+    assert witnesses == [(x2,), (x2,)]
+    assert found == [1 + pol.samples, 2 + pol.samples]
+    assert seen[0] == seen[1] and [t[1] for t in seen[0]] == [t[1] for t in seen[1]]
+    assert all(t[1] is E.basis_element(unit_key(t[1])) for t in seen[0])
+    assert [tuple(map(unit_key, t)) for t in seen[0]] == _span_keys(law_tuples([R, E], pol)[0])
+
+    check_law([R], lambda u: u, lambda u: u, MorphismViolation, other)
+    assert found == [1 + pol.samples, 2 + pol.samples, 1 + other.samples]
+    assert set(R._draws) == {(pol, (R,)), (pol, (R, E)), (other, (R,))}
+    assert list(R._draws[(other, (R,))].span) == _span_keys(law_tuples([R], other)[0])
+
+
 def test_a_sampled_law_keeps_its_certificate_and_tuples():
     """Deciding on spanned key tuples changes neither the certificate (the
     policy's own object) nor the tuples law_tuples gives."""
