@@ -573,7 +573,7 @@ def test_a_sampled_law_finds_its_span_once_per_policy_and_list(monkeypatch):
         seen.append(calls)
     assert witnesses == [(x2,), (x2,)]
     assert found == [1 + pol.samples, 2 + pol.samples]
-    assert seen[0] == seen[1] and [t[1] for t in seen[0]] == [t[1] for t in seen[1]]
+    assert seen[0] == seen[1] and all(a[1] is b[1] for a, b in zip(*seen))
     assert all(t[1] is E.basis_element(unit_key(t[1])) for t in seen[0])
     assert [tuple(map(unit_key, t)) for t in seen[0]] == _span_keys(law_tuples([R, E], pol)[0])
 
