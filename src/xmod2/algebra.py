@@ -349,6 +349,7 @@ class FiniteAlgebra(Algebra):
         self._labelset = set(self.labels)
         self._table = table  # (label, label) -> dict(label -> scalar), both orders present
         self._draws = {}  # sampled law tuples and their span, kept by maps._sampled
+        self._factors = {}  # law factors (basis, generating set, triangle starts), kept by maps
         self._kept = {}
         self._products = {}  # (label, label) -> kept product, one per table pair
 
@@ -427,6 +428,7 @@ class FreeAlgebra(Algebra):
         self.generators = tuple(generators)
         self._genset = set(self.generators)
         self._draws = {}  # sampled law tuples and their span, kept by maps._sampled
+        self._factors = {}  # law factors (basis, generating set, triangle starts), kept by maps
         self._generator_elements = [Element(self, {(g,): ring.one}) for g in self.generators]
 
     def check_key(self, key):
@@ -505,6 +507,7 @@ class SemidirectAlgebra(Algebra):
         self._mulcache = {}  # basis-key products recur heavily in law checks
         self._slots = None  # basis_slots, found on first use
         self._draws = {}  # sampled law tuples and their span, kept by maps._sampled
+        self._factors = {}  # law factors (basis, generating set, triangle starts), kept by maps
         dl, dr = left.dim(), right.dim()
         self._dim = None if dl is None or dr is None else dl + dr  # the parts never change
         if self._dim is not None:

@@ -39,6 +39,9 @@ as before:
 * ``certify_multiplicative``: a on G, x over the basis; out of a finite
   semidirect product, only the pairs of the slot triangle, whose x lies
   in a slot not before a's (the slot-triangle lemma in its docstring);
+  and, when f equals a given proved map on the left part X of X |x Y,
+  compared on X's basis keys, not X's block of that triangle (the
+  left-part lemma in its docstring);
 * ``certify_action``: A2 with r1 on G_R, then A1 with r on G_R and m1 on
   G_M, over finite algebras;
 * ``simplex.check_simplicial_identities``: each identity on G of its
@@ -64,7 +67,10 @@ action proved on a basis is commutative and associative), the zero
 homotopy by the zero lemma (``tcm_homotopy.zero_quadratic``: each law of a
 quadratic derivation is linear in s or t, so (0, 0) satisfies it), and a
 target equal to a certified map, which carries that map's certificates
-(``tcm_homotopy._settle_target``).
+(``tcm_homotopy._settle_target``).  The left-part lemma's comparison is
+the one law decided outside ``check_law``: it is the identity f o i = h on
+a basis of X, i the inclusion, and the nine simplicial identities of that
+form are reported from it (``simplex.check_simplicial_identities``).
 
 Sampled tuples depend on the policy and the algebra list alone: the
 sampled part of a law over a non-finite list is N draws of degree <= D
@@ -74,9 +80,18 @@ draws them the first time it sees (policy, list) and keeps them under that
 key on the first algebra of the list, the way a 2-crossed module keeps its
 towers, with the key tuples that the law's tuples span; a later call gets
 the same objects back without drawing, and a later check the same span
-without finding it again.  Keys
+and the same list of tuples without building them again.  Keys
 hold the algebras themselves, never their ids, so two structures never
 share an entry, and the memo goes with its structure.
+
+The factors of exhaustive tuples are kept the same way, on the algebra
+itself (``_kept``), at most three per algebra: a finite algebra's basis
+elements with their keys, its generating set with its keys (a free
+algebra's generators), and a finite semidirect product's slot triangle.
+A generating set is kept only once found, never a None, since a
+semidirect product's certificate can arrive later.  ``law_tuples``
+builds a ``BasisTuples`` from them, and the key kernels read the kept
+keys, so no check rebuilds a list or calls ``unit_key`` per element.
 
 For a table action of a free algebra, monomials act by iterated generator
 action: the key image of g1...gk applies the rows of g1, ..., gk in turn.
@@ -236,13 +251,14 @@ def _skeleton(alg):
 
 class _Draws(tuple):
     """A policy's sampled tuples over a list of algebras, as ``_sampled``
-    keeps them, with their ``span`` (``_span``)."""
+    keeps them, with the law's ``tuples`` (the skeleton tuples followed by
+    the draws) and their ``span`` (``_span``)."""
 
 
 def _sampled(algebras, policy):
     """The policy's sampled tuples over algebras, drawn from a fresh
     Random(policy.seed) on the first call and kept on algebras[0], with the
-    span of the law's tuples, found then and kept with them."""
+    law's tuples and their span, found then and kept with them."""
     memo = algebras[0]._draws
     draws = memo.get((policy, algebras))
     if draws is None:
@@ -251,7 +267,8 @@ def _sampled(algebras, policy):
             tuple(random_element(a, rng, policy.max_degree) for a in algebras)
             for _ in range(policy.samples)
         )
-        draws.span = _span(_skeleton_tuples(algebras) + list(draws))
+        draws.tuples = _skeleton_tuples(algebras) + list(draws)
+        draws.span = _span(draws.tuples)
     return draws
 
 
@@ -305,20 +322,57 @@ class BasisTuples:
         return ((u, v) for u, start in zip(left, starts) for v in right[start:])
 
 
+class _Factor(tuple):
+    """The elements of one slot of a law's tuples, with their ``keys``
+    (``unit_key`` of each), as ``_keyed`` builds them."""
+
+
+def _keyed(elements):
+    factor = _Factor(elements)
+    factor.keys = tuple(unit_key(u) for u in factor)
+    return factor
+
+
+def _kept(alg, name, find):
+    """alg's law factor ``name``, found by find(alg) on first use and kept
+    on alg (``_factors``), so it lives and dies with alg: "basis", a finite
+    algebra's basis elements; "generating", its generating set (or a free
+    algebra's generators); "starts", a semidirect product's slot triangle."""
+    factors = alg._factors
+    if name not in factors:
+        factors[name] = find(alg)
+    return factors[name]
+
+
+def _basis(alg):
+    """The basis elements of a finite algebra, with their keys."""
+    return _kept(alg, "basis", lambda a: _keyed(a.basis_elements()))
+
+
 def _generating(alg):
-    """The elements a generator slot over alg is checked on: a free
-    algebra's generators, or the generating set of a finite algebra whose
-    commutativity and associativity are proved (``_proved``); None for any
-    other algebra, whose slot then takes no generator rule."""
+    """The elements a generator slot over alg is checked on, with their
+    keys: a free algebra's generators, or the generating set of a finite
+    algebra whose commutativity and associativity are proved (``_proved``);
+    None for any other algebra, whose slot then takes no generator rule.
+    The set is kept, never a None: a semidirect product's certificate can
+    arrive later, and ``_proved`` is read on every call."""
     if isinstance(alg, FreeAlgebra):
-        return alg.generator_elements()
+        return _kept(alg, "generating", lambda a: _keyed(a.generator_elements()))
     if alg.is_finite() and _proved(alg):
-        basis = alg.basis_elements()
-        return [basis[i] for i in alg.generating_positions()]
+        return _kept(alg, "generating", lambda a: _keyed(_basis(a)[i] for i in a.generating_positions()))
     return None
 
 
-def law_tuples(algebras, policy=DEFAULT_POLICY, generators=(), triangle=False):
+def _triangle(alg):
+    """The slot triangle of a finite semidirect product: for each element of
+    its generating set, the first basis position of its slot."""
+    slots, first = alg.basis_slots(), {}
+    for position, slot in enumerate(slots):
+        first.setdefault(slot, position)
+    return tuple(first[slots[i]] for i in alg.generating_positions())
+
+
+def law_tuples(algebras, policy=DEFAULT_POLICY, generators=(), triangle=None):
     """Tuples on which to test a multilinear law over the given algebras;
     called by ``check_law`` alone.
 
@@ -327,34 +381,28 @@ def law_tuples(algebras, policy=DEFAULT_POLICY, generators=(), triangle=False):
     has a generating set (``_generating``) and every other slot is finite,
     that set in those slots times the bases elsewhere (the generator lemma
     of the module docstring); else, when every slot is finite, the full
-    cartesian product of bases.  Both are a ``BasisTuples``, which builds a
-    tuple only when it is read.  ``triangle``, for a law over [S, S] with
-    S a semidirect product and slot 0 a generator slot, keeps only the
-    slot triangle of that product (the lemma of ``certify_multiplicative``).
+    cartesian product of bases.  Both are a ``BasisTuples`` of the factors
+    each algebra keeps (``_basis``, ``_generating``), with their keys; it
+    builds a tuple only when it is read.  ``triangle``, for a law over
+    [S, S] with S a semidirect product and slot 0 a generator slot, gives
+    the first basis position each generator pairs with (the slot triangle
+    of ``certify_multiplicative``).
 
     Otherwise the skeleton tuples are followed by policy.samples random
     tuples of degree <= policy.max_degree, drawn from Random(policy.seed):
-    a function of (policy, algebras), kept on algebras[0] and drawn only
-    the first time.
+    a function of (policy, algebras), kept on algebras[0] with those
+    tuples, drawn and listed only the first time and returned as kept.
     """
     if generators:
         factors = [
-            _generating(a) if i in generators else a.basis_elements() if a.is_finite() else None
+            _generating(a) if i in generators else _basis(a) if a.is_finite() else None
             for i, a in enumerate(algebras)
         ]
         if all(f is not None for f in factors):
-            starts = None
-            if triangle:  # the first basis position of each generator's slot
-                slots, first = algebras[0].basis_slots(), {}
-                for position, slot in enumerate(slots):
-                    first.setdefault(slot, position)
-                starts = [first[slots[i]] for i in algebras[0].generating_positions()]
-            return BasisTuples(factors, starts), True
+            return BasisTuples(factors, triangle), True
     if all(a.is_finite() for a in algebras):
-        return BasisTuples([a.basis_elements() for a in algebras]), True
-    tuples = _skeleton_tuples(algebras)
-    tuples.extend(_sampled(tuple(algebras), policy))
-    return tuples, False
+        return BasisTuples([_basis(a) for a in algebras]), True
+    return _sampled(tuple(algebras), policy).tuples, False
 
 
 def _spanned(algebras, policy, tuples):
@@ -376,7 +424,7 @@ def _unit(alg, key):
 
 
 def check_law(algebras, lhs, rhs, error, policy, on_keys=None, generators=(), by_construction=False,
-              triangle=False):
+              triangle=None):
     """Check the multilinear law lhs(*t) == rhs(*t) on law_tuples(algebras),
     the one caller of ``law_tuples``.
 
@@ -405,10 +453,11 @@ def check_law(algebras, lhs, rhs, error, policy, on_keys=None, generators=(), by
     the way its maps were built: nothing is evaluated and the certificate
     is EXHAUSTIVE.  The sides are still given, as the statement of the law.
 
-    ``triangle`` asks ``law_tuples`` for the slot triangle of a semidirect
-    product in place of the generator rule's full product; the kernel then
-    gets the tuples' ``starts`` too, and may name a pair outside the
-    triangle, which sends the law to the full basis as a failure does.
+    ``triangle`` gives ``law_tuples`` the slot triangle of a semidirect
+    product, each generator's first basis position, in place of the
+    generator rule's full product; the kernel then gets the tuples'
+    ``starts`` too, and may name a pair outside the triangle, which sends
+    the law to the full basis as a failure does.
 
     ``on_keys`` decides the law on basis keys: given the basis key lists
     of the slots (a generating set's keys in a generator slot), it returns
@@ -435,11 +484,12 @@ def _first_failure(algebras, policy, tuples, exhaustive, lhs, rhs, on_keys):
     """(t, lhs(*t), rhs(*t)) at the first tuple t of law_tuples' output
     where the sides differ, or None."""
     if exhaustive and on_keys is not None:
-        # Keys taken from the basis elements, not from basis_keys(), which
-        # builds new tuples for a semidirect product: the memo and cache
-        # entries made here then hold the very key objects that later
-        # lookups pass, and those compare by identity, not by value.
-        keys = [[unit_key(u) for u in factor] for factor in tuples.factors]
+        # The keys kept with the factors are those of the kept basis
+        # elements, not of basis_keys(), which builds new tuples for a
+        # semidirect product: the memo and cache entries made here then hold
+        # the very key objects that later lookups pass, and those compare
+        # by identity, not by value.
+        keys = [factor.keys for factor in tuples.factors]
         positions = on_keys(*keys) if tuples.starts is None else on_keys(*keys, starts=tuples.starts)
         if positions is None:
             return None
@@ -520,6 +570,7 @@ class LinearMap:
         self.fn = fn
         self.note = note
         self.multiplicative = None  # Certificate once certified
+        self.left = None  # maps whose composite is f on its source's left part (certify_multiplicative)
         self._memo = {}  # basis key -> image (substitution and function rules)
 
     def _image(self, key):
@@ -579,7 +630,7 @@ def identity_map(alg):
     return f
 
 
-def certify_multiplicative(f, policy=DEFAULT_POLICY):
+def certify_multiplicative(f, policy=DEFAULT_POLICY, left=None):
     """Certify f(ax) = f(a)f(x); stored as f.multiplicative.
 
     The lemma (the generator rule in a, x over the basis): the law is
@@ -606,30 +657,75 @@ def certify_multiplicative(f, policy=DEFAULT_POLICY):
     generator rule; on each pair it skips, the kernel checks that the
     source product is symmetric, and a mismatch decides the law again on
     the full basis, as a failure does.  Every other source keeps the
-    generator rule alone."""
-    source_mul, target_mul = f.source.key_mul, f.target.key_mul
-    ring, image = f.target.ring, _Lazy(lambda k: f._image(k).coeffs)  # key -> f(key) coeffs
+    generator rule alone.
+
+    The left-part lemma.  Let the source X |x Y be finite, the target Z
+    proved, and ``left`` a list of proved algebra maps whose composite h
+    runs from X to Z (the empty list for the identity of X = Z).  If
+    f(0, k) = h(k) for every basis key k of X (dim X key-image
+    comparisons), then f|X = h, since (x, 0)(x', 0) = (xx', 0), so f|X is
+    multiplicative.  X's block of the slot triangle, the pairs with both
+    elements in X's slots and the symmetry checks among them, is then
+    implied, and X's generators pair with B_Y alone; G_X x B_Y, Y's own
+    triangle and the symmetry checks of Y's generators against X's
+    positions are checked as before.  The comparison is the identity
+    f o i = h on a basis of X, i the inclusion x -> (x, 0), so it is
+    recorded: f.left is the tuple of ``left``.  In any other case (a
+    comparison that fails, an unproved map of ``left``, an infinite
+    source) the law takes the slot triangle, and a failure either way is
+    decided again on the full basis, so errors and witnesses are the ones
+    without ``left``."""
+    source, target = f.source, f.target
+    source_mul, target_mul = source.key_mul, target.key_mul
+    ring, image = target.ring, _Lazy(lambda k: f._image(k).coeffs)  # key -> f(key) coeffs
+    generators, triangle, shown = (0,) if _proved(target) else (), None, False
+    if generators and isinstance(source, SemidirectAlgebra) and source.is_finite():
+        triangle = _kept(source, "starts", _triangle)
+        shown = left is not None and _shows_left(f, left, image)
+        if shown:  # X's generators pair with B_Y alone
+            triangle = tuple(max(start, source.left.dim()) for start in triangle)
 
     def on_keys(akeys, xkeys, starts=None):  # f(k1k2) = f(k1)f(k2)
         for i, k1 in enumerate(akeys):
             start = 0 if starts is None else starts[i]
-            for j in range(start):  # outside the triangle: k1k2 = k2k1
+            # outside the triangle: k1k2 = k2k1, but for X's block under the lemma
+            for j in range(start if shown and k1[0] == 0 else 0, start):
                 if source_mul(k1, xkeys[j]).coeffs != source_mul(xkeys[j], k1).coeffs:
                     return i, j
             for j, k2 in enumerate(xkeys[start:] if start else xkeys, start):
                 product = source_mul(k1, k2).coeffs
-                left = product and combine(ring, [(c, image[k]) for k, c in product.items()])
+                lhs = product and combine(ring, [(c, image[k]) for k, c in product.items()])
                 a, b = image[k1], image[k2]
-                if left != (a and b and bilinear(ring, a, b, target_mul)):
+                if lhs != (a and b and bilinear(ring, a, b, target_mul)):
                     return i, j
         return None
 
     f.multiplicative = check_law(
-        [f.source, f.source], lambda u, v: f(u * v), lambda u, v: f(u) * f(v),
-        MorphismViolation, policy, on_keys=on_keys, generators=(0,) if _proved(f.target) else (),
-        triangle=isinstance(f.source, SemidirectAlgebra),
+        [source, source], lambda u, v: f(u * v), lambda u, v: f(u) * f(v),
+        MorphismViolation, policy, on_keys=on_keys, generators=generators, triangle=triangle,
     )
+    if shown:
+        f.left = tuple(left)
     return f.multiplicative
+
+
+def _shows_left(f, left, image):
+    """Whether f(0, k) = h(k) for every basis key k of the left part X of
+    f's source, h the composite of the maps ``left``, in order, each a
+    proved algebra map, from X to f's target; f's images are read through
+    ``image``."""
+    X, ring = f.source.left, f.target.ring
+    ends = [X, *(end for g in left for end in (g.source, g.target)), f.target]
+    if not (all(is_proof(g.multiplicative) for g in left)
+            and all(a is b or a.compatible(b) for a, b in zip(ends[::2], ends[1::2]))):
+        return False
+    for k, key in zip(_basis(X).keys, _basis(f.source).keys):  # (0, k) leads the source's basis
+        h = {k: ring.one}
+        for g in left:
+            h = _extend(ring, h, g._image)
+        if image[key] != h:
+            return False
+    return True
 
 
 def algebra_morphism(source, target, images=None, fn=None, policy=DEFAULT_POLICY, note=""):

@@ -51,6 +51,24 @@ are stamped EXHAUSTIVE, with no law check (``_by_construction``).  The
 simplicial identities still check them against every other face and
 degeneracy.
 
+On that left part Lam_{n-1}, every other face and degeneracy is a map
+already certified: d1 s0 = id, d_i s0 = s0 d_{i-1} and s_i s0 = s0 s_{i-1}
+(May, Simplicial Objects in Algebraic Topology, 1967, section 1).  So
+``build_tower`` builds d0 and s0 first and certifies d_i and s_i (i >= 1)
+with their left part (``_left_part``): the identity for d1, d_{i-1} then
+s0 for d_i, s_{i-1} then s0 for s_i.  ``maps.certify_multiplicative``
+compares f(0, k) with that composite on the basis keys k of Lam_{n-1} and,
+when they agree, leaves out the block of Lam_{n-1} in its slot triangle
+(its left-part lemma).  Each comparison that holds is a simplicial
+identity checked on a basis of its level, f o s0 = s0 o g, s0 being the
+inclusion; the tower keeps it (``SimplexTower.shown``), and
+``check_simplicial_identities`` reports it as passing without evaluating
+it again, when its maps are the very objects compared.  Nine listed
+identities are of that form: d1.s0=id@0..2, d2.s0=s0.d1@1,
+d2.s0=s0.d1@2, d3.s0=s0.d2@2, s1.s0=s0.s0@0, s1.s0=s0.s0@1 and
+s2.s0=s0.s1@1.  A face that ``with_face`` puts in was not compared, so
+the identities through it are checked as before.
+
 One evaluator reads an entry (``_evaluator``).  Every level, and E |x L and
 (E |x L) |x L, has one flat ``Codec``, built from the levels alone: it
 routes each key of its level to (slot, part key) and tags each part key
@@ -176,14 +194,16 @@ class SimplexTower:
     ``build_tower``).  faces[(n, i)] : Lam_n -> Lam_{n-1};
     degeneracies[(n, i)] : Lam_n -> Lam_{n+1}.  codecs[n] is the Codec of
     Lam_n; split2/simplex2 and, at top 3, split3/simplex3 are the split
-    and pack of Lam2 and Lam3.
+    and pack of Lam2 and Lam3.  ``shown`` holds the identities the
+    left-part lemma showed on a basis while the maps were certified, each
+    as (lhs maps, rhs maps), first to last (``build_tower``).
     """
 
-    def __init__(self, base, codecs, faces, degeneracies, actions):
+    def __init__(self, base, codecs, faces, degeneracies, actions, shown=frozenset()):
         self.base = base
-        self._set(codecs, faces, degeneracies, actions)
+        self._set(codecs, faces, degeneracies, actions, shown)
 
-    def _set(self, codecs, faces, degeneracies, actions):
+    def _set(self, codecs, faces, degeneracies, actions, shown):
         self.codecs = codecs
         self.top = len(codecs) - 1
         self.levels = tuple(c.level for c in codecs)
@@ -195,6 +215,7 @@ class SimplexTower:
         self.faces = faces
         self.degeneracies = degeneracies
         self.actions = actions
+        self.shown = shown
 
     def face(self, n, i, u):
         if (n, i) not in self.faces:
@@ -301,34 +322,50 @@ def build_tower(A, policy=DEFAULT_POLICY, top=3, lower=None):
     (E |x L) |x L, >t and its components, Lam3 and the maps to and from
     it) is built and certified.  A failure leaves ``lower`` as it was.
     From scratch, every level and action is certified before the faces and
-    degeneracies, which are built in (n, i) order from their table
-    entries: d0 and s0 by construction (``_by_construction``), every other
-    one certified by ``maps.certify_multiplicative``.
+    degeneracies, which are built from their table entries: d0 and s0
+    first, by construction (``_by_construction``), then the others in
+    (n, i) order, faces first, each certified by
+    ``maps.certify_multiplicative`` with its left part (``_left_part``).
     """
     if lower is None:
-        actions, faces, degeneracies = {"prime": A.act_prime}, {}, {}
+        actions, faces, degeneracies, shown = {"prime": A.act_prime}, {}, {}, set()
         codecs = _lower_stage(A, actions, policy)
     else:
         codecs, actions = lower.codecs, dict(lower.actions)
-        faces, degeneracies = dict(lower.faces), dict(lower.degeneracies)
+        faces, degeneracies, shown = dict(lower.faces), dict(lower.degeneracies), set(lower.shown)
     if top == 3 and len(codecs) == 3:
         codecs += (_upper_stage(A, codecs, actions, policy),)
-    for store, table, step, tag in ((faces, _FACES, -1, "d"), (degeneracies, _DEGENERACIES, 1, "s")):
-        for n, i in [(n, i) for n in range(len(codecs)) for i in range(n + 1)]:
-            m = n + step
-            if (n, i) in store or not 0 <= m < len(codecs):
-                continue
-            image = _evaluator(A, table[(n, i)], (codecs[n],), (_NAMES[n],), codecs[m], _NAMES[m])
-            f = _TermMap(codecs[n].level, codecs[m].level, image, "%s%d@%d" % (tag, i, n))
-            if i == 0:
-                _by_construction(f)
-            else:
-                certify_multiplicative(f, policy)
-            store[(n, i)] = f
+    for first in (True, False):
+        for store, table, step, tag in ((faces, _FACES, -1, "d"), (degeneracies, _DEGENERACIES, 1, "s")):
+            for n, i in [(n, i) for n in range(len(codecs)) for i in range(n + 1) if (i == 0) is first]:
+                m = n + step
+                if (n, i) in store or not 0 <= m < len(codecs):
+                    continue
+                image = _evaluator(A, table[(n, i)], (codecs[n],), (_NAMES[n],), codecs[m], _NAMES[m])
+                f = _TermMap(codecs[n].level, codecs[m].level, image, "%s%d@%d" % (tag, i, n))
+                if first:
+                    _by_construction(f)
+                else:
+                    certify_multiplicative(f, policy, _left_part(faces, degeneracies, tag, n, i))
+                    if f.left is not None:  # f o s0 = the composite, shown on a basis
+                        shown.add(((degeneracies[(n - 1, 0)], f), f.left))
+                store[(n, i)] = f
+    faces, degeneracies = dict(sorted(faces.items())), dict(sorted(degeneracies.items()))  # (n, i) order
     if lower is None:
-        return SimplexTower(A, codecs, faces, degeneracies, actions)
-    lower._set(codecs, faces, degeneracies, actions)
+        return SimplexTower(A, codecs, faces, degeneracies, actions, shown)
+    lower._set(codecs, faces, degeneracies, actions, shown)
     return lower
+
+
+def _left_part(faces, degeneracies, tag, n, i):
+    """The maps whose composite d_i or s_i at level n (i >= 1) is on the
+    left part Lam_{n-1} of Lam_n = Lam_{n-1} |x X, by d1 s0 = id,
+    d_i s0 = s0 d_{i-1} and s_i s0 = s0 s_{i-1}: none, the identity, for d1;
+    d_{i-1} at n - 1, then s0, for d_i; s_{i-1} at n - 1, then s0, for
+    s_i.  Each was built before it, the s0 maps first."""
+    if tag == "s":
+        return degeneracies[(n - 1, i - 1)], degeneracies[(n, 0)]
+    return () if i == 1 else (faces[(n - 1, i - 1)], degeneracies[(n - 2, 0)])
 
 
 def _leaf(A, note, actor, acted):
@@ -623,11 +660,18 @@ def check_simplicial_identities(T, policy=DEFAULT_POLICY):
     generating set of its level (the generator rule).  An identity through
     an uncertified map, such as the one ``with_face`` puts in, is checked
     on the basis.  A failure on a generating set is decided again on the
-    basis, so the witness is the one the basis check finds."""
+    basis, so the witness is the one the basis check finds.
+
+    An identity in ``T.shown`` passes with nothing evaluated: the left-part
+    lemma compared its two sides on a basis of its level while certifying
+    its face or degeneracy, and its maps are the very objects compared."""
     entries = []
     images = _Lazy(lambda f: _Lazy(f._image))  # f -> key -> f(key)
     for kind, (i, j), n in simplicial_identity_list():
         name, lhs, rhs = _identity(T, kind, i, j, n)
+        if (tuple(lhs), tuple(rhs)) in T.shown:
+            entries.append((name, True, None))
+            continue
         level = T.levels[n]
         left, right = _key_composite(lhs, level.ring, images), _key_composite(rhs, level.ring, images)
 
@@ -648,4 +692,4 @@ def with_face(T, n, i, linmap):
     """A copy of the tower with one face replaced (mutation testing)."""
     faces = dict(T.faces)
     faces[(n, i)] = linmap
-    return SimplexTower(T.base, T.codecs, faces, dict(T.degeneracies), T.actions)
+    return SimplexTower(T.base, T.codecs, faces, dict(T.degeneracies), T.actions, T.shown)

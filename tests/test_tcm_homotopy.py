@@ -726,7 +726,14 @@ def test_work_count_of_a_derivation_on_a_fresh_target(monkeypatch):
     d1@2, d2@2 and s1@1 leave Lam1 = R |x E or Lam2, and each is checked on
     a pair (g, b) only when b's slot is not before g's
     (``maps.certify_multiplicative``); the other pairs are decided by the
-    symmetry of the source product."""
+    symmetry of the source product.
+
+    The left-part lemma then took it from [10, 242] to [10, 210]: on the
+    left part Lam_{n-1} of Lam_n = Lam_{n-1} |x X, d1@1 and d1@2 are the
+    identity, d2@2 is s0 o d1@1 and s1@1 is s0 o s0; once each is compared
+    with that map on the basis keys of Lam_{n-1}, its restriction there is
+    an algebra map, and the block of Lam_{n-1} in its slot triangle is not
+    checked (``maps.certify_multiplicative``)."""
     _, B, f, qd = _free_domain_instance(5)
     pol = Policy(10, 4, 0)
     assert (B.R.dim(), B.E.dim(), B.L.dim()) == (2, 2, 2) and pol not in B._towers
@@ -737,7 +744,7 @@ def test_work_count_of_a_derivation_on_a_fresh_target(monkeypatch):
     assert entered == {"get_tower": 1, "build_tower": 1}
     assert certified == {"certify_action": 1}  # >.
     assert B._towers[pol].top == 2 and set(B._towers[pol].actions) == {"prime", "bullet"}
-    assert seen == [10, 242]
+    assert seen == [10, 210]
 
 
 def test_completing_a_kept_lower_stage_gives_the_whole_tower(monkeypatch):
