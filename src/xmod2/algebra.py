@@ -26,10 +26,18 @@ it; a linear map extends its key images by ``combine`` (``maps._extend``),
 and the exhaustive law checks of ``maps`` use the two kernels.  So the
 arithmetic has one implementation.
 
-A finite algebra also names a generating set: positions in its basis of
-basis elements whose products span it (``generating_positions``), found
-once and kept.  ``maps.check_law`` checks a law on it in a slot whose
-solution set is closed under products (the generator rule).
+Every spanning set a law is checked on is kept here, once, as a ``Kept``
+tuple of elements with their keys: a finite algebra's basis
+(``basis_elements``), the elements a generator slot is checked on
+(``generator_elements``: a free algebra's generators, or a finite
+algebra's basis elements at ``generating_positions``, the positions of
+basis elements whose products span it), and a finite semidirect product's
+slot triangle (``SemidirectAlgebra.triangle``, the first basis position
+each generator pairs with).  Each is built on first use (a free algebra's
+generators with the algebra) and every call returns the same object.
+``maps.check_law`` checks a law on them: a generating set in a slot whose
+solution set is closed under products (the generator rule), the bases
+elsewhere.
 
 An element's ``coeffs`` dict may be shared: a product of two basis keys is
 the ``key_mul`` value itself (a structure-table row, or a semidirect
@@ -45,10 +53,9 @@ scalings, products, ``element``, the semidirect embeddings, ``pair`` and
 gives ``zero()`` for an empty dict (so do the maps, actions and liftings
 of ``maps``).  A finite algebra keeps each basis element it builds
 (``basis_element``), so every caller of a key gets the same object, and
-each product of a pair of basis keys with a table row (``key_mul``); a
-free algebra builds its generators' elements once (``generator_elements``).
-So nothing may mutate the ``coeffs`` of an element it did not just build,
-a zero, a basis element or a kept product included.
+each product of a pair of basis keys with a table row (``key_mul``).  So
+nothing may mutate the ``coeffs`` of an element it did not just build, a
+zero, a basis element or a kept product included, nor a kept tuple.
 """
 
 from .errors import (
@@ -153,6 +160,19 @@ def unit_key(u):
     return None
 
 
+class Kept(tuple):
+    """Elements an algebra keeps, in order, with their ``keys``: the key of
+    each, which is one basis key with coefficient one (``unit_key``).  The
+    keys are those of the kept elements, not of ``basis_keys()``, which
+    builds new tuples for a semidirect product, so the memo and cache
+    entries a key kernel makes hold the very key objects later lookups pass."""
+
+    def __new__(cls, elements):
+        kept = super().__new__(cls, elements)
+        kept.keys = tuple(unit_key(u) for u in kept)
+        return kept
+
+
 def combine(ring, terms):
     """The normalised coefficient dict of sum(c * coeffs) over a list of
     (scalar, coeffs) terms.
@@ -229,8 +249,9 @@ class Algebra:
     ring = None
     _zero = None  # zero(), built on first use
     _kept = None  # basis key -> basis element, kept by a finite algebra only
-    _basis = None  # basis elements, built by basis_elements on first use
+    _basis = None  # basis_elements, built on first use
     _generating = None  # generating_positions, found on first use
+    _generators = None  # generator_elements, built on first use or with a free algebra
 
     # -- elements ----------------------------------------------------------
 
@@ -306,16 +327,26 @@ class Algebra:
         raise BadShape("%r has no finite basis" % (self,))
 
     def basis_elements(self):
-        """A fresh list of the basis elements, the ones ``basis_element``
-        keeps, listed once."""
+        """The basis elements, the ones ``basis_element`` keeps, in basis
+        order: one ``Kept`` tuple, built on first use (finite algebras only)."""
         if self._basis is None:
-            self._basis = [self.basis_element(k) for k in self.basis_keys()]
-        return list(self._basis)
+            self._basis = Kept(self.basis_element(k) for k in self.basis_keys())
+        return self._basis
 
     def generating_positions(self):
         """Positions in the basis of basis elements that generate the
         algebra: their products, iterated, span it (finite algebras only)."""
         raise BadShape("%r has no finite basis" % (self,))
+
+    def generator_elements(self):
+        """The elements a generator slot over this algebra is checked on, one
+        ``Kept`` tuple: a free algebra's generators, built with it, or a
+        finite algebra's basis elements at ``generating_positions``, built on
+        first use.  Whether the slot may take them is ``maps``' to decide."""
+        if self._generators is None:
+            basis = self.basis_elements()
+            self._generators = Kept(basis[i] for i in self.generating_positions())
+        return self._generators
 
     def compatible(self, other):
         raise NotImplementedError
@@ -349,7 +380,6 @@ class FiniteAlgebra(Algebra):
         self._labelset = set(self.labels)
         self._table = table  # (label, label) -> dict(label -> scalar), both orders present
         self._draws = {}  # sampled law tuples and their span, kept by maps._sampled
-        self._factors = {}  # law factors (basis, generating set, triangle starts), kept by maps
         self._kept = {}
         self._products = {}  # (label, label) -> kept product, one per table pair
 
@@ -428,8 +458,7 @@ class FreeAlgebra(Algebra):
         self.generators = tuple(generators)
         self._genset = set(self.generators)
         self._draws = {}  # sampled law tuples and their span, kept by maps._sampled
-        self._factors = {}  # law factors (basis, generating set, triangle starts), kept by maps
-        self._generator_elements = [Element(self, {(g,): ring.one}) for g in self.generators]
+        self._generators = Kept(Element(self, {(g,): ring.one}) for g in self.generators)
 
     def check_key(self, key):
         if not isinstance(key, tuple) or not key:
@@ -444,11 +473,6 @@ class FreeAlgebra(Algebra):
 
     def dim(self):
         return None
-
-    def generator_elements(self):
-        """A fresh list of the generators' elements, built once, with the
-        algebra, and shared."""
-        return list(self._generator_elements)
 
     def monomial(self, *labels):
         return self.basis_element(tuple(labels))
@@ -505,9 +529,8 @@ class SemidirectAlgebra(Algebra):
         self.action = action
         self.certificate = None  # commutativity/associativity, set by maps.certify_algebra
         self._mulcache = {}  # basis-key products recur heavily in law checks
-        self._slots = None  # basis_slots, found on first use
+        self._starts = None  # triangle, found on first use
         self._draws = {}  # sampled law tuples and their span, kept by maps._sampled
-        self._factors = {}  # law factors (basis, generating set, triangle starts), kept by maps
         dl, dr = left.dim(), right.dim()
         self._dim = None if dl is None or dr is None else dl + dr  # the parts never change
         if self._dim is not None:
@@ -583,13 +606,17 @@ class SemidirectAlgebra(Algebra):
                 shift + i for i in self.right.generating_positions())
         return self._generating
 
-    def basis_slots(self):
-        """The slot of each basis element, in basis order, found once: the
-        parts that are not semidirect products, numbered left to right down
-        the nesting, so the basis lists the slots in nondecreasing order."""
-        if self._slots is None:
-            self._slots = _leaf_slots(self, 0)[0]
-        return self._slots
+    def triangle(self):
+        """The slot triangle's starts, found once (finite products only): for
+        each element of ``generator_elements``, the first basis position of
+        its slot.  The slots are the parts that are not semidirect products,
+        left to right down the nesting, so each is a run of the basis; the
+        triangle pairs a generator with the basis from its slot's start on
+        (``maps.certify_multiplicative``)."""
+        if self._starts is None:
+            starts = _slot_starts(self, 0)
+            self._starts = tuple(starts[i] for i in self.generating_positions())
+        return self._starts
 
     def compatible(self, other):
         return (
@@ -604,14 +631,12 @@ class SemidirectAlgebra(Algebra):
         return "(%s, %s)" % (self.left.element_str(l), self.right.element_str(r))
 
 
-def _leaf_slots(alg, first):
-    """(the slot of each basis element of alg, the next free slot), its
-    slots numbered from first."""
+def _slot_starts(alg, first):
+    """The first basis position of each basis element's slot, in basis
+    order, alg's basis starting at position first."""
     if not isinstance(alg, SemidirectAlgebra):
-        return [first] * alg.dim(), first + 1
-    left, after = _leaf_slots(alg.left, first)
-    right, after = _leaf_slots(alg.right, after)
-    return left + right, after
+        return [first] * alg.dim()
+    return _slot_starts(alg.left, first) + _slot_starts(alg.right, first + alg.left.dim())
 
 
 def make_finite_algebra(basis, constants, ring):

@@ -155,10 +155,6 @@ class TwoCrossedModule:
         self._towers = {}  # Policy -> SimplexTower, whole or its lower stage: simplex.get_tower
 
     @property
-    def ring(self):
-        return self.R.ring
-
-    @property
     def free_basis(self):
         """The basis B on which the structure is free up to order one: the
         generators of R when R is a free algebra, else None.  The homotopy

@@ -84,14 +84,15 @@ and the same list of tuples without building them again.  Keys
 hold the algebras themselves, never their ids, so two structures never
 share an entry, and the memo goes with its structure.
 
-The factors of exhaustive tuples are kept the same way, on the algebra
-itself (``_kept``), at most three per algebra: a finite algebra's basis
-elements with their keys, its generating set with its keys (a free
-algebra's generators), and a finite semidirect product's slot triangle.
-A generating set is kept only once found, never a None, since a
-semidirect product's certificate can arrive later.  ``law_tuples``
-builds a ``BasisTuples`` from them, and the key kernels read the kept
-keys, so no check rebuilds a list or calls ``unit_key`` per element.
+The factors of exhaustive tuples are the spanning sets each algebra
+keeps, once, in ``algebra``: ``basis_elements`` and ``generator_elements``,
+each a ``Kept`` tuple with its keys, and a finite semidirect product's
+slot triangle, ``SemidirectAlgebra.triangle``.  Here only ``_generating``
+decides whether a generator slot may take the generating set (``_proved``,
+read on every call, since a semidirect product's certificate can arrive
+later).  ``law_tuples`` builds a ``BasisTuples`` of the kept tuples
+themselves, and the key kernels read their kept keys, so no check rebuilds
+a list or calls ``unit_key`` per element.
 
 For a table action of a free algebra, monomials act by iterated generator
 action: the key image of g1...gk applies the rows of g1, ..., gk in turn.
@@ -322,54 +323,15 @@ class BasisTuples:
         return ((u, v) for u, start in zip(left, starts) for v in right[start:])
 
 
-class _Factor(tuple):
-    """The elements of one slot of a law's tuples, with their ``keys``
-    (``unit_key`` of each), as ``_keyed`` builds them."""
-
-
-def _keyed(elements):
-    factor = _Factor(elements)
-    factor.keys = tuple(unit_key(u) for u in factor)
-    return factor
-
-
-def _kept(alg, name, find):
-    """alg's law factor ``name``, found by find(alg) on first use and kept
-    on alg (``_factors``), so it lives and dies with alg: "basis", a finite
-    algebra's basis elements; "generating", its generating set (or a free
-    algebra's generators); "starts", a semidirect product's slot triangle."""
-    factors = alg._factors
-    if name not in factors:
-        factors[name] = find(alg)
-    return factors[name]
-
-
-def _basis(alg):
-    """The basis elements of a finite algebra, with their keys."""
-    return _kept(alg, "basis", lambda a: _keyed(a.basis_elements()))
-
-
 def _generating(alg):
-    """The elements a generator slot over alg is checked on, with their
-    keys: a free algebra's generators, or the generating set of a finite
-    algebra whose commutativity and associativity are proved (``_proved``);
-    None for any other algebra, whose slot then takes no generator rule.
-    The set is kept, never a None: a semidirect product's certificate can
-    arrive later, and ``_proved`` is read on every call."""
-    if isinstance(alg, FreeAlgebra):
-        return _kept(alg, "generating", lambda a: _keyed(a.generator_elements()))
-    if alg.is_finite() and _proved(alg):
-        return _kept(alg, "generating", lambda a: _keyed(_basis(a)[i] for i in a.generating_positions()))
+    """alg's ``generator_elements`` when a generator slot over alg may take
+    them: alg is free, or finite with its commutativity and associativity
+    proved (``_proved``, read on every call, since a semidirect product's
+    certificate can arrive later); else None, and the slot takes no
+    generator rule."""
+    if isinstance(alg, FreeAlgebra) or alg.is_finite() and _proved(alg):
+        return alg.generator_elements()
     return None
-
-
-def _triangle(alg):
-    """The slot triangle of a finite semidirect product: for each element of
-    its generating set, the first basis position of its slot."""
-    slots, first = alg.basis_slots(), {}
-    for position, slot in enumerate(slots):
-        first.setdefault(slot, position)
-    return tuple(first[slots[i]] for i in alg.generating_positions())
 
 
 def law_tuples(algebras, policy=DEFAULT_POLICY, generators=(), triangle=None):
@@ -381,12 +343,13 @@ def law_tuples(algebras, policy=DEFAULT_POLICY, generators=(), triangle=None):
     has a generating set (``_generating``) and every other slot is finite,
     that set in those slots times the bases elsewhere (the generator lemma
     of the module docstring); else, when every slot is finite, the full
-    cartesian product of bases.  Both are a ``BasisTuples`` of the factors
-    each algebra keeps (``_basis``, ``_generating``), with their keys; it
-    builds a tuple only when it is read.  ``triangle``, for a law over
-    [S, S] with S a semidirect product and slot 0 a generator slot, gives
-    the first basis position each generator pairs with (the slot triangle
-    of ``certify_multiplicative``).
+    cartesian product of bases.  Both are a ``BasisTuples`` of the kept
+    tuples of each algebra (``basis_elements``, and ``generator_elements``
+    through ``_generating``), with their keys; it builds a tuple only when
+    it is read.  ``triangle``, for a law over [S, S] with S a semidirect
+    product and slot 0 a generator slot, gives the first basis position
+    each generator pairs with (``SemidirectAlgebra.triangle``, the slot
+    triangle of ``certify_multiplicative``).
 
     Otherwise the skeleton tuples are followed by policy.samples random
     tuples of degree <= policy.max_degree, drawn from Random(policy.seed):
@@ -395,13 +358,13 @@ def law_tuples(algebras, policy=DEFAULT_POLICY, generators=(), triangle=None):
     """
     if generators:
         factors = [
-            _generating(a) if i in generators else _basis(a) if a.is_finite() else None
+            _generating(a) if i in generators else a.basis_elements() if a.is_finite() else None
             for i, a in enumerate(algebras)
         ]
         if all(f is not None for f in factors):
             return BasisTuples(factors, triangle), True
     if all(a.is_finite() for a in algebras):
-        return BasisTuples([_basis(a) for a in algebras]), True
+        return BasisTuples([a.basis_elements() for a in algebras]), True
     return _sampled(tuple(algebras), policy).tuples, False
 
 
@@ -484,12 +447,7 @@ def _first_failure(algebras, policy, tuples, exhaustive, lhs, rhs, on_keys):
     """(t, lhs(*t), rhs(*t)) at the first tuple t of law_tuples' output
     where the sides differ, or None."""
     if exhaustive and on_keys is not None:
-        # The keys kept with the factors are those of the kept basis
-        # elements, not of basis_keys(), which builds new tuples for a
-        # semidirect product: the memo and cache entries made here then hold
-        # the very key objects that later lookups pass, and those compare
-        # by identity, not by value.
-        keys = [factor.keys for factor in tuples.factors]
+        keys = [factor.keys for factor in tuples.factors]  # kept with the elements (algebra.Kept)
         positions = on_keys(*keys) if tuples.starts is None else on_keys(*keys, starts=tuples.starts)
         if positions is None:
             return None
@@ -652,7 +610,7 @@ def certify_multiplicative(f, policy=DEFAULT_POLICY, left=None):
     f((ab)y) = f(a(by)) = f(a)f(b)f(y) = f(ab)f(y); and the pairs in
     Y x X follow by commutativity.  Applied down the nested parts, a pair
     (g, b) is checked only when b's slot is not before g's, in the flat
-    slot order, which is the basis order (``SemidirectAlgebra.basis_slots``,
+    slot order, which is the basis order (``SemidirectAlgebra.triangle``,
     ``law_tuples``' triangle).  A semidirect source takes it with the
     generator rule; on each pair it skips, the kernel checks that the
     source product is symmetric, and a mismatch decides the law again on
@@ -680,7 +638,7 @@ def certify_multiplicative(f, policy=DEFAULT_POLICY, left=None):
     ring, image = target.ring, _Lazy(lambda k: f._image(k).coeffs)  # key -> f(key) coeffs
     generators, triangle, shown = (0,) if _proved(target) else (), None, False
     if generators and isinstance(source, SemidirectAlgebra) and source.is_finite():
-        triangle = _kept(source, "starts", _triangle)
+        triangle = source.triangle()
         shown = left is not None and _shows_left(f, left, image)
         if shown:  # X's generators pair with B_Y alone
             triangle = tuple(max(start, source.left.dim()) for start in triangle)
@@ -719,7 +677,7 @@ def _shows_left(f, left, image):
     if not (all(is_proof(g.multiplicative) for g in left)
             and all(a is b or a.compatible(b) for a, b in zip(ends[::2], ends[1::2]))):
         return False
-    for k, key in zip(_basis(X).keys, _basis(f.source).keys):  # (0, k) leads the source's basis
+    for k, key in zip(X.basis_elements().keys, f.source.basis_elements().keys):  # (0, k) leads
         h = {k: ring.one}
         for g in left:
             h = _extend(ring, h, g._image)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from xmod2 import fixtures
 from xmod2.algebra import (
     SemidirectAlgebra,
     make_finite_algebra,
@@ -21,6 +22,7 @@ from xmod2.maps import (
     Policy,
     algebra_morphism,
     certify_algebra,
+    law_tuples,
     linear_map,
     make_action,
     random_element,
@@ -28,6 +30,7 @@ from xmod2.maps import (
     zero_action,
 )
 from xmod2.rings import QQ, PrimeField
+from xmod2.simplex import build_tower
 
 
 def carrier_f1():
@@ -156,6 +159,28 @@ def test_finite_algebras_keep_their_basis_elements_and_free_ones_none():
     for alg, key in [(P, ("x",)), (mixed, (0, ("x",)))]:
         assert alg.basis_element(key) is not alg.basis_element(key)
         assert alg._kept is None
+    # each spanning set is kept once, with its keys, and exhaustive law
+    # tuples are built of the very kept tuples
+    for alg in (R, lam):
+        basis, gens = alg.basis_elements(), alg.generator_elements()
+        assert basis is alg.basis_elements() and gens is alg.generator_elements()
+        assert basis.keys == tuple(alg.basis_keys())
+        tuples, exhaustive = law_tuples([alg, alg])
+        assert exhaustive and all(factor is basis for factor in tuples.factors)
+        tuples, exhaustive = law_tuples([alg, alg], generators=(0,))
+        assert exhaustive and tuples.factors[0] is gens and tuples.factors[1] is basis
+    gens = P.generator_elements()
+    assert gens.keys == (("x",),)
+    tuples, exhaustive = law_tuples([P, R], generators=(0,))
+    assert exhaustive and tuples.factors[0] is gens and tuples.factors[1] is R.basis_elements()
+    # the slot triangle's starts of F2's tower, and of a product whose
+    # generator is not first in its slot
+    levels = build_tower(fixtures.square_two_crossed(), Policy(samples=10, seed=8)).levels
+    assert levels[2].triangle() == (0, 1, 3, 5)
+    assert levels[3].triangle() == (0, 1, 3, 5, 6, 8, 9)
+    assert levels[3].triangle() is levels[3].triangle()
+    late = make_finite_algebra(["x2", "x"], {("x", "x"): {"x2": 1}}, QQ)
+    assert semidirect(late, late, zero_action(late, late)).triangle() == (0, 2)
 
 
 def test_semidirect_worked_product():
@@ -231,7 +256,7 @@ def test_semidirect_certified_commutative_associative():
 
 def test_zero_algebra():
     Z = zero_algebra(QQ)
-    assert Z.dim() == 0 and Z.basis_elements() == []
+    assert Z.dim() == 0 and Z.basis_elements() == ()
     assert Z.zero().is_zero()
 
 
@@ -338,7 +363,7 @@ def test_products_and_generators_are_built_once(ring):
     """A finite algebra keeps one element per table pair, which every
     key_mul of that pair returns, and a pair with no row gives the shared
     zero(); a free algebra builds its generators' elements once, with the
-    algebra, and every call lists those same objects."""
+    algebra, and every call returns that same kept tuple."""
     R = make_finite_algebra(["x", "x2"], {("x", "x"): {"x2": 1}}, ring)
     xx = R.key_mul("x", "x")
     assert xx is R.key_mul("x", "x") and xx.coeffs == {"x2": 1}
@@ -347,8 +372,5 @@ def test_products_and_generators_are_built_once(ring):
     assert len(R._products) == 1  # only table pairs are kept
     P = make_free_algebra(["y", "z"], ring)
     gens = P.generator_elements()
-    again = P.generator_elements()
-    assert gens is not again and all(u is v for u, v in zip(gens, again))
+    assert isinstance(gens, tuple) and gens is P.generator_elements()
     assert [u.coeffs for u in gens] == [{("y",): 1}, {("z",): 1}]
-    gens.pop()  # a caller's list is its own
-    assert len(P.generator_elements()) == 2

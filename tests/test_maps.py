@@ -395,7 +395,7 @@ def test_sampled_tuples_are_kept_on_their_structure():
 
 def _probes(alg):
     """Unit basis (or generator) elements, scaled ones and two-term sums."""
-    units = _skeleton(alg)
+    units = list(_skeleton(alg))
     ring = alg.ring
     scaled = [u.scale(ring.coerce(3)) for u in units] + [-u for u in units]
     sums = [u + v.scale(ring.coerce(2)) for u, v in zip(units, units[1:])]
@@ -756,7 +756,7 @@ def test_zero_structure_maps_are_their_empty_tables(ring):
 def _image_keys(alg):
     """Basis keys of alg to read images at: its basis, or, when it is not
     finite, the keys of its skeleton and of their pairwise products."""
-    skeleton = _skeleton(alg)
+    skeleton = list(_skeleton(alg))
     keys = {}
     for u in skeleton + [u * v for u in skeleton for v in skeleton]:
         keys.update(dict.fromkeys(u.coeffs))

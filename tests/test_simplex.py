@@ -337,7 +337,7 @@ def test_codecs_split_and_pack_are_inverse(monkeypatch):
     for A in _codec_structures(43):
         T = build_tower(A, POL)
         for codec in T.codecs:
-            keys = maps._skeleton(codec.level)
+            keys = list(maps._skeleton(codec.level))
             elements = keys + [random_element(codec.level, rng, max_degree=3) for _ in range(6)]
             routed = [codec.split(u) for u in keys]
             for u, parts in zip(keys, routed):  # the kept basis element and shared zeros
@@ -382,7 +382,7 @@ def test_d0_and_s0_equal_the_formulas_they_replace():
             f, step = (T.faces[(n, 0)], -1) if kind == "d" else (T.degeneracies[(n, 0)], 1)
             source, target = T.codecs[n], T.codecs[n + step]
             assert f.multiplicative is maps.EXHAUSTIVE and f.note == "%s0@%d" % (kind, n)
-            elements = maps._skeleton(source.level)
+            elements = list(maps._skeleton(source.level))
             if not source.level.is_finite():
                 elements += [random_element(source.level, rng, max_degree=3) for _ in range(20)]
             for u in elements:
@@ -485,7 +485,7 @@ def test_term_tables_equal_the_reference_formulas():
         T = build_tower(A, POL)
         for key, f in _tower_maps(T):
             want = _reference_map(T, *key)
-            elements = maps._skeleton(f.source)
+            elements = list(maps._skeleton(f.source))
             if not f.source.is_finite():
                 elements += [random_element(f.source, rng, max_degree=3) for _ in range(12)]
             for u in elements:
