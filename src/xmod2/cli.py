@@ -120,21 +120,17 @@ def _cmd_validate(args, policy):
     for section, store in (
         ("precrossed", doc.precrossed),
         ("crossed", doc.crossed),
+        ("two_crossed", doc.two_crossed),
+        ("quadratic", doc.quadratic),
     ):
         for name in sorted(store):
             for law, cert in sorted(store[name].certificates.items()):
                 report.add("%s/%s/%s" % (section, name, law), law, True, certificate=cert)
-    for name in sorted(doc.two_crossed):
-        for law, cert in sorted(doc.two_crossed[name].certificates.items()):
-            report.add("two_crossed/%s/%s" % (name, law), law, True, certificate=cert)
     for name in sorted(doc.maps):
         report.add("map/%s" % name, "morphism", True)
     for name in sorted(doc.derivations):
         report.add("derivation/%s" % name, "derivation-law", True,
                    certificate=doc.derivations[name].certificates["s-law"])
-    for name in sorted(doc.quadratic):
-        for law, cert in sorted(doc.quadratic[name].certificates.items()):
-            report.add("quadratic/%s/%s" % (name, law), law, True, certificate=cert)
     return report
 
 

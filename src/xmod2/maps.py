@@ -95,9 +95,10 @@ themselves, and the key kernels read their kept keys, so no check rebuilds
 a list or calls ``unit_key`` per element.
 
 For a table action of a free algebra, monomials act by iterated generator
-action: the key image of g1...gk applies the rows of g1, ..., gk in turn.
-A2 on generator pairs makes that well defined; A1 for monomials then
-follows by induction, and is additionally covered by the sampled tuples.
+action: the key image of g1...gk applies the rows of g1, ..., gk in turn
+(``_compose``).  A2 on generator pairs makes that well defined; A1 for
+monomials then follows by induction, and is additionally covered by the
+sampled tuples.
 
 Formula-defined maps and actions are evaluated on basis keys only.  A
 ``LinearMap`` with the "substitution" or "function" rule and a
@@ -144,9 +145,12 @@ order: a zero argument gives the target's ``zero()``; two basis keys with
 coefficient one (``algebra.unit_key``) give their key image itself;
 anything else gives the bilinear extension of the key images.  A
 ``LinearMap`` takes the same steps with one argument, and its extension is
-``_extend``, the linear extension of a key image, which ``simplex`` also
-composes.  A unit key returns its stored image itself (a monomial of a
-free actor acts by its generators' rows, so a table action computes that
+``_extend``, the linear extension of a key image.  A list of maps applied
+to one key is ``_compose``, the one composite of key images: the left-part
+comparison (``_shows_left``), a free actor's monomial acting by its
+generators' rows (``TableAction``) and the two sides of a simplicial
+identity (``simplex.check_simplicial_identities``) read it.  A unit key
+returns its stored image itself (a table action computes a free monomial's
 image), sharing its ``coeffs`` with the table or memo, which is why
 elements are never mutated.  An empty sum is the target's shared zero
 (``Algebra.from_coeffs``).
@@ -484,6 +488,24 @@ def _extend(ring, coeffs, image):
     return combine(ring, [(c, image(k).coeffs) for k, c in coeffs.items()])
 
 
+def _compose(ring, images):
+    """The composite of a list of key-image functions, first to last, as a
+    function from a basis key to the coefficient dict of its image: the
+    first image read at the key, each later one by its linear extension
+    (``_extend``).  The empty list is the identity, key -> {key: 1}."""
+    if not images:
+        return lambda key: {key: ring.one}
+    first, rest = images[0], images[1:]
+
+    def apply(key):
+        v = first(key).coeffs
+        for image in rest:
+            v = _extend(ring, v, image)
+        return v
+
+    return apply
+
+
 class _Lazy(dict):
     """A key kernel's table, local to one check: a missing entry is filled
     with ``fill(key)`` when it is first read, so every later read is one
@@ -677,13 +699,9 @@ def _shows_left(f, left, image):
     if not (all(is_proof(g.multiplicative) for g in left)
             and all(a is b or a.compatible(b) for a, b in zip(ends[::2], ends[1::2]))):
         return False
-    for k, key in zip(X.basis_elements().keys, f.source.basis_elements().keys):  # (0, k) leads
-        h = {k: ring.one}
-        for g in left:
-            h = _extend(ring, h, g._image)
-        if image[key] != h:
-            return False
-    return True
+    h = _compose(ring, [g._image for g in left])
+    return all(image[key] == h(k)  # (0, k) leads
+               for k, key in zip(X.basis_elements().keys, f.source.basis_elements().keys))
 
 
 def algebra_morphism(source, target, images=None, fn=None, policy=DEFAULT_POLICY, note=""):
@@ -788,11 +806,8 @@ class TableAction(Action):
         table, zero = self.table, self.acted.zero()
         if not isinstance(self.acting, FreeAlgebra):
             return table.get(k1, {}).get(k2, zero)
-        ring = self.acted.ring
-        image = {k2: ring.one}
-        for g in k1:
-            image = _extend(ring, image, lambda k, row=table.get(g, {}): row.get(k, zero))
-        return self.acted.from_coeffs(image)
+        rows = [lambda k, row=table.get(g, {}): row.get(k, zero) for g in k1]
+        return self.acted.from_coeffs(_compose(self.acted.ring, rows)(k2))
 
 
 class ZeroAction(TableAction):

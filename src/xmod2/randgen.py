@@ -210,13 +210,17 @@ def random_2cm_morphism(A, B, rng, policy=DEFAULT_POLICY):
 
 
 def random_quadratic_derivation(f, rng, policy=DEFAULT_POLICY):
-    """A valid quadratic f-derivation; s is free on the basis B, t is
-    found by rejection over small tables (the laws are the arbiter)."""
+    """A valid quadratic f-derivation.  Over a free R, s is free on the
+    basis B and drawn once; over a finite R, s must satisfy the s-law, so it
+    is drawn on the R-basis again in each attempt.  t is found by rejection
+    over small tables (the laws are the arbiter)."""
     from .tcm_homotopy import make_quadratic_derivation
 
     A, B = f.src, f.tgt
-    s_images = {b: _random_element(B.E, rng, density=0.6) for b in (A.free_basis or [])}
-    for _ in range(80):
+    s_images = _morphism_images(A.R, B.E, rng, 0.6)
+    for attempt in range(80):
+        if attempt and A.free_basis is None:
+            s_images = _morphism_images(A.R, B.E, rng, 0.6)
         t_images = {k: _random_element(B.L, rng, density=0.5) for k in A.E.basis_keys()}
         try:
             return make_quadratic_derivation(f, s_images, t_images, policy)

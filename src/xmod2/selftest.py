@@ -52,13 +52,10 @@ def worked_homotopies(ring=QQ, policy=Policy()):
 
 
 def _fixture_suite(report, policy):
-    for name in ("F0", "F2", "F3"):
+    for name in ("F0", "F1", "F2", "F3"):
         A = fixtures.fixture(name)
         for law in sorted(A.certificates):
             report.add("fixtures/%s/%s" % (name, law), law, True, certificate=A.certificates[law])
-    F1 = fixtures.ideal_crossed()
-    for law in sorted(F1.certificates):
-        report.add("fixtures/F1/%s" % law, law, True, certificate=F1.certificates[law])
     for name, thunk, exc, law, witness in fixtures.corrupted_f2_variants():
         try:
             thunk()
@@ -122,7 +119,7 @@ def _tower_suite(report, seed, policy):
 
 
 def _cm_suite(report, seed, policy):
-    F1 = fixtures.ideal_crossed()
+    F1 = fixtures.fixture("F1")
     entries = cm_groupoid_check(F1, F1, samples=25, seed=seed, policy=policy)
     report.extend("groupoid", entries)
 

@@ -96,8 +96,10 @@ Lam3 and the degeneracies s0..s2 of Lam2, over the lower stage's codecs
 both at once; ``get_tower`` keeps one tower per structure and policy and
 builds what its caller asks for.  A quadratic derivation's s (through
 Lam1) and the triangle map X with its w (into Lam2) ask for the lower
-stage only; w-change and the tetrahedron Z ask for the whole tower, which
-completes a kept lower stage in place, certifying nothing twice.
+stage only; w-change and the tetrahedron Z ask for the whole tower, a new
+one built on a kept lower stage: it shares that stage's levels, their
+product caches, its maps and the memo of >., so nothing is certified twice,
+and the lower stage a caller holds never changes.
 """
 
 from functools import cache, reduce
@@ -115,7 +117,7 @@ from .maps import (
     is_proof,
     semidirect,
     _Lazy,
-    _extend,
+    _compose,
 )
 
 
@@ -196,14 +198,13 @@ class SimplexTower:
     Lam_n; split2/simplex2 and, at top 3, split3/simplex3 are the split
     and pack of Lam2 and Lam3.  ``shown`` holds the identities the
     left-part lemma showed on a basis while the maps were certified, each
-    as (lhs maps, rhs maps), first to last (``build_tower``).
+    as (lhs maps, rhs maps), first to last (``build_tower``).  A tower is
+    not changed once built: the whole tower over a kept lower stage is a
+    new one that shares the lower stage's pieces.
     """
 
     def __init__(self, base, codecs, faces, degeneracies, actions, shown=frozenset()):
         self.base = base
-        self._set(codecs, faces, degeneracies, actions, shown)
-
-    def _set(self, codecs, faces, degeneracies, actions, shown):
         self.codecs = codecs
         self.top = len(codecs) - 1
         self.levels = tuple(c.level for c in codecs)
@@ -307,6 +308,10 @@ def _by_construction(f):
     Lam_{n-1} -> Lam_n the inclusion x -> (x, 0).  For any bilinear
     action, (x, y)(x', y') = (xx', ...), so both are algebra maps, and
     their certificate is EXHAUSTIVE, as ``maps.identity_map``'s is."""
+    # The stamp reads neither table, so d0.s0=id@0..2 stay evaluated in
+    # check_simplicial_identities: they are the only checks that reject a
+    # wrong d0 or s0 entry, such as s0 at Lam2 without its l term or with
+    # that term negated.
     f.multiplicative = EXHAUSTIVE
 
 
@@ -316,11 +321,11 @@ def build_tower(A, policy=DEFAULT_POLICY, top=3, lower=None):
 
     top=3 is the whole tower.  top=2 is its lower stage: Lam0, Lam1,
     E |x L, >., Lam2 and the faces and degeneracies between them, all that
-    s, X and w read.  ``lower``, a lower stage over A certified under
-    ``policy``, is completed in place: its levels, their product caches
-    and the memo of >. are kept, and only the upper stage (>*,
-    (E |x L) |x L, >t and its components, Lam3 and the maps to and from
-    it) is built and certified.  A failure leaves ``lower`` as it was.
+    s, X and w read.  Given ``lower``, a lower stage over A certified
+    under ``policy``, a new tower is built that shares its levels, their
+    product caches, its maps and the memo of >., and only the upper stage
+    (>*, (E |x L) |x L, >t and its components, Lam3 and the maps to and
+    from it) is built and certified; ``lower`` itself is not changed.
     From scratch, every level and action is certified before the faces and
     degeneracies, which are built from their table entries: d0 and s0
     first, by construction (``_by_construction``), then the others in
@@ -351,10 +356,7 @@ def build_tower(A, policy=DEFAULT_POLICY, top=3, lower=None):
                         shown.add(((degeneracies[(n - 1, 0)], f), f.left))
                 store[(n, i)] = f
     faces, degeneracies = dict(sorted(faces.items())), dict(sorted(degeneracies.items()))  # (n, i) order
-    if lower is None:
-        return SimplexTower(A, codecs, faces, degeneracies, actions, shown)
-    lower._set(codecs, faces, degeneracies, actions, shown)
-    return lower
+    return SimplexTower(A, codecs, faces, degeneracies, actions, shown)
 
 
 def _left_part(faces, degeneracies, tag, n, i):
@@ -569,11 +571,13 @@ def get_tower(A, policy=DEFAULT_POLICY, top=3):
     """Build (or reuse) the certified tower over A, up to at least Lam_top.
 
     Towers are kept on A, one per policy, so they are released with A.
-    top=3, the default, gives the whole tower, completing a kept lower
-    stage in place through ``build_tower``.  top=2 gives the kept tower, or
-    else builds the lower stage: ``tcm_homotopy._s_map`` (s goes through
-    Lam1) and ``tcm_homotopy._triangle_map`` (X and w live in Lam2) ask for
-    it, so a quadratic derivation certifies no action of Lam3."""
+    top=3, the default, gives the whole tower, which ``build_tower`` builds
+    on a kept lower stage, sharing its pieces, and which then takes its
+    place; a caller holding the lower stage keeps it unchanged.  top=2
+    gives the kept tower, or else builds the lower stage:
+    ``tcm_homotopy._s_map`` (s goes through Lam1) and
+    ``tcm_homotopy._triangle_map`` (X and w live in Lam2) ask for it, so a
+    quadratic derivation certifies no action of Lam3."""
     tower = A._towers.get(policy)
     if tower is None or tower.top < top:
         tower = A._towers[policy] = build_tower(A, policy, top, tower)
@@ -631,23 +635,6 @@ def _composite(maps):
     return apply
 
 
-def _key_composite(maps, ring, images):
-    """The coefficient dict of the composite's image of one basis key: the
-    first map's image read from images[f], a table of f's key images, and
-    each later map's by the linear extension of its table."""
-    if not maps:
-        return lambda key: {key: ring.one}
-    first, rest = images[maps[0]], [images[f].__getitem__ for f in maps[1:]]
-
-    def apply(key):
-        v = first[key].coeffs
-        for image in rest:
-            v = _extend(ring, v, image)
-        return v
-
-    return apply
-
-
 def check_simplicial_identities(T, policy=DEFAULT_POLICY):
     """Check every listed identity with ``check_law`` on its level, on the
     key images of its faces and degeneracies; returns report entries (name,
@@ -673,7 +660,7 @@ def check_simplicial_identities(T, policy=DEFAULT_POLICY):
             entries.append((name, True, None))
             continue
         level = T.levels[n]
-        left, right = _key_composite(lhs, level.ring, images), _key_composite(rhs, level.ring, images)
+        left, right = (_compose(level.ring, [images[f].__getitem__ for f in side]) for side in (lhs, rhs))
 
         def on_keys(keys):
             return next(((pos,) for pos, k in enumerate(keys) if left(k) != right(k)), None)

@@ -44,7 +44,7 @@ cause) with the witness preserved.
 
 import json
 
-from .algebra import FiniteAlgebra, FreeAlgebra, make_finite_algebra, make_free_algebra
+from .algebra import FreeAlgebra, make_finite_algebra, make_free_algebra
 from .cm_homotopy import make_cm_derivation
 from .crossed import (
     ideal_inclusion_cm,
@@ -158,16 +158,16 @@ def _parse_element(alg, data, where):
 
 def _parse_linmap_images(source, target, spec, field, entry):
     """The linear map spec[field] of a document entry as {source key:
-    element of target}; an absent or null field is the zero map."""
+    element of target}; an absent or null field is the zero map.  A key
+    with no image goes to zero: a table map reads zero there, and s and t
+    are completed by ``tcm_homotopy``, so only a free source's generators,
+    which a substitution needs, are filled in."""
     where = "%s %s" % (entry, field)
     data = spec.get(field)
     images = {}
     for key, elem in ({} if data is None else _shaped(data, dict, where)).items():
         images[_generator_key(source, key, where)] = _parse_element(target, elem, where)
-    if isinstance(source, FiniteAlgebra):
-        for label in source.labels:
-            images.setdefault(label, target.zero())
-    elif isinstance(source, FreeAlgebra):
+    if isinstance(source, FreeAlgebra):
         for g in source.generators:
             images.setdefault(g, target.zero())
     return images

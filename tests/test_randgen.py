@@ -1,13 +1,18 @@
 import random
 
-from xmod2.maps import Policy
+from xmod2 import fixtures
+from xmod2.crossed import kernel_two_crossed
+from xmod2.maps import Policy, is_proof
 from xmod2.randgen import (
+    random_2cm_morphism,
     random_finite_algebra,
     random_free_two_crossed,
     random_precrossed,
+    random_quadratic_derivation,
     random_two_crossed,
 )
 from xmod2.rings import PrimeField, QQ
+from xmod2.tcm_homotopy import tcm_groupoid_check
 
 F5 = PrimeField(5)
 POL = Policy(samples=20, seed=0)
@@ -79,3 +84,18 @@ def test_rational_generation_also_works():
     rng = random.Random(7)
     A = random_two_crossed(QQ, rng, max_dim=2, policy=POL)
     assert A.R.ring == QQ
+
+
+def test_s_over_a_finite_domain_is_drawn_and_certified():
+    """Over a finite R, s is drawn on the R-basis in each attempt, so the
+    draws over K = ker(d) -> E -> R of the ideal crossed module F1 (finite
+    R, L = 0) are not all s = 0; each draw certifies its three laws, and
+    the groupoid laws hold on K -> K."""
+    K = kernel_two_crossed(fixtures.ideal_crossed(), POL)
+    assert K.free_basis is None and K.L.dim() == 0
+    rng = random.Random(0)
+    draws = [random_quadratic_derivation(random_2cm_morphism(K, K, rng, POL), rng, POL)
+             for _ in range(30)]
+    assert any(v.coeffs for h in draws for v in h.s_images.values())
+    assert all(is_proof(c) for h in draws for c in h.certificates.values())
+    assert all(ok for _, ok, _ in tcm_groupoid_check(K, K, samples=3, policy=POL))

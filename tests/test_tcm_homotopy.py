@@ -748,11 +748,12 @@ def test_work_count_of_a_derivation_on_a_fresh_target(monkeypatch):
 
 
 def test_completing_a_kept_lower_stage_gives_the_whole_tower(monkeypatch):
-    """After a derivation keeps the lower stage, get_tower completes it in
-    place: the same Lam1 and Lam2 (so the same product caches) and the same
-    >., with every certificate a fresh build_tower gives.  A broken upper
-    stage raises from check_w_change what it raises from build_tower, and
-    leaves the lower stage kept."""
+    """After a derivation keeps the lower stage, get_tower builds the whole
+    tower on it as a new tower: the same Lam1 and Lam2 (so the same product
+    caches) and the same >., with every certificate a fresh build_tower
+    gives, while the lower stage a caller holds is left as it was.  A
+    broken upper stage raises from check_w_change what it raises from
+    build_tower, and leaves the lower stage kept."""
     from xmod2 import simplex
 
     D, B, f, qd = _free_domain_instance(5)
@@ -765,6 +766,9 @@ def test_completing_a_kept_lower_stage_gives_the_whole_tower(monkeypatch):
     assert certified == {"certify_action": 2}  # >* and >t, not >. again
     assert T.top == 3 and T.levels[1] is lam1 and T.levels[2] is lam2
     assert T.actions["bullet"] is bullet
+    assert short.top == 2 and "dagger" not in short.actions
+    assert T.levels[1] is short.levels[1] and T.levels[2] is short.levels[2]
+    assert T.actions["bullet"] is short.actions["bullet"]
     assert get_tower(B, pol) is T and get_tower(B, pol, top=2) is T
     fresh = build_tower(B, pol)
     for kept, built in ((T.actions, fresh.actions), (T.faces, fresh.faces),
