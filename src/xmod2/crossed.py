@@ -13,8 +13,16 @@ the slices with f2 = 0, so ``make_cm_morphism`` is ``make_2cm_morphism``
 on the slices, whose d1-square and f1-equivariance are the crossed square
 and equivariance and whose other laws hold on L = 0.
 
-Validation is exhaustive on finite bases; when R is free it runs on
-generators plus sampled monomials and stamps the certificate.
+Validation is exhaustive on finite bases.  The laws linear in r, XM1 and
+d1-equivariance, d2-equivariance and 2XM6, take the generator rule of
+``maps.check_law``: r on B over a free R, on G_R over a finite R whose
+product is proved, the other slots over their bases.  The rule's premises
+are the A2 laws its closure lemma uses (``make_precrossed``,
+``make_two_crossed``): A2 of the action on E for XM1 and d1-equivariance,
+of both actions for d2-equivariance and 2XM6, each read off the action's
+certificate, which covers A1 and A2.  An action whose certificate is sampled or missing leaves the
+law to the basis check, or, when a slot is infinite, to generator tuples
+plus sampled ones, and the law is stamped with that certificate.
 """
 
 from functools import partial
@@ -81,11 +89,32 @@ def _check_precrossed_shape(E, R, d, act):
         raise BadShape("action endpoints do not match (R, E)")
 
 
+def _r_slot(*premises):
+    """The generator slot (0,) of a law linear in r when every certificate
+    its closure lemma rests on is a proof, else (): the law is then checked
+    on the basis, or sampled."""
+    return (0,) if all(is_proof(c) for c in premises) else ()
+
+
 def make_precrossed(E, R, d, act, policy=DEFAULT_POLICY):
+    """Build and certify a pre-crossed module: XM1, d(r > e) = r d(e).
+
+    XM1 takes the generator rule of ``maps.check_law`` (r on B over a free
+    R, on G_R over a finite one) when A2 of the action is proved.  The
+    closure lemma: let S be the set of r with d(r > e) = r d(e) for every
+    e.  For r1, r2 in S and every e,
+
+        d(r1r2 > e) = d(r1 > (r2 > e))    A2
+                    = r1 d(r2 > e)        r1 in S
+                    = r1 r2 d(e)          r2 in S
+
+    so S is closed under products.
+    """
     _check_precrossed_shape(E, R, d, act)
     pcm = PreCrossedModule(E, R, d, act)
     pcm.certificates["XM1"] = check_law(
-        [R, E], lambda r, e: d(act(r, e)), lambda r, e: r * d(e), XM1Violation, policy
+        [R, E], lambda r, e: d(act(r, e)), lambda r, e: r * d(e), XM1Violation, policy,
+        generators=_r_slot(act.certificate),
     )
     return pcm
 
@@ -197,6 +226,37 @@ def make_two_crossed(L, E, R, d2, d1, act_e, act_l, lift, policy=DEFAULT_POLICY)
     the lifting axioms 2XM1..2XM6; and that (d2: L -> E, >') is a crossed
     module for the derived action.  Witnessed failures raise AxiomViolation
     (with the axiom id) or the matching specific error.
+
+    The three laws linear in r take the generator rule of
+    ``maps.check_law`` (r on B over a free R, on G_R over a finite one)
+    when the A2 laws their closure lemmas use are proved: A2 of act_e for
+    d1-equivariance, A2 of act_e and act_l for d2-equivariance and 2XM6.
+    In each lemma S is the set of r for which the law holds for every value
+    of the other slots, and r1, r2 are in S.
+
+    d1-equivariance, d1(r > e) = r d1(e), as XM1 (``make_precrossed``):
+
+        d1(r1r2 > e) = d1(r1 > (r2 > e)) = r1 d1(r2 > e) = r1 r2 d1(e)
+
+    by A2 on E, then r1 in S, then r2 in S.
+
+    d2-equivariance, d2(r > l) = r > d2(l):
+
+        d2(r1r2 > l) = d2(r1 > (r2 > l))     A2 on L
+                     = r1 > d2(r2 > l)        r1 in S
+                     = r1 > (r2 > d2(l))      r2 in S
+                     = r1r2 > d2(l)           A2 on E
+
+    2XM6, r > {e (x) e'} = {r > e (x) e'} = {e (x) r > e'}, on the left
+    (the right is the same with the action moved to e'):
+
+        r1r2 > {e (x) e'} = r1 > (r2 > {e (x) e'})    A2 on L
+                          = r1 > {r2 > e (x) e'}       r2 in S
+                          = {r1 > (r2 > e) (x) e'}     r1 in S
+                          = {r1r2 > e (x) e'}          A2 on E
+
+    So S is closed under products.  Without its premises a law is checked
+    as the other laws are.
     """
     if not (d2.source.compatible(L) and d2.target.compatible(E)):
         raise BadShape("d2 endpoints do not match (L, E)")
@@ -212,15 +272,19 @@ def make_two_crossed(L, E, R, d2, d1, act_e, act_l, lift, policy=DEFAULT_POLICY)
     A = TwoCrossedModule(L, E, R, d2, d1, act_e, act_l, lift)
     certs = A.certificates
 
-    def run(name, algebras, lhs, rhs, error):
-        certs[name] = check_law(algebras, lhs, rhs, error, policy)
+    def run(name, algebras, lhs, rhs, error, generators=()):
+        certs[name] = check_law(algebras, lhs, rhs, error, policy, generators=generators)
 
+    on_e, on_both = _r_slot(act_e.certificate), _r_slot(act_e.certificate, act_l.certificate)
     run("d1.d2=0", [L], lambda l: d1(d2(l)), lambda l: R.zero(), CompositeNonzero)
     run(
         "d2-equivariance", [R, L], lambda r, l: d2(act_l(r, l)), lambda r, l: act_e(r, d2(l)),
-        partial(EquivarianceViolation, msg="d2 does not preserve the action"),
+        partial(EquivarianceViolation, msg="d2 does not preserve the action"), on_both,
     )
-    run("d1-equivariance", [R, E], lambda r, e: d1(act_e(r, e)), lambda r, e: r * d1(e), XM1Violation)
+    run(
+        "d1-equivariance", [R, E], lambda r, e: d1(act_e(r, e)), lambda r, e: r * d1(e), XM1Violation,
+        on_e,
+    )
 
     prime = A.act_prime
     run(
@@ -248,7 +312,7 @@ def make_two_crossed(L, E, R, d2, d1, act_e, act_l, lift, policy=DEFAULT_POLICY)
     run(
         "2XM6", [R, E, E], lambda r, e, e2: (act_l(r, lift(e, e2)),) * 2,
         lambda r, e, e2: (lift(act_e(r, e), e2), lift(e, act_e(r, e2))),
-        lambda w, lhs, rhs: AxiomViolation("2XM6", w, lhs[0], rhs),
+        lambda w, lhs, rhs: AxiomViolation("2XM6", w, lhs[0], rhs), on_both,
     )
 
     # derived crossed module (L -> E, >')
@@ -389,10 +453,6 @@ def make_2cm_morphism(src, tgt, f0, f1, f2, policy=DEFAULT_POLICY):
     def run(name, algebras, lhs, rhs, error, generators=()):
         certs[name] = check_law(algebras, lhs, rhs, error, policy, generators=generators)
 
-    def r_over_generators(*actions):  # the lemma's premises, else the basis or sampled
-        proved = is_proof(f0.multiplicative) and all(is_proof(a.certificate) for a in actions)
-        return (0,) if proved else ()
-
     run(
         "d1-square", [src.E], lambda e: f0(src.d1(e)), lambda e: tgt.d1(f1(e)),
         partial(SquareViolation, msg="f0.d1 != d1'.f1"),
@@ -404,12 +464,12 @@ def make_2cm_morphism(src, tgt, f0, f1, f2, policy=DEFAULT_POLICY):
     run(
         "f1-equivariance", [src.R, src.E], lambda r, e: f1(src.act_e(r, e)),
         lambda r, e: tgt.act_e(f0(r), f1(e)), partial(EquivarianceViolation, msg="f1"),
-        r_over_generators(src.act_e, tgt.act_e),
+        _r_slot(f0.multiplicative, src.act_e.certificate, tgt.act_e.certificate),
     )
     run(
         "f2-equivariance", [src.R, src.L], lambda r, l: f2(src.act_l(r, l)),
         lambda r, l: tgt.act_l(f0(r), f2(l)), partial(EquivarianceViolation, msg="f2"),
-        r_over_generators(src.act_l, tgt.act_l),
+        _r_slot(f0.multiplicative, src.act_l.certificate, tgt.act_l.certificate),
     )
     run(
         "lifting", [src.E, src.E], lambda e, e2: f2(src.lift(e, e2)),

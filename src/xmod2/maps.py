@@ -47,7 +47,10 @@ as before:
 * ``simplex.check_simplicial_identities``: each identity on G of its
   level, when its faces and degeneracies are proved algebra maps;
 * ``crossed.make_2cm_morphism`` and ``tcm_homotopy.make_quadratic_derivation``:
-  r on G_R, which is B over a free R.
+  r on G_R, which is B over a free R;
+* ``crossed.make_precrossed`` (XM1) and ``crossed.make_two_crossed``
+  (d1-equivariance, d2-equivariance and 2XM6): r on G_R, when A2 of the
+  actions each law relates is proved.
 
 When a law over finite algebras fails on a generating set, ``check_law``
 decides it again on the full basis, so its error and witness are the ones

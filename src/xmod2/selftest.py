@@ -101,7 +101,7 @@ def _tower_suite(report, seed, policy):
     )
 
     # a deliberately corrupted face must break an identity
-    F2 = fixtures.square_two_crossed()
+    F2 = fixtures.fixture("F2")
     T = build_tower(F2, policy)
     lam1, lam2 = T.levels[1], T.levels[2]
 
@@ -202,7 +202,7 @@ def _associativity_suite(report, seed, policy):
 
 
 def _guardrail_suite(report, policy):
-    F2 = fixtures.square_two_crossed()
+    F2 = fixtures.fixture("F2")
     ident = identity_2cm_morphism(F2)
     h = make_quadratic_derivation(ident, {}, {}, policy)
     try:
@@ -230,7 +230,7 @@ def run_selftest(seed=0, samples=25, max_degree=4):
     _tower_suite(report, seed, policy)
     _cm_suite(report, seed, policy)
     tcm = tcm_groupoid_check(
-        fixtures.free_line_two_crossed(), fixtures.square_two_crossed(),
+        fixtures.fixture("F3"), fixtures.fixture("F2"),
         samples=5, seed=seed, policy=policy,
     )
     report.extend("groupoid", tcm)

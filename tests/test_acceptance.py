@@ -6,6 +6,7 @@ line per criterion.
 """
 
 import hashlib
+import json
 import random
 import time
 from contextlib import contextmanager
@@ -15,7 +16,7 @@ import pytest
 from xmod2 import fixtures
 from xmod2.cm_homotopy import cm_groupoid_check
 from xmod2.errors import FreeBasisRequired
-from xmod2.maps import LinearMap, Policy, random_element
+from xmod2.maps import DEFAULT_POLICY, LinearMap, Policy, random_element
 from xmod2.randgen import (
     _random_element,
     random_2cm_morphism,
@@ -50,10 +51,20 @@ F5 = PrimeField(5)
 # sha256 of the canonical selftest JSON (samples=10); a change to any check,
 # certificate or witness of the selftest changes these bytes.
 SELFTEST_SHA256 = {
+    0: "70a7dd767c71319f0a92a3c2ad6e7e5890b6db840cc5e6ec32c80a2f8d82323e",
+    7: "075f79fe656ce0848ba2656d2889f4f88756b3cb8f47aa421b56f9ddc03102a1",
+    42: "941cfb1ea1926b1a5012765a742e3086e5286f0b09449c527a003863a00842a3",
+}
+
+# The pins before F3's laws linear in r took the generator rule, when they
+# were sampled under the fixtures' default policy: the JSON above with
+# exactly those three certificates reverted hashes to them.
+SAMPLED_R_SLOT_SHA256 = {
     0: "31375110eea1317c78673205c13932a278b84402842edd66a203ad7b3e1146c0",
     7: "9534f13fec22a5d3d034303d23be0299ee5e7855705a6913c869cc72f7659c71",
     42: "1af47c0e9843d31ed2f601f6f878cf54f9de4e1b8c339d5dda2b1e95bddba7e6",
 }
+F3_R_SLOT_LAWS = ("fixtures/F3/2XM6", "fixtures/F3/d1-equivariance", "fixtures/F3/d2-equivariance")
 
 
 @contextmanager
@@ -270,5 +281,12 @@ def test_criterion_8_guardrails_and_deterministic_selftest():
             assert rep1.ok, [c.name for c in rep1.checks if c.status == "fail"]
             text = canonical_json(rep1.to_json_obj())
             assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, seed
+            reverted = json.loads(text)
+            changed = [c for c in reverted["checks"] if c["name"] in F3_R_SLOT_LAWS]
+            assert [c["certificate"] for c in changed] == [{"exhaustive": True}] * 3
+            for c in changed:
+                c["certificate"] = DEFAULT_POLICY.certificate.to_json()
+            old = canonical_json(reverted)
+            assert hashlib.sha256(old.encode("utf-8")).hexdigest() == SAMPLED_R_SLOT_SHA256[seed], seed
             rep2 = run_selftest(seed=seed, samples=10)
             assert text == canonical_json(rep2.to_json_obj())

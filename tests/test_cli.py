@@ -433,6 +433,25 @@ def test_selftest_deterministic_json(tmp_path):
     assert payload["params"]["seed"] == 7
 
 
+def test_selftest_reads_f2_and_f3_with_their_ring(monkeypatch):
+    """Every call of the F2 and F3 builders in a selftest names the ring, as
+    ``fixtures.fixture`` does: ``functools.cache`` keys a call with no
+    argument apart, and would build and certify the fixture a second time."""
+    from xmod2 import fixtures
+    from xmod2.selftest import run_selftest
+
+    calls = []
+    for name in ("square_two_crossed", "free_line_two_crossed"):
+        def recorded(*args, real=getattr(fixtures, name), name=name, **kwargs):
+            calls.append((name, args + tuple(kwargs.values())))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fixtures, name, recorded)
+    assert run_selftest(seed=0, samples=3).ok
+    assert {name for name, _ in calls} == {"square_two_crossed", "free_line_two_crossed"}
+    assert [call for call in calls if not call[1]] == []
+
+
 def test_no_user_facing_text_shows_a_fraction(tmp_path, capsys):
     """Q scalars are printed by value, never as ``Fraction(...)``: the text
     and JSON of validate, the corrupted F2 error texts and the selftest text."""

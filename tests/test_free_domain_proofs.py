@@ -7,14 +7,18 @@ candidates twice: as the checker does, and with every ``check_law`` call
 sampled on ``Policy(samples=200)``.  The verdicts must agree.  A broken
 substitution makes them disagree, so the proofs by construction stand on
 the substitution code.  A missing premise gives a sampled certificate.
+
+The laws linear in r of ``make_precrossed`` and ``make_two_crossed`` take
+the generator rule too, and decide what the check without it decides.
 """
 
 import random
+from functools import partial
 
 import pytest
 
-from xmod2 import fixtures, maps
-from xmod2.algebra import FreeAlgebra, make_finite_algebra, make_free_algebra, unit_key
+from xmod2 import crossed, fixtures, maps
+from xmod2.algebra import FreeAlgebra, make_finite_algebra, make_free_algebra, unit_key, zero_algebra
 from xmod2.cm_homotopy import make_cm_derivation
 from xmod2.crossed import (
     identity_2cm_morphism,
@@ -31,13 +35,17 @@ from xmod2.maps import (
     BilinearMap,
     LinearMap,
     Policy,
+    TableAction,
     algebra_morphism,
     identity_map,
     make_action,
     zero_action,
+    zero_bilinear,
     zero_map,
 )
-from xmod2.randgen import _random_element, random_2cm_morphism, random_cm_morphism, random_free_two_crossed
+from xmod2.randgen import (
+    _random_element, random_2cm_morphism, random_cm_morphism, random_free_two_crossed, random_two_crossed,
+)
 from xmod2.rings import PrimeField, QQ
 from xmod2.simplex import get_tower
 from xmod2.tcm_homotopy import make_quadratic_derivation, zero_quadratic
@@ -244,6 +252,134 @@ def test_a_missing_premise_falls_back_to_a_sampled_certificate():
     f = make_2cm_morphism(D, D, algebra_morphism(D.R, D.R, images={"x": D.R.monomial("x")}),
                           identity_map(D.E), identity_map(D.L), PROVED)
     assert f.certificates["f1-equivariance"].exhaustive and f.certificates["f2-equivariance"].exhaustive
+
+
+R_SLOT_LAWS = ("d1-equivariance", "d2-equivariance", "2XM6")
+
+
+def test_the_r_slot_laws_keep_a_sampled_certificate_without_their_premise():
+    """XM1, d1-equivariance, d2-equivariance and 2XM6 take the generator
+    rule only when A2 of the actions their closure lemmas use is proved:
+    under the table action x > u = u, whose A2 is sampled, they stay
+    sampled; over the zero actions of the free domains they are proved, so
+    building such a domain draws no sample at all."""
+    sampled = PROVED.certificate
+    D = _table_acted_domain()
+    assert D.act_e.certificate is sampled
+    assert [D.certificates[law] for law in R_SLOT_LAWS] == [sampled] * 3
+    assert make_precrossed(D.E, D.R, D.d1, D.act_e, PROVED).certificates["XM1"] is sampled
+    rng = random.Random(5)
+    for _ in range(6):
+        D = random_free_two_crossed(F5, rng, max_dim=2, policy=PROVED)
+        assert set(D.certificates.values()) == {EXHAUSTIVE}
+        assert make_precrossed(D.E, D.R, D.d1, D.act_e, PROVED).certificates["XM1"] is EXHAUSTIVE
+        assert D.R._draws == {}
+
+
+def _withheld_r_slot(patch):
+    """Withhold the generator slot from every law of ``crossed``, for as
+    long as ``patch`` lasts: each is checked on its bases, or sampled."""
+    real = crossed.check_law
+    patch.setattr(crossed, "check_law", lambda *args, generators=(), **kwargs: real(*args, **kwargs))
+
+
+def _outcome(build):
+    """The certificates of what build() returns, or the error it raises:
+    its type, law, witness, and both sides, as text."""
+    try:
+        return build().certificates
+    except XmodError as exc:
+        witness = getattr(exc, "witness", None)
+        return (type(exc), getattr(exc, "law", None), witness and [str(u) for u in witness],
+                str(getattr(exc, "lhs", None)), str(getattr(exc, "rhs", None)))
+
+
+def _unproved(R, M):
+    """q > m = m and p > m = 0 on every basis key m: a TableAction built
+    without certify_action, whose A2 fails, as q = p^2 acts otherwise than
+    p twice.  A law over it takes no generator rule."""
+    return TableAction(R, M, {"q": {k: M.basis_element(k) for k in M.basis_keys()}})
+
+
+def _p_squared(unproved="", order=("p", "q"), lift=True):
+    """A 2-crossed module over R = <p, q; p^2 = q> (generated by p, listed
+    in ``order``) over F5, with d1 = 0 and zero products on E and L, whose
+    R-slot law fails at q, the basis element outside G_R = {p}.
+
+    ``unproved`` names the action built by ``_unproved``; that law then
+    fails at q alone.  Otherwise E = <a> and L = <a1, a2, a3>, acted on by
+    p > a1 = a2, p > a2 = a3, q > a1 = a3 (both actions proved): the law
+    fails at p on G_R too and is decided again on the basis, which lists q
+    first.  ``lift`` gives {a (x) a} = the first basis element of L and
+    d2 = 0, so 2XM6 is the law that fails; else the lifting is zero and
+    d2 sends each basis element of L to the same-named one of E, so
+    d2-equivariance fails."""
+    R = make_finite_algebra(list(order), {("p", "p"): {"q": 1}}, F5)
+    L = make_finite_algebra(["a"] if unproved else ["a1", "a2", "a3"], {}, F5)
+    E = make_finite_algebra(L.labels if not lift else ["a"], {}, F5)
+    if unproved:
+        act_e, act_l = (_unproved(R, E), zero_action(R, L)) if unproved == "e" else (
+            zero_action(R, E), _unproved(R, L))
+    else:
+        l1, l2, l3 = L.basis_elements()
+        act_e = zero_action(R, E)
+        act_l = make_action(R, L, {"p": {"a1": l2, "a2": l3}, "q": {"a1": l3}}, PROVED)
+    d2 = algebra_morphism(L, E, images={k: E.zero() if lift else E.basis_element(k) for k in L.labels},
+                          policy=PROVED)
+    d1 = algebra_morphism(E, R, images={k: R.zero() for k in E.labels}, policy=PROVED)
+    table = {("a", "a"): L.basis_elements()[0]} if lift else {}
+    return make_two_crossed(L, E, R, d2, d1, act_e, act_l, BilinearMap(E, E, L, table), PROVED)
+
+
+def _d_onto_q(as_two_crossed):
+    """E = <a> (a^2 = 0) -> R = <p, q; p^2 = q>, d(a) = q, under the
+    unproved action: XM1 holds at p and fails at q.  As a pre-crossed
+    module, or as the 2-crossed module 0 -> E -> R, where the same law is
+    d1-equivariance."""
+    R = make_finite_algebra(["p", "q"], {("p", "p"): {"q": 1}}, F5)
+    E = make_finite_algebra(["a"], {}, F5)
+    d = algebra_morphism(E, R, images={"a": R.basis_element("q")}, policy=PROVED)
+    if not as_two_crossed:
+        return make_precrossed(E, R, d, _unproved(R, E), PROVED)
+    L = zero_algebra(F5)
+    return make_two_crossed(L, E, R, algebra_morphism(L, E, images={}, policy=PROVED), d,
+                            _unproved(R, E), zero_action(R, L), zero_bilinear(E, E, L), PROVED)
+
+
+P_SQUARED_CANDIDATES = [  # (build, the law that fails at q)
+    (partial(_d_onto_q, False), "XM1"),
+    (partial(_d_onto_q, True), "XM1"),
+    (partial(_p_squared, "l", lift=False), "equivariance"),
+    (partial(_p_squared, "e", lift=False), "equivariance"),
+    (partial(_p_squared, "l"), "2XM6"),
+    (partial(_p_squared, "e"), "2XM6"),
+    (partial(_p_squared, order=("q", "p"), lift=False), "equivariance"),
+    (partial(_p_squared, order=("q", "p")), "2XM6"),
+]
+
+
+def test_the_r_slot_rule_decides_what_the_plain_check_decides(monkeypatch):
+    """The generator rule on the R slot gives each verdict, error type,
+    witness and pair of sides that the check without it gives: on drawn
+    kernels over F5, rebuilt and as pre-crossed modules, on the corrupted
+    F2 variants, and on structures over <p, q; p^2 = q> whose law linear
+    in r fails at q, outside G_R."""
+    rng = random.Random(41)
+    kernels = [random_two_crossed(F5, rng, max_dim=2, policy=PROVED) for _ in range(20)]
+    builds = [partial(make_two_crossed, A.L, A.E, A.R, A.d2, A.d1, A.act_e, A.act_l, A.lift, PROVED)
+              for A in kernels]
+    builds += [partial(make_precrossed, A.E, A.R, A.d1, A.act_e, PROVED) for A in kernels]
+    builds += [thunk for _, thunk, _, _, _ in fixtures.corrupted_f2_variants()]
+    builds += [build for build, _ in P_SQUARED_CANDIDATES]
+    by_rule = [_outcome(build) for build in builds]
+    with monkeypatch.context() as patch:
+        _withheld_r_slot(patch)
+        plain = [_outcome(build) for build in builds]
+    assert by_rule == plain
+    assert all(isinstance(outcome, dict) for outcome in by_rule[:40])
+    failures = by_rule[-len(P_SQUARED_CANDIDATES):]
+    assert [(law, witness[0]) for _, law, witness, _, _ in failures] == [
+        (law, "q") for _, law in P_SQUARED_CANDIDATES]
 
 
 def test_crossed_derivations_over_a_free_r_are_proved_the_same_way():

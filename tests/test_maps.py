@@ -384,8 +384,8 @@ def test_sampled_tuples_are_kept_on_their_structure():
 
     pol = Policy(samples=4, seed=1)
     D = random_free_two_crossed(PrimeField(5), random.Random(2), policy=pol)
-    assert D.R._draws
     tuples, _ = law_tuples([D.R, D.R], pol)
+    assert D.R._draws
     assert law_tuples([D.R, D.R], pol)[0] == tuples
     structure, free = weakref.ref(D), weakref.ref(D.R)
     del D, tuples
@@ -621,8 +621,10 @@ def test_a_sampled_law_evaluates_each_spanned_key_tuple_once():
 
 def test_a_law_with_a_zero_algebra_slot_evaluates_nothing_and_stays_sampled():
     """A zero element spans nothing, so a law with a zero-algebra slot over
-    a free algebra evaluates no tuple and keeps the sampled certificate;
-    F3's laws over E = 0 are such laws."""
+    a free algebra evaluates no tuple and keeps the sampled certificate.
+    F3's d1-equivariance over E = 0 is proved instead: its zero action's A2
+    is proved, so r runs over B = {x} against the empty basis of E, an
+    empty product."""
     from xmod2 import fixtures
 
     F3 = fixtures.free_line_two_crossed()
@@ -634,7 +636,7 @@ def test_a_law_with_a_zero_algebra_slot_evaluates_nothing_and_stays_sampled():
     cert = check_law([R, E], _counted(lambda r, e: E.zero(), calls), lambda r, e: e,
                      MorphismViolation, pol)
     assert calls == [] and cert is pol.certificate
-    assert not F3.certificates["d1-equivariance"].exhaustive
+    assert F3.certificates["d1-equivariance"] is EXHAUSTIVE
 
 
 def _bilinear_cases(ring):

@@ -136,16 +136,20 @@ def test_t_breaking_the_action_law_is_rejected():
 
 def test_sampled_certificate_reproduces_its_tuples(monkeypatch):
     """A sampled certificate (D, N, seed) and the law's algebras give back
-    the tuples its check saw: F3's d1-equivariance over R x E, a law of
-    make_two_crossed over a free R that no lemma covers, is checked on the
-    generator tuples (none, as E = 0), then on N pairs drawn from
-    Random(seed) at degree <= D."""
+    the tuples its check saw: d1-equivariance over R x E, a law of
+    make_two_crossed over a free R that no lemma covers here, since the
+    free table action x > u = u has its A2 only sampled.  It is checked on
+    the generator tuple (x, u), then on N pairs drawn from Random(seed) at
+    degree <= D."""
     from xmod2 import maps
-    from xmod2.algebra import zero_algebra
-    from xmod2.maps import zero_action, zero_bilinear
 
     pol = Policy(samples=7, max_degree=3, seed=11)
-    R, E, L = make_free_algebra(["x"], QQ), zero_algebra(QQ), zero_algebra(QQ)
+    R = make_free_algebra(["x"], QQ)
+    E = make_finite_algebra(["u"], {("u", "u"): {"u": 1}}, QQ)
+    L = make_finite_algebra(["v"], {("v", "v"): {"v": 1}}, QQ)
+    u, v = E.basis_element("u"), L.basis_element("v")
+    act_e, act_l = make_action(R, E, {"x": {"u": u}}, pol), make_action(R, L, {"x": {"v": v}}, pol)
+    assert not act_e.certificate.exhaustive
     real, seen = maps.law_tuples, []
 
     def law_tuples(algebras, policy, *rest):
@@ -155,19 +159,19 @@ def test_sampled_certificate_reproduces_its_tuples(monkeypatch):
         return tuples, exhaustive
 
     monkeypatch.setattr(maps, "law_tuples", law_tuples)
-    F3 = make_two_crossed(
-        L, E, R, d2=algebra_morphism(L, E, images={}), d1=algebra_morphism(E, R, images={}),
-        act_e=zero_action(R, E), act_l=zero_action(R, L), lift=zero_bilinear(E, E, L),
-        policy=pol,
+    D = make_two_crossed(
+        L, E, R, d2=algebra_morphism(L, E, images={"v": u}),
+        d1=algebra_morphism(E, R, images={"u": R.zero()}),
+        act_e=act_e, act_l=act_l, lift=BilinearMap(E, E, L, {("u", "u"): v}), policy=pol,
     )
-    cert = F3.certificates["d1-equivariance"]
+    cert = D.certificates["d1-equivariance"]
     assert not cert.exhaustive
     rng = random.Random(cert.seed)
     drawn = [
         (random_element(R, rng, cert.max_degree), random_element(E, rng, cert.max_degree))
         for _ in range(cert.samples)
     ]
-    assert seen == [drawn]
+    assert seen == [[(R.monomial("x"), u)] + drawn]
 
 
 def test_apply_homotopy_target_and_char_two_variant():
