@@ -131,9 +131,6 @@ class Element:
         self._check_owner(other)
         return self.coeffs == other.coeffs
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     __hash__ = None
 
     def __str__(self):

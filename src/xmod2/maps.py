@@ -52,9 +52,10 @@ as before:
   (d1-equivariance, d2-equivariance and 2XM6): r on G_R, when A2 of the
   actions each law relates is proved.
 
-When a law over finite algebras fails on a generating set, ``check_law``
-decides it again on the full basis, so its error and witness are the ones
-the basis check raises.
+A law that fails on a generating set fails on the basis, at the same
+tuple, so ``check_law`` raises at the first failure the rule finds: each
+law is decided once, and its witness is a failing tuple of the rule's own
+sets, not necessarily the first failing tuple in basis order.
 
 ``check_law`` is the one caller of ``law_tuples``, so the one place where
 the kind of certificate a law earns is decided: every law checked above
@@ -415,10 +416,8 @@ def check_law(algebras, lhs, rhs, error, policy, on_keys=None, generators=(), by
     ``generators`` names the slots whose solution set the caller has shown
     to be closed under products; those slots are checked on a generating
     set (the generator rule): a free algebra's generators, or a finite
-    algebra's ``generating_positions`` when its product is proved.  When a
-    law over finite algebras fails on a generating set, it is decided again
-    on the full basis, so the error and its witness are the ones the basis
-    check raises.
+    algebra's ``generating_positions`` when its product is proved.  A
+    failure there is a failure on the basis, so it is raised as found.
     ``by_construction`` says the caller has shown that the law holds for
     the way its maps were built: nothing is evaluated and the certificate
     is EXHAUSTIVE.  The sides are still given, as the statement of the law.
@@ -426,8 +425,8 @@ def check_law(algebras, lhs, rhs, error, policy, on_keys=None, generators=(), by
     ``triangle`` gives ``law_tuples`` the slot triangle of a semidirect
     product, each generator's first basis position, in place of the
     generator rule's full product; the kernel then gets the tuples'
-    ``starts`` too, and may name a pair outside the triangle, which sends
-    the law to the full basis as a failure does.
+    ``starts`` too, and may name a pair outside the triangle, which is
+    raised as a failure at that pair.
 
     ``on_keys`` decides the law on basis keys: given the basis key lists
     of the slots (a generating set's keys in a generator slot), it returns
@@ -439,12 +438,6 @@ def check_law(algebras, lhs, rhs, error, policy, on_keys=None, generators=(), by
         return EXHAUSTIVE
     tuples, exhaustive = law_tuples(algebras, policy, generators, triangle)
     failure = _first_failure(algebras, policy, tuples, exhaustive, lhs, rhs, on_keys)
-    if (
-        failure is not None and generators and all(a.is_finite() for a in algebras)
-        and len(tuples) < math.prod(a.dim() for a in algebras)
-    ):
-        tuples, exhaustive = law_tuples(algebras, policy)
-        failure = _first_failure(algebras, policy, tuples, exhaustive, lhs, rhs, on_keys)
     if failure is not None:
         raise error(*failure)
     return EXHAUSTIVE if exhaustive else policy.certificate
@@ -638,9 +631,9 @@ def certify_multiplicative(f, policy=DEFAULT_POLICY, left=None):
     slot order, which is the basis order (``SemidirectAlgebra.triangle``,
     ``law_tuples``' triangle).  A semidirect source takes it with the
     generator rule; on each pair it skips, the kernel checks that the
-    source product is symmetric, and a mismatch decides the law again on
-    the full basis, as a failure does.  Every other source keeps the
-    generator rule alone.
+    source product is symmetric, and a mismatch rejects the law at that
+    pair, as a failure does.  Every other source keeps the generator rule
+    alone.
 
     The left-part lemma.  Let the source X |x Y be finite, the target Z
     proved, and ``left`` a list of proved algebra maps whose composite h
@@ -655,9 +648,8 @@ def certify_multiplicative(f, policy=DEFAULT_POLICY, left=None):
     f o i = h on a basis of X, i the inclusion x -> (x, 0), so it is
     recorded: f.left is the tuple of ``left``.  In any other case (a
     comparison that fails, an unproved map of ``left``, an infinite
-    source) the law takes the slot triangle, and a failure either way is
-    decided again on the full basis, so errors and witnesses are the ones
-    without ``left``."""
+    source) the law takes the slot triangle.  A failure either way is a
+    failing pair of the source's basis, raised as found."""
     source, target = f.source, f.target
     source_mul, target_mul = source.key_mul, target.key_mul
     ring, image = target.ring, _Lazy(lambda k: f._image(k).coeffs)  # key -> f(key) coeffs
@@ -872,7 +864,8 @@ def certify_action(action, policy=DEFAULT_POLICY):
     when the acting algebra is a semidirect product the split basis tuples
     are exactly the reduced conditions for actions of semidirect products.
 
-    Over finite algebras both take the generator rule, A2 first:
+    Both take the generator rule, A2 first, which applies over finite
+    algebras (over any others both are checked on law tuples):
 
     * A2, r1 r2 > m = r1 > (r2 > m), with r1 on G_R and r2, m over the
       bases.  For a, b in the solution set S and every r2, m, by the
@@ -886,8 +879,7 @@ def certify_action(action, policy=DEFAULT_POLICY):
       under products by A2:
       ab > m1m2 = a > (b > m1m2) = a > (b > m1)m2 = (ab > m1)m2.
 
-    When either fails, A1 and then A2 are decided on the bases, in that
-    order, so the error is the one the basis checks raise.
+    Each law is decided once, and its failure raised as found.
     """
     R, M = action.acting, action.acted
     ring, key_mul = M.ring, M.key_mul
@@ -920,29 +912,14 @@ def certify_action(action, policy=DEFAULT_POLICY):
                         return i, j, l
         return None
 
-    def a1(generators=()):
-        return check_law(
-            [R, M, M], lambda r, m1, m2: action(r, m1 * m2), lambda r, m1, m2: action(r, m1) * m2,
-            A1Violation, policy, on_keys=a1_on_keys, generators=generators,
-        )
-
-    def a2(generators=()):
-        return check_law(
-            [R, R, M], lambda r1, r2, m: action(r1 * r2, m), lambda r1, r2, m: action(r1, action(r2, m)),
-            A2Violation, policy, on_keys=a2_on_keys, generators=generators,
-        )
-
-    if R.is_finite() and M.is_finite():
-        try:
-            a2_cert, a2_error = a2((0,)), None
-        except A2Violation as exc:
-            a2_cert, a2_error = None, exc
-        if a2_error is not None:
-            a1()  # the bases decide A1 first
-            raise a2_error
-        a1_cert = a1((0, 1))  # A2 passed with every slot finite, so it is proved
-    else:
-        a1_cert, a2_cert = a1(), a2()
+    a2_cert = check_law(
+        [R, R, M], lambda r1, r2, m: action(r1 * r2, m), lambda r1, r2, m: action(r1, action(r2, m)),
+        A2Violation, policy, on_keys=a2_on_keys, generators=(0,),
+    )
+    a1_cert = check_law(
+        [R, M, M], lambda r, m1, m2: action(r, m1 * m2), lambda r, m1, m2: action(r, m1) * m2,
+        A1Violation, policy, on_keys=a1_on_keys, generators=(0, 1) if is_proof(a2_cert) else (),
+    )
     action.certificate = _weakest(a1_cert, a2_cert)
     return action.certificate
 

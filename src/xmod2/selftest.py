@@ -74,7 +74,7 @@ def _fixture_suite(report, policy):
 def _tower_suite(report, seed, policy):
     for name in ("F0", "F2", "F3"):
         A = fixtures.fixture(name)
-        T = build_tower(A, policy)
+        T = get_tower(A, policy)
         for act in ("bullet", "star", "one_e", "one_r", "one", "two_e", "two_l", "two", "dagger"):
             report.add(
                 "actions/%s/%s" % (name, act), "A1+A2", True,
@@ -102,7 +102,7 @@ def _tower_suite(report, seed, policy):
 
     # a deliberately corrupted face must break an identity
     F2 = fixtures.fixture("F2")
-    T = build_tower(F2, policy)
+    T = get_tower(F2, policy)
     lam1, lam2 = T.levels[1], T.levels[2]
 
     def broken_d2(u):

@@ -18,12 +18,14 @@ it restricts to >2 (to >2e or >2l).  Each of those sides is a subalgebra,
 (x, 0)(x', 0) = (xx', 0), so once A1 and A2 of >t are proved for every
 element, on bases or on generating sets, they hold for the six
 components, which then carry >t's certificate.  Over a free R the
-components are certified on their own.  Each semidirect product is
-certified by the semidirect lemma (``maps.certify_algebra``).  The same
-restriction lemma evaluates the sums: a key (side, k) of X |x Y is
-(k, 0) or (0, k), so (x, y) > m = x >left m + y >right m reads the image of
-a key pair from the component on the key's side (``_SumAction``).  The
-actor is never split, and a sum keeps no memo of its own.
+components are certified on their own.  Conversely a broken component
+is a failure of >t on that component's side, so it raises >t's error.
+Each semidirect product is certified by the semidirect lemma
+(``maps.certify_algebra``).  The same restriction lemma evaluates the
+sums: a key (side, k) of X |x Y is (k, 0) or (0, k), so
+(x, y) > m = x >left m + y >right m reads the image of a key pair from the
+component on the key's side (``_SumAction``).  The actor is never split,
+and a sum keeps no memo of its own.
 
 The tower is transcribed once, as three tables of terms on named component
 slots.  Lam_n has the slots ``_NAMES[n]``: (r,), (r, e), (r, e, e', l) and
@@ -240,17 +242,10 @@ def _certify_dagger(dagger, components, policy):
 
     An exhaustive certificate of >t is one for every component, each the
     restriction of >t to a subalgebra (see the module docstring); otherwise
-    each component is certified on its own.
-    When >t fails, the components are certified in the order given, so a
-    broken component raises its own error, with its own witness, and >t's
-    error is raised only if none of them fails.
+    each component is certified on its own.  A broken component breaks >t,
+    on that component's subalgebra, so >t's own error is raised.
     """
-    try:
-        certify_action(dagger, policy)
-    except Exception:  # always re-raised: a component's error, else this one
-        for act in components.values():
-            certify_action(act, policy)
-        raise
+    certify_action(dagger, policy)
     for act in components.values():
         if dagger.certificate.exhaustive:
             act.certificate = dagger.certificate
@@ -646,8 +641,8 @@ def check_simplicial_identities(T, policy=DEFAULT_POLICY):
     f(a)f(b) = g(a)g(b) = g(ab).  So the identity is checked on a
     generating set of its level (the generator rule).  An identity through
     an uncertified map, such as the one ``with_face`` puts in, is checked
-    on the basis.  A failure on a generating set is decided again on the
-    basis, so the witness is the one the basis check finds.
+    on the basis.  A failure on a generating set is one on the basis, and
+    its witness is that generating-set element.
 
     An identity in ``T.shown`` passes with nothing evaluated: the left-part
     lemma compared its two sides on a basis of its level while certifying

@@ -201,8 +201,8 @@ def check_derivation_law(R, f0, act, s, declared, error, policy):
     """Check s(rr') = f0(r) > s(r') + f0(r') > s(r) + s(r)s(r') on law
     tuples of R x R; returns the certificate or raises error(witness, lhs, rhs).
 
-    First each declared monomial value (see ``complete_s_images``) must be
-    the value s takes there; otherwise error((monomial,), declared, s(monomial)).
+    First each declared monomial value must be the value s takes there
+    (``_check_declared``).
 
     Over a free R the law holds by construction (``maps.check_law``) when
     ``_by_construction`` says its premises hold.  The lemma: phi is an
@@ -212,11 +212,7 @@ def check_derivation_law(R, f0, act, s, declared, error, policy):
     (a, e)(a', e') = (aa', a > e' + a' > e + ee'), as the law above.
     Otherwise the law is checked on law tuples.
     """
-    for mono, value in declared.items():
-        r = R.basis_element(mono)
-        forced = s(r)
-        if forced != value:
-            raise error((r,), value, forced)
+    _check_declared(R, s, declared, error)
 
     def rhs(r, r2):
         sr, sr2 = s(r), s(r2)
@@ -226,6 +222,22 @@ def check_derivation_law(R, f0, act, s, declared, error, policy):
         [R, R], lambda r, r2: s(r * r2), rhs, error, policy,
         by_construction=_by_construction(f0, act, s),
     )
+
+
+def _check_declared(R, s, declared, error):
+    """Each declared monomial value (see ``complete_s_images``) must be the
+    value s takes there; otherwise error((monomial,), declared, s(monomial))."""
+    for mono, value in declared.items():
+        r = R.basis_element(mono)
+        forced = s(r)
+        if forced != value:
+            raise error((r,), value, forced)
+
+
+def _s_error(A):
+    """The error of an s-law over A: the derivation law of a crossed
+    module's slice, else QDLawViolation("s-law")."""
+    return DerivationLawViolation if A.slice_of is not None else partial(QDLawViolation, "s-law")
 
 
 def complete_s_images(R, E, images):
@@ -409,8 +421,7 @@ def _certify(f, data, key, policy):
     A, B = f.src, f.tgt
     s_images, declared, t_norm = data
     smap = _s_map(f, s_images, policy)
-    s_error = DerivationLawViolation if A.slice_of is not None else partial(QDLawViolation, "s-law")
-    certs = {"s-law": check_derivation_law(A.R, f.f0, B.act_e, smap, declared, s_error, policy)}
+    certs = {"s-law": check_derivation_law(A.R, f.f0, B.act_e, smap, declared, _s_error(A), policy)}
     tmap = _t_map(f, t_norm)
     if B.L.dim() == 0:  # t = 0, and every side of a t-law lies in L' = 0
         certs["t-product"] = certs["t-action"] = EXHAUSTIVE
@@ -669,11 +680,16 @@ def extend_derivation(f, s_star, policy=DEFAULT_POLICY):
 
     Realized by evaluating the algebra map r -> (f0(r), s(r)) into
     R' |x E' by substitution; the derivation law holds by construction.
+    A monomial key of s_star declares the value s takes there, and is
+    checked as ``make_quadratic_derivation`` checks it (``_check_declared``,
+    raising the s-law's error).
     """
     A, B = f.src, f.tgt
     _require_free(A)
-    images, _ = complete_s_images(A.R, B.E, s_star)
-    return _s_map(f, images, policy)
+    images, declared = complete_s_images(A.R, B.E, s_star)
+    s = _s_map(f, images, policy)
+    _check_declared(A.R, s, declared, _s_error(A))
+    return s
 
 
 def _t_keys(A, B):

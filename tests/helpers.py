@@ -2,6 +2,7 @@
 
 import sys
 
+from xmod2.algebra import unit_key
 from xmod2.crossed import make_2cm_morphism
 from xmod2.maps import DEFAULT_POLICY, zero_map
 
@@ -17,3 +18,14 @@ def patch_everywhere(monkeypatch, real, replacement):
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.startswith("xmod2") and getattr(mod, real.__name__, None) is real:
             monkeypatch.setattr(mod, real.__name__, replacement)
+
+
+def assert_failing_basis_tuple(error, lhs, rhs):
+    """error's witness is a tuple of basis elements at which the law
+    lhs == rhs fails: lhs and rhs there give error's two sides, which
+    differ.  Any such tuple certifies the failure, first in basis order or
+    not."""
+    witness = error.witness
+    assert all(unit_key(u) is not None for u in witness)
+    assert error.lhs != error.rhs
+    assert (lhs(*witness), rhs(*witness)) == (error.lhs, error.rhs)

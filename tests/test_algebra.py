@@ -101,6 +101,19 @@ def test_element_normal_form_is_canonical():
     assert (0 * u).is_zero()
 
 
+def test_not_equal_checks_owners_as_equal_does():
+    """Element defines == alone; Python derives != from it, so comparing
+    elements of two different algebras raises either way."""
+    R = carrier_f1()
+    u, v = R.basis_element("x"), make_free_algebra(["x"], QQ).monomial("x")
+    assert "__ne__" not in vars(type(u))
+    with pytest.raises(OwnerMismatch):
+        u != v
+    with pytest.raises(OwnerMismatch):
+        v != u
+    assert u != R.basis_element("x2") and not u != R.basis_element("x")
+
+
 def test_owner_mismatch():
     R = carrier_f1()
     P = make_free_algebra(["x"], QQ)

@@ -309,8 +309,8 @@ def _p_squared(unproved="", order=("p", "q"), lift=True):
     ``unproved`` names the action built by ``_unproved``; that law then
     fails at q alone.  Otherwise E = <a> and L = <a1, a2, a3>, acted on by
     p > a1 = a2, p > a2 = a3, q > a1 = a3 (both actions proved): the law
-    fails at p on G_R too and is decided again on the basis, which lists q
-    first.  ``lift`` gives {a (x) a} = the first basis element of L and
+    fails at p on G_R too, and the rule raises there, while the basis
+    check, which lists q first, raises at q.  ``lift`` gives {a (x) a} = the first basis element of L and
     d2 = 0, so 2XM6 is the law that fails; else the lifting is zero and
     d2 sends each basis element of L to the same-named one of E, so
     d2-equivariance fails."""
@@ -359,11 +359,12 @@ P_SQUARED_CANDIDATES = [  # (build, the law that fails at q)
 
 
 def test_the_r_slot_rule_decides_what_the_plain_check_decides(monkeypatch):
-    """The generator rule on the R slot gives each verdict, error type,
-    witness and pair of sides that the check without it gives: on drawn
-    kernels over F5, rebuilt and as pre-crossed modules, on the corrupted
-    F2 variants, and on structures over <p, q; p^2 = q> whose law linear
-    in r fails at q, outside G_R."""
+    """The generator rule on the R slot gives each verdict, error type and
+    law that the check without it gives: on drawn kernels over F5, rebuilt
+    and as pre-crossed modules, on the corrupted F2 variants, and on
+    structures over <p, q; p^2 = q> whose law linear in r fails at q,
+    outside G_R.  The witness may differ: a law that fails on G_R = {p}
+    reports p, a failing basis element all the same."""
     rng = random.Random(41)
     kernels = [random_two_crossed(F5, rng, max_dim=2, policy=PROVED) for _ in range(20)]
     builds = [partial(make_two_crossed, A.L, A.E, A.R, A.d2, A.d1, A.act_e, A.act_l, A.lift, PROVED)
@@ -375,11 +376,19 @@ def test_the_r_slot_rule_decides_what_the_plain_check_decides(monkeypatch):
     with monkeypatch.context() as patch:
         _withheld_r_slot(patch)
         plain = [_outcome(build) for build in builds]
-    assert by_rule == plain
+
+    def verdict(outcome):
+        return outcome if isinstance(outcome, dict) else outcome[:2]
+
+    assert [verdict(o) for o in by_rule] == [verdict(o) for o in plain]
     assert all(isinstance(outcome, dict) for outcome in by_rule[:40])
-    failures = by_rule[-len(P_SQUARED_CANDIDATES):]
-    assert [(law, witness[0]) for _, law, witness, _, _ in failures] == [
+    n = len(P_SQUARED_CANDIDATES)
+    assert [(law, witness[0]) for _, law, witness, _, _ in plain[-n:]] == [
         (law, "q") for _, law in P_SQUARED_CANDIDATES]
+    assert [(law, witness[0]) for _, law, witness, _, _ in by_rule[-n:]] == [
+        (law, "q") for _, law in P_SQUARED_CANDIDATES[:6]] + [
+        (law, "p") for _, law in P_SQUARED_CANDIDATES[6:]]
+    assert all(lhs != rhs for _, _, _, lhs, rhs in by_rule[-n:] + plain[-n:])
 
 
 def test_crossed_derivations_over_a_free_r_are_proved_the_same_way():

@@ -49,6 +49,8 @@ from xmod2.maps import (
 from xmod2.rings import QQ, PrimeField
 from xmod2.simplex import get_tower
 
+from helpers import assert_failing_basis_tuple
+
 
 def f2_carriers():
     R = make_finite_algebra(["p"], {}, QQ)
@@ -123,12 +125,23 @@ def test_make_action_zero_and_multiplication_style():
 
 
 def test_action_a1_violation_with_witness():
-    R, E = f2_carriers()
-    # p > a = a fails A1 on (p, a, a): p > (a a) = p > b = 0 but (p > a) a = b
+    _, E = f2_carriers()
+    a = E.basis_element("a")
+    table = {"p": {"a": a}}
+    # p > a = a fails A1 on (p, a, a): p > (a a) = p > b = 0 but (p > a) a = b;
+    # with p^2 = p, A2 holds: pp > a = a = p > (p > a), and pp > b = 0
+    R = make_finite_algebra(["p"], {("p", "p"): {"p": 1}}, QQ)
     with pytest.raises(A1Violation) as err:
-        make_action(R, E, {"p": {"a": E.basis_element("a")}})
-    r, m1, m2 = err.value.witness
-    assert r == R.basis_element("p") and m1 == E.basis_element("a") and m2 == E.basis_element("a")
+        make_action(R, E, table)
+    assert err.value.witness == (R.basis_element("p"), a, a)
+    _, lhs, rhs, _ = _action_law(TableAction(R, E, table), "A1")
+    assert_failing_basis_tuple(err.value, lhs, rhs)
+    # with p^2 = 0 the same table fails A2 at (p, p, a) too, and A2 is decided first
+    R, _ = f2_carriers()
+    with pytest.raises(A2Violation) as err:
+        make_action(R, E, table)
+    _, lhs, rhs, _ = _action_law(TableAction(R, E, table), "A2")
+    assert_failing_basis_tuple(err.value, lhs, rhs)
 
 
 def test_action_a2_violation():
@@ -139,14 +152,18 @@ def test_action_a2_violation():
         make_action(R, E, {"q": {"a": E.basis_element("a")}})
 
 
+def _action_law(act, law):
+    """(algebras, lhs, rhs, error) of the law A1 or A2 of act."""
+    R, M = act.acting, act.acted
+    if law == "A1":
+        return [R, M, M], lambda r, m1, m2: act(r, m1 * m2), lambda r, m1, m2: act(r, m1) * m2, A1Violation
+    return [R, R, M], lambda r1, r2, m: act(r1 * r2, m), lambda r1, r2, m: act(r1, act(r2, m)), A2Violation
+
+
 def _element_path_error(R, M, table, law):
     """The error the element path of check_law raises for one law of the
     table action R > M, built without certifying it."""
-    act = TableAction(R, M, table)
-    if law == "A1":
-        algebras, lhs, rhs, error = [R, M, M], lambda r, m1, m2: act(r, m1 * m2), lambda r, m1, m2: act(r, m1) * m2, A1Violation
-    else:
-        algebras, lhs, rhs, error = [R, R, M], lambda r1, r2, m: act(r1 * r2, m), lambda r1, r2, m: act(r1, act(r2, m)), A2Violation
+    algebras, lhs, rhs, error = _action_law(TableAction(R, M, table), law)
     with pytest.raises(error) as info:
         check_law(algebras, lhs, rhs, error, Policy())
     return info.value
@@ -161,8 +178,9 @@ def _element_path_error(R, M, table, law):
     (["p", "q"], ["a", "b", "c"], {("a", "a"): {"b": 1}}, "A1", ("q", "a", "a")),
 ])
 def test_key_path_witness_when_dims_differ(rbasis, mbasis, mproducts, law, witness):
-    # zero products on R and q > a = a only
-    R = make_finite_algebra(rbasis, {}, QQ)
+    # q > a = a only; zero products on R for A2, and q^2 = q for A1, so A2
+    # holds there and A1, decided after it, is the law that fails
+    R = make_finite_algebra(rbasis, {("q", "q"): {"q": 1}} if law == "A1" else {}, QQ)
     M = make_finite_algebra(mbasis, mproducts, QQ)
     table = {"q": {"a": M.basis_element("a")}}
     error = A1Violation if law == "A1" else A2Violation
@@ -170,7 +188,8 @@ def test_key_path_witness_when_dims_differ(rbasis, mbasis, mproducts, law, witne
         make_action(R, M, table)
     got = info.value
     assert tuple(str(u) for u in got.witness) == witness
-    assert got.lhs != got.rhs
+    _, lhs, rhs, _ = _action_law(TableAction(R, M, table), law)
+    assert_failing_basis_tuple(got, lhs, rhs)
     expected = _element_path_error(R, M, table, law)
     assert type(got) is type(expected)
     assert [u.coeffs for u in got.witness] == [u.coeffs for u in expected.witness]
@@ -180,7 +199,9 @@ def test_key_path_witness_when_dims_differ(rbasis, mbasis, mproducts, law, witne
 def test_a_map_failing_on_generators_raises_the_basis_witness():
     """E = <b, a; a^2 = b> lists its generator a after b.  f(b) = t, an
     idempotent, and f(a) = 0 fails at (a, a) on the generating set {a},
-    but at (b, b) first on the basis; the error is the basis check's."""
+    but at (b, b) first on the basis.  Both reject; the generator rule
+    raises at (a, a), a failing pair of basis elements too, without
+    deciding the law again."""
     E = make_finite_algebra(["b", "a"], {("a", "a"): {"b": 1}}, QQ)
     T = make_finite_algebra(["t"], {("t", "t"): {"t": 1}}, QQ)
     assert E.generating_positions() == (1,)
@@ -188,10 +209,12 @@ def test_a_map_failing_on_generators_raises_the_basis_witness():
     with pytest.raises(MorphismViolation) as info:
         algebra_morphism(E, T, images=images)
     f = linear_map(E, T, images)
+    lhs, rhs = (lambda u, v: f(u * v)), (lambda u, v: f(u) * f(v))
     with pytest.raises(MorphismViolation) as expected:
-        check_law([E, E], lambda u, v: f(u * v), lambda u, v: f(u) * f(v), MorphismViolation, Policy())
-    assert [str(u) for u in info.value.witness] == ["b", "b"]
-    assert str(info.value) == str(expected.value)
+        check_law([E, E], lhs, rhs, MorphismViolation, Policy())
+    assert [str(u) for u in info.value.witness] == ["a", "a"]
+    assert [str(u) for u in expected.value.witness] == ["b", "b"]
+    assert_failing_basis_tuple(info.value, lhs, rhs)
 
 
 # R = <p; p^2 = p>, so G(R) = {p}; M = <n, m, o> with m^2 = n, mn = o lists
@@ -202,22 +225,27 @@ _CUBIC_M = (["n", "m", "o"], {("m", "m"): {"n": 1}, ("m", "n"): {"o": 1}, ("n", 
 
 @pytest.mark.parametrize("table, a2_fails, witness", [
     # A2 holds; A1 fails at (p, m, m) on generators, first at (p, n, m) on the bases
-    ({"p": {"n": {"n": 1}}}, False, ("p", "n", "m")),
-    # both fail: A2 is checked first, on generators, but A1 is raised, as on the bases
-    ({"p": {"m": {"m": 2}, "n": {"o": 1}}}, True, ("p", "m", "n")),
+    ({"p": {"n": {"n": 1}}}, False, ("p", "m", "m")),
+    # both fail: A2 is checked first, on generators, and raised
+    ({"p": {"m": {"m": 2}, "n": {"o": 1}}}, True, ("p", "p", "n")),
 ])
 def test_an_action_failing_on_generators_raises_the_basis_error(table, a2_fails, witness):
+    """The generator rule rejects what the plain check on the bases
+    rejects, with the same error type, at a failing tuple of its own
+    generating sets."""
     R = make_finite_algebra(*_IDEMPOTENT_R, QQ)
     M = make_finite_algebra(*_CUBIC_M, QQ)
     assert M.generating_positions() == (1,)
     table = {r: {k: M.element(v) for k, v in row.items()} for r, row in table.items()}
-    with pytest.raises(A1Violation) as info:
+    law = "A2" if a2_fails else "A1"
+    _, lhs, rhs, error = _action_law(TableAction(R, M, table), law)
+    with pytest.raises(error) as info:
         make_action(R, M, table)
+    _element_path_error(R, M, table, "A1")  # the plain check fails A1 in both cases
     if a2_fails:
         _element_path_error(R, M, table, "A2")
-    expected = _element_path_error(R, M, table, "A1")
     assert tuple(str(u) for u in info.value.witness) == witness
-    assert str(info.value) == str(expected)
+    assert_failing_basis_tuple(info.value, lhs, rhs)
 
 
 def test_free_acting_table_action_certificates():
@@ -523,10 +551,13 @@ def test_exhaustive_tuples_are_lazy_and_in_product_order():
 
     a, b = E.basis_element("a"), E.basis_element("b")
     assert certify_action(TableAction(R, E, {"p": {"a": b}})) is EXHAUSTIVE
-    bad = TableAction(R, E, {"p": {"a": a}})  # p > (a a) = p > b = 0, (p > a) a = a a = b
-    with pytest.raises(A1Violation) as err:
+    bad = TableAction(R, E, {"p": {"a": a}})  # pp > a = 0, p > (p > a) = a (A1 fails too)
+    with pytest.raises(A2Violation) as err:
         certify_action(bad)
-    assert err.value.witness == (R.basis_element("p"), a, a)
+    p = R.basis_element("p")
+    assert err.value.witness == (p, p, a)
+    _, lhs, rhs, _ = _action_law(bad, "A2")
+    assert_failing_basis_tuple(err.value, lhs, rhs)
 
 
 def test_a_sampled_law_wrong_on_one_monomial_is_rejected_there():

@@ -10,7 +10,9 @@ import pytest
 from xmod2 import fixtures, maps, simplex
 from xmod2.algebra import SemidirectAlgebra, make_finite_algebra, unit_key
 from xmod2.crossed import kernel_two_crossed, make_2cm_morphism, make_precrossed, make_two_crossed
-from xmod2.errors import A1Violation, EquivarianceViolation, IndexOutOfRange, MorphismViolation, XmodError
+from xmod2.errors import (
+    A1Violation, A2Violation, EquivarianceViolation, IndexOutOfRange, LawViolation, MorphismViolation, XmodError,
+)
 from xmod2.maps import LinearMap, Policy, certify_action, random_element
 from xmod2.randgen import random_two_crossed
 from xmod2.rings import PrimeField, rref
@@ -23,7 +25,7 @@ from xmod2.simplex import (
 )
 from xmod2.specdoc import load_spec
 
-from helpers import patch_everywhere
+from helpers import assert_failing_basis_tuple, patch_everywhere
 
 POL = Policy(samples=30, seed=5)
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures.json")
@@ -576,8 +578,10 @@ def _with_identity_term(base, name):
 
 @pytest.mark.parametrize("name", COMPONENTS)
 def test_component_mutant_raises_its_own_error_from_build_tower(monkeypatch, name):
-    """>t's check holds every component's law instances; when it fails,
-    build_tower raises what certifying the broken component alone raises."""
+    """>t's check holds every component's law instances, so a broken
+    component, which fails A1 or A2 when certified alone, makes
+    build_tower raise >t's A1Violation or A2Violation, at a tuple whose
+    actor lies in Lam2, >t's acting algebra."""
     F2 = fixtures.square_two_crossed()
     T = build_tower(F2, POL)
     real = T.actions[name]
@@ -591,13 +595,13 @@ def test_component_mutant_raises_its_own_error_from_build_tower(monkeypatch, nam
         for x in real.acting.basis_elements()
         for m in real.acted.basis_elements()
     )
-    with pytest.raises(Exception) as expected:
+    with pytest.raises((A1Violation, A2Violation)):
         certify_action(alone, POL)
     _patch_component(monkeypatch, name)
-    with pytest.raises(Exception) as got:
+    with pytest.raises((A1Violation, A2Violation)) as got:
         build_tower(F2, POL)
-    assert type(got.value) is type(expected.value)
-    assert str(got.value) == str(expected.value)
+    assert got.value.witness[0].algebra.compatible(T.actions["dagger"].acting)
+    assert got.value.lhs != got.value.rhs
 
 
 def _patch_component(monkeypatch, name):
@@ -920,7 +924,8 @@ def _patch_formula(monkeypatch, table, key, entry):
 def _element_path(monkeypatch):
     """Make every law check evaluate its tuples on elements over the full
     bases: no key kernel and no generator rule.  A check on generating sets
-    must find what this finds, a failure's witness included."""
+    must reach the verdict this reaches; where its first failure is also
+    the first on the bases, it finds the same witness."""
     real = maps.check_law
     patch_everywhere(
         monkeypatch, real, lambda *args, on_keys=None, generators=(), **kwargs: real(*args, **kwargs))
@@ -1141,21 +1146,43 @@ def _without_d2l(T):
     return _mutant(T, 2, 2, fn)
 
 
+def _recorded_failures(patch):
+    """Every LawViolation that check_law raises, wherever xmod2 calls it,
+    with the law's two sides, as a list that fills while ``patch`` lasts."""
+    real, failures = maps.check_law, []
+
+    def recording(algebras, lhs, rhs, *args, **kwargs):
+        try:
+            return real(algebras, lhs, rhs, *args, **kwargs)
+        except LawViolation as exc:
+            failures.append((exc, lhs, rhs))
+            raise
+
+    patch_everywhere(patch, real, recording)
+    return failures
+
+
 def test_identity_witnesses_are_the_full_basis_checks(monkeypatch):
     """On the broken-d2 tower five identities fail, checked on the basis
     because their broken face is uncertified.  With d1@1 replaced by the
     certified d0@1, or d2@2 by d1@2, the identities through it are algebra
-    maps, checked on a generating set and decided again on the basis when
-    they fail.  Over the square kernel that lists b before a, the first
-    failing basis element is not a generator, so the two checks find
-    different witnesses.  Each tower gives the entries, witnesses
-    included, of element checks over the full bases."""
+    maps, checked on a generating set and raised where they fail there.
+    Over the square kernel that lists b before a, the first failing basis
+    element is not a generator, so the two checks may report different
+    witnesses.  Each tower gives the verdicts of element checks over the
+    full bases, and every witness is a failing basis element."""
     T = f2_tower()
     S = build_tower(_square_kernel(1, 2, PrimeField(5), POL, labels=("b", "a")), POL)
     towers = [_without_d2l(T), with_face(T, 1, 1, T.faces[(1, 0)]), with_face(S, 2, 2, S.faces[(2, 1)])]
-    by_keys = [check_simplicial_identities(t, POL) for t in towers]
+    with monkeypatch.context() as patch:
+        failures = _recorded_failures(patch)
+        by_keys = [check_simplicial_identities(t, POL) for t in towers]
+    assert len(failures) == 5 + 3 + 7
+    for exc, lhs, rhs in failures:
+        assert_failing_basis_tuple(exc, lhs, rhs)
     _element_path(monkeypatch)
-    assert by_keys == [check_simplicial_identities(t, POL) for t in towers]
+    plain = [check_simplicial_identities(t, POL) for t in towers]
+    assert [[e[:2] for e in entries] for entries in by_keys] == [[e[:2] for e in entries] for entries in plain]
     assert [len([e for e in entries if not e[1]]) for entries in by_keys] == [5, 3, 7]
 
 
@@ -1169,10 +1196,11 @@ def test_component_mutant_raises_what_the_element_path_raises(monkeypatch, name)
     assert by_keys == _build_outcome(F2)
 
 
-# [calls, tuples] of law_tuples up to the error: a failing basis-key check
-# finds its witness without a second law_tuples call, and a failing check
-# on a generating set takes one more, on the full bases, for the witness
-# the basis check finds (``maps.check_law``).
+# [calls, tuples] of law_tuples up to the error: one law_tuples call per
+# law, a failing one included, since a failing basis-key check finds its
+# witness in that call's tuples.  The history below ends with the pins of
+# the replay, when a failure on a generating set took one more call, on the
+# full bases, for the witness the basis check finds.
 #
 # star-without-l''l' on T3: with every law on the bases it was [6, 1455],
 # A1 and A2 of >. and >*, A1 of >t, which fails, then A1 of its first
@@ -1195,9 +1223,17 @@ def test_component_mutant_raises_what_the_element_path_raises(monkeypatch, name)
 # reads the l slot, so it still agrees with s0 o d1@1 on Lam1.  It fails on
 # the smaller triangle and is decided again on the full basis, for the same
 # witness: [10, 242].
+#
+# Without the replay.  The lemma: a failing tuple on a generating set (or on
+# the slot triangle) is a tuple of basis elements where the law fails, so
+# the rejection is proved there, and no second call is needed to find one.
+# star-without-l''l' was [10, 1689] and is [6, 582]: A2 and then A1 of >.,
+# >* and >t, each once, on generating sets; A1 of >t fails, and is raised
+# as >t's error, with no component certified after it.  d2@2-without-d2(l)
+# was [10, 242] and is [9, 206]: the failing d2@2 is not decided again.
 @pytest.mark.parametrize("name, structure, error, counts", [
-    ("star-without-l''l'", 1, A1Violation, [10, 1689]),  # A1 of >t and >1e on T3
-    ("d2@2-without-d2(l)", 0, MorphismViolation, [10, 242]),  # d2 at level 2 on F2
+    ("star-without-l''l'", 1, A1Violation, [6, 582]),  # A1 of >t on T3
+    ("d2@2-without-d2(l)", 0, MorphismViolation, [9, 206]),  # d2 at level 2 on F2
 ])
 def test_work_count_of_a_rejected_build(monkeypatch, name, structure, error, counts):
     _patch_formula(monkeypatch, *FORMULA_MUTANTS[name])
@@ -1206,6 +1242,35 @@ def test_work_count_of_a_rejected_build(monkeypatch, name, structure, error, cou
     with pytest.raises(error):
         build_tower(A, POL)
     assert seen == counts
+
+
+def test_each_law_is_decided_once_and_every_failure_has_two_sides(monkeypatch):
+    """check_law calls law_tuples once per call, on a law that fails on a
+    generating set too: over E = <b, a; a^2 = b>, G = {a}, the map with
+    f(b) = t idempotent and f(a) = 0 fails at (a, a), on the 2 tuples of
+    G x E.  Every LawViolation raised from the corrupted F2 variants, and
+    from the tower's inputs under each formula mutant, has two different
+    sides."""
+    F5 = PrimeField(5)
+    E = make_finite_algebra(["b", "a"], {("a", "a"): {"b": 1}}, F5)
+    T = make_finite_algebra(["t"], {("t", "t"): {"t": 1}}, F5)
+    seen = _count_law_tuples(monkeypatch)
+    with pytest.raises(MorphismViolation):
+        maps.algebra_morphism(E, T, images={"b": T.basis_element("t"), "a": T.zero()})
+    assert seen == [1, 2]
+
+    failures, raised = _recorded_failures(monkeypatch), []
+    for _, thunk, _, _, _ in fixtures.corrupted_f2_variants():
+        with pytest.raises(XmodError) as err:
+            thunk()
+        raised.append(err.value)
+    for table, key, entry in FORMULA_MUTANTS.values():
+        with monkeypatch.context() as patch:
+            patch.setitem(getattr(simplex, table), key, entry)
+            _rejected(_mutant_inputs())
+    laws = [exc for exc, _, _ in failures] + [exc for exc in raised if isinstance(exc, LawViolation)]
+    assert len(laws) > len(FORMULA_MUTANTS)
+    assert all(exc.lhs != exc.rhs for exc in laws)
 
 
 def _finite_generated_module():
@@ -1239,8 +1304,9 @@ def test_equivariance_over_a_finite_r_takes_the_generator_rule(monkeypatch):
     closure lemma of make_2cm_morphism uses only A2 of both actions and f0.
     So f1-equivariance is EXHAUSTIVE on |G_R| dim E = 2 tuples, where the
     basis check takes dim R dim E = 4, and f2-equivariance on |G_R| dim L
-    = 1 instead of 2.  A map that breaks f1-equivariance fails on G_R, is
-    decided again on the basis, and raises what the basis check raises."""
+    = 1 instead of 2.  A map that breaks f1-equivariance fails on G_R at
+    u0, which the basis lists first, so it raises what the basis check
+    raises."""
     A = _finite_generated_module()
     R, E, L = A.R, A.E, A.L
     gens = maps._generating(R)

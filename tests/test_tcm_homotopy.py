@@ -14,10 +14,14 @@ from xmod2.crossed import (
     identity_2cm_morphism,
     kernel_two_crossed,
     make_2cm_morphism,
+    make_cm_morphism,
+    make_crossed,
     make_precrossed,
     make_two_crossed,
 )
-from xmod2.errors import CompositionMismatch, FreeBasisRequired, QDLawViolation, XmodError
+from xmod2.errors import (
+    CompositionMismatch, DerivationLawViolation, FreeBasisRequired, QDLawViolation, XmodError,
+)
 from xmod2.maps import (
     BilinearMap,
     Certificate,
@@ -197,6 +201,37 @@ def test_extend_derivation_values():
     f0 = zero_2cm_morphism(F3, F2, POL)
     s0 = extend_derivation(f0, {"x": a}, POL)
     assert s0(R.monomial("x", "x")) == b
+
+
+def test_extend_derivation_checks_declared_monomial_values():
+    """A monomial key declares the value s takes there, and
+    extend_derivation checks it as make_quadratic_derivation does: over
+    F3 -> F2 with f0(x) = p, s(x) = a forces s(x^2) = b, so declaring 5a
+    raises QDLawViolation("s-law") at x^2, and the forced value passes.
+    Over a crossed module's slice the error is DerivationLawViolation."""
+    F3, F2, f, _, _, _ = worked()
+    a, b = F2.E.basis_element("a"), F2.E.basis_element("b")
+    x2 = F3.R.monomial("x", "x")
+    with pytest.raises(QDLawViolation) as err:
+        extend_derivation(f, {"x": a, ("x", "x"): 5 * a}, POL)
+    assert (err.value.equation, err.value.witness, err.value.lhs, err.value.rhs) == ("s-law", (x2,), 5 * a, b)
+    with pytest.raises(QDLawViolation) as expected:
+        make_quadratic_derivation(f, {"x": a, ("x", "x"): 5 * a}, {}, POL)
+    assert str(err.value) == str(expected.value)
+    assert extend_derivation(f, {"x": a, ("x", "x"): b}, POL)(x2) == b
+
+    R = make_free_algebra(["y"], QQ)
+    E = make_finite_algebra(["u"], {}, QQ)
+    F1 = fixtures.ideal_crossed()
+    x, x2 = F1.R.basis_element("x"), F1.E.basis_element("x2")
+    g = make_cm_morphism(make_crossed(E, R, algebra_morphism(E, R, images={"u": R.zero()}), zero_action(R, E)),
+                         F1, algebra_morphism(R, F1.R, images={"y": x}),
+                         algebra_morphism(E, F1.E, images={"u": F1.E.zero()}), POL)
+    y2 = R.monomial("y", "y")
+    forced = extend_derivation(g, {"y": 3 * x2}, POL)(y2)
+    with pytest.raises(DerivationLawViolation) as err:
+        extend_derivation(g, {"y": 3 * x2, ("y", "y"): forced + x2}, POL)
+    assert (err.value.witness, err.value.lhs, err.value.rhs) == ((y2,), forced + x2, forced)
 
 
 def test_box_plus_s_unit_laws():
