@@ -310,10 +310,10 @@ def _p_squared(unproved="", order=("p", "q"), lift=True):
     fails at q alone.  Otherwise E = <a> and L = <a1, a2, a3>, acted on by
     p > a1 = a2, p > a2 = a3, q > a1 = a3 (both actions proved): the law
     fails at p on G_R too, and the rule raises there, while the basis
-    check, which lists q first, raises at q.  ``lift`` gives {a (x) a} = the first basis element of L and
-    d2 = 0, so 2XM6 is the law that fails; else the lifting is zero and
-    d2 sends each basis element of L to the same-named one of E, so
-    d2-equivariance fails."""
+    check, which lists q first, raises at q.  ``lift`` gives {a (x) a} =
+    the first basis element of L and d2 = 0, so 2XM6 is the law that
+    fails; else the lifting is zero and d2 sends each basis element of L
+    to the same-named one of E, so d2-equivariance fails."""
     R = make_finite_algebra(list(order), {("p", "p"): {"q": 1}}, F5)
     L = make_finite_algebra(["a"] if unproved else ["a1", "a2", "a3"], {}, F5)
     E = make_finite_algebra(L.labels if not lift else ["a"], {}, F5)

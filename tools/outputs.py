@@ -30,10 +30,9 @@ SELFTEST_SEEDS = (0, 7, 42)
 
 
 def default_runs():
-    """(directory, argument list) of every default run; None for the
-    directory means the root of the checkout.  The documents of
-    ``corrupted_docs`` are given as (name, document) in place of a
-    directory, to be written before their run."""
+    """(document, argument list) of every default run: document is None,
+    or the (name, JSON document) of ``corrupted_docs`` that the run
+    validates, written before it runs."""
     sys.dont_write_bytecode = True  # read verdictbench/, leave nothing in it
     sys.path[:0] = [os.path.join(ROOT, "tools"), os.path.join(ROOT, "src"), os.path.join(ROOT, "verdictbench")]
     from reach import DEFAULT_RUNS
@@ -65,10 +64,10 @@ def run(argv, cwd, report):
 def main(argv):
     runs = [(None, argv)] if argv else default_runs()
     with tempfile.TemporaryDirectory() as tmp:
-        for i, (place, command) in enumerate(runs):
+        for i, (document, command) in enumerate(runs):
             cwd = ROOT
-            if place is not None:
-                name, doc = place
+            if document is not None:
+                name, doc = document
                 cwd = tmp
                 with open(os.path.join(tmp, name + ".json"), "w", encoding="utf-8") as fh:
                     json.dump(doc, fh, ensure_ascii=False)
