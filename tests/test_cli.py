@@ -452,6 +452,21 @@ def test_selftest_reads_f2_and_f3_with_their_ring(monkeypatch):
     assert [call for call in calls if not call[1]] == []
 
 
+def test_selftest_builds_each_fixture_tower_once(monkeypatch):
+    """The tower suite reads the F0, F2 and F3 towers through get_tower, and
+    the corrupted-face check, the groupoid check and the worked instance
+    find F2's kept tower: one build_tower call per fixture."""
+    from xmod2 import fixtures, simplex
+    from xmod2.selftest import run_selftest
+
+    from helpers import patch_everywhere
+
+    real, built = simplex.build_tower, []
+    patch_everywhere(monkeypatch, real, lambda A, *args, **kwargs: built.append(A) or real(A, *args, **kwargs))
+    assert run_selftest(seed=11, samples=2).ok
+    assert [sum(A is fixtures.fixture(name) for A in built) for name in ("F0", "F2", "F3")] == [1, 1, 1]
+
+
 def test_no_user_facing_text_shows_a_fraction(tmp_path, capsys):
     """Q scalars are printed by value, never as ``Fraction(...)``: the text
     and JSON of validate, the corrupted F2 error texts and the selftest text."""

@@ -260,6 +260,29 @@ def test_free_acting_table_action_certificates():
     assert act(P.monomial("x", "x"), E.basis_element("a")).is_zero()
 
 
+def test_a1_takes_the_generator_rule_only_once_a2_is_proved(monkeypatch):
+    """Over a free acting algebra A2 is sampled (its r2 slot is infinite),
+    so A1 may not take r and m1 on generating sets, which its closure
+    lemma draws from A2: both laws keep the sampled certificate.  Over
+    finite algebras A2 is proved first, and A1 is proved after it."""
+    from xmod2 import maps
+
+    real, certs = maps.check_law, {}
+
+    def recording(algebras, lhs, rhs, error, *args, **kwargs):
+        certs[error] = real(algebras, lhs, rhs, error, *args, **kwargs)
+        return certs[error]
+
+    monkeypatch.setattr(maps, "check_law", recording)
+    R, E = f2_carriers()
+    P = make_free_algebra(["x"], QQ)
+    b = E.basis_element("b")
+    make_action(P, E, {"x": {"a": b}}, Policy(samples=5))
+    assert not certs[A2Violation].exhaustive and not certs[A1Violation].exhaustive
+    make_action(R, E, {"p": {"a": b}})
+    assert certs[A2Violation].exhaustive and certs[A1Violation].exhaustive
+
+
 def test_bilinear_map_requires_finite_and_is_bilinear():
     _, E = f2_carriers()
     L = make_finite_algebra(["k"], {}, QQ)
