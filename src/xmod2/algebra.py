@@ -641,7 +641,11 @@ def make_finite_algebra(basis, constants, ring):
 
     ``constants`` maps ordered label pairs to element mappings; omitted
     pairs multiply to zero.  Commutativity is checked on all ordered basis
-    pairs and associativity on all basis triples, exhaustively.
+    pairs and associativity on all basis triples, exhaustively.  Both are
+    decided on the normalized table: (ij)k combines the rows (m, k) over
+    the row (i, j), and i(jk) the rows (i, n) over the row (j, k), so no
+    element is built unless a triple fails, when ``NonAssociative`` gets
+    the first failing triple in (i, j, k) order and its two products.
     """
     labels = tuple(basis)
     if len(set(labels)) != len(labels):
@@ -669,16 +673,15 @@ def make_finite_algebra(basis, constants, ring):
             if table.get((i, j), {}) != table.get((j, i), {}):
                 raise NonCommutative((i, j), alg.key_mul(i, j), alg.key_mul(j, i))
     for i in labels:
-        ei = alg.basis_element(i)
         for j in labels:
-            ej = alg.basis_element(j)
-            ij = alg.multiply(ei, ej)
+            ij = table.get((i, j), {}).items()
             for k in labels:
-                ek = alg.basis_element(k)
-                lhs = alg.multiply(ij, ek)
-                rhs = alg.multiply(ei, alg.multiply(ej, ek))
+                lhs = combine(ring, [(c, table.get((m, k), {})) for m, c in ij])
+                rhs = combine(ring, [(c, table.get((i, n), {})) for n, c in table.get((j, k), {}).items()])
                 if lhs != rhs:
-                    raise NonAssociative((i, j, k), lhs, rhs)
+                    ei, ej, ek = (alg.basis_element(x) for x in (i, j, k))
+                    raise NonAssociative((i, j, k), alg.multiply(alg.multiply(ei, ej), ek),
+                                         alg.multiply(ei, alg.multiply(ej, ek)))
     return alg
 
 

@@ -303,14 +303,14 @@ def main(argv=None):
     except XmodError as exc:
         report = Report(args.command, params={})
         report.add("load/%s" % type(exc).__name__, type(exc).__name__, False, witness=str(exc))
-        print(report.to_text(), end="")
-        if getattr(args, "json", None):
-            _write_json(args.json, report)
-        return 1
 
     print(report.to_text(), end="")
     if getattr(args, "json", None):
-        _write_json(args.json, report)
+        try:
+            _write_json(args.json, report)
+        except OSError as exc:
+            print("i/o error: %s" % exc, file=sys.stderr)
+            return 3
     return 0 if report.ok else 1
 
 

@@ -2,7 +2,10 @@
 
 Reports are deterministic given (input, seed): checks are sorted by name,
 witnesses rendered through the canonical element printer, and the JSON
-form is byte-stable (sorted keys, UTF-8, LF newlines).
+form is byte-stable (sorted keys, UTF-8, LF newlines): ``canonical_json``
+writes the bytes of ``json.dumps(obj, sort_keys=True, ensure_ascii=False,
+indent=2)`` plus a newline, in one pass of its own, because ``json.dumps``
+with an indent runs its pure-Python encoder.
 """
 
 import json
@@ -89,6 +92,47 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
+_encode_str = json.encoder.encode_basestring  # the escaper json.dumps uses
+
+
 def canonical_json(obj):
-    """Byte-stable JSON: sorted keys, UTF-8, LF, trailing newline."""
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    """Byte-stable JSON: exactly ``json.dumps(obj, sort_keys=True,
+    ensure_ascii=False, indent=2) + "\\n"`` -- sorted keys, UTF-8, two-space
+    indent, LF, trailing newline -- written in one pass by ``_render``.
+
+    ``json.dumps`` with an indent never uses its C encoder, and a report is
+    JSON strings, ints, bools, None and non-empty string-keyed dicts and
+    lists, which ``_render`` writes itself; it hands anything else to
+    ``json.dumps``.  A value nested too deep to recurse, or one that holds
+    itself, goes to ``json.dumps`` whole, which gives json's result or
+    error for it."""
+    try:
+        return _render(obj, "\n") + "\n"
+    except RecursionError:
+        return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+
+
+def _render(value, newline):
+    """value as ``canonical_json`` writes it at the depth whose line break
+    and indent is newline.  Strings, bool, None, plain ints and non-empty
+    lists and all-``str``-keyed dicts are written here; every other value
+    (floats, tuples, empty containers, other keys, subclasses, unsupported
+    objects) is ``json.dumps``'s text re-indented, with its errors."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is dict and value and all(type(key) is str for key in value):
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join(
+            [_encode_str(key) + ": " + _render(value[key], inner) for key in sorted(value)]
+        ) + newline + "}"
+    if kind is list and value:
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_render(item, inner) for item in value]) + newline + "]"
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    return json.dumps(value, sort_keys=True, ensure_ascii=False, indent=2).replace("\n", newline)

@@ -36,13 +36,15 @@ free algebra; an optional "free_basis" declaration must be those generators.
 
 References resolve by name in dependency order.  A missing required
 field, a reference or a label that is not a string, an unknown label,
-monomial or map kind, and a scalar that is not a JSON string or number
-raise ParseError naming the entry; a dangling or cyclic reference raises
+monomial or map kind, a scalar that is not a JSON string or number, and
+a key or string that UTF-8 cannot encode raise ParseError naming the
+entry; a dangling or cyclic reference raises
 UnresolvedReference; a failed law raises ValidationError(structure,
 cause) with the witness preserved.
 """
 
 import json
+import re
 
 from .algebra import FreeAlgebra, make_finite_algebra, make_free_algebra
 from .cm_homotopy import make_cm_derivation
@@ -103,6 +105,29 @@ def _names(value, where):
         if not isinstance(name, str):
             raise ParseError("%s: %r is not a name" % (where, name))
     return value
+
+
+def _refuse_surrogates(value, where):
+    """Raise ParseError, naming where it sits, at the first key or string of
+    the JSON value that UTF-8 cannot encode: a lone surrogate, which a \\u
+    escape can write and no report could print."""
+    if isinstance(value, str):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError("%s: %r is not UTF-8 text" % (where, value)) from None
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _refuse_surrogates(key, where)
+            _refuse_surrogates(item, "%s[%r]" % (where, key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _refuse_surrogates(item, "%s[%d]" % (where, i))
+
+
+# A \uD800-\uDFFF escape: the only way JSON text that decoded as UTF-8
+# writes a surrogate.  Documents without one skip the walk above.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 def _entry(section, name):
@@ -390,13 +415,14 @@ class _Loader:
 def load_spec(path_or_dict, policy=DEFAULT_POLICY):
     """Load and fully validate a structure document.
 
-    Raises ParseError (bytes that are not UTF-8, or JSON syntax with
-    line/col), UnresolvedReference, or ValidationError (named structure,
-    law, witness).  On success every named structure has been constructed and
-    certified in dependency order.
+    Raises ParseError (bytes that are not UTF-8, JSON syntax with line/col,
+    or a key or string that UTF-8 cannot encode), UnresolvedReference, or
+    ValidationError (named structure, law, witness).  On success every named
+    structure has been constructed and certified in dependency order.
     """
     if isinstance(path_or_dict, dict):
         data = path_or_dict
+        _refuse_surrogates(data, "document")
     else:
         try:
             with open(path_or_dict, "r", encoding="utf-8") as fh:
@@ -407,4 +433,6 @@ def load_spec(path_or_dict, policy=DEFAULT_POLICY):
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(exc.msg, exc.lineno, exc.colno)
+        if _SURROGATE_ESCAPE.search(text):
+            _refuse_surrogates(data, "document")
     return _Loader(data, policy).load_all()

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from xmod2 import fixtures
+from xmod2 import fixtures, randgen
 from xmod2.algebra import (
+    FiniteAlgebra,
     SemidirectAlgebra,
     make_finite_algebra,
     make_free_algebra,
@@ -69,6 +70,76 @@ def test_nonassociative_table_rejected():
             {("u", "u"): {"v": 1}, ("u", "v"): {"u": 1}, ("v", "u"): {"u": 1}},
             QQ,
         )
+
+
+def test_first_failing_triple_is_reported_with_both_products():
+    """u*u = v + w, u*v = 2w, v*v = w: (u, u, u) holds, both sides 2w, and
+    (u, u, v) is the first triple that fails, (uu)v = w against u(uv) = 0."""
+    with pytest.raises(NonAssociative) as err:
+        make_finite_algebra(["u", "v", "w"], {
+            ("u", "u"): {"v": 1, "w": 1},
+            ("u", "v"): {"w": 2}, ("v", "u"): {"w": 2},
+            ("v", "v"): {"w": 1},
+        }, QQ)
+    assert err.value.witness == ("u", "u", "v")
+    assert (str(err.value.lhs), str(err.value.rhs)) == ("w", "0")
+
+
+def _element_loop(labels, table, ring):
+    """The reference associativity check, the element triple loop that
+    make_finite_algebra ran before it decided on the table: the (witness,
+    lhs, rhs) of the first failing triple, or None."""
+    alg = FiniteAlgebra(ring, labels, table)
+    for i in labels:
+        ei = alg.basis_element(i)
+        for j in labels:
+            ej = alg.basis_element(j)
+            ij = alg.multiply(ei, ej)
+            for k in labels:
+                ek = alg.basis_element(k)
+                lhs = alg.multiply(ij, ek)
+                rhs = alg.multiply(ei, alg.multiply(ej, ek))
+                if lhs != rhs:
+                    return (i, j, k), lhs, rhs
+    return None
+
+
+def test_associativity_on_the_table_matches_the_element_loop(monkeypatch):
+    """Every table random_finite_algebra draws over F5 and Q, rejected ones
+    included, is refused exactly when the element loop refuses it, with
+    the same witness and products."""
+    drawn = []
+    real = randgen.make_finite_algebra
+
+    def record(labels, constants, ring):
+        drawn.append((tuple(labels), constants, ring))
+        return real(labels, constants, ring)
+
+    monkeypatch.setattr(randgen, "make_finite_algebra", record)
+    for ring in (PrimeField(5), QQ):
+        for seed in range(25):
+            rng = random.Random(seed)
+            for max_dim in (2, 3, 4):
+                randgen.random_finite_algebra(ring, rng, max_dim)
+    refused = 0
+    for labels, constants, ring in drawn:
+        table = {}
+        for pair, row in constants.items():
+            row = {k: ring.coerce(c) for k, c in row.items() if not ring.is_zero(ring.coerce(c))}
+            if row:
+                table[pair] = row
+        expected = _element_loop(labels, table, ring)
+        try:
+            make_finite_algebra(labels, constants, ring)
+            got = None
+        except NonAssociative as exc:
+            got = exc.witness, exc.lhs, exc.rhs
+            refused += 1
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert got[0] == expected[0]
+            assert [(u.coeffs, str(u)) for u in got[1:]] == [(u.coeffs, str(u)) for u in expected[1:]]
+    assert refused >= 50 and len(drawn) - refused >= 100
 
 
 def test_bad_shape_tables():

@@ -412,6 +412,21 @@ def test_policy_flag_floors_are_accepted():
     assert (args.samples, args.max_degree) == (0, 1)
 
 
+@pytest.mark.parametrize("document", [FIXTURES, "unresolved"], ids=["report", "load-error"])
+def test_unwritable_json_path_is_an_io_error_after_the_text(tmp_path, capsys, document):
+    """Both the report of a document and the report of a load error print
+    their text, then fail to write --json: exit 3 with the OSError on
+    stderr.  A missing directory and a directory as the path both fail."""
+    if document == "unresolved":
+        document = tmp_path / "doc.json"
+        document.write_text(json.dumps({"ring": "Q", "maps": {"f": {"kind": "crossed", "source": "S"}}}))
+    for path in (tmp_path / "missing" / "x.json", tmp_path):
+        assert cli.main(["validate", str(document), "--json", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out.startswith("# xmod2 validate\n") and out.endswith(" skipped\n")
+        assert err.startswith("i/o error: ") and "Traceback" not in err
+
+
 def test_unresolved_reference_exit_1(tmp_path):
     doc = {"ring": "Q", "crossed": {"C": {"ideal": {"R": "missing", "labels": []}}}}
     path = tmp_path / "doc.json"
@@ -523,8 +538,10 @@ _FREE_LINE_WITH_STRING_BASIS = {
     (_FREE_LINE_WITH_STRING_BASIS, "two_crossed 'D'"),
     ({"ring": {"prime": 4}, "algebras": {"N": {"type": "finite", "basis": ["u"], "products": {}}}},
      "ring spec {'prime': 4}"),
+    ({"ring": "Q", "algebras": {"N\ud800": {"type": "finite", "basis": ["u"], "products": {}}}},
+     "document['algebras']: 'N\\ud800' is not UTF-8 text"),
 ], ids=["basis-not-a-list", "products-a-list", "algebra-spec-null", "free-basis-a-string",
-        "prime-not-prime"])
+        "prime-not-prime", "lone-surrogate-name"])
 def test_malformed_document_is_parse_error(tmp_path, capsys, doc, named):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

@@ -3,6 +3,8 @@ sha256 of the ``--json`` report and of the printed text, and the command,
 each the digest of what the same command gives in this process."""
 
 import hashlib
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -26,3 +28,22 @@ def test_outputs_digests_the_report_and_the_text(tmp_path, capsys, monkeypatch):
     assert json_sha == hashlib.sha256(report.read_bytes()).hexdigest()
     assert text_sha == hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert command == "validate fixtures.json"
+
+
+def test_escaping_document_prints_its_names_and_label_escaped(tmp_path, capsys):
+    """The document ``tools/outputs`` writes for its escaping run fails
+    associativity at a witness that shows its non-ASCII name and its label
+    x"\\; the report keeps them raw in UTF-8, escapes only the quote and
+    the backslash, and reads back as the text printed them."""
+    spec = importlib.util.spec_from_file_location("outputs", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    doc = tmp_path / "escaping.json"
+    doc.write_text(json.dumps(tool.ESCAPING_DOC, ensure_ascii=False), encoding="utf-8")
+    report = tmp_path / "report.json"
+    assert main(["validate", str(doc), "--json", str(report)]) == 1
+    text = capsys.readouterr().out
+    raw = report.read_text(encoding="utf-8")
+    [check] = json.loads(raw)["checks"]
+    assert check["witness"].startswith(r"""algebras '代数': associativity fails at (('x"\\', """)
+    assert check["witness"] in text and check["witness"].replace("\\", "\\\\").replace('"', '\\"') in raw

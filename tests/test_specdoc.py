@@ -102,3 +102,26 @@ def test_bad_scalar_and_bad_monomial():
 def test_missing_file_raises_oserror():
     with pytest.raises(OSError):
         load_spec(os.path.join(HERE, "does_not_exist.json"), POL)
+
+
+def _with_basis(label):
+    return {"ring": "Q", "algebras": {"A": {"type": "finite", "basis": [label], "products": {}}}}
+
+
+def test_lone_surrogate_string_is_refused_in_a_file_and_a_dict(tmp_path):
+    """A \\u escape can write a lone surrogate, which no report can print;
+    the loader refuses it wherever it sits, naming the path to it."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_with_basis("u\ud800")))
+    for source in (str(path), _with_basis("u\ud800")):
+        with pytest.raises(ParseError) as err:
+            load_spec(source, POL)
+        assert str(err.value) == "document['algebras']['A']['basis'][0]: 'u\\ud800' is not UTF-8 text"
+
+
+def test_escaped_surrogate_pair_loads(tmp_path):
+    """An escaped surrogate pair is one astral character, which UTF-8 encodes."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_with_basis("u\U0001d538")))
+    assert "\\ud835\\udd38" in path.read_text()
+    assert load_spec(str(path), POL).algebras["A"].labels == ("u\U0001d538",)

@@ -8,8 +8,10 @@ line per run: the exit code, the sha256 of the ``--json`` report it wrote
 (``-`` when it wrote none), the sha256 of its printed text (stdout), and
 the command.  With arguments, they are one xmod2 command line, run alone;
 with none, the runs are ``tools/reach.py``'s ``DEFAULT_RUNS``,
-``selftest --seed S --samples 10`` for S in 0, 7 and 42, and ``validate``
-on each document of ``verdictbench/workloads.corrupted_docs()``.  Every
+``selftest --seed S --samples 10`` for S in 0, 7 and 42, ``validate``
+on each document of ``verdictbench/workloads.corrupted_docs()``, and
+``validate`` on ``ESCAPING_DOC``, whose report and text must escape
+non-ASCII names and a label holding ``"`` and ``\\``.  Every
 run gets ``--json`` with a path in a temporary directory, where the
 documents are written too; a document run starts in that directory and
 names its document relative to it, and every other run starts at the root
@@ -27,12 +29,24 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SELFTEST_SEEDS = (0, 7, 42)
+# Non-ASCII algebra names, and a non-associative table whose witness
+# prints the label x"\ in the report and the text.
+_LABEL = 'x"\\'
+ESCAPING_DOC = {
+    "ring": "Q",
+    "algebras": {
+        "Ωμέγα": {"type": "finite", "basis": ["u"], "products": {}},
+        "代数": {"type": "finite", "basis": [_LABEL, "y"],
+                 "products": {_LABEL: {_LABEL: {"y": "1"}, "y": {_LABEL: "1"}},
+                              "y": {_LABEL: {_LABEL: "1"}}}},
+    },
+}
 
 
 def default_runs():
     """(document, argument list) of every default run: document is None,
-    or the (name, JSON document) of ``corrupted_docs`` that the run
-    validates, written before it runs."""
+    or the (name, JSON document) of ``corrupted_docs`` or ``ESCAPING_DOC``
+    that the run validates, written before it runs."""
     sys.dont_write_bytecode = True  # read verdictbench/, leave nothing in it
     sys.path[:0] = [os.path.join(ROOT, "tools"), os.path.join(ROOT, "src"), os.path.join(ROOT, "verdictbench")]
     from reach import DEFAULT_RUNS
@@ -41,6 +55,7 @@ def default_runs():
     runs = [(None, run) for run in DEFAULT_RUNS]
     runs += [(None, ["selftest", "--seed", str(seed), "--samples", "10"]) for seed in SELFTEST_SEEDS]
     runs += [((name, doc), ["validate", name + ".json"]) for name, doc in corrupted_docs().items()]
+    runs.append((("escaping", ESCAPING_DOC), ["validate", "escaping.json"]))
     return runs
 
 
