@@ -643,9 +643,10 @@ def make_finite_algebra(basis, constants, ring):
     pairs multiply to zero.  Commutativity is checked on all ordered basis
     pairs and associativity on all basis triples, exhaustively.  Both are
     decided on the normalized table: (ij)k combines the rows (m, k) over
-    the row (i, j), and i(jk) the rows (i, n) over the row (j, k), so no
-    element is built unless a triple fails, when ``NonAssociative`` gets
-    the first failing triple in (i, j, k) order and its two products.
+    the row (i, j), and i(jk) the rows (i, n) over the row (j, k), and a
+    triple where both ij and jk are zero has both sides zero.  No element
+    is built unless a triple fails, when ``NonAssociative`` gets the first
+    failing triple in (i, j, k) order and its two products.
     """
     labels = tuple(basis)
     if len(set(labels)) != len(labels):
@@ -676,8 +677,11 @@ def make_finite_algebra(basis, constants, ring):
         for j in labels:
             ij = table.get((i, j), {}).items()
             for k in labels:
+                jk = table.get((j, k))
+                if not (ij or jk):
+                    continue  # both sides are zero
                 lhs = combine(ring, [(c, table.get((m, k), {})) for m, c in ij])
-                rhs = combine(ring, [(c, table.get((i, n), {})) for n, c in table.get((j, k), {}).items()])
+                rhs = combine(ring, [(c, table.get((i, n), {})) for n, c in jk.items()]) if jk else {}
                 if lhs != rhs:
                     ei, ej, ek = (alg.basis_element(x) for x in (i, j, k))
                     raise NonAssociative((i, j, k), alg.multiply(alg.multiply(ei, ej), ek),

@@ -315,8 +315,10 @@ def main(argv=None):
 
 
 def _write_json(path, report):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(canonical_json(report.to_json_obj()))
+    # the UTF-8 bytes written in binary mode, without a text wrapper to set up
+    data = canonical_json(report.to_json_obj()).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 if __name__ == "__main__":

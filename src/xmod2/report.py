@@ -93,6 +93,7 @@ class Report:
 
 
 _encode_str = json.encoder.encode_basestring  # the escaper json.dumps uses
+_STR_KEYS = {str}
 
 
 def canonical_json(obj):
@@ -106,33 +107,50 @@ def canonical_json(obj):
     ``json.dumps``.  A value nested too deep to recurse, or one that holds
     itself, goes to ``json.dumps`` whole, which gives json's result or
     error for it."""
+    out = []
     try:
-        return _render(obj, "\n") + "\n"
+        _render(obj, "\n", out)
     except RecursionError:
         return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    out.append("\n")
+    return "".join(out)
 
 
-def _render(value, newline):
-    """value as ``canonical_json`` writes it at the depth whose line break
-    and indent is newline.  Strings, bool, None, plain ints and non-empty
-    lists and all-``str``-keyed dicts are written here; every other value
-    (floats, tuples, empty containers, other keys, subclasses, unsupported
-    objects) is ``json.dumps``'s text re-indented, with its errors."""
+def _render(value, newline, out):
+    """Append to out the text of value as ``canonical_json`` writes it at
+    the depth whose line break and indent is newline.  Strings, bool, None,
+    plain ints and non-empty lists and all-``str``-keyed dicts are written
+    here; every other value (floats, tuples, empty containers, other keys,
+    subclasses, unsupported objects) is ``json.dumps``'s text re-indented,
+    with its errors."""
     kind = type(value)
     if kind is str:
-        return _encode_str(value)
-    if kind is dict and value and all(type(key) is str for key in value):
+        out.append(_encode_str(value))
+    elif kind is dict and value and set(map(type, value)) == _STR_KEYS:
         inner = newline + "  "
-        return "{" + inner + ("," + inner).join(
-            [_encode_str(key) + ": " + _render(value[key], inner) for key in sorted(value)]
-        ) + newline + "}"
-    if kind is list and value:
+        sep = "{" + inner
+        for key in sorted(value):
+            item = value[key]
+            out.append(sep + _encode_str(key) + ": ")
+            if type(item) is str:  # most values: skip the call
+                out.append(_encode_str(item))
+            else:
+                _render(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list and value:
         inner = newline + "  "
-        return "[" + inner + ("," + inner).join([_render(item, inner) for item in value]) + newline + "]"
-    if kind is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    if kind is bool:
-        return "true" if value else "false"
-    return json.dumps(value, sort_keys=True, ensure_ascii=False, indent=2).replace("\n", newline)
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _render(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif kind is bool:
+        out.append("true" if value else "false")
+    else:
+        out.append(json.dumps(value, sort_keys=True, ensure_ascii=False, indent=2).replace("\n", newline))

@@ -38,9 +38,9 @@ References resolve by name in dependency order.  A missing required
 field, a reference or a label that is not a string, an unknown label,
 monomial or map kind, a scalar that is not a JSON string or number, and
 a key or string that UTF-8 cannot encode raise ParseError naming the
-entry; a dangling or cyclic reference raises
-UnresolvedReference; a failed law raises ValidationError(structure,
-cause) with the witness preserved.
+entry; a dangling or cyclic reference raises UnresolvedReference; a
+failed law raises ValidationError(structure, cause) with the witness
+preserved.
 """
 
 import json
