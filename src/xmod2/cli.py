@@ -184,6 +184,8 @@ def _cmd_homotopy(args, policy):
     )
     doc = load_spec(args.file, policy)
     items = [_homotopy_by_name(doc, n) for n in names]
+    if not names:
+        raise ValidationError("homotopy " + args.op, "no homotopy names given")
     # each name's layer is the section it was found in (quadratic first)
     kinds = sorted({"tcm" if n in doc.quadratic else "cm" for n in names})
     if len(kinds) != 1:

@@ -25,10 +25,6 @@ class ActionMismatch(XmodError):
     """Action endpoints do not match the algebras of a construction."""
 
 
-class IndexOutOfRange(XmodError):
-    pass
-
-
 class CompositionMismatch(XmodError):
     """Target of the first homotopy differs from the source of the second."""
 

@@ -4,7 +4,7 @@ Laws (A1/A2, multiplicativity, commutativity/associativity of a semidirect
 product, the crossed and 2-crossed module axioms, the morphism squares and
 the derivation law) are multilinear, so checking them on a spanning set is
 exact.  Each law is one ``check_law`` call, which gives it a certificate by
-one of four rules:
+one of three rules:
 
 * basis: every algebra of the law is finite, and every tuple of basis
   elements is checked -> EXHAUSTIVE;
@@ -13,9 +13,6 @@ one of four rules:
   finite algebra whose product is proved, every other slot is finite, and
   B or the finite algebra's generating set in those slots times the bases
   elsewhere is checked -> EXHAUSTIVE;
-* by construction: the caller has shown that the law holds for the way
-  its maps were built (``tcm_homotopy.check_derivation_law``), and no tuple
-  is evaluated -> EXHAUSTIVE;
 * sampled: otherwise, generator-anchored tuples plus N random tuples of
   degree <= D -> the certificate (D, N, seed), one object per policy.
   The law is decided on the basis-key tuples those tuples span, when they
@@ -62,7 +59,9 @@ the kind of certificate a law earns is decided: every law checked above
 ``algebra`` (whose ``make_finite_algebra`` checks its own table) is one
 ``check_law`` call.  EXHAUSTIVE is stamped without one only where a law
 holds by construction or by a lemma: ``identity_map``, substitution maps,
-``zero_action``, ``simplex._certify_dagger``, the faces d0 and
+``zero_action``, ``simplex._certify_dagger``, the derivation law of an s
+read through a substitution (``tcm_homotopy.check_derivation_law``, when
+``tcm_homotopy._by_construction`` says its premises hold), the faces d0 and
 degeneracies s0 of the tower (``simplex._by_construction``: the projection
 of Lam_n = Lam_{n-1} |x X onto Lam_{n-1} and its inclusion, algebra maps
 for any bilinear action), ``certify_algebra`` by
@@ -108,12 +107,14 @@ Formula-defined maps and actions are evaluated on basis keys only.  A
 ``LinearMap`` with the "substitution" or "function" rule and a
 ``FunctionAction`` compute the image of each basis key (monomial, or key
 pair for an action) once, keep it in a per-object memo, and extend
-(bi)linearly to general elements.  So a formula closure must be linear
-(bilinear for an action): it is only ever called on basis elements, and
-the memo grows with the keys seen.  The tower's faces, degeneracies and
-leaf actions are such maps and actions whose memo is filled from a key
-image function, not a closure on elements (``simplex._TermMap`` and
-``simplex._TermAction``).
+(bi)linearly to general elements.  A ``FunctionAction`` is given key
+images: its function takes a pair of basis keys to an element of the
+acted algebra.  So only the "function" rule of a ``LinearMap`` calls a
+closure on elements; that closure must be linear, it is only ever called
+on basis elements, and the memo grows with the keys seen.  The tower's
+faces and degeneracies are such maps whose memo is filled from a key
+image function instead (``simplex._TermMap``), and its leaf actions are
+``FunctionAction``s.
 
 Exhaustive checks of A1, A2, multiplicativity and the simplicial identities
 run on coefficient dicts.  ``certify_action``, ``certify_multiplicative``
@@ -139,9 +140,10 @@ A key image has one form: ``_image`` of a map (one key) or of an action
 or lifting (a key pair) is an element of the map's own target (the acted
 algebra for an action), and the target's shared ``zero()`` for a key with
 no image.  Each image is re-tagged to the target once, where it is stored:
-table and substitution images by ``_check_images``, the memos of
-``LinearMap`` and ``FunctionAction``, and the tables of ``TableAction`` and
-``BilinearMap``; so no call re-tags.  On elements, every action and Peiffer
+table and substitution images by ``_check_images``, the memo of
+``LinearMap``, and the tables of ``TableAction`` and ``BilinearMap``; a
+``FunctionAction``'s key images are elements of the acted algebra as
+given; so no call re-tags.  On elements, every action and Peiffer
 lifting is evaluated by ``_KeyBilinear._evaluate``, to which each class's
 ``__call__`` delegates: the owner checks, then the evaluation products
 share, ``algebra.evaluate_bilinear``, on the class's ``_image``.  In
@@ -394,8 +396,7 @@ def _unit(alg, key):
     return Element(alg, {key: alg.ring.one})
 
 
-def check_law(algebras, lhs, rhs, error, policy, on_keys=None, generators=(), by_construction=False,
-              triangle=None):
+def check_law(algebras, lhs, rhs, error, policy, on_keys=None, generators=(), triangle=None):
     """Check the multilinear law lhs(*t) == rhs(*t) on law_tuples(algebras),
     the one caller of ``law_tuples``.
 
@@ -418,9 +419,6 @@ def check_law(algebras, lhs, rhs, error, policy, on_keys=None, generators=(), by
     set (the generator rule): a free algebra's generators, or a finite
     algebra's ``generating_positions`` when its product is proved.  A
     failure there is a failure on the basis, so it is raised as found.
-    ``by_construction`` says the caller has shown that the law holds for
-    the way its maps were built: nothing is evaluated and the certificate
-    is EXHAUSTIVE.  The sides are still given, as the statement of the law.
 
     ``triangle`` gives ``law_tuples`` the slot triangle of a semidirect
     product, each generator's first basis position, in place of the
@@ -434,8 +432,6 @@ def check_law(algebras, lhs, rhs, error, policy, on_keys=None, generators=(), by
     ``itertools.product`` order, or None.  An exhaustive check uses it and
     evaluates lhs and rhs at that tuple only.
     """
-    if by_construction:
-        return EXHAUSTIVE
     tuples, exhaustive = law_tuples(algebras, policy, generators, triangle)
     failure = _first_failure(algebras, policy, tuples, exhaustive, lhs, rhs, on_keys)
     if failure is not None:
@@ -816,33 +812,27 @@ class ZeroAction(TableAction):
 
 
 class FunctionAction(Action):
-    """Formula-defined action (the derived and simplex-level actions).
-
-    ``fn`` must be bilinear: it is called on pairs of basis elements only,
-    once per key pair, and general elements act by bilinear extension.
-    The images are memoised per key pair, so the memo grows with the
-    pairs seen.
+    """Formula-defined action (the tower's leaf actions), given by its key
+    images: ``image(k1, k2)`` is the image of a pair of basis keys, an
+    element of the acted algebra.  It is called once per key pair, its
+    value kept in ``_memo``, so the memo grows with the pairs seen, and
+    general elements act by bilinear extension.
 
     ``origin`` is the structure the formula closes over; two formula
     actions count as the same action when they share the note and the
     origin object (identity), never merely by shape."""
 
-    def __init__(self, acting, acted, fn, note="", origin=None):
+    def __init__(self, acting, acted, image, note="", origin=None):
         super().__init__(acting, acted)
-        self.fn = fn
         self.note = note
         self.origin = origin
-        self._memo = {}  # (acting key, acted key) -> image
+        self._memo = _Lazy(lambda pair: image(*pair))  # (acting key, acted key) -> image
 
     def __call__(self, r, m):
         return self._evaluate(r, m)
 
     def _image(self, k1, k2):
-        img = self._memo.get((k1, k2))
-        if img is None:
-            img = self.fn(self.acting.basis_element(k1), self.acted.basis_element(k2))
-            img = self._memo[(k1, k2)] = _as_element_of(self.acted, self.acted.owns(img))
-        return img
+        return self._memo[(k1, k2)]
 
     def same(self, other):
         if self is other:

@@ -81,8 +81,8 @@ argument), and tags each term's value into its output slot; a lone
 identity term gives the target's own basis element.  No element is split
 and no tuple is packed.  ``build_tower`` builds every face and degeneracy
 as a linear map with those key images, certified by
-``maps.certify_multiplicative``, and every leaf action as an action with
-those key images (``_TermMap``, ``_TermAction``).  The composites
+``maps.certify_multiplicative`` (``_TermMap``), and every leaf action as a
+``maps.FunctionAction`` with those key images.  The composites
 >1 = >1r + >1e, >2 = >2e + >2l and >t = >1 + >2 are sums of the stored
 components (``_SumAction``).  The codecs' ``split`` and ``pack`` serve
 where whole elements are printed or built: ``tuple_str``, ``split2``/
@@ -107,7 +107,7 @@ and the lower stage a caller holds never changes.
 from functools import cache, reduce
 
 from .algebra import bilinear, combine, unit_key
-from .errors import IndexOutOfRange, LawViolation
+from .errors import LawViolation
 from .maps import (
     DEFAULT_POLICY,
     EXHAUSTIVE,
@@ -125,9 +125,9 @@ from .maps import (
 
 class Codec:
     """An element of ``level`` and its components, one per slot:
-    ``split(u)`` is the tuple, ``pack(*components)`` the element, ``arity``
-    the tuple's length and ``parts`` the algebra of each slot.  A codec
-    built from two others (``_codec``) keeps them as ``halves``.
+    ``split(u)`` is the tuple, ``pack(*components)`` the element and
+    ``parts`` the algebra of each slot.  A codec built from two others
+    (``_codec``) keeps them as ``halves``.
 
     A key of the level nests as (side, subkey) down to a part key, and
     ``paths[slot]`` is the sequence of sides that leads to the slot: the
@@ -139,7 +139,7 @@ class Codec:
     keys come back as the same tuple objects."""
 
     def __init__(self, level, parts, paths, halves=None):
-        self.level, self.parts, self.paths, self.arity = level, parts, paths, len(parts)
+        self.level, self.parts, self.paths = level, parts, paths
         self.halves = halves
         self._zeros = tuple(part.zero() for part in parts)
         slots = {path: slot for slot, path in enumerate(paths)}
@@ -210,25 +210,13 @@ class SimplexTower:
         self.codecs = codecs
         self.top = len(codecs) - 1
         self.levels = tuple(c.level for c in codecs)
-        self.el = self.levels[2].right
         self.split2, self.simplex2 = codecs[2].split, codecs[2].pack
         if self.top == 3:
-            self.ell = self.levels[3].right
             self.split3, self.simplex3 = codecs[3].split, codecs[3].pack
         self.faces = faces
         self.degeneracies = degeneracies
         self.actions = actions
         self.shown = shown
-
-    def face(self, n, i, u):
-        if (n, i) not in self.faces:
-            raise IndexOutOfRange("no face d%d at level %d" % (i, n))
-        return self.faces[(n, i)](u)
-
-    def degeneracy(self, n, i, u):
-        if (n, i) not in self.degeneracies:
-            raise IndexOutOfRange("no degeneracy s%d at level %d" % (i, n))
-        return self.degeneracies[(n, i)](u)
 
     def tuple_str(self, u):
         for codec in self.codecs[1:]:
@@ -259,8 +247,8 @@ class _SumAction(FunctionAction):
     (side, k) of acting is (k, 0) or (0, k), so its image is the image of
     k under parts[side]: the actor is never split, and the sum keeps no
     memo of its own (the ``_memo`` it inherits stays empty).  It is a
-    ``FunctionAction`` with no ``fn`` for that class's ``same`` (the note
-    and the structure) and ``__call__``."""
+    ``FunctionAction`` with no key image function, for that class's
+    ``same`` (the note and the structure) and ``__call__``."""
 
     def __init__(self, A, acting, parts, note):
         super().__init__(acting, parts[0].acted, None, note=note, origin=A)
@@ -269,19 +257,6 @@ class _SumAction(FunctionAction):
     def _image(self, k1, k2):
         side, k = k1
         return self.parts[side]._image(k, k2)
-
-
-class _TermAction(FunctionAction):
-    """A leaf action whose key images are its table entry's: ``image``
-    gives the image of a key pair (``_evaluator``), computed once and kept
-    in ``_memo``.  A ``FunctionAction`` with no ``fn``, as ``_SumAction``."""
-
-    def __init__(self, A, acting, acted, image, note):
-        super().__init__(acting, acted, None, note=note, origin=A)
-        self._memo = _Lazy(lambda pair: image(*pair))
-
-    def _image(self, k1, k2):
-        return self._memo[(k1, k2)]
 
 
 class _TermMap(LinearMap):
@@ -368,7 +343,7 @@ def _left_part(faces, degeneracies, tag, n, i):
 def _leaf(A, note, actor, acted):
     actor_names, acted_names, terms = _ACTIONS[note]
     image = _evaluator(A, terms, (actor, acted), (actor_names, acted_names), acted, acted_names)
-    return _TermAction(A, actor.level, acted.level, image, note)
+    return FunctionAction(actor.level, acted.level, image, note=note, origin=A)
 
 
 def _lower_stage(A, actions, policy):

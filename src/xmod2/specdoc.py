@@ -416,7 +416,9 @@ def load_spec(path_or_dict, policy=DEFAULT_POLICY):
     """Load and fully validate a structure document.
 
     Raises ParseError (bytes that are not UTF-8, JSON syntax with line/col,
-    or a key or string that UTF-8 cannot encode), UnresolvedReference, or
+    JSON that ``json.loads`` cannot read, such as an integer past its digit
+    limit or nesting past the recursion limit, or a key or string that
+    UTF-8 cannot encode), UnresolvedReference, or
     ValidationError (named structure, law, witness).  On success every named
     structure has been constructed and certified in dependency order.
     """
@@ -433,6 +435,8 @@ def load_spec(path_or_dict, policy=DEFAULT_POLICY):
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(exc.msg, exc.lineno, exc.colno)
+        except (ValueError, RecursionError) as exc:  # an integer too long to convert, or nesting too deep
+            raise ParseError("document is not readable JSON: %s" % exc)
         if _SURROGATE_ESCAPE.search(text):
             _refuse_surrogates(data, "document")
     return _Loader(data, policy).load_all()

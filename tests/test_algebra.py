@@ -202,7 +202,7 @@ def test_owner_mismatch():
     f = linear_map(R, R, {"x": R.basis_element("x2")})
     with pytest.raises(OwnerMismatch):
         f(P.zero())
-    act = FunctionAction(R, R, lambda r, m: r * m, note="product")
+    act = FunctionAction(R, R, R.key_mul, note="product")
     table = make_action(R, R, {"x": {"x": R.basis_element("x2")}})
     lift = BilinearMap(R, R, R, {("x", "x"): R.basis_element("x2")})
     for r, m in [(P.zero(), x), (x, P.zero()), (R.zero(), P.zero())]:

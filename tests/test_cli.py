@@ -145,6 +145,14 @@ def test_mixed_kinds_report_is_the_same_under_every_hash_seed():
     assert outs[0].stdout == outs[1].stdout
 
 
+def test_an_empty_name_list_is_refused_as_such(capsys):
+    """--names with no name in it is refused by that, not read as mixed
+    derivation kinds."""
+    assert cli.main(["homotopy", "compose", FIXTURES, "--names", ","]) == 1
+    out = capsys.readouterr().out
+    assert "[homotopy compose: no homotopy names given]" in out and "mixed" not in out
+
+
 # sha256 of ``xmod2 simplicial fixtures.json --module M --samples 10 --seed S
 # --json``: every identity, action, face and degeneracy entry of the tower.
 _SIMPLICIAL_DIGESTS = {
@@ -395,6 +403,20 @@ def test_non_utf8_document_is_parse_error(tmp_path, capsys):
     assert cli.main(["validate", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("parse error: ") and "UTF-8" in err
+
+
+@pytest.mark.parametrize("text, named", [
+    ('{"ring": %s}' % ("9" * 5001), "5001 digits"),
+    ("[" * 100000 + "]" * 100000, "maximum recursion depth"),
+], ids=["integer-past-the-digit-limit", "nesting-past-the-recursion-limit"])
+def test_json_that_json_loads_cannot_read_is_parse_error(tmp_path, capsys, text, named):
+    """json.loads raises ValueError or RecursionError, not JSONDecodeError,
+    on these two documents; each is a parse error, exit 3, not a traceback."""
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert cli.main(["validate", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: document is not readable JSON: ") and named in err
 
 
 @pytest.mark.parametrize("flag, value", [("--samples", "-1"), ("--max-degree", "0")])

@@ -213,7 +213,7 @@ def test_a_free_e_runs_through_the_crossed_layer():
 
     R = make_free_algebra(["x"], QQ)
     pol = Policy(samples=3)
-    act = FunctionAction(R, R, lambda r, e: r * e)
+    act = FunctionAction(R, R, R.key_mul)
     certify_action(act, pol)
     cm = make_crossed(R, R, identity_map(R), act, pol)
     f = identity_cm_morphism(cm)

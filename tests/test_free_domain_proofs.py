@@ -97,16 +97,19 @@ def _shift_kernel():
 
 
 def _sampled_only(patch):
-    """Make every check_law call sample its law: the generator (with its
-    slot triangle) and by-construction rules are dropped, in every xmod2
-    module that holds check_law, for as long as ``patch`` lasts."""
+    """Make every law sample: the generator rule (with its slot triangle)
+    is dropped from check_law, in every xmod2 module that holds it, and the
+    derivation law's premises never hold (``tcm_homotopy._by_construction``),
+    for as long as ``patch`` lasts."""
+    from xmod2 import tcm_homotopy
+
     real = maps.check_law
 
-    def check_law(algebras, lhs, rhs, error, policy, on_keys=None, generators=(),
-                  by_construction=False, triangle=False):
+    def check_law(algebras, lhs, rhs, error, policy, on_keys=None, generators=(), triangle=False):
         return real(algebras, lhs, rhs, error, policy, on_keys=on_keys)
 
     patch_everywhere(patch, real, check_law)
+    patch.setattr(tcm_homotopy, "_by_construction", lambda f0, act, s: False)
 
 
 def _verdict(D, B, levels, s_images, t_images, policy):

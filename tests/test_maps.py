@@ -305,7 +305,7 @@ def test_certify_action_reduced_conditions_for_semidirect_actor():
 
     from xmod2.maps import FunctionAction
 
-    act = FunctionAction(lam1, L, lambda r, m: L.zero(), note="zero-like", origin=lam1)
+    act = FunctionAction(lam1, L, lambda k1, k2: L.zero(), note="zero-like", origin=lam1)
     cert = certify_action(act)
     assert cert.exhaustive
 
@@ -704,11 +704,16 @@ def _bilinear_cases(ring):
     a, b = E.basis_element("a"), E.basis_element("b")
     k, m = L.basis_element("k"), L.basis_element("m")
     table = TableAction(R, E, {"p": {"a": 2 * a + b, "b": 3 * b}, "q": {"a": -b}})
+
+    def formula(k1, k2):  # the key image of a function action
+        image = table._image(k1, k2)
+        return image * a + 3 * image
+
     return [
         ("zero action", ZeroAction(R, E), R, E, E),
         ("table action", table, R, E, E),
         ("free table action", TableAction(P, E, {"x": {"a": a + 2 * b, "b": b}, "y": {"a": 4 * b}}), P, E, E),
-        ("function action", FunctionAction(R, E, lambda r, e: table(r, e) * a + 3 * table(r, e)), R, E, E),
+        ("function action", FunctionAction(R, E, formula), R, E, E),
         ("bilinear map", BilinearMap(E, E, L, {("a", "a"): k, ("a", "b"): 2 * k - m, ("b", "a"): m}), E, E, L),
         ("zero bilinear", zero_bilinear(P, E, L), P, E, L),
     ]

@@ -11,7 +11,7 @@ from xmod2 import fixtures, maps, simplex
 from xmod2.algebra import SemidirectAlgebra, make_finite_algebra, unit_key
 from xmod2.crossed import kernel_two_crossed, make_2cm_morphism, make_precrossed, make_two_crossed
 from xmod2.errors import (
-    A1Violation, A2Violation, EquivarianceViolation, IndexOutOfRange, LawViolation, MorphismViolation, XmodError,
+    A1Violation, A2Violation, EquivarianceViolation, LawViolation, MorphismViolation, XmodError,
 )
 from xmod2.maps import LinearMap, Policy, certify_action, random_element
 from xmod2.randgen import random_two_crossed
@@ -49,7 +49,7 @@ def f2_elements(T):
 def test_bullet_action_values():
     T = f2_tower()
     p, a, b, bh = f2_elements(T)
-    lam1, el = T.levels[1], T.el
+    lam1, el = T.levels[1], T.levels[2].right
     bullet = T.actions["bullet"]
     assert bullet(lam1.pair(p, a.algebra.zero()), el.pair(a, bh.algebra.zero())).is_zero()
     got = bullet(lam1.pair(p.algebra.zero(), a), el.pair(a, bh.algebra.zero()))
@@ -60,42 +60,42 @@ def test_bullet_action_values():
 def test_star_action_values():
     T = f2_tower()
     p, a, b, bh = f2_elements(T)
-    star = T.actions["star"]
-    assert star(T.el.pair(a, bh.algebra.zero()), bh).is_zero()
-    assert star(T.el.pair(a.algebra.zero(), bh), bh).is_zero()
+    star, el = T.actions["star"], T.levels[2].right
+    assert star(el.pair(a, bh.algebra.zero()), bh).is_zero()
+    assert star(el.pair(a.algebra.zero(), bh), bh).is_zero()
 
 
 def test_one_action_values():
     T = f2_tower()
     p, a, b, bh = f2_elements(T)
     lam1 = T.levels[1]
-    one = T.actions["one"]
+    one, el, ell = T.actions["one"], T.levels[2].right, T.levels[3].right
     zE, zL = a.algebra.zero(), bh.algebra.zero()
-    x = T.ell.pair(T.el.pair(a, zL), zL)
-    assert one(lam1.pair(p.algebra.zero(), a), x) == T.ell.pair(T.el.pair(b, -bh), zL)
-    assert one(lam1.pair(p, zE), T.ell.pair(T.el.pair(a, bh), bh)).is_zero()
-    assert one(lam1.pair(p, a), T.ell.zero()).is_zero()
+    x = ell.pair(el.pair(a, zL), zL)
+    assert one(lam1.pair(p.algebra.zero(), a), x) == ell.pair(el.pair(b, -bh), zL)
+    assert one(lam1.pair(p, zE), ell.pair(el.pair(a, bh), bh)).is_zero()
+    assert one(lam1.pair(p, a), ell.zero()).is_zero()
 
 
 def test_two_action_values():
     T = f2_tower()
     p, a, b, bh = f2_elements(T)
     zE, zL = a.algebra.zero(), bh.algebra.zero()
-    two = T.actions["two"]
-    x = T.ell.pair(T.el.pair(a, zL), zL)
-    assert two(T.el.pair(a, zL), x) == T.ell.pair(T.el.pair(b, zL), -bh)
-    assert two(T.el.pair(zE, bh), x).is_zero()
-    assert two(T.el.zero(), x).is_zero()
+    two, el, ell = T.actions["two"], T.levels[2].right, T.levels[3].right
+    x = ell.pair(el.pair(a, zL), zL)
+    assert two(el.pair(a, zL), x) == ell.pair(el.pair(b, zL), -bh)
+    assert two(el.pair(zE, bh), x).is_zero()
+    assert two(el.zero(), x).is_zero()
 
 
 def test_dagger_action_reduces_to_one_and_two():
     T = f2_tower()
     p, a, b, bh = f2_elements(T)
     zE, zL = a.algebra.zero(), bh.algebra.zero()
-    dag = T.actions["dagger"]
-    x = T.ell.pair(T.el.pair(a, zL), zL)
-    assert dag(T.simplex2(p, a, zE, zL), x) == T.ell.pair(T.el.pair(b, -bh), zL)
-    assert dag(T.simplex2(p.algebra.zero(), zE, a, zL), x) == T.ell.pair(T.el.pair(b, zL), -bh)
+    dag, el, ell = T.actions["dagger"], T.levels[2].right, T.levels[3].right
+    x = ell.pair(el.pair(a, zL), zL)
+    assert dag(T.simplex2(p, a, zE, zL), x) == ell.pair(el.pair(b, -bh), zL)
+    assert dag(T.simplex2(p.algebra.zero(), zE, a, zL), x) == ell.pair(el.pair(b, zL), -bh)
     assert dag(T.levels[2].zero(), x).is_zero()
 
 
@@ -118,19 +118,15 @@ def test_face_values():
     p, a, b, bh = f2_elements(T)
     lam1 = T.levels[1]
     u = T.simplex2(p, a, a, bh)
-    assert T.face(2, 0, u) == lam1.pair(p, a)
-    assert T.face(2, 1, u) == lam1.pair(p, 2 * a)
-    assert T.face(2, 2, u) == lam1.pair(2 * p, a + b)  # (p + d1(a), a + d2(bh))
+    assert T.faces[(2, 0)](u) == lam1.pair(p, a)
+    assert T.faces[(2, 1)](u) == lam1.pair(p, 2 * a)
+    assert T.faces[(2, 2)](u) == lam1.pair(2 * p, a + b)  # (p + d1(a), a + d2(bh))
     v = T.simplex3(p, a, a, bh, b, bh, bh)
-    assert T.face(3, 0, v) == T.simplex2(p, a, a, bh)
-    assert T.face(3, 1, v) == T.simplex2(p, a, a + b, 2 * bh)
-    assert T.face(3, 2, v) == T.simplex2(p, 2 * a, b, 2 * bh)
-    assert T.face(3, 3, v) == T.simplex2(2 * p, a + b, b + b, bh)
-    assert T.face(3, 0, T.levels[3].zero()).is_zero()
-    with pytest.raises(IndexOutOfRange):
-        T.face(2, 3, u)
-    with pytest.raises(IndexOutOfRange):
-        T.degeneracy(1, 2, lam1.zero())
+    assert T.faces[(3, 0)](v) == T.simplex2(p, a, a, bh)
+    assert T.faces[(3, 1)](v) == T.simplex2(p, a, a + b, 2 * bh)
+    assert T.faces[(3, 2)](v) == T.simplex2(p, 2 * a, b, 2 * bh)
+    assert T.faces[(3, 3)](v) == T.simplex2(2 * p, a + b, b + b, bh)
+    assert T.faces[(3, 0)](T.levels[3].zero()).is_zero()
 
 
 def test_degeneracy_values():
@@ -138,11 +134,11 @@ def test_degeneracy_values():
     p, a, b, bh = f2_elements(T)
     lam1 = T.levels[1]
     zE, zL = a.algebra.zero(), bh.algebra.zero()
-    assert T.degeneracy(1, 1, lam1.pair(p, a)) == T.simplex2(p, zE, a, zL)
-    assert T.degeneracy(1, 0, lam1.pair(p, a)) == T.simplex2(p, a, zE, zL)
+    assert T.degeneracies[(1, 1)](lam1.pair(p, a)) == T.simplex2(p, zE, a, zL)
+    assert T.degeneracies[(1, 0)](lam1.pair(p, a)) == T.simplex2(p, a, zE, zL)
     u = T.simplex2(p, a, a, bh)
-    assert T.degeneracy(2, 2, u) == T.simplex3(p, zE, a, zL, a, zL, bh)
-    assert T.degeneracy(0, 0, p.algebra.zero()).is_zero()
+    assert T.degeneracies[(2, 2)](u) == T.simplex3(p, zE, a, zL, a, zL, bh)
+    assert T.degeneracies[(0, 0)](p.algebra.zero()).is_zero()
 
 
 def test_faces_and_degeneracies_are_morphisms():
@@ -196,10 +192,10 @@ def test_face_degeneracy_identity_cases_exact():
     lam1 = T.levels[1]
     p, a, b, bh = f2_elements(T)
     for u in [lam1.pair(p, a), lam1.pair(2 * p, a + b)]:
-        assert T.face(2, 0, T.degeneracy(1, 0, u)) == u
-        assert T.face(2, 1, T.degeneracy(1, 0, u)) == u
-        assert T.face(2, 1, T.degeneracy(1, 1, u)) == u
-        assert T.face(2, 2, T.degeneracy(1, 1, u)) == u
+        assert T.faces[(2, 0)](T.degeneracies[(1, 0)](u)) == u
+        assert T.faces[(2, 1)](T.degeneracies[(1, 0)](u)) == u
+        assert T.faces[(2, 1)](T.degeneracies[(1, 1)](u)) == u
+        assert T.faces[(2, 2)](T.degeneracies[(1, 1)](u)) == u
 
 
 def _mutant(T, n, i, fn):
@@ -275,7 +271,7 @@ def test_towers_are_per_module():
         T3.base.R.monomial("x"), T3.base.E.zero(), T3.base.E.zero(), T3.base.L.zero()
     )
     with pytest.raises(OwnerMismatch):
-        T2.face(2, 0, foreign)
+        T2.faces[(2, 0)](foreign)
 
 
 TOWER_ACTIONS = ("bullet", "star", "one_e", "one_r", "one", "two_e", "two_l", "two", "dagger")
@@ -350,7 +346,7 @@ def test_codecs_split_and_pack_are_inverse(monkeypatch):
                                if not p.is_zero())
             for u in elements:
                 parts = codec.split(u)
-                assert len(parts) == codec.arity and parts == _nested_split(u)
+                assert len(parts) == len(codec.parts) and parts == _nested_split(u)
                 assert codec.pack(*parts) == u
             with monkeypatch.context() as patch:
                 patch.setattr(simplex, "unit_key", lambda u: None)
@@ -557,7 +553,7 @@ def test_composite_actions_are_built_from_the_stored_components():
 # them); this term breaks A2 of every component, since every actor algebra
 # of F2 is nilpotent.  A component gains it in its key images: (k1, k2)
 # gains the basis element of k2 when k1 is the actor's first basis key,
-# which is c(x) m on basis elements; a leaf is a ``simplex._TermAction``
+# which is c(x) m on basis elements; a leaf is a ``maps.FunctionAction``
 # and a sum >1 or >2 a ``simplex._SumAction``.
 COMPONENTS = ("one_e", "one_r", "one", "two_e", "two_l", "two")
 
@@ -588,8 +584,10 @@ def test_component_mutant_raises_its_own_error_from_build_tower(monkeypatch, nam
     if name in SUMS:
         alone = _with_identity_term(simplex._SumAction, name)(real.origin, real.acting, real.parts, name)
     else:
+        reference = _reference_action(T, name)
         alone = _with_identity_term(maps.FunctionAction, name)(
-            real.acting, real.acted, _reference_action(T, name), note=name)
+            real.acting, real.acted,
+            lambda k1, k2: reference(real.acting.basis_element(k1), real.acted.basis_element(k2)), note=name)
     assert any(
         alone(x, m) != real(x, m)
         for x in real.acting.basis_elements()
@@ -607,7 +605,7 @@ def test_component_mutant_raises_its_own_error_from_build_tower(monkeypatch, nam
 def _patch_component(monkeypatch, name):
     """Give the component `name` of >t the identity term in the tower's
     construction."""
-    base = "_SumAction" if name in SUMS else "_TermAction"
+    base = "_SumAction" if name in SUMS else "FunctionAction"
     monkeypatch.setattr(simplex, base, _with_identity_term(getattr(simplex, base), name))
 
 

@@ -262,7 +262,7 @@ def test_x_map_values_and_degenerate_triangle():
     lam1 = T.levels[1]
     for r in [x, x2, R.monomial("x", "x", "x")]:
         phi = lam1.pair(f.f0(r), h1.s(r))
-        assert x_map(h1, z_at_g, r, POL) == T.degeneracy(1, 0, phi)
+        assert x_map(h1, z_at_g, r, POL) == T.degeneracies[(1, 0)](phi)
 
 
 def test_w_map_values_and_vanishing():
@@ -823,14 +823,14 @@ def test_completing_a_kept_lower_stage_gives_the_whole_tower(monkeypatch):
     # On key images, (k, m) gains m when k is L's first key.
     first = B.L.basis_keys()[0]
 
-    class TwoL(simplex._TermAction):
+    class TwoL(simplex.FunctionAction):
         def _image(self, k1, k2):
             image = super()._image(k1, k2)
             if self.note != "two_l" or k1 != first:
                 return image
             return image + self.acted.basis_element(k2)
 
-    monkeypatch.setattr(simplex, "_TermAction", TwoL)
+    monkeypatch.setattr(simplex, "FunctionAction", TwoL)
     other = Policy(10, 4, 1)
     with pytest.raises(XmodError) as eager:
         build_tower(B, other)
