@@ -136,11 +136,18 @@ in the law evaluate on elements: every generator tuple, and for a sampled
 law each kept spanned key tuple as a tuple of basis elements, a finite
 slot's kept ones (or every drawn tuple, when the span is not smaller).
 
+Images given on keys are checked in one place, ``generator_images``:
+each key must be one of ``algebra.generator_keys`` of the source (the
+generators of a free algebra, the basis of a finite one), else BadShape
+names it, and each value must be an element of the target.  A key with no
+image is zero, for a table and for a substitution alike, so a map, a
+derivation or a homotopy is given by its nonzero images.
+
 A key image has one form: ``_image`` of a map (one key) or of an action
 or lifting (a key pair) is an element of the map's own target (the acted
 algebra for an action), and the target's shared ``zero()`` for a key with
 no image.  Each image is re-tagged to the target once, where it is stored:
-table and substitution images by ``_check_images``, the memo of
+table and substitution images by ``generator_images``, the memo of
 ``LinearMap``, and the tables of ``TableAction`` and ``BilinearMap``; a
 ``FunctionAction``'s key images are elements of the acted algebra as
 given; so no call re-tags.  On elements, every action and Peiffer
@@ -177,7 +184,8 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 from .algebra import (
-    Element, FiniteAlgebra, FreeAlgebra, SemidirectAlgebra, bilinear, combine, evaluate_bilinear, unit_key,
+    Element, FiniteAlgebra, FreeAlgebra, SemidirectAlgebra, bilinear, combine, evaluate_bilinear,
+    generator_keys, unit_key,
 )
 from .errors import (
     A1Violation,
@@ -522,8 +530,9 @@ class LinearMap:
       "table"        looked up in ``images`` (a finite source's basis), a
                      missing key going to the target's zero(); with no
                      images, the zero map over any source (``zero_map``);
-      "substitution" ``images`` holds the free generators' images, and a
-                     monomial g1...gk goes to the product of its images;
+      "substitution" ``images`` holds the free generators' images, a
+                     generator with none going to the target's zero(), and
+                     a monomial g1...gk goes to the product of its images;
       "function"     ``fn`` applied to the basis element (sums/composites,
                      derivations, faces and degeneracies).
 
@@ -553,7 +562,7 @@ class LinearMap:
         img = self._memo.get(key)
         if img is None:
             if self.rule == "substitution":  # g1...gk = (g1...g(k-1)) gk, prefix memoised
-                img = self.images[key[-1]]
+                img = self.images.get(key[-1], self.target.zero())
                 if len(key) > 1:
                     img = self._image(key[:-1]) * img
             else:
@@ -575,8 +584,16 @@ class LinearMap:
         return "LinearMap<%r -> %r; %s>" % (self.source, self.target, tag)
 
 
-def _check_images(source, target, images):
-    """The images, each owned by target and re-tagged to it."""
+def generator_images(source, target, images):
+    """The images a map out of source is given on, checked: each key one of
+    ``algebra.generator_keys(source)`` (a free algebra's generators, a
+    finite one's basis), else BadShape naming it, and each value an element
+    of target, re-tagged to it.  A key with no image goes to zero, which the
+    table and substitution rules read as the target's zero()."""
+    keys = set(generator_keys(source))
+    for key in images:
+        if key not in keys:
+            raise BadShape("image given for unknown key %r of %r" % (key, source))
     return {key: _as_element_of(target, target.owns(value)) for key, value in images.items()}
 
 
@@ -584,11 +601,7 @@ def linear_map(source, target, images):
     """Table-defined linear map on a finite source basis."""
     if not source.is_finite():
         raise BadShape("table linear map needs a finite source; use generator images")
-    keys = set(source.basis_keys())
-    for key in images:
-        if key not in keys:
-            raise BadShape("image given for unknown key %r" % (key,))
-    return LinearMap(source, target, "table", images=_check_images(source, target, images))
+    return LinearMap(source, target, "table", images=generator_images(source, target, images))
 
 
 def zero_map(source, target):
@@ -700,21 +713,17 @@ def algebra_morphism(source, target, images=None, fn=None, policy=DEFAULT_POLICY
 
     Finite source: basis-image table, multiplicativity checked on all basis
     pairs.  Free source: generator images, multiplicative by construction
-    (substitution).  Function rule: certified on law tuples.
+    (substitution).  Either way the images are checked by
+    ``generator_images``, and a key with no image goes to zero.  Function
+    rule: certified on law tuples.
     """
     if fn is not None:
         f = LinearMap(source, target, "function", fn=fn, note=note)
         certify_multiplicative(f, policy)
         return f
     if isinstance(source, FreeAlgebra):
-        images = _check_images(source, target, images)
-        missing = [g for g in source.generators if g not in images]
-        if missing:
-            raise BadShape("no image for generators %r" % (missing,))
-        unknown = [g for g in images if g not in source.generators]
-        if unknown:
-            raise BadShape("image for unknown generators %r" % (unknown,))
-        f = LinearMap(source, target, "substitution", images=images, note=note)
+        f = LinearMap(source, target, "substitution", images=generator_images(source, target, images),
+                      note=note)
         f.multiplicative = EXHAUSTIVE  # by construction
         return f
     f = linear_map(source, target, images)

@@ -36,8 +36,9 @@ free algebra; an optional "free_basis" declaration must be those generators.
 
 References resolve by name in dependency order.  A missing required
 field, a reference or a label that is not a string, an unknown label,
-monomial or map kind, a scalar that is not a JSON string or number, and
-a key or string that UTF-8 cannot encode raise ParseError naming the
+monomial or map kind, a scalar that is not a JSON string or number, a
+"zero" or "identity" that is not true or false, and a key or string
+that UTF-8 cannot encode raise ParseError naming the
 entry; a dangling or cyclic reference raises UnresolvedReference; a
 failed law raises ValidationError(structure, cause) with the witness
 preserved.
@@ -184,18 +185,23 @@ def _parse_element(alg, data, where):
 def _parse_linmap_images(source, target, spec, field, entry):
     """The linear map spec[field] of a document entry as {source key:
     element of target}; an absent or null field is the zero map.  A key
-    with no image goes to zero: a table map reads zero there, and s and t
-    are completed by ``tcm_homotopy``, so only a free source's generators,
-    which a substitution needs, are filled in."""
+    with no image goes to zero, as ``maps.generator_images`` reads it for
+    every map, derivation and homotopy the images are given to."""
     where = "%s %s" % (entry, field)
     data = spec.get(field)
     images = {}
     for key, elem in ({} if data is None else _shaped(data, dict, where)).items():
         images[_generator_key(source, key, where)] = _parse_element(target, elem, where)
-    if isinstance(source, FreeAlgebra):
-        for g in source.generators:
-            images.setdefault(g, target.zero())
     return images
+
+
+def _flag(spec, field, where):
+    """spec[field] of a document entry, JSON true or false, false when
+    absent; any other value is a ParseError."""
+    value = spec.get(field, False)
+    if not isinstance(value, bool):
+        raise ParseError("%s: %r must be true or false, got %r" % (where, field, value))
+    return value
 
 
 class _Loader:
@@ -279,7 +285,7 @@ class _Loader:
         where = "action %r" % name
         acting = self.algebra(_required(spec, "acting", where))
         acted = self.algebra(_required(spec, "acted", where))
-        if spec.get("zero"):
+        if _flag(spec, "zero", where):
             return zero_action(acting, acted)
         table = {}
         for actor, row in _shaped(spec.get("table", {}), dict, where + " table").items():
@@ -363,7 +369,7 @@ class _Loader:
         module = self.crossed_module if crossed else self.two_crossed_module
         src = module(_required(spec, "source", where))
         tgt = module(_required(spec, "target", where))
-        if spec.get("identity"):
+        if _flag(spec, "identity", where):
             if src is not tgt:
                 raise ParseError("%s: identity needs source == target" % where)
             return identity_cm_morphism(src) if crossed else identity_2cm_morphism(src)

@@ -76,7 +76,7 @@ under the policy they are given.
 Each homotopy is certified once, and a zero homotopy never.
 ``make_quadratic_derivation`` certifies every call and keeps its result
 on f, keyed (``kept_key``) by the policy and the normalized data: the
-completed s-images, the declared monomial values and the nonzero
+nonzero s-images, the declared monomial values and the nonzero
 t-images.  ``concat_2cm`` and ``apply_2cm_homotopy`` (for a derivation
 certified under another policy) go through ``_quadratic``, which
 normalizes the same way and returns the kept derivation when the key
@@ -101,7 +101,7 @@ matches no key and is certified, and rejected, as before.
 import random
 from functools import cached_property, partial
 
-from .algebra import FreeAlgebra, generator_keys, unit_key
+from .algebra import FreeAlgebra, unit_key
 from .crossed import MORPHISM_LAWS, make_2cm_morphism
 from .errors import (
     CompositionMismatch,
@@ -118,6 +118,7 @@ from .maps import (
     LinearMap,
     algebra_morphism,
     check_law,
+    generator_images,
     is_proof,
     linear_map,
     maps_agree,
@@ -149,7 +150,9 @@ def _s_keys(A, B):
 
 
 def _s_map(f, images, policy=DEFAULT_POLICY):
-    """Realize an f0-derivation s: R -> E' from its images.
+    """Realize an f0-derivation s: R -> E' from its images, checked by
+    ``maps.generator_images`` (``split_s_images``), a key with none going
+    to zero.
 
     A finite R gives a basis table.  A free R gives the algebra map
     phi: r -> (f0(r), s(r)) into R' |x E' = Lambda1 of the target's tower
@@ -161,23 +164,27 @@ def _s_map(f, images, policy=DEFAULT_POLICY):
     """
     R, target = f.src.R, f.tgt.E
     if f.src.free_basis is None:
-        return linear_map(R, target, images)
-    _, phi = _tower_map(f, 1, lambda b: (images[b],), policy, "phi")
+        return LinearMap(R, target, "table", images=images)
+    _, phi = _tower_map(f, 1, (images,), policy, "phi")
     lam1 = phi.target
     s = LinearMap(R, target, "function", fn=lambda r: lam1.split(phi(r))[1], note="derivation")
     s.edge_map = phi
     return s
 
 
-def _tower_map(f, n, columns, policy, note):
+def _tower_map(f, n, tables, policy, note):
     """The algebra map R -> Lam_n (n = 1, 2, 3) of the tower of f's target
-    that extends b -> (f0(b), *columns(b)) on the free basis B, and that
-    tower, built up to at least its lower stage (Lam2) or to Lam_n."""
+    that extends b -> (f0(b), table[b] for each of ``tables``, one per
+    later slot of Lam_n) on the free basis B, a b missing from a table
+    going to zero there, and that tower, built up to at least its lower
+    stage (Lam2) or to Lam_n."""
     A = f.src
     basis = _require_free(A)
     tower = get_tower(f.tgt, policy, top=max(n, 2))
-    pack = tower.codecs[n].pack
-    images = {b: pack(f.f0(A.R.basis_element((b,))), *columns(b)) for b in basis}
+    codec = tower.codecs[n]
+    zeros = [part.zero() for part in codec.parts[1:]]
+    images = {b: codec.pack(f.f0(A.R.basis_element((b,))), *(t.get(b, z) for t, z in zip(tables, zeros)))
+              for b in basis}
     return tower, algebra_morphism(A.R, tower.levels[n], images=images, policy=policy, note=note)
 
 
@@ -225,7 +232,7 @@ def check_derivation_law(R, f0, act, s, declared, error, policy):
 
 
 def _check_declared(R, s, declared, error):
-    """Each declared monomial value (see ``complete_s_images``) must be the
+    """Each declared monomial value (see ``split_s_images``) must be the
     value s takes there; otherwise error((monomial,), declared, s(monomial))."""
     for mono, value in declared.items():
         r = R.basis_element(mono)
@@ -240,23 +247,21 @@ def _s_error(A):
     return DerivationLawViolation if A.slice_of is not None else partial(QDLawViolation, "s-law")
 
 
-def complete_s_images(R, E, images):
+def split_s_images(R, E, images):
     """Split given s-data for s: R -> E into its images and declared
-    monomial values, each owned by E.  The images are completed by zero on
-    the R-basis of a finite R, or on the generators of a free one; there a
-    monomial key declares a value that the derivation law forces, so it is
-    checked, not used.  Any other R raises BadShape."""
-    out, declared = {}, {}
-    free = isinstance(R, FreeAlgebra)
+    monomial values.  Over a free R a monomial key declares a value that
+    the derivation law forces, so it is checked, not used; each declared
+    value must be owned by E.  Every other key is an image, on the R-basis
+    of a finite R or on the generators of a free one, checked by
+    ``maps.generator_images``: an unknown key, or any R neither finite nor
+    free, raises BadShape, and a key with no image goes to zero."""
+    free, declared, given = isinstance(R, FreeAlgebra), {}, {}
     for key, value in images.items():
-        E.owns(value)
         if free and isinstance(key, tuple):
-            declared[R.check_key(key)] = value
+            declared[R.check_key(key)] = E.owns(value)
         else:
-            out[key] = value
-    for key in generator_keys(R):
-        out.setdefault(key, E.zero())
-    return out, declared
+            given[key] = value
+    return generator_images(R, E, given), declared
 
 
 def kept_key(policy, *tables):
@@ -269,18 +274,20 @@ def kept_key(policy, *tables):
 
 def _normalize(f, s_images, t_images):
     """The inputs of a quadratic derivation, checked and normalized: the
-    completed s-images, the declared monomial values of s, and t on the
-    checked E-keys with its zero images left out (a zero image and a
-    missing one give the same t)."""
+    s-images and the declared monomial values of s (``split_s_images``),
+    and t on the E-basis, checked by ``maps.generator_images``; the zero
+    images of s and t are left out, since a zero image and a missing one
+    give the same map."""
     A, B = f.src, f.tgt
-    s_images, declared = complete_s_images(A.R, B.E, s_images)
-    t_norm = {}
-    for key, value in t_images.items():
-        B.L.owns(value)
-        key = A.E.check_key(key)
-        if not value.is_zero():
-            t_norm[key] = value
-    return s_images, declared, t_norm
+    s_images, declared = split_s_images(A.R, B.E, s_images)
+    # no t-images, as over a crossed module's slice: E may be any algebra
+    t_images = generator_images(A.E, B.L, t_images) if t_images else {}
+    return _nonzero(s_images), declared, _nonzero(t_images)
+
+
+def _nonzero(images):
+    """The images with the zero ones left out."""
+    return {key: value for key, value in images.items() if value.coeffs}
 
 
 class QuadraticDerivation:
@@ -288,10 +295,11 @@ class QuadraticDerivation:
     under ``policy``; a crossed derivation is one with t = 0 over the
     slices (``cm_homotopy``).
 
-    ``s_images`` records s: R -> E' on the R-basis (finite R) or on the
-    free generators (free R, where s is evaluated through the algebra map
-    r -> (f0(r), s(r)) into R' |x E'); t: E -> L' is given by ``t_images``
-    on the E-basis, and is the zero map into an L' with no basis.
+    ``s_images`` records s: R -> E' by its nonzero images on the R-basis
+    (finite R) or on the free generators (free R, where s is evaluated
+    through the algebra map r -> (f0(r), s(r)) into R' |x E'); t: E -> L'
+    is given by its nonzero ``t_images`` on the E-basis, and is the zero
+    map into an L' with no basis.  A key with no image goes to zero.
     ``certificates`` maps each law to its certificate.
     ``target`` is the target map, certified under the same policy when
     first read and then kept, or the certified map it equals
@@ -635,7 +643,7 @@ def _is_target(qd, m):
     if m.src is not A or m.tgt is not B or not all(c is not None and (c.exhaustive or c == sampled)
                                                    for c in certs):
         return False
-    if m is qd.f and not qd.t_images and all(v.is_zero() for v in qd.s_images.values()):
+    if m is qd.f and not qd.t_images and not qd.s_images:
         return True  # the zero lemma of zero_quadratic
     if not (A.E.is_finite() and A.L.is_finite()):
         return False
@@ -686,7 +694,7 @@ def extend_derivation(f, s_star, policy=DEFAULT_POLICY):
     """
     A, B = f.src, f.tgt
     _require_free(A)
-    images, declared = complete_s_images(A.R, B.E, s_star)
+    images, declared = split_s_images(A.R, B.E, s_star)
     s = _s_map(f, images, policy)
     _check_declared(A.R, s, declared, _s_error(A))
     return s
@@ -701,7 +709,8 @@ def _t_keys(A, B):
 
 def _sum_images(h1, h2):
     """(s + s')|B, the generator images of s [+] s'."""
-    return {b: h1.s_images[b] + h2.s_images[b] for b in _s_keys(h1.f.src, h1.f.tgt)}
+    zero = h1.f.tgt.E.zero()
+    return {b: h1.s_images.get(b, zero) + h2.s_images.get(b, zero) for b in _s_keys(h1.f.src, h1.f.tgt)}
 
 
 def box_plus_s(h1, h2, policy=DEFAULT_POLICY):
@@ -713,8 +722,7 @@ def box_plus_s(h1, h2, policy=DEFAULT_POLICY):
 def _triangle_map(f, images1, images2, policy=DEFAULT_POLICY):
     """The unique algebra map R -> Lam2(B) with b -> (f0(b), s(b), s'(b), 0),
     and the tower of B it maps into, at least its lower stage."""
-    zero = f.tgt.L.zero()
-    return _tower_map(f, 2, lambda b: (images1[b], images2[b], zero), policy, "X")
+    return _tower_map(f, 2, (images1, images2, {}), policy, "X")
 
 
 def x_map(h1, h2, r, policy=DEFAULT_POLICY):
@@ -783,7 +791,8 @@ def invert_2cm(h, policy=DEFAULT_POLICY):
     -s|B as a g0-derivation (or is -s, see ``_s_keys``) and tbar = -t -
     w^(s,sbar) o d1; both concatenations are the zero homotopy, exactly."""
     A = h.f.src
-    sbar_images = {b: -h.s_images[b] for b in _s_keys(A, h.f.tgt)}
+    zero = h.f.tgt.E.zero()
+    sbar_images = {b: -h.s_images.get(b, zero) for b in _s_keys(A, h.f.tgt)}
     tbar_images = {}
     for k in _t_keys(A, h.f.tgt):
         e = A.E.basis_element(k)
@@ -820,10 +829,7 @@ def z_map(h1, h2, h3, r, policy=DEFAULT_POLICY):
     tetrahedron)."""
     box23, w12, w23, w12_3 = _triple_w(h1, h2, h3, r, policy)
     f, B = h1.f, h1.f.tgt
-    zL = B.L.zero()
-    tower, Z = _tower_map(
-        f, 3, lambda b: (h1.s_images[b], h2.s_images[b], zL, h3.s_images[b], zL, zL), policy, "Z"
-    )
+    tower, Z = _tower_map(f, 3, (h1.s_images, h2.s_images, {}, h3.s_images, {}, {}), policy, "Z")
     _, back = _triangle_map(f, h1.s_images, box23, policy)
     value = Z(r)
     expected = (

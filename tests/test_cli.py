@@ -633,8 +633,16 @@ _N_AND_X = {"N": {"type": "finite", "basis": ["u"], "products": {}}, "X": _FREE_
       "crossed": {"C": {"ideal": {"R": "N", "labels": ["u"]}}},
       "maps": {"i": {"kind": "crosed", "source": "C", "target": "C", "identity": True}}},
      "map 'i': unknown kind 'crosed'"),
+    ({"ring": "Q", "algebras": {"N": {"type": "finite", "basis": ["u"], "products": {}}},
+      "actions": {"a": {"acting": "N", "acted": "N", "zero": "no", "table": {"u": {"u": {"u": "1"}}}}}},
+     "action 'a': 'zero' must be true or false, got 'no'"),
+    ({"ring": "Q", "algebras": {"N": {"type": "finite", "basis": ["u"], "products": {}}},
+      "crossed": {"C": {"ideal": {"R": "N", "labels": ["u"]}}},
+      "maps": {"i": {"kind": "crossed", "source": "C", "target": "C", "identity": "no"}}},
+     "map 'i': 'identity' must be true or false, got 'no'"),
 ], ids=["action-spec-null", "ideal-labels-not-a-list", "unknown-generator-table-row",
-        "unknown-generator-in-element", "unknown-generator-in-map", "map-kind-typo"])
+        "unknown-generator-in-element", "unknown-generator-in-map", "map-kind-typo",
+        "zero-not-a-bool", "identity-not-a-bool"])
 def test_malformed_section_entry_is_parse_error(tmp_path, capsys, doc, named):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

@@ -12,7 +12,7 @@ from xmod2.cm_homotopy import (
     zero_cm_derivation,
 )
 from xmod2.crossed import identity_cm_morphism, ideal_inclusion_cm, make_cm_morphism, make_crossed
-from xmod2.errors import CompositionMismatch, DerivationLawViolation
+from xmod2.errors import BadShape, CompositionMismatch, DerivationLawViolation
 from xmod2.maps import DEFAULT_POLICY, Certificate, Policy, algebra_morphism, zero_action
 from xmod2.randgen import random_cm_derivation, random_cm_morphism
 from xmod2.rings import QQ
@@ -195,6 +195,13 @@ def test_declared_monomial_value_is_checked_over_a_free_r():
     assert d.s(x2).is_zero() and d.s_images == {"x": a}
 
 
+def test_an_s_image_on_a_key_that_is_not_a_generator_is_refused_by_name():
+    cm, f = _free_line_cm()
+    a = cm.E.basis_element("a")
+    with pytest.raises(BadShape, match="image given for unknown key 'y' of "):
+        make_cm_derivation(f, {"x": a, "y": a})
+
+
 def test_groupoid_check_over_a_free_r():
     """The crossed groupoid needs no freeness and no finite R: the maps,
     derivations and their targets are drawn on the generator x."""
@@ -231,6 +238,26 @@ def test_a_free_e_runs_through_the_crossed_layer():
     assert err.value.witness == (x2,)
     entries = cm_groupoid_check(cm, cm, samples=2, seed=0, policy=pol)
     assert len(entries) == 18 and all(ok for _, ok, _ in entries)
+
+
+def test_an_e_neither_finite_nor_free_takes_crossed_derivations():
+    """E = X |x U, X free on x and U = <u> finite with the zero action, is
+    neither finite nor free.  The crossed module E -> X projecting onto X,
+    with X acting by multiplication in E, takes a derivation: its t is
+    given on no key, so no key of E is asked for."""
+    from xmod2.maps import FunctionAction, semidirect
+
+    X, U = make_free_algebra(["x"], QQ), make_finite_algebra(["u"], {}, QQ)
+    E = semidirect(X, U, zero_action(X, U))
+    pol = Policy(samples=3)
+
+    def project(e):  # (a, u) -> a
+        return X.from_coeffs({k: c for (side, k), c in e.coeffs.items() if side == 0})
+
+    d = algebra_morphism(E, X, fn=project, policy=pol)
+    cm = make_crossed(E, X, d, FunctionAction(X, E, lambda k1, k2: E.key_mul((0, k1), k2)), pol)
+    u = E.basis_element((1, "u"))
+    assert make_cm_derivation(identity_cm_morphism(cm), {"x": u}, pol).s(X.monomial("x", "x")).is_zero()
 
 
 def test_a_crossed_derivation_law_fails_alike_from_every_entry():

@@ -84,6 +84,21 @@ def test_table_morphism_certified():
         algebra_morphism(R, R, images={"x": R.basis_element("x"), "x2": R.zero()})
 
 
+def test_a_free_source_reads_a_generator_without_an_image_as_zero():
+    """A substitution is given on generators, and one with no image goes
+    to zero, as a table reads a basis key with none; it is multiplicative
+    by construction.  A key that is no generator is refused by name."""
+    P = make_free_algebra(["x", "y"], QQ)
+    R = make_finite_algebra(["p"], {}, QQ)
+    p = R.basis_element("p")
+    f = algebra_morphism(P, R, images={"x": p})
+    assert f.multiplicative is EXHAUSTIVE
+    assert f(P.monomial("x")) == p
+    assert f(P.monomial("y")).is_zero() and f(P.monomial("x", "y")).is_zero()
+    with pytest.raises(BadShape, match="image given for unknown key 'z' of "):
+        algebra_morphism(P, R, images={"x": p, "z": p})
+
+
 def test_linear_map_guards():
     R = make_finite_algebra(["x"], {}, QQ)
     P = make_free_algebra(["y"], QQ)

@@ -20,7 +20,7 @@ from xmod2.crossed import (
     make_two_crossed,
 )
 from xmod2.errors import (
-    CompositionMismatch, DerivationLawViolation, FreeBasisRequired, QDLawViolation, XmodError,
+    BadShape, CompositionMismatch, DerivationLawViolation, FreeBasisRequired, QDLawViolation, XmodError,
 )
 from xmod2.maps import (
     BilinearMap,
@@ -232,6 +232,21 @@ def test_extend_derivation_checks_declared_monomial_values():
     with pytest.raises(DerivationLawViolation) as err:
         extend_derivation(g, {"y": 3 * x2, ("y", "y"): forced + x2}, POL)
     assert (err.value.witness, err.value.lhs, err.value.rhs) == ((y2,), forced + x2, forced)
+
+
+def test_an_image_on_a_key_that_is_not_a_generator_is_refused_by_name():
+    """Over the free R of F3 -> F2 the s-images are given on x alone: an
+    image on any other key is refused, naming it, as over a finite R, and
+    so is a t-image on a key outside the E-basis."""
+    F3, F2, f, _, _, _ = worked()
+    a = F2.E.basis_element("a")
+    with pytest.raises(BadShape, match="image given for unknown key 'y' of "):
+        make_quadratic_derivation(f, {"x": a, "y": a}, {}, POL)
+    with pytest.raises(BadShape, match="image given for unknown key 'nope' of "):
+        extend_derivation(f, {"x": a, "nope": a}, POL)
+    ident = identity_2cm_morphism(F2)
+    with pytest.raises(BadShape, match="image given for unknown key 'z' of "):
+        make_quadratic_derivation(ident, {}, {"z": F2.L.basis_element(fixtures.BH)}, POL)
 
 
 def test_box_plus_s_unit_laws():

@@ -11,7 +11,9 @@ with none, the runs are ``tools/reach.py``'s ``DEFAULT_RUNS``,
 ``selftest --seed S --samples 10`` for S in 0, 7 and 42, ``validate``
 on each document of ``verdictbench/workloads.corrupted_docs()``, and
 ``validate`` on ``ESCAPING_DOC``, whose report and text must escape
-non-ASCII names and a label holding ``"`` and ``\\``.  Every
+non-ASCII names and a label holding ``"`` and ``\\``, and ``validate``
+and ``homotopy apply --names h`` on ``FREE_PAIR_DOC``, whose map and
+homotopy leave a generator without an image.  Every
 run gets ``--json`` with a path in a temporary directory, where the
 documents are written too; a document run starts in that directory and
 names its document relative to it, and every other run starts at the root
@@ -41,12 +43,38 @@ ESCAPING_DOC = {
                               "y": {_LABEL: {_LABEL: "1"}}}},
     },
 }
+# R free on x and y, the domain D = (0 -> 0 -> R) and the target F2 of
+# fixtures.json: f gives only f0(x) = p and h only s(y) = a, so each
+# reads its other generator's image as zero, and g0(x) = g0(y) = p.
+FREE_PAIR_DOC = {
+    "ring": "Q",
+    "algebras": {
+        "R": {"type": "free", "generators": ["x", "y"]},
+        "Z": {"type": "finite", "basis": [], "products": {}},
+        "R2": {"type": "finite", "basis": ["p"], "products": {}},
+        "E2": {"type": "finite", "basis": ["a", "b"], "products": {"a": {"a": {"b": "1"}}}},
+        "L2": {"type": "finite", "basis": ["b̂"], "products": {}},
+    },
+    "actions": {
+        "zero_R_Z": {"acting": "R", "acted": "Z", "zero": True},
+        "zero_R2_E2": {"acting": "R2", "acted": "E2", "zero": True},
+        "zero_R2_L2": {"acting": "R2", "acted": "L2", "zero": True},
+    },
+    "two_crossed": {
+        "D": {"L": "Z", "E": "Z", "R": "R", "d2": {}, "d1": {},
+              "action_e": "zero_R_Z", "action_l": "zero_R_Z", "lifting": {}},
+        "F2": {"L": "L2", "E": "E2", "R": "R2", "d2": {"b̂": {"b": "1"}}, "d1": {"a": {"p": "1"}},
+               "action_e": "zero_R2_E2", "action_l": "zero_R2_L2", "lifting": {"a": {"a": {"b̂": "1"}}}},
+    },
+    "maps": {"f": {"source": "D", "target": "F2", "f0": {"x": {"p": "1"}}}},
+    "quadratic_derivations": {"h": {"base": "f", "s": {"y": {"a": "1"}}}},
+}
 
 
 def default_runs():
     """(document, argument list) of every default run: document is None,
-    or the (name, JSON document) of ``corrupted_docs`` or ``ESCAPING_DOC``
-    that the run validates, written before it runs."""
+    or the (name, JSON document) of ``corrupted_docs``, ``ESCAPING_DOC`` or
+    ``FREE_PAIR_DOC`` that the run reads, written before it runs."""
     sys.dont_write_bytecode = True  # read verdictbench/, leave nothing in it
     sys.path[:0] = [os.path.join(ROOT, "tools"), os.path.join(ROOT, "src"), os.path.join(ROOT, "verdictbench")]
     from reach import DEFAULT_RUNS
@@ -56,6 +84,9 @@ def default_runs():
     runs += [(None, ["selftest", "--seed", str(seed), "--samples", "10"]) for seed in SELFTEST_SEEDS]
     runs += [((name, doc), ["validate", name + ".json"]) for name, doc in corrupted_docs().items()]
     runs.append((("escaping", ESCAPING_DOC), ["validate", "escaping.json"]))
+    free_pair = ("free-pair", FREE_PAIR_DOC)
+    runs += [(free_pair, ["validate", "free-pair.json"]),
+             (free_pair, ["homotopy", "apply", "free-pair.json", "--names", "h"])]
     return runs
 
 
