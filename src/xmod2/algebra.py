@@ -292,9 +292,6 @@ class Algebra:
         u = kept[key] = Element(self, {key: self.ring.one})
         return u
 
-    def check_key(self, key):
-        raise NotImplementedError
-
     def owns(self, u):
         if not isinstance(u, Element):
             raise OwnerMismatch("expected an Element, got %r" % (u,))
@@ -304,17 +301,10 @@ class Algebra:
 
     # -- multiplication ----------------------------------------------------
 
-    def key_mul(self, k1, k2):
-        raise NotImplementedError
-
     def multiply(self, u, v):
         return evaluate_bilinear(self, u, v, self.key_mul)
 
     # -- shape -------------------------------------------------------------
-
-    def dim(self):
-        """Dimension over the ring, or None when infinite."""
-        raise NotImplementedError
 
     def is_finite(self):
         return self.dim() is not None
@@ -344,9 +334,6 @@ class Algebra:
             basis = self.basis_elements()
             self._generators = Kept(basis[i] for i in self.generating_positions())
         return self._generators
-
-    def compatible(self, other):
-        raise NotImplementedError
 
     def element_str(self, u):
         if not u.coeffs:

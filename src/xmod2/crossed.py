@@ -440,6 +440,13 @@ def make_2cm_morphism(src, tgt, f0, f1, f2, policy=DEFAULT_POLICY):
                      = f0(r1r2) > f1(e)            f0 multiplicative
 
     so S is closed under products.
+
+    A law whose slot list holds an algebra of dimension 0 is vacuous: the
+    product of the slots' bases is empty, and every argument tuple has a
+    zero entry, at which both sides vanish by multilinearity.  Such a law
+    is EXHAUSTIVE with nothing drawn or evaluated: over E = 0 the
+    d1-square, f1-equivariance and lifting, over L = 0 the d2-square and
+    f2-equivariance.
     """
     for f, dom, cod, name in (
         (f0, src.R, tgt.R, "f0"),
@@ -451,7 +458,10 @@ def make_2cm_morphism(src, tgt, f0, f1, f2, policy=DEFAULT_POLICY):
     certs = {}
 
     def run(name, algebras, lhs, rhs, error, generators=()):
-        certs[name] = check_law(algebras, lhs, rhs, error, policy, generators=generators)
+        if any(a.dim() == 0 for a in algebras):  # vacuous
+            certs[name] = EXHAUSTIVE
+        else:
+            certs[name] = check_law(algebras, lhs, rhs, error, policy, generators=generators)
 
     run(
         "d1-square", [src.E], lambda e: f0(src.d1(e)), lambda e: tgt.d1(f1(e)),

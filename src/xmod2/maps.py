@@ -68,9 +68,13 @@ for any bilinear action), ``certify_algebra`` by
 the semidirect lemma (a finite semidirect product of proved parts under an
 action proved on a basis is commutative and associative), the zero
 homotopy by the zero lemma (``tcm_homotopy.zero_quadratic``: each law of a
-quadratic derivation is linear in s or t, so (0, 0) satisfies it), and a
+quadratic derivation is linear in s or t, so (0, 0) satisfies it), a
 target equal to a certified map, which carries that map's certificates
-(``tcm_homotopy._settle_target``).  The left-part lemma's comparison is
+(``tcm_homotopy._settle_target``), and two vacuous sites, where each side
+of a law is linear in an argument from an algebra of dimension 0, so both
+vanish: a morphism law with such a slot (``crossed.make_2cm_morphism``)
+and t-product and t-action over a source whose E is 0
+(``tcm_homotopy._t_laws``).  The left-part lemma's comparison is
 the one law decided outside ``check_law``: it is the identity f o i = h on
 a basis of X, i the inclusion, and the nine simplicial identities of that
 form are reported from it (``simplex.check_simplicial_identities``).
@@ -597,11 +601,18 @@ def generator_images(source, target, images):
     return {key: _as_element_of(target, target.owns(value)) for key, value in images.items()}
 
 
-def linear_map(source, target, images):
-    """Table-defined linear map on a finite source basis."""
+def table_map(source, target, images):
+    """The table rule on the basis of a finite source, from images that
+    ``generator_images`` has checked; BadShape for any other source."""
     if not source.is_finite():
         raise BadShape("table linear map needs a finite source; use generator images")
-    return LinearMap(source, target, "table", images=generator_images(source, target, images))
+    return LinearMap(source, target, "table", images=images)
+
+
+def linear_map(source, target, images):
+    """Table-defined linear map on a finite source basis: ``table_map`` of
+    the images checked by ``generator_images``."""
+    return table_map(source, target, generator_images(source, target, images))
 
 
 def zero_map(source, target):

@@ -33,35 +33,11 @@ class Ring:
 
     name = "?"
 
-    def coerce(self, value):
-        raise NotImplementedError
-
-    def parse(self, text):
-        raise NotImplementedError
-
-    def to_str(self, value):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def is_zero(self, a):
         return not a  # the int 0 is every ring's zero and its only falsy scalar
-
-    def random(self, rng):
-        raise NotImplementedError
 
     def __repr__(self):
         return self.name

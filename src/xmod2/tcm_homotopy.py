@@ -59,7 +59,17 @@ boundary form take the generator rule of ``maps.check_law`` by the closure
 lemma of ``make_quadratic_derivation``, and so do the equivariance laws of
 each target map (``crossed.make_2cm_morphism``).  Each proof names its
 premises and falls back to the basis of a finite R, or to sampling over
-a free one, when one of them is not proved.
+a free one, when one of them is not proved.  A law each of whose sides is
+linear in an argument from an algebra of dimension 0 is vacuous and
+EXHAUSTIVE with nothing checked, premises or not: over E = 0, t-product
+and t-action (``_t_laws``), and a map's d1-square, f1-equivariance and
+lifting; over L = 0, the t-laws' boundary forms, which are not checked,
+and a map's d2-square and f2-equivariance.  So out of F3 = 0 -> 0 -> R
+a map's five laws and a derivation's t-laws are all vacuous, and only
+the s-law is checked.  A target known in advance is not built again:
+over a free R, f0 + d1' o s is compared with that map's certified f0 on
+B, and on the policy's sampled r as a tripwire (``_is_target``); only a
+target certified when first read builds g0 (``_g0_substitution``).
 
 A homotopy is one object, a ``QuadraticDerivation``: its data, the
 policy its laws were certified under, and its ``target``, the map g
@@ -120,9 +130,9 @@ from .maps import (
     check_law,
     generator_images,
     is_proof,
-    linear_map,
     maps_agree,
     random_element,
+    table_map,
     zero_map,
     _skeleton,
 )
@@ -373,7 +383,9 @@ def make_quadratic_derivation(f, s_images, t_images, policy=DEFAULT_POLICY):
     2XM5 and f's d2-square, so it is checked on the tuples t-action is
     checked on.  Into a target whose L' has no
     basis, as for a crossed module's slice, both sides of every t-law lie
-    in L' = 0, so the t-laws hold by construction.
+    in L' = 0, so the t-laws hold by construction.  Out of a source whose
+    E is 0 both t-laws are vacuous, and out of one whose L is 0 both
+    boundary forms (``_t_laws``).
 
     The closure lemma.  Write a = f0(r), sigma = s(r), x = f1(e), z =
     s(d1 e), {-,-} for the target's lifting, and
@@ -415,10 +427,12 @@ def _entry(f, s_images, t_images, policy):
 
 
 def _t_map(f, t_norm):
-    """t: E -> L' from its nonzero E-basis images: the zero map, over any
-    E, into an L' with no basis; else the basis table, for a finite E."""
+    """t: E -> L' from its nonzero E-basis images, which ``_normalize`` has
+    checked: the zero map, over any E, into an L' with no basis; else the
+    basis table (``maps.table_map``), which refuses an E with no finite
+    basis."""
     A, B = f.src, f.tgt
-    return zero_map(A.E, B.L) if B.L.dim() == 0 else linear_map(A.E, B.L, t_norm)
+    return zero_map(A.E, B.L) if B.L.dim() == 0 else table_map(A.E, B.L, t_norm)
 
 
 def _certify(f, data, key, policy):
@@ -443,17 +457,24 @@ def _certify(f, data, key, policy):
 def _t_laws(f, smap, tmap, s_law, policy):
     """The certificates of t-product and t-action for (smap, tmap) over f,
     each law and its boundary form checked as ``make_quadratic_derivation``
-    says; raises QDLawViolation."""
+    says; raises QDLawViolation.
+
+    A law each of whose sides is linear in an argument from an algebra of
+    dimension 0 is vacuous: both sides vanish.  So over a source whose E
+    is 0, t-product and t-action are EXHAUSTIVE with nothing drawn or
+    evaluated, and over one whose L is 0, both boundary forms are skipped.
+    ``_t_action_premises`` is read only when a law with an R-slot is
+    checked."""
     A, B = f.src, f.tgt
     act_l, lift, prime, d1p = B.act_l, B.lift, B.act_prime, B.d1
     f0, f1, f2 = f.f0, f.f1, f.f2
-    r_over_generators = (0,) if _t_action_premises(f, s_law) else ()
 
     def law(name, algebras, lhs, rhs, generators=()):
         return check_law(algebras, lhs, rhs, partial(QDLawViolation, name), policy, generators=generators)
 
     # each subterm once per basis key: f1(e), t(e), s(d1 e) per E-basis e
     ebasis = {unit_key(e): (e, f1(e), tmap(e), smap(A.d1(e))) for e in A.E.basis_elements()}
+    r_over_generators = (0,) if (ebasis or A.L.dim()) and _t_action_premises(f, s_law) else ()
     at_r = {}
 
     def at(r):  # f0(r), s(r) and d1'(s(r)), once per r for t-action and its boundary form
@@ -472,19 +493,21 @@ def _t_laws(f, smap, tmap, s_law, policy):
         )
 
     def t_action(r):  # one value per E-basis e, in basis order
-        if not ebasis:
-            return []
         f0r, sr, d1sr = at(r)
         return [
             act_l(f0r, te) + act_l(d1sr, te) + lift(sr, f1e) - lift(f1e, sr) - lift(se, sr)
             for _, f1e, te, se in ebasis.values()
         ]
 
-    certs = {"t-product": law("t-product", [A.E, A.E], lambda e, e2: tmap(e * e2), t_product)}
-    certs["t-action"] = law(
-        "t-action", [A.R], lambda r: [tmap(A.act_e(r, e)) for e, _, _, _ in ebasis.values()], t_action,
-        r_over_generators,
-    )
+    certs = dict.fromkeys(("t-product", "t-action"), EXHAUSTIVE)  # vacuous over E = 0
+    if ebasis:
+        certs["t-product"] = law("t-product", [A.E, A.E], lambda e, e2: tmap(e * e2), t_product)
+        certs["t-action"] = law(
+            "t-action", [A.R], lambda r: [tmap(A.act_e(r, e)) for e, _, _, _ in ebasis.values()],
+            t_action, r_over_generators,
+        )
+    if A.L.dim() == 0:
+        return certs
 
     # consequences of the laws on boundaries of L (sanity tripwires);
     # d2(l), f2(l) and t(d2 l) once per L-basis l
@@ -498,8 +521,6 @@ def _t_laws(f, smap, tmap, s_law, policy):
         return f2l * td2 + f2l2 * td + td * td2
 
     def action_on_boundaries(r):  # one value per L-basis l, in basis order
-        if not lbasis:
-            return []
         f0r, _, d1sr = at(r)
         return [act_l(f0r, td) + act_l(d1sr, f2l) + act_l(d1sr, td) for _, f2l, td in lbasis.values()]
 
@@ -564,18 +585,35 @@ def _target_formulas(qd):
     )
 
 
+def _g0_premises(qd):
+    """Whether the lemma of ``_qd_target`` makes g0 = f0 + d1' o s an
+    algebra map over a free R: the s-law, d1' and its equivariance are
+    proved."""
+    B = qd.f.tgt
+    proofs = (qd.certificates["s-law"], B.d1.multiplicative, B.certificates["d1-equivariance"])
+    return isinstance(qd.f.src.R, FreeAlgebra) and all(map(is_proof, proofs))
+
+
+def _g0_tripwire(qd, g0, formula):
+    """g0 compared with the formula f0 + d1' o s on the policy's sampled r
+    of R, evaluated once per spanned monomial (``maps.check_law``); raises
+    MorphismViolation."""
+    check_law([qd.f.src.R], g0, formula, partial(MorphismViolation, msg="g0 differs from f0 + d'.s"),
+              qd.policy)
+
+
 def _g0_substitution(qd, formula):
     """g0 built as the substitution b -> f0(b) + d1'(s(b)) over a free R,
-    with the formula as a tripwire on the policy's sampled r, when the
-    lemma of ``_qd_target`` has its premises; else None."""
-    f, policy = qd.f, qd.policy
-    A, B = f.src, f.tgt
-    proofs = (qd.certificates["s-law"], B.d1.multiplicative, B.certificates["d1-equivariance"])
-    if not (isinstance(A.R, FreeAlgebra) and all(map(is_proof, proofs))):
+    with the formula as a tripwire (``_g0_tripwire``) on the new map, when
+    the lemma of ``_qd_target`` has its premises (``_g0_premises``); else
+    None.  ``_qd_target`` is its one caller: a known target is compared
+    with the formula itself (``_is_target``)."""
+    if not _g0_premises(qd):
         return None
+    A, B = qd.f.src, qd.f.tgt
     images = {b: formula(A.R.basis_element((b,))) for b in A.R.generators}
     g0 = algebra_morphism(A.R, B.d1.target, images=images, note="g0")
-    check_law([A.R], g0, formula, partial(MorphismViolation, msg="g0 differs from f0 + d'.s"), policy)
+    _g0_tripwire(qd, g0, formula)
     return g0
 
 
@@ -593,10 +631,10 @@ def _qd_target(qd):
     By the s-law, phi: r -> (f0(r), s(r)) is an algebra map, so g0 =
     pi o phi is one; over a free R it is the substitution b -> f0(b) +
     d1'(s(b)).  When the s-law, d1' and its equivariance are proved, g0 is
-    built so (EXHAUSTIVE by construction), and f0 + d1' o s stays as a
-    tripwire on the policy's sampled r, evaluated once per spanned
-    monomial (``maps.check_law``).  Otherwise g0 is the formula, certified
-    multiplicative on law tuples.
+    built so (EXHAUSTIVE by construction, ``_g0_substitution``), and
+    f0 + d1' o s stays as a tripwire on the policy's sampled r, evaluated
+    once per spanned monomial (``_g0_tripwire``).  Otherwise g0 is the
+    formula, certified multiplicative on law tuples.
 
     A target known in advance.  The target of a zero homotopy on f is f,
     of s [+] s' the target of s', and of sbar the source f of s.  There
@@ -609,7 +647,10 @@ def _qd_target(qd):
       over the finite E and L, and g0 over a finite R;
     * over a free R, algebra maps that agree on B are equal: g0 is one by
       the lemma above, so its premises must be proved, and so must the
-      multiplicativity of m's f0; the tripwire on sampled r still runs.
+      multiplicativity of m's f0.  f0 + d1' o s is compared with m's f0 on
+      B, with no g0 built, and the tripwire then compares m's f0 itself
+      with the formula on the sampled r, raising MorphismViolation where
+      they differ.
 
     The other premises: m runs between the very structures of qd's base
     map, and each of m's five laws and the multiplicativity of its three
@@ -617,9 +658,10 @@ def _qd_target(qd):
     them a certification of (g0, g1, g2) would prove no law that m does not
     prove as strongly: over a finite R every law is over bases, and over a
     free R each equivariance law takes the generator rule for m exactly
-    when it would for g.  When a premise fails or the maps differ, the
-    target is certified here when first read, so the tripwires of
-    ``concat_2cm`` and ``invert_2cm`` raise what they always raised.
+    when it would for g, and a vacuous law is EXHAUSTIVE for both.  When a
+    premise fails or the maps differ on a spanning set, the target is
+    certified here when first read, so the tripwires of ``concat_2cm`` and
+    ``invert_2cm`` raise what they always raised.
     """
     A, B, policy = qd.f.src, qd.f.tgt, qd.policy
     g0f, g1f, g2f = _target_formulas(qd)
@@ -635,7 +677,11 @@ def _is_target(qd, m):
     """Whether the certified map m is qd's target, by the premises and
     spanning sets of the lemma in ``_qd_target``: the certificate premise
     always, then, unless qd is zero and m its base map (the zero lemma),
-    the comparison on spanning sets."""
+    the formulas of ``_target_formulas`` compared with m's maps on spanning
+    sets.  Over a free R that is f0 + d1' o s against m's certified f0 on
+    B, with no g0 built, and then the tripwire (``_g0_tripwire``) of m's f0
+    against the formula on sampled r, which raises MorphismViolation when
+    they differ there."""
     A, B = qd.f.src, qd.f.tgt
     sampled = qd.policy.certificate
     certs = [m.certificates.get(law) for law in MORPHISM_LAWS]
@@ -647,16 +693,17 @@ def _is_target(qd, m):
         return True  # the zero lemma of zero_quadratic
     if not (A.E.is_finite() and A.L.is_finite()):
         return False
+    free = not A.R.is_finite()
+    if free and not (is_proof(m.f0.multiplicative) and _g0_premises(qd)):
+        return False
     g0, g1, g2 = _target_formulas(qd)
-    if not A.R.is_finite():
-        g0 = _g0_substitution(qd, g0) if is_proof(m.f0.multiplicative) else None
-        if g0 is None:
-            return False
-    return (
-        maps_agree(g0, m.f0, _skeleton(A.R))
-        and maps_agree(g1, m.f1, A.E.basis_elements())
-        and maps_agree(g2, m.f2, A.L.basis_elements())
-    )
+    if not (maps_agree(g0, m.f0, _skeleton(A.R))
+            and maps_agree(g1, m.f1, A.E.basis_elements())
+            and maps_agree(g2, m.f2, A.L.basis_elements())):
+        return False
+    if free:
+        _g0_tripwire(qd, m.f0, g0)
+    return True
 
 
 def _settle_target(qd, m):

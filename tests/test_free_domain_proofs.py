@@ -47,8 +47,9 @@ from xmod2.randgen import (
     _random_element, random_2cm_morphism, random_cm_morphism, random_free_two_crossed, random_two_crossed,
 )
 from xmod2.rings import PrimeField, QQ
+from xmod2.selftest import worked_homotopies
 from xmod2.simplex import get_tower
-from xmod2.tcm_homotopy import make_quadratic_derivation, zero_quadratic
+from xmod2.tcm_homotopy import _settle_target, concat_2cm, make_quadratic_derivation, zero_quadratic
 
 from helpers import patch_everywhere, zero_2cm_morphism
 
@@ -235,9 +236,10 @@ def test_a_missing_premise_falls_back_to_a_sampled_certificate():
     assert qd.target.f0.rule == "substitution" and qd.target.f0.multiplicative.exhaustive
     assert qd.target.certificates["f1-equivariance"].exhaustive
 
-    # f0 a formula map with no certificate: all three are sampled
+    # f0 a formula map with no certificate: the s-law and g0 are sampled
+    # (t-action, over E = 0, is vacuous)
     qd = make_quadratic_derivation(zero_2cm_morphism(F3, F2, PROVED), {"x": a}, {}, PROVED)
-    assert qd.certificates["s-law"] is sampled and qd.certificates["t-action"] is sampled
+    assert qd.certificates["s-law"] is sampled
     assert qd.target.f0.rule == "function" and qd.target.f0.multiplicative is sampled
 
     # R' |x E' not proved (a free target): the s-law is sampled
@@ -251,10 +253,68 @@ def test_a_missing_premise_falls_back_to_a_sampled_certificate():
                           identity_map(D.E), identity_map(D.L), PROVED)
     assert f.certificates["f1-equivariance"] is sampled
     assert f.certificates["f2-equivariance"] is sampled
+    # ... and t-action, over E != 0, is sampled
+    assert make_quadratic_derivation(f, {}, {}, PROVED).certificates["t-action"] is sampled
     D = random_free_two_crossed(F5, random.Random(3), max_dim=2, policy=PROVED)
     f = make_2cm_morphism(D, D, algebra_morphism(D.R, D.R, images={"x": D.R.monomial("x")}),
                           identity_map(D.E), identity_map(D.L), PROVED)
     assert f.certificates["f1-equivariance"].exhaustive and f.certificates["f2-equivariance"].exhaustive
+
+
+def _law_slots(monkeypatch):
+    """The slot list of every law_tuples call wherever xmod2 makes one, as
+    a list that fills while the patch lasts."""
+    real, seen = maps.law_tuples, []
+
+    def recording(algebras, *args, **kwargs):
+        seen.append(tuple(algebras))
+        return real(algebras, *args, **kwargs)
+
+    patch_everywhere(monkeypatch, real, recording)
+    return seen
+
+
+VACUOUS_OVER_F3 = ("d1-square", "d2-square", "f1-equivariance", "f2-equivariance", "lifting")
+
+
+def test_the_laws_over_a_zero_e_or_l_are_vacuous(monkeypatch):
+    """Out of F3 = 0 -> 0 -> Q[x]+ every morphism law has a slot over E = 0
+    or L = 0, and t-product and t-action quantify over E = 0: a map and a
+    quadratic derivation make no law_tuples call for any of them, and each
+    is EXHAUSTIVE, over the zero map too, whose f0 has no certificate (its
+    s-law, a law over R alone, stays sampled)."""
+    F3, F2 = fixtures.free_line_two_crossed(), fixtures.square_two_crossed()
+    a = F2.E.basis_element("a")
+    get_tower(F2, PROVED)  # kept per policy: the tower's checks are not the homotopy's
+    levels = (algebra_morphism(F3.R, F2.R, images={"x": F2.R.basis_element("p")}),
+              algebra_morphism(F3.E, F2.E, images={}), algebra_morphism(F3.L, F2.L, images={}))
+    zeros = (zero_map(F3.R, F2.R), zero_map(F3.E, F2.E), zero_map(F3.L, F2.L))
+    # the only law checked is the s-law, over the zero map: by construction over the substitution
+    for (f0, f1, f2), checked in ((levels, []), (zeros, [(F3.R, F3.R)])):
+        with monkeypatch.context() as patch:
+            seen = _law_slots(patch)
+            f = make_2cm_morphism(F3, F2, f0, f1, f2, PROVED)
+            qd = make_quadratic_derivation(f, {"x": a}, {}, PROVED)
+        assert seen == checked
+        assert [f.certificates[law] for law in VACUOUS_OVER_F3] == [EXHAUSTIVE] * 5
+        assert qd.certificates["t-product"] is EXHAUSTIVE and qd.certificates["t-action"] is EXHAUSTIVE
+    assert f.f0.multiplicative is None and qd.certificates["s-law"] is PROVED.certificate
+
+
+def test_the_laws_over_a_nonzero_e_and_l_are_checked(monkeypatch):
+    """With E = L = F5{u} (``_table_acted_domain``) none of those laws is
+    vacuous: each is one law_tuples call over its slots, in order, and the
+    t-laws and their boundary forms follow the s-law."""
+    D = _table_acted_domain()
+    get_tower(D, PROVED)
+    f0 = algebra_morphism(D.R, D.R, images={"x": D.R.monomial("x")})
+    with monkeypatch.context() as patch:
+        seen = _law_slots(patch)
+        f = make_2cm_morphism(D, D, f0, identity_map(D.E), identity_map(D.L), PROVED)
+        make_quadratic_derivation(f, {}, {}, PROVED)
+    R, E, L = D.R, D.E, D.L
+    assert seen == [(E,), (L,), (R, E), (R, L), (E, E),  # the five morphism laws
+                    (R, R), (E, E), (R,), (L, L), (R,)]  # s-law, t-laws, boundary forms
 
 
 R_SLOT_LAWS = ("d1-equivariance", "d2-equivariance", "2XM6")
@@ -469,6 +529,25 @@ def test_the_g0_tripwire_evaluates_once_per_spanned_monomial(monkeypatch):
     keys = [unit_key(r) for r in calls]
     assert 1 <= len(keys) <= 4 and len(set(keys)) == len(keys)
     assert keys[0] == ("x",) and all(key == ("x",) * len(key) for key in keys)
+
+
+def test_a_known_target_is_compared_with_the_formula_beyond_b(monkeypatch):
+    """A certified map m whose f0 agrees with f0 + d'.s on B but not at x^2
+    is not the target.  ``_settle_target`` compares m's own f0 with the
+    formula on the sampled r (the g0 tripwire), so it and ``concat_2cm``,
+    which settles the composite on the second homotopy's target, refuse m
+    at x^2."""
+    F3, F2, f, h1, h2, _ = worked_homotopies(QQ, PROVED)
+    k, x2 = h2.target, F3.R.monomial("x", "x")
+    assert k.f0(x2).is_zero()  # x -> 3p, and p^2 = 0 in F2
+    monkeypatch.setitem(k.f0._memo, ("x", "x"), F2.R.basis_element("p"))
+    with pytest.raises(MorphismViolation, match="g0 differs from f0 \\+ d'.s") as err:
+        concat_2cm(h1, h2, PROVED)
+    assert err.value.witness == (x2,)
+    composite = make_quadratic_derivation(f, {"x": 2 * F2.E.basis_element("a")}, {}, PROVED)
+    with pytest.raises(MorphismViolation, match="g0 differs from f0 \\+ d'.s"):
+        _settle_target(composite, k)
+    assert "target" not in vars(composite)
 
 
 def _zero_lemma_maps():

@@ -11,6 +11,7 @@ from xmod2 import fixtures
 from xmod2.algebra import make_finite_algebra, make_free_algebra
 from xmod2.cm_homotopy import cm_groupoid_check
 from xmod2.crossed import (
+    as_two_crossed,
     identity_2cm_morphism,
     kernel_two_crossed,
     make_2cm_morphism,
@@ -25,6 +26,7 @@ from xmod2.errors import (
 from xmod2.maps import (
     BilinearMap,
     Certificate,
+    FunctionAction,
     Policy,
     algebra_morphism,
     identity_map,
@@ -247,6 +249,37 @@ def test_an_image_on_a_key_that_is_not_a_generator_is_refused_by_name():
     ident = identity_2cm_morphism(F2)
     with pytest.raises(BadShape, match="image given for unknown key 'z' of "):
         make_quadratic_derivation(ident, {}, {"z": F2.L.basis_element(fixtures.BH)}, POL)
+
+
+def test_t_images_are_checked_once_and_an_infinite_e_is_refused_after_the_s_law(monkeypatch):
+    """t's images are checked by ``maps.generator_images`` once, where the
+    data is normalized, and the table t is built from them.  Into an L'
+    with a basis, an E with no finite basis is refused by name once the
+    s-law has passed: D = (0 -> R -> R), R = Q[x]+ acting on itself by
+    multiplication, into F2."""
+    from xmod2 import maps
+
+    F2 = fixtures.square_two_crossed()
+    ident = identity_2cm_morphism(F2)
+    t_images = {"a": -F2.L.basis_element(fixtures.BH)}
+    real, sources = maps.generator_images, []
+
+    def counted(source, target, images):
+        sources.append(source)
+        return real(source, target, images)
+
+    with monkeypatch.context() as patch:
+        patch_everywhere(patch, real, counted)
+        qd = make_quadratic_derivation(ident, {}, t_images, POL)
+    assert sources == [F2.R, F2.E] and qd.t_images == t_images and qd.t.images is qd.t_images
+
+    R = make_free_algebra(["x"], QQ)
+    D = as_two_crossed(make_crossed(R, R, identity_map(R), FunctionAction(R, R, R.key_mul), POL), POL)
+    f = zero_2cm_morphism(D, F2, POL)
+    with pytest.raises(DerivationLawViolation):
+        make_quadratic_derivation(f, {("x", "x"): F2.E.basis_element("a")}, {}, POL)
+    with pytest.raises(BadShape, match="^table linear map needs a finite source; use generator images$"):
+        make_quadratic_derivation(f, {}, {}, POL)
 
 
 def test_box_plus_s_unit_laws():
