@@ -171,27 +171,27 @@ def _morphism_images(source, target, rng, density):
     return {k: _random_element(target, rng, density=density) for k in generator_keys(source)}
 
 
-def _random_morphism(A, B, levels, make, attempts, rng, policy):
-    """make(A, B, *level maps, policy) on random images for each named
-    level, by rejection over ``attempts`` draws; falls back to the zero
-    map.  A level with no basis keys draws nothing."""
-    pairs = [(getattr(A, level), getattr(B, level)) for level in levels]
+def _random_morphism(A, B, attempts, rng, policy):
+    """A 2-crossed module map A -> B on random images of R, E and L, by
+    rejection over ``attempts`` draws; falls back to the zero map.  A level
+    with no basis keys draws nothing."""
+    pairs = [(getattr(A, level), getattr(B, level)) for level in ("R", "E", "L")]
     for _ in range(attempts):
         try:
-            return make(A, B, *[
+            return make_2cm_morphism(A, B, *[
                 algebra_morphism(src, tgt, images=_morphism_images(src, tgt, rng, 0.5), policy=policy)
                 for src, tgt in pairs
             ], policy)
         except LawViolation:
             continue
-    return make(A, B, *[zero_map(src, tgt) for src, tgt in pairs], policy)
+    return make_2cm_morphism(A, B, *[zero_map(src, tgt) for src, tgt in pairs], policy)
 
 
 def random_cm_morphism(A, B, rng, policy=DEFAULT_POLICY):
     """A crossed module map A -> B: a map of the slices, whose L = 0 draws
     nothing."""
     slices = as_two_crossed(A, policy), as_two_crossed(B, policy)
-    return _random_morphism(*slices, ("R", "E", "L"), make_2cm_morphism, 200, rng, policy)
+    return _random_morphism(*slices, 200, rng, policy)
 
 
 def random_cm_derivation(f, rng, policy=DEFAULT_POLICY):
@@ -206,7 +206,7 @@ def random_cm_derivation(f, rng, policy=DEFAULT_POLICY):
 
 
 def random_2cm_morphism(A, B, rng, policy=DEFAULT_POLICY):
-    return _random_morphism(A, B, ("R", "E", "L"), make_2cm_morphism, 120, rng, policy)
+    return _random_morphism(A, B, 120, rng, policy)
 
 
 def random_quadratic_derivation(f, rng, policy=DEFAULT_POLICY):

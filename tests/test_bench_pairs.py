@@ -1,8 +1,11 @@
-"""``tools/bench_pairs.summarize`` on synthetic runs: the pairs won, the
-claim rule and the bound check, for a higher-better and a lower-better
-metric; and ``measured_changes`` on synthetic ``git status`` lines."""
+"""``tools/bench_pairs`` without a git checkout or a benchmark run:
+``summarize`` on synthetic runs (the pairs won, the claim rule and the
+bound check, for a higher-better and a lower-better metric), the two
+copies ``main`` runs in, the order and seeds of ``measure``'s runs, and
+the refusal of a workload named twice."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -80,22 +83,91 @@ def test_one_summary_line_per_workload_and_metric():
     assert "won 0/10; claim rule not met; within bound 0.25" in lines[1]
 
 
-def test_only_a_change_to_measured_code_refuses():
-    """Doc, tool and result changes leave nothing measured; a change under
-    src/ or verdictbench/, staged, unstaged, untracked or renamed, is named."""
-    measured = _tool().measured_changes
-    assert measured(" M CHANGES.md\nM  ROADMAP.md\n?? BENCH_x.json\n M tools/bench_pairs.py\n") == []
-    assert measured("") == []
-    assert measured(" M src/xmod2/maps.py\nA  verdictbench/new.py\n?? src/xmod2/extra.py\n"
-                    "R  src/a.py -> src/b.py\n M tests/test_maps.py\n") == [
-        "src/xmod2/maps.py", "verdictbench/new.py", "src/xmod2/extra.py", "src/a.py", "src/b.py"]
+def _fake_checkout(monkeypatch, tool, tmp_path):
+    """Point the tool at a root holding only BENCHMARK.json, with git and
+    the extraction replaced; returns the list extract appends
+    (commit, tree) to."""
+    root = tmp_path / "root"
+    root.mkdir()
+    with open(os.path.join(tool.ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        (root / "BENCHMARK.json").write_text(fh.read(), encoding="utf-8")
+    monkeypatch.setattr(tool, "ROOT", str(root))
+    monkeypatch.setattr(tool, "git", lambda *args: "c" * 40 if args[-1] == "HEAD" else "p" * 40)
+    extracted = []
+
+    def extract(commit, tree):
+        os.makedirs(tree)
+        extracted.append((commit, tree))
+
+    monkeypatch.setattr(tool, "extract", extract)
+    return extracted
 
 
-def test_a_measured_change_exits_2_before_any_run(monkeypatch, capsys):
+@pytest.mark.parametrize("fails", [False, True])
+def test_both_sides_run_in_copies_under_one_base_that_is_removed(monkeypatch, tmp_path, fails):
     tool = _tool()
-    monkeypatch.setattr(tool, "uncommitted", lambda: " M src/xmod2/maps.py\n M CHANGES.md\n")
-    monkeypatch.setattr(tool, "measure", lambda *args: pytest.fail("a run started"))
-    assert tool.main(["--parent", "HEAD", "--label", "never", "--pairs", "tower=1"]) == 2
-    err = capsys.readouterr().err
-    assert "src/xmod2/maps.py" in err and "CHANGES.md" not in err
-    assert not os.path.exists(os.path.join(HERE, os.pardir, "BENCH_never.json"))
+    real_root = tool.ROOT
+    extracted = _fake_checkout(monkeypatch, tool, tmp_path)
+    seen = []
+
+    def measure(args, bench, trees):
+        assert all(os.path.isdir(tree) for tree in trees.values())
+        seen.append(dict(trees))
+        if fails:
+            raise RuntimeError("a run failed")
+        return {}, {}
+
+    monkeypatch.setattr(tool, "measure", measure)
+    argv = ["--parent", "HEAD~1", "--label", "x", "--pairs", "tower=1",
+            "--tmpdir", str(tmp_path)]
+    if fails:
+        with pytest.raises(RuntimeError):
+            tool.main(argv)
+    else:
+        assert tool.main(argv) == 0
+    [trees] = seen
+    assert sorted(trees) == ["change", "parent"]
+    base = os.path.dirname(trees["parent"])
+    assert os.path.dirname(trees["change"]) == base and trees["change"] != trees["parent"]
+    assert os.path.dirname(base) == str(tmp_path)
+    assert not any(tree in (real_root, tool.ROOT) for tree in trees.values())
+    assert extracted == [("p" * 40, trees["parent"]), ("c" * 40, trees["change"])]
+    assert not os.path.exists(base)
+    written = os.path.join(tool.ROOT, "BENCH_x.json")
+    assert os.path.exists(written) != fails
+    if not fails:
+        with open(written, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        assert (doc["parent"], doc["change"]) == ("p" * 40, "c" * 40)
+
+
+def test_the_parent_runs_first_on_even_pairs_and_both_sides_share_each_seed(monkeypatch):
+    tool = _tool()
+    calls = []
+
+    def run_once(bench, tree, workload, seed):
+        calls.append((tree, workload, seed))
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in bench["end_to_end"]}}
+
+    monkeypatch.setattr(tool, "run_once", run_once)
+    args = tool.parse_args(["--parent", "HEAD", "--label", "x", "--pairs", "tower=3",
+                            "--pairs", "groupoid=2", "--first-seed", "7"])
+    workloads, seeds = tool.measure(args, {"end_to_end": [RATE, P50]}, {"parent": "P", "change": "C"})
+    assert calls == [("P", "tower", 7), ("C", "tower", 7), ("C", "tower", 8), ("P", "tower", 8),
+                     ("P", "tower", 9), ("C", "tower", 9),
+                     ("P", "groupoid", 7), ("C", "groupoid", 7),
+                     ("C", "groupoid", 8), ("P", "groupoid", 8)]
+    assert seeds == {"tower": [7, 8, 9], "groupoid": [7, 8]}
+    assert workloads["tower"]["metrics"][RATE["name"]]["pairs"] == 3
+    assert workloads["groupoid"]["metrics"][P50["name"]]["pairs"] == 2
+
+
+def test_a_workload_named_twice_is_refused(capsys):
+    """Both blocks would run, but only the last one's runs and seeds would
+    be kept."""
+    with pytest.raises(SystemExit) as exit_:
+        _tool().parse_args(["--parent", "HEAD", "--label", "x",
+                            "--pairs", "tower=2", "--pairs", "tower=3"])
+    assert exit_.value.code == 2
+    assert "'tower' twice" in capsys.readouterr().err

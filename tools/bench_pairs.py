@@ -4,14 +4,15 @@
         --pairs groupoid=10 --pairs tower=5 --pairs validate=5 [--first-seed 1001]
 
 Runs the benchmark command of ``BENCHMARK.json`` for its ``run_seconds``
-once per side for each pair: the parent side in a temporary copy of
-REV's files (``git archive``), the change side in the working tree this
-script belongs to.  That tree must hold no uncommitted change under
-``src/`` or ``verdictbench/``: the script names any it finds and exits
-with status 2, so the change side is always its HEAD commit, the one the
-file records.  Pair i of a workload uses seed first-seed + i on both sides
-and runs the parent first when i is even, the change first when i is
-odd, so that a slow spell of the machine falls on both sides.
+once per side for each pair.  Each side runs in a copy of its commit's
+files (``git archive``): the parent side in a copy of REV, the change
+side in a copy of HEAD, as two sibling directories of one temporary base
+(under ``--tmpdir`` if given).  So both sides run from the same kind of
+tree and write their run files in the same kind of place, and uncommitted
+edits of the working tree are not measured.  Pair i of a workload uses
+seed first-seed + i on both sides and runs the parent first when i is
+even, the change first when i is odd, so that a slow spell of the machine
+falls on both sides.  A workload may be named once.
 
 Writes ``BENCH_<label>.json`` at the root of the working tree: for each
 workload and each end-to-end metric of ``BENCHMARK.json``, every run's
@@ -24,8 +25,8 @@ range, the number of pairs the change won, and two verdicts:
 * ``within_bound``: the change's median is worse than the parent's by no
   more than the metric's ``bound``, a fraction of the parent's median.
 
-It prints one summary line per workload and metric.  The copy is removed
-on every exit path, an interrupt or SIGTERM included.
+It prints one summary line per workload and metric.  The base and both
+copies are removed on every exit path, an interrupt or SIGTERM included.
 """
 
 import argparse
@@ -42,7 +43,7 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-MEASURED = ("src/", "verdictbench/")  # the code a run imports
+SIDES = ("parent", "change")
 
 
 def parse_args(argv):
@@ -52,13 +53,15 @@ def parse_args(argv):
     p.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N",
                    help="N alternating pairs of WORKLOAD; repeat for more workloads")
     p.add_argument("--first-seed", type=int, default=1001)
-    p.add_argument("--tmpdir", default=None, help="where the parent's copy goes")
+    p.add_argument("--tmpdir", default=None, help="where the two copies go")
     args = p.parse_args(argv)
     plan = []
     for item in args.pairs:
         name, _, count = item.partition("=")
         if not name or not count.isdigit() or int(count) < 1:
             p.error("--pairs wants WORKLOAD=N with N >= 1, got %r" % item)
+        if name in dict(plan):
+            p.error("--pairs names workload %r twice" % name)
         plan.append((name, int(count)))
     args.plan = plan
     return args
@@ -69,24 +72,12 @@ def git(*args, cwd=ROOT):
                           text=True).stdout.strip()
 
 
-def uncommitted():
-    """The working tree's ``git status --porcelain`` lines, untracked files
-    included."""
-    return subprocess.run(["git", "status", "--porcelain"], cwd=ROOT, check=True,
-                          capture_output=True, text=True).stdout
-
-
-def measured_changes(porcelain):
-    """The paths under a MEASURED directory in ``git status --porcelain``
-    lines ("XY PATH", or "XY OLD -> NEW" for a rename, whose two paths both
-    count)."""
-    paths = []
-    for line in porcelain.splitlines():
-        for path in line[3:].split(" -> "):
-            path = path.strip('"')
-            if path.startswith(MEASURED):
-                paths.append(path)
-    return paths
+def extract(commit, tree):
+    """Write the files of commit (``git archive``) into the new directory tree."""
+    archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT,
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(tree, filter="data")
 
 
 def run_once(bench, tree, workload, seed):
@@ -170,14 +161,14 @@ def machine():
                                  platform.python_version())
 
 
-def measure(args, bench, parent_tree):
-    trees = {"parent": parent_tree, "change": ROOT}
+def measure(args, bench, trees):
+    """Run the pairs of ``args.plan`` in ``trees`` (a directory per side)."""
     workloads, seeds = {}, {}
     for workload, count in args.plan:
-        runs = {"parent": [], "change": []}
+        runs = {side: [] for side in SIDES}
         seeds[workload] = [args.first_seed + i for i in range(count)]
         for i, seed in enumerate(seeds[workload]):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
                 runs[side].append(run_once(bench, trees[side], workload, seed))
                 print("%s pair %d %s: %s" % (workload, i, side, json.dumps(
@@ -194,31 +185,24 @@ def measure(args, bench, parent_tree):
 
 def main(argv=None):
     args = parse_args(argv)
-    changed = measured_changes(uncommitted())
-    if changed:
-        print("bench_pairs: commit these first; the change side must be the commit it records:\n  "
-              + "\n  ".join(changed), file=sys.stderr)
-        return 2
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     try:
-        parent = git("rev-parse", "--verify", args.parent + "^{commit}")
+        commits = {"parent": git("rev-parse", "--verify", args.parent + "^{commit}")}
     except subprocess.CalledProcessError:
         sys.exit("bench_pairs: %r names no commit" % args.parent)
-    change = git("rev-parse", "HEAD")
+    commits["change"] = git("rev-parse", "HEAD")
     base = tempfile.mkdtemp(prefix="bench-pairs-", dir=args.tmpdir)
-    tree = os.path.join(base, "parent")
+    trees = {side: os.path.join(base, side) for side in SIDES}
 
     def stop(signum, _frame):
         raise SystemExit(128 + signum)
 
     old = {sig: signal.signal(sig, stop) for sig in (signal.SIGTERM, signal.SIGHUP)}
     try:
-        archive = subprocess.run(["git", "archive", "--format=tar", parent], cwd=ROOT,
-                                 check=True, capture_output=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tree, filter="data")
-        workloads, seeds = measure(args, bench, tree)
+        for side in SIDES:
+            extract(commits[side], trees[side])
+        workloads, seeds = measure(args, bench, trees)
     finally:
         for sig, handler in old.items():
             signal.signal(sig, handler)
@@ -228,12 +212,11 @@ def main(argv=None):
         "label": args.label,
         "what": "verdictbench end-to-end metrics in alternating parent/change pairs (pair i "
                 "runs the parent first when i is even, the change first when i is odd); each "
-                "run is the last output line of `%s --workload W --seed S --seconds %s`, the "
-                "parent in a copy of its commit's files, the change in the working tree at its "
-                "commit"
+                "run is the last output line of `%s --workload W --seed S --seconds %s`, each "
+                "side in a copy of its commit's files (git archive), so uncommitted edits are "
+                "not measured"
                 % (" ".join(bench["command"]), bench["run_seconds"]),
-        "parent": parent,
-        "change": change,
+        **commits,
         "seeds": seeds,
         "machine": machine(),
         "workloads": workloads,
