@@ -111,20 +111,25 @@ Formula-defined maps and actions are evaluated on basis keys only.  A
 ``LinearMap`` with the "substitution" or "function" rule and a
 ``FunctionAction`` compute the image of each basis key (monomial, or key
 pair for an action) once, keep it in a per-object memo, and extend
-(bi)linearly to general elements.  A ``FunctionAction`` is given key
-images: its function takes a pair of basis keys to an element of the
-acted algebra.  So only the "function" rule of a ``LinearMap`` calls a
-closure on elements; that closure must be linear, it is only ever called
-on basis elements, and the memo grows with the keys seen.  The tower's
-faces and degeneracies are such maps whose memo is filled from a key
-image function instead (``simplex._TermMap``), and its leaf actions are
-``FunctionAction``s.
+(bi)linearly to general elements; a substitution's monomial is its
+prefix's image times its last generator's, by ``evaluate_bilinear`` on the
+target's ``key_mul``.  A ``FunctionAction`` is given key images: its
+function takes a pair of basis keys to an element of the acted algebra,
+and a ``KeyImageMap`` is the linear map given so, one key to an element
+of the target: the tower's faces and degeneracies (``simplex``), and a
+derivation s over a free R and its formula f0 + d1' o s
+(``tcm_homotopy``).  So only the "function" rule of a plain
+``LinearMap`` calls a closure on elements; that closure must be linear, it
+is only ever called on basis elements, and the memo grows with the keys
+seen.
 
-Exhaustive checks of A1, A2, multiplicativity and the simplicial identities
-run on coefficient dicts.  ``certify_action``, ``certify_multiplicative``
-and ``simplex.check_simplicial_identities`` hand ``check_law`` a kernel
-that decides each basis tuple with the two dict kernels of ``algebra``
-(``combine`` and ``bilinear``).  Products come from the algebra's own
+Exhaustive checks of A1, A2, multiplicativity, the simplicial identities
+and the t-laws run on coefficient dicts.  ``certify_action``,
+``certify_multiplicative``, ``simplex.check_simplicial_identities`` and
+``tcm_homotopy._t_laws`` hand ``check_law`` a kernel that decides each
+basis tuple with the two dict kernels of ``algebra`` (``combine`` and
+``bilinear``), and a law of one map against another in one slot takes
+``agree_on_keys``.  Products come from the algebra's own
 ``key_mul``, and images from ``_image``: a map's memoised or table image of
 a key, an action's memo entry or table row for a key pair.  The three
 kernels read the coefficient dicts of those images through a table local to
@@ -135,10 +140,14 @@ tuple whose two sides differ, the witness comes from the element path:
 ``check_law`` builds that tuple of elements from the kernel's positions and
 evaluates lhs and rhs on it, so a failure raises exactly the error an
 element check raises.  The exhaustive tuples are a lazy ``BasisTuples``, so
-the tuple at the witness is the only one built.  Checks with a free algebra
-in the law evaluate on elements: every generator tuple, and for a sampled
-law each kept spanned key tuple as a tuple of basis elements, a finite
-slot's kept ones (or every drawn tuple, when the span is not smaller).
+the tuple at the witness is the only one built.  A sampled law of one slot
+with a kernel (the g0 tripwire, t-action and its boundary form, the
+simplicial identities of a level with a free part) is decided on the keys
+its tuples span, in order, and builds the basis element of the witness
+alone.  Other checks with a free algebra in the law evaluate on elements:
+every generator tuple, and for a sampled law each kept spanned key tuple
+as a tuple of basis elements, a finite slot's kept ones (or every drawn
+tuple, when the span is not smaller).
 
 Images given on keys are checked in one place, ``generator_images``:
 each key must be one of ``algebra.generator_keys`` of the source (the
@@ -390,18 +399,6 @@ def law_tuples(algebras, policy=DEFAULT_POLICY, generators=(), triangle=None):
     return _sampled(tuple(algebras), policy).tuples, False
 
 
-def _spanned(algebras, policy, tuples):
-    """The tuples a sampled law is decided on: the tuples of basis elements
-    of the key tuples its tuples span (``_Draws.span``), each built when it
-    is read, the kept one on a finite slot; or the tuples themselves, when
-    their span is not smaller."""
-    span = _sampled(tuple(algebras), policy).span
-    if span is None:
-        return tuples
-    units = [a.basis_element if a.is_finite() else partial(_unit, a) for a in algebras]
-    return (tuple(unit(k) for unit, k in zip(units, keys)) for keys in span)
-
-
 def _unit(alg, key):
     """The basis element of key over an algebra that keeps none, built
     without ``basis_element``'s check of a key it has seen in a draw."""
@@ -421,7 +418,7 @@ def check_law(algebras, lhs, rhs, error, policy, on_keys=None, generators=(), tr
 
     A sampled law is decided on the basis-key tuples its tuples span, in
     order of first appearance, whenever those are fewer than the tuples
-    (``_spanned``, on the span kept with the draws): by multilinearity it
+    (the span kept with the draws): by multilinearity it
     then holds on every drawn tuple,
     so the certificate is the same, and a failure's witness is a tuple of
     basis elements.  No check evaluates more tuples than law_tuples gives.
@@ -441,8 +438,9 @@ def check_law(algebras, lhs, rhs, error, policy, on_keys=None, generators=(), tr
     ``on_keys`` decides the law on basis keys: given the basis key lists
     of the slots (a generating set's keys in a generator slot), it returns
     the positions (one per slot) of the first failing key tuple in
-    ``itertools.product`` order, or None.  An exhaustive check uses it and
-    evaluates lhs and rhs at that tuple only.
+    ``itertools.product`` order, or None.  An exhaustive check uses it, and
+    so does a sampled one-slot law on the keys its tuples span, in their
+    order; either evaluates lhs and rhs at that tuple only.
     """
     tuples, exhaustive = law_tuples(algebras, policy, generators, triangle)
     failure = _first_failure(algebras, policy, tuples, exhaustive, lhs, rhs, on_keys)
@@ -453,22 +451,34 @@ def check_law(algebras, lhs, rhs, error, policy, on_keys=None, generators=(), tr
 
 def _first_failure(algebras, policy, tuples, exhaustive, lhs, rhs, on_keys):
     """(t, lhs(*t), rhs(*t)) at the first tuple t of law_tuples' output
-    where the sides differ, or None."""
+    where the sides differ, or None.  A sampled law is decided on the
+    basis-key tuples its tuples span (``_Draws.span``), each built as basis
+    elements when it is read, when those are fewer; a one-slot law with
+    ``on_keys`` is decided on the span's keys."""
     if exhaustive and on_keys is not None:
-        keys = [factor.keys for factor in tuples.factors]  # kept with the elements (algebra.Kept)
+        factors = tuples.factors
+        keys = [factor.keys for factor in factors]  # kept with the elements (algebra.Kept)
         positions = on_keys(*keys) if tuples.starts is None else on_keys(*keys, starts=tuples.starts)
-        if positions is None:
-            return None
-        t = tuple(factor[p] for factor, p in zip(tuples.factors, positions))
-        return t, lhs(*t), rhs(*t)
-    if not exhaustive:
-        tuples = _spanned(algebras, policy, tuples)
+        return None if positions is None else _at(lhs, rhs, [f[p] for f, p in zip(factors, positions)])
+    span = None if exhaustive else _sampled(tuple(algebras), policy).span
+    if span is not None:
+        units = [a.basis_element if a.is_finite() else partial(_unit, a) for a in algebras]
+        if on_keys is not None and len(algebras) == 1:
+            positions = on_keys([keys[0] for keys in span])
+            return None if positions is None else _at(lhs, rhs, [units[0](span[positions[0]][0])])
+        tuples = (tuple(unit(k) for unit, k in zip(units, keys)) for keys in span)
     for t in tuples:
         left = lhs(*t)
         right = rhs(*t)
         if left != right:
             return t, left, right
     return None
+
+
+def _at(lhs, rhs, t):
+    """(t, lhs(*t), rhs(*t)) for the tuple of elements t."""
+    t = tuple(t)
+    return t, lhs(*t), rhs(*t)
 
 
 def _weakest(*certs):
@@ -568,7 +578,7 @@ class LinearMap:
             if self.rule == "substitution":  # g1...gk = (g1...g(k-1)) gk, prefix memoised
                 img = self.images.get(key[-1], self.target.zero())
                 if len(key) > 1:
-                    img = self._image(key[:-1]) * img
+                    img = evaluate_bilinear(self.target, self._image(key[:-1]), img, self.target.key_mul)
             else:
                 img = self.fn(self.source.basis_element(key))
             img = self._memo[key] = _as_element_of(self.target, self.target.owns(img))
@@ -586,6 +596,28 @@ class LinearMap:
     def __repr__(self):
         tag = self.note or self.rule
         return "LinearMap<%r -> %r; %s>" % (self.source, self.target, tag)
+
+
+class KeyImageMap(LinearMap):
+    """A linear map given by its key images: ``image(key)`` is the image of
+    one basis key, an element of the target, computed once and kept in
+    ``_memo``.  The tower's faces and degeneracies (``simplex``), a
+    derivation s over a free R and the formula f0 + d1' o s
+    (``tcm_homotopy``) are such maps."""
+
+    def __init__(self, source, target, image, note):
+        super().__init__(source, target, "function", note=note)
+        self._memo = _Lazy(image)
+
+    def _image(self, key):
+        return self._memo[key]
+
+
+def agree_on_keys(left, right):
+    """The key kernel (``check_law``'s ``on_keys``) of a law left = right in
+    one slot, each side a function from a basis key to a coefficient dict:
+    the position of the first key where the two differ, or None."""
+    return lambda keys: next(((pos,) for pos, k in enumerate(keys) if left(k) != right(k)), None)
 
 
 def generator_images(source, target, images):

@@ -80,8 +80,8 @@ whose slots hold those keys, on the part keys (so never on a zero
 argument), and tags each term's value into its output slot; a lone
 identity term gives the target's own basis element.  No element is split
 and no tuple is packed.  ``build_tower`` builds every face and degeneracy
-as a linear map with those key images, certified by
-``maps.certify_multiplicative`` (``_TermMap``), and every leaf action as a
+as a ``maps.KeyImageMap`` with those key images, certified by
+``maps.certify_multiplicative``, and every leaf action as a
 ``maps.FunctionAction`` with those key images.  The composites
 >1 = >1r + >1e, >2 = >2e + >2l and >t = >1 + >2 are sums of the stored
 components (``_SumAction``).  The codecs' ``split`` and ``pack`` serve
@@ -112,7 +112,8 @@ from .maps import (
     DEFAULT_POLICY,
     EXHAUSTIVE,
     FunctionAction,
-    LinearMap,
+    KeyImageMap,
+    agree_on_keys,
     certify_action,
     certify_multiplicative,
     check_law,
@@ -259,19 +260,6 @@ class _SumAction(FunctionAction):
         return self.parts[side]._image(k, k2)
 
 
-class _TermMap(LinearMap):
-    """A face or degeneracy whose key images are its table entry's:
-    ``image`` gives the image of a key (``_evaluator``), computed once and
-    kept in ``_memo``."""
-
-    def __init__(self, source, target, image, note):
-        super().__init__(source, target, "function", note=note)
-        self._memo = _Lazy(image)
-
-    def _image(self, key):
-        return self._memo[key]
-
-
 def _by_construction(f):
     """d0 or s0, multiplicative by construction.  Lam_n = Lam_{n-1} |x X,
     and d0 : Lam_n -> Lam_{n-1} is the projection (x, y) -> x, s0 :
@@ -317,7 +305,7 @@ def build_tower(A, policy=DEFAULT_POLICY, top=3, lower=None):
                 if (n, i) in store or not 0 <= m < len(codecs):
                     continue
                 image = _evaluator(A, table[(n, i)], (codecs[n],), (_NAMES[n],), codecs[m], _NAMES[m])
-                f = _TermMap(codecs[n].level, codecs[m].level, image, "%s%d@%d" % (tag, i, n))
+                f = KeyImageMap(codecs[n].level, codecs[m].level, image, "%s%d@%d" % (tag, i, n))
                 if first:
                     _by_construction(f)
                 else:
@@ -607,8 +595,10 @@ def _composite(maps):
 
 def check_simplicial_identities(T, policy=DEFAULT_POLICY):
     """Check every listed identity with ``check_law`` on its level, on the
-    key images of its faces and degeneracies; returns report entries (name,
-    ok, witness string or None).
+    key images of its faces and degeneracies (``maps.agree_on_keys``, on a
+    level with a free part too, whose sampled law is decided on the keys its
+    tuples span); returns report entries (name, ok, witness string or
+    None).
 
     When every face and degeneracy of an identity carries an exhaustive
     multiplicative certificate, its two sides are algebra maps, and the
@@ -631,14 +621,10 @@ def check_simplicial_identities(T, policy=DEFAULT_POLICY):
             continue
         level = T.levels[n]
         left, right = (_compose(level.ring, [images[f].__getitem__ for f in side]) for side in (lhs, rhs))
-
-        def on_keys(keys):
-            return next(((pos,) for pos, k in enumerate(keys) if left(k) != right(k)), None)
-
         proved = all(is_proof(f.multiplicative) for f in lhs + rhs)
         try:
             check_law([level], _composite(lhs), _composite(rhs), LawViolation, policy,
-                      on_keys=on_keys, generators=(0,) if proved else ())
+                      on_keys=agree_on_keys(left, right), generators=(0,) if proved else ())
             entries.append((name, True, None))
         except LawViolation as exc:
             entries.append((name, False, "at %s: %s != %s" % (exc.witness + (exc.lhs, exc.rhs))))

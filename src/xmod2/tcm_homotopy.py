@@ -71,6 +71,17 @@ over a free R, f0 + d1' o s is compared with that map's certified f0 on
 B, and on the policy's sampled r as a tripwire (``_is_target``); only a
 target certified when first read builds g0 (``_g0_substitution``).
 
+Key images.  The maps out of a free R and the laws read on them work on
+coefficient dicts, and an element is built only for a key image or a
+witness.  s is a ``maps.KeyImageMap`` whose key image is the E'-part of
+phi's (``_s_map``); the formula f0 + d1' o s is one too
+(``_target_formulas``), and the g0 tripwire compares its key image with
+g0's at each monomial the policy's sampled r span, through ``check_law``
+(``_g0_tripwire``).  The t-laws and their boundary forms are term tables,
+each written once (``_T_LAWS``, on the values of ``_SLOTS``), decided on
+basis keys by ``_t_laws``, whose witness elements are built from the same
+values.
+
 A homotopy is one object, a ``QuadraticDerivation``: its data, the
 policy its laws were certified under, and its ``target``, the map g
 certified under that same policy when first read and then kept.  The
@@ -109,9 +120,11 @@ matches no key and is certified, and rejected, as before.
 """
 
 import random
-from functools import cached_property, partial
+import re
+from functools import cache, cached_property, partial
+from operator import ne
 
-from .algebra import FreeAlgebra, unit_key
+from .algebra import FreeAlgebra, combine, unit_key
 from .crossed import MORPHISM_LAWS, make_2cm_morphism
 from .errors import (
     CompositionMismatch,
@@ -125,8 +138,11 @@ from .errors import (
 from .maps import (
     DEFAULT_POLICY,
     EXHAUSTIVE,
+    KeyImageMap,
     LinearMap,
+    agree_on_keys,
     algebra_morphism,
+    certify_multiplicative,
     check_law,
     generator_images,
     is_proof,
@@ -134,6 +150,8 @@ from .maps import (
     random_element,
     table_map,
     zero_map,
+    _Lazy,
+    _extend,
     _skeleton,
 )
 from .randgen import random_2cm_morphism, random_quadratic_derivation
@@ -167,17 +185,17 @@ def _s_map(f, images, policy=DEFAULT_POLICY):
     A finite R gives a basis table.  A free R gives the algebra map
     phi: r -> (f0(r), s(r)) into R' |x E' = Lambda1 of the target's tower
     (its lower stage: a derivation certifies no Lambda3 action), the
-    substitution fixed by the generator images (``_tower_map``), followed
-    by the projection to E'; the tower is asked for only then, and phi is
-    kept as ``s.edge_map`` for the s-law's proof by construction
-    (``check_derivation_law``).
+    substitution fixed by the generator images (``_tower_map``), and s is
+    the ``maps.KeyImageMap`` whose key image is the E'-part of phi's; the
+    tower is asked for only then, and phi is kept as ``s.edge_map`` for the
+    s-law's proof by construction (``check_derivation_law``).
     """
     R, target = f.src.R, f.tgt.E
     if f.src.free_basis is None:
         return LinearMap(R, target, "table", images=images)
     _, phi = _tower_map(f, 1, (images,), policy, "phi")
-    lam1 = phi.target
-    s = LinearMap(R, target, "function", fn=lambda r: lam1.split(phi(r))[1], note="derivation")
+    s = KeyImageMap(R, target, lambda key: target.from_coeffs(
+        {k: c for (side, k), c in phi._image(key).coeffs.items() if side}), "derivation")
     s.edge_map = phi
     return s
 
@@ -457,7 +475,14 @@ def _certify(f, data, key, policy):
 def _t_laws(f, smap, tmap, s_law, policy):
     """The certificates of t-product and t-action for (smap, tmap) over f,
     each law and its boundary form checked as ``make_quadratic_derivation``
-    says; raises QDLawViolation.
+    says, on the term tables of ``_T_LAWS``; raises QDLawViolation.
+
+    Each law is decided on basis keys: its values at a key (``_SLOTS``)
+    are coefficient dicts read from key images, once per key, and each
+    side is summed from its terms on them, a term with a zero argument
+    being zero.  At a failing tuple the witness elements are built from
+    the same values, extended linearly in r for a law over R, whose sides
+    are lists over the basis of its other slot.
 
     A law each of whose sides is linear in an argument from an algebra of
     dimension 0 is vacuous: both sides vanish.  So over a source whose E
@@ -466,74 +491,122 @@ def _t_laws(f, smap, tmap, s_law, policy):
     ``_t_action_premises`` is read only when a law with an R-slot is
     checked."""
     A, B = f.src, f.tgt
-    act_l, lift, prime, d1p = B.act_l, B.lift, B.act_prime, B.d1
-    f0, f1, f2 = f.f0, f.f1, f.f2
-
-    def law(name, algebras, lhs, rhs, generators=()):
-        return check_law(algebras, lhs, rhs, partial(QDLawViolation, name), policy, generators=generators)
-
-    # each subterm once per basis key: f1(e), t(e), s(d1 e) per E-basis e
-    ebasis = {unit_key(e): (e, f1(e), tmap(e), smap(A.d1(e))) for e in A.E.basis_elements()}
-    r_over_generators = (0,) if (ebasis or A.L.dim()) and _t_action_premises(f, s_law) else ()
-    at_r = {}
-
-    def at(r):  # f0(r), s(r) and d1'(s(r)), once per r for t-action and its boundary form
-        key = frozenset(r.coeffs.items())
-        got = at_r.get(key)
-        if got is None:
-            sr = smap(r)
-            got = at_r[key] = (f0(r), sr, d1p(sr))
-        return got
-
-    def t_product(e, e2):
-        (_, f1e, te, se), (_, f1e2, te2, se2) = ebasis[unit_key(e)], ebasis[unit_key(e2)]
-        return (
-            lift(se, f1e2) + lift(se2, f1e) + prime(f1e, te2) + prime(f1e2, te)
-            + prime(se, te2) + prime(se2, te) + te * te2
-        )
-
-    def t_action(r):  # one value per E-basis e, in basis order
-        f0r, sr, d1sr = at(r)
-        return [
-            act_l(f0r, te) + act_l(d1sr, te) + lift(sr, f1e) - lift(f1e, sr) - lift(se, sr)
-            for _, f1e, te, se in ebasis.values()
-        ]
-
     certs = dict.fromkeys(("t-product", "t-action"), EXHAUSTIVE)  # vacuous over E = 0
-    if ebasis:
-        certs["t-product"] = law("t-product", [A.E, A.E], lambda e, e2: tmap(e * e2), t_product)
-        certs["t-action"] = law(
-            "t-action", [A.R], lambda r: [tmap(A.act_e(r, e)) for e, _, _, _ in ebasis.values()],
-            t_action, r_over_generators,
-        )
-    if A.L.dim() == 0:
+    if not A.E.basis_elements() and A.L.dim() == 0:  # every t-law is vacuous
         return certs
+    L, ring, mul = B.L, B.L.ring, B.L.ring.mul
+    one, sign = ring.one, {1: ring.one, -1: ring.neg(ring.one)}
+    t = tmap._image
+    ops = ({"mul": A.E.key_mul, "act_e": A.act_e._image},  # the source's, for t's argument
+           {"mul": L.key_mul, "act_l": B.act_l._image, "prime": B.act_prime._image, "lift": B.lift._image})
 
-    # consequences of the laws on boundaries of L (sanity tripwires);
-    # d2(l), f2(l) and t(d2 l) once per L-basis l
-    lbasis = {}
-    for l in A.L.basis_elements():
-        dl = A.d2(l)
-        lbasis[unit_key(l)] = (dl, f2(l), tmap(dl))
+    def e_values(k):
+        return {"e": {k: one}, "f1e": f.f1._image(k).coeffs, "te": t(k).coeffs,
+                "se": _extend(ring, A.d1._image(k).coeffs, smap._image)}
 
-    def product_on_boundaries(l, l2):
-        (_, f2l, td), (_, f2l2, td2) = lbasis[unit_key(l)], lbasis[unit_key(l2)]
-        return f2l * td2 + f2l2 * td + td * td2
+    def r_values(k):
+        sr = smap._image(k).coeffs
+        return {"r": {k: one}, "f0r": f.f0._image(k).coeffs, "sr": sr, "d1sr": _extend(ring, sr, B.d1._image)}
 
-    def action_on_boundaries(r):  # one value per L-basis l, in basis order
-        f0r, _, d1sr = at(r)
-        return [act_l(f0r, td) + act_l(d1sr, f2l) + act_l(d1sr, td) for _, f2l, td in lbasis.values()]
+    def l_values(k):
+        dl = A.d2._image(k).coeffs
+        return {"dl": dl, "f2l": f.f2._image(k).coeffs, "td": _extend(ring, dl, t)}
 
-    law(
-        "t-product-on-boundaries", [A.L, A.L],
-        lambda l, l2: tmap(lbasis[unit_key(l)][0] * lbasis[unit_key(l2)][0]), product_on_boundaries,
-    )
-    law(
-        "t-action-on-boundaries", [A.R],
-        lambda r: [tmap(A.act_e(r, dl)) for dl, _, _ in lbasis.values()], action_on_boundaries,
-        r_over_generators,
-    )
+    values = {"e": _Lazy(e_values), "r": _Lazy(r_values), "l": _Lazy(l_values)}
+
+    def law(name, generators=()):
+        kinds, terms = _t_terms(*_T_LAWS[name])
+        tables, error = [values[kind] for kind in kinds], partial(QDLawViolation, name)
+
+        def at(*keys):  # the two sides at one basis key per slot, as coefficient dicts
+            vals = [table[k] for table, k in zip(tables, keys)]
+            out = ([], [])
+            for side, s, op, (i, x), (j, y) in terms:  # a zero argument gives no term
+                image, b, add = ops[side][op], vals[j][y], out[side].append
+                for k1, c1 in vals[i][x].items():
+                    c1 = mul(sign[s], c1)
+                    for k2, c2 in b.items():
+                        add((mul(c1, c2), image(k1, k2).coeffs))
+            return _extend(ring, combine(ring, out[0]), t), combine(ring, out[1])
+
+        if kinds[0] == "r":  # over R; each side is a list over the basis of the other slot
+            keys = (A.E if kinds[1] == "e" else A.L).basis_elements().keys
+
+            def on_keys(rkeys):
+                return next(((i,) for i, r in enumerate(rkeys) if any(ne(*at(r, k)) for k in keys)), None)
+
+            def witness(side):  # linear in r
+                return lambda r: [L.from_coeffs(combine(ring, [(c, at(rk, k)[side])
+                                                               for rk, c in r.coeffs.items()])) for k in keys]
+
+            return check_law([A.R], witness(0), witness(1), error, policy, on_keys=on_keys,
+                             generators=generators)
+        X = A.E if kinds[0] == "e" else A.L
+
+        def on_keys(keys, keys2):
+            return next(((i, j) for i, k in enumerate(keys) for j, k2 in enumerate(keys2)
+                         if ne(*at(k, k2))), None)
+
+        def witness(side):  # at a pair of basis elements, the law being exhaustive
+            return lambda u, v: L.from_coeffs(at(unit_key(u), unit_key(v))[side])
+
+        return check_law([X, X], witness(0), witness(1), error, policy, on_keys=on_keys)
+
+    r_over_generators = (0,) if _t_action_premises(f, s_law) else ()
+    if A.E.basis_elements():
+        certs["t-product"] = law("t-product")
+        certs["t-action"] = law("t-action", r_over_generators)
+    if A.L.basis_elements():  # consequences on boundaries of L (tripwires); BadShape for no basis
+        law("t-product-on-boundaries")
+        law("t-action-on-boundaries", r_over_generators)
     return certs
+
+
+@cache
+def _t_terms(slots, *sides):
+    """The slot kinds of a t-law and the terms of its sides, read once per
+    entry of ``_T_LAWS``: (side, sign, op, (slot, value), (slot, value))
+    per term "op(x, y)", side 0 for lhs, the terms of a side joined by
+    " + " and " - ".  A value name such as f1e2 is the name of a value in
+    ``_SLOTS`` (f1e) followed by its slot's suffix (the 2 of e2)."""
+    slots = slots.split()
+
+    def read(name):  # (slot, value), trying the suffixed slot first
+        for i, slot in reversed(list(enumerate(slots))):
+            kind, suffix = slot[0], slot[1:]
+            value = name[:len(name) - len(suffix)]
+            if name.endswith(suffix) and value in _SLOTS[kind]:
+                return i, value
+
+    terms = tuple((side, -1 if s == "-" else 1, op, read(x), read(y)) for side, text in enumerate(sides)
+                  for s, op, x, y in re.findall(r"([-+]?) ?(\w+)\((\w+), (\w+)\)", text))
+    return tuple(slot[0] for slot in slots), terms
+
+
+# The values a basis key gives a slot of a t-law, by the slot's kind: an
+# E-key e gives e, f1(e), t(e) and s(d1 e); an R-key r gives r, f0(r), s(r)
+# and d1'(s(r)); an L-key l gives d2(l), f2(l) and t(d2 l).
+_SLOTS = {"e": ("e", "f1e", "te", "se"), "r": ("r", "f0r", "sr", "d1sr"), "l": ("dl", "f2l", "td")}
+
+# The t-laws and their boundary forms, each t(lhs) = rhs on its slots (a
+# second slot of a kind has the suffix 2): lhs is a product or action of
+# the source, rhs a sum of products, actions (act_l for >, prime for >')
+# and liftings of the target, each term on the values of the slots
+# (``_SLOTS``).  A comment above each entry prints the law.
+_T_LAWS = {
+    # t(ee2) = {s d1 e, f1 e2} + {s d1 e2, f1 e} + f1 e >' t e2 + f1 e2 >' t e + s d1 e >' t e2
+    #          + s d1 e2 >' t e + t(e) t(e2)
+    "t-product": ("e e2", "mul(e, e2)",
+                  "lift(se, f1e2) + lift(se2, f1e) + prime(f1e, te2) + prime(f1e2, te) + prime(se, te2)"
+                  " + prime(se2, te) + mul(te, te2)"),
+    # t(r > e) = f0 r > t e + d1' s r > t e + {s r, f1 e} - {f1 e, s r} - {s d1 e, s r}
+    "t-action": ("r e", "act_e(r, e)",
+                 "act_l(f0r, te) + act_l(d1sr, te) + lift(sr, f1e) - lift(f1e, sr) - lift(se, sr)"),
+    # t(d2 l d2 l2) = f2 l t d2 l2 + f2 l2 t d2 l + t d2 l t d2 l2
+    "t-product-on-boundaries": ("l l2", "mul(dl, dl2)", "mul(f2l, td2) + mul(f2l2, td) + mul(td, td2)"),
+    # t(r > d2 l) = f0 r > t d2 l + d1' s r > f2 l + d1' s r > t d2 l
+    "t-action-on-boundaries": ("r l", "act_e(r, dl)", "act_l(f0r, td) + act_l(d1sr, f2l) + act_l(d1sr, td)"),
+}
 
 
 def _quadratic(f, s_images, t_images, policy):
@@ -549,7 +622,7 @@ def zero_quadratic(f, policy=DEFAULT_POLICY):
 
     The zero lemma.  Each law of a quadratic derivation is linear in s or
     in t: every term of the s-law has a factor s, and every term of
-    t-product and t-action a factor s or t (``_t_laws``).  So (s, t) =
+    t-product and t-action a factor s or t (``_T_LAWS``).  So (s, t) =
     (0, 0) satisfies all three for every f, and its three certificates are
     EXHAUSTIVE by construction.  Over a free R, s is read through phi
     (``_s_map``), whose images (f0(b), 0) lie in the subalgebra R' |x 0 of
@@ -573,13 +646,16 @@ def zero_quadratic(f, policy=DEFAULT_POLICY):
 
 
 def _target_formulas(qd):
-    """g0, g1 and g2 of qd's target as formulas on basis elements, the one
-    place they are written: f0 + d1' o s, f1 + s o d1 + d2' o t and
-    f2 + t o d2."""
+    """g0, g1 and g2 of qd's target as formulas, the one place they are
+    written: f0 + d1' o s as a ``maps.KeyImageMap`` (its key image summed
+    from the key images of f0, s and d1'), and f1 + s o d1 + d2' o t and
+    f2 + t o d2 on basis elements."""
     f, s, t = qd.f, qd.s, qd.t
     A, B = f.src, f.tgt
+    ring, one = B.R.ring, B.R.ring.one
     return (
-        lambda r: f.f0(r) + B.d1(s(r)),
+        KeyImageMap(A.R, B.R, lambda k: B.R.from_coeffs(combine(ring, [
+            (one, f.f0._image(k).coeffs), (one, _extend(ring, s._image(k).coeffs, B.d1._image))])), "g0"),
         lambda e: f.f1(e) + s(A.d1(e)) + B.d2(t(e)),
         lambda l: f.f2(l) + t(A.d2(l)),
     )
@@ -596,10 +672,12 @@ def _g0_premises(qd):
 
 def _g0_tripwire(qd, g0, formula):
     """g0 compared with the formula f0 + d1' o s on the policy's sampled r
-    of R, evaluated once per spanned monomial (``maps.check_law``); raises
-    MorphismViolation."""
+    of R: the two key images at each monomial they span, once each
+    (``maps.check_law`` with ``maps.agree_on_keys``), and both maps on the
+    witness r where they differ, raising MorphismViolation."""
+    on_keys = agree_on_keys(lambda k: g0._image(k).coeffs, lambda k: formula._image(k).coeffs)
     check_law([qd.f.src.R], g0, formula, partial(MorphismViolation, msg="g0 differs from f0 + d'.s"),
-              qd.policy)
+              qd.policy, on_keys=on_keys)
 
 
 def _g0_substitution(qd, formula):
@@ -611,7 +689,7 @@ def _g0_substitution(qd, formula):
     if not _g0_premises(qd):
         return None
     A, B = qd.f.src, qd.f.tgt
-    images = {b: formula(A.R.basis_element((b,))) for b in A.R.generators}
+    images = {b: formula._image((b,)) for b in A.R.generators}
     g0 = algebra_morphism(A.R, B.d1.target, images=images, note="g0")
     _g0_tripwire(qd, g0, formula)
     return g0
@@ -634,7 +712,7 @@ def _qd_target(qd):
     built so (EXHAUSTIVE by construction, ``_g0_substitution``), and
     f0 + d1' o s stays as a tripwire on the policy's sampled r, evaluated
     once per spanned monomial (``_g0_tripwire``).  Otherwise g0 is the
-    formula, certified multiplicative on law tuples.
+    formula map, certified multiplicative on law tuples.
 
     A target known in advance.  The target of a zero homotopy on f is f,
     of s [+] s' the target of s', and of sbar the source f of s.  There
@@ -667,7 +745,8 @@ def _qd_target(qd):
     g0f, g1f, g2f = _target_formulas(qd)
     g0 = _g0_substitution(qd, g0f)
     if g0 is None:
-        g0 = algebra_morphism(A.R, B.d1.target, fn=g0f, policy=policy, note="g0")
+        g0 = g0f
+        certify_multiplicative(g0, policy)
     g1 = algebra_morphism(A.E, B.E, fn=g1f, policy=policy, note="g1")
     g2 = algebra_morphism(A.L, B.L, fn=g2f, policy=policy, note="g2")
     return make_2cm_morphism(A, B, g0, g1, g2, policy)

@@ -507,26 +507,40 @@ def test_the_g0_tripwire_catches_a_wrong_image_of_x_squared(monkeypatch):
 
 def test_the_g0_tripwire_evaluates_once_per_spanned_monomial(monkeypatch):
     """On a fresh target the tripwire's 11 tuples (x, then ten draws of
-    degree <= 4) span at most x, x^2, x^3 and x^4, and g0 is evaluated on
-    those alone."""
+    degree <= 4) span at most x, x^2, x^3 and x^4, and the tripwire reads
+    g0's key image at those alone, each once, x first (a longer monomial's
+    image reading its prefix's is not a read of the tripwire)."""
     from xmod2 import tcm_homotopy
 
     real = tcm_homotopy.check_law
     seen = []
 
     def check_law(algebras, lhs, rhs, error, policy, **kwargs):
-        if getattr(lhs, "note", None) == "g0":
-            g0, calls = lhs, []
-            seen.append((len(maps.law_tuples(algebras, policy)[0]), calls))
-            lhs = lambda r: calls.append(r) or g0(r)  # noqa: E731
-        return real(algebras, lhs, rhs, error, policy, **kwargs)
+        if getattr(lhs, "note", None) != "g0":
+            return real(algebras, lhs, rhs, error, policy, **kwargs)
+        keys, inside, read = [], [], lhs._image
+
+        def image(key):
+            if not inside:
+                keys.append(key)
+            inside.append(key)
+            try:
+                return read(key)
+            finally:
+                inside.pop()
+
+        seen.append((len(maps.law_tuples(algebras, policy)[0]), keys))
+        lhs._image = image
+        try:
+            return real(algebras, lhs, rhs, error, policy, **kwargs)
+        finally:
+            del lhs._image
 
     monkeypatch.setattr(tcm_homotopy, "check_law", check_law)
     qd = _g0_target(PROVED)
     assert qd.target.f0.rule == "substitution"
-    [(tuples, calls)] = seen
+    [(tuples, keys)] = seen
     assert tuples == 1 + PROVED.samples == 11
-    keys = [unit_key(r) for r in calls]
     assert 1 <= len(keys) <= 4 and len(set(keys)) == len(keys)
     assert keys[0] == ("x",) and all(key == ("x",) * len(key) for key in keys)
 
