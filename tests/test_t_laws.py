@@ -289,30 +289,29 @@ def test_the_key_level_t_laws_decide_what_the_element_form_decides(monkeypatch):
     t-action is sampled (its action's A2 is), unfiltered, so most of them
     reject; the last also under a policy of one draw, 4x^2, whose tuples x
     and 4x^2 span no fewer keys than they are, so t-action runs its sides on
-    them, 4x^2 being no basis element.  Each
-    t-law that
-    ``_t_laws`` checks is also checked with the element form of
-    ``_element_form`` on every tuple of the same law tuples (no key
-    kernel); the two give the same certificate, or the same error with the
+    them, 4x^2 being no basis element.  Each t-law that ``_t_laws`` checks
+    is also checked with the element form of ``_element_form`` on every
+    tuple of the same law tuples (no key kernel); the two give the same
+    certificate, or the same error with the
     same first failing tuple and both sides, and the two sides of an action
     law agree on the policy's sampled r.  A failing law is passed on, so
     every law of every candidate is compared.  On the policy's sampled r of
     each free R, s equals the E'-part of phi(r), and the g0 formula equals
     f0 + d1' o s."""
     real_laws, real_check = tcm_homotopy._t_laws, tcm_homotopy.check_law
-    forms, compared = {}, []
+    current, compared = {"form": {}}, []  # the element form and zero of the laws being checked
 
-    def t_laws(f, smap, tmap, s_law, policy):  # the element form of the laws about to be checked
-        forms.update(_element_form(f, smap, tmap), zero=f.tgt.L.zero())
+    def t_laws(f, smap, tmap, s_law, policy):
+        current.update(form=_element_form(f, smap, tmap), zero=f.tgt.L.zero())
         return real_laws(f, smap, tmap, s_law, policy)
 
     def check_law(algebras, lhs, rhs, error, policy, on_keys=None, generators=(), **kwargs):
         law = error.args[0] if isinstance(error, partial) and error.func is QDLawViolation else None
-        if law not in forms or law == "zero":
+        if law not in current["form"]:
             return real_check(algebras, lhs, rhs, error, policy, on_keys=on_keys, generators=generators,
                               **kwargs)
         keyed = _outcome(real_check, algebras, lhs, rhs, error, policy, on_keys=on_keys, generators=generators)
-        sides = _law_sides(forms, law, forms["zero"])
+        sides = _law_sides(current["form"], law, current["zero"])
         plain = _outcome(real_check, algebras, *sides, error, policy, generators=generators)
         assert keyed == plain, law
         if law.startswith("t-action"):  # the witness sides, on the drawn r too
