@@ -572,11 +572,11 @@ class LinearMap:
         """The image of one basis key, an element of the target: its table
         image (zero() for a key with none) or its memoised image."""
         if self.rule == "table":
-            return self.images.get(key, self.target.zero())
+            return self.images.get(key) or self.target.zero()  # an element is never false
         img = self._memo.get(key)
         if img is None:
             if self.rule == "substitution":  # g1...gk = (g1...g(k-1)) gk, prefix memoised
-                img = self.images.get(key[-1], self.target.zero())
+                img = self.images.get(key[-1]) or self.target.zero()
                 if len(key) > 1:
                     img = evaluate_bilinear(self.target, self._image(key[:-1]), img, self.target.key_mul)
             else:
@@ -1024,7 +1024,7 @@ class BilinearMap(_KeyBilinear):
         return self._evaluate(u, v)
 
     def _image(self, k1, k2):
-        return self.table.get((k1, k2), self.target.zero())
+        return self.table.get((k1, k2)) or self.target.zero()
 
 
 def zero_bilinear(left, right, target):

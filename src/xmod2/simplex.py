@@ -41,7 +41,12 @@ and x and y an actor slot and an acted slot, in the order the paper writes
 them.  A sum inside an argument, such as {d2(l) + e' (x) e}, is one term per
 summand.  Each entry is written as text, "out += arg" or
 "out -= op(x, y)" per term, read into those tuples once (``_terms``), and
-a comment above it prints the formula as the paper writes it.
+a comment above it prints the formula as the paper writes it.  An argument
+is a slot name or a chain of named maps applied to one, d1(e) or
+s(d1(e)), read as the maps' names and the slot's, outermost first; the
+t-laws of ``tcm_homotopy._T_LAWS`` are written in this syntax too, on
+chains of the maps of a quadratic derivation, and read by the same
+``_terms``.
 
 Every level is Lam_n = Lam_{n-1} |x X, so its face d0 is the projection
 (x, y) -> x onto Lam_{n-1} and the degeneracy s0 : Lam_{n-1} -> Lam_n the
@@ -443,16 +448,17 @@ def _terms(text):
     """The terms of a table entry from its text, terms separated by "; ":
     "out += arg" or "out -= arg" is (sign, out, arg), for a face or
     degeneracy, and "out += op(x, y)" is (sign, out, op, x, y), for a leaf
-    action; an argument is a slot name, or d1(name) or d2(name), which is
-    (d1 or d2, name)."""
+    action or a t-law; an argument is a slot name, or a chain of named maps
+    applied to one, which is the tuple of their names and the slot's,
+    outermost first: d1(e) is ("d1", "e") and s(d1(e)) ("s", "d1", "e")."""
     def argument(a):
-        return tuple(a[:-1].split("(")) if a.endswith(")") else a
+        return tuple(a.rstrip(")").split("(")) if a.endswith(")") else a
 
     terms = []
     for term in text.split("; "):
         out, sign, expr = term.split(" ", 2)
         sign = 1 if sign == "+=" else -1
-        if expr.startswith(("d1(", "d2(")) or "(" not in expr:
+        if ", " not in expr:
             terms.append((sign, out, argument(expr)))
         else:
             op, args = expr[:-1].split("(", 1)

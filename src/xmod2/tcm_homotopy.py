@@ -78,8 +78,11 @@ phi's (``_s_map``); the formula f0 + d1' o s is one too
 (``_target_formulas``), and the g0 tripwire compares its key image with
 g0's at each monomial the policy's sampled r span, through ``check_law``
 (``_g0_tripwire``).  The t-laws and their boundary forms are term tables,
-each written once (``_T_LAWS``, on the values of ``_SLOTS``), decided on
-basis keys by ``_t_laws``, whose witness elements are built from the same
+each written once in the syntax of the tower's tables and read by the same
+``simplex._terms`` (``_T_LAWS``): a term's arguments are chains of maps
+applied to a slot, such as s(d1(e)), each entry resolved once at import.
+``_t_laws`` decides them on basis keys, reading each chain at each key
+once per certification, and builds its witness elements from the same
 values.
 
 A homotopy is one object, a ``QuadraticDerivation``: its data, the
@@ -120,8 +123,7 @@ matches no key and is certified, and rejected, as before.
 """
 
 import random
-import re
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from operator import ne
 
 from .algebra import FreeAlgebra, combine, unit_key
@@ -151,11 +153,12 @@ from .maps import (
     table_map,
     zero_map,
     _Lazy,
+    _compose,
     _extend,
     _skeleton,
 )
 from .randgen import random_2cm_morphism, random_quadratic_derivation
-from .simplex import get_tower
+from .simplex import _terms, get_tower
 
 
 def _require_free(A):
@@ -477,12 +480,14 @@ def _t_laws(f, smap, tmap, s_law, policy):
     each law and its boundary form checked as ``make_quadratic_derivation``
     says, on the term tables of ``_T_LAWS``; raises QDLawViolation.
 
-    Each law is decided on basis keys: its values at a key (``_SLOTS``)
-    are coefficient dicts read from key images, once per key, and each
-    side is summed from its terms on them, a term with a zero argument
-    being zero.  At a failing tuple the witness elements are built from
-    the same values, extended linearly in r for a law over R, whose sides
-    are lists over the basis of its other slot.
+    Each law is decided on basis keys.  The value of a chain of maps at a
+    slot's basis key (``_T_LAWS``) is a coefficient dict read from key
+    images once per key and chain (``maps._compose``), into one table
+    shared by the four laws, and each side is summed from its terms on
+    them, a term with a zero argument being zero.  At a failing tuple the
+    witness elements are built from the same values, extended linearly in
+    r for a law over R, whose sides are lists over the basis of its other
+    slot.
 
     A law each of whose sides is linear in an argument from an algebra of
     dimension 0 is vacuous: both sides vanish.  So over a source whose E
@@ -495,36 +500,28 @@ def _t_laws(f, smap, tmap, s_law, policy):
     if not A.E.basis_elements() and A.L.dim() == 0:  # every t-law is vacuous
         return certs
     L, ring, mul = B.L, B.L.ring, B.L.ring.mul
-    one, sign = ring.one, {1: ring.one, -1: ring.neg(ring.one)}
+    sign = {1: ring.one, -1: ring.neg(ring.one)}
     t = tmap._image
-    ops = ({"mul": A.E.key_mul, "act_e": A.act_e._image},  # the source's, for t's argument
-           {"mul": L.key_mul, "act_l": B.act_l._image, "prime": B.act_prime._image, "lift": B.lift._image})
-
-    def e_values(k):
-        return {"e": {k: one}, "f1e": f.f1._image(k).coeffs, "te": t(k).coeffs,
-                "se": _extend(ring, A.d1._image(k).coeffs, smap._image)}
-
-    def r_values(k):
-        sr = smap._image(k).coeffs
-        return {"r": {k: one}, "f0r": f.f0._image(k).coeffs, "sr": sr, "d1sr": _extend(ring, sr, B.d1._image)}
-
-    def l_values(k):
-        dl = A.d2._image(k).coeffs
-        return {"dl": dl, "f2l": f.f2._image(k).coeffs, "td": _extend(ring, dl, t)}
-
-    values = {"e": _Lazy(e_values), "r": _Lazy(r_values), "l": _Lazy(l_values)}
+    images = {"d1": A.d1._image, "d2": A.d2._image, "f0": f.f0._image, "f1": f.f1._image,
+              "f2": f.f2._image, "s": smap._image, "t": t, "d1'": B.d1._image}
+    ops = ({"mul": A.E.key_mul, "act_e": A.act_e._image},  # x: the source's, for t's argument
+           {"mul": L.key_mul, "act_l": B.act_l._image, "act_prime": B.act_prime._image,
+            "lift": B.lift._image})
+    # chain -> key -> coefficient dict; the chain's first map fixes the key's algebra
+    values = _Lazy(lambda chain: _Lazy(_compose(ring, [images[name] for name in reversed(chain)])))
 
     def law(name, generators=()):
-        kinds, terms = _t_terms(*_T_LAWS[name])
-        tables, error = [values[kind] for kind in kinds], partial(QDLawViolation, name)
+        _, _, kinds, plan = _T_LAWS[name]
+        terms = [(side, sign[s], ops[side][op], i, values[x], j, values[y])
+                 for side, s, op, (i, x), (j, y) in plan]
+        error = partial(QDLawViolation, name)
 
         def at(*keys):  # the two sides at one basis key per slot, as coefficient dicts
-            vals = [table[k] for table, k in zip(tables, keys)]
             out = ([], [])
-            for side, s, op, (i, x), (j, y) in terms:  # a zero argument gives no term
-                image, b, add = ops[side][op], vals[j][y], out[side].append
-                for k1, c1 in vals[i][x].items():
-                    c1 = mul(sign[s], c1)
+            for side, s, image, i, x, j, y in terms:  # a zero argument gives no term
+                b, add = y[keys[j]], out[side].append
+                for k1, c1 in x[keys[i]].items():
+                    c1 = mul(s, c1)
                     for k2, c2 in b.items():
                         add((mul(c1, c2), image(k1, k2).coeffs))
             return _extend(ring, combine(ring, out[0]), t), combine(ring, out[1])
@@ -562,51 +559,49 @@ def _t_laws(f, smap, tmap, s_law, policy):
     return certs
 
 
-@cache
-def _t_terms(slots, *sides):
-    """The slot kinds of a t-law and the terms of its sides, read once per
-    entry of ``_T_LAWS``: (side, sign, op, (slot, value), (slot, value))
-    per term "op(x, y)", side 0 for lhs, the terms of a side joined by
-    " + " and " - ".  A value name such as f1e2 is the name of a value in
-    ``_SLOTS`` (f1e) followed by its slot's suffix (the 2 of e2)."""
-    slots = slots.split()
+def _t_law(slots, terms):
+    """An entry of ``_T_LAWS`` from its slot names and its terms
+    (``simplex._terms``): (slots, terms, kinds, plan), resolved once.  A
+    slot's kind is its first letter, e, r or l, for E, R or L; the plan has
+    each term as (side, sign, op, (slot, chain), (slot, chain)), side 0 for
+    x and 1 for t, an argument being its slot's index and the names of the
+    maps that chain applies to it, outermost first ("s", "d1" for s(d1(e)))."""
+    def argument(arg):
+        chain = (arg,) if isinstance(arg, str) else arg
+        return slots.index(chain[-1]), chain[:-1]
 
-    def read(name):  # (slot, value), trying the suffixed slot first
-        for i, slot in reversed(list(enumerate(slots))):
-            kind, suffix = slot[0], slot[1:]
-            value = name[:len(name) - len(suffix)]
-            if name.endswith(suffix) and value in _SLOTS[kind]:
-                return i, value
-
-    terms = tuple((side, -1 if s == "-" else 1, op, read(x), read(y)) for side, text in enumerate(sides)
-                  for s, op, x, y in re.findall(r"([-+]?) ?(\w+)\((\w+), (\w+)\)", text))
-    return tuple(slot[0] for slot in slots), terms
+    plan = tuple((int(out == "t"), s, op, argument(x), argument(y)) for s, out, op, x, y in terms)
+    return slots, terms, tuple(slot[0] for slot in slots), plan
 
 
-# The values a basis key gives a slot of a t-law, by the slot's kind: an
-# E-key e gives e, f1(e), t(e) and s(d1 e); an R-key r gives r, f0(r), s(r)
-# and d1'(s(r)); an L-key l gives d2(l), f2(l) and t(d2 l).
-_SLOTS = {"e": ("e", "f1e", "te", "se"), "r": ("r", "f0r", "sr", "d1sr"), "l": ("dl", "f2l", "td")}
-
-# The t-laws and their boundary forms, each t(lhs) = rhs on its slots (a
-# second slot of a kind has the suffix 2): lhs is a product or action of
-# the source, rhs a sum of products, actions (act_l for >, prime for >')
-# and liftings of the target, each term on the values of the slots
-# (``_SLOTS``).  A comment above each entry prints the law.
-_T_LAWS = {
+# The t-laws and their boundary forms on their slots, each t(x) = t (a
+# second slot of a kind has the suffix 2): x is one product or action of
+# the source, whose image under t is the left side, and t a sum of
+# products, actions (act_l for >, act_prime for >') and liftings of the
+# target.  An argument is a slot, or maps applied to one: the source's d1,
+# d2 and the map f = (f0, f1, f2), s and t, and d1' for the target's d1.
+# Each entry is text in the syntax of the tower's tables (``simplex._terms``),
+# resolved once (``_t_law``); a comment above it prints the law.
+_T_LAWS = {name: _t_law(tuple(slots.split()), _terms(text)) for name, (slots, text) in {
     # t(ee2) = {s d1 e, f1 e2} + {s d1 e2, f1 e} + f1 e >' t e2 + f1 e2 >' t e + s d1 e >' t e2
     #          + s d1 e2 >' t e + t(e) t(e2)
-    "t-product": ("e e2", "mul(e, e2)",
-                  "lift(se, f1e2) + lift(se2, f1e) + prime(f1e, te2) + prime(f1e2, te) + prime(se, te2)"
-                  " + prime(se2, te) + mul(te, te2)"),
+    "t-product": ("e e2", "x += mul(e, e2); "
+                  "t += lift(s(d1(e)), f1(e2)); t += lift(s(d1(e2)), f1(e)); t += act_prime(f1(e), t(e2)); "
+                  "t += act_prime(f1(e2), t(e)); t += act_prime(s(d1(e)), t(e2)); "
+                  "t += act_prime(s(d1(e2)), t(e)); t += mul(t(e), t(e2))"),
     # t(r > e) = f0 r > t e + d1' s r > t e + {s r, f1 e} - {f1 e, s r} - {s d1 e, s r}
-    "t-action": ("r e", "act_e(r, e)",
-                 "act_l(f0r, te) + act_l(d1sr, te) + lift(sr, f1e) - lift(f1e, sr) - lift(se, sr)"),
+    "t-action": ("r e", "x += act_e(r, e); "
+                 "t += act_l(f0(r), t(e)); t += act_l(d1'(s(r)), t(e)); t += lift(s(r), f1(e)); "
+                 "t -= lift(f1(e), s(r)); t -= lift(s(d1(e)), s(r))"),
     # t(d2 l d2 l2) = f2 l t d2 l2 + f2 l2 t d2 l + t d2 l t d2 l2
-    "t-product-on-boundaries": ("l l2", "mul(dl, dl2)", "mul(f2l, td2) + mul(f2l2, td) + mul(td, td2)"),
+    "t-product-on-boundaries": ("l l2", "x += mul(d2(l), d2(l2)); "
+                                "t += mul(f2(l), t(d2(l2))); t += mul(f2(l2), t(d2(l))); "
+                                "t += mul(t(d2(l)), t(d2(l2)))"),
     # t(r > d2 l) = f0 r > t d2 l + d1' s r > f2 l + d1' s r > t d2 l
-    "t-action-on-boundaries": ("r l", "act_e(r, dl)", "act_l(f0r, td) + act_l(d1sr, f2l) + act_l(d1sr, td)"),
-}
+    "t-action-on-boundaries": ("r l", "x += act_e(r, d2(l)); "
+                               "t += act_l(f0(r), t(d2(l))); t += act_l(d1'(s(r)), f2(l)); "
+                               "t += act_l(d1'(s(r)), t(d2(l)))"),
+}.items()}
 
 
 def _quadratic(f, s_images, t_images, policy):

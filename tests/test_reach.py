@@ -49,6 +49,8 @@ NEVER_ENTERED = {
     "simplex._terms": _IMPORT,
     "simplex._terms.<locals>.argument": _IMPORT,
     "specdoc._refuse_surrogates": "a \\u escape of a surrogate, which fixtures.json does not hold",
+    "tcm_homotopy._t_law": _IMPORT,
+    "tcm_homotopy._t_law.<locals>.argument": _IMPORT,
     "tcm_homotopy.apply_2cm_homotopy": "public API that the groupoid workload calls",
     "tcm_homotopy.z_map": "kept for ROADMAP item 3, the proof of w-change from the faces of Z",
 }

@@ -775,9 +775,11 @@ def test_work_count_of_build_and_identities(monkeypatch):
 # entry's only lifting "lift"; the entry (n, i) of d_i or s_i at level n is
 # named d<n>@<i> or s<n>@<i>, level first, as the hand-written mutants were.
 # One hand-made mutant adds a term: s1@1 with e in both its E slots.  Each
-# value is (table, key, entry).
+# value is (table, key, entry).  ``tests/test_t_laws.py`` generates the
+# t-laws' mutants with the same ``_entry_mutants``; an argument that is a
+# chain of maps is named as it is written, s(d1(e)).
 def _arg_name(arg):
-    return arg if isinstance(arg, str) else "%s(%s)" % arg
+    return arg if isinstance(arg, str) else "(".join(arg) + ")" * (len(arg) - 1)
 
 
 def _term_name(term, lifts):
@@ -828,7 +830,8 @@ def _generated_mutants():
 FORMULA_MUTANTS = _generated_mutants()
 
 # The mutants no input rejects, each equivalent to the tables or untested
-# for a stated reason: the names MUTANTS.md lists in its ledger.
+# for a stated reason: the names MUTANTS.md lists in its ledger, the
+# tower's and the t-laws' alike, one "- `name`: reason" line each.
 MUTANTS_LEDGER = os.path.join(os.path.dirname(__file__), os.pardir, "MUTANTS.md")
 
 
@@ -910,9 +913,12 @@ def test_formula_table_mutant_is_rejected(monkeypatch, request, table, key, muta
 
 
 def test_the_mutant_ledger_names_generated_mutants():
-    """Every survivor the ledger names is a generated mutant, so a change
-    to the tables that renames or removes one must update the ledger."""
-    assert _ledger() and _ledger() <= set(FORMULA_MUTANTS)
+    """Every tower survivor the ledger names is a generated mutant, so a
+    change to the tables that renames or removes one must update the
+    ledger.  The t-law survivors, whose names begin with their law's,
+    are checked in ``tests/test_t_laws.py``."""
+    tower = {name for name in _ledger() if not name.startswith("t-")}
+    assert tower and tower <= set(FORMULA_MUTANTS)
 
 
 def _patch_formula(monkeypatch, table, key, entry):

@@ -1,24 +1,23 @@
 """The t-laws of a quadratic derivation, decided on their term tables.
 
 ``tcm_homotopy._T_LAWS`` writes t-product, t-action and their boundary
-forms once, as terms on the values of basis keys, and ``_t_laws`` decides
-each on keys.  Here:
+forms once, as terms in the syntax of the tower's tables on chains of maps
+applied to basis keys, and ``_t_laws`` decides each on keys.  Here:
 
 * ROADMAP item 1's two inputs, and a third into the asymmetric kernel of
   the tower's mutant inputs, are valid derivations on which terms that no
   drawn derivation reaches are nonzero on a basis tuple;
-* every one-term drop of t-product and t-action is generated from the
-  tables and run in-process on those inputs and on derivations drawn
-  into ``_mutant_inputs()``; the survivors are the t-law ledger of
-  MUTANTS.md;
+* every one-term drop, sign flip and lifting-argument swap of t-product
+  and t-action is generated from the tables by the tower's generator
+  (``test_simplex._entry_mutants``) and run in-process on those inputs and
+  on derivations drawn into ``_mutant_inputs()``; the survivors are the
+  t-law lines of the MUTANTS.md ledger;
 * a differential property decides drawn candidates law by law on keys and
   with the element form below, evaluated on every tuple.
 """
 
 import functools
-import os
 import random
-import re
 from functools import partial, reduce
 from operator import add
 
@@ -36,11 +35,10 @@ from xmod2.rings import QQ, PrimeField
 from xmod2.tcm_homotopy import make_quadratic_derivation
 
 from test_free_domain_proofs import _candidates, _kernel_targets, _table_acted_domain
-from test_simplex import _mutant_inputs
+from test_simplex import _entry_mutants, _ledger, _mutant_inputs
 
 F5 = PrimeField(5)
 POL = Policy(samples=10, seed=0)
-LEDGER = os.path.join(os.path.dirname(__file__), os.pardir, "MUTANTS.md")
 
 
 def _line_domain(labels, table):
@@ -85,9 +83,9 @@ def item_1_input_1():
     is the kernel of E' = <a, a2; a a = a2> -> <p> with d = 0 and the zero
     action, so L' = E' (basis a, a2 through d2') and the lifting is the
     product.  f0 = 0, f1 = f2: e -> a, e2 -> a2; s(x) = a, t(e) = a and
-    t(e2) = 3 a2.  Nonzero on a basis tuple: prime(f1e, te2), prime(f1e2, te)
-    and mul(te, te2) of t-product at (e, e), each a a = a2, against
-    t(e e) = 3 a2; lift(sr, f1e) and lift(f1e, sr) of t-action at (x, e),
+    t(e2) = 3 a2.  Nonzero on a basis tuple: f1(e)>'t(e2), f1(e2)>'t(e)
+    and t(e)t(e2) of t-product at (e, e), each a a = a2, against
+    t(e e) = 3 a2; {s(r)(x)f1(e)} and {f1(e)(x)s(r)} of t-action at (x, e),
     {a, a} = a2 less {a, a}."""
     A = _line_domain(["e", "e2"], {("e", "e"): {"e2": 1}})
     B = _kernel(["a", "a2"], {("a", "a"): {"a2": 1}}, {}, {})
@@ -103,7 +101,7 @@ def item_1_input_2():
     of E' = <a, u, w> (zero products) -> <p> with d(a) = p and p > u = w,
     so L' = <u, w> and d1'(a) = p acts on it.  f0 = 0, f1 = f2: e -> u,
     e2 -> 0; s(x) = a, t(e) = -u, t(e2) = 0.  Nonzero on a basis tuple, at
-    (x, e) of t-action: act_l(d1sr, te) = p > (-u) = -w and lift(f1e, sr),
+    (x, e) of t-action: d1'(s(r))>t(e) = p > (-u) = -w and {f1(e)(x)s(r)},
     -{u, a} = w, which cancel."""
     A = _line_domain(["e", "e2"], {("e", "e"): {"e2": 1}})
     B = _kernel(["a", "u", "w"], {}, {"a": 1}, {"u": "w"})
@@ -120,7 +118,7 @@ def asymmetric_input():
     d1'(u1) = 4 u0).  A has E = L = <u> with zero product; f0(x) = 3 u0,
     f1 = f2 = 0; s(x) = 3 u0 + 3 u1, so g0(x) = 3 u0 + 2 u0 = 0, and
     t(u) = u1 + u2.  Nonzero on a basis tuple, at (x, u) of t-action:
-    act_l(f0r, te) = 3 u0 > (u1 + u2) = u0 and act_l(d1sr, te) =
+    f0(r)>t(e) = 3 u0 > (u1 + u2) = u0 and d1'(s(r))>t(e) =
     2 u0 > (u1 + u2) = 4 u0, which cancel."""
     A = _line_domain(["u"], {})
     B = _mutant_inputs()[3]
@@ -134,32 +132,34 @@ def _element_form(f, s, t):
     independent of the term tables: {law: (other slot, lhs, terms)} with
     lhs(x, y) = t(x y) or t(x > y) and terms(x, y) the (name, signed value)
     of each term of the right side, x and y elements of the law's two
-    slots (an R-slot first for an action law)."""
+    slots (an R-slot first for an action law), named as the generated
+    mutants name them (``test_simplex._term_name``)."""
     A, B = f.src, f.tgt
     lift, prime, act_l, d1 = B.lift, B.act_prime, B.act_l, B.d1
     f0, f1, f2 = f.f0, f.f1, f.f2
 
     def product(e, e2):
         se, se2, te, te2 = s(A.d1(e)), s(A.d1(e2)), t(e), t(e2)
-        return [("lift(se, f1e2)", lift(se, f1(e2))), ("lift(se2, f1e)", lift(se2, f1(e))),
-                ("prime(f1e, te2)", prime(f1(e), te2)), ("prime(f1e2, te)", prime(f1(e2), te)),
-                ("prime(se, te2)", prime(se, te2)), ("prime(se2, te)", prime(se2, te)),
-                ("mul(te, te2)", te * te2)]
+        return [("{s(d1(e))(x)f1(e2)}", lift(se, f1(e2))), ("{s(d1(e2))(x)f1(e)}", lift(se2, f1(e))),
+                ("f1(e)>'t(e2)", prime(f1(e), te2)), ("f1(e2)>'t(e)", prime(f1(e2), te)),
+                ("s(d1(e))>'t(e2)", prime(se, te2)), ("s(d1(e2))>'t(e)", prime(se2, te)),
+                ("t(e)t(e2)", te * te2)]
 
     def action(r, e):
         sr, te = s(r), t(e)
-        return [("act_l(f0r, te)", act_l(f0(r), te)), ("act_l(d1sr, te)", act_l(d1(sr), te)),
-                ("lift(sr, f1e)", lift(sr, f1(e))), ("lift(f1e, sr)", -lift(f1(e), sr)),
-                ("lift(se, sr)", -lift(s(A.d1(e)), sr))]
+        return [("f0(r)>t(e)", act_l(f0(r), te)), ("d1'(s(r))>t(e)", act_l(d1(sr), te)),
+                ("{s(r)(x)f1(e)}", lift(sr, f1(e))), ("{f1(e)(x)s(r)}", -lift(f1(e), sr)),
+                ("{s(d1(e))(x)s(r)}", -lift(s(A.d1(e)), sr))]
 
     def product_on_boundaries(l, l2):
         td, td2 = t(A.d2(l)), t(A.d2(l2))
-        return [("mul(f2l, td2)", f2(l) * td2), ("mul(f2l2, td)", f2(l2) * td), ("mul(td, td2)", td * td2)]
+        return [("f2(l)t(d2(l2))", f2(l) * td2), ("f2(l2)t(d2(l))", f2(l2) * td),
+                ("t(d2(l))t(d2(l2))", td * td2)]
 
     def action_on_boundaries(r, l):
         td, d1sr = t(A.d2(l)), d1(s(r))
-        return [("act_l(f0r, td)", act_l(f0(r), td)), ("act_l(d1sr, f2l)", act_l(d1sr, f2(l))),
-                ("act_l(d1sr, td)", act_l(d1sr, td))]
+        return [("f0(r)>t(d2(l))", act_l(f0(r), td)), ("d1'(s(r))>f2(l)", act_l(d1sr, f2(l))),
+                ("d1'(s(r))>t(d2(l))", act_l(d1sr, td))]
 
     return {
         "t-product": (A.E, lambda e, e2: t(e * e2), product),
@@ -195,10 +195,10 @@ def _nonzero_terms(f, s_images, t_images):
 
 
 @pytest.mark.parametrize("build, nonzero", [
-    (item_1_input_1, {"t-product": {"prime(f1e, te2)", "prime(f1e2, te)", "mul(te, te2)"},
-                      "t-action": {"lift(sr, f1e)", "lift(f1e, sr)"}}),
-    (item_1_input_2, {"t-product": set(), "t-action": {"act_l(d1sr, te)", "lift(f1e, sr)"}}),
-    (asymmetric_input, {"t-product": set(), "t-action": {"act_l(f0r, te)", "act_l(d1sr, te)"}}),
+    (item_1_input_1, {"t-product": {"f1(e)>'t(e2)", "f1(e2)>'t(e)", "t(e)t(e2)"},
+                      "t-action": {"{s(r)(x)f1(e)}", "{f1(e)(x)s(r)}"}}),
+    (item_1_input_2, {"t-product": set(), "t-action": {"d1'(s(r))>t(e)", "{f1(e)(x)s(r)}"}}),
+    (asymmetric_input, {"t-product": set(), "t-action": {"f0(r)>t(e)", "d1'(s(r))>t(e)"}}),
 ])
 def test_an_input_certifies_with_its_named_terms_nonzero(build, nonzero):
     """Each input (see its docstring) is a valid derivation whose three
@@ -209,20 +209,20 @@ def test_an_input_certifies_with_its_named_terms_nonzero(build, nonzero):
     assert found == nonzero
 
 
-def _drops():
-    """{mutant name: (law, entry)}: every one-term drop of t-product's and
-    t-action's right sides in ``_T_LAWS``, named after the dropped term."""
+def _t_law_mutants():
+    """{mutant name: (table, law, entry)}: every one-term drop, sign flip and
+    lifting-argument swap of the right side of t-product and t-action in
+    ``_T_LAWS``, generated and named as the tower's are; each entry is
+    resolved as ``_T_LAWS``' own (``tcm_homotopy._t_law``)."""
     out = {}
     for law in ("t-product", "t-action"):
-        slots, lhs, rhs = tcm_homotopy._T_LAWS[law]
-        terms = re.findall(r"([-+]?) ?(\w+\(\w+, \w+\))", rhs)
-        for i, (_, term) in enumerate(terms):
-            kept = " ".join("%s %s" % (sign or "+", t) for sign, t in terms[:i] + terms[i + 1:])
-            out["%s-without-%s" % (law, term)] = (law, (slots, lhs, kept.removeprefix("+ ")))
+        slots, (lhs, *rhs) = tcm_homotopy._T_LAWS[law][:2]
+        out.update(_entry_mutants(law, "_T_LAWS", law, tuple(rhs),
+                                  lambda t, slots=slots, lhs=lhs: tcm_homotopy._t_law(slots, (lhs,) + t)))
     return out
 
 
-DROPS = _drops()
+T_LAW_MUTANTS = _t_law_mutants()
 
 
 @functools.cache
@@ -242,28 +242,28 @@ def _mutant_derivations():
     return [item_1_input_1(), item_1_input_2(), asymmetric_input()] + _drawn_into_mutant_inputs()
 
 
-def _t_law_ledger():
-    """The t-law mutants MUTANTS.md lists as surviving, one table row each."""
-    with open(LEDGER, encoding="utf-8") as fh:
-        return {line.split("`")[1] for line in fh if line.startswith("| `t-")}
-
-
 def test_the_drops_are_generated_from_the_tables():
-    assert len(DROPS) == 12
-    assert sum(name.startswith("t-product-") for name in DROPS) == 7
-    assert _t_law_ledger() and _t_law_ledger() <= set(DROPS)
+    """17 mutants of t-product (7 drops, 7 flips, 2 swaps of a lifting and
+    the swap of both) and 14 of t-action (5, 5, 3 and 1); the ledger's
+    t-law lines name generated mutants."""
+    assert len(T_LAW_MUTANTS) == 31
+    assert sum(name.startswith("t-product-") for name in T_LAW_MUTANTS) == 17
+    t_laws = {name for name in _ledger() if name.startswith("t-")}
+    assert t_laws and t_laws <= set(T_LAW_MUTANTS)
 
 
-@pytest.mark.parametrize("law, entry", [pytest.param(*entry, id=name) for name, entry in DROPS.items()])
-def test_a_dropped_t_term_is_rejected(monkeypatch, request, law, entry):
-    """Each drop is installed in ``_T_LAWS`` and every derivation of
-    ``_mutant_derivations`` is certified again: a drop whose term is nonzero
-    on one of them raises QDLawViolation there.  A drop in the ledger of
-    MUTANTS.md survives every input instead, so the survivors are the
-    ledger."""
+@pytest.mark.parametrize("table, law, entry", [
+    pytest.param(*entry, id=name) for name, entry in T_LAW_MUTANTS.items()
+])
+def test_a_t_law_mutant_is_rejected(monkeypatch, request, table, law, entry):
+    """Each mutant is installed in ``_T_LAWS`` and every derivation of
+    ``_mutant_derivations`` is certified again: a mutant that changes a
+    side on one of them raises QDLawViolation there.  A mutant in the
+    ledger of MUTANTS.md survives every input instead, so the survivors
+    are the ledger."""
     name = request.node.callspec.id
     derivations = _mutant_derivations()  # drawn with the tables intact
-    monkeypatch.setitem(tcm_homotopy._T_LAWS, law, entry)
+    monkeypatch.setitem(getattr(tcm_homotopy, table), law, entry)
     rejected = False
     for f, s_images, t_images in derivations:
         try:
@@ -271,7 +271,7 @@ def test_a_dropped_t_term_is_rejected(monkeypatch, request, law, entry):
         except LawViolation:
             rejected = True
             break
-    assert rejected is (name not in _t_law_ledger()), name
+    assert rejected is (name not in _ledger()), name
 
 
 def _outcome(check, *args, **kwargs):
